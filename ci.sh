@@ -29,6 +29,12 @@ cargo build --release --offline
 echo "==> cargo test (offline)"
 cargo test -q --offline
 
+echo "==> flexbench build + tests (the benchmark compiles against these crates)"
+# flexbench is a package of its own, outside the workspace, so the two
+# commands above do not see it.
+cargo build --release --offline --manifest-path flexbench/Cargo.toml
+cargo test --offline --manifest-path flexbench/Cargo.toml
+
 echo "==> flexsim lint (static schedule verification)"
 cargo run -q -p flexsim-experiments --release --offline -- lint > /dev/null
 cargo run -q -p flexsim-experiments --release --offline -- --json lint > /dev/null
@@ -102,6 +108,9 @@ grep -q '"ffnet": 3' "$TMP/workloads.json" \
 grep -q '"ledger_exact": true' "$TMP/run_ffnet.json" \
     || { echo "FAIL: run did not report FXC09-exact ledgers"; exit 1; }
 "$FLEXSIM" lint "$FFNET" > /dev/null
+if "$FLEXSIM" lint no-such-workload > /dev/null 2>&1; then
+    echo "FAIL: lint on an unresolvable workload exited zero"; exit 1
+fi
 "$FLEXSIM" prove "$FFNET" > /dev/null
 "$FLEXSIM" --budget smoke tune "$FFNET" > /dev/null
 printf '{"name":"bad","input":{"maps":1,"size":4},"nodes":[{"id":"c","op":"conv","m":2,"kernel":3}]}' \

@@ -3,8 +3,7 @@
 use crate::area::AreaBreakdown;
 use crate::stats::{LayerResult, RunSummary};
 use flexsim_model::{ConvLayer, Network};
-use flexsim_obs::cycles::SinkHandle;
-use flexsim_obs::spatial::SpatialHandle;
+use flexsim_obs::cycles::{Aggregate, LayerCtx, LayerTimeline, SinkHandle};
 use flexsim_obs::{span, telemetry};
 
 /// A simulated CNN accelerator.
@@ -48,18 +47,31 @@ pub trait Accelerator: Send {
     /// Estimated chip area.
     fn area(&self) -> AreaBreakdown;
 
-    /// Attaches a cycle-domain event sink; subsequent `run_conv` calls
-    /// emit tile/pass/stall/buffer events into it. The default
-    /// implementation ignores the sink, so architectures without
-    /// cycle-level instrumentation remain valid.
+    /// Attaches the observer; subsequent `run_conv` calls fold each
+    /// layer's step schedule into its cycle timeline and, when the sink
+    /// asks for one, its per-PE heatmap/bank/contention record
+    /// (flexcheck FXC13 gates those against the loss ledgers). The
+    /// default implementation ignores the sink, so architectures
+    /// without instrumentation remain valid.
     fn attach_sink(&mut self, _sink: SinkHandle) {}
 
-    /// Attaches a spatial sink; subsequent `run_conv` calls submit one
-    /// per-PE heatmap/bank-watermark/contention record per layer into
-    /// it (flexcheck FXC13 gates those records against the loss
-    /// ledgers). The default implementation ignores the sink, so
-    /// architectures without spatial instrumentation remain valid.
-    fn attach_spatial(&mut self, _sink: SpatialHandle) {}
+    /// The closed-form per-cause aggregate of the step schedule
+    /// `run_conv` folds for `layer`, computed without stepping.
+    fn aggregate(&self, layer: &ConvLayer) -> Aggregate;
+
+    /// [`Accelerator::aggregate`] as the timeline `run_conv` would
+    /// record for `layer`. Its loss ledger equals the recorded one
+    /// (flexcheck FXC10).
+    fn predict_layer(&self, layer: &ConvLayer) -> LayerTimeline {
+        let ctx = LayerCtx::new(self.name(), layer.name(), self.pe_count() as u32);
+        self.aggregate(layer).timeline(ctx)
+    }
+
+    /// [`Accelerator::predict_layer`] for every CONV layer of a
+    /// workload, planned as [`Accelerator::run_network`] plans it.
+    fn predict_network(&self, net: &Network) -> Vec<LayerTimeline> {
+        net.conv_layers().map(|l| self.predict_layer(l)).collect()
+    }
 
     /// Simulates every CONV layer of a workload in order.
     fn run_network(&mut self, net: &Network) -> RunSummary {
@@ -89,6 +101,8 @@ mod tests {
     use crate::energy::EnergyBreakdown;
     use crate::stats::{EventCounts, Traffic};
     use flexsim_model::workloads;
+    use flexsim_obs::attrib::StallCause;
+    use flexsim_obs::cycles::CycleEventKind;
 
     /// A trivial ideal accelerator: one MAC per PE per cycle, perfect
     /// utilization — used to validate the trait's default method.
@@ -120,6 +134,13 @@ mod tests {
                 energy: EnergyBreakdown::default(),
             }
         }
+        fn aggregate(&self, layer: &ConvLayer) -> Aggregate {
+            let macs = layer.macs();
+            let mut agg = Aggregate::default();
+            let pass = CycleEventKind::Pass(StallCause::MappingResidueIdle);
+            agg.add(pass, macs.div_ceil(self.pes as u64), macs);
+            agg
+        }
         fn area(&self) -> AreaBreakdown {
             AreaBreakdown::default()
         }
@@ -133,6 +154,11 @@ mod tests {
         assert_eq!(summary.macs(), workloads::lenet5().conv_macs());
         // An ideal engine approaches 100% utilization on large layers.
         assert!(summary.utilization() > 0.95);
+        // The default prediction covers the same layers and cycles.
+        let predicted = acc.predict_network(&workloads::lenet5());
+        assert_eq!(predicted.len(), 2);
+        let cycles: u64 = predicted.iter().map(LayerTimeline::total_cycles).sum();
+        assert_eq!(cycles, summary.cycles());
     }
 
     #[test]

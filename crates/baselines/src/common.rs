@@ -4,7 +4,8 @@ use flexsim_arch::dram::conv_layer_traffic;
 use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{mirror_layer, EventCounts, LayerResult, Traffic};
 use flexsim_model::ConvLayer;
-use flexsim_obs::spatial::HeatmapBuilder;
+use flexsim_obs::cycles::SinkHandle;
+use flexsim_obs::steps::{self, LayerFrame, Step};
 
 /// Table 5 on-chip buffer capacity per buffer, in 16-bit words
 /// (32 KB each).
@@ -58,30 +59,28 @@ pub(crate) fn cdiv(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
-/// Samples the three Table 5 on-chip buffers into a layer's heatmap:
-/// each bank holds the layer's working set clamped at capacity for the
-/// full layer duration (the baselines stream operands, so residency is
-/// flat). Every bank covers exactly `cycles` so flexcheck FXC13's
-/// dropped-sample check holds.
-pub(crate) fn buffer_banks(hb: &mut HeatmapBuilder, layer: &ConvLayer, cycles: u64) {
-    hb.bank_sample(
-        "neuron-in",
-        BUFFER_WORDS,
-        layer.input_neurons().min(BUFFER_WORDS),
-        cycles,
-    );
-    hb.bank_sample(
-        "kernel",
-        BUFFER_WORDS,
-        layer.synapses().min(BUFFER_WORDS),
-        cycles,
-    );
-    hb.bank_sample(
-        "neuron-out",
-        BUFFER_WORDS,
-        layer.output_neurons().min(BUFFER_WORDS),
-        cycles,
-    );
+/// Folds a baseline layer's steps into the attached sink. The heatmap
+/// samples the three Table 5 on-chip buffers: each holds the layer's
+/// working set clamped at capacity for the full layer (the baselines
+/// stream operands, so residency is flat), so every bank covers exactly
+/// the layer's cycles, as flexcheck FXC13's dropped-sample check
+/// requires. The baselines have no shared adder-tree ports or CDB, so
+/// both contention matrices stay empty.
+pub(crate) fn observe(
+    sink: &SinkHandle,
+    frame: &LayerFrame,
+    layer: &ConvLayer,
+    steps: impl IntoIterator<Item = Step>,
+) {
+    steps::fold(sink, frame, steps, |hb| {
+        for (bank, words) in [
+            ("neuron-in", layer.input_neurons()),
+            ("kernel", layer.synapses()),
+            ("neuron-out", layer.output_neurons()),
+        ] {
+            hb.bank_sample(bank, BUFFER_WORDS, words.min(BUFFER_WORDS), frame.cycles);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -90,7 +89,6 @@ mod tests {
     use flexsim_arch::Accelerator;
     use flexsim_obs::attrib::{LossLedger, StallCause};
     use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
-    use flexsim_obs::spatial::{SpatialHandle, SpatialRecorder};
     use std::sync::Arc;
 
     #[test]
@@ -143,14 +141,12 @@ mod tests {
                 Box::new(TilingArray::diannao()),
             ];
             for acc in &mut accs {
-                let cyc = Arc::new(CycleRecorder::new());
-                let spa = Arc::new(SpatialRecorder::new());
-                acc.attach_sink(SinkHandle::new(cyc.clone()));
-                acc.attach_spatial(SpatialHandle::new(spa.clone()));
+                let rec = Arc::new(CycleRecorder::with_spatial());
+                acc.attach_sink(SinkHandle::new(rec.clone()));
                 acc.run_network(&net);
                 let ledgers: Vec<LossLedger> =
-                    cyc.take().iter().map(LossLedger::from_timeline).collect();
-                let spatials = spa.take();
+                    rec.take().iter().map(LossLedger::from_timeline).collect();
+                let spatials = rec.take_spatial();
                 assert_eq!(spatials.len(), ledgers.len());
                 for (sp, led) in spatials.iter().zip(&ledgers) {
                     let tag = format!("{}/{}/{}", sp.arch, net.name(), sp.layer);

@@ -13,7 +13,7 @@
 //! the reference. The analytic path counts the same schedule in closed
 //! form.
 
-use crate::common::{buffer_banks, cdiv, finish, Outcome};
+use crate::common::{cdiv, finish, observe, Outcome};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
 use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
@@ -22,8 +22,9 @@ use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
 use flexsim_model::{Acc32, ConvLayer, Tensor2, Tensor3};
 use flexsim_obs::attrib::StallCause;
-use flexsim_obs::cycles::{Coalescer, CycleEventKind, LayerCtx, SinkHandle};
-use flexsim_obs::spatial::{CellRect, HeatmapBuilder, SpatialHandle};
+use flexsim_obs::cycles::{Aggregate, CycleEventKind, SinkHandle};
+use flexsim_obs::spatial::CellRect;
+use flexsim_obs::steps::{LayerFrame, Pass, Step};
 use flexsim_obs::telemetry;
 
 /// Operand-movement statistics from the explicit shift simulation.
@@ -56,7 +57,6 @@ pub struct Mapping2d {
     tc: usize,
     energy: EnergyModel,
     sink: SinkHandle,
-    spatial: SpatialHandle,
 }
 
 impl Mapping2d {
@@ -72,7 +72,6 @@ impl Mapping2d {
             tc,
             energy: EnergyModel::tsmc65(),
             sink: SinkHandle::none(),
-            spatial: SpatialHandle::none(),
         }
     }
 
@@ -224,7 +223,6 @@ impl Mapping2d {
 
     fn analyze(&self, layer: &ConvLayer) -> Outcome {
         let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
-        let pe_count = (self.tr * self.tc) as u64;
         let row_tiles = cdiv(s, self.tr);
         let col_tiles = cdiv(s, self.tc);
         let tiles = (row_tiles * col_tiles) as u64;
@@ -259,7 +257,6 @@ impl Mapping2d {
             kernel_in,
             psum: 0,
         };
-        let _ = pe_count;
 
         // Events: every MAC pulls its input from a neighbour FIFO (one
         // read + one write as the operand window shifts) and updates the
@@ -283,10 +280,12 @@ impl Mapping2d {
         }
     }
 
-    /// Emits the layer's cycle-domain timeline: one step per spatial
-    /// tile — the initial window load, then one merged `Pass` covering
-    /// the tile's `M·N·K²` compute cycles with the clamped `Tr·Tc`
-    /// occupancy. Totals are exact against [`Self::analyze`].
+    /// The step schedule: one step per spatial tile — the initial
+    /// window load, then one pass covering the tile's `M·N·K²` compute
+    /// cycles. Output neurons map to PEs in place, so each pass lights
+    /// the top-left `Tr_eff × Tc_eff` corner of the array and edge
+    /// tiles darken its right and bottom margins — the paper's
+    /// "feature map smaller than computing array" waste, per cell.
     ///
     /// Loss attribution: the per-tile window load is
     /// [`StallCause::BufferBandwidthWait`] — operands inject through
@@ -295,84 +294,20 @@ impl Mapping2d {
     /// from `Tr_eff·Tc_eff` edge clamping, hence
     /// [`StallCause::EdgeFragmentation`] (interior tiles have zero
     /// residue).
-    fn emit_cycle_events(&self, layer: &ConvLayer, total_cycles: u64) {
-        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
-        let row_tiles = cdiv(s, self.tr);
-        let col_tiles = cdiv(s, self.tc);
-        let pass_cycles = (m * n * k * k) as u64;
-        self.sink.begin_layer(&LayerCtx::new(
-            self.name(),
-            layer.name(),
-            self.pe_count() as u32,
-        ));
-        let mut co = Coalescer::new(&self.sink, (row_tiles * col_tiles) as u64);
-        for rt in 0..row_tiles {
-            let tr_eff = self.tr.min(s - rt * self.tr) as u64;
-            for ct in 0..col_tiles {
-                let tc_eff = self.tc.min(s - ct * self.tc) as u64;
-                co.push(
-                    CycleEventKind::Stall(StallCause::BufferBandwidthWait),
-                    self.tc as u64,
-                    0,
-                );
-                co.push(
-                    CycleEventKind::Pass(StallCause::EdgeFragmentation),
-                    pass_cycles,
-                    tr_eff * tc_eff * pass_cycles,
-                );
-                co.step();
-            }
-        }
-        let totals = co.finish();
-        debug_assert_eq!(
-            totals.cycles, total_cycles,
-            "trace cycles diverge from analyze"
-        );
-        debug_assert_eq!(
-            totals.macs,
-            layer.macs(),
-            "trace MACs diverge from analyze (flexcheck FXC09 attribution-exactness)"
-        );
-        self.sink.end_layer();
-    }
-
-    /// Emits the layer's spatial record: each output tile computes in
-    /// the top-left `Tr_eff × Tc_eff` corner of the array (output
-    /// neurons map to PEs in place), so edge tiles darken the right and
-    /// bottom margins — exactly the paper's "feature map smaller than
-    /// computing array" waste, now visible per cell. Window loads cost
-    /// every PE uniformly. Cell sums reproduce the ledger exactly
-    /// (flexcheck FXC13). No shared reduction ports or CDB exist here,
-    /// so both contention matrices stay empty.
-    fn emit_spatial(&self, layer: &ConvLayer, total_cycles: u64) {
-        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
-        let row_tiles = cdiv(s, self.tr);
-        let col_tiles = cdiv(s, self.tc);
-        let pass_cycles = (m * n * k * k) as u64;
-        let mut hb = HeatmapBuilder::new(self.name(), layer.name(), self.tr, self.tc, total_cycles);
-        hb.stall(
-            StallCause::BufferBandwidthWait,
-            (row_tiles * col_tiles * self.tc) as u64,
-        );
-        for rt in 0..row_tiles {
-            let tr_eff = self.tr.min(s - rt * self.tr);
-            for ct in 0..col_tiles {
-                let tc_eff = self.tc.min(s - ct * self.tc);
-                hb.pass(
-                    StallCause::EdgeFragmentation,
-                    &[CellRect {
-                        row: 0,
-                        col: 0,
-                        rows: tr_eff,
-                        cols: tc_eff,
-                    }],
-                    pass_cycles,
-                    (tr_eff * tc_eff) as u64 * pass_cycles,
-                );
-            }
-        }
-        buffer_banks(&mut hb, layer, total_cycles);
-        self.spatial.record_layer(hb.finish());
+    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl Iterator<Item = Step> + 'a {
+        let (s, col_tiles) = (layer.s(), cdiv(layer.s(), self.tc));
+        let pass = (layer.m() * layer.n() * layer.k() * layer.k()) as u64;
+        (0..cdiv(s, self.tr) * col_tiles).map(move |t| {
+            let tr_eff = self.tr.min(s - t / col_tiles * self.tr);
+            let tc_eff = self.tc.min(s - t % col_tiles * self.tc);
+            Step::new(Pass {
+                cause: StallCause::EdgeFragmentation,
+                cycles: pass,
+                macs: (tr_eff * tc_eff) as u64 * pass,
+                rects: CellRect::full(tr_eff, tc_eff).into(),
+            })
+            .stall(StallCause::BufferBandwidthWait, self.tc as u64)
+        })
     }
 
     fn area_spec(&self) -> AreaSpec {
@@ -402,12 +337,16 @@ impl Accelerator for Mapping2d {
             let _schedule = telemetry::phase(telemetry::Phase::Schedule);
             self.analyze(layer)
         };
-        if self.sink.enabled() {
-            self.emit_cycle_events(layer, outcome.cycles);
-        }
-        if self.spatial.enabled() {
-            self.emit_spatial(layer, outcome.cycles);
-        }
+        let frame = LayerFrame {
+            arch: self.name(),
+            layer: layer.name(),
+            rows: self.tr,
+            cols: self.tc,
+            cycles: outcome.cycles,
+            macs: outcome.macs,
+            steps: (cdiv(layer.s(), self.tr) * cdiv(layer.s(), self.tc)) as u64,
+        };
+        observe(&self.sink, &frame, layer, self.steps(layer));
         let area = self.area().total_mm2();
         finish(
             self.name(),
@@ -423,8 +362,18 @@ impl Accelerator for Mapping2d {
         self.sink = sink;
     }
 
-    fn attach_spatial(&mut self, sink: SpatialHandle) {
-        self.spatial = sink;
+    /// The closed-form aggregate of [`Self::steps`]: clamped tile areas
+    /// sum to exactly `S²` over the tile grid.
+    fn aggregate(&self, layer: &ConvLayer) -> Aggregate {
+        let s = layer.s();
+        let tiles = (cdiv(s, self.tr) * cdiv(s, self.tc)) as u64;
+        let pass = (layer.m() * layer.n() * layer.k() * layer.k()) as u64;
+        let mut agg = Aggregate::default();
+        let wait = CycleEventKind::Stall(StallCause::BufferBandwidthWait);
+        agg.add(wait, tiles * self.tc as u64, 0);
+        let edge = CycleEventKind::Pass(StallCause::EdgeFragmentation);
+        agg.add(edge, tiles * pass, (s * s) as u64 * pass);
+        agg
     }
 
     fn area(&self) -> AreaBreakdown {

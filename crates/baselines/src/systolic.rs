@@ -16,7 +16,7 @@
 //! ("Systolic needs a long initialization phase to fill its deep
 //! pipeline", Section 6.2.3).
 
-use crate::common::{buffer_banks, cdiv, finish, Outcome};
+use crate::common::{cdiv, finish, observe, Outcome};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
 use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
@@ -25,8 +25,9 @@ use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
 use flexsim_model::{Acc32, ConvLayer, Tensor2, Tensor3};
 use flexsim_obs::attrib::StallCause;
-use flexsim_obs::cycles::{Coalescer, CycleEventKind, LayerCtx, SinkHandle};
-use flexsim_obs::spatial::{CellRect, HeatmapBuilder, SpatialHandle};
+use flexsim_obs::cycles::{Aggregate, CycleEventKind, SinkHandle};
+use flexsim_obs::spatial::{CellRect, CellRects};
+use flexsim_obs::steps::{LayerFrame, Pass, Step};
 use flexsim_obs::telemetry;
 
 /// The Systolic baseline simulator.
@@ -49,7 +50,6 @@ pub struct Systolic {
     num_arrays: usize,
     energy: EnergyModel,
     sink: SinkHandle,
-    spatial: SpatialHandle,
 }
 
 impl Systolic {
@@ -69,7 +69,6 @@ impl Systolic {
             num_arrays,
             energy: EnergyModel::tsmc65(),
             sink: SinkHandle::none(),
-            spatial: SpatialHandle::none(),
         }
     }
 
@@ -108,10 +107,14 @@ impl Systolic {
         self.num_arrays
     }
 
-    /// Pipeline depth for input width `w`: `(K−1)·W + K` chain cells.
-    fn chain_len(&self, w: usize) -> usize {
-        let k = self.array_k;
-        (k - 1) * w + k
+    /// Sub-kernel passes per `(m, n)` pair — a kernel wider than the
+    /// array decomposes into `⌈K/ak⌉²` sub-kernels, each its own pass
+    /// over the input — and each pass's pipeline depth, `(ak−1)·W + ak`
+    /// chain cells.
+    fn passes_and_depth(&self, layer: &ConvLayer) -> (u64, u64) {
+        let (ak, w) = (self.array_k, layer.input_size());
+        let pk = cdiv(layer.k(), ak) * cdiv(layer.k(), ak);
+        (pk as u64, ((ak - 1) * w + ak) as u64)
     }
 
     /// Functionally computes a CONV layer through the systolic pipeline,
@@ -214,14 +217,11 @@ impl Systolic {
     fn analyze(&self, layer: &ConvLayer) -> Outcome {
         let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
         let w = layer.input_size();
-        let ak = self.array_k;
-        // Kernels larger than the array decompose into sub-kernels, each
-        // needing its own pass over the input.
-        let pk = cdiv(k, ak) * cdiv(k, ak);
+        let (pk, depth) = self.passes_and_depth(layer);
         // Arrays parallelize over output feature maps (DC-CNN mode).
         let m_groups = cdiv(m, self.num_arrays);
-        let passes = (m_groups * n * pk) as u64;
-        let cycles_per_pass = (w * w + self.chain_len(w)) as u64;
+        let passes = (m_groups * n) as u64 * pk;
+        let cycles_per_pass = (w * w) as u64 + depth;
         let cycles = passes * cycles_per_pass;
         let macs = layer.macs();
 
@@ -231,7 +231,7 @@ impl Systolic {
         let neuron_in = passes * (w * w) as u64;
         let kernel_in = layer.synapses();
         let out_words = (m * s * s) as u64;
-        let integration_passes = (n * pk) as u64;
+        let integration_passes = n as u64 * pk;
         let psum = if integration_passes > 1 {
             out_words * 2 * (integration_passes - 1)
         } else {
@@ -248,8 +248,8 @@ impl Systolic {
         // accumulator register; each of the (K−1) inter-row FIFOs does
         // one push and one pop per busy cycle (circular-buffer FIFOs);
         // the input broadcast is one bus word per cycle.
-        let busy_array_cycles = (m * n * pk) as u64 * cycles_per_pass;
-        let fifos_per_array = (k.min(ak) - 1) as u64;
+        let busy_array_cycles = (m * n) as u64 * pk * cycles_per_pass;
+        let fifos_per_array = (k.min(self.array_k) - 1) as u64;
         let events = EventCounts {
             macs,
             local_store_reads: 2 * macs + busy_array_cycles * fifos_per_array,
@@ -268,11 +268,14 @@ impl Systolic {
         }
     }
 
-    /// Emits the layer's cycle-domain timeline: one `(m-group, input
-    /// map)` step per coalescer tick — sub-kernel passes merged — with
-    /// the chain bubble split into ramp-in/ramp-out stalls and the
-    /// streaming window as a `Pass`. Cycle and MAC totals are exact
-    /// against [`Self::analyze`].
+    /// The step schedule: one step per `(m-group, input map)` —
+    /// sub-kernel passes merged — with the chain bubble split into
+    /// ramp-in/ramp-out stalls and the streaming window as one pass on
+    /// the active arrays. The heatmap lays the engine out as
+    /// `num_arrays` stacked `array_k × array_k` tiles (rows
+    /// `a·ak..a·ak+ak` are array `a`), each pass lighting the
+    /// `K_eff × K_eff` kernel footprint of its busy arrays, so the
+    /// `K² < ak²` array waste shows as dark cells.
     ///
     /// Loss attribution: the chain bubble divides evenly into
     /// [`StallCause::PipelineFill`] (no output emerges until the chain
@@ -283,110 +286,29 @@ impl Systolic {
     /// [`StallCause::EdgeFragmentation`] on the final partial group
     /// (`M mod num_arrays` arrays idle — edge-dominated, so the whole
     /// residue of that step is attributed there).
-    fn emit_cycle_events(&self, layer: &ConvLayer, total_cycles: u64) {
+    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl Iterator<Item = Step> + 'a {
         let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
         let w = layer.input_size();
         let ak = self.array_k;
-        let pk = (cdiv(k, ak) * cdiv(k, ak)) as u64;
-        let fill = self.chain_len(w) as u64;
-        let stream = (w * w) as u64;
-        let m_groups = cdiv(m, self.num_arrays);
-        self.sink.begin_layer(&LayerCtx::new(
-            self.name(),
-            layer.name(),
-            self.pe_count() as u32,
-        ));
-        let mut co = Coalescer::new(&self.sink, (m_groups * n) as u64);
-        for gi in 0..m_groups {
-            let arrays_active = self.num_arrays.min(m - gi * self.num_arrays) as u64;
-            let pass_macs = arrays_active * (s * s * k * k) as u64;
-            let residue_cause = if arrays_active < self.num_arrays as u64 {
+        let (pk, depth) = self.passes_and_depth(layer);
+        let bubble = pk * depth;
+        let footprint = CellRect::full(k.min(ak), k.min(ak));
+        (0..cdiv(m, self.num_arrays) * n).map(move |i| {
+            let arrays = self.num_arrays.min(m - i / n * self.num_arrays);
+            let cause = if arrays < self.num_arrays {
                 StallCause::EdgeFragmentation
             } else {
                 StallCause::MappingResidueIdle
             };
-            for _ in 0..n {
-                let bubble = pk * fill;
-                co.push(
-                    CycleEventKind::Stall(StallCause::PipelineFill),
-                    bubble.div_ceil(2),
-                    0,
-                );
-                co.push(
-                    CycleEventKind::Stall(StallCause::PipelineDrain),
-                    bubble / 2,
-                    0,
-                );
-                co.push(CycleEventKind::Pass(residue_cause), pk * stream, pass_macs);
-                co.step();
-            }
-        }
-        let totals = co.finish();
-        debug_assert_eq!(
-            totals.cycles, total_cycles,
-            "trace cycles diverge from analyze"
-        );
-        debug_assert_eq!(
-            totals.macs,
-            layer.macs(),
-            "trace MACs diverge from analyze (flexcheck FXC09 attribution-exactness)"
-        );
-        self.sink.end_layer();
-    }
-
-    /// Emits the layer's spatial record: the heatmap is the engine laid
-    /// out as `num_arrays` stacked `array_k × array_k` tiles (rows
-    /// `a·ak..a·ak+ak` are array `a`). The chain bubble costs every PE
-    /// uniformly; each m-group's pass credits its MACs to the active
-    /// arrays' `K_eff × K_eff` sub-rectangles — so per-cause cell sums
-    /// reproduce the ledger exactly (flexcheck FXC13), and the heatmap
-    /// *shows* the `K² < ak²` array waste as dark cells outside the
-    /// kernel footprint. Systolic chains have no shared adder-tree
-    /// ports or CDB, so both contention matrices stay empty.
-    fn emit_spatial(&self, layer: &ConvLayer, total_cycles: u64) {
-        let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
-        let w = layer.input_size();
-        let ak = self.array_k;
-        let pk = (cdiv(k, ak) * cdiv(k, ak)) as u64;
-        let bubble = pk * self.chain_len(w) as u64;
-        let stream = (w * w) as u64;
-        let m_groups = cdiv(m, self.num_arrays);
-        let keff = k.min(ak);
-        let mut hb = HeatmapBuilder::new(
-            self.name(),
-            layer.name(),
-            self.num_arrays * ak,
-            ak,
-            total_cycles,
-        );
-        let steps = (m_groups * n) as u64;
-        hb.stall(StallCause::PipelineFill, steps * bubble.div_ceil(2));
-        hb.stall(StallCause::PipelineDrain, steps * (bubble / 2));
-        for gi in 0..m_groups {
-            let arrays_active = self.num_arrays.min(m - gi * self.num_arrays);
-            let pass_macs = arrays_active as u64 * (s * s * k * k) as u64;
-            let residue_cause = if arrays_active < self.num_arrays {
-                StallCause::EdgeFragmentation
-            } else {
-                StallCause::MappingResidueIdle
-            };
-            let rects: Vec<CellRect> = (0..arrays_active)
-                .map(|a| CellRect {
-                    row: a * ak,
-                    col: 0,
-                    rows: keff,
-                    cols: keff,
-                })
-                .collect();
-            hb.pass(
-                residue_cause,
-                &rects,
-                n as u64 * pk * stream,
-                n as u64 * pass_macs,
-            );
-        }
-        buffer_banks(&mut hb, layer, total_cycles);
-        self.spatial.record_layer(hb.finish());
+            Step::new(Pass {
+                cause,
+                cycles: pk * (w * w) as u64,
+                macs: (arrays * s * s * k * k) as u64,
+                rects: CellRects::stacked(footprint, arrays, ak),
+            })
+            .stall(StallCause::PipelineFill, bubble.div_ceil(2))
+            .stall(StallCause::PipelineDrain, bubble / 2)
+        })
     }
 
     fn area_spec(&self) -> AreaSpec {
@@ -416,12 +338,16 @@ impl Accelerator for Systolic {
             let _schedule = telemetry::phase(telemetry::Phase::Schedule);
             self.analyze(layer)
         };
-        if self.sink.enabled() {
-            self.emit_cycle_events(layer, outcome.cycles);
-        }
-        if self.spatial.enabled() {
-            self.emit_spatial(layer, outcome.cycles);
-        }
+        let frame = LayerFrame {
+            arch: self.name(),
+            layer: layer.name(),
+            rows: self.num_arrays * self.array_k,
+            cols: self.array_k,
+            cycles: outcome.cycles,
+            macs: outcome.macs,
+            steps: (cdiv(layer.m(), self.num_arrays) * layer.n()) as u64,
+        };
+        observe(&self.sink, &frame, layer, self.steps(layer));
         let area = self.area().total_mm2();
         finish(
             self.name(),
@@ -437,8 +363,34 @@ impl Accelerator for Systolic {
         self.sink = sink;
     }
 
-    fn attach_spatial(&mut self, sink: SpatialHandle) {
-        self.spatial = sink;
+    /// The closed-form aggregate of [`Self::steps`]: full m-groups keep
+    /// every array busy (mapping-residue loss only), the final partial
+    /// group idles `M mod num_arrays` arrays (edge fragmentation).
+    fn aggregate(&self, layer: &ConvLayer) -> Aggregate {
+        let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
+        let w = layer.input_size();
+        let (pk, depth) = self.passes_and_depth(layer);
+        let bubble = pk * depth;
+        let pass = pk * (w * w) as u64;
+        let steps = (cdiv(m, self.num_arrays) * n) as u64;
+        let (full, edge) = ((m / self.num_arrays) as u64, (m % self.num_arrays) as u64);
+        let (n, per_array) = (n as u64, (s * s * k * k) as u64);
+        let mut agg = Aggregate::default();
+        let fill = CycleEventKind::Stall(StallCause::PipelineFill);
+        agg.add(fill, steps * bubble.div_ceil(2), 0);
+        let drain = CycleEventKind::Stall(StallCause::PipelineDrain);
+        agg.add(drain, steps * (bubble / 2), 0);
+        agg.add(
+            CycleEventKind::Pass(StallCause::MappingResidueIdle),
+            full * n * pass,
+            full * n * self.num_arrays as u64 * per_array,
+        );
+        agg.add(
+            CycleEventKind::Pass(StallCause::EdgeFragmentation),
+            u64::from(edge > 0) * n * pass,
+            n * edge * per_array,
+        );
+        agg
     }
 
     fn area(&self) -> AreaBreakdown {

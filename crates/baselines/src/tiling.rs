@@ -12,7 +12,7 @@
 //! form and charges the per-cycle operand streaming that makes this
 //! architecture's data volume the largest of the four (Fig. 17).
 
-use crate::common::{buffer_banks, cdiv, finish, Outcome};
+use crate::common::{cdiv, finish, observe, Outcome};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
 use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
@@ -21,8 +21,9 @@ use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
 use flexsim_model::{Acc32, ConvLayer, Tensor3};
 use flexsim_obs::attrib::StallCause;
-use flexsim_obs::cycles::{Coalescer, CycleEventKind, LayerCtx, SinkHandle};
-use flexsim_obs::spatial::{CellRect, HeatmapBuilder, SpatialHandle};
+use flexsim_obs::cycles::{Aggregate, CycleEventKind, SinkHandle};
+use flexsim_obs::spatial::CellRect;
+use flexsim_obs::steps::{LayerFrame, Pass, Step};
 use flexsim_obs::telemetry;
 
 /// The Tiling baseline simulator.
@@ -46,7 +47,6 @@ pub struct TilingArray {
     tn: usize,
     energy: EnergyModel,
     sink: SinkHandle,
-    spatial: SpatialHandle,
 }
 
 impl TilingArray {
@@ -62,7 +62,6 @@ impl TilingArray {
             tn,
             energy: EnergyModel::tsmc65(),
             sink: SinkHandle::none(),
-            spatial: SpatialHandle::none(),
         }
     }
 
@@ -177,10 +176,11 @@ impl TilingArray {
         }
     }
 
-    /// Emits the layer's cycle-domain timeline: one `Pass` per
-    /// `(m-tile, n-tile)` step, its MACs the clamped lane product —
-    /// exactly the analytic schedule, so trace totals match
-    /// [`Self::analyze`].
+    /// The step schedule: one pass per `(m-tile, n-tile)`, its MACs
+    /// the clamped lane product. Heatmap rows are the `Tm` PEs and
+    /// columns their `Tn` multiplier lanes; each pass lights the
+    /// top-left `Tm_eff × Tn_eff` corner, so a starved engine (M or N
+    /// below 16) shows as dark rows or lanes — Table 3's story per cell.
     ///
     /// Loss attribution per step uses the dominant residue component:
     /// an output-lane clamp (`Tm_eff < Tm`) idles whole PE rows —
@@ -190,89 +190,28 @@ impl TilingArray {
     /// clamp both ways; their whole residue goes to whichever component
     /// is larger (row loss `(Tm−Tm_eff)·Tn` vs lane loss
     /// `Tm_eff·(Tn−Tn_eff)` per cycle), documented in DESIGN.md §9.
-    fn emit_cycle_events(&self, layer: &ConvLayer, total_cycles: u64) {
-        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
-        let m_tiles = cdiv(m, self.tm);
-        let n_tiles = cdiv(n, self.tn);
-        let pass_cycles = (s * s * k * k) as u64;
-        self.sink.begin_layer(&LayerCtx::new(
-            self.name(),
-            layer.name(),
-            self.pe_count() as u32,
-        ));
-        let mut co = Coalescer::new(&self.sink, (m_tiles * n_tiles) as u64);
-        for mt in 0..m_tiles {
-            let tm_eff = self.tm.min(m - mt * self.tm) as u64;
-            for nt in 0..n_tiles {
-                let tn_eff = self.tn.min(n - nt * self.tn) as u64;
-                let row_loss = (self.tm as u64 - tm_eff) * self.tn as u64;
-                let lane_loss = tm_eff * (self.tn as u64 - tn_eff);
-                let residue_cause = if lane_loss > row_loss {
-                    StallCause::AdderTreeContention
-                } else {
-                    StallCause::EdgeFragmentation
-                };
-                co.push(
-                    CycleEventKind::Pass(residue_cause),
-                    pass_cycles,
-                    tm_eff * tn_eff * pass_cycles,
-                );
-                co.step();
-            }
-        }
-        let totals = co.finish();
-        debug_assert_eq!(
-            totals.cycles, total_cycles,
-            "trace cycles diverge from analyze"
-        );
-        debug_assert_eq!(
-            totals.macs,
-            layer.macs(),
-            "trace MACs diverge from analyze (flexcheck FXC09 attribution-exactness)"
-        );
-        self.sink.end_layer();
+    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl Iterator<Item = Step> + 'a {
+        let (m, n, n_tiles) = (layer.m(), layer.n(), cdiv(layer.n(), self.tn));
+        let pass = (layer.s() * layer.s() * layer.k() * layer.k()) as u64;
+        (0..cdiv(m, self.tm) * n_tiles).map(move |t| {
+            let tm_eff = self.tm.min(m - t / n_tiles * self.tm);
+            let tn_eff = self.tn.min(n - t % n_tiles * self.tn);
+            Step::new(Pass {
+                cause: self.residue_cause(tm_eff, tn_eff),
+                cycles: pass,
+                macs: (tm_eff * tn_eff) as u64 * pass,
+                rects: CellRect::full(tm_eff, tn_eff).into(),
+            })
+        })
     }
 
-    /// Emits the layer's spatial record: the heatmap rows are the `Tm`
-    /// PEs and the columns their `Tn` multiplier lanes. Each
-    /// `(m-tile, n-tile)` pass lights the top-left `Tm_eff × Tn_eff`
-    /// corner, so a starved engine (M or N below 16) shows as dark rows
-    /// or lanes — Table 3's story per cell. Cell sums reproduce the
-    /// ledger exactly (flexcheck FXC13). The per-PE adder trees are
-    /// private and there is no CDB, so both contention matrices stay
-    /// empty.
-    fn emit_spatial(&self, layer: &ConvLayer, total_cycles: u64) {
-        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
-        let m_tiles = cdiv(m, self.tm);
-        let n_tiles = cdiv(n, self.tn);
-        let pass_cycles = (s * s * k * k) as u64;
-        let mut hb = HeatmapBuilder::new(self.name(), layer.name(), self.tm, self.tn, total_cycles);
-        for mt in 0..m_tiles {
-            let tm_eff = self.tm.min(m - mt * self.tm);
-            for nt in 0..n_tiles {
-                let tn_eff = self.tn.min(n - nt * self.tn);
-                let row_loss = (self.tm - tm_eff) * self.tn;
-                let lane_loss = tm_eff * (self.tn - tn_eff);
-                let residue_cause = if lane_loss > row_loss {
-                    StallCause::AdderTreeContention
-                } else {
-                    StallCause::EdgeFragmentation
-                };
-                hb.pass(
-                    residue_cause,
-                    &[CellRect {
-                        row: 0,
-                        col: 0,
-                        rows: tm_eff,
-                        cols: tn_eff,
-                    }],
-                    pass_cycles,
-                    (tm_eff * tn_eff) as u64 * pass_cycles,
-                );
-            }
+    /// The cause a `Tm_eff × Tn_eff` tile's residue goes to.
+    fn residue_cause(&self, tm_eff: usize, tn_eff: usize) -> StallCause {
+        if tm_eff * (self.tn - tn_eff) > (self.tm - tm_eff) * self.tn {
+            StallCause::AdderTreeContention
+        } else {
+            StallCause::EdgeFragmentation
         }
-        buffer_banks(&mut hb, layer, total_cycles);
-        self.spatial.record_layer(hb.finish());
     }
 
     fn area_spec(&self) -> AreaSpec {
@@ -301,12 +240,16 @@ impl Accelerator for TilingArray {
             let _schedule = telemetry::phase(telemetry::Phase::Schedule);
             self.analyze(layer)
         };
-        if self.sink.enabled() {
-            self.emit_cycle_events(layer, outcome.cycles);
-        }
-        if self.spatial.enabled() {
-            self.emit_spatial(layer, outcome.cycles);
-        }
+        let frame = LayerFrame {
+            arch: self.name(),
+            layer: layer.name(),
+            rows: self.tm,
+            cols: self.tn,
+            cycles: outcome.cycles,
+            macs: outcome.macs,
+            steps: (cdiv(layer.m(), self.tm) * cdiv(layer.n(), self.tn)) as u64,
+        };
+        observe(&self.sink, &frame, layer, self.steps(layer));
         let area = self.area().total_mm2();
         finish(
             self.name(),
@@ -322,8 +265,24 @@ impl Accelerator for TilingArray {
         self.sink = sink;
     }
 
-    fn attach_spatial(&mut self, sink: SpatialHandle) {
-        self.spatial = sink;
+    /// The closed-form aggregate of [`Self::steps`]: four tile classes
+    /// cover the grid — interior, m-edge, n-edge and corner.
+    fn aggregate(&self, layer: &ConvLayer) -> Aggregate {
+        let (m, n) = (layer.m(), layer.n());
+        let pass = (layer.s() * layer.s() * layer.k() * layer.k()) as u64;
+        let (fm, rm) = ((m / self.tm) as u64, m % self.tm);
+        let (fnt, rn) = ((n / self.tn) as u64, n % self.tn);
+        let mut agg = Aggregate::default();
+        for (count, tm_eff, tn_eff) in [
+            (fm * fnt, self.tm, self.tn),
+            (u64::from(rm > 0) * fnt, rm, self.tn),
+            (fm * u64::from(rn > 0), self.tm, rn),
+            (u64::from(rm > 0 && rn > 0), rm, rn),
+        ] {
+            let kind = CycleEventKind::Pass(self.residue_cause(tm_eff, tn_eff));
+            agg.add(kind, count * pass, count * (tm_eff * tn_eff) as u64 * pass);
+        }
+        agg
     }
 
     fn area(&self) -> AreaBreakdown {

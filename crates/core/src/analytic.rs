@@ -23,10 +23,12 @@
 use crate::local_store::STORE_WORDS;
 use flexsim_arch::stats::Traffic;
 use flexsim_dataflow::utilization::ceil_div;
-use flexsim_dataflow::Unroll;
+use flexsim_dataflow::{TileIter, Unroll};
 use flexsim_model::ConvLayer;
 use flexsim_obs::attrib::StallCause;
-use flexsim_obs::cycles::{CycleEvent, CycleEventKind};
+use flexsim_obs::cycles::{Aggregate, CycleEventKind};
+use flexsim_obs::spatial::CellRect;
+use flexsim_obs::steps::{Pass, Step};
 
 /// One-off pipeline fill latency per layer (operand preload + adder-tree
 /// depth before the first writeback).
@@ -150,7 +152,6 @@ pub fn schedule(layer: &ConvLayer, u: Unroll, d: usize, store_words: usize) -> S
     let out_words = (m * s * s) as u64;
     let cap = store_words as u64;
     let all_groups_fit = m_groups.saturating_mul(chunks) <= cap;
-    let one_group_fits = chunks <= cap;
 
     let candidates: Vec<(LoopOrder, u64, u64, u64, u64)> = {
         // (order, neuron_in, kernel_in, psum, segments)
@@ -180,7 +181,6 @@ pub fn schedule(layer: &ConvLayer, u: Unroll, d: usize, store_words: usize) -> S
                 2 * (seg_b - 1) * out_words,
                 seg_b,
             ));
-            let _ = one_group_fits;
             // C: slice the chunk walk so all groups' slices co-reside.
             let slice = (cap / m_groups).max(1);
             let seg_c = chunks.div_ceil(slice);
@@ -238,42 +238,65 @@ pub fn schedule_default(layer: &ConvLayer, u: Unroll, d: usize) -> Schedule {
     schedule(layer, u, d, STORE_WORDS)
 }
 
-/// The aggregate cycle-event stream a schedule implies, in closed form:
-/// the one-off pipeline fill, one merged compute pass carrying every
-/// useful MAC, and (for segmented passes) the total partial-sum spill
-/// stall. The engine's per-batch emission refines this stream in time
-/// but folds to the *same* per-cause [`LossLedger`] totals — the
-/// identity flexcheck rule `FXC10 cycle-exactness` proves for every
-/// (layer, unroll, arch, scale) pair, and the symbolic evaluator
-/// (`flexcheck::symbolic`) builds its predictions from.
+/// The engine's step schedule: one step per row-batch, its pass the
+/// batch's `chunks` cycles on the `Ur × Uc` active rectangle carrying
+/// the tiled MACs, plus the one-off pipeline fill on the first batch
+/// and each batch's partial-sum spill stalls.
 ///
-/// [`LossLedger`]: flexsim_obs::attrib::LossLedger
-pub fn ledger_events(sch: &Schedule) -> Vec<CycleEvent> {
-    let pass = sch.row_batches * sch.chunks;
-    let mut events = vec![
-        CycleEvent::new(
-            CycleEventKind::Stall(StallCause::PipelineFill),
-            0,
-            PIPELINE_FILL_CYCLES,
-            0,
-        ),
-        CycleEvent::new(
-            CycleEventKind::Pass(StallCause::MappingResidueIdle),
-            PIPELINE_FILL_CYCLES,
-            pass,
-            sch.macs,
-        ),
-    ];
-    let spill = sch.row_batches * (sch.segments - 1) * SEGMENT_STALL_CYCLES;
-    if spill > 0 {
-        events.push(CycleEvent::new(
-            CycleEventKind::Stall(StallCause::PsumSpillRoundTrip),
-            PIPELINE_FILL_CYCLES + pass,
-            spill,
-            0,
-        ));
-    }
-    events
+/// Loss attribution: the fill is [`StallCause::PipelineFill`] (operand
+/// preload + adder-tree depth before the first writeback); segment
+/// boundaries are [`StallCause::PsumSpillRoundTrip`] (row accumulators
+/// written to the output buffer and read back); the pass residue — PEs
+/// left idle by `Ur·Uc < D²` unrolling and edge tiles — is
+/// [`StallCause::MappingResidueIdle`]. Adder-tree row-port conflicts
+/// are statically excluded by flexcheck FXC03, so that bucket is
+/// structurally zero here.
+pub fn steps<'a>(layer: &'a ConvLayer, sch: &'a Schedule) -> impl Iterator<Item = Step> + 'a {
+    let mut tiles = TileIter::new(layer, sch.unroll);
+    let rects = CellRect::full(sch.unroll.rows_used(), sch.unroll.cols_used()).into();
+    (0..sch.row_batches).map(move |batch| {
+        let macs = tiles
+            .by_ref()
+            .take(sch.chunks as usize)
+            .map(|t| t.macs())
+            .sum();
+        Step::new(Pass {
+            cause: StallCause::MappingResidueIdle,
+            cycles: sch.chunks,
+            macs,
+            rects,
+        })
+        .stall(
+            StallCause::PipelineFill,
+            u64::from(batch == 0) * PIPELINE_FILL_CYCLES,
+        )
+        .stall(
+            StallCause::PsumSpillRoundTrip,
+            (sch.segments - 1) * SEGMENT_STALL_CYCLES,
+        )
+    })
+}
+
+/// The closed-form [`Aggregate`] of [`steps`]: the fill, one compute
+/// pass carrying every useful MAC, and the total partial-sum spill.
+pub fn aggregate(sch: &Schedule) -> Aggregate {
+    let mut agg = Aggregate::default();
+    agg.add(
+        CycleEventKind::Stall(StallCause::PipelineFill),
+        PIPELINE_FILL_CYCLES,
+        0,
+    );
+    agg.add(
+        CycleEventKind::Pass(StallCause::MappingResidueIdle),
+        sch.row_batches * sch.chunks,
+        sch.macs,
+    );
+    agg.add(
+        CycleEventKind::Stall(StallCause::PsumSpillRoundTrip),
+        sch.row_batches * (sch.segments - 1) * SEGMENT_STALL_CYCLES,
+        0,
+    );
+    agg
 }
 
 #[cfg(test)]
@@ -370,7 +393,13 @@ mod tests {
             ),
         ] {
             let sch = schedule_default(&layer, u, 16);
-            let events = ledger_events(&sch);
+            let agg = aggregate(&sch);
+            let mut stepped = Aggregate::default();
+            for step in steps(&layer, &sch) {
+                step.for_each_span(|kind, cycles, macs| stepped.add(kind, cycles, macs));
+            }
+            assert_eq!(agg, stepped);
+            let events: Vec<_> = agg.events(0).collect();
             let mut cursor = 0u64;
             let mut macs = 0u64;
             for ev in &events {

@@ -8,7 +8,7 @@
 //! real data through the cycle-stepped [`crate::array`] simulator and the
 //! pooling unit, layer by layer through the ping-pong buffers.
 
-use crate::analytic::{schedule_default, Schedule, PIPELINE_FILL_CYCLES, SEGMENT_STALL_CYCLES};
+use crate::analytic::{self, schedule_default, Schedule};
 use crate::array::PeArray;
 use crate::buffers::{BufferSet, BUFFER_BYTES};
 use crate::compiler::Program;
@@ -22,12 +22,12 @@ use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{mirror_layer, EventCounts, LayerResult, RunSummary};
 use flexsim_arch::Accelerator;
 use flexsim_dataflow::search::{best_unroll, plan_network};
-use flexsim_dataflow::{TileIter, Unroll};
+use flexsim_dataflow::Unroll;
 use flexsim_model::tensor::KernelSet;
 use flexsim_model::{ConvLayer, Network, Tensor3};
-use flexsim_obs::attrib::StallCause;
-use flexsim_obs::cycles::{Coalescer, CycleEventKind, LayerCtx, SinkHandle};
-use flexsim_obs::spatial::{CellRect, ContentionMatrix, HeatmapBuilder, SpatialHandle};
+use flexsim_obs::cycles::{Aggregate, LayerCtx, LayerTimeline, SinkHandle};
+use flexsim_obs::spatial::{ContentionMatrix, HeatmapBuilder};
+use flexsim_obs::steps::{self, LayerFrame};
 use flexsim_obs::{span, telemetry};
 
 /// The FlexFlow accelerator simulator.
@@ -48,7 +48,6 @@ pub struct FlexFlow {
     d: usize,
     energy: EnergyModel,
     sink: SinkHandle,
-    spatial: SpatialHandle,
 }
 
 impl FlexFlow {
@@ -63,7 +62,6 @@ impl FlexFlow {
             d,
             energy: EnergyModel::tsmc65(),
             sink: SinkHandle::none(),
-            spatial: SpatialHandle::none(),
         }
     }
 
@@ -94,100 +92,11 @@ impl FlexFlow {
         self.result_from_schedule(layer, &sch)
     }
 
-    /// Emits the layer's cycle-domain timeline into the attached sink:
-    /// one pipeline fill, one pass per row-batch (MACs attributed from
-    /// the tiled schedule), and the per-batch partial-sum spill stalls.
-    /// Coalesced so long layers stay bounded; cycle and MAC totals are
-    /// exact against the analytic schedule.
-    ///
-    /// Loss attribution: the one-off fill is
-    /// [`StallCause::PipelineFill`] (operand preload + adder-tree depth
-    /// before the first writeback); segment-boundary stalls are
-    /// [`StallCause::PsumSpillRoundTrip`] (row accumulators written to
-    /// the output buffer and read back); the pass residue — PEs left
-    /// idle by `Ur·Uc < D²` unrolling and edge tiles — is
-    /// [`StallCause::MappingResidueIdle`]. Adder-tree row-port
-    /// conflicts are statically excluded by flexcheck FXC03, so that
-    /// bucket is structurally zero here.
-    fn emit_cycle_events(&self, layer: &ConvLayer, sch: &Schedule) {
-        self.sink.begin_layer(&LayerCtx::new(
-            self.name(),
-            layer.name(),
-            self.pe_count() as u32,
-        ));
-        let mut co = Coalescer::new(&self.sink, sch.row_batches);
-        let mut tiles = TileIter::new(layer, sch.unroll);
-        for batch in 0..sch.row_batches {
-            if batch == 0 {
-                co.push(
-                    CycleEventKind::Stall(StallCause::PipelineFill),
-                    PIPELINE_FILL_CYCLES,
-                    0,
-                );
-            }
-            let batch_macs: u64 = tiles
-                .by_ref()
-                .take(sch.chunks as usize)
-                .map(|t| t.macs())
-                .sum();
-            co.push(
-                CycleEventKind::Pass(StallCause::MappingResidueIdle),
-                sch.chunks,
-                batch_macs,
-            );
-            if sch.segments > 1 {
-                co.push(
-                    CycleEventKind::Stall(StallCause::PsumSpillRoundTrip),
-                    (sch.segments - 1) * SEGMENT_STALL_CYCLES,
-                    0,
-                );
-            }
-            co.step();
-        }
-        let totals = co.finish();
-        debug_assert_eq!(
-            totals.cycles, sch.cycles,
-            "trace cycles diverge from schedule (flexcheck FXC08 util-sanity)"
-        );
-        debug_assert_eq!(
-            totals.macs, sch.macs,
-            "trace MACs diverge from schedule (flexcheck FXC09 attribution-exactness)"
-        );
-        self.sink.end_layer();
-    }
-
-    /// Emits the layer's spatial record into the attached spatial sink:
-    /// the per-PE heatmap, the on-chip buffer watermarks (plus the
-    /// aggregate local-store watermark), and the adder-tree/CDB
-    /// contention matrices.
-    ///
-    /// The heatmap mirrors [`Self::emit_cycle_events`] spatially: the
-    /// pipeline fill and segment spills cost every PE uniformly, while
-    /// the compute pass credits `sch.macs` to the `Ur × Uc` active
-    /// rectangle — so per-cause cell sums reproduce the layer's
-    /// [`flexsim_obs::attrib::LossLedger`] exactly (flexcheck FXC13
-    /// spatial-exactness).
-    fn emit_spatial(&self, layer: &ConvLayer, sch: &Schedule) {
+    /// The spatial hooks of [`analytic::steps`]' heatmap: the on-chip
+    /// buffer watermarks (plus the aggregate local-store watermark) and
+    /// the adder-tree/CDB contention matrices.
+    fn spatial_hooks(&self, hb: &mut HeatmapBuilder, layer: &ConvLayer, sch: &Schedule) {
         let u = sch.unroll;
-        let mut hb = HeatmapBuilder::new(self.name(), layer.name(), self.d, self.d, sch.cycles);
-        hb.stall(StallCause::PipelineFill, PIPELINE_FILL_CYCLES);
-        hb.pass(
-            StallCause::MappingResidueIdle,
-            &[CellRect {
-                row: 0,
-                col: 0,
-                rows: u.rows_used(),
-                cols: u.cols_used(),
-            }],
-            sch.row_batches * sch.chunks,
-            sch.macs,
-        );
-        if sch.segments > 1 {
-            hb.stall(
-                StallCause::PsumSpillRoundTrip,
-                sch.row_batches * (sch.segments - 1) * SEGMENT_STALL_CYCLES,
-            );
-        }
         // Each of the three buffers holds at most its half of the 64 KB
         // on-chip SRAM in 16-bit words; the resident set saturates at
         // capacity for large layers.
@@ -225,17 +134,22 @@ impl FlexFlow {
             );
         }
         hb.set_cdb(bus);
-        self.spatial.record_layer(hb.finish());
     }
 
     fn result_from_schedule(&self, layer: &ConvLayer, sch: &Schedule) -> LayerResult {
         let _engine = span("engine", format!("{}/{}", self.name(), layer.name()));
-        if self.sink.enabled() {
-            self.emit_cycle_events(layer, sch);
-        }
-        if self.spatial.enabled() {
-            self.emit_spatial(layer, sch);
-        }
+        let frame = LayerFrame {
+            arch: self.name(),
+            layer: layer.name(),
+            rows: self.d,
+            cols: self.d,
+            cycles: sch.cycles,
+            macs: sch.macs,
+            steps: sch.row_batches,
+        };
+        steps::fold(&self.sink, &frame, analytic::steps(layer, sch), |hb| {
+            self.spatial_hooks(hb, layer, sch);
+        });
         let pe_count = self.pe_count();
         let u = sch.unroll;
         let k = layer.k();
@@ -276,6 +190,17 @@ impl FlexFlow {
         };
         mirror_layer(&result);
         result
+    }
+
+    /// [`Accelerator::predict_layer`] under explicit unrolling factors:
+    /// the closed-form [`analytic::aggregate`] of the layer's schedule.
+    pub fn predict_with(&self, layer: &ConvLayer, unroll: Unroll) -> LayerTimeline {
+        let sch = schedule_default(layer, unroll, self.d);
+        analytic::aggregate(&sch).timeline(LayerCtx::new(
+            self.name(),
+            layer.name(),
+            self.pe_count() as u32,
+        ))
     }
 
     /// Functionally executes a compiled program on real data.
@@ -441,8 +366,16 @@ impl Accelerator for FlexFlow {
         self.sink = sink;
     }
 
-    fn attach_spatial(&mut self, sink: SpatialHandle) {
-        self.spatial = sink;
+    fn aggregate(&self, layer: &ConvLayer) -> Aggregate {
+        let u = best_unroll(layer, self.d, None).unroll;
+        analytic::aggregate(&schedule_default(layer, u, self.d))
+    }
+
+    fn predict_network(&self, net: &Network) -> Vec<LayerTimeline> {
+        net.conv_layers()
+            .zip(&plan_network(net, self.d))
+            .map(|(layer, choice)| self.predict_with(layer, choice.unroll))
+            .collect()
     }
 
     fn run_network(&mut self, net: &Network) -> RunSummary {
@@ -608,17 +541,14 @@ mod tests {
     #[test]
     fn spatial_records_reproduce_the_loss_ledgers() {
         use flexsim_obs::attrib::{LossLedger, StallCause};
-        use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
-        use flexsim_obs::spatial::{SpatialHandle, SpatialRecorder};
+        use flexsim_obs::cycles::CycleRecorder;
         use std::sync::Arc;
-        let cyc = Arc::new(CycleRecorder::new());
-        let spa = Arc::new(SpatialRecorder::new());
+        let rec = Arc::new(CycleRecorder::with_spatial());
         let mut ff = FlexFlow::paper_config();
-        ff.attach_sink(SinkHandle::new(cyc.clone()));
-        ff.attach_spatial(SpatialHandle::new(spa.clone()));
+        ff.attach_sink(SinkHandle::new(rec.clone()));
         ff.run_network(&workloads::lenet5());
-        let ledgers: Vec<LossLedger> = cyc.take().iter().map(LossLedger::from_timeline).collect();
-        let spatials = spa.take();
+        let ledgers: Vec<LossLedger> = rec.take().iter().map(LossLedger::from_timeline).collect();
+        let spatials = rec.take_spatial();
         assert_eq!(spatials.len(), ledgers.len());
         for (sp, led) in spatials.iter().zip(&ledgers) {
             assert_eq!(sp.layer, led.layer);
@@ -642,12 +572,101 @@ mod tests {
 
     #[test]
     fn detached_spatial_changes_nothing() {
-        use flexsim_obs::spatial::SpatialHandle;
+        use flexsim_obs::cycles::CycleRecorder;
+        use std::sync::Arc;
         let mut ff = FlexFlow::paper_config();
         let r = ff.run_conv(&ConvLayer::new("C", 8, 4, 8, 3));
-        ff.attach_spatial(SpatialHandle::none());
+        ff.attach_sink(SinkHandle::new(Arc::new(CycleRecorder::with_spatial())));
         let r2 = ff.run_conv(&ConvLayer::new("C", 8, 4, 8, 3));
         assert_eq!(r, r2);
+    }
+
+    /// The recorded timeline of `layer` under `u` on a `d×d` engine.
+    fn recorded(layer: &ConvLayer, u: Unroll, d: usize) -> LayerTimeline {
+        use flexsim_obs::cycles::CycleRecorder;
+        use std::sync::Arc;
+        let rec = Arc::new(CycleRecorder::new());
+        let mut ff = FlexFlow::new(d);
+        ff.attach_sink(SinkHandle::new(rec.clone()));
+        let _ = ff.run_conv_with(layer, u);
+        rec.take().remove(0)
+    }
+
+    #[test]
+    fn recorded_occupancy_matches_the_schedule_utilization() {
+        use flexsim_dataflow::utilization::total_utilization;
+        let layer = ConvLayer::new("C3", 16, 6, 10, 5);
+        let u = Unroll::new(16, 3, 1, 1, 1, 5);
+        let occ = recorded(&layer, u, 16).occupancy();
+        let sch = schedule_default(&layer, u, 16);
+        assert!((occ.utilization() - sch.utilization()).abs() < 1e-12);
+        // Eq. 2/3's Ut, up to the one-off pipeline fill.
+        assert!((occ.utilization() - total_utilization(&layer, &u, 16)).abs() < 0.01);
+    }
+
+    #[test]
+    fn perfect_mapping_runs_full_outside_the_fill() {
+        use crate::analytic::PIPELINE_FILL_CYCLES;
+        let layer = ConvLayer::new("C", 4, 4, 4, 2);
+        let occ = recorded(&layer, Unroll::new(4, 4, 1, 4, 2, 2), 16).occupancy();
+        let pass = occ.cycles() - PIPELINE_FILL_CYCLES;
+        assert!((occ.full_cycles_fraction() - pass as f64 / occ.cycles() as f64).abs() < 1e-12);
+        assert!(occ.sparkline(8).ends_with('█'));
+    }
+
+    #[test]
+    fn edge_clamping_shows_up_in_the_occupancy_histogram() {
+        // Factors that don't divide M leave partially-filled batches.
+        let layer = ConvLayer::new("C", 3, 1, 5, 2);
+        let occ = recorded(&layer, Unroll::new(2, 1, 1, 5, 2, 2), 16).occupancy();
+        let hist = occ.histogram(16);
+        assert_eq!(hist.iter().sum::<u64>(), occ.cycles());
+        // Idle fill, full-group and clamped-group passes land in
+        // different 1/16 buckets.
+        assert!(hist.iter().filter(|&&c| c > 0).count() >= 2);
+    }
+
+    #[test]
+    fn full_passes_land_in_the_last_histogram_bucket() {
+        use crate::analytic::PIPELINE_FILL_CYCLES;
+        let layer = ConvLayer::new("C", 4, 4, 4, 2);
+        let occ = recorded(&layer, Unroll::new(4, 4, 1, 4, 2, 2), 16).occupancy();
+        let hist = occ.histogram(10);
+        assert_eq!(hist[9], occ.cycles() - PIPELINE_FILL_CYCLES);
+        assert_eq!(hist[0], PIPELINE_FILL_CYCLES);
+        assert_eq!(hist[1..9].iter().sum::<u64>(), 0);
+        assert_eq!(occ.histogram(1), vec![occ.cycles()]);
+    }
+
+    #[test]
+    fn recorded_occupancy_preserves_utilization() {
+        let layer = ConvLayer::new("C", 3, 1, 5, 2);
+        let u = Unroll::new(2, 1, 1, 5, 2, 2);
+        let tl = recorded(&layer, u, 16);
+        let r = FlexFlow::new(16).run_conv_with(&layer, u);
+        let occ = tl.occupancy();
+        assert_eq!(occ.cycles(), r.cycles);
+        assert!((occ.utilization() - r.utilization()).abs() < 1e-12);
+        assert_eq!(occ.pe_count(), 256);
+        // The RLE form is no longer than the event stream.
+        assert!(occ.segments().len() <= tl.events.len());
+    }
+
+    #[test]
+    fn occupancy_sparkline_has_the_requested_width() {
+        let layer = ConvLayer::new("C", 2, 2, 6, 3);
+        let occ = recorded(&layer, Unroll::new(2, 2, 1, 3, 3, 1), 16).occupancy();
+        assert_eq!(occ.sparkline(20).chars().count(), 20);
+    }
+
+    #[test]
+    fn occupancy_display_is_compact() {
+        let layer = ConvLayer::new("C", 2, 1, 4, 2);
+        let s = recorded(&layer, Unroll::scalar(), 4)
+            .occupancy()
+            .to_string();
+        assert!(s.contains("cycles"));
+        assert!(s.contains('%'));
     }
 
     #[test]

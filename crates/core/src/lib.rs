@@ -23,13 +23,11 @@
 //!   IADP bank placement, IPDR replication (Figs. 12–13);
 //! * [`mod@array`] — the cycle-stepped functional PE-array simulator;
 //! * [`analytic`] — the closed-form schedule model (validated against
-//!   [`mod@array`]);
+//!   [`mod@array`]) and its row-batch step schedule;
 //! * [`pooling`] — the 1-D pooling unit;
 //! * [`isa`], [`compiler`], [`decoder`] — the instruction set, the
 //!   Section 5 compiler ("workload analyzer" + code generation), and
 //!   the protocol-checking on-chip decoder;
-//! * [`trace`] — time-resolved PE-occupancy traces and sparkline
-//!   rendering;
 //! * [`engine`] — the whole accelerator: an
 //!   [`flexsim_arch::Accelerator`] implementation plus a functional
 //!   end-to-end `execute` path.
@@ -64,7 +62,6 @@ pub mod local_store;
 pub mod mapping;
 pub mod pe;
 pub mod pooling;
-pub mod trace;
 
 pub use compiler::{Compiler, Program};
 pub use engine::FlexFlow;

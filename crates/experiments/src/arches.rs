@@ -12,12 +12,12 @@
 //! }
 //! ```
 
+use flexcheck::ArchParams;
 use flexflow::FlexFlow;
 use flexsim_arch::Accelerator;
 use flexsim_baselines::{Mapping2d, Systolic, TilingArray};
 use flexsim_model::Network;
 use flexsim_obs::cycles::SinkHandle;
-use flexsim_obs::spatial::SpatialHandle;
 
 /// The four architecture names in the paper's presentation order.
 pub const ARCH_NAMES: [&str; 4] = ["Systolic", "2D-Mapping", "Tiling", "FlexFlow"];
@@ -25,26 +25,6 @@ pub const ARCH_NAMES: [&str; 4] = ["Systolic", "2D-Mapping", "Tiling", "FlexFlow
 /// The paper's evaluation scale: every engine is a ~256-PE,
 /// 16×16-equivalent configuration (Section 6.1.1).
 const PAPER_SCALE: usize = 16;
-
-/// The baseline systolic array side: 6×6 arrays serve every Table 1
-/// workload whose kernels are ≤ 6 wide (the DC-CNN configuration).
-const BASE_ARRAY_K: usize = 6;
-
-/// The systolic array side for `net` — **the builder rule that
-/// replaces the old AlexNet string-compare**: a systolic array must be
-/// at least as wide as the widest convolution kernel it executes
-/// (row-stationary mapping needs `k` columns), so the side is
-/// `max(6, widest conv kernel)`. Among the Table 1 workloads only
-/// AlexNet (11×11 C1 kernels) exceeds the 6×6 default, reproducing
-/// Section 6.1.1's "11×11 arrays for AlexNet" special case without
-/// naming any workload.
-fn systolic_array_k(net: &Network) -> usize {
-    net.conv_layers()
-        .map(flexsim_model::ConvLayer::k)
-        .max()
-        .unwrap_or(BASE_ARRAY_K)
-        .max(BASE_ARRAY_K)
-}
 
 /// The four architectures configured for one workload, in
 /// [`ARCH_NAMES`] order. Build one with [`ArchSet::builder`].
@@ -59,7 +39,6 @@ impl ArchSet {
         ArchSetBuilder {
             scale: PAPER_SCALE,
             sink: SinkHandle::none(),
-            spatial: SpatialHandle::none(),
             lint: true,
         }
     }
@@ -96,7 +75,6 @@ impl IntoIterator for ArchSet {
 pub struct ArchSetBuilder {
     scale: usize,
     sink: SinkHandle,
-    spatial: SpatialHandle,
     lint: bool,
 }
 
@@ -108,16 +86,11 @@ impl ArchSetBuilder {
         self
     }
 
-    /// Cycle sink every built simulator attaches (default: none).
+    /// The observer every built simulator attaches (default: none):
+    /// cycle timelines, plus heatmaps when the sink asks for them (the
+    /// `flexsim heatmap` path).
     pub fn sink(mut self, sink: SinkHandle) -> ArchSetBuilder {
         self.sink = sink;
-        self
-    }
-
-    /// Spatial sink every built simulator attaches (default: none) —
-    /// the `flexsim heatmap` path.
-    pub fn spatial(mut self, sink: SpatialHandle) -> ArchSetBuilder {
-        self.spatial = sink;
         self
     }
 
@@ -159,16 +132,18 @@ impl ArchSetBuilder {
     fn make(&self, net: &Network, idx: usize) -> Box<dyn Accelerator> {
         let d = self.scale;
         let mut acc: Box<dyn Accelerator> = match idx {
-            0 => Box::new(Systolic::scaled_to(systolic_array_k(net), d * d)),
+            // The systolic array side is `paper_suite`'s widest-kernel
+            // rule, so the prover and the linter see the same engine.
+            0 => Box::new(Systolic::scaled_to(
+                ArchParams::paper_suite(net)[0].array_k,
+                d * d,
+            )),
             1 => Box::new(Mapping2d::new(d, d)),
             2 => Box::new(TilingArray::new(d, d)),
             _ => Box::new(FlexFlow::new(d)),
         };
         if self.sink.is_attached() {
             acc.attach_sink(self.sink.clone());
-        }
-        if self.spatial.is_attached() {
-            acc.attach_spatial(self.spatial.clone());
         }
         acc
     }
@@ -193,12 +168,13 @@ mod tests {
         // the widest-kernel rule yields 11×11 arrays (2 of them keep
         // the scale near 256). Every other workload stays at the 6×6
         // DC-CNN default.
-        assert_eq!(systolic_array_k(&workloads::alexnet()), 11);
+        let array_k = |net: &Network| ArchParams::paper_suite(net)[0].array_k;
+        assert_eq!(array_k(&workloads::alexnet()), 11);
         let sys = ArchSet::builder().build_one(&workloads::alexnet(), 0);
         assert_eq!(sys.pe_count(), 242);
         for net in workloads::all() {
             if net.name() != "AlexNet" {
-                assert_eq!(systolic_array_k(&net), 6, "{}", net.name());
+                assert_eq!(array_k(&net), 6, "{}", net.name());
             }
         }
     }

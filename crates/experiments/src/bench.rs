@@ -447,28 +447,29 @@ struct SpatialProbe {
     overhead_pct: f64,
 }
 
-/// Times a reference workload (LeNet-5 on FlexFlow) with and without a
-/// spatial sink attached. The cell count documents the heatmap volume
-/// behind the overhead number; the overhead keeps the "spatial
-/// observability is ≈free when detached, cheap when attached" claim on
-/// the record, noise and all (like the telemetry overhead, the
-/// acceptance bar lives in the integration tests — the log is data).
+/// Times a reference workload (LeNet-5 on FlexFlow) with a cycle
+/// recorder attached, with and without spatial records. The cell count
+/// documents the heatmap volume behind the overhead number; the
+/// overhead keeps the "spatial observability is cheap when attached"
+/// claim on the record, noise and all (like the telemetry overhead,
+/// the acceptance bar lives in the integration tests — the log is
+/// data).
 fn spatial_probe() -> SpatialProbe {
-    use flexsim_obs::spatial::{SpatialHandle, SpatialRecorder};
+    use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
     let net = workloads::lenet5();
-    let plain_start = Instant::now();
-    let mut acc = ArchSet::builder().build_one(&net, ARCH_NAMES.len() - 1);
-    let _ = acc.run_network(&net);
-    let plain_s = plain_start.elapsed().as_secs_f64();
-    let spa = Arc::new(SpatialRecorder::new());
-    let spatial_start = Instant::now();
-    let mut acc = ArchSet::builder()
-        .spatial(SpatialHandle::new(spa.clone()))
-        .build_one(&net, ARCH_NAMES.len() - 1);
-    let _ = acc.run_network(&net);
-    let spatial_s = spatial_start.elapsed().as_secs_f64();
+    let timed = |rec: &Arc<CycleRecorder>| {
+        let start = Instant::now();
+        let mut acc = ArchSet::builder()
+            .sink(SinkHandle::new(rec.clone()))
+            .build_one(&net, ARCH_NAMES.len() - 1);
+        let _ = acc.run_network(&net);
+        start.elapsed().as_secs_f64()
+    };
+    let plain_s = timed(&Arc::new(CycleRecorder::new()));
+    let spa = Arc::new(CycleRecorder::with_spatial());
+    let spatial_s = timed(&spa);
     let cells = spa
-        .take()
+        .take_spatial()
         .iter()
         .map(|sp| sp.pe_count() as u64)
         .sum::<u64>();

@@ -11,7 +11,7 @@ usage: flexsim [OPTIONS] [EXPERIMENT-ID...]
        flexsim run WORKLOAD|PATH.ffnet [--json] [--jobs N]
        flexsim heatmap WORKLOAD|PATH.ffnet [--arch A] [--json|--svg] [--jobs N]
        flexsim workloads [--json]
-       flexsim lint [--json]
+       flexsim lint [WORKLOAD] [--json]
        flexsim profile [WORKLOAD] [--json]
        flexsim prove [WORKLOAD] [--json] [--mutate] [--jobs N]
        flexsim tune [WORKLOAD] [--budget smoke|full|N] [--static] [--jobs N]
@@ -35,8 +35,8 @@ every loss ledger checked against the FXC09 exactness identity.
 Unresolvable references (unknown name, unreadable file, or a `.ffnet`
 parse/shape error with line and path context) exit 2.
 
-`flexsim heatmap WORKLOAD|PATH.ffnet` simulates one workload with the
-spatial sink attached and renders per-PE utilization heatmaps (one per
+`flexsim heatmap WORKLOAD|PATH.ffnet` simulates one workload with a
+spatial recorder attached and renders per-PE utilization heatmaps (one per
 layer and architecture), per-buffer-bank occupancy watermarks, and the
 adder-tree/CDB contention pairs. Every record is exactness-gated:
 per-cause heatmap cell sums must equal the layer's loss ledger
@@ -49,7 +49,8 @@ document; `--svg` an SVG rendering. Output is byte-identical at every
 `flexsim workloads` lists every resolvable workload — built-ins plus
 `examples/*.ffnet` — with layer, CONV-MAC, and parameter counts.
 
-`flexsim lint` statically verifies every Table 1 workload on all four
+`flexsim lint [WORKLOAD]` statically verifies every Table 1 workload
+(or the one named; an unresolvable reference exits 2) on all four
 architectures with the flexcheck rules (FXC01-FXC13: local-store
 capacity, bus races, adder-tree ports, FSM bounds, ISA protocol,
 unroll bounds, bank conflicts, utilization sanity, attribution

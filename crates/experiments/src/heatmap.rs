@@ -1,8 +1,8 @@
 //! `flexsim heatmap` — the spatial observability report.
 //!
 //! Simulates one workload on the selected architectures with a
-//! [`SpatialRecorder`] attached, gates every record against the loss
-//! ledgers (flexcheck FXC13 — per-cause heatmap cell sums must equal
+//! spatial [`CycleRecorder`] attached, gates every record against the
+//! loss ledgers (flexcheck FXC13 — per-cause heatmap cell sums must equal
 //! the ledger exactly), and renders per-PE utilization heatmaps,
 //! per-bank occupancy watermarks, and contention summaries as an
 //! ASCII report, byte-stable `--json`, or an `--svg` document.
@@ -22,7 +22,7 @@ use flexcheck::Diagnostic;
 use flexsim_model::Network;
 use flexsim_obs::attrib::{ledgers, LossLedger, StallCause};
 use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
-use flexsim_obs::spatial::{LayerSpatial, SpatialHandle, SpatialRecorder};
+use flexsim_obs::spatial::LayerSpatial;
 use flexsim_testkit::json::Json;
 use std::sync::{Arc, Mutex};
 
@@ -135,18 +135,16 @@ pub fn select_arches(filter: Option<&str>) -> Result<Vec<usize>, String> {
     }
 }
 
-/// Runs one architecture (an [`ARCH_NAMES`] index) with cycle and
-/// spatial recorders attached and gates the records (FXC13).
+/// Runs one architecture (an [`ARCH_NAMES`] index) with a cycle and
+/// spatial recorder attached and gates the records (FXC13).
 pub fn simulate(net: &Network, idx: usize) -> ArchHeat {
-    let cyc = Arc::new(CycleRecorder::new());
-    let spa = Arc::new(SpatialRecorder::new());
+    let rec = Arc::new(CycleRecorder::with_spatial());
     let mut acc = ArchSet::builder()
-        .sink(SinkHandle::new(cyc.clone()))
-        .spatial(SpatialHandle::new(spa.clone()))
+        .sink(SinkHandle::new(rec.clone()))
         .build_one(net, idx);
     acc.run_network(net);
-    let ledgers = ledgers(&cyc.take());
-    let spatials = spa.take();
+    let ledgers = ledgers(&rec.take());
+    let spatials = rec.take_spatial();
     let diags = flexcheck::check_spatials(&spatials, &ledgers);
     ArchHeat {
         arch: ARCH_NAMES[idx],

@@ -1,8 +1,8 @@
 //! The `flexsim lint` subcommand and the pre-simulation gate.
 //!
-//! `flexsim lint` runs the [`flexcheck`] static verifier over every
-//! Table 1 workload on all four architectures and exits non-zero if any
-//! rule reports an `Error`. Independently, every experiment calls
+//! `flexsim lint [WORKLOAD]` runs the [`flexcheck`] static verifier
+//! over every Table 1 workload (or the one named) on all four
+//! architectures and exits non-zero if any rule reports an `Error`. Independently, every experiment calls
 //! [`gate`] before simulating a workload: a program that fails the
 //! verifier refuses to simulate (the process aborts with the rendered
 //! diagnostics) unless the user passes `--no-lint`.
@@ -80,18 +80,18 @@ impl LintUnit {
     }
 }
 
-/// Runs the verifier over every Table 1 workload on all four Section
-/// 6.1.1 architectures — the single sweep both the text and the JSON
-/// report render, so the two can never disagree on the findings.
-fn sweep_units() -> Vec<LintUnit> {
+/// Runs the verifier over `nets` on all four Section 6.1.1
+/// architectures — the single sweep both the text and the JSON report
+/// render, so the two can never disagree on the findings.
+fn sweep_units(nets: &[Network]) -> Vec<LintUnit> {
     let _flexcheck = telemetry::phase(telemetry::Phase::Flexcheck);
     let mut units = Vec::new();
-    for net in workloads::all() {
-        for arch in ArchParams::paper_suite(net.name()) {
+    for net in nets {
+        for arch in ArchParams::paper_suite(net) {
             units.push(LintUnit {
                 workload: net.name().to_owned(),
                 arch: arch.kind.name(),
-                diags: check_network(&net, &arch),
+                diags: check_network(net, &arch),
             });
         }
     }
@@ -102,7 +102,12 @@ fn sweep_units() -> Vec<LintUnit> {
 /// all four Section 6.1.1 architectures. Returns the report and the
 /// number of `Error` diagnostics (the CLI exit status).
 pub fn run() -> (ExperimentResult, usize) {
-    let units = sweep_units();
+    run_workloads(&workloads::all())
+}
+
+/// [`run`] over the given workloads.
+pub fn run_workloads(nets: &[Network]) -> (ExperimentResult, usize) {
+    let units = sweep_units(nets);
     let mut table = Table::new(["workload", "architecture", "errors", "warnings", "findings"]);
     let mut errors = 0usize;
     let mut warnings = 0usize;
@@ -143,12 +148,13 @@ pub fn run() -> (ExperimentResult, usize) {
     (result, errors)
 }
 
-/// The `flexsim lint --json` document: the same sweep and the same
-/// findings as the text report, but structured (rule code/name,
-/// severity, location, message, hint, and the rendered line) and
-/// byte-stable — two runs on the same tree emit identical bytes.
-pub fn json_report() -> (Json, usize) {
-    let units = sweep_units();
+/// The `flexsim lint --json` document for `nets`: the same sweep and
+/// the same findings as the text report, but structured (rule
+/// code/name, severity, location, message, hint, and the rendered
+/// line) and byte-stable — two runs on the same tree emit identical
+/// bytes.
+pub fn json_report(nets: &[Network]) -> (Json, usize) {
+    let units = sweep_units(nets);
     let errors: usize = units.iter().map(|u| u.count(Severity::Error)).sum();
     let warnings: usize = units.iter().map(|u| u.count(Severity::Warning)).sum();
     let doc = Json::obj([

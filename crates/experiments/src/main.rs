@@ -15,7 +15,7 @@
 //! flexsim workloads              # list every resolvable workload
 //! flexsim heatmap lenet          # per-PE heatmaps + bank watermarks (FXC13-gated)
 //! flexsim heatmap pv --svg       # ... as an SVG document on stdout
-//! flexsim lint                   # static verification sweep
+//! flexsim lint [WORKLOAD]        # static verification sweep (all six when omitted)
 //! flexsim lint --json            # same findings, byte-stable structured JSON
 //! flexsim profile alexnet        # per-layer loss attribution + roofline
 //! flexsim prove                  # prove cycles/ledgers symbolically (FXC10)
@@ -81,14 +81,18 @@ fn main() {
     }
     flexsim_experiments::lint::set_enabled(!cli.no_lint);
     if cli.lint {
+        let nets = match resolve_workloads(&cli, "lint") {
+            Ok(nets) => nets,
+            Err(code) => std::process::exit(code),
+        };
         let errors = if cli.json {
-            let (doc, errors) = flexsim_experiments::lint::json_report();
+            let (doc, errors) = flexsim_experiments::lint::json_report(&nets);
             let mut text = doc.pretty();
             text.push('\n');
             print!("{text}");
             errors
         } else {
-            let (result, errors) = flexsim_experiments::lint::run();
+            let (result, errors) = flexsim_experiments::lint::run_workloads(&nets);
             emit(vec![result], false);
             errors
         };

@@ -1,13 +1,14 @@
 //! `flexsim prove` — the flexproof front-end.
 //!
 //! For every requested Table 1 workload on each of the four Section
-//! 6.1.1 architectures, the command derives the **static** per-layer
-//! loss ledgers with the symbolic evaluator
-//! ([`flexcheck::predicted_ledgers`], no cycle stepping) and the
-//! **dynamic** ledgers by running the same configuration on the
-//! simulator with a private cycle recorder, then holds the two equal
-//! with flexcheck rule `FXC10 cycle-exactness`: total cycles, busy
-//! PE-cycles, and every per-cause lost bucket, layer by layer.
+//! 6.1.1 architectures, the command builds the accelerator once and
+//! derives the **static** per-layer loss ledgers from its closed-form
+//! aggregate
+//! ([`flexsim_arch::Accelerator::predict_network`], no stepping) and the
+//! **dynamic** ledgers by folding its steps into a private cycle
+//! recorder, then holds the two equal with flexcheck rule
+//! `FXC10 cycle-exactness`: total cycles, busy PE-cycles, and every
+//! per-cause lost bucket, layer by layer.
 //!
 //! The text report is a per-pair verdict table; `--json` emits a
 //! byte-stable document of the static-vs-dynamic deltas (all zero on a
@@ -18,7 +19,7 @@
 use crate::arches::{ArchSet, ARCH_NAMES};
 use crate::experiment::ExperimentCtx;
 use crate::report::{ExperimentResult, Table};
-use flexcheck::{ArchParams, Diagnostic, EngineGeometry};
+use flexcheck::Diagnostic;
 use flexsim_model::Network;
 use flexsim_obs::attrib::{ledgers, LossLedger, StallCause};
 use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
@@ -58,24 +59,23 @@ impl ProveOutcome {
     }
 }
 
-/// Proves one (workload, architecture) pair: symbolic ledgers from the
-/// geometry the experiments builder would construct, recorded ledgers
-/// from actually running that simulator. `mutate` perturbs the first
+/// Proves one (workload, architecture) pair on the accelerator the
+/// experiments builder constructs: its closed-form ledgers against the
+/// ledgers recorded from running it. `mutate` perturbs the first
 /// predicted ledger by one cycle — the CI handle proving the
 /// comparison has teeth.
 pub fn prove_pair(net: &Network, arch_idx: usize, mutate: bool) -> ProveOutcome {
-    let suite = ArchParams::paper_suite(net.name());
-    let geom = EngineGeometry::from_arch(&suite[arch_idx], D);
-    let mut predicted = flexcheck::predicted_ledgers(&geom, net);
+    let rec = Arc::new(CycleRecorder::new());
+    let mut acc = ArchSet::builder()
+        .scale(D)
+        .sink(SinkHandle::new(rec.clone()))
+        .build_one(net, arch_idx);
+    let mut predicted = ledgers(&acc.predict_network(net));
     if mutate {
         if let Some(first) = predicted.first_mut() {
             first.total_cycles += 1;
         }
     }
-    let rec = Arc::new(CycleRecorder::new());
-    let mut acc = ArchSet::builder()
-        .sink(SinkHandle::new(rec.clone()))
-        .build_one(net, arch_idx);
     let _ = acc.run_network(net);
     let recorded = ledgers(&rec.take());
     let diags = flexcheck::check_cycle_exactness_all(&predicted, &recorded);

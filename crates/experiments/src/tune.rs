@@ -43,7 +43,7 @@
 use crate::experiment::{Experiment, ExperimentCtx};
 use crate::report::{eng, ExperimentResult, Table};
 use flexcheck::ArchParams;
-use flexflow::analytic::{ledger_events, schedule_default};
+use flexflow::analytic::{self, schedule_default};
 use flexflow::isa::Instr;
 use flexflow::{FlexFlow, Program};
 use flexsim_arch::Accelerator;
@@ -52,7 +52,7 @@ use flexsim_dataflow::tune as search_space;
 use flexsim_dataflow::{utilization, Unroll};
 use flexsim_model::{workloads, ConvLayer, Layer, Network};
 use flexsim_obs::attrib::{LossDelta, LossLedger, StallCause};
-use flexsim_obs::cycles::{CycleRecorder, LayerCtx, LayerTimeline, SinkHandle};
+use flexsim_obs::cycles::{CycleRecorder, LayerCtx, SinkHandle};
 use flexsim_testkit::json::Json;
 use std::fmt;
 use std::sync::Arc;
@@ -267,10 +267,8 @@ impl TuneOutcome {
 /// first.
 pub fn analytic_ledger(layer: &ConvLayer, u: Unroll) -> LossLedger {
     let sch = schedule_default(layer, u, D);
-    LossLedger::from_timeline(&LayerTimeline {
-        ctx: LayerCtx::new("FlexFlow", layer.name(), (D * D) as u32),
-        events: ledger_events(&sch),
-    })
+    let ctx = LayerCtx::new("FlexFlow", layer.name(), (D * D) as u32);
+    LossLedger::from_timeline(&analytic::aggregate(&sch).timeline(ctx))
 }
 
 /// Runs `layer` under `u` on the cycle-stepped engine with a private

@@ -70,5 +70,5 @@ pub use rules::{
 };
 pub use symbolic::{
     check_cycle_exactness, check_cycle_exactness_all, check_interference, check_isa_coverage,
-    predict_conv, predict_network, predict_program, predicted_ledgers, EngineGeometry,
+    predict_program,
 };

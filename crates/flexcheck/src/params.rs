@@ -8,6 +8,7 @@
 //! provokes each capacity rule.
 
 use flexflow::local_store::STORE_WORDS;
+use flexsim_model::{ConvLayer, Network};
 
 /// Which of the four evaluated architectures a parameter set describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -102,10 +103,20 @@ impl ArchParams {
     }
 
     /// The paper's four Section 6.1.1 configurations for a workload:
-    /// Systolic (11×11 arrays for AlexNet, 6×6 otherwise), 16×16
-    /// 2D-Mapping, ⟨16,16⟩ Tiling, 16×16 FlexFlow.
-    pub fn paper_suite(net_name: &str) -> [ArchParams; 4] {
-        let array_k = if net_name == "AlexNet" { 11 } else { 6 };
+    /// Systolic, 16×16 2D-Mapping, ⟨16,16⟩ Tiling, 16×16 FlexFlow.
+    ///
+    /// The systolic array must be at least as wide as the widest
+    /// convolution kernel it executes, so its side is
+    /// `max(6, widest conv kernel)`: the DC-CNN 6×6 default, and the
+    /// paper's 11×11 arrays for AlexNet's 11×11 C1 kernels, without
+    /// naming any workload.
+    pub fn paper_suite(net: &Network) -> [ArchParams; 4] {
+        let array_k = net
+            .conv_layers()
+            .map(ConvLayer::k)
+            .max()
+            .unwrap_or(0)
+            .max(6);
         [
             ArchParams::systolic(array_k),
             ArchParams::mapping2d(16),
@@ -129,9 +140,10 @@ mod tests {
 
     #[test]
     fn alexnet_gets_11x11_systolic() {
-        let suite = ArchParams::paper_suite("AlexNet");
+        use flexsim_model::workloads;
+        let suite = ArchParams::paper_suite(&workloads::alexnet());
         assert_eq!(suite[0].array_k, 11);
-        let suite = ArchParams::paper_suite("LeNet-5");
+        let suite = ArchParams::paper_suite(&workloads::lenet5());
         assert_eq!(suite[0].array_k, 6);
         assert_eq!(suite[3].kind, ArchKind::FlexFlow);
     }

@@ -866,7 +866,7 @@ mod tests {
     #[test]
     fn every_workload_is_clean_on_every_architecture() {
         for net in workloads::all() {
-            for arch in ArchParams::paper_suite(net.name()) {
+            for arch in ArchParams::paper_suite(&net) {
                 let diags = check_network(&net, &arch);
                 assert!(
                     !has_errors(&diags),

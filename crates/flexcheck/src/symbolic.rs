@@ -1,16 +1,16 @@
-//! flexproof — the symbolic schedule evaluator (rules `FXC10`–`FXC12`).
+//! flexproof — the symbolic schedule rules (`FXC10`–`FXC12`).
 //!
-//! The dynamic simulators *step* a layer and emit a cycle-domain
-//! timeline; this module *derives* the same timeline in closed form —
-//! per-phase cycle counts, per-[`StallCause`] loss attribution, and
-//! interval-based access sets — by abstract interpretation of the
-//! compiled schedule, the address-FSM configuration, and the ISA
-//! stream. No per-cycle stepping happens anywhere in this file.
+//! The simulators *step* a layer's schedule into a cycle-domain
+//! timeline; each one also states the closed-form aggregate of the same
+//! steps (`Accelerator::predict_network`). This module checks the two
+//! against each other, interprets the ISA stream abstractly, and proves
+//! interval-based access sets disjoint. No per-cycle stepping happens
+//! anywhere in this file.
 //!
-//! Three rules ride on the evaluator:
+//! Three rules:
 //!
 //! * **`FXC10` cycle-exactness** ([`check_cycle_exactness`]) — the
-//!   symbolic prediction must equal the engine-recorded
+//!   closed-form prediction must equal the engine-recorded
 //!   [`LossLedger`] exactly: total cycles, busy PE-cycles, and every
 //!   per-cause lost bucket. `flexsim prove` runs it over all Table 1
 //!   (workload, architecture) pairs.
@@ -26,11 +26,10 @@
 //!   interval form subsuming the per-step enumerations that rules
 //!   `FXC02`/`FXC03`/`FXC07` historically walked.
 //!
-//! The evaluator is exact by construction, not by fiat: every engine
-//! emits its timeline through the [`Coalescer`], whose ledger depends
-//! only on per-cause cycle/MAC totals — so the per-batch streams the
-//! engines push fold to precisely the aggregate events predicted here.
-//! `tests/proptests.rs` holds the FlexFlow side equal to
+//! The prediction is exact by construction: every engine folds its
+//! steps through the [`Coalescer`], whose ledger depends only on
+//! per-cause cycle/MAC totals — the totals the closed-form aggregate
+//! states. `tests/proptests.rs` holds the FlexFlow side equal to
 //! [`flexflow::analytic::schedule`] on thousands of random legal
 //! unrollings, and the root mutation harness trips each rule both
 //! statically and dynamically.
@@ -38,308 +37,18 @@
 //! [`Coalescer`]: flexsim_obs::cycles::Coalescer
 
 use crate::diag::{Diagnostic, Location, RuleId};
-use crate::params::{ArchKind, ArchParams};
+use crate::params::ArchParams;
 use crate::plan::LayerPlan;
-use flexflow::analytic::{ledger_events, schedule};
+use flexflow::analytic::{self, schedule};
 use flexflow::compiler::Program;
 use flexflow::isa::Instr;
 use flexflow::local_store::STORE_WORDS;
 use flexsim_dataflow::search::best_unroll;
-use flexsim_dataflow::utilization::ceil_div;
-use flexsim_dataflow::{plan_network, Unroll};
-use flexsim_model::{ConvLayer, Layer, Network};
+use flexsim_dataflow::Unroll;
+use flexsim_model::{Layer, Network};
 use flexsim_obs::attrib::{LossLedger, StallCause};
-use flexsim_obs::cycles::{CycleEvent, CycleEventKind, LayerCtx, LayerTimeline};
+use flexsim_obs::cycles::{LayerCtx, LayerTimeline};
 use std::collections::HashMap;
-
-/// The timing-relevant geometry of one simulated engine — the minimal
-/// state the abstract interpreter needs to reproduce an engine's
-/// cycle-domain emission in closed form.
-///
-/// Built from an [`ArchParams`] via [`EngineGeometry::from_arch`]
-/// (mirroring the experiment builder's scaling rules) or directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineGeometry {
-    /// The FlexFlow engine: a `d×d` PE array with `store_words`-word
-    /// local stores.
-    FlexFlow {
-        /// Engine side `D`.
-        d: usize,
-        /// Per-PE local-store capacity in words.
-        store_words: usize,
-    },
-    /// The DC-CNN-style engine: `num_arrays` systolic arrays of
-    /// `array_k × array_k` PEs.
-    Systolic {
-        /// Side of each array.
-        array_k: usize,
-        /// Number of identical arrays.
-        num_arrays: usize,
-    },
-    /// The ShiDianNao-style engine: one `tr × tc` PE mesh.
-    Mapping2d {
-        /// Output-row tile side `Tr`.
-        tr: usize,
-        /// Output-column tile side `Tc`.
-        tc: usize,
-    },
-    /// The DianNao-style engine: `tm` output lanes of `tn`-input adder
-    /// trees.
-    Tiling {
-        /// Output-map lanes `Tm`.
-        tm: usize,
-        /// Inputs per adder tree `Tn`.
-        tn: usize,
-    },
-}
-
-impl EngineGeometry {
-    /// The geometry the experiments builder constructs for `arch` at
-    /// engine scale `scale` (a `scale×scale` PE budget): systolic
-    /// engines pack `max(1, scale²/array_k²)` arrays, every other
-    /// family is a `scale`-sided grid.
-    pub fn from_arch(arch: &ArchParams, scale: usize) -> EngineGeometry {
-        match arch.kind {
-            ArchKind::FlexFlow => EngineGeometry::FlexFlow {
-                d: scale,
-                store_words: arch.store_words.max(1),
-            },
-            ArchKind::Systolic => EngineGeometry::Systolic {
-                array_k: arch.array_k,
-                num_arrays: ((scale * scale) / (arch.array_k * arch.array_k)).max(1),
-            },
-            ArchKind::Mapping2d => EngineGeometry::Mapping2d {
-                tr: scale,
-                tc: scale,
-            },
-            ArchKind::Tiling => EngineGeometry::Tiling {
-                tm: scale,
-                tn: scale,
-            },
-        }
-    }
-
-    /// The engine's display name, byte-equal to the simulator's
-    /// `Accelerator::name` (ledger identity depends on it).
-    pub fn arch_name(&self) -> &'static str {
-        match self {
-            EngineGeometry::FlexFlow { .. } => "FlexFlow",
-            EngineGeometry::Systolic { .. } => "Systolic",
-            EngineGeometry::Mapping2d { .. } => "2D-Mapping",
-            EngineGeometry::Tiling { .. } => "Tiling",
-        }
-    }
-
-    /// Total PEs (the occupancy denominator).
-    pub fn pe_count(&self) -> usize {
-        match *self {
-            EngineGeometry::FlexFlow { d, .. } => d * d,
-            EngineGeometry::Systolic {
-                array_k,
-                num_arrays,
-            } => num_arrays * array_k * array_k,
-            EngineGeometry::Mapping2d { tr, tc } => tr * tc,
-            EngineGeometry::Tiling { tm, tn } => tm * tn,
-        }
-    }
-}
-
-/// Appends `cycles` of `kind` (carrying `macs`) at the running cursor,
-/// keeping the predicted events tiling the timeline exactly like a
-/// [`Coalescer`](flexsim_obs::cycles::Coalescer) flush does.
-fn push_event(
-    events: &mut Vec<CycleEvent>,
-    cursor: &mut u64,
-    kind: CycleEventKind,
-    cycles: u64,
-    macs: u64,
-) {
-    if cycles > 0 {
-        events.push(CycleEvent::new(kind, *cursor, cycles, macs));
-        *cursor += cycles;
-    }
-}
-
-/// Symbolically evaluates one CONV layer on `geom`, returning the
-/// predicted cycle-domain timeline: the per-cause aggregate of the
-/// event stream the engine would emit, with identical cycle, MAC, and
-/// per-cause totals (and therefore an identical [`LossLedger`]).
-///
-/// `unroll` selects the FlexFlow mapping; `None` falls back to the
-/// engine's own per-layer planner, and the baselines ignore it (their
-/// dataflow is fixed by geometry).
-pub fn predict_conv(
-    geom: &EngineGeometry,
-    layer: &ConvLayer,
-    unroll: Option<Unroll>,
-) -> LayerTimeline {
-    let mut events = Vec::new();
-    let mut cursor = 0u64;
-    match *geom {
-        EngineGeometry::FlexFlow { d, store_words } => {
-            // The engine schedules, then emits fill → per-batch pass →
-            // per-batch spill. All batches share one cause per phase,
-            // so the ledger-exact aggregate is the analytic one.
-            let u = unroll.unwrap_or_else(|| best_unroll(layer, d, None).unroll);
-            let sch = schedule(layer, u, d, store_words);
-            events = ledger_events(&sch);
-        }
-        EngineGeometry::Systolic {
-            array_k,
-            num_arrays,
-        } => {
-            // Per (m-group, input map) step: a `pk·chain` bubble split
-            // ceil/floor into fill/drain, then a `pk·w²` streaming
-            // pass. Full groups keep all arrays busy
-            // (mapping-residue loss only); the final partial group
-            // idles `M mod num_arrays` arrays (edge fragmentation).
-            let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
-            let w = layer.input_size();
-            let pk = (ceil_div(k, array_k) * ceil_div(k, array_k)) as u64;
-            let chain = ((array_k - 1) * w + array_k) as u64;
-            let stream = (w * w) as u64;
-            let steps = (ceil_div(m, num_arrays) * n) as u64;
-            let bubble = pk * chain;
-            let full_groups = (m / num_arrays) as u64;
-            let edge_arrays = (m % num_arrays) as u64;
-            let pass_macs_per_array = (s * s * k * k) as u64;
-            push_event(
-                &mut events,
-                &mut cursor,
-                CycleEventKind::Stall(StallCause::PipelineFill),
-                steps * bubble.div_ceil(2),
-                0,
-            );
-            push_event(
-                &mut events,
-                &mut cursor,
-                CycleEventKind::Stall(StallCause::PipelineDrain),
-                steps * (bubble / 2),
-                0,
-            );
-            push_event(
-                &mut events,
-                &mut cursor,
-                CycleEventKind::Pass(StallCause::MappingResidueIdle),
-                full_groups * n as u64 * pk * stream,
-                full_groups * n as u64 * num_arrays as u64 * pass_macs_per_array,
-            );
-            push_event(
-                &mut events,
-                &mut cursor,
-                CycleEventKind::Pass(StallCause::EdgeFragmentation),
-                u64::from(edge_arrays > 0) * n as u64 * pk * stream,
-                n as u64 * edge_arrays * pass_macs_per_array,
-            );
-        }
-        EngineGeometry::Mapping2d { tr, tc } => {
-            // Per spatial tile: a `Tc`-cycle window load (the whole
-            // mesh waits on edge injection), then an `M·N·K²` pass
-            // whose only residue is the `Tr_eff·Tc_eff` edge clamp.
-            // Clamped tile areas sum to exactly `S²` over the grid.
-            let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
-            let tiles = (ceil_div(s, tr) * ceil_div(s, tc)) as u64;
-            let pass = (m * n * k * k) as u64;
-            push_event(
-                &mut events,
-                &mut cursor,
-                CycleEventKind::Stall(StallCause::BufferBandwidthWait),
-                tiles * tc as u64,
-                0,
-            );
-            push_event(
-                &mut events,
-                &mut cursor,
-                CycleEventKind::Pass(StallCause::EdgeFragmentation),
-                tiles * pass,
-                (s * s) as u64 * pass,
-            );
-        }
-        EngineGeometry::Tiling { tm, tn } => {
-            // Per (m-tile, n-tile): one `S²K²` pass whose residue goes
-            // to whichever clamp dominates — idle output rows
-            // (edge fragmentation) vs underfed adder trees
-            // (adder-tree contention). Four closed-form tile classes
-            // cover the grid: interior, m-edge, n-edge, corner.
-            let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
-            let pass = (s * s * k * k) as u64;
-            let (fm, rm) = ((m / tm) as u64, m % tm);
-            let (fnt, rn) = ((n / tn) as u64, n % tn);
-            let mut by_cause = [(0u64, 0u64); 2]; // [edge, adder] (cycles, macs)
-            let mut add = |is_adder: bool, count: u64, macs_per_tile: u64| {
-                let slot = &mut by_cause[usize::from(is_adder)];
-                slot.0 += count * pass;
-                slot.1 += count * macs_per_tile;
-            };
-            add(false, fm * fnt, (tm * tn) as u64 * pass);
-            if rm > 0 {
-                // Row clamp only: row loss positive, lane loss zero.
-                add(false, fnt, (rm * tn) as u64 * pass);
-            }
-            if rn > 0 {
-                // Lane clamp only: lane loss positive, row loss zero.
-                add(true, fm, (tm * rn) as u64 * pass);
-            }
-            if rm > 0 && rn > 0 {
-                let row_loss = ((tm - rm) * tn) as u64;
-                let lane_loss = (rm * (tn - rn)) as u64;
-                add(lane_loss > row_loss, 1, (rm * rn) as u64 * pass);
-            }
-            push_event(
-                &mut events,
-                &mut cursor,
-                CycleEventKind::Pass(StallCause::EdgeFragmentation),
-                by_cause[0].0,
-                by_cause[0].1,
-            );
-            push_event(
-                &mut events,
-                &mut cursor,
-                CycleEventKind::Pass(StallCause::AdderTreeContention),
-                by_cause[1].0,
-                by_cause[1].1,
-            );
-        }
-    }
-    LayerTimeline {
-        ctx: LayerCtx::new(
-            geom.arch_name(),
-            layer.name(),
-            u32::try_from(geom.pe_count()).unwrap_or(u32::MAX),
-        ),
-        events,
-    }
-}
-
-/// Symbolically evaluates every CONV layer of `net` on `geom`, in
-/// network order — the static mirror of `Accelerator::run_network`.
-/// FlexFlow plans the whole network jointly (IADP coupling), exactly
-/// as the engine does; the baselines evaluate each layer independently.
-pub fn predict_network(geom: &EngineGeometry, net: &Network) -> Vec<LayerTimeline> {
-    match *geom {
-        EngineGeometry::FlexFlow { d, .. } => {
-            let plan = plan_network(net, d);
-            net.conv_layers()
-                .zip(&plan)
-                .map(|(layer, choice)| predict_conv(geom, layer, Some(choice.unroll)))
-                .collect()
-        }
-        _ => net
-            .conv_layers()
-            .map(|layer| predict_conv(geom, layer, None))
-            .collect(),
-    }
-}
-
-/// Symbolically evaluates every CONV layer of `net` on `geom` and
-/// folds each predicted timeline into its [`LossLedger`] — the static
-/// side of the `FXC10` comparison.
-pub fn predicted_ledgers(geom: &EngineGeometry, net: &Network) -> Vec<LossLedger> {
-    predict_network(geom, net)
-        .iter()
-        .map(LossLedger::from_timeline)
-        .collect()
-}
 
 /// Abstract interpretation of a compiled ISA stream: walks the
 /// instruction list once, carrying each layer's configured unrolling as
@@ -348,15 +57,12 @@ pub fn predicted_ledgers(geom: &EngineGeometry, net: &Network) -> Vec<LossLedger
 /// timeline per `Conv`, in stream order.
 ///
 /// This is the stream-level entry the `FXC10`/`FXC11` tests drive:
-/// unlike [`predict_network`] it derives the mapping from the
-/// *instructions*, so a stream whose `Configure` disagrees with the
+/// unlike `Accelerator::predict_network` it derives the mapping from
+/// the *instructions*, so a stream whose `Configure` disagrees with the
 /// program's planned choices predicts what the hardware would actually
 /// do.
 pub fn predict_program(program: &Program, net: &Network) -> Vec<LayerTimeline> {
-    let geom = EngineGeometry::FlexFlow {
-        d: program.d(),
-        store_words: STORE_WORDS,
-    };
+    let d = program.d();
     let layers = net.layers();
     let mut configured: HashMap<u8, Unroll> = HashMap::new();
     let mut conv_idx = 0usize;
@@ -374,8 +80,14 @@ pub fn predict_program(program: &Program, net: &Network) -> Vec<LayerTimeline> {
                 };
                 let planned = program.choices().get(conv_idx).map(|c| c.unroll);
                 conv_idx += 1;
-                let u = configured.get(&layer).copied().or(planned);
-                out.push(predict_conv(&geom, &view, u));
+                let u = configured
+                    .get(&layer)
+                    .copied()
+                    .or(planned)
+                    .unwrap_or_else(|| best_unroll(&view, d, None).unroll);
+                let sch = schedule(&view, u, d, STORE_WORDS);
+                let ctx = LayerCtx::new("FlexFlow", view.name(), (d * d) as u32);
+                out.push(analytic::aggregate(&sch).timeline(ctx));
             }
             _ => {}
         }
@@ -412,7 +124,7 @@ pub fn check_cycle_exactness(predicted: &LossLedger, recorded: &LossLedger) -> V
                 "PE-count mismatch: symbolic geometry says {} PEs, engine recorded {}",
                 predicted.pe_count, recorded.pe_count
             ),
-            "rebuild the EngineGeometry from the same scale the engine was built at",
+            "predict with the same accelerator the engine recording came from",
         ));
     }
     if predicted.total_cycles != recorded.total_cycles {
@@ -591,9 +303,14 @@ mod tests {
     use flexflow::FlexFlow;
     use flexsim_arch::Accelerator;
     use flexsim_model::workloads;
+    use flexsim_model::ConvLayer;
     use flexsim_obs::attrib::ledgers;
     use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
     use std::sync::Arc;
+
+    fn predicted_flexflow(net: &Network, d: usize) -> Vec<LossLedger> {
+        ledgers(&FlexFlow::new(d).predict_network(net))
+    }
 
     fn recorded_flexflow(net: &Network, d: usize) -> Vec<LossLedger> {
         let rec = Arc::new(CycleRecorder::new());
@@ -606,11 +323,7 @@ mod tests {
     #[test]
     fn flexflow_prediction_equals_the_engine_ledger() {
         for net in [workloads::lenet5(), workloads::alexnet()] {
-            let geom = EngineGeometry::FlexFlow {
-                d: 16,
-                store_words: STORE_WORDS,
-            };
-            let predicted = predicted_ledgers(&geom, &net);
+            let predicted = predicted_flexflow(&net, 16);
             let recorded = recorded_flexflow(&net, 16);
             let diags = check_cycle_exactness_all(&predicted, &recorded);
             assert!(
@@ -627,11 +340,7 @@ mod tests {
         // A scale-8 prediction must NOT match a scale-16 run — the
         // comparison has teeth.
         let net = workloads::lenet5();
-        let geom = EngineGeometry::FlexFlow {
-            d: 8,
-            store_words: STORE_WORDS,
-        };
-        let predicted = predicted_ledgers(&geom, &net);
+        let predicted = predicted_flexflow(&net, 8);
         let recorded = recorded_flexflow(&net, 16);
         assert!(!check_cycle_exactness_all(&predicted, &recorded).is_empty());
     }
@@ -641,13 +350,7 @@ mod tests {
         let net = workloads::lenet5();
         let program = flexflow::Compiler::new(16).compile(&net);
         let stream = predict_program(&program, &net);
-        let planned = predict_network(
-            &EngineGeometry::FlexFlow {
-                d: 16,
-                store_words: STORE_WORDS,
-            },
-            &net,
-        );
+        let planned = FlexFlow::new(16).predict_network(&net);
         // A compiled program configures exactly the planned factors,
         // so the stream-level interpreter agrees with the
         // network-level one.

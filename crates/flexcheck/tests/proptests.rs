@@ -12,11 +12,11 @@
 //!    configuration.
 
 use flexcheck::{
-    check_interference, check_layer_plan, max_fsm_addr, predict_conv, ArchParams, EngineGeometry,
-    LayerPlan, RuleId,
+    check_interference, check_layer_plan, max_fsm_addr, ArchParams, LayerPlan, RuleId,
 };
 use flexflow::fsm::{AddrFsm, FsmConfig};
 use flexflow::local_store::STORE_WORDS;
+use flexflow::FlexFlow;
 use flexsim_dataflow::Unroll;
 use flexsim_model::ConvLayer;
 use flexsim_obs::attrib::LossLedger;
@@ -117,14 +117,11 @@ fn fsm_bound_is_exact_against_the_stepped_fsm() {
 
 #[test]
 fn symbolic_flexflow_prediction_matches_the_analytic_schedule() {
-    // The symbolic evaluator's closed-form timeline must agree with
+    // The engine's closed-form prediction must agree with
     // `core::analytic::schedule` — the engine's own ground truth — on
     // total cycles and busy PE-cycles for every legal unroll, and its
     // ledger must balance exactly (FXC09), at 2048 random cases.
-    let geom = EngineGeometry::FlexFlow {
-        d: 16,
-        store_words: STORE_WORDS,
-    };
+    let engine = FlexFlow::new(16);
     prop::check(
         "symbolic_matches_analytic",
         2048,
@@ -144,7 +141,7 @@ fn symbolic_flexflow_prediction_matches_the_analytic_schedule() {
             let layer = ConvLayer::new("P", m, n, s, k);
             let u = legalize(Unroll::new(tm, tn, tr, tc, ti, tj), &layer, 16);
             let sch = flexflow::analytic::schedule(&layer, u, 16, STORE_WORDS);
-            let timeline = predict_conv(&geom, &layer, Some(u));
+            let timeline = engine.predict_with(&layer, u);
             let ledger = LossLedger::from_timeline(&timeline);
             prop_assert_eq!(
                 ledger.total_cycles,

@@ -10,6 +10,10 @@
 //! `Option` check, so instrumentation costs nothing when tracing is
 //! disabled.
 //!
+//! The same sink also receives the per-layer spatial record
+//! ([`LayerSpatial`]) when it asks for one, so a simulator holds one
+//! observer, attached once.
+//!
 //! [`CycleRecorder`] collects events into per-layer timelines for
 //! occupancy analysis and Chrome trace export. [`Coalescer`] merges
 //! fine-grained emission (one event per tile/pass) down to a bounded
@@ -18,6 +22,7 @@
 
 use crate::attrib::StallCause;
 use crate::occupancy::OccupancyTimeline;
+use crate::spatial::LayerSpatial;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -151,6 +156,13 @@ pub trait CycleSink: Send + Sync {
     fn emit(&self, _ev: &CycleEvent) {}
     /// The current layer's event stream is complete.
     fn end_layer(&self) {}
+    /// Whether the sink wants one [`LayerSpatial`] per layer.
+    /// Simulators build no heatmap when this is false.
+    fn wants_spatial(&self) -> bool {
+        false
+    }
+    /// One finished per-layer spatial record.
+    fn record_spatial(&self, _layer: LayerSpatial) {}
 }
 
 /// A cloneable, optionally-attached handle to a shared sink — the field
@@ -211,6 +223,18 @@ impl SinkHandle {
         }
     }
 
+    /// Whether a spatial record should be built and submitted.
+    pub fn wants_spatial(&self) -> bool {
+        self.0.as_ref().is_some_and(|s| s.wants_spatial())
+    }
+
+    /// Forwards to the sink, if attached.
+    pub fn record_spatial(&self, layer: LayerSpatial) {
+        if let Some(sink) = &self.0 {
+            sink.record_spatial(layer);
+        }
+    }
+
     /// Returns a handle that stamps `experiment` onto the
     /// [`LayerCtx`] of every `begin_layer` it forwards, so cycle
     /// records from a multi-experiment sweep remain attributable to
@@ -250,6 +274,14 @@ impl CycleSink for ExperimentTag {
 
     fn end_layer(&self) {
         self.inner.end_layer();
+    }
+
+    fn wants_spatial(&self) -> bool {
+        self.inner.wants_spatial()
+    }
+
+    fn record_spatial(&self, layer: LayerSpatial) {
+        self.inner.record_spatial(layer);
     }
 }
 
@@ -301,21 +333,34 @@ impl LayerTimeline {
 struct RecorderInner {
     done: Vec<LayerTimeline>,
     open: Vec<LayerTimeline>,
+    spatial: Vec<LayerSpatial>,
 }
 
-/// A [`CycleSink`] that records every event into per-layer timelines.
+/// A [`CycleSink`] that records every event into per-layer timelines
+/// and, when built with [`CycleRecorder::with_spatial`], every
+/// per-layer spatial record.
 ///
 /// `begin_layer`/`end_layer` pairs nest as a stack, matching the
 /// single-threaded emission discipline of the simulators.
 #[derive(Debug, Default)]
 pub struct CycleRecorder {
     inner: Mutex<RecorderInner>,
+    spatial: bool,
 }
 
 impl CycleRecorder {
-    /// Creates an empty recorder.
+    /// Creates an empty recorder of cycle events only.
     pub fn new() -> CycleRecorder {
         CycleRecorder::default()
+    }
+
+    /// Creates an empty recorder that also asks for, and keeps, one
+    /// spatial record per layer (the `flexsim heatmap` path).
+    pub fn with_spatial() -> CycleRecorder {
+        CycleRecorder {
+            spatial: true,
+            ..CycleRecorder::default()
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, RecorderInner> {
@@ -332,6 +377,11 @@ impl CycleRecorder {
     /// Drains every completed layer timeline.
     pub fn take(&self) -> Vec<LayerTimeline> {
         std::mem::take(&mut self.lock().done)
+    }
+
+    /// Drains every spatial record, in submission order.
+    pub fn take_spatial(&self) -> Vec<LayerSpatial> {
+        std::mem::take(&mut self.lock().spatial)
     }
 }
 
@@ -359,21 +409,71 @@ impl CycleSink for CycleRecorder {
             inner.done.push(done);
         }
     }
+
+    fn wants_spatial(&self) -> bool {
+        self.spatial
+    }
+
+    fn record_spatial(&self, layer: LayerSpatial) {
+        self.lock().spatial.push(layer);
+    }
 }
 
 /// Target number of events a [`Coalescer`] flushes per layer.
 pub const MAX_EVENTS_PER_LAYER: usize = 256;
 
 /// Exact totals accumulated by a [`Coalescer`] over one layer, returned
-/// by [`Coalescer::finish`] so every emitter can `debug_assert` its
-/// event stream against the analytic schedule (the dynamic half of
-/// flexcheck's FXC08/FXC09 guards).
+/// by [`Coalescer::finish`] so the step fold ([`crate::steps::fold`])
+/// can `debug_assert` the stream against the schedule (the dynamic
+/// half of flexcheck's FXC08/FXC09 guards).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoalescerTotals {
     /// Total cycles emitted (the final timeline cursor).
     pub cycles: u64,
     /// Total useful MACs emitted.
     pub macs: u64,
+}
+
+/// Per-kind cycle and MAC totals of one layer: the closed-form
+/// aggregate of a step schedule, and what a [`Coalescer`] buffers
+/// between flushes. Two streams with equal aggregates fold to equal
+/// [`crate::attrib::LossLedger`]s.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Aggregate([(u64, u64); CycleEventKind::COUNT]);
+
+impl Aggregate {
+    /// Adds `cycles` and `macs` under `kind`.
+    pub fn add(&mut self, kind: CycleEventKind, cycles: u64, macs: u64) {
+        let (c, m) = &mut self.0[kind.index()];
+        *c += cycles;
+        *m += macs;
+    }
+
+    /// Total cycles over all kinds.
+    pub fn cycles(&self) -> u64 {
+        self.0.iter().map(|&(c, _)| c).sum()
+    }
+
+    /// The non-empty kinds as back-to-back events in [`KIND_ORDER`],
+    /// the first starting at `start`.
+    pub fn events(&self, start: u64) -> impl Iterator<Item = CycleEvent> + '_ {
+        let mut cursor = start;
+        KIND_ORDER.into_iter().filter_map(move |kind| {
+            let (cycles, macs) = self.0[kind.index()];
+            (cycles > 0).then(|| {
+                cursor += cycles;
+                CycleEvent::new(kind, cursor - cycles, cycles, macs)
+            })
+        })
+    }
+
+    /// The aggregate as one layer's timeline.
+    pub fn timeline(&self, ctx: LayerCtx) -> LayerTimeline {
+        LayerTimeline {
+            ctx,
+            events: self.events(0).collect(),
+        }
+    }
 }
 
 /// Merges fine-grained emission into at most ~[`MAX_EVENTS_PER_LAYER`]
@@ -394,9 +494,7 @@ pub struct Coalescer<'a> {
     steps_in_group: u64,
     totals: CoalescerTotals,
     cursor: u64,
-    // Accumulated (cycles, macs) per kind, indexed by
-    // `CycleEventKind::index()`.
-    acc: [(u64, u64); CycleEventKind::COUNT],
+    acc: Aggregate,
 }
 
 /// Deterministic flush order within one merged burst: leading stalls
@@ -428,15 +526,13 @@ impl<'a> Coalescer<'a> {
             steps_in_group: 0,
             totals: CoalescerTotals::default(),
             cursor: 0,
-            acc: [(0, 0); CycleEventKind::COUNT],
+            acc: Aggregate::default(),
         }
     }
 
     /// Accumulates `cycles`/`macs` under `kind` for the current step.
     pub fn push(&mut self, kind: CycleEventKind, cycles: u64, macs: u64) {
-        let (c, m) = &mut self.acc[kind.index()];
-        *c += cycles;
-        *m += macs;
+        self.acc.add(kind, cycles, macs);
         self.totals.cycles += cycles;
         self.totals.macs += macs;
     }
@@ -450,15 +546,11 @@ impl<'a> Coalescer<'a> {
     }
 
     fn flush(&mut self) {
-        for kind in KIND_ORDER {
-            let (cycles, macs) = self.acc[kind.index()];
-            if cycles > 0 {
-                self.sink
-                    .emit(&CycleEvent::new(kind, self.cursor, cycles, macs));
-                self.cursor += cycles;
-            }
+        for ev in self.acc.events(self.cursor) {
+            self.sink.emit(&ev);
         }
-        self.acc = [(0, 0); CycleEventKind::COUNT];
+        self.cursor += self.acc.cycles();
+        self.acc = Aggregate::default();
         self.steps_in_group = 0;
     }
 

@@ -31,8 +31,8 @@
 //! * [`roofline`] — arithmetic-intensity classification of layers as
 //!   compute- vs bandwidth-bound (pure numbers; the hardware parameters
 //!   stay in `flexsim-arch`);
-//! * [`occupancy`] — run-length-encoded per-layer occupancy timelines
-//!   generalizing `flexflow::trace::OccupancyTrace` to any architecture;
+//! * [`occupancy`] — run-length-encoded per-layer occupancy timelines,
+//!   built from any architecture's cycle timeline;
 //! * [`chrome`] — Chrome trace-event JSON export (loadable in Perfetto)
 //!   combining host spans, simulated-cycle timelines, and a metrics
 //!   snapshot, streamed through any `io::Write` sink;
@@ -42,6 +42,8 @@
 //!   planes, buffer-bank occupancy watermarks, and contention
 //!   matrices, exactness-gated against the loss ledgers (flexcheck
 //!   FXC13);
+//! * [`steps`] — the per-architecture step schedule and the one fold
+//!   that turns it into the cycle timeline and the heatmap;
 //! * [`telemetry`] — host-side runtime telemetry: the wall-clock phase
 //!   profiler (parse → flexcheck → schedule → simulate → verify →
 //!   export), pool/scheduler worker stats, latency histograms, and the
@@ -86,17 +88,18 @@ pub mod occupancy;
 pub mod roofline;
 pub mod span;
 pub mod spatial;
+pub mod steps;
 pub mod telemetry;
 
 pub use attrib::{LossDelta, LossLedger, StallCause};
-pub use cycles::{CycleEvent, CycleEventKind, CycleRecorder, CycleSink, LayerCtx, SinkHandle};
+pub use cycles::{
+    Aggregate, CycleEvent, CycleEventKind, CycleRecorder, CycleSink, LayerCtx, SinkHandle,
+};
 pub use filter::Level;
 pub use hist::Histogram;
 pub use metrics::{Registry, Snapshot};
 pub use occupancy::OccupancyTimeline;
 pub use span::{span, SpanGuard, SpanRecord};
-pub use spatial::{
-    BankWatermark, ContentionMatrix, HeatmapBuilder, LayerSpatial, SpatialHandle, SpatialRecorder,
-    SpatialSink,
-};
+pub use spatial::{BankWatermark, CellRects, ContentionMatrix, HeatmapBuilder, LayerSpatial};
+pub use steps::{LayerFrame, Pass, Step};
 pub use telemetry::{Phase, PhaseTimer, TelemetrySnapshot, WorkerTotals};

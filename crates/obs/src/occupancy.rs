@@ -1,10 +1,9 @@
 //! Run-length-encoded per-layer occupancy timelines.
 //!
-//! Generalizes `flexflow::trace::OccupancyTrace` (a per-cycle busy-PE
-//! vector specific to the FlexFlow engine) to any architecture and any
-//! layer length: a timeline is a sequence of `(cycles, busy_fraction)`
-//! segments, so a million-cycle DianNao layer that alternates two
-//! occupancy levels stores two segments instead of a million samples.
+//! Works for any architecture and any layer length: a timeline is a
+//! sequence of `(cycles, busy_fraction)` segments, so a million-cycle
+//! DianNao layer that alternates two occupancy levels stores two
+//! segments instead of a million samples.
 //! [`crate::cycles::LayerTimeline::occupancy`] builds one from a
 //! cycle-event stream.
 

@@ -13,30 +13,28 @@
 //!   PE-cycles (the array is idle wall-to-wall), so stalls accumulate
 //!   in one per-cause scalar folded into every cell at
 //!   [`HeatmapBuilder::finish`];
-//! * a compute pass of `cap` cycles per cell distributes its useful
-//!   MACs over the active cells with [`distribute`] (floor share plus
-//!   one for the first `total % n` cells — deterministic and
-//!   remainder-exact), charging each active cell `cap − share` and
-//!   each inactive cell the full `cap` to the pass's residue cause.
+//! * a compute pass of `cap` cycles per cell charges every cell `cap`
+//!   to the pass's residue cause; its useful MACs are summed per
+//!   (cause, active cells) and, at [`HeatmapBuilder::finish`], spread
+//!   over those cells once with [`distribute`] (floor share plus one
+//!   for the first `total % n` cells — deterministic and
+//!   remainder-exact), crediting each active cell its share.
 //!
 //! Summing any cause over all cells therefore reproduces the ledger's
 //! `lost(cause)` *exactly*, and summing the busy plane reproduces
 //! `busy_pe_cycles` — the FXC13 spatial-exactness identity flexcheck
 //! verifies per layer.
 //!
-//! Delivery mirrors [`crate::cycles`]: simulators hold a cheap
-//! [`SpatialHandle`] (disabled by default, one branch per layer when
-//! detached) and submit one finished [`LayerSpatial`] per layer;
-//! the [`SpatialRecorder`] collects them in memory for the
-//! `flexsim heatmap` report, Chrome-trace counter tracks, and metrics
-//! mirrors.
+//! Delivery rides on the cycle sink: [`crate::steps::fold`] builds the
+//! record from the same steps as the cycle timeline and submits it
+//! through [`crate::cycles::SinkHandle::record_spatial`] when the sink
+//! asks for one; [`crate::cycles::CycleRecorder::with_spatial`] keeps
+//! them for the `flexsim heatmap` report and metrics mirrors.
 //!
 //! [`LossLedger`]: crate::attrib::LossLedger
 
 use crate::attrib::StallCause;
 use crate::metrics::Registry;
-use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// A rectangular block of active PE cells, in array coordinates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,6 +68,50 @@ impl CellRect {
     /// True when the rect covers no cells.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The active cells of one pass: `count` copies of `rect`, each
+/// `row_pitch` rows below the previous one (one rect for most engines,
+/// one per busy array for Systolic's stacked arrays). Plain data, so a
+/// step carries it without allocating.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CellRects {
+    /// The first rect.
+    pub rect: CellRect,
+    /// Number of copies.
+    pub count: usize,
+    /// Rows between the tops of consecutive copies.
+    pub row_pitch: usize,
+}
+
+impl CellRects {
+    /// `count` copies of `rect` stacked `row_pitch` rows apart.
+    pub fn stacked(rect: CellRect, count: usize, row_pitch: usize) -> CellRects {
+        CellRects {
+            rect,
+            count,
+            row_pitch,
+        }
+    }
+
+    /// The rects, top to bottom.
+    pub fn iter(&self) -> impl Iterator<Item = CellRect> + '_ {
+        (0..self.count).map(|i| CellRect {
+            row: self.rect.row + i * self.row_pitch,
+            ..self.rect
+        })
+    }
+
+    /// Number of cells covered.
+    pub fn cells(&self) -> usize {
+        self.count * self.rect.len()
+    }
+}
+
+impl From<CellRect> for CellRects {
+    fn from(rect: CellRect) -> CellRects {
+        CellRects::stacked(rect, 1, 0)
     }
 }
 
@@ -324,9 +366,12 @@ impl LayerSpatial {
 ///
 /// Internally loss is kept factored: a per-cause *uniform* scalar
 /// (stall cycles plus per-cell pass capacity, both charged to every
-/// cell identically) and a per-cell *credit* plane (the MAC share an
-/// active cell earned back). [`HeatmapBuilder::finish`] resolves
+/// cell identically) and per-(cause, active cells) MAC sums, which
+/// [`HeatmapBuilder::finish`] distributes into a per-cell *credit*
+/// plane (the MAC share an active cell earned back) and resolves
 /// `lost[cell][cause] = uniform[cause] − credit[cell][cause]`.
+/// Summing before distributing makes the planes independent of how a
+/// schedule splits its work into passes.
 #[derive(Clone, Debug)]
 pub struct HeatmapBuilder {
     arch: String,
@@ -334,12 +379,20 @@ pub struct HeatmapBuilder {
     rows: usize,
     cols: usize,
     total_cycles: u64,
-    busy: Vec<u64>,
-    credit: Vec<[u64; StallCause::COUNT]>,
     uniform: [u64; StallCause::COUNT],
+    passes: Vec<PassSum>,
     banks: Vec<BankWatermark>,
     adder_tree: ContentionMatrix,
     cdb: ContentionMatrix,
+}
+
+/// The passes of one (cause, active cells) pair, summed.
+#[derive(Clone, Debug)]
+struct PassSum {
+    cause: StallCause,
+    rects: CellRects,
+    cap_per_cell: u64,
+    macs: u64,
 }
 
 impl HeatmapBuilder {
@@ -351,16 +404,14 @@ impl HeatmapBuilder {
         cols: usize,
         total_cycles: u64,
     ) -> HeatmapBuilder {
-        let cells = rows * cols;
         HeatmapBuilder {
             arch: arch.into(),
             layer: layer.into(),
             rows,
             cols,
             total_cycles,
-            busy: vec![0; cells],
-            credit: vec![[0; StallCause::COUNT]; cells],
             uniform: [0; StallCause::COUNT],
+            passes: Vec::new(),
             banks: Vec::new(),
             adder_tree: ContentionMatrix::new(0),
             cdb: ContentionMatrix::new(0),
@@ -375,37 +426,45 @@ impl HeatmapBuilder {
 
     /// A compute pass of `cap_per_cell` cycles per cell whose `macs`
     /// useful work ran on the cells covered by `rects` (disjoint,
-    /// in-bounds). Active cells split `macs` via [`distribute`] and
-    /// lose the rest to `cause`; cells outside the rects lose the full
+    /// in-bounds). Active cells share the MACs of all passes with the
+    /// same cause and cells (see [`HeatmapBuilder::finish`]) and lose
+    /// the rest to `cause`; cells outside the rects lose the full
     /// `cap_per_cell`.
     ///
     /// # Panics
     ///
-    /// Panics when a rect runs out of bounds or `macs` exceeds the
-    /// active capacity `cap_per_cell × Σ rect cells`.
-    pub fn pass(&mut self, cause: StallCause, rects: &[CellRect], cap_per_cell: u64, macs: u64) {
-        let mut active: Vec<usize> = Vec::new();
-        for rect in rects {
-            assert!(
-                rect.row + rect.rows <= self.rows && rect.col + rect.cols <= self.cols,
-                "active rect out of array bounds"
-            );
-            for r in rect.row..rect.row + rect.rows {
-                for c in rect.col..rect.col + rect.cols {
-                    active.push(r * self.cols + c);
-                }
-            }
-        }
+    /// Panics when a rect runs out of bounds or the summed MACs exceed
+    /// the summed active capacity `cap_per_cell × rects.cells()`.
+    pub fn pass(&mut self, cause: StallCause, rects: CellRects, cap_per_cell: u64, macs: u64) {
+        let r = rects.rect;
+        let rows_end = r.row + rects.count.saturating_sub(1) * rects.row_pitch + r.rows;
         assert!(
-            macs <= cap_per_cell.saturating_mul(active.len() as u64),
-            "pass MACs exceed active capacity"
+            rows_end <= self.rows && r.col + r.cols <= self.cols,
+            "active rect out of array bounds"
         );
         self.uniform[cause.index()] += cap_per_cell;
-        let shares = distribute(macs, active.len());
-        for (cell, share) in active.into_iter().zip(shares) {
-            self.busy[cell] += share;
-            self.credit[cell][cause.index()] += share;
-        }
+        let sum = match self
+            .passes
+            .iter()
+            .rposition(|p| p.cause == cause && p.rects == rects)
+        {
+            Some(i) => &mut self.passes[i],
+            None => {
+                self.passes.push(PassSum {
+                    cause,
+                    rects,
+                    cap_per_cell: 0,
+                    macs: 0,
+                });
+                self.passes.last_mut().expect("just pushed")
+            }
+        };
+        sum.cap_per_cell += cap_per_cell;
+        sum.macs += macs;
+        assert!(
+            sum.macs <= sum.cap_per_cell.saturating_mul(rects.cells() as u64),
+            "pass MACs exceed active capacity"
+        );
     }
 
     /// Records `words` resident in `bank` for `cycles` cycles,
@@ -431,15 +490,29 @@ impl HeatmapBuilder {
         self.cdb = m;
     }
 
-    /// Resolves the factored loss planes into the finished record.
+    /// Distributes each (cause, active cells) MAC sum over its cells
+    /// and resolves the factored loss planes into the finished record.
     ///
     /// # Panics
     ///
     /// Panics if any cell earned more credit than the uniform charge —
     /// impossible when every pass respected its capacity bound.
     pub fn finish(self) -> LayerSpatial {
-        let lost = self
-            .credit
+        let cells = self.rows * self.cols;
+        let mut busy = vec![0; cells];
+        let mut credit = vec![[0; StallCause::COUNT]; cells];
+        for p in &self.passes {
+            let active = p.rects.iter().flat_map(|r| {
+                (r.row..r.row + r.rows)
+                    .flat_map(move |row| (r.col..r.col + r.cols).map(move |col| (row, col)))
+            });
+            for ((row, col), share) in active.zip(distribute(p.macs, p.rects.cells())) {
+                let cell = row * self.cols + col;
+                busy[cell] += share;
+                credit[cell][p.cause.index()] += share;
+            }
+        }
+        let lost = credit
             .iter()
             .map(|credit| {
                 let mut cell = [0u64; StallCause::COUNT];
@@ -457,112 +530,12 @@ impl HeatmapBuilder {
             rows: self.rows,
             cols: self.cols,
             total_cycles: self.total_cycles,
-            busy: self.busy,
+            busy,
             lost,
             banks: self.banks,
             adder_tree: self.adder_tree,
             cdb: self.cdb,
         }
-    }
-}
-
-/// Receives one finished [`LayerSpatial`] per simulated layer.
-///
-/// All methods default to no-ops so a detached simulator pays one
-/// branch per *layer* (not per step) for the instrumentation.
-pub trait SpatialSink: Send + Sync {
-    /// Accepts a finished layer record.
-    fn record_layer(&self, _layer: LayerSpatial) {}
-
-    /// Whether emission is worth the work. Simulators skip building
-    /// heatmaps entirely when this is false.
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
-/// The unit sink: discards everything (useful as an explicit no-op).
-impl SpatialSink for () {}
-
-/// A cheaply clonable handle to an optional shared [`SpatialSink`] —
-/// the spatial twin of [`crate::cycles::SinkHandle`]. The default
-/// handle is detached: not attached, not enabled, all emission
-/// no-ops.
-#[derive(Clone, Default)]
-pub struct SpatialHandle(Option<Arc<dyn SpatialSink>>);
-
-impl fmt::Debug for SpatialHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Some(_) => f.write_str("SpatialHandle(attached)"),
-            None => f.write_str("SpatialHandle(none)"),
-        }
-    }
-}
-
-impl SpatialHandle {
-    /// The detached handle.
-    pub fn none() -> SpatialHandle {
-        SpatialHandle(None)
-    }
-
-    /// A handle delivering to `sink`.
-    pub fn new(sink: Arc<dyn SpatialSink>) -> SpatialHandle {
-        SpatialHandle(Some(sink))
-    }
-
-    /// Whether a sink is attached at all.
-    pub fn is_attached(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Whether the attached sink wants events.
-    pub fn enabled(&self) -> bool {
-        self.0.as_ref().is_some_and(|s| s.enabled())
-    }
-
-    /// Forwards a finished layer record to the sink, if any.
-    pub fn record_layer(&self, layer: LayerSpatial) {
-        if let Some(sink) = &self.0 {
-            sink.record_layer(layer);
-        }
-    }
-}
-
-/// An in-memory [`SpatialSink`] that collects every submitted layer
-/// record, in submission order.
-#[derive(Debug, Default)]
-pub struct SpatialRecorder {
-    inner: Mutex<Vec<LayerSpatial>>,
-}
-
-impl SpatialRecorder {
-    /// An empty recorder.
-    pub fn new() -> SpatialRecorder {
-        SpatialRecorder::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<LayerSpatial>> {
-        // A panicked submitter cannot corrupt a Vec of finished
-        // records; recover the data rather than poisoning the run.
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Removes and returns everything recorded so far.
-    pub fn take(&self) -> Vec<LayerSpatial> {
-        std::mem::take(&mut *self.lock())
-    }
-}
-
-impl SpatialSink for SpatialRecorder {
-    fn record_layer(&self, layer: LayerSpatial) {
-        self.lock().push(layer);
-    }
-
-    fn enabled(&self) -> bool {
-        true
     }
 }
 
@@ -590,12 +563,13 @@ mod tests {
         b.stall(StallCause::PipelineFill, 3);
         b.pass(
             StallCause::MappingResidueIdle,
-            &[CellRect {
+            CellRect {
                 row: 0,
                 col: 0,
                 rows: 1,
                 cols: 2,
-            }],
+            }
+            .into(),
             10,
             14,
         );
@@ -622,7 +596,12 @@ mod tests {
     #[test]
     fn uneven_macs_spill_to_lowest_index_cells() {
         let mut b = HeatmapBuilder::new("A", "L", 1, 3, 5);
-        b.pass(StallCause::EdgeFragmentation, &[CellRect::full(1, 3)], 5, 7);
+        b.pass(
+            StallCause::EdgeFragmentation,
+            CellRect::full(1, 3).into(),
+            5,
+            7,
+        );
         let s = b.finish();
         assert_eq!(s.busy, vec![3, 2, 2]);
         assert_eq!(s.lost_total(StallCause::EdgeFragmentation), 15 - 7);
@@ -634,7 +613,7 @@ mod tests {
         let mut b = HeatmapBuilder::new("A", "L", 2, 2, 10);
         b.pass(
             StallCause::MappingResidueIdle,
-            &[CellRect::full(1, 1)],
+            CellRect::full(1, 1).into(),
             10,
             11,
         );
@@ -673,30 +652,62 @@ mod tests {
 
     #[test]
     fn default_handle_is_detached_and_silent() {
-        let h = SpatialHandle::default();
+        use crate::cycles::{CycleSink, SinkHandle};
+        use std::sync::Arc;
+        let h = SinkHandle::default();
         assert!(!h.is_attached());
-        assert!(!h.enabled());
-        h.record_layer(HeatmapBuilder::new("A", "L", 1, 1, 0).finish());
-        // The unit sink is attached but still disabled.
-        let unit = SpatialHandle::new(Arc::new(()));
+        assert!(!h.wants_spatial());
+        h.record_spatial(HeatmapBuilder::new("A", "L", 1, 1, 0).finish());
+        // A unit sink is attached but still asks for no spatial record.
+        struct Unit;
+        impl CycleSink for Unit {}
+        let unit = SinkHandle::new(Arc::new(Unit));
         assert!(unit.is_attached());
-        assert!(!unit.enabled());
-        assert_eq!(format!("{h:?}"), "SpatialHandle(none)");
-        assert_eq!(format!("{unit:?}"), "SpatialHandle(attached)");
+        assert!(!unit.wants_spatial());
+        assert_eq!(format!("{h:?}"), "SinkHandle(none)");
+        assert_eq!(format!("{unit:?}"), "SinkHandle(attached)");
     }
 
     #[test]
     fn recorder_round_trips_layers_in_order() {
-        let rec = Arc::new(SpatialRecorder::new());
-        let h = SpatialHandle::new(rec.clone());
-        assert!(h.enabled());
-        h.record_layer(HeatmapBuilder::new("A", "L1", 2, 2, 10).finish());
-        h.record_layer(HeatmapBuilder::new("A", "L2", 2, 2, 20).finish());
-        let layers = rec.take();
+        use crate::cycles::{CycleRecorder, SinkHandle};
+        use std::sync::Arc;
+        let rec = Arc::new(CycleRecorder::with_spatial());
+        let h = SinkHandle::new(rec.clone());
+        assert!(h.wants_spatial());
+        h.record_spatial(HeatmapBuilder::new("A", "L1", 2, 2, 10).finish());
+        h.record_spatial(HeatmapBuilder::new("A", "L2", 2, 2, 20).finish());
+        let layers = rec.take_spatial();
         assert_eq!(layers.len(), 2);
         assert_eq!(layers[0].layer, "L1");
         assert_eq!(layers[1].layer, "L2");
-        assert!(rec.take().is_empty());
+        assert!(rec.take_spatial().is_empty());
+        assert!(!SinkHandle::new(Arc::new(CycleRecorder::new())).wants_spatial());
+    }
+
+    #[test]
+    fn passes_with_equal_cells_share_one_distribution() {
+        // Two 1-MAC passes on three cells: distributed once as 2 MACs,
+        // not twice as 1, so the split does not depend on the steps.
+        let mut b = HeatmapBuilder::new("A", "L", 1, 3, 2);
+        b.pass(
+            StallCause::EdgeFragmentation,
+            CellRect::full(1, 3).into(),
+            1,
+            1,
+        );
+        b.pass(
+            StallCause::EdgeFragmentation,
+            CellRect::full(1, 3).into(),
+            1,
+            1,
+        );
+        let s = b.finish();
+        assert_eq!(s.busy, vec![1, 1, 0]);
+        assert_eq!(s.lost_total(StallCause::EdgeFragmentation), 6 - 2);
+        let stacked = CellRects::stacked(CellRect::full(1, 2), 3, 4);
+        assert_eq!(stacked.cells(), 6);
+        assert_eq!(stacked.iter().map(|r| r.row).collect::<Vec<_>>(), [0, 4, 8]);
     }
 
     #[test]
@@ -704,7 +715,7 @@ mod tests {
         let mut b = HeatmapBuilder::new("FlexFlow", "C1", 1, 2, 10);
         b.pass(
             StallCause::MappingResidueIdle,
-            &[CellRect::full(1, 2)],
+            CellRect::full(1, 2).into(),
             10,
             12,
         );

@@ -1,16 +1,30 @@
 //! PE-occupancy visualization: time-resolved utilization sparklines for
 //! every layer of a workload, under the planned factors and under
 //! deliberately bad single-parallelism mappings — Fig. 15's bars, but
-//! you can see *where* the PEs go idle.
+//! you can see *where* the PEs go idle. Each sparkline is the recorded
+//! cycle timeline's occupancy.
 //!
 //! ```text
 //! cargo run --release --example pe_occupancy [workload]
 //! ```
 
-use flexflow::trace::trace_layer;
+use flexflow::FlexFlow;
+use flexsim_arch::Accelerator;
 use flexsim_dataflow::search::{best_unroll_where, plan_network};
 use flexsim_dataflow::{Style, Unroll};
-use flexsim_model::workloads;
+use flexsim_model::{workloads, ConvLayer};
+use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+use flexsim_obs::OccupancyTimeline;
+use std::sync::Arc;
+
+/// The recorded occupancy of `layer` under `u` on a `d×d` FlexFlow.
+fn occupancy(layer: &ConvLayer, u: Unroll, d: usize) -> OccupancyTimeline {
+    let rec = Arc::new(CycleRecorder::new());
+    let mut ff = FlexFlow::new(d);
+    ff.attach_sink(SinkHandle::new(rec.clone()));
+    let _ = ff.run_conv_with(layer, u);
+    rec.take()[0].occupancy()
+}
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "LeNet-5".into());
@@ -31,7 +45,7 @@ fn main() {
             .successor_coupling(idxs[pos])
             .map(|c| c.pool_window * c.next_conv.k());
         println!("{layer}");
-        let planned = trace_layer(layer, choice.unroll, d);
+        let planned = occupancy(layer, choice.unroll, d);
         println!("  planned {:<24} {planned}", choice.unroll.to_string());
         for (label, style) in [
             ("SP-only (Systolic-like)", Style::systolic()),
@@ -42,7 +56,7 @@ fn main() {
                 Style::from_unroll(u) == style || *u == Unroll::scalar()
             })
             .expect("scalar is always admissible");
-            let t = trace_layer(layer, restricted.unroll, d);
+            let t = occupancy(layer, restricted.unroll, d);
             println!("  {label:<32} {t}");
         }
         println!();

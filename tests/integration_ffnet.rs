@@ -303,6 +303,36 @@ fn run_on_a_fixture_reports_all_four_architectures() {
 }
 
 #[test]
+fn lint_on_a_fixture_lints_only_that_net() {
+    let out = Command::new(env!("CARGO_BIN_EXE_flexsim"))
+        .args([
+            "--json",
+            "lint",
+            repo_path("examples/resnet_block.ffnet").to_str().unwrap(),
+        ])
+        .output()
+        .expect("flexsim runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    flexsim_testkit::json::Json::parse(&stdout).expect("valid JSON");
+    assert!(stdout.contains("\"units_total\": 4"), "{stdout}");
+    assert_eq!(stdout.matches("\"workload\": \"resnet-block\"").count(), 4);
+    assert!(!stdout.contains("LeNet-5"), "{stdout}");
+}
+
+#[test]
+fn lint_on_an_unresolvable_reference_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_flexsim"))
+        .args(["lint", "no-such-workload"])
+        .output()
+        .expect("flexsim runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("no-such-workload"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
 fn workloads_json_lists_the_fixture_nets() {
     let out = Command::new(env!("CARGO_BIN_EXE_flexsim"))
         .current_dir(repo_path(""))

@@ -16,12 +16,13 @@
 //! Layout: one `fxcNN_static_*` test asserting rule exactness and one
 //! `fxcNN_dynamic_*` test demonstrating the runtime catch, for each of
 //! the plan rules (`FXC01`–`FXC08`) and the symbolic rules
-//! (`FXC10`–`FXC12`), plus the all-clean sweep.
+//! (`FXC10`–`FXC12`), plus the all-clean sweep and a seeded sweep
+//! holding every architecture's step fold to its closed form.
 
 use flexcheck::{check, check_layer_plan, check_network, has_errors, render};
 use flexcheck::{
-    check_cycle_exactness_all, check_interference, predicted_ledgers, ArchParams, EngineGeometry,
-    LayerPlan, RuleId, Severity,
+    check_cycle_exactness_all, check_interference, check_spatial, ArchParams, LayerPlan, RuleId,
+    Severity,
 };
 use flexflow::adder_tree::RowPorts;
 use flexflow::cdb::StepClaims;
@@ -32,12 +33,14 @@ use flexflow::local_store::{LocalStore, STORE_WORDS};
 use flexflow::mapping::Mapping;
 use flexflow::{analytic, array::PeArray, Compiler, FlexFlow};
 use flexsim_arch::Accelerator;
+use flexsim_baselines::{Mapping2d, Systolic, TilingArray};
 use flexsim_dataflow::Unroll;
 use flexsim_experiments::arches::{ArchSet, ARCH_NAMES};
 use flexsim_model::reference;
 use flexsim_model::{workloads, ConvLayer, Fx16, Network};
 use flexsim_obs::attrib::{ledgers, LossLedger, StallCause};
 use flexsim_obs::cycles::{CycleEvent, CycleEventKind, CycleRecorder, SinkHandle};
+use flexsim_testkit::{prop, prop_assert, prop_assert_eq};
 use std::sync::Arc;
 
 /// A deep layer whose chunk walk needs 3 segments on the paper store:
@@ -83,7 +86,7 @@ fn assert_only(diags: &[flexcheck::Diagnostic], rule: RuleId) {
 #[test]
 fn every_workload_is_error_free_on_all_four_architectures() {
     for net in workloads::all() {
-        for arch in ArchParams::paper_suite(net.name()) {
+        for arch in ArchParams::paper_suite(&net) {
             let diags = check_network(&net, &arch);
             assert!(
                 !has_errors(&diags),
@@ -322,11 +325,7 @@ fn fxc10_static_tampered_prediction_trips_cycle_exactness() {
     // Corruption: the symbolic evaluator's first claim is off by one
     // cycle — the weakest possible divergence the rule must still see.
     let net = workloads::lenet5();
-    let geom = EngineGeometry::FlexFlow {
-        d: 16,
-        store_words: STORE_WORDS,
-    };
-    let mut predicted = predicted_ledgers(&geom, &net);
+    let mut predicted = ledgers(&FlexFlow::new(16).predict_network(&net));
     predicted[0].total_cycles += 1;
     let diags = check_cycle_exactness_all(&predicted, &recorded_flexflow(&net, 16));
     assert_only(&diags, RuleId::CycleExactness);
@@ -338,11 +337,7 @@ fn fxc10_dynamic_tampered_recording_diverges_from_the_proof() {
     // span the hardware never executed; the untouched prediction
     // rejects it (both the cycle total and the fill bucket move).
     let net = workloads::lenet5();
-    let geom = EngineGeometry::FlexFlow {
-        d: 16,
-        store_words: STORE_WORDS,
-    };
-    let predicted = predicted_ledgers(&geom, &net);
+    let predicted = ledgers(&FlexFlow::new(16).predict_network(&net));
     let rec = Arc::new(CycleRecorder::new());
     let mut engine = FlexFlow::new(16);
     engine.attach_sink(SinkHandle::new(rec.clone()));
@@ -369,21 +364,18 @@ fn fxc10_holds_on_all_table1_pairs() {
     // The prover's clean sweep: on every (workload, architecture) pair
     // the closed-form prediction equals the recorded run exactly.
     for net in workloads::all() {
-        let suite = ArchParams::paper_suite(net.name());
-        for idx in 0..ARCH_NAMES.len() {
-            let geom = EngineGeometry::from_arch(&suite[idx], 16);
-            let predicted = predicted_ledgers(&geom, &net);
+        for (idx, arch) in ARCH_NAMES.iter().enumerate() {
             let rec = Arc::new(CycleRecorder::new());
             let mut acc = ArchSet::builder()
                 .sink(SinkHandle::new(rec.clone()))
                 .build_one(&net, idx);
+            let predicted = ledgers(&acc.predict_network(&net));
             let _ = acc.run_network(&net);
             let diags = check_cycle_exactness_all(&predicted, &ledgers(&rec.take()));
             assert!(
                 diags.is_empty(),
-                "{}/{}:\n{}",
+                "{}/{arch}:\n{}",
                 net.name(),
-                ARCH_NAMES[idx],
                 render(&diags)
             );
         }
@@ -437,16 +429,10 @@ fn fxc11_dynamic_shadowed_claim_diverges_from_the_overriding_run() {
     // real choice) finishes in fewer cycles than the dead claim
     // predicts, and the exactness check rejects the pairing.
     let net = workloads::lenet5();
-    let geom = EngineGeometry::FlexFlow {
-        d: 16,
-        store_words: STORE_WORDS,
-    };
     let first = net.conv_layers().next().unwrap();
-    let shadowed_claim = LossLedger::from_timeline(&flexcheck::predict_conv(
-        &geom,
-        first,
-        Some(Unroll::new(1, 1, 1, 1, 1, 1)),
-    ));
+    let shadowed_claim = LossLedger::from_timeline(
+        &FlexFlow::new(16).predict_with(first, Unroll::new(1, 1, 1, 1, 1, 1)),
+    );
     let recorded = recorded_flexflow(&net, 16);
     let diags = flexcheck::check_cycle_exactness(&shadowed_claim, &recorded[0]);
     assert_only(&diags, RuleId::CycleExactness);
@@ -485,4 +471,80 @@ fn fxc12_dynamic_widened_walk_collides_on_a_claimed_bus() {
             }
         }
     }
+}
+
+#[test]
+fn a_7x7_stem_proves_and_lints_clean_on_a_7x7_systolic_array() {
+    // The widest kernel, not the workload's name, sizes the systolic
+    // array: a lone 7×7 conv gets 7×7 arrays in the linter, the
+    // builder and the prover alike, so all four pairs prove and the
+    // sweep is clean.
+    let net = flexsim_model::ffnet::parse_network(
+        r#"{"name":"stem7","input":{"maps":3,"size":22},"nodes":[{"id":"c1","op":"conv","m":8,"k":7}]}"#,
+    )
+    .expect("stem7 parses");
+    assert_eq!(ArchParams::paper_suite(&net)[0].array_k, 7);
+    let ctx = flexsim_experiments::ExperimentCtx::serial("prove");
+    let outcomes =
+        flexsim_experiments::prove::run_workloads(&ctx, std::slice::from_ref(&net), false);
+    assert_eq!(outcomes.len(), 4);
+    for o in &outcomes {
+        assert!(o.proved(), "{}: {}", o.arch, render(&o.diags));
+    }
+    let (result, errors) = flexsim_experiments::lint::run_workloads(&[net]);
+    assert_eq!(errors, 0, "{result}");
+    assert!(
+        result.to_string().contains("0 errors, 0 warnings"),
+        "{result}"
+    );
+}
+
+// ------------------------------- one step schedule per architecture
+
+#[test]
+fn step_folds_equal_the_closed_forms_on_every_architecture() {
+    // Seeded sweep over random small layers on small engines of all
+    // four architectures, reaching strides, edge tiles (S not a
+    // multiple of the array side), partial m-groups (M not a multiple
+    // of the array count) and Systolic kernels wider than the array.
+    // For each layer the closed-form aggregate's ledger equals the
+    // ledger of the folded steps cause by cause, the folded heatmap
+    // passes FXC13 against it, and the timeline covers exactly the
+    // LayerResult's cycles.
+    prop::check(
+        "step_folds_equal_the_closed_forms",
+        512,
+        (
+            0usize..=3,  // architecture
+            1usize..=20, // M
+            1usize..=6,  // N
+            1usize..=12, // S
+            1usize..=7,  // K
+            1usize..=3,  // stride
+            2usize..=8,  // engine side
+            1usize..=4,  // systolic arrays
+        ),
+        |&(arch, m, n, s, k, stride, side, arrays)| {
+            let layer = ConvLayer::new("P", m, n, s, k).with_stride(stride);
+            let mut acc: Box<dyn Accelerator> = match arch {
+                0 => Box::new(Systolic::new(side.min(6), arrays)),
+                1 => Box::new(Mapping2d::new(side, side + 1)),
+                2 => Box::new(TilingArray::new(side, side + 1)),
+                _ => Box::new(FlexFlow::new(side * 2)),
+            };
+            let rec = Arc::new(CycleRecorder::with_spatial());
+            acc.attach_sink(SinkHandle::new(rec.clone()));
+            let result = acc.run_conv(&layer);
+            let timeline = rec.take().remove(0);
+            let folded = LossLedger::from_timeline(&timeline);
+            let closed = LossLedger::from_timeline(&acc.predict_layer(&layer));
+            let tag = format!("{} on {layer:?}", acc.name());
+            prop_assert_eq!(closed, folded.clone(), "{tag}");
+            prop_assert!(folded.is_exact(), "{tag}: unbalanced ledger");
+            let diags = check_spatial(&rec.take_spatial()[0], &folded);
+            prop_assert!(diags.is_empty(), "{tag}:\n{}", render(&diags));
+            prop_assert_eq!(timeline.total_cycles(), result.cycles, "{tag}");
+            Ok(())
+        },
+    );
 }
