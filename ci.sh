@@ -174,4 +174,16 @@ grep -q 'heatmap_cells' "$TMP/BENCH_history.jsonl" \
 grep -q 'spatial_overhead_pct' "$TMP/BENCH_history.jsonl" \
     || { echo "FAIL: history entry missing spatial overhead"; exit 1; }
 
+echo "==> flexsim run --jobs determinism (run fans out; byte-identical to serial)"
+"$FLEXSIM" --jobs 1 --json run lenet > "$TMP/run1.json"
+"$FLEXSIM" --jobs 4 --json run lenet > "$TMP/run4.json"
+cmp "$TMP/run1.json" "$TMP/run4.json" \
+    || { echo "FAIL: run --jobs 4 JSON diverged from serial"; exit 1; }
+
+echo "==> flexsim closed stdout pipe (a reader leaving early is not a panic)"
+"$FLEXSIM" --svg heatmap lenet 2> "$TMP/pipe.err" | head -c 100 > /dev/null
+if grep -q 'panicked' "$TMP/pipe.err"; then
+    echo "FAIL: flexsim panicked on a closed stdout pipe"; cat "$TMP/pipe.err"; exit 1
+fi
+
 echo "CI OK"

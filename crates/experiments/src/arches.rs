@@ -1,6 +1,7 @@
 //! Factories for the four evaluated architectures at the paper's
 //! configurations (Section 6.1.1) and at the Fig. 19 scales, behind
-//! the [`ArchSet`] builder.
+//! the [`ArchSet`] builder, plus [`run_pair`]: the one way a report
+//! command runs a (network, architecture) pair.
 //!
 //! ```no_run
 //! use flexsim_experiments::arches::ArchSet;
@@ -12,19 +13,25 @@
 //! }
 //! ```
 
-use flexcheck::ArchParams;
+use flexcheck::{ArchParams, Diagnostic};
 use flexflow::FlexFlow;
-use flexsim_arch::Accelerator;
+use flexsim_arch::{Accelerator, RunSummary};
 use flexsim_baselines::{Mapping2d, Systolic, TilingArray};
 use flexsim_model::Network;
-use flexsim_obs::cycles::SinkHandle;
+use flexsim_obs::attrib::{ledgers, LossLedger};
+use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+use flexsim_obs::spatial::LayerSpatial;
+use std::sync::Arc;
 
 /// The four architecture names in the paper's presentation order.
 pub const ARCH_NAMES: [&str; 4] = ["Systolic", "2D-Mapping", "Tiling", "FlexFlow"];
 
+/// Every [`ARCH_NAMES`] index, in order.
+pub const ALL_ARCHES: [usize; ARCH_NAMES.len()] = [0, 1, 2, 3];
+
 /// The paper's evaluation scale: every engine is a ~256-PE,
 /// 16×16-equivalent configuration (Section 6.1.1).
-const PAPER_SCALE: usize = 16;
+pub const PAPER_SCALE: usize = 16;
 
 /// The four architectures configured for one workload, in
 /// [`ARCH_NAMES`] order. Build one with [`ArchSet::builder`].
@@ -34,12 +41,11 @@ pub struct ArchSet {
 
 impl ArchSet {
     /// Starts a builder with the paper defaults: ~256-PE scale, no
-    /// cycle sink, lint gate armed.
+    /// cycle sink.
     pub fn builder() -> ArchSetBuilder {
         ArchSetBuilder {
             scale: PAPER_SCALE,
             sink: SinkHandle::none(),
-            lint: true,
         }
     }
 
@@ -69,13 +75,13 @@ impl IntoIterator for ArchSet {
 }
 
 /// Configures and builds an [`ArchSet`] (see [`ArchSet::builder`]).
-/// Callers choose scale, cycle-sink wiring, and lint gating
-/// explicitly instead of inheriting a process-global sink.
+/// Callers choose scale and cycle-sink wiring explicitly instead of
+/// inheriting a process-global sink. Every build passes the flexcheck
+/// pre-simulation gate ([`crate::lint::gate`]; `--no-lint` disarms it).
 #[derive(Clone)]
 pub struct ArchSetBuilder {
     scale: usize,
     sink: SinkHandle,
-    lint: bool,
 }
 
 impl ArchSetBuilder {
@@ -94,20 +100,10 @@ impl ArchSetBuilder {
         self
     }
 
-    /// Arms or disarms the flexcheck pre-simulation gate for this
-    /// build (default: armed; also subject to the process-wide
-    /// `--no-lint` switch).
-    pub fn lint(mut self, on: bool) -> ArchSetBuilder {
-        self.lint = on;
-        self
-    }
-
     /// Builds all four architectures for `net`, in [`ARCH_NAMES`]
     /// order.
     pub fn build(self, net: &Network) -> ArchSet {
-        if self.lint {
-            crate::lint::gate(net, self.scale);
-        }
+        crate::lint::gate(net, self.scale);
         let accs = (0..ARCH_NAMES.len())
             .map(|idx| self.make(net, idx))
             .collect();
@@ -123,9 +119,7 @@ impl ArchSetBuilder {
     /// Panics if `arch_idx >= ARCH_NAMES.len()`.
     pub fn build_one(self, net: &Network, arch_idx: usize) -> Box<dyn Accelerator> {
         assert!(arch_idx < ARCH_NAMES.len(), "arch index {arch_idx}");
-        if self.lint {
-            crate::lint::gate(net, self.scale);
-        }
+        crate::lint::gate(net, self.scale);
         self.make(net, arch_idx)
     }
 
@@ -146,6 +140,56 @@ impl ArchSetBuilder {
             acc.attach_sink(self.sink.clone());
         }
         acc
+    }
+}
+
+/// Everything one (network, architecture) run produced.
+pub struct PairRun {
+    /// Architecture name (an [`ARCH_NAMES`] entry).
+    pub arch: &'static str,
+    /// Configured PE count.
+    pub pe_count: usize,
+    /// The simulator's per-layer results.
+    pub summary: RunSummary,
+    /// One loss ledger per simulated layer, folded from the recorded
+    /// cycle timelines.
+    pub ledgers: Vec<LossLedger>,
+    /// One spatial record per layer (empty unless asked for).
+    pub spatials: Vec<LayerSpatial>,
+    /// flexcheck FXC09 findings on [`PairRun::ledgers`] (empty when
+    /// every ledger balances). The caller decides what a finding means.
+    pub diags: Vec<Diagnostic>,
+    /// The accelerator, kept for callers that query its closed forms.
+    pub acc: Box<dyn Accelerator>,
+}
+
+/// Runs `net` on the architecture at `arch_idx` (paper scale) with a
+/// private cycle recorder — spatial records too when `spatial` is set
+/// — and checks the recorded ledgers against FXC09.
+///
+/// # Panics
+///
+/// Panics if `arch_idx >= ARCH_NAMES.len()`, or when the pre-simulation
+/// gate refuses the workload.
+pub fn run_pair(net: &Network, arch_idx: usize, spatial: bool) -> PairRun {
+    let rec = Arc::new(if spatial {
+        CycleRecorder::with_spatial()
+    } else {
+        CycleRecorder::new()
+    });
+    let mut acc = ArchSet::builder()
+        .sink(SinkHandle::new(rec.clone()))
+        .build_one(net, arch_idx);
+    let summary = acc.run_network(net);
+    let ledgers = ledgers(&rec.take());
+    PairRun {
+        arch: ARCH_NAMES[arch_idx],
+        pe_count: acc.pe_count(),
+        summary,
+        diags: flexcheck::check_ledgers(&ledgers),
+        ledgers,
+        spatials: rec.take_spatial(),
+        acc,
     }
 }
 
@@ -193,16 +237,22 @@ mod tests {
 
     #[test]
     fn builder_wires_the_given_sink() {
-        use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
-        use std::sync::Arc;
+        // The pair runner attaches its private recorder through the
+        // builder's sink, with spatial records only on request.
         let net = workloads::lenet5();
-        let rec = Arc::new(CycleRecorder::new());
-        let set = ArchSet::builder()
-            .sink(SinkHandle::new(rec.clone()))
-            .build(&net);
-        for mut acc in set {
-            acc.run_network(&net);
+        for idx in 0..ARCH_NAMES.len() {
+            let plain = run_pair(&net, idx, false);
+            assert_eq!(plain.arch, plain.acc.name());
+            assert_eq!(plain.ledgers.len(), plain.summary.layers.len());
+            assert!(
+                plain.diags.is_empty(),
+                "{}",
+                flexcheck::render(&plain.diags)
+            );
+            assert!(plain.spatials.is_empty());
+            let spatial = run_pair(&net, idx, true);
+            assert_eq!(spatial.spatials.len(), spatial.ledgers.len());
+            assert_eq!(spatial.ledgers, plain.ledgers);
         }
-        assert!(!rec.take().is_empty());
     }
 }

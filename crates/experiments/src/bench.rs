@@ -24,17 +24,14 @@
 //! default threshold is generous on purpose — the harness catches
 //! "the sweep got 2× slower" regressions, not 5% noise.
 
-use crate::arches::{ArchSet, ARCH_NAMES};
-use crate::cli::Cli;
-use crate::experiment::{run_suite, Experiment, ExperimentCtx, SuiteConfig};
+use crate::arches::{run_pair, ALL_ARCHES, ARCH_NAMES};
+use crate::cli::Bench;
+use crate::experiment::{run_suite, sweep_set, Experiment, ExperimentCtx, SuiteConfig};
 use crate::tune::VerifyMode;
-use crate::REGISTRY;
 use flexsim_model::workloads;
-use flexsim_obs::attrib::{ledgers, StallCause};
-use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+use flexsim_obs::attrib::StallCause;
 use flexsim_testkit::json::Json;
 use std::io::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The append-only perf-regression log `bench history` writes and
@@ -45,25 +42,17 @@ pub const HISTORY_FILE: &str = "BENCH_history.jsonl";
 /// `--threshold` is not given.
 pub const DEFAULT_THRESHOLD_PCT: u32 = 50;
 
-/// Runs the `bench` subcommand named in `cli.ids`, returning the
-/// process exit code (0 ok, 1 regression/failure, 2 usage/I-O error).
-pub fn run(cli: &Cli) -> i32 {
-    match cli.ids.first().map(String::as_str) {
-        Some("sweep") if cli.ids.len() == 1 => sweep(cli),
-        Some("history") if cli.ids.len() == 1 => history(cli),
-        Some("check") if cli.ids.len() == 1 => check(cli),
-        _ => {
-            eprintln!(
-                "flexsim: bench expects exactly one benchmark name: sweep, history, or check"
-            );
-            2
-        }
+/// Runs one `bench` subcommand at `jobs`, returning the process exit
+/// code (0 ok, 1 regression/failure, 2 I/O error).
+pub fn run(bench: &Bench, jobs: usize) -> i32 {
+    match bench {
+        Bench::Sweep => sweep(jobs),
+        Bench::History => history(jobs),
+        Bench::Check {
+            baseline,
+            threshold_pct,
+        } => check(baseline, *threshold_pct, jobs),
     }
-}
-
-/// The experiments a bench run times: the sweep set, in paper order.
-fn sweep_experiments() -> Vec<&'static dyn Experiment> {
-    REGISTRY.iter().filter(|e| e.in_sweep()).copied().collect()
 }
 
 /// Times one full sweep at `jobs`; `Err(1)` when an experiment failed.
@@ -82,9 +71,8 @@ fn timed_sweep(experiments: &[&'static dyn Experiment], jobs: usize) -> Result<f
 }
 
 /// `bench sweep`: serial vs `--jobs` wall time, into `BENCH_pool.json`.
-fn sweep(cli: &Cli) -> i32 {
-    let experiments = sweep_experiments();
-    let jobs = cli.jobs.unwrap_or_else(flexsim_pool::available_parallelism);
+fn sweep(jobs: usize) -> i32 {
+    let experiments = sweep_set();
     let serial_s = match timed_sweep(&experiments, 1) {
         Ok(s) => s,
         Err(code) => return code,
@@ -133,9 +121,8 @@ fn sweep(cli: &Cli) -> i32 {
 /// symbolic verification — the log is where the static path's speedup
 /// is recorded) and the flexproof all-pairs sweep; a prove mismatch
 /// refuses to record, keeping the history free of unproved entries.
-fn history(cli: &Cli) -> i32 {
-    let experiments = sweep_experiments();
-    let jobs = cli.jobs.unwrap_or_else(flexsim_pool::available_parallelism);
+fn history(jobs: usize) -> i32 {
+    let experiments = sweep_set();
     let wall_s = match timed_sweep(&experiments, jobs) {
         Ok(s) => s,
         Err(code) => return code,
@@ -248,9 +235,7 @@ fn telemetry_sweep(
 }
 
 /// `bench check`: re-time the sweep and gate on the recorded baseline.
-fn check(cli: &Cli) -> i32 {
-    let path = cli.baseline.as_deref().unwrap_or(HISTORY_FILE);
-    let threshold = cli.threshold_pct.unwrap_or(DEFAULT_THRESHOLD_PCT);
+fn check(path: &str, threshold: u32, jobs: usize) -> i32 {
     let baseline = match baseline_wall_s(path) {
         Ok(b) => b,
         Err(msg) => {
@@ -265,8 +250,7 @@ fn check(cli: &Cli) -> i32 {
             return 2;
         }
     };
-    let experiments = sweep_experiments();
-    let jobs = cli.jobs.unwrap_or_else(flexsim_pool::available_parallelism);
+    let experiments = sweep_set();
     let wall_s = match timed_sweep(&experiments, jobs) {
         Ok(s) => s,
         Err(code) => return code,
@@ -378,21 +362,16 @@ fn attribution_totals() -> AttributionTotals {
     let mut busy = 0u64;
     let mut lost = [0u64; StallCause::COUNT];
     for net in workloads::all() {
-        for idx in 0..ARCH_NAMES.len() {
-            let rec = Arc::new(CycleRecorder::new());
-            let mut acc = ArchSet::builder()
-                .sink(SinkHandle::new(rec.clone()))
-                .build_one(&net, idx);
-            let _ = acc.run_network(&net);
-            for ledger in ledgers(&rec.take()) {
-                let diags = flexcheck::check_ledgers(std::slice::from_ref(&ledger));
-                assert!(
-                    diags.is_empty(),
-                    "{}/{}: {}",
-                    net.name(),
-                    acc.name(),
-                    flexcheck::render(&diags)
-                );
+        for idx in ALL_ARCHES {
+            let run = run_pair(&net, idx, false);
+            assert!(
+                run.diags.is_empty(),
+                "{}/{}: {}",
+                net.name(),
+                run.arch,
+                flexcheck::render(&run.diags)
+            );
+            for ledger in &run.ledgers {
                 busy += ledger.busy_pe_cycles;
                 for cause in StallCause::ALL {
                     lost[cause.index()] += ledger.lost(cause);
@@ -455,24 +434,15 @@ struct SpatialProbe {
 /// the acceptance bar lives in the integration tests — the log is
 /// data).
 fn spatial_probe() -> SpatialProbe {
-    use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
     let net = workloads::lenet5();
-    let timed = |rec: &Arc<CycleRecorder>| {
+    let timed = |spatial: bool| {
         let start = Instant::now();
-        let mut acc = ArchSet::builder()
-            .sink(SinkHandle::new(rec.clone()))
-            .build_one(&net, ARCH_NAMES.len() - 1);
-        let _ = acc.run_network(&net);
-        start.elapsed().as_secs_f64()
+        let run = run_pair(&net, ARCH_NAMES.len() - 1, spatial);
+        (start.elapsed().as_secs_f64(), run.spatials)
     };
-    let plain_s = timed(&Arc::new(CycleRecorder::new()));
-    let spa = Arc::new(CycleRecorder::with_spatial());
-    let spatial_s = timed(&spa);
-    let cells = spa
-        .take_spatial()
-        .iter()
-        .map(|sp| sp.pe_count() as u64)
-        .sum::<u64>();
+    let (plain_s, _) = timed(false);
+    let (spatial_s, spatials) = timed(true);
+    let cells = spatials.iter().map(|sp| sp.pe_count() as u64).sum::<u64>();
     SpatialProbe {
         cells,
         overhead_pct: (spatial_s - plain_s) / plain_s.max(1e-9) * 100.0,

@@ -28,11 +28,11 @@
 //!
 //! [`LossLedger`]: flexsim_obs::attrib::LossLedger
 
+use crate::arches::ARCH_NAMES;
 use crate::report::{ExperimentResult, Table};
+use flexsim_model::Network;
 use flexsim_obs::attrib::LossLedger;
-use flexsim_obs::cycles::{
-    CycleEvent, CycleRecorder, CycleSink, LayerCtx, LayerTimeline, SinkHandle,
-};
+use flexsim_obs::cycles::{CycleRecorder, LayerTimeline, SinkHandle};
 use flexsim_obs::{metrics, telemetry};
 use flexsim_pool::{Outcome, Pool, Task};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,6 +87,12 @@ pub static REGISTRY: &[&dyn Experiment] = &[
     &crate::tune::Tune,
 ];
 
+/// The `all` sweep: every [`Experiment::in_sweep`] experiment, in
+/// paper order.
+pub fn sweep_set() -> Vec<&'static dyn Experiment> {
+    REGISTRY.iter().filter(|e| e.in_sweep()).copied().collect()
+}
+
 /// Looks an experiment up by id or alias.
 pub fn find(id: &str) -> Option<&'static dyn Experiment> {
     REGISTRY
@@ -135,70 +141,15 @@ impl TraceCollector {
     }
 }
 
-/// A [`CycleSink`] for *serial* (main-thread) emission that forwards
-/// each completed layer straight into a shared [`TraceCollector`].
-/// Parallel tasks never share one of these — each task gets its own
-/// private recorder instead (see [`ExperimentCtx::map`]).
-struct CollectorSink {
-    collector: Arc<TraceCollector>,
-    open: Mutex<Vec<LayerTimeline>>,
-}
-
-impl CycleSink for CollectorSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn begin_layer(&self, ctx: &LayerCtx) {
-        self.open
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(LayerTimeline {
-                ctx: ctx.clone(),
-                events: Vec::new(),
-            });
-    }
-
-    fn emit(&self, ev: &CycleEvent) {
-        if let Some(current) = self
-            .open
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .last_mut()
-        {
-            current.events.push(*ev);
-        }
-    }
-
-    fn end_layer(&self) {
-        let done = self
-            .open
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop();
-        if let Some(tl) = done {
-            self.collector.append(vec![tl]);
-        }
-    }
-}
-
-/// How runs started from this context reach a cycle sink.
-#[derive(Clone)]
-enum SinkMode {
-    /// No tracing: unattached handles everywhere.
-    None,
-    /// Per-task private recorders merged into a shared collector in
-    /// task order (the `--trace` path).
-    Collect(Arc<TraceCollector>),
-}
-
 /// Everything an [`Experiment::run`] needs from its surroundings: the
 /// experiment's own id, a shared work-stealing pool, and the sink
 /// wiring for cycle-domain tracing.
 pub struct ExperimentCtx {
     id: String,
     pool: Arc<Pool>,
-    sink_mode: SinkMode,
+    /// The `--trace` path: per-task private recorders merged into this
+    /// collector in task order (`None`: unattached sinks everywhere).
+    trace: Option<Arc<TraceCollector>>,
 }
 
 /// The per-task view handed to [`ExperimentCtx::map`] closures.
@@ -219,20 +170,16 @@ impl ExperimentCtx {
     /// A serial context (one-thread pool, no tracing) — what tests and
     /// benches use to run a single experiment the old way.
     pub fn serial(id: &str) -> ExperimentCtx {
-        ExperimentCtx {
-            id: id.to_owned(),
-            pool: Arc::new(Pool::new(1)),
-            sink_mode: SinkMode::None,
-        }
+        ExperimentCtx::parallel(id, 1)
     }
 
     /// An untraced context fanning tasks over `jobs` pool threads —
-    /// what `flexsim profile <workload>` uses outside a suite run.
+    /// what every `flexsim` command outside a suite run uses.
     pub fn parallel(id: &str, jobs: usize) -> ExperimentCtx {
         ExperimentCtx {
             id: id.to_owned(),
             pool: Arc::new(Pool::new(jobs)),
-            sink_mode: SinkMode::None,
+            trace: None,
         }
     }
 
@@ -241,36 +188,13 @@ impl ExperimentCtx {
         ExperimentCtx {
             id: id.to_owned(),
             pool: Arc::clone(pool),
-            sink_mode: match trace {
-                Some(collector) => SinkMode::Collect(Arc::clone(collector)),
-                None => SinkMode::None,
-            },
+            trace: trace.cloned(),
         }
     }
 
     /// The id of the experiment this context belongs to.
     pub fn id(&self) -> &str {
         &self.id
-    }
-
-    /// The maximum number of tasks [`ExperimentCtx::map`] runs
-    /// concurrently.
-    pub fn jobs(&self) -> usize {
-        self.pool.jobs()
-    }
-
-    /// A cycle sink for simulations run directly on the calling thread
-    /// (tagged with the experiment id). Prefer [`ExperimentCtx::map`]
-    /// for anything fan-out-shaped.
-    pub fn sink(&self) -> SinkHandle {
-        match &self.sink_mode {
-            SinkMode::None => SinkHandle::none(),
-            SinkMode::Collect(collector) => SinkHandle::new(Arc::new(CollectorSink {
-                collector: Arc::clone(collector),
-                open: Mutex::new(Vec::new()),
-            }))
-            .tagged(&self.id),
-        }
     }
 
     /// Fans `items` out across the pool and returns `work`'s results
@@ -300,24 +224,17 @@ impl ExperimentCtx {
             .map(|item| {
                 let label = format!("{}/{}", self.id, label(&item));
                 let work = Arc::clone(&work);
-                let mode = self.sink_mode.clone();
+                let traced = self.trace.is_some();
                 let id = self.id.clone();
-                Task::new(label, move || match mode {
-                    SinkMode::None => (
-                        work(
-                            &TaskCtx {
-                                sink: SinkHandle::none(),
-                            },
-                            item,
-                        ),
-                        Vec::new(),
-                    ),
-                    SinkMode::Collect(_) => {
-                        let rec = Arc::new(CycleRecorder::new());
-                        let sink = SinkHandle::new(rec.clone()).tagged(&id);
-                        let value = work(&TaskCtx { sink }, item);
-                        (value, rec.take())
+                Task::new(label, move || {
+                    if !traced {
+                        let sink = SinkHandle::none();
+                        return (work(&TaskCtx { sink }, item), Vec::new());
                     }
+                    let rec = Arc::new(CycleRecorder::new());
+                    let sink = SinkHandle::new(rec.clone()).tagged(&id);
+                    let value = work(&TaskCtx { sink }, item);
+                    (value, rec.take())
                 })
             })
             .collect();
@@ -327,7 +244,7 @@ impl ExperimentCtx {
         for outcome in outcomes {
             match outcome {
                 Outcome::Done((value, timelines)) => {
-                    if let SinkMode::Collect(collector) = &self.sink_mode {
+                    if let Some(collector) = &self.trace {
                         collector.append(timelines);
                     }
                     values.push(value);
@@ -345,6 +262,30 @@ impl ExperimentCtx {
             );
         }
         values
+    }
+
+    /// [`ExperimentCtx::map`] over every (network, architecture) pair
+    /// of `nets` × `arches` (indices into [`ARCH_NAMES`]),
+    /// network-major, each task labelled `workload/arch` — the fan-out
+    /// behind every multi-pair command.
+    pub fn map_pairs<T>(
+        &self,
+        nets: &[Network],
+        arches: &[usize],
+        work: impl Fn(&Network, usize) -> T + Send + Sync + 'static,
+    ) -> Vec<T>
+    where
+        T: Send + 'static,
+    {
+        let pairs: Vec<(Network, usize)> = nets
+            .iter()
+            .flat_map(|net| arches.iter().map(move |&idx| (net.clone(), idx)))
+            .collect();
+        self.map(
+            pairs,
+            |(net, idx)| format!("{}/{}", net.name(), ARCH_NAMES[*idx]),
+            move |_tctx, (net, idx)| work(&net, idx),
+        )
     }
 }
 
@@ -450,6 +391,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexsim_obs::cycles::{CycleEvent, LayerCtx};
 
     #[test]
     fn registry_ids_are_unique_and_resolvable() {
@@ -492,7 +434,7 @@ mod tests {
             let ctx = ExperimentCtx {
                 id: "test".into(),
                 pool: Arc::new(Pool::new(jobs)),
-                sink_mode: SinkMode::None,
+                trace: None,
             };
             let out = ctx.map(
                 (0..32).collect(),

@@ -14,15 +14,13 @@
 //! parse or shape errors — are usage errors (exit 2) with the parser's
 //! line/path diagnostic passed through verbatim.
 
-use crate::arches::{ArchSet, ARCH_NAMES};
-use crate::cli::Cli;
+use crate::arches::{run_pair, ALL_ARCHES};
+use crate::experiment::ExperimentCtx;
 use crate::report::{pct, Table};
 use flexsim_model::registry::{param_count, WorkloadSource};
 use flexsim_model::{Network, WorkloadRegistry};
-use flexsim_obs::attrib::{ledgers, StallCause};
-use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+use flexsim_obs::attrib::LossLedger;
 use flexsim_testkit::json::Json;
-use std::sync::Arc;
 
 /// The search directory whose `*.ffnet` files resolve by bare stem.
 pub const EXAMPLES_DIR: &str = "examples";
@@ -33,66 +31,53 @@ pub fn registry() -> WorkloadRegistry {
     WorkloadRegistry::new().with_dir(EXAMPLES_DIR)
 }
 
+/// Resolves a command's workload argument against [`registry`]: the
+/// referenced workload, or all six Table 1 workloads when absent. The
+/// error is the parser's or resolver's diagnostic, for a usage-error
+/// exit (2).
+pub fn resolve(reference: Option<&str>) -> Result<Vec<Network>, String> {
+    match reference {
+        None => Ok(flexsim_model::workloads::all()),
+        Some(r) => registry()
+            .resolve(r)
+            .map(|net| vec![net])
+            .map_err(|e| e.to_string()),
+    }
+}
+
 /// `flexsim run WORKLOAD|PATH.ffnet`: one workload on all four
-/// architectures. Returns the process exit code (0 ok, 1 on a ledger
-/// exactness failure, 2 on a resolution/usage error).
-pub fn run(cli: &Cli) -> i32 {
-    let [reference] = cli.ids.as_slice() else {
-        eprintln!("flexsim: run takes exactly one workload name or .ffnet path");
-        return 2;
-    };
-    let net = match registry().resolve(reference) {
-        Ok(net) => net,
-        Err(e) => {
-            eprintln!("flexsim: {e}");
-            return 2;
+/// architectures, fanned over `ctx`. Returns the report and the exit
+/// code (0 ok, 1 on a ledger exactness failure).
+pub fn run(ctx: &ExperimentCtx, net: &Network, reference: &str, json: bool) -> (String, i32) {
+    let rows = ctx.map_pairs(std::slice::from_ref(net), &ALL_ARCHES, |net, idx| {
+        let run = run_pair(net, idx, false);
+        if !run.diags.is_empty() {
+            eprintln!(
+                "{}/{}: FXC09 exactness violated:\n{}",
+                net.name(),
+                run.arch,
+                flexcheck::render(&run.diags)
+            );
         }
-    };
-    let mut rows = Vec::new();
-    for (idx, &arch) in ARCH_NAMES.iter().enumerate() {
-        let rec = Arc::new(CycleRecorder::new());
-        let mut acc = ArchSet::builder()
-            .sink(SinkHandle::new(rec.clone()))
-            .build_one(&net, idx);
-        let summary = acc.run_network(&net);
-        let mut busy = 0u64;
-        let mut lost = 0u64;
-        let mut exact = true;
-        for ledger in ledgers(&rec.take()) {
-            let diags = flexcheck::check_ledgers(std::slice::from_ref(&ledger));
-            if !diags.is_empty() {
-                eprintln!(
-                    "{}/{}: FXC09 exactness violated:\n{}",
-                    net.name(),
-                    acc.name(),
-                    flexcheck::render(&diags)
-                );
-                exact = false;
-            }
-            busy += ledger.busy_pe_cycles;
-            for cause in StallCause::ALL {
-                lost += ledger.lost(cause);
-            }
+        ArchRow {
+            arch: run.arch,
+            pe_count: run.pe_count,
+            cycles: run.summary.cycles(),
+            utilization: run.summary.utilization(),
+            busy_pe_cycles: run.ledgers.iter().map(|l| l.busy_pe_cycles).sum(),
+            lost_pe_cycles: run.ledgers.iter().map(LossLedger::attributed_lost).sum(),
+            exact: run.diags.is_empty(),
         }
-        rows.push(ArchRow {
-            arch,
-            pe_count: acc.pe_count(),
-            cycles: summary.cycles(),
-            utilization: summary.utilization(),
-            busy_pe_cycles: busy,
-            lost_pe_cycles: lost,
-            exact,
-        });
-    }
+    });
     let failed = rows.iter().any(|r| !r.exact);
-    if cli.json {
-        let mut text = run_json(&net, reference, &rows).pretty();
+    let text = if json {
+        let mut text = run_json(net, reference, &rows).pretty();
         text.push('\n');
-        print!("{text}");
+        text
     } else {
-        print!("{}", run_text(&net, &rows));
-    }
-    i32::from(failed)
+        run_text(net, &rows)
+    };
+    (text, i32::from(failed))
 }
 
 /// One architecture's measurements for the `run` report.
@@ -162,14 +147,9 @@ fn run_json(net: &Network, reference: &str, rows: &[ArchRow]) -> Json {
 }
 
 /// `flexsim workloads`: the registry listing with per-workload layer,
-/// MAC, and parameter counts. Returns the process exit code (always 0;
-/// unparseable `.ffnet` files are listed with their diagnostic rather
-/// than failing the listing).
-pub fn workloads(cli: &Cli) -> i32 {
-    if !cli.ids.is_empty() {
-        eprintln!("flexsim: workloads takes no arguments");
-        return 2;
-    }
+/// MAC, and parameter counts. Never fails: unparseable `.ffnet` files
+/// are listed with their diagnostic.
+pub fn workloads(json: bool) -> String {
     let reg = registry();
     let rows: Vec<EntryRow> = reg
         .entries()
@@ -195,14 +175,13 @@ pub fn workloads(cli: &Cli) -> i32 {
         })
         .collect();
     let builtin = rows.iter().filter(|r| r.source == "builtin").count();
-    if cli.json {
+    if json {
         let mut text = workloads_json(&rows, builtin).pretty();
         text.push('\n');
-        print!("{text}");
+        text
     } else {
-        print!("{}", workloads_text(&rows));
+        workloads_text(&rows)
     }
-    0
 }
 
 /// One registry entry's listing row: counts when the workload

@@ -1,30 +1,28 @@
 //! `flexsim heatmap` — the spatial observability report.
 //!
 //! Simulates one workload on the selected architectures with a
-//! spatial [`CycleRecorder`] attached, gates every record against the
+//! spatial recorder attached ([`run_pair`]), gates every record against the
 //! loss ledgers (flexcheck FXC13 — per-cause heatmap cell sums must equal
 //! the ledger exactly), and renders per-PE utilization heatmaps,
 //! per-bank occupancy watermarks, and contention summaries as an
 //! ASCII report, byte-stable `--json`, or an `--svg` document.
 //!
-//! Architectures run in parallel (bounded by `--jobs`) but results are
-//! assembled in [`ARCH_NAMES`] order and mirrored into the metrics
-//! registry from the main thread, so output is byte-identical at every
-//! `--jobs` level.
+//! Architectures fan out over the pool ([`ExperimentCtx::map_pairs`],
+//! bounded by `--jobs`); results come back in [`ARCH_NAMES`] order and
+//! are mirrored into the metrics registry from the calling thread, so
+//! output is byte-identical at every `--jobs` level.
 //!
 //! Exit status: 0 with every FXC13 identity holding, 1 on any
 //! spatial-exactness violation, 2 on a resolution/usage error.
 
-use crate::arches::{ArchSet, ARCH_NAMES};
-use crate::cli::Cli;
+use crate::arches::{run_pair, ALL_ARCHES, ARCH_NAMES};
+use crate::experiment::ExperimentCtx;
 use crate::report::{pct, Table};
 use flexcheck::Diagnostic;
 use flexsim_model::Network;
-use flexsim_obs::attrib::{ledgers, LossLedger, StallCause};
-use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+use flexsim_obs::attrib::{LossLedger, StallCause};
 use flexsim_obs::spatial::LayerSpatial;
 use flexsim_testkit::json::Json;
-use std::sync::{Arc, Mutex};
 
 /// The busy-fraction shade ramp, idle to saturated.
 const RAMP: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
@@ -50,74 +48,55 @@ pub struct ArchHeat {
     pub diags: Vec<Diagnostic>,
 }
 
-/// `flexsim heatmap WORKLOAD|PATH.ffnet [--arch A] [--json|--svg]`.
-/// Returns the process exit code.
-pub fn heatmap(cli: &Cli) -> i32 {
-    let [reference] = cli.ids.as_slice() else {
-        eprintln!("flexsim: heatmap takes exactly one workload name or .ffnet path");
-        return 2;
-    };
-    let net = match crate::frontend::registry().resolve(reference) {
-        Ok(net) => net,
-        Err(e) => {
-            eprintln!("flexsim: {e}");
-            return 2;
-        }
-    };
-    let selected = match select_arches(cli.arch.as_deref()) {
-        Ok(sel) => sel,
-        Err(msg) => {
-            eprintln!("flexsim: {msg}");
-            return 2;
-        }
-    };
-    let jobs = cli.jobs.unwrap_or_else(flexsim_pool::available_parallelism);
-    let heats = simulate_selected(&net, &selected, jobs);
-    // Mirror from the main thread, in report order, so the metrics
+/// `flexsim heatmap WORKLOAD|PATH.ffnet [--arch A] [--svg]`: the
+/// report on stdout (`--json` wins over `--svg`) and the exit code;
+/// `Err` on an unknown `--arch`.
+pub fn heatmap(
+    ctx: &ExperimentCtx,
+    net: &Network,
+    reference: &str,
+    arch: Option<&str>,
+    json: bool,
+    svg: bool,
+) -> Result<(String, i32), String> {
+    let selected = select_arches(arch)?;
+    let heats = ctx.map_pairs(std::slice::from_ref(net), &selected, simulate);
+    // Mirror from the calling thread, in report order, so the metrics
     // registry fills deterministically regardless of `--jobs`.
     for heat in &heats {
         for sp in &heat.spatials {
             sp.mirror(flexsim_obs::metrics::global());
         }
     }
-    if cli.metrics {
-        eprint!("{}", flexsim_obs::metrics::global().snapshot().dump());
-    }
     let failed = heats.iter().any(|h| flexcheck::has_errors(&h.diags));
-    if cli.json {
-        let mut text = heatmap_json(&net, reference, &heats).pretty();
+    let text = if json {
+        let mut text = heatmap_json(net, reference, &heats).pretty();
         text.push('\n');
-        print!("{text}");
-    } else if cli.svg {
-        print!("{}", heatmap_svg(&net, &heats));
+        text
+    } else if svg {
+        heatmap_svg(net, &heats)
     } else {
-        print!("{}", heatmap_text(&net, &heats));
-    }
-    i32::from(failed)
+        heatmap_text(net, &heats)
+    };
+    Ok((text, i32::from(failed)))
 }
 
 /// Resolves `--arch` to indices into [`ARCH_NAMES`]: all four when
 /// absent, otherwise the case-insensitive name or unambiguous prefix.
 pub fn select_arches(filter: Option<&str>) -> Result<Vec<usize>, String> {
     let Some(filter) = filter else {
-        return Ok((0..ARCH_NAMES.len()).collect());
+        return Ok(ALL_ARCHES.to_vec());
     };
     let want = filter.to_ascii_lowercase();
-    let exact: Vec<usize> = ARCH_NAMES
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.to_ascii_lowercase() == want)
-        .map(|(i, _)| i)
-        .collect();
-    if exact.len() == 1 {
-        return Ok(exact);
+    let name = |idx: &usize| ARCH_NAMES[*idx].to_ascii_lowercase();
+    if let Some(idx) = ALL_ARCHES.into_iter().find(|i| name(i) == want) {
+        return Ok(vec![idx]);
     }
-    let prefixed: Vec<usize> = ARCH_NAMES
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.to_ascii_lowercase().starts_with(&want))
-        .map(|(i, _)| i)
+    let prefixed: Vec<usize> = ALL_ARCHES
+        .into_iter()
+        .filter(|i| name(i).starts_with(&want))
         .collect();
+    let names: Vec<&str> = prefixed.iter().map(|&i| ARCH_NAMES[i]).collect();
     match prefixed.len() {
         1 => Ok(prefixed),
         0 => Err(format!(
@@ -126,67 +105,22 @@ pub fn select_arches(filter: Option<&str>) -> Result<Vec<usize>, String> {
         )),
         _ => Err(format!(
             "ambiguous architecture {filter:?}; matches: {}",
-            prefixed
-                .iter()
-                .map(|&i| ARCH_NAMES[i])
-                .collect::<Vec<_>>()
-                .join(", ")
+            names.join(", ")
         )),
     }
 }
 
-/// Runs one architecture (an [`ARCH_NAMES`] index) with a cycle and
-/// spatial recorder attached and gates the records (FXC13).
+/// Runs one architecture (an [`ARCH_NAMES`] index) with a spatial
+/// recorder attached and gates the records (FXC13).
 pub fn simulate(net: &Network, idx: usize) -> ArchHeat {
-    let rec = Arc::new(CycleRecorder::with_spatial());
-    let mut acc = ArchSet::builder()
-        .sink(SinkHandle::new(rec.clone()))
-        .build_one(net, idx);
-    acc.run_network(net);
-    let ledgers = ledgers(&rec.take());
-    let spatials = rec.take_spatial();
-    let diags = flexcheck::check_spatials(&spatials, &ledgers);
+    let run = run_pair(net, idx, true);
     ArchHeat {
-        arch: ARCH_NAMES[idx],
-        pe_count: acc.pe_count(),
-        spatials,
-        ledgers,
-        diags,
+        arch: run.arch,
+        pe_count: run.pe_count,
+        diags: flexcheck::check_spatials(&run.spatials, &run.ledgers),
+        spatials: run.spatials,
+        ledgers: run.ledgers,
     }
-}
-
-/// Simulates the selected architectures, fanning over at most `jobs`
-/// threads; the returned vector follows `selected` order exactly.
-fn simulate_selected(net: &Network, selected: &[usize], jobs: usize) -> Vec<ArchHeat> {
-    let workers = jobs.max(1).min(selected.len());
-    if workers <= 1 {
-        return selected.iter().map(|&idx| simulate(net, idx)).collect();
-    }
-    let produced: Mutex<Vec<(usize, ArchHeat)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let produced = &produced;
-            s.spawn(move || {
-                // Strided work split: deterministic assignment, no
-                // shared counter needed for ≤ 4 tasks.
-                let mut local = Vec::new();
-                let mut pos = w;
-                while pos < selected.len() {
-                    local.push((pos, simulate(net, selected[pos])));
-                    pos += workers;
-                }
-                produced
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .extend(local);
-            });
-        }
-    });
-    let mut pairs = produced
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    pairs.sort_by_key(|(pos, _)| *pos);
-    pairs.into_iter().map(|(_, heat)| heat).collect()
 }
 
 /// Array-wide busy fraction of one layer record.
@@ -439,6 +373,16 @@ mod tests {
     use super::*;
     use flexsim_model::workloads;
 
+    /// The command's fan-out: `selected` architectures over `jobs`
+    /// pool threads.
+    fn heats(net: &Network, selected: &[usize], jobs: usize) -> Vec<ArchHeat> {
+        ExperimentCtx::parallel("heatmap", jobs).map_pairs(
+            std::slice::from_ref(net),
+            selected,
+            simulate,
+        )
+    }
+
     #[test]
     fn shade_ramp_covers_the_unit_interval() {
         assert_eq!(shade(0.0), ' ');
@@ -467,7 +411,7 @@ mod tests {
     fn simulation_is_fxc13_clean_and_jobs_invariant() {
         let net = workloads::lenet5();
         let selected: Vec<usize> = (0..ARCH_NAMES.len()).collect();
-        let serial = simulate_selected(&net, &selected, 1);
+        let serial = heats(&net, &selected, 1);
         for h in &serial {
             assert!(
                 h.diags.is_empty(),
@@ -477,7 +421,7 @@ mod tests {
             );
             assert_eq!(h.spatials.len(), h.ledgers.len());
         }
-        let parallel = simulate_selected(&net, &selected, 4);
+        let parallel = heats(&net, &selected, 4);
         // Byte-identity across --jobs: every rendering agrees.
         assert_eq!(heatmap_text(&net, &serial), heatmap_text(&net, &parallel));
         assert_eq!(
@@ -490,7 +434,7 @@ mod tests {
     #[test]
     fn text_report_carries_heatmaps_banks_and_verdicts() {
         let net = workloads::lenet5();
-        let heats = simulate_selected(&net, &[3], 1);
+        let heats = heats(&net, &[3], 1);
         let text = heatmap_text(&net, &heats);
         assert!(text.contains("== heatmap — LeNet-5"));
         assert!(text.contains("-- FlexFlow (256 PEs) --"));
@@ -506,7 +450,7 @@ mod tests {
     #[test]
     fn json_report_is_byte_stable_and_exact() {
         let net = workloads::pv();
-        let heats = simulate_selected(&net, &[0, 3], 2);
+        let heats = heats(&net, &[0, 3], 2);
         let doc = heatmap_json(&net, "pv", &heats);
         let text = doc.pretty();
         assert!(text.contains("\"command\": \"heatmap\""));
@@ -524,7 +468,7 @@ mod tests {
     #[test]
     fn svg_report_is_well_formed_and_escaped() {
         let net = workloads::lenet5();
-        let heats = simulate_selected(&net, &[3], 1);
+        let heats = heats(&net, &[3], 1);
         let svg = heatmap_svg(&net, &heats);
         assert!(svg.starts_with("<svg xmlns="));
         assert!(svg.ends_with("</svg>\n"));

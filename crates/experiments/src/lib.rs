@@ -51,7 +51,8 @@ pub mod table07;
 pub mod tune;
 
 pub use experiment::{
-    find, run_suite, Experiment, ExperimentCtx, SuiteConfig, SuiteReport, TaskCtx, REGISTRY,
+    find, run_suite, sweep_set, Experiment, ExperimentCtx, SuiteConfig, SuiteReport, TaskCtx,
+    REGISTRY,
 };
 pub use report::{ExperimentResult, Table};
 

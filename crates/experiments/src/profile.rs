@@ -3,7 +3,8 @@
 //!
 //! Not a figure from the paper: the diagnostic report behind `flexsim
 //! profile <workload>`. Each (workload, architecture) run records its
-//! cycle-domain events through a private [`CycleRecorder`], folds every
+//! cycle-domain events through the pair runner's private recorder
+//! ([`run_pair`]), folds every
 //! layer's event stream into a [`LossLedger`] (gated by flexcheck
 //! `FXC09 attribution-exactness` — the ledger must balance to the last
 //! PE-cycle), classifies each layer compute- vs bandwidth-bound on the
@@ -19,15 +20,13 @@
 //! Excluded from `flexsim all`; run it with `flexsim profile
 //! [workload]`.
 
-use crate::arches::{ArchSet, ARCH_NAMES};
+use crate::arches::{run_pair, PairRun, ALL_ARCHES};
 use crate::experiment::{Experiment, ExperimentCtx};
 use crate::report::{eng, pct, ExperimentResult, Table};
 use flexsim_arch::bandwidth::DramInterface;
 use flexsim_model::{workloads, Network};
-use flexsim_obs::attrib::{ledgers, LossLedger};
-use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+use flexsim_obs::attrib::LossLedger;
 use flexsim_obs::roofline::{classify, LayerRoofline};
-use std::sync::Arc;
 
 /// How many loss causes the `top losses` column shows per layer.
 const TOP_CAUSES: usize = 2;
@@ -58,15 +57,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
 /// Runs the report over a chosen set of workloads (`flexsim profile
 /// alexnet` passes exactly one).
 pub fn run_workloads(ctx: &ExperimentCtx, nets: &[Network]) -> ExperimentResult {
-    let pairs: Vec<(Network, usize)> = nets
-        .iter()
-        .flat_map(|net| (0..ARCH_NAMES.len()).map(move |idx| (net.clone(), idx)))
-        .collect();
-    let row_groups = ctx.map(
-        pairs,
-        |(net, idx)| format!("{}/{}", net.name(), ARCH_NAMES[*idx]),
-        |_tctx, (net, idx)| profile_one(&net, idx),
-    );
+    let row_groups = ctx.map_pairs(nets, &ALL_ARCHES, profile_one);
     let mut table = Table::new([
         "workload",
         "arch",
@@ -110,32 +101,31 @@ pub fn run_workloads(ctx: &ExperimentCtx, nets: &[Network]) -> ExperimentResult 
 /// Profiles one (workload, architecture) pair: per-layer rows plus the
 /// aggregate `(all)` row.
 fn profile_one(net: &Network, arch_idx: usize) -> Vec<[String; 8]> {
-    // A private recorder (instead of the task's trace sink) so
-    // concurrent `--trace` output is not polluted with the profile's
+    // The pair runner's private recorder (instead of the task's trace
+    // sink) keeps concurrent `--trace` output free of the profile's
     // own sweep.
-    let rec = Arc::new(CycleRecorder::new());
-    let mut acc = ArchSet::builder()
-        .sink(SinkHandle::new(rec.clone()))
-        .build_one(net, arch_idx);
-    let summary = acc.run_network(net);
-    let layer_ledgers = ledgers(&rec.take());
+    let PairRun {
+        arch,
+        pe_count,
+        summary,
+        ledgers: layer_ledgers,
+        diags,
+        ..
+    } = run_pair(net, arch_idx, false);
 
     // The FXC09 gate: an unbalanced ledger is a simulator bug, not a
     // reportable result.
-    let diags = flexcheck::check_ledgers(&layer_ledgers);
     assert!(
         diags.is_empty(),
-        "{}/{}: {}",
+        "{}/{arch}: {}",
         net.name(),
-        acc.name(),
         flexcheck::render(&diags)
     );
     assert_eq!(
         layer_ledgers.len(),
         summary.layers.len(),
-        "{}/{}: one timeline per simulated layer",
+        "{}/{arch}: one timeline per simulated layer",
         net.name(),
-        acc.name()
     );
 
     // Mirror attribution into the global registry so `--metrics`
@@ -158,7 +148,7 @@ fn profile_one(net: &Network, arch_idx: usize) -> Vec<[String; 8]> {
         );
         rows.push([
             net.name().to_owned(),
-            acc.name().to_owned(),
+            arch.to_owned(),
             lr.layer.clone(),
             eng(lr.cycles as f64),
             pct(lr.utilization()),
@@ -177,11 +167,11 @@ fn profile_one(net: &Network, arch_idx: usize) -> Vec<[String; 8]> {
             (2 * summary.macs()) as f64,
             (ev.dram_reads + ev.dram_writes) as f64,
             dram.words_per_second(),
-            2.0 * acc.pe_count() as f64,
+            2.0 * pe_count as f64,
         );
         rows.push([
             net.name().to_owned(),
-            acc.name().to_owned(),
+            arch.to_owned(),
             "(all)".to_owned(),
             eng(summary.cycles() as f64),
             pct(summary.utilization()),
@@ -222,6 +212,7 @@ fn fmt_losses(ledger: &LossLedger) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arches::ARCH_NAMES;
     use flexsim_model::registry::WorkloadRegistry;
 
     #[test]
@@ -266,16 +257,12 @@ mod tests {
         // The invariant behind every rendered row: the ledger balances
         // and busy PE-cycles equal the analytic MAC count.
         let net = workloads::lenet5();
-        for idx in 0..ARCH_NAMES.len() {
-            let rec = Arc::new(CycleRecorder::new());
-            let mut acc = ArchSet::builder()
-                .sink(SinkHandle::new(rec.clone()))
-                .build_one(&net, idx);
-            let summary = acc.run_network(&net);
-            for (lr, ledger) in summary.layers.iter().zip(ledgers(&rec.take())) {
-                assert!(ledger.is_exact(), "{}/{}", acc.name(), ledger.layer);
-                assert_eq!(ledger.busy_pe_cycles, lr.macs, "{}", acc.name());
-                assert!(flexcheck::check_ledger(&ledger).is_empty());
+        for idx in ALL_ARCHES {
+            let run = run_pair(&net, idx, false);
+            for (lr, ledger) in run.summary.layers.iter().zip(&run.ledgers) {
+                assert!(ledger.is_exact(), "{}/{}", run.arch, ledger.layer);
+                assert_eq!(ledger.busy_pe_cycles, lr.macs, "{}", run.arch);
+                assert!(flexcheck::check_ledger(ledger).is_empty());
             }
         }
     }

@@ -16,25 +16,20 @@
 //! what makes the CI stage meaningful: `--mutate` perturbs the first
 //! predicted ledger by one cycle and must flip the exit status.
 
-use crate::arches::{ArchSet, ARCH_NAMES};
+use crate::arches::{run_pair, ALL_ARCHES, PAPER_SCALE};
 use crate::experiment::ExperimentCtx;
 use crate::report::{ExperimentResult, Table};
 use flexcheck::Diagnostic;
 use flexsim_model::Network;
 use flexsim_obs::attrib::{ledgers, LossLedger, StallCause};
-use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
 use flexsim_testkit::json::Json;
-use std::sync::Arc;
-
-/// Engine scale the prover targets (the paper's 16×16 configuration).
-const D: usize = 16;
 
 /// One (workload, architecture) proof attempt: both ledger sequences
 /// plus the `FXC10` diagnostics comparing them.
 pub struct ProveOutcome {
     /// Workload name.
     pub workload: String,
-    /// Architecture name ([`ARCH_NAMES`] order).
+    /// Architecture name ([`crate::arches::ARCH_NAMES`] order).
     pub arch: &'static str,
     /// The symbolic evaluator's per-layer ledgers, network order.
     pub predicted: Vec<LossLedger>,
@@ -60,30 +55,24 @@ impl ProveOutcome {
 }
 
 /// Proves one (workload, architecture) pair on the accelerator the
-/// experiments builder constructs: its closed-form ledgers against the
-/// ledgers recorded from running it. `mutate` perturbs the first
+/// pair runner constructs: its closed-form ledgers against the ledgers
+/// recorded from running it. `mutate` perturbs the first
 /// predicted ledger by one cycle — the CI handle proving the
 /// comparison has teeth.
 pub fn prove_pair(net: &Network, arch_idx: usize, mutate: bool) -> ProveOutcome {
-    let rec = Arc::new(CycleRecorder::new());
-    let mut acc = ArchSet::builder()
-        .scale(D)
-        .sink(SinkHandle::new(rec.clone()))
-        .build_one(net, arch_idx);
-    let mut predicted = ledgers(&acc.predict_network(net));
+    let run = run_pair(net, arch_idx, false);
+    let mut predicted = ledgers(&run.acc.predict_network(net));
     if mutate {
         if let Some(first) = predicted.first_mut() {
             first.total_cycles += 1;
         }
     }
-    let _ = acc.run_network(net);
-    let recorded = ledgers(&rec.take());
-    let diags = flexcheck::check_cycle_exactness_all(&predicted, &recorded);
+    let diags = flexcheck::check_cycle_exactness_all(&predicted, &run.ledgers);
     ProveOutcome {
         workload: net.name().to_owned(),
-        arch: ARCH_NAMES[arch_idx],
+        arch: run.arch,
         predicted,
-        recorded,
+        recorded: run.ledgers,
         diags,
     }
 }
@@ -91,15 +80,9 @@ pub fn prove_pair(net: &Network, arch_idx: usize, mutate: bool) -> ProveOutcome 
 /// Proves every (workload, architecture) pair, fanned over the pool in
 /// submission order (output is byte-identical at any `--jobs` level).
 pub fn run_workloads(ctx: &ExperimentCtx, nets: &[Network], mutate: bool) -> Vec<ProveOutcome> {
-    let items: Vec<(Network, usize)> = nets
-        .iter()
-        .flat_map(|net| (0..ARCH_NAMES.len()).map(move |idx| (net.clone(), idx)))
-        .collect();
-    ctx.map(
-        items,
-        |(net, idx)| format!("{}/{}", net.name(), ARCH_NAMES[*idx]),
-        move |_tctx, (net, idx): (Network, usize)| prove_pair(&net, idx, mutate),
-    )
+    ctx.map_pairs(nets, &ALL_ARCHES, move |net, idx| {
+        prove_pair(net, idx, mutate)
+    })
 }
 
 /// Renders the per-pair verdict table (mismatch diagnostics go into
@@ -169,7 +152,7 @@ pub fn json_doc(outcomes: &[ProveOutcome]) -> Json {
     Json::obj([
         ("bench", Json::str("prove")),
         ("rule", Json::str("FXC10 cycle-exactness")),
-        ("scale", Json::Int(D as i64)),
+        ("scale", Json::Int(PAPER_SCALE as i64)),
         ("pairs_total", Json::Int(outcomes.len() as i64)),
         ("pairs_proved", Json::Int(proved as i64)),
         ("mismatches", Json::Int((outcomes.len() - proved) as i64)),
@@ -236,6 +219,7 @@ fn layer_deltas(o: &ProveOutcome) -> Vec<Json> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arches::ARCH_NAMES;
     use flexsim_model::workloads;
 
     #[test]

@@ -23,25 +23,22 @@
 //! `integration_telemetry` suite holds the sweep output byte-identical
 //! with telemetry on vs. off.
 
-use crate::cli::Cli;
-use crate::experiment::{run_suite, Experiment, SuiteConfig};
+use crate::experiment::{run_suite, sweep_set, SuiteConfig};
 use crate::report::{ExperimentResult, Table};
-use crate::REGISTRY;
 use flexsim_obs::hist::Histogram;
 use flexsim_obs::telemetry::{self, Phase, TelemetrySnapshot};
 use std::time::Instant;
 
-/// Runs the telemetry-instrumented sweep and returns the report plus
-/// the number of experiment failures (the CLI exit status).
-pub fn run(cli: &Cli) -> (ExperimentResult, usize) {
+/// Runs the telemetry-instrumented sweep at `jobs` and returns the
+/// report plus the number of experiment failures (the CLI exit status).
+pub fn run(jobs: usize) -> (ExperimentResult, usize) {
     telemetry::enable();
     telemetry::reset();
     let start = Instant::now();
-    let experiments: Vec<&'static dyn Experiment> = {
+    let experiments = {
         let _parse = telemetry::phase(Phase::Parse);
-        REGISTRY.iter().filter(|e| e.in_sweep()).copied().collect()
+        sweep_set()
     };
-    let jobs = cli.jobs.unwrap_or_else(flexsim_pool::available_parallelism);
     // Tracing on: collected timelines cross the verify chokepoint
     // (ledger exactness mirroring), so the verify phase sees the same
     // work a `--trace` run would.

@@ -133,8 +133,10 @@ fn chrome_trace_round_trips_with_all_architectures() {
     );
 }
 
-/// ISSUE satellite: unknown flags and missing flag values must fail
-/// with the usage text and a nonzero exit, not be silently ignored.
+/// Unknown flags, missing flag values, and ambiguous command lines
+/// (two commands, stray arguments, another command's options) must
+/// fail with a reason, the usage text and exit 2 — never be silently
+/// ignored or mis-dispatched.
 #[test]
 fn flexsim_binary_rejects_bad_arguments() {
     for (args, needle) in [
@@ -146,6 +148,32 @@ fn flexsim_binary_rejects_bad_arguments() {
         (vec!["--jobs"], "--jobs requires"),
         (vec!["--jobs", "zero", "all"], "--jobs requires"),
         (vec!["--jobs", "0", "all"], "--jobs requires"),
+        (vec!["run", "lenet", "tune"], "two commands"),
+        (vec!["lint", "run", "lenet"], "two commands"),
+        (vec!["tune", "prove", "pv"], "two commands"),
+        (vec!["stats", "nope"], "stats takes no arguments"),
+        (
+            vec!["fig15", "--svg"],
+            "--svg is an option of `heatmap` only",
+        ),
+        (
+            vec!["fig15", "--mutate"],
+            "--mutate is an option of `prove` only",
+        ),
+        (
+            vec!["workloads", "--arch", "sys"],
+            "--arch is an option of `heatmap` only",
+        ),
+        (
+            vec![
+                "heatmap", "lenet", "--budget", "smoke", "--mutate", "--static",
+            ],
+            "is an option of `",
+        ),
+        (
+            vec!["profile", "lenet", "pv"],
+            "profile takes at most one workload",
+        ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexsim"))
             .args(&args)
@@ -157,6 +185,25 @@ fn flexsim_binary_rejects_bad_arguments() {
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: flexsim"), "{args:?}: {stderr}");
     }
+}
+
+/// A reader that closes the pipe early (`flexsim ... | head`) ends the
+/// output quietly: no panic, and not the panic status 101. The SVG
+/// heatmap is far larger than a pipe buffer, so the write must hit
+/// the closed pipe.
+#[test]
+fn flexsim_survives_a_closed_stdout_pipe() {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_flexsim"))
+        .args(["--svg", "heatmap", "lenet"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("flexsim runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("flexsim exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
 
 /// ISSUE acceptance, end to end: `flexsim --jobs 2 --trace FILE fig15`
