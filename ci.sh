@@ -26,6 +26,12 @@ cargo clippy --workspace --all-targets --offline -- \
 echo "==> cargo build --release (offline)"
 cargo build --release --offline
 
+echo "==> cargo test --release (simulator bit-exactness with debug-only checks compiled out)"
+# flexbench measures the release build of the functional simulators'
+# hot loops; their bit-exactness tests must pass in that configuration
+# too, not only under debug assertions.
+cargo test --release --offline -q -p flexflow -p flexsim-baselines
+
 echo "==> cargo test (offline)"
 cargo test -q --offline
 

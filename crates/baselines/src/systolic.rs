@@ -23,7 +23,7 @@ use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
 use flexsim_arch::Accelerator;
 use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
-use flexsim_model::{Acc32, ConvLayer, Tensor2, Tensor3};
+use flexsim_model::{Acc32, ConvLayer, Fx16, Tensor2, Tensor3};
 use flexsim_obs::attrib::StallCause;
 use flexsim_obs::cycles::{Aggregate, CycleEventKind, SinkHandle};
 use flexsim_obs::spatial::{CellRect, CellRects};
@@ -159,6 +159,11 @@ impl Systolic {
     }
 
     /// One (m, n) pipeline pass: streams the whole input map and drains.
+    ///
+    /// The chain is a ring buffer: a shift is a step of the head index,
+    /// not a move of every cell, and chain position `p` lives at slot
+    /// `(head + p) mod len`. The `k²` PE taps (chain offset and
+    /// resident synapse) are fixed for the pass.
     fn pipeline_pass(
         &self,
         layer: &ConvLayer,
@@ -171,42 +176,44 @@ impl Systolic {
         let w = layer.input_size();
         let k = layer.k();
         let s = layer.s();
-        // Chain cells: index p = i*w + j; PE cells are those with
+        // Chain cells: position p = i*w + j; PE cells are those with
         // (j < k && i < k); others are FIFO slots. Length (k-1)*w + k.
         let chain_len = (k - 1) * w + k;
         let mut chain: Vec<Option<(Acc32, usize, usize)>> = vec![None; chain_len];
+        let mut head = 0;
+        let taps: Vec<(usize, Fx16)> = (0..k)
+            .flat_map(|i| (0..k).map(move |j| (i, j)))
+            .map(|(i, j)| (i * w + j, kernels[(om, inm, i, j)]))
+            .collect();
         let total_cycles = w * w + chain_len;
         for t in 0..total_cycles {
             let x = if t < w * w {
                 input[(inm, t / w, t % w)]
             } else {
-                flexsim_model::Fx16::ZERO
+                Fx16::ZERO
             };
-            // Exit stage.
-            if let Some((acc, r, c)) = chain[chain_len - 1].take() {
+            // Shift: the exit stage (position len−1) becomes the new
+            // position 0, after its accumulator leaves.
+            head = if head == 0 { chain_len - 1 } else { head - 1 };
+            if let Some((acc, r, c)) = chain[head].take() {
                 if r < s && c < s {
                     acc_map[(r, c)] += acc;
                 }
             }
-            // Shift.
-            for p in (1..chain_len).rev() {
-                chain[p] = chain[p - 1].take();
-            }
             // Birth a new accumulator tagged with the current raster
             // position (only while streaming).
-            chain[0] = if t < w * w {
-                Some((Acc32::ZERO, t / w, t % w))
-            } else {
-                None
-            };
+            if t < w * w {
+                chain[head] = Some((Acc32::ZERO, t / w, t % w));
+            }
             // Every PE cell accumulates k(i,j) * x into its resident
             // accumulator.
-            for i in 0..k {
-                for j in 0..k {
-                    let p = i * w + j;
-                    if let Some((acc, _, _)) = chain[p].as_mut() {
-                        acc.mac(kernels[(om, inm, i, j)], x);
-                    }
+            for &(offset, weight) in &taps {
+                let mut p = head + offset;
+                if p >= chain_len {
+                    p -= chain_len;
+                }
+                if let Some((acc, _, _)) = chain[p].as_mut() {
+                    acc.mac(weight, x);
                 }
             }
         }
@@ -436,6 +443,30 @@ mod tests {
             sys.forward(c1, &input, &kernels),
             reference::conv(c1, &input, &kernels)
         );
+    }
+
+    #[test]
+    fn ring_buffer_edge_cases_bit_exact() {
+        let cases = [
+            // K = 1: a one-cell chain, the head never leaves slot 0.
+            (Systolic::dc_cnn(), ConvLayer::new("C", 3, 2, 5, 1)),
+            // W = K: one output per map (S = 1); every other birth
+            // falls outside the map.
+            (Systolic::dc_cnn(), ConvLayer::new("C", 2, 3, 1, 4)),
+            // K = array_k on a small array: every PE cell is a tap.
+            (Systolic::new(3, 2), ConvLayer::new("C", 3, 2, 4, 3)),
+            // W ≫ K: long FIFO stretches between the chain's PE rows.
+            (Systolic::dc_cnn(), ConvLayer::new("C", 2, 2, 62, 3)),
+        ];
+        for (seed, (sys, layer)) in (51..).zip(&cases) {
+            let (input, kernels) = reference::random_layer_data(layer, seed);
+            assert_eq!(
+                sys.forward(layer, &input, &kernels),
+                reference::conv(layer, &input, &kernels),
+                "{layer:?} on {k}x{k} arrays",
+                k = sys.array_k()
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,14 @@ pub struct Reduction {
     pub depth: u32,
 }
 
-/// Reduces a row's products through a binary adder tree.
+/// Reduces a row's products through a binary adder tree, in place.
+///
+/// Each tree level adds neighbouring pairs — `(p0+p1)`, `(p2+p3)`, … —
+/// with saturation and passes an odd last value through, writing the
+/// level's results over the front of `products`. The pairwise order is
+/// the hardware's, and with saturating adds it is not the sequential
+/// sum's, so bit-exactness depends on it. On return `products[0]` holds
+/// the sum and the rest of the slice holds partial sums.
 ///
 /// # Example
 ///
@@ -28,40 +35,31 @@ pub struct Reduction {
 /// use flexflow::adder_tree::reduce;
 /// use flexsim_model::{Acc32, Fx16};
 ///
-/// let products: Vec<Acc32> = (1..=4)
+/// let mut products: Vec<Acc32> = (1..=4)
 ///     .map(|i| Acc32::from_fx16(Fx16::from_f64(i as f64)))
 ///     .collect();
-/// let r = reduce(&products);
+/// let r = reduce(&mut products);
 /// assert_eq!(r.sum.to_fx16().to_f64(), 10.0);
 /// assert_eq!(r.adds, 3);
 /// assert_eq!(r.depth, 2);
 /// ```
-pub fn reduce(products: &[Acc32]) -> Reduction {
-    if products.is_empty() {
-        return Reduction {
-            sum: Acc32::ZERO,
-            adds: 0,
-            depth: 0,
-        };
-    }
-    let mut level: Vec<Acc32> = products.to_vec();
-    let mut adds = 0u64;
-    let mut depth = 0u32;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            if pair.len() == 2 {
-                next.push(pair[0].saturating_add(pair[1]));
-                adds += 1;
-            } else {
-                next.push(pair[0]);
-            }
+pub fn reduce(products: &mut [Acc32]) -> Reduction {
+    let mut len = products.len();
+    let (mut adds, mut depth) = (0u64, 0u32);
+    while len > 1 {
+        let half = len / 2;
+        for i in 0..half {
+            products[i] = products[2 * i].saturating_add(products[2 * i + 1]);
         }
-        level = next;
+        if len % 2 == 1 {
+            products[half] = products[len - 1];
+        }
+        adds += half as u64;
+        len -= half;
         depth += 1;
     }
     Reduction {
-        sum: level[0],
+        sum: products.first().copied().unwrap_or(Acc32::ZERO),
         adds,
         depth,
     }
@@ -147,14 +145,14 @@ mod tests {
 
     #[test]
     fn empty_row_sums_to_zero() {
-        let r = reduce(&[]);
+        let r = reduce(&mut []);
         assert_eq!(r.sum, Acc32::ZERO);
         assert_eq!(r.adds, 0);
     }
 
     #[test]
     fn single_product_passes_through() {
-        let r = reduce(&[acc(7.0)]);
+        let r = reduce(&mut [acc(7.0)]);
         assert_eq!(r.sum.to_fx16().to_f64(), 7.0);
         assert_eq!((r.adds, r.depth), (0, 0));
     }
@@ -162,8 +160,8 @@ mod tests {
     #[test]
     fn n_minus_one_adds_for_any_width() {
         for n in 1..=16usize {
-            let products: Vec<Acc32> = (0..n).map(|i| acc(i as f64 / 4.0)).collect();
-            let r = reduce(&products);
+            let mut products: Vec<Acc32> = (0..n).map(|i| acc(i as f64 / 4.0)).collect();
+            let r = reduce(&mut products);
             assert_eq!(r.adds, (n - 1) as u64, "n={n}");
             assert_eq!(r.depth, (usize::BITS - (n - 1).leading_zeros()), "n={n}");
             let want: f64 = (0..n).map(|i| i as f64 / 4.0).sum();
@@ -173,10 +171,26 @@ mod tests {
 
     #[test]
     fn full_16_wide_row_depth() {
-        let products = vec![acc(0.25); 16];
-        let r = reduce(&products);
+        let mut products = vec![acc(0.25); 16];
+        let r = reduce(&mut products);
         assert_eq!(r.depth, 4);
         assert_eq!(r.sum.to_fx16().to_f64(), 4.0);
+    }
+
+    #[test]
+    fn saturating_sum_follows_the_pairwise_tree_order() {
+        // Pairwise: (MAX + MIN) + (MAX + 1 → MAX) = MAX − 1. Summed
+        // left to right the same operands give MAX, so this pins the
+        // tree order that bit-exactness depends on.
+        let raw = [i32::MAX, i32::MIN, i32::MAX, 1];
+        let mut products = raw.map(Acc32::from_raw);
+        let sequential = products
+            .iter()
+            .fold(Acc32::ZERO, |a, &p| a.saturating_add(p));
+        assert_eq!(sequential, Acc32::from_raw(i32::MAX));
+        let r = reduce(&mut products);
+        assert_eq!(r.sum, Acc32::from_raw(i32::MAX - 1));
+        assert_eq!((r.adds, r.depth), (3, 2));
     }
 
     #[test]
