@@ -23,6 +23,9 @@ cargo clippy --workspace --all-targets --offline -- \
     -D clippy::semicolon_if_nothing_returned \
     -D clippy::doc_markdown
 
+echo "==> cargo doc (offline, rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release (offline)"
 cargo build --release --offline
 

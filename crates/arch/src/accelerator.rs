@@ -1,7 +1,10 @@
 //! The common interface every simulated architecture implements.
 
 use crate::area::AreaBreakdown;
-use crate::stats::{LayerResult, RunSummary};
+use crate::buffer::BUFFER_WORDS;
+use crate::dram::conv_layer_traffic;
+use crate::energy::EnergyModel;
+use crate::stats::{mirror_layer, EventCounts, LayerResult, RunSummary, Traffic};
 use flexsim_model::{ConvLayer, Network};
 use flexsim_obs::cycles::{Aggregate, LayerCtx, LayerTimeline, SinkHandle};
 use flexsim_obs::{span, telemetry};
@@ -75,24 +78,73 @@ pub trait Accelerator: Send {
 
     /// Simulates every CONV layer of a workload in order.
     fn run_network(&mut self, net: &Network) -> RunSummary {
-        let _workload = span("workload", format!("{}/{}", self.name(), net.name()));
-        let _simulate = telemetry::phase(telemetry::Phase::Simulate);
-        let layers = net
-            .conv_layers()
-            .map(|l| {
-                let _layer = span("layer", format!("{}/{}", self.name(), l.name()));
-                let t0 = telemetry::now_if_enabled();
-                let result = self.run_conv(l);
-                telemetry::observe_layer_sim_since(t0);
-                result
-            })
-            .collect::<Vec<_>>();
-        RunSummary {
-            arch: self.name().to_owned(),
-            workload: net.name().to_owned(),
-            layers,
-        }
+        run_layers(self, net, |acc, _, layer| acc.run_conv(layer))
     }
+}
+
+/// The frame of every [`Accelerator::run_network`]: simulates the CONV
+/// layers of `net` in order with `run(acc, index, layer)` inside the
+/// workload span and the simulate phase, with one layer span and one
+/// host-time sample per layer.
+pub fn run_layers<A: Accelerator + ?Sized>(
+    acc: &mut A,
+    net: &Network,
+    mut run: impl FnMut(&mut A, usize, &ConvLayer) -> LayerResult,
+) -> RunSummary {
+    let arch = acc.name().to_owned();
+    let _workload = span("workload", format!("{arch}/{}", net.name()));
+    let _simulate = telemetry::phase(telemetry::Phase::Simulate);
+    let layers = net
+        .conv_layers()
+        .enumerate()
+        .map(|(i, layer)| {
+            let _layer = span("layer", format!("{arch}/{}", layer.name()));
+            let t0 = telemetry::now_if_enabled();
+            let result = run(acc, i, layer);
+            telemetry::observe_layer_sim_since(t0);
+            result
+        })
+        .collect();
+    RunSummary {
+        arch,
+        workload: net.name().to_owned(),
+        layers,
+    }
+}
+
+/// The pricing tail of every [`Accelerator::run_conv`]: `layer`'s
+/// cycles and useful MACs are those of its schedule's aggregate `agg`;
+/// `events` and `traffic` are what the architecture's dataflow moves on
+/// chip. Charges DRAM traffic at the Table 5 buffer size and the idle
+/// PE-cycles, prices energy with the 65 nm event model, and mirrors the
+/// result into the metrics registry.
+pub fn price_layer<A: Accelerator + ?Sized>(
+    acc: &A,
+    layer: &ConvLayer,
+    agg: &Aggregate,
+    mut events: EventCounts,
+    traffic: Traffic,
+) -> LayerResult {
+    let (cycles, macs) = (agg.cycles(), agg.macs());
+    let dram = conv_layer_traffic(layer, BUFFER_WORDS, BUFFER_WORDS);
+    events.dram_reads = dram.reads;
+    events.dram_writes = dram.writes;
+    let pe_cycles = cycles.saturating_mul(acc.pe_count() as u64);
+    events.idle_pe_cycles = pe_cycles.saturating_sub(macs);
+    let energy = EnergyModel::tsmc65().energy(&events, cycles, acc.area().total_mm2());
+    let result = LayerResult {
+        arch: acc.name().to_owned(),
+        layer: layer.name().to_owned(),
+        pe_count: acc.pe_count(),
+        clock_ghz: acc.clock_ghz(),
+        cycles,
+        macs,
+        events,
+        traffic,
+        energy,
+    };
+    mirror_layer(&result);
+    result
 }
 
 #[cfg(test)]

@@ -124,12 +124,6 @@ impl AreaModel {
         }
     }
 
-    /// Overrides the per-PE logic area.
-    pub fn with_pe_logic_mm2(mut self, mm2: f64) -> Self {
-        self.pe_logic_mm2 = mm2;
-        self
-    }
-
     /// Estimates the chip area of `spec`.
     pub fn area(&self, spec: &AreaSpec) -> AreaBreakdown {
         AreaBreakdown {

@@ -8,10 +8,29 @@
 //! the paper's In-Advanced Data Placement (IADP) necessary — data must be
 //! laid out so each cycle's `D` reads hit `D` distinct banks.
 
+use flexsim_model::ConvLayer;
+use flexsim_obs::spatial::HeatmapBuilder;
 use std::fmt;
 
 /// Bytes per buffer word (16-bit fixed point).
 pub const WORD_BYTES: usize = 2;
+
+/// Table 5 capacity of each on-chip buffer, in words (32 KB).
+pub const BUFFER_WORDS: u64 = 16 * 1024;
+
+/// Samples the three Table 5 buffers into a layer's heatmap: each holds
+/// its share of the layer's working set, clamped at capacity, for all
+/// `cycles` of the layer, so every bank covers exactly the layer's
+/// cycles, as flexcheck FXC13's dropped-sample check requires.
+pub fn sample_buffers(hb: &mut HeatmapBuilder, layer: &ConvLayer, cycles: u64) {
+    for (bank, words) in [
+        ("neuron-in", layer.input_neurons()),
+        ("kernel", layer.synapses()),
+        ("neuron-out", layer.output_neurons()),
+    ] {
+        hb.bank_sample(bank, BUFFER_WORDS, words.min(BUFFER_WORDS), cycles);
+    }
+}
 
 /// A banked, word-addressed on-chip SRAM buffer.
 ///

@@ -167,18 +167,6 @@ pub fn conv_layer_traffic_batched(
     }
 }
 
-/// Sums [`conv_layer_traffic_batched`] over every CONV layer.
-pub fn network_traffic_batched(
-    net: &flexsim_model::Network,
-    neuron_buf_words: u64,
-    kernel_buf_words: u64,
-    batch: u64,
-) -> DramTraffic {
-    net.conv_layers()
-        .map(|l| conv_layer_traffic_batched(l, neuron_buf_words, kernel_buf_words, batch))
-        .fold(DramTraffic::default(), |acc, t| acc + t)
-}
-
 /// Estimates DRAM traffic for `batch` inferences of a whole network
 /// under *layer fusion*: intermediate activations that fit the neuron
 /// buffer ping-pong on chip (exactly what FlexFlow's two neuron buffers

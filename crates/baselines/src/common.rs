@@ -1,57 +1,13 @@
 //! Shared plumbing for the baseline simulators.
 
-use flexsim_arch::dram::conv_layer_traffic;
-use flexsim_arch::energy::EnergyModel;
-use flexsim_arch::stats::{mirror_layer, EventCounts, LayerResult, Traffic};
+use flexsim_arch::accelerator::price_layer;
+use flexsim_arch::buffer::sample_buffers;
+use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
+use flexsim_arch::Accelerator;
 use flexsim_model::ConvLayer;
 use flexsim_obs::cycles::SinkHandle;
 use flexsim_obs::steps::{self, LayerFrame, Step};
-
-/// Table 5 on-chip buffer capacity per buffer, in 16-bit words
-/// (32 KB each).
-pub(crate) const BUFFER_WORDS: u64 = 16 * 1024;
-
-/// Raw outcome of a layer simulation before energy pricing.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Outcome {
-    pub cycles: u64,
-    pub macs: u64,
-    pub events: EventCounts,
-    pub traffic: Traffic,
-}
-
-/// Assembles a [`LayerResult`]: charges DRAM traffic, idle PE-cycles, and
-/// prices energy.
-pub(crate) fn finish(
-    arch: &str,
-    layer: &ConvLayer,
-    pe_count: usize,
-    mut outcome: Outcome,
-    energy: &EnergyModel,
-    area_mm2: f64,
-) -> LayerResult {
-    let dram = conv_layer_traffic(layer, BUFFER_WORDS, BUFFER_WORDS);
-    outcome.events.dram_reads = dram.reads;
-    outcome.events.dram_writes = dram.writes;
-    let pe_cycles = outcome.cycles.saturating_mul(pe_count as u64);
-    outcome.events.idle_pe_cycles = pe_cycles.saturating_sub(outcome.macs);
-    let energy_breakdown = energy.energy(&outcome.events, outcome.cycles, area_mm2);
-    let result = LayerResult {
-        arch: arch.to_owned(),
-        layer: layer.name().to_owned(),
-        pe_count,
-        clock_ghz: 1.0,
-        cycles: outcome.cycles,
-        macs: outcome.macs,
-        events: outcome.events,
-        traffic: outcome.traffic,
-        energy: energy_breakdown,
-    };
-    // Single chokepoint for all three baselines: every produced layer
-    // is mirrored into the global metrics registry exactly once.
-    mirror_layer(&result);
-    result
-}
+use flexsim_obs::telemetry;
 
 /// Ceiling division.
 #[inline]
@@ -59,28 +15,39 @@ pub(crate) fn cdiv(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
-/// Folds a baseline layer's steps into the attached sink. The heatmap
-/// samples the three Table 5 on-chip buffers: each holds the layer's
-/// working set clamped at capacity for the full layer (the baselines
-/// stream operands, so residency is flat), so every bank covers exactly
-/// the layer's cycles, as flexcheck FXC13's dropped-sample check
-/// requires. The baselines have no shared adder-tree ports or CDB, so
+/// The `run_conv` of every baseline. The layer's cycles and MACs are
+/// those of `acc`'s aggregate; `steps` are folded into the attached
+/// sink on a `rows × cols` heatmap; `analyze` gives the on-chip events
+/// and traffic for the layer's cycle total. The heatmap samples the
+/// three Table 5 buffers (the baselines stream operands, so residency
+/// is flat). The baselines have no shared adder-tree ports or CDB, so
 /// both contention matrices stay empty.
-pub(crate) fn observe(
+pub(crate) fn run_conv<A: Accelerator>(
+    acc: &A,
     sink: &SinkHandle,
-    frame: &LayerFrame,
     layer: &ConvLayer,
-    steps: impl IntoIterator<Item = Step>,
-) {
-    steps::fold(sink, frame, steps, |hb| {
-        for (bank, words) in [
-            ("neuron-in", layer.input_neurons()),
-            ("kernel", layer.synapses()),
-            ("neuron-out", layer.output_neurons()),
-        ] {
-            hb.bank_sample(bank, BUFFER_WORDS, words.min(BUFFER_WORDS), frame.cycles);
-        }
+    (rows, cols): (usize, usize),
+    steps: impl ExactSizeIterator<Item = Step>,
+    analyze: impl FnOnce(u64) -> (EventCounts, Traffic),
+) -> LayerResult {
+    let (agg, (events, traffic)) = {
+        let _schedule = telemetry::phase(telemetry::Phase::Schedule);
+        let agg = acc.aggregate(layer);
+        (agg, analyze(agg.cycles()))
+    };
+    let frame = LayerFrame {
+        arch: acc.name(),
+        layer: layer.name(),
+        rows,
+        cols,
+        cycles: agg.cycles(),
+        macs: agg.macs(),
+        steps: steps.len() as u64,
+    };
+    steps::fold(sink, &frame, steps, |hb| {
+        sample_buffers(hb, layer, frame.cycles);
     });
+    price_layer(acc, layer, &agg, events, traffic)
 }
 
 #[cfg(test)]

@@ -13,9 +13,8 @@
 //! the reference. The analytic path counts the same schedule in closed
 //! form.
 
-use crate::common::{cdiv, finish, observe, Outcome};
+use crate::common::{self, cdiv};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
-use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
 use flexsim_arch::Accelerator;
 use flexsim_model::reference::apply_activation;
@@ -24,8 +23,7 @@ use flexsim_model::{Acc32, ConvLayer, Tensor2, Tensor3};
 use flexsim_obs::attrib::StallCause;
 use flexsim_obs::cycles::{Aggregate, CycleEventKind, SinkHandle};
 use flexsim_obs::spatial::CellRect;
-use flexsim_obs::steps::{LayerFrame, Pass, Step};
-use flexsim_obs::telemetry;
+use flexsim_obs::steps::{Pass, Step};
 
 /// Operand-movement statistics from the explicit shift simulation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -55,7 +53,6 @@ pub struct Mapping2dStats {
 pub struct Mapping2d {
     tr: usize,
     tc: usize,
-    energy: EnergyModel,
     sink: SinkHandle,
 }
 
@@ -70,7 +67,6 @@ impl Mapping2d {
         Mapping2d {
             tr,
             tc,
-            energy: EnergyModel::tsmc65(),
             sink: SinkHandle::none(),
         }
     }
@@ -79,12 +75,6 @@ impl Mapping2d {
     /// a time.
     pub fn shidiannao() -> Self {
         Mapping2d::new(16, 16)
-    }
-
-    /// Replaces the energy model (for ablations).
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
     }
 
     /// Row dimension `Tr`.
@@ -221,17 +211,14 @@ impl Mapping2d {
         (out, stats)
     }
 
-    fn analyze(&self, layer: &ConvLayer) -> Outcome {
+    /// The on-chip events and traffic of the schedule [`Self::steps`]
+    /// describes.
+    fn analyze(&self, layer: &ConvLayer) -> (EventCounts, Traffic) {
         let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
         let row_tiles = cdiv(s, self.tr);
         let col_tiles = cdiv(s, self.tc);
-        let tiles = (row_tiles * col_tiles) as u64;
-        // K² compute cycles per (m, tile, n), plus an initial window-load
-        // of Tc cycles per tile (subsequent output maps overlap their
-        // window prefetch with the previous map's compute).
-        let compute_cycles = (m * n * k * k) as u64 * tiles;
-        let init_cycles = tiles * self.tc as u64;
-        let cycles = compute_cycles + init_cycles;
+        // One synapse broadcast per compute cycle: K² per (m, tile, n).
+        let broadcasts = (m * n * k * k * row_tiles * col_tiles) as u64;
         let macs = layer.macs();
 
         // Traffic: each tile reads its haloed input region once per
@@ -249,7 +236,7 @@ impl Mapping2d {
         let neuron_in = (m * n) as u64 * halo_words;
         // One synapse is read from the kernel buffer and broadcast every
         // compute cycle; tiles re-read the same synapses.
-        let kernel_in = compute_cycles;
+        let kernel_in = broadcasts;
         let out_words = (m * s * s) as u64;
         let traffic = Traffic {
             neuron_in,
@@ -269,15 +256,10 @@ impl Mapping2d {
             neuron_in_buf: neuron_in,
             neuron_out_buf: out_words,
             kernel_buf: kernel_in,
-            bus_words: compute_cycles + neuron_in,
+            bus_words: broadcasts + neuron_in,
             ..Default::default()
         };
-        Outcome {
-            cycles,
-            macs,
-            events,
-            traffic,
-        }
+        (events, traffic)
     }
 
     /// The step schedule: one step per spatial tile — the initial
@@ -294,7 +276,7 @@ impl Mapping2d {
     /// from `Tr_eff·Tc_eff` edge clamping, hence
     /// [`StallCause::EdgeFragmentation`] (interior tiles have zero
     /// residue).
-    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl Iterator<Item = Step> + 'a {
+    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl ExactSizeIterator<Item = Step> + 'a {
         let (s, col_tiles) = (layer.s(), cdiv(layer.s(), self.tc));
         let pass = (layer.m() * layer.n() * layer.k() * layer.k()) as u64;
         (0..cdiv(s, self.tr) * col_tiles).map(move |t| {
@@ -333,28 +315,13 @@ impl Accelerator for Mapping2d {
     }
 
     fn run_conv(&mut self, layer: &ConvLayer) -> LayerResult {
-        let outcome = {
-            let _schedule = telemetry::phase(telemetry::Phase::Schedule);
-            self.analyze(layer)
-        };
-        let frame = LayerFrame {
-            arch: self.name(),
-            layer: layer.name(),
-            rows: self.tr,
-            cols: self.tc,
-            cycles: outcome.cycles,
-            macs: outcome.macs,
-            steps: (cdiv(layer.s(), self.tr) * cdiv(layer.s(), self.tc)) as u64,
-        };
-        observe(&self.sink, &frame, layer, self.steps(layer));
-        let area = self.area().total_mm2();
-        finish(
-            self.name(),
+        common::run_conv(
+            self,
+            &self.sink,
             layer,
-            self.pe_count(),
-            outcome,
-            &self.energy,
-            area,
+            (self.tr, self.tc),
+            self.steps(layer),
+            |_| self.analyze(layer),
         )
     }
 

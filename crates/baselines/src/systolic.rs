@@ -16,9 +16,8 @@
 //! ("Systolic needs a long initialization phase to fill its deep
 //! pipeline", Section 6.2.3).
 
-use crate::common::{cdiv, finish, observe, Outcome};
+use crate::common::{self, cdiv};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
-use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
 use flexsim_arch::Accelerator;
 use flexsim_model::reference::apply_activation;
@@ -27,8 +26,7 @@ use flexsim_model::{Acc32, ConvLayer, Fx16, Tensor2, Tensor3};
 use flexsim_obs::attrib::StallCause;
 use flexsim_obs::cycles::{Aggregate, CycleEventKind, SinkHandle};
 use flexsim_obs::spatial::{CellRect, CellRects};
-use flexsim_obs::steps::{LayerFrame, Pass, Step};
-use flexsim_obs::telemetry;
+use flexsim_obs::steps::{Pass, Step};
 
 /// The Systolic baseline simulator.
 ///
@@ -48,7 +46,6 @@ use flexsim_obs::telemetry;
 pub struct Systolic {
     array_k: usize,
     num_arrays: usize,
-    energy: EnergyModel,
     sink: SinkHandle,
 }
 
@@ -67,7 +64,6 @@ impl Systolic {
         Systolic {
             array_k,
             num_arrays,
-            energy: EnergyModel::tsmc65(),
             sink: SinkHandle::none(),
         }
     }
@@ -89,12 +85,6 @@ impl Systolic {
     pub fn scaled_to(array_k: usize, pe_budget: usize) -> Self {
         let arrays = (pe_budget / (array_k * array_k)).max(1);
         Systolic::new(array_k, arrays)
-    }
-
-    /// Replaces the energy model (for ablations).
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
     }
 
     /// Side length of each array.
@@ -220,16 +210,15 @@ impl Systolic {
         debug_assert!(chain.iter().all(Option::is_none), "pipeline fully drained");
     }
 
-    /// Closed-form schedule accounting shared by `run_conv`.
-    fn analyze(&self, layer: &ConvLayer) -> Outcome {
+    /// The on-chip events and traffic of the schedule [`Self::steps`]
+    /// describes.
+    fn analyze(&self, layer: &ConvLayer) -> (EventCounts, Traffic) {
         let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
         let w = layer.input_size();
         let (pk, depth) = self.passes_and_depth(layer);
         // Arrays parallelize over output feature maps (DC-CNN mode).
-        let m_groups = cdiv(m, self.num_arrays);
-        let passes = (m_groups * n) as u64 * pk;
+        let passes = (cdiv(m, self.num_arrays) * n) as u64 * pk;
         let cycles_per_pass = (w * w) as u64 + depth;
-        let cycles = passes * cycles_per_pass;
         let macs = layer.macs();
 
         // Traffic: input broadcast is shared by all arrays in a group;
@@ -267,12 +256,7 @@ impl Systolic {
             bus_words: neuron_in,
             ..Default::default()
         };
-        Outcome {
-            cycles,
-            macs,
-            events,
-            traffic,
-        }
+        (events, traffic)
     }
 
     /// The step schedule: one step per `(m-group, input map)` —
@@ -293,7 +277,7 @@ impl Systolic {
     /// [`StallCause::EdgeFragmentation`] on the final partial group
     /// (`M mod num_arrays` arrays idle — edge-dominated, so the whole
     /// residue of that step is attributed there).
-    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl Iterator<Item = Step> + 'a {
+    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl ExactSizeIterator<Item = Step> + 'a {
         let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
         let w = layer.input_size();
         let ak = self.array_k;
@@ -341,28 +325,13 @@ impl Accelerator for Systolic {
     }
 
     fn run_conv(&mut self, layer: &ConvLayer) -> LayerResult {
-        let outcome = {
-            let _schedule = telemetry::phase(telemetry::Phase::Schedule);
-            self.analyze(layer)
-        };
-        let frame = LayerFrame {
-            arch: self.name(),
-            layer: layer.name(),
-            rows: self.num_arrays * self.array_k,
-            cols: self.array_k,
-            cycles: outcome.cycles,
-            macs: outcome.macs,
-            steps: (cdiv(layer.m(), self.num_arrays) * layer.n()) as u64,
-        };
-        observe(&self.sink, &frame, layer, self.steps(layer));
-        let area = self.area().total_mm2();
-        finish(
-            self.name(),
+        common::run_conv(
+            self,
+            &self.sink,
             layer,
-            self.pe_count(),
-            outcome,
-            &self.energy,
-            area,
+            (self.num_arrays * self.array_k, self.array_k),
+            self.steps(layer),
+            |_| self.analyze(layer),
         )
     }
 

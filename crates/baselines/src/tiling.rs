@@ -12,9 +12,8 @@
 //! form and charges the per-cycle operand streaming that makes this
 //! architecture's data volume the largest of the four (Fig. 17).
 
-use crate::common::{cdiv, finish, observe, Outcome};
+use crate::common::{self, cdiv};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
-use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
 use flexsim_arch::Accelerator;
 use flexsim_model::reference::apply_activation;
@@ -23,8 +22,7 @@ use flexsim_model::{Acc32, ConvLayer, Tensor3};
 use flexsim_obs::attrib::StallCause;
 use flexsim_obs::cycles::{Aggregate, CycleEventKind, SinkHandle};
 use flexsim_obs::spatial::CellRect;
-use flexsim_obs::steps::{LayerFrame, Pass, Step};
-use flexsim_obs::telemetry;
+use flexsim_obs::steps::{Pass, Step};
 
 /// The Tiling baseline simulator.
 ///
@@ -45,7 +43,6 @@ use flexsim_obs::telemetry;
 pub struct TilingArray {
     tm: usize,
     tn: usize,
-    energy: EnergyModel,
     sink: SinkHandle,
 }
 
@@ -60,7 +57,6 @@ impl TilingArray {
         TilingArray {
             tm,
             tn,
-            energy: EnergyModel::tsmc65(),
             sink: SinkHandle::none(),
         }
     }
@@ -68,12 +64,6 @@ impl TilingArray {
     /// The paper's configuration: `⟨Tm=16, Tn=16⟩`.
     pub fn diannao() -> Self {
         TilingArray::new(16, 16)
-    }
-
-    /// Replaces the energy model (for ablations).
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
     }
 
     /// Output feature-map parallelism `Tm`.
@@ -134,11 +124,11 @@ impl TilingArray {
         out
     }
 
-    fn analyze(&self, layer: &ConvLayer) -> Outcome {
+    /// The on-chip events and traffic of the schedule [`Self::steps`]
+    /// describes over the layer's `cycles`.
+    fn analyze(&self, layer: &ConvLayer, cycles: u64) -> (EventCounts, Traffic) {
         let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
         let m_tiles = cdiv(m, self.tm) as u64;
-        let n_tiles = cdiv(n, self.tn) as u64;
-        let cycles = m_tiles * n_tiles * (s * s * k * k) as u64;
         let macs = layer.macs();
 
         // Per cycle: Tn neurons + Tm·Tn synapses stream from the buffers
@@ -168,12 +158,7 @@ impl TilingArray {
             bus_words: neuron_in,
             ..Default::default()
         };
-        Outcome {
-            cycles,
-            macs,
-            events,
-            traffic,
-        }
+        (events, traffic)
     }
 
     /// The step schedule: one pass per `(m-tile, n-tile)`, its MACs
@@ -190,7 +175,7 @@ impl TilingArray {
     /// clamp both ways; their whole residue goes to whichever component
     /// is larger (row loss `(Tm−Tm_eff)·Tn` vs lane loss
     /// `Tm_eff·(Tn−Tn_eff)` per cycle), documented in DESIGN.md §9.
-    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl Iterator<Item = Step> + 'a {
+    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl ExactSizeIterator<Item = Step> + 'a {
         let (m, n, n_tiles) = (layer.m(), layer.n(), cdiv(layer.n(), self.tn));
         let pass = (layer.s() * layer.s() * layer.k() * layer.k()) as u64;
         (0..cdiv(m, self.tm) * n_tiles).map(move |t| {
@@ -236,28 +221,13 @@ impl Accelerator for TilingArray {
     }
 
     fn run_conv(&mut self, layer: &ConvLayer) -> LayerResult {
-        let outcome = {
-            let _schedule = telemetry::phase(telemetry::Phase::Schedule);
-            self.analyze(layer)
-        };
-        let frame = LayerFrame {
-            arch: self.name(),
-            layer: layer.name(),
-            rows: self.tm,
-            cols: self.tn,
-            cycles: outcome.cycles,
-            macs: outcome.macs,
-            steps: (cdiv(layer.m(), self.tm) * cdiv(layer.n(), self.tn)) as u64,
-        };
-        observe(&self.sink, &frame, layer, self.steps(layer));
-        let area = self.area().total_mm2();
-        finish(
-            self.name(),
+        common::run_conv(
+            self,
+            &self.sink,
             layer,
-            self.pe_count(),
-            outcome,
-            &self.energy,
-            area,
+            (self.tm, self.tn),
+            self.steps(layer),
+            |cycles| self.analyze(layer, cycles),
         )
     }
 

@@ -77,7 +77,8 @@ pub struct Schedule {
     pub row_batches: u64,
     /// Chosen loop order.
     pub order: LoopOrder,
-    /// Total engine cycles (compute + per-segment writeback).
+    /// Total engine cycles: the cycles of [`aggregate`] (the fill,
+    /// compute, and per-segment writeback).
     pub cycles: u64,
     /// Useful MACs.
     pub macs: u64,
@@ -206,14 +207,7 @@ pub fn schedule(layer: &ConvLayer, u: Unroll, d: usize, store_words: usize) -> S
         })
         .expect("at least one residency strategy");
 
-    // Output writeback is pipelined under the next batch's compute; only
-    // partial-sum spills at segment boundaries stall the array, plus a
-    // one-off pipeline fill.
-    let cycles = row_batches * chunks
-        + row_batches * (segments - 1) * SEGMENT_STALL_CYCLES
-        + PIPELINE_FILL_CYCLES;
-
-    Schedule {
+    let mut sch = Schedule {
         unroll: u,
         d,
         chunks,
@@ -222,7 +216,7 @@ pub fn schedule(layer: &ConvLayer, u: Unroll, d: usize, store_words: usize) -> S
         spatial_tiles,
         row_batches,
         order,
-        cycles,
+        cycles: 0,
         macs,
         traffic: Traffic {
             neuron_in,
@@ -230,7 +224,9 @@ pub fn schedule(layer: &ConvLayer, u: Unroll, d: usize, store_words: usize) -> S
             kernel_in,
             psum,
         },
-    }
+    };
+    sch.cycles = aggregate(&sch).cycles();
+    sch
 }
 
 /// Convenience: schedule with the paper's 256 B (128-word) local stores.
@@ -279,6 +275,9 @@ pub fn steps<'a>(layer: &'a ConvLayer, sch: &'a Schedule) -> impl Iterator<Item 
 
 /// The closed-form [`Aggregate`] of [`steps`]: the fill, one compute
 /// pass carrying every useful MAC, and the total partial-sum spill.
+/// Output writeback is pipelined under the next batch's compute; only
+/// partial-sum spills at segment boundaries stall the array, plus the
+/// one-off pipeline fill.
 pub fn aggregate(sch: &Schedule) -> Aggregate {
     let mut agg = Aggregate::default();
     agg.add(

@@ -17,7 +17,6 @@
 //!   group without dedicated wiring.
 
 use flexsim_arch::buffer::BankedBuffer;
-use flexsim_dataflow::Unroll;
 
 /// Bytes per neuron/kernel buffer (Table 5: 32 KB).
 pub const BUFFER_BYTES: usize = 32 * 1024;
@@ -58,11 +57,6 @@ impl NeuronLayout {
             "IADP factor product must fit the physical banks (statically provable: flexcheck FXC07 bank-conflict)"
         );
         NeuronLayout { tn, ti, tj, banks }
-    }
-
-    /// Creates the layout implied by an unrolling's `⟨Tn, Ti, Tj⟩`.
-    pub fn for_unroll(u: &Unroll, banks: usize) -> Self {
-        NeuronLayout::new(u.tn, u.ti, u.tj, banks)
     }
 
     /// Physical bank index of logical `(group, sub_group, lane)`.
@@ -111,11 +105,6 @@ impl KernelLayout {
             "IADP factor product must fit the physical banks (statically provable: flexcheck FXC07 bank-conflict)"
         );
         KernelLayout { tm, tr, tc, banks }
-    }
-
-    /// Creates the layout implied by an unrolling's `⟨Tm, Tr, Tc⟩`.
-    pub fn for_unroll(u: &Unroll, banks: usize) -> Self {
-        KernelLayout::new(u.tm, u.tr, u.tc, banks)
     }
 
     /// Bank group holding kernel `K^(m,·)`: `m mod Tm`.

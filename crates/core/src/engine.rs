@@ -10,16 +10,16 @@
 
 use crate::analytic::{self, schedule_default, Schedule};
 use crate::array::PeArray;
-use crate::buffers::{BufferSet, BUFFER_BYTES};
+use crate::buffers::BufferSet;
 use crate::compiler::Program;
 use crate::isa::Instr;
 use crate::local_store::STORE_WORDS;
 use crate::pooling::{PoolStats, PoolingUnit};
 use crate::{adder_tree, cdb};
+use flexsim_arch::accelerator::{price_layer, run_layers};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
-use flexsim_arch::dram::conv_layer_traffic;
-use flexsim_arch::energy::EnergyModel;
-use flexsim_arch::stats::{mirror_layer, EventCounts, LayerResult, RunSummary};
+use flexsim_arch::buffer::sample_buffers;
+use flexsim_arch::stats::{EventCounts, LayerResult, RunSummary};
 use flexsim_arch::Accelerator;
 use flexsim_dataflow::search::{best_unroll, plan_network};
 use flexsim_dataflow::Unroll;
@@ -46,7 +46,6 @@ use flexsim_obs::{span, telemetry};
 #[derive(Clone, Debug)]
 pub struct FlexFlow {
     d: usize,
-    energy: EnergyModel,
     sink: SinkHandle,
 }
 
@@ -60,7 +59,6 @@ impl FlexFlow {
         assert!(d > 0, "engine side must be non-zero");
         FlexFlow {
             d,
-            energy: EnergyModel::tsmc65(),
             sink: SinkHandle::none(),
         }
     }
@@ -69,12 +67,6 @@ impl FlexFlow {
     /// unit.
     pub fn paper_config() -> Self {
         FlexFlow::new(16)
-    }
-
-    /// Replaces the energy model (for ablations).
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
     }
 
     /// Engine side `D`.
@@ -92,33 +84,12 @@ impl FlexFlow {
         self.result_from_schedule(layer, &sch)
     }
 
-    /// The spatial hooks of [`analytic::steps`]' heatmap: the on-chip
-    /// buffer watermarks (plus the aggregate local-store watermark) and
+    /// The spatial hooks of [`analytic::steps`]' heatmap: the Table 5
+    /// buffer watermarks plus the aggregate local-store watermark, and
     /// the adder-tree/CDB contention matrices.
     fn spatial_hooks(&self, hb: &mut HeatmapBuilder, layer: &ConvLayer, sch: &Schedule) {
         let u = sch.unroll;
-        // Each of the three buffers holds at most its half of the 64 KB
-        // on-chip SRAM in 16-bit words; the resident set saturates at
-        // capacity for large layers.
-        let buf_words = (BUFFER_BYTES / 2) as u64;
-        hb.bank_sample(
-            "neuron-in",
-            buf_words,
-            layer.input_neurons().min(buf_words),
-            sch.cycles,
-        );
-        hb.bank_sample(
-            "kernel",
-            buf_words,
-            layer.synapses().min(buf_words),
-            sch.cycles,
-        );
-        hb.bank_sample(
-            "neuron-out",
-            buf_words,
-            layer.output_neurons().min(buf_words),
-            sch.cycles,
-        );
+        sample_buffers(hb, layer, sch.cycles);
         let store_words = (self.pe_count() * STORE_WORDS) as u64;
         let resident = (self.pe_count() as u64 * 2 * sch.chunks).min(store_words);
         hb.bank_sample("local-store", store_words, resident, sch.cycles);
@@ -138,19 +109,19 @@ impl FlexFlow {
 
     fn result_from_schedule(&self, layer: &ConvLayer, sch: &Schedule) -> LayerResult {
         let _engine = span("engine", format!("{}/{}", self.name(), layer.name()));
+        let agg = analytic::aggregate(sch);
         let frame = LayerFrame {
             arch: self.name(),
             layer: layer.name(),
             rows: self.d,
             cols: self.d,
-            cycles: sch.cycles,
-            macs: sch.macs,
+            cycles: agg.cycles(),
+            macs: agg.macs(),
             steps: sch.row_batches,
         };
         steps::fold(&self.sink, &frame, analytic::steps(layer, sch), |hb| {
             self.spatial_hooks(hb, layer, sch);
         });
-        let pe_count = self.pe_count();
         let u = sch.unroll;
         let k = layer.k();
         // Local-store write sharing: a neuron word is written into every
@@ -159,9 +130,7 @@ impl FlexFlow {
         // rows (IPDR).
         let neuron_sharing = (u.tm * u.tr.min(k) * u.tc.min(k)).min(u.rows_used()) as u64;
         let kernel_replication = (u.tr * u.tc) as u64;
-        let dram = conv_layer_traffic(layer, 16 * 1024, 16 * 1024);
         let macs = sch.macs;
-        let cycles = sch.cycles;
         let events = EventCounts {
             macs,
             local_store_reads: 2 * macs,
@@ -171,25 +140,9 @@ impl FlexFlow {
             neuron_out_buf: sch.traffic.neuron_out + sch.traffic.psum,
             kernel_buf: sch.traffic.kernel_in,
             bus_words: sch.traffic.neuron_in + sch.traffic.kernel_in * kernel_replication,
-            dram_reads: dram.reads,
-            dram_writes: dram.writes,
-            idle_pe_cycles: (cycles * pe_count as u64).saturating_sub(macs),
             ..Default::default()
         };
-        let energy = self.energy.energy(&events, cycles, self.area().total_mm2());
-        let result = LayerResult {
-            arch: self.name().to_owned(),
-            layer: layer.name().to_owned(),
-            pe_count,
-            clock_ghz: 1.0,
-            cycles,
-            macs,
-            events,
-            traffic: sch.traffic,
-            energy,
-        };
-        mirror_layer(&result);
-        result
+        price_layer(self, layer, &agg, events, sch.traffic)
     }
 
     /// [`Accelerator::predict_layer`] under explicit unrolling factors:
@@ -379,30 +332,15 @@ impl Accelerator for FlexFlow {
     }
 
     fn run_network(&mut self, net: &Network) -> RunSummary {
-        let _workload = span("workload", format!("{}/{}", self.name(), net.name()));
         // Unlike the default, plan the whole network jointly (IADP
         // coupling) before simulating.
         let plan = {
             let _schedule = telemetry::phase(telemetry::Phase::Schedule);
             plan_network(net, self.d)
         };
-        let _simulate = telemetry::phase(telemetry::Phase::Simulate);
-        let layers = net
-            .conv_layers()
-            .zip(&plan)
-            .map(|(layer, choice)| {
-                let _layer = span("layer", format!("{}/{}", self.name(), layer.name()));
-                let t0 = telemetry::now_if_enabled();
-                let result = self.run_conv_with(layer, choice.unroll);
-                telemetry::observe_layer_sim_since(t0);
-                result
-            })
-            .collect();
-        RunSummary {
-            arch: self.name().to_owned(),
-            workload: net.name().to_owned(),
-            layers,
-        }
+        run_layers(self, net, |ff, i, layer| {
+            ff.run_conv_with(layer, plan[i].unroll)
+        })
     }
 
     fn area(&self) -> AreaBreakdown {

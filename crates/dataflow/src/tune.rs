@@ -5,7 +5,7 @@
 //! `⟨Tm, Tr, Tc⟩` — while keeping the successor pooling bound
 //! `Tr, Tc ≤ P·K'` (tiles must still cover whole pooling windows of
 //! the next layer). This module only *enumerates* the search space;
-//! legality pruning is flexcheck's job ([`flexcheck`]'s candidate API)
+//! legality pruning is flexcheck's job (`flexcheck`'s candidate API)
 //! and exact scoring is the experiment layer's (the `LossLedger` cost
 //! function).
 //!

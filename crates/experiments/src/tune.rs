@@ -43,7 +43,6 @@
 use crate::experiment::{Experiment, ExperimentCtx};
 use crate::report::{eng, ExperimentResult, Table};
 use flexcheck::ArchParams;
-use flexflow::analytic::{self, schedule_default};
 use flexflow::isa::Instr;
 use flexflow::{FlexFlow, Program};
 use flexsim_arch::Accelerator;
@@ -52,7 +51,7 @@ use flexsim_dataflow::tune as search_space;
 use flexsim_dataflow::{utilization, Unroll};
 use flexsim_model::{workloads, ConvLayer, Layer, Network};
 use flexsim_obs::attrib::{LossDelta, LossLedger, StallCause};
-use flexsim_obs::cycles::{CycleRecorder, LayerCtx, SinkHandle};
+use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
 use flexsim_testkit::json::Json;
 use std::fmt;
 use std::sync::Arc;
@@ -266,15 +265,14 @@ impl TuneOutcome {
 /// Panics if `u` over-occupies the engine — prune with flexcheck
 /// first.
 pub fn analytic_ledger(layer: &ConvLayer, u: Unroll) -> LossLedger {
-    let sch = schedule_default(layer, u, D);
-    let ctx = LayerCtx::new("FlexFlow", layer.name(), (D * D) as u32);
-    LossLedger::from_timeline(&analytic::aggregate(&sch).timeline(ctx))
+    LossLedger::from_timeline(&FlexFlow::new(D).predict_with(layer, u))
 }
 
 /// Runs `layer` under `u` on the cycle-stepped engine with a private
 /// recorder and returns the recorded ledger — after asserting it is
-/// FXC09-exact *and* equal, cause by cause, to [`analytic_ledger`].
-/// This is the proof obligation behind scoring analytically.
+/// FXC09-exact *and* FXC10-equal to [`analytic_ledger`]: same identity,
+/// PE count, cycles, busy PE-cycles, and every per-cause bucket. This
+/// is the proof obligation behind scoring analytically.
 ///
 /// # Panics
 ///
@@ -282,40 +280,23 @@ pub fn analytic_ledger(layer: &ConvLayer, u: Unroll) -> LossLedger {
 /// function bug) or the ledger fails flexcheck FXC09.
 pub fn recorded_ledger(layer: &ConvLayer, u: Unroll) -> LossLedger {
     let rec = Arc::new(CycleRecorder::new());
-    let mut engine = FlexFlow::paper_config();
+    let mut engine = FlexFlow::new(D);
     engine.attach_sink(SinkHandle::new(rec.clone()));
     let _ = engine.run_conv_with(layer, u);
     let timelines = rec.take();
     assert_eq!(timelines.len(), 1, "{}: one timeline per run", layer.name());
     let ledger = LossLedger::from_timeline(&timelines[0]);
-    let diags = flexcheck::check_ledger(&ledger);
+    let mut diags = flexcheck::check_ledger(&ledger);
+    diags.extend(flexcheck::check_cycle_exactness(
+        &analytic_ledger(layer, u),
+        &ledger,
+    ));
     assert!(
         diags.is_empty(),
         "{}/{u}: {}",
         layer.name(),
         flexcheck::render(&diags)
     );
-    let analytic = analytic_ledger(layer, u);
-    assert_eq!(
-        analytic.total_cycles,
-        ledger.total_cycles,
-        "{}/{u}: analytic cycles diverge from the engine",
-        layer.name()
-    );
-    assert_eq!(
-        analytic.busy_pe_cycles,
-        ledger.busy_pe_cycles,
-        "{}/{u}: analytic MACs diverge from the engine",
-        layer.name()
-    );
-    for cause in StallCause::ALL {
-        assert_eq!(
-            analytic.lost(cause),
-            ledger.lost(cause),
-            "{}/{u}: analytic {cause} attribution diverges from the engine",
-            layer.name()
-        );
-    }
     ledger
 }
 

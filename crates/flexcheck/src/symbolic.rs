@@ -39,15 +39,14 @@
 use crate::diag::{Diagnostic, Location, RuleId};
 use crate::params::ArchParams;
 use crate::plan::LayerPlan;
-use flexflow::analytic::{self, schedule};
 use flexflow::compiler::Program;
 use flexflow::isa::Instr;
-use flexflow::local_store::STORE_WORDS;
+use flexflow::FlexFlow;
 use flexsim_dataflow::search::best_unroll;
 use flexsim_dataflow::Unroll;
 use flexsim_model::{Layer, Network};
 use flexsim_obs::attrib::{LossLedger, StallCause};
-use flexsim_obs::cycles::{LayerCtx, LayerTimeline};
+use flexsim_obs::cycles::LayerTimeline;
 use std::collections::HashMap;
 
 /// Abstract interpretation of a compiled ISA stream: walks the
@@ -85,9 +84,7 @@ pub fn predict_program(program: &Program, net: &Network) -> Vec<LayerTimeline> {
                     .copied()
                     .or(planned)
                     .unwrap_or_else(|| best_unroll(&view, d, None).unroll);
-                let sch = schedule(&view, u, d, STORE_WORDS);
-                let ctx = LayerCtx::new("FlexFlow", view.name(), (d * d) as u32);
-                out.push(analytic::aggregate(&sch).timeline(ctx));
+                out.push(FlexFlow::new(d).predict_with(&view, u));
             }
             _ => {}
         }

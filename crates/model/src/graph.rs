@@ -398,14 +398,6 @@ impl Graph {
         &self.nodes
     }
 
-    /// Node ids in the topological schedule the lowering uses.
-    pub fn schedule_ids(&self) -> Vec<&str> {
-        self.schedule
-            .iter()
-            .map(|&i| self.nodes[i].id.as_str())
-            .collect()
-    }
-
     /// Infers every node's shape and lowers the graph to a [`Network`]:
     /// compute nodes become [`Layer`]s in schedule order, routing nodes
     /// become [`DataRef`] expressions, and `dwconv` desugars into
@@ -527,6 +519,16 @@ impl Graph {
                             "set `outputs` ≥ 1",
                         ));
                     }
+                    if !product_fits_u64(&[*outputs, shape.maps, shape.size, shape.size]) {
+                        return Err(GraphError::at(
+                            id,
+                            format!(
+                                "outputs·maps·size² = {outputs}·{}·{}² MACs overflows u64",
+                                shape.maps, shape.size
+                            ),
+                            "shrink the layer's outputs or its input",
+                        ));
+                    }
                     let inputs = shape.maps * shape.size * shape.size;
                     let layer = FcLayer::new(id, inputs, *outputs).with_activation(*activation);
                     layers.push(Layer::Fc(layer));
@@ -634,8 +636,18 @@ impl Graph {
     }
 }
 
+/// Whether the product of `factors` fits in `u64`, the width every
+/// MAC, cycle and traffic total downstream is counted in.
+fn product_fits_u64(factors: &[usize]) -> bool {
+    factors
+        .iter()
+        .try_fold(1u64, |acc, &f| acc.checked_mul(f as u64))
+        .is_some()
+}
+
 /// Builds a CONV layer from an inferred input shape, checking that the
-/// dilated kernel fits and the stride tiles at least one output.
+/// dilated kernel fits, the stride tiles at least one output, and the
+/// MAC count fits in `u64`.
 fn conv_from_shape(
     name: &str,
     m: usize,
@@ -652,7 +664,7 @@ fn conv_from_shape(
             "m, k, stride, and dilation are all ≥ 1",
         ));
     }
-    let k_ext = (k - 1) * dilation + 1;
+    let k_ext = (k - 1).saturating_mul(dilation).saturating_add(1);
     if input.size < k_ext {
         return Err(GraphError::at(
             name,
@@ -665,6 +677,16 @@ fn conv_from_shape(
         ));
     }
     let s = (input.size - k_ext) / stride + 1;
+    if !product_fits_u64(&[m, input.maps, k, k, s, s]) {
+        return Err(GraphError::at(
+            name,
+            format!(
+                "m·n·k²·s² = {m}·{}·{k}²·{s}² MACs overflows u64",
+                input.maps
+            ),
+            "shrink the layer's maps, kernel, or input size",
+        ));
+    }
     Ok(ConvLayer::new(name, m, input.maps, s, k)
         .with_stride(stride)
         .with_dilation(dilation)
@@ -798,5 +820,37 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.node.as_deref(), Some("cut"));
         assert!(err.message.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn mac_counts_beyond_u64_are_diagnosed() {
+        let huge = 4_000_000_000;
+        let conv = GraphBuilder::new("huge", shape(huge, huge))
+            .node("c", GraphOp::conv(huge, huge), ["input"])
+            .build()
+            .unwrap()
+            .into_network()
+            .unwrap_err();
+        assert_eq!(conv.node.as_deref(), Some("c"));
+        assert!(conv.message.contains("overflows u64"), "{conv}");
+        let fc = GraphOp::Fc {
+            outputs: huge,
+            activation: Activation::None,
+        };
+        let fc = GraphBuilder::new("huge", shape(huge, huge))
+            .node("f", fc, ["input"])
+            .build()
+            .unwrap()
+            .into_network()
+            .unwrap_err();
+        assert_eq!(fc.node.as_deref(), Some("f"));
+        assert!(fc.message.contains("overflows u64"), "{fc}");
+        // Wide maps whose MAC count fits still lower.
+        GraphBuilder::new("edge", shape(1 << 16, 1))
+            .node("c", GraphOp::conv(1 << 16, 1), ["input"])
+            .build()
+            .unwrap()
+            .into_network()
+            .unwrap();
     }
 }

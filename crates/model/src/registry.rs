@@ -213,16 +213,6 @@ impl WorkloadRegistry {
             available: self.entries().into_iter().map(|e| e.name).collect(),
         })
     }
-
-    /// Resolves each reference in order (convenience for CLI argument
-    /// lists), failing on the first bad one.
-    ///
-    /// # Errors
-    ///
-    /// The first [`WorkloadError`] among the references.
-    pub fn resolve_all(&self, references: &[String]) -> Result<Vec<Network>, WorkloadError> {
-        references.iter().map(|r| self.resolve(r)).collect()
-    }
 }
 
 /// Reads and parses one `.ffnet` file.

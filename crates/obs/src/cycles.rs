@@ -454,6 +454,11 @@ impl Aggregate {
         self.0.iter().map(|&(c, _)| c).sum()
     }
 
+    /// Total useful MACs over all kinds.
+    pub fn macs(&self) -> u64 {
+        self.0.iter().map(|&(_, m)| m).sum()
+    }
+
     /// The non-empty kinds as back-to-back events in [`KIND_ORDER`],
     /// the first starting at `start`.
     pub fn events(&self, start: u64) -> impl Iterator<Item = CycleEvent> + '_ {

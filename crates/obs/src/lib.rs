@@ -16,7 +16,7 @@
 //!
 //! * [`filter`] — a `FLEXSIM_LOG`-style env filter and leveled stderr
 //!   logging (`FLEXSIM_LOG=debug`, `FLEXSIM_LOG=layer=trace,info`);
-//! * [`span`] — hierarchical host-wall-time spans with an optional
+//! * [`mod@span`] — hierarchical host-wall-time spans with an optional
 //!   global recorder (the `flexsim --trace` path);
 //! * [`metrics`] — a labeled counter/gauge registry with
 //!   snapshot-and-diff; the simulators mirror every

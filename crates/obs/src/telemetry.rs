@@ -10,7 +10,7 @@
 //!   to the innermost active phase on each thread, so phase totals
 //!   never double-count and sum to at most the process wall time.
 //!   Every [`phase`] guard also opens a `phase`-category
-//!   [`crate::span`], nesting host-phase timing under the existing
+//!   [`crate::span()`], nesting host-phase timing under the existing
 //!   span hierarchy (and into Chrome traces).
 //! * **Scheduler telemetry** — `flexsim-pool` reports per-worker
 //!   busy/idle/wall time, steal counts, task counts, and per-task
@@ -18,7 +18,7 @@
 //!   pool merges in worker-index order at drop, so the merge is
 //!   deterministic.
 //! * **Latency histograms** — log-bucketed [`Histogram`]s
-//!   ([`observe_task_us`], [`observe_layer_sim_us`],
+//!   ([`observe_task_us`], [`observe_layer_sim_since`],
 //!   [`observe_experiment_us`]) with exact counts and p50/p90/p99.
 //! * **Flight recorder** — a bounded ring buffer of recent host
 //!   events ([`flight`]), dumped to `flight-<ts>.json` on a task

@@ -20,7 +20,7 @@
 //!   submission order, so `--jobs 1` reproduces single-threaded
 //!   behaviour exactly (same thread, same ordering, same span nesting).
 //! * **Observability.** Each task runs inside a `task`-category
-//!   [`flexsim_obs::span`], and the pool mirrors queue depth, steal
+//!   [`flexsim_obs::span()`], and the pool mirrors queue depth, steal
 //!   counts, and task totals into the global metrics registry
 //!   (`pool_queue_depth`, `pool_steals_total`, `pool_tasks_total`,
 //!   `pool_tasks_panicked_total`, `pool_workers`). When

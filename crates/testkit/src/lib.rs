@@ -5,7 +5,7 @@
 //! workspace needs for verification lives here, with zero external
 //! dependencies:
 //!
-//! - [`rng`] — a deterministic [SplitMix64](rng::SplitMix64) PRNG with
+//! - [`rng`] — a deterministic [`SplitMix64`] PRNG with
 //!   the small surface the simulators use (ranges, fills, shuffles).
 //! - [`prop`] — a minimal property-testing harness
 //!   ([`prop::check`]) with input shrinking on failure and
@@ -13,7 +13,7 @@
 //! - [`json`] — a tiny JSON value type and byte-stable pretty emitter
 //!   (insertion-ordered keys, two-space indent) so results files diff
 //!   cleanly across runs.
-//! - [`bench`] — a `std::time::Instant` micro-bench runner speaking the
+//! - [`mod@bench`] — a `std::time::Instant` micro-bench runner speaking the
 //!   cargo bench protocol (`--bench` ⇒ measure, otherwise smoke-run).
 //!
 //! Everything is deterministic by construction: the same seed always

@@ -127,13 +127,36 @@ fn all_experiments_run_and_render() {
         .filter(|&&id| id != "profile" && id != "tune")
         .count();
     assert_eq!(report.results.len(), swept);
+    // The committed `results/` are what `flexsim --out results all`
+    // writes: every sweep result must reproduce its pair byte for byte,
+    // which pins the priced layers of all four architectures.
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let committed = |ext: &str, id: &str| {
+        let path = results.join(format!("{id}.{ext}"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
     for r in &report.results {
         assert!(!r.table.rows().is_empty(), "{} is empty", r.id);
         let text = r.to_string();
         assert!(text.contains(&r.id));
+        assert!(
+            text == committed("txt", &r.id),
+            "results/{}.txt drifted",
+            r.id
+        );
         let json = r.to_json();
         assert!(json.contains(&r.id));
+        assert!(
+            json == committed("json", &r.id),
+            "results/{}.json drifted",
+            r.id
+        );
     }
+    assert_eq!(
+        std::fs::read_dir(&results).unwrap().count(),
+        2 * report.results.len(),
+        "results/ holds exactly one .txt and one .json per sweep result"
+    );
 }
 
 #[test]

@@ -227,9 +227,10 @@ fn run_cli_on(text: &str, tag: &str) -> (Option<i32>, String) {
 #[test]
 fn malformed_ffnet_files_produce_actionable_errors_and_exit_2() {
     // One case per failure class: unknown field, shape mismatch at a
-    // join, cycle, dangling edge, and a raw syntax error. Each must
-    // exit 2 with a single diagnostic naming where the problem is.
-    let cases: [(&str, &str, &str); 5] = [
+    // join, cycle, dangling edge, a raw syntax error, and a layer whose
+    // m·n·k²·s² MAC count overflows u64. Each must exit 2 with a single
+    // diagnostic naming where the problem is.
+    let cases: [(&str, &str, &str); 6] = [
         (
             "unknown_field",
             r#"{"name": "x", "input": {"maps": 1, "size": 8},
@@ -262,6 +263,11 @@ fn malformed_ffnet_files_produce_actionable_errors_and_exit_2() {
             "syntax_error",
             "{\"name\": \"x\",\n  \"input\": {\"maps\": 1, \"size\": 8},\n  \"nodes\": [}",
             ".ffnet:3:",
+        ),
+        (
+            "mac_overflow",
+            r#"{"name":"huge","input":{"maps":4000000000,"size":4000000000},"nodes":[{"id":"c","op":"conv","m":4000000000,"k":4000000000}]}"#,
+            "node `c`",
         ),
     ];
     for (tag, text, needle) in cases {
