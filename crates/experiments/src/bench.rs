@@ -1,36 +1,40 @@
-//! `flexsim bench` — wall-clock benchmarks and the perf-regression
-//! tracking harness.
+//! `flexsim bench` — the perf-regression harness.
 //!
-//! Three subcommands, dispatched by [`run`]:
+//! Two subcommands, dispatched by [`run`]:
 //!
-//! * `bench sweep` — times the full experiment sweep serially and at
-//!   the requested `--jobs` level and writes the comparison to
-//!   `BENCH_pool.json`, tagged with the machine's available
-//!   parallelism, the rustc version, and the git commit so a recorded
-//!   speedup can never be mistaken for one measured elsewhere.
-//! * `bench history` — times the sweep once, aggregates exact loss
-//!   attribution over every (workload, architecture) pair, and appends
-//!   one JSON line to [`HISTORY_FILE`]. The file is an append-only
-//!   log: each entry carries enough provenance (jobs, parallelism,
-//!   rustc, commit) to explain a wall-time shift.
-//! * `bench check` — re-times the sweep and compares against the last
-//!   entry of `--baseline` (default [`HISTORY_FILE`]): exits non-zero
-//!   when wall time regressed more than `--threshold` percent
-//!   (default [`DEFAULT_THRESHOLD_PCT`]). With no baseline file it
-//!   reports the measurement and exits 0, so the first CI run on a
-//!   fresh clone records rather than fails.
+//! * `bench history` — times the experiment sweep, the smoke-budget
+//!   tuner and the prove sweep, aggregates exact loss attribution over
+//!   every (workload, architecture) pair, and appends one JSON line to
+//!   [`HISTORY_FILE`]. The file is an append-only log committed with
+//!   the repository: a change that claims a performance shift appends
+//!   the line it measured, and each entry carries enough provenance
+//!   (parallelism, rustc, commit, workload counts) to explain one.
+//! * `bench check` — re-times the sweep and compares its `pass_s`
+//!   against the last entry of `--baseline` (default [`HISTORY_FILE`]):
+//!   exits 1 when it is more than `--threshold` percent (default
+//!   [`DEFAULT_THRESHOLD_PCT`]) slower, or when the smoke-budget tuner
+//!   recovers fewer PE-cycles than recorded. With no baseline file it
+//!   reports the measurement and exits 0, so the first run on a fresh
+//!   clone records rather than fails.
 //!
-//! Wall-clock comparisons are inherently machine-sensitive; the
-//! default threshold is generous on purpose — the harness catches
-//! "the sweep got 2× slower" regressions, not 5% noise.
+//! Every time recorded here comes from one primitive, `measure`: 7
+//! passes, run serially at `--jobs 1`, each between two runs of the
+//! [`yardstick`] and normalised by them; the median is kept. The raw
+//! median is `wall_s`. The normalised one, `pass_s`, is what the gate
+//! compares: it divides out other tenants' load, and a serial pass
+//! measures the simulator rather than the host's core count. (A host
+//! of another microarchitecture can still shift it: the simulator and
+//! the yardstick need not speed up alike.)
 
 use crate::arches::{run_pair, ALL_ARCHES, ARCH_NAMES};
 use crate::cli::Bench;
 use crate::experiment::{run_suite, sweep_set, Experiment, ExperimentCtx, SuiteConfig};
-use crate::tune::VerifyMode;
+use crate::tune::{sweep_totals, sweep_totals_with, SweepTotals, VerifyMode};
 use flexsim_model::workloads;
 use flexsim_obs::attrib::StallCause;
+use flexsim_obs::telemetry;
 use flexsim_testkit::json::Json;
+use flexsim_testkit::yardstick;
 use std::io::Write as _;
 use std::time::Instant;
 
@@ -38,16 +42,23 @@ use std::time::Instant;
 /// `bench check` reads.
 pub const HISTORY_FILE: &str = "BENCH_history.jsonl";
 
-/// Percent wall-time slowdown `bench check` tolerates when
+/// Percent `pass_s` slowdown `bench check` tolerates when
 /// `--threshold` is not given.
 pub const DEFAULT_THRESHOLD_PCT: u32 = 50;
 
-/// Runs one `bench` subcommand at `jobs`, returning the process exit
-/// code (0 ok, 1 regression/failure, 2 I/O error).
+/// Passes behind every recorded time; their median is kept.
+const PASSES: usize = 7;
+
+/// The `--jobs` level of every timed pass, whatever the command line
+/// asks for.
+const TIMED_JOBS: usize = 1;
+
+/// Runs one `bench` subcommand, returning the process exit code (0 ok,
+/// 1 regression/failure, 2 I/O error). `jobs` fans out only the
+/// untimed tuner run behind `bench check`'s quality gate.
 pub fn run(bench: &Bench, jobs: usize) -> i32 {
     match bench {
-        Bench::Sweep => sweep(jobs),
-        Bench::History => history(jobs),
+        Bench::History => history().err().unwrap_or(0),
         Bench::Check {
             baseline,
             threshold_pct,
@@ -55,114 +66,151 @@ pub fn run(bench: &Bench, jobs: usize) -> i32 {
     }
 }
 
-/// Times one full sweep at `jobs`; `Err(1)` when an experiment failed.
-fn timed_sweep(experiments: &[&'static dyn Experiment], jobs: usize) -> Result<f64, i32> {
-    let start = Instant::now();
-    let report = run_suite(experiments, &SuiteConfig { jobs, trace: false });
-    let wall_s = start.elapsed().as_secs_f64();
-    if report.failures.is_empty() {
-        Ok(wall_s)
-    } else {
-        for f in &report.failures {
-            eprintln!("experiment {} FAILED: {}", f.id, f.message);
+/// The median times of one measured body, in seconds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Timing {
+    /// Median raw wall time of a pass.
+    wall_s: f64,
+    /// Median yardstick-normalised time of a pass.
+    pass_s: f64,
+}
+
+impl Timing {
+    /// The medians of `(wall_s, pass_s)` samples.
+    fn median_of(samples: &[(f64, f64)]) -> Timing {
+        Timing {
+            wall_s: median(samples.iter().map(|s| s.0)),
+            pass_s: median(samples.iter().map(|s| s.1)),
         }
+    }
+
+    /// Percent by which `self` is slower than `base`, normalised.
+    fn overhead_pct(self, base: Timing) -> f64 {
+        (self.pass_s - base.pass_s) / base.pass_s.max(1e-12) * 100.0
+    }
+}
+
+/// The middle value (the upper middle of an even count).
+fn median(values: impl Iterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = values.collect();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// A timed body: one pass of the work measured, `Err(code)` when it
+/// failed.
+type Body<'a> = &'a mut dyn FnMut() -> Result<(), i32>;
+
+/// The one timing primitive: [`PASSES`] rounds of `bodies`, each body
+/// once per round and in turn, so that variants compared with each
+/// other (telemetry off and on, say) run on the same host. The
+/// yardstick runs before the first pass and after every pass, and each
+/// pass is normalised by the runs either side of it. Stops at the first
+/// body that fails.
+fn measure<const K: usize>(mut bodies: [Body<'_>; K]) -> Result<[Timing; K], i32> {
+    let mut samples = vec![Vec::with_capacity(PASSES); K];
+    let mut before_s = yardstick::run();
+    for _ in 0..PASSES {
+        for (body, samples) in bodies.iter_mut().zip(&mut samples) {
+            let start = Instant::now();
+            body()?;
+            let wall_s = start.elapsed().as_secs_f64();
+            let after_s = yardstick::run();
+            samples.push((wall_s, yardstick::normalise(wall_s, before_s, after_s)));
+            before_s = after_s;
+        }
+    }
+    Ok(std::array::from_fn(|k| Timing::median_of(&samples[k])))
+}
+
+/// One pass of the experiment sweep at [`TIMED_JOBS`]; `Err(1)` when
+/// an experiment failed.
+fn sweep_pass(experiments: &[&'static dyn Experiment]) -> Result<(), i32> {
+    let config = SuiteConfig {
+        jobs: TIMED_JOBS,
+        trace: false,
+    };
+    let report = run_suite(experiments, &config);
+    for f in &report.failures {
+        eprintln!("experiment {} FAILED: {}", f.id, f.message);
+    }
+    if report.failures.is_empty() {
+        Ok(())
+    } else {
         Err(1)
     }
 }
 
-/// `bench sweep`: serial vs `--jobs` wall time, into `BENCH_pool.json`.
-fn sweep(jobs: usize) -> i32 {
-    let experiments = sweep_set();
-    let serial_s = match timed_sweep(&experiments, 1) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let parallel_s = match timed_sweep(&experiments, jobs) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let speedup = serial_s / parallel_s.max(1e-12);
-    let doc = Json::obj(
-        [
-            ("bench", Json::str("sweep")),
-            ("experiments", Json::Int(experiments.len() as i64)),
-        ]
-        .into_iter()
-        .chain(honesty_fields())
-        .chain([
-            ("serial_jobs", Json::Int(1)),
-            ("serial_wall_s", Json::Float(serial_s)),
-            ("parallel_jobs", Json::Int(jobs as i64)),
-            ("parallel_wall_s", Json::Float(parallel_s)),
-            ("speedup", Json::Float(speedup)),
-        ]),
-    );
-    let mut text = doc.pretty();
-    text.push('\n');
-    if let Err(e) = std::fs::write("BENCH_pool.json", text) {
-        eprintln!("cannot write BENCH_pool.json: {e}");
-        return 2;
-    }
-    eprintln!(
-        "bench sweep: serial {serial_s:.3}s, --jobs {jobs} {parallel_s:.3}s \
-         ({speedup:.2}x); wrote BENCH_pool.json"
-    );
-    0
-}
-
-/// `bench history`: one timed sweep + exact attribution, appended as a
+/// `bench history`: timed sweeps + exact attribution, appended as a
 /// JSON line to [`HISTORY_FILE`].
 ///
-/// The sweep is timed twice — telemetry off, then on — so every entry
-/// also records the host-phase wall breakdown and the measured
-/// telemetry overhead, keeping the "telemetry is ≈free" claim gated
-/// the same way wall-time regressions are. The entry also times the
-/// smoke-budget tuner twice (engine verification vs `--static`
-/// symbolic verification — the log is where the static path's speedup
-/// is recorded) and the flexproof all-pairs sweep; a prove mismatch
-/// refuses to record, keeping the history free of unproved entries.
-fn history(jobs: usize) -> i32 {
+/// The sweep is timed with telemetry off and on, interleaved, so every
+/// entry also records the host-phase wall breakdown and the telemetry
+/// overhead. The entry also times the smoke-budget tuner under engine
+/// and `--static` symbolic verification (the log is where the static
+/// path's speedup is recorded) and the flexproof all-pairs sweep; a
+/// prove mismatch refuses to record, keeping the history free of
+/// unproved entries.
+fn history() -> Result<(), i32> {
     let experiments = sweep_set();
-    let wall_s = match timed_sweep(&experiments, jobs) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let host = match telemetry_sweep(&experiments, jobs, wall_s) {
-        Ok(h) => h,
-        Err(code) => return code,
+    let [sweep, sweep_on] = measure([&mut || sweep_pass(&experiments), &mut || {
+        // Reset per pass: the snapshot below is one pass's phases.
+        telemetry::reset();
+        telemetry::enable();
+        let done = sweep_pass(&experiments);
+        telemetry::disable();
+        done
+    }])?;
+    let host = HostTotals {
+        phase_us: telemetry::snapshot()
+            .phases
+            .iter()
+            .map(|&(p, _, us)| (p.name(), us))
+            .collect(),
+        overhead_pct: sweep_on.overhead_pct(sweep),
     };
     let attrib = attribution_totals();
-    let tune_start = Instant::now();
-    let tune = crate::tune::sweep_totals_with(jobs, VerifyMode::Engine);
-    let tune_wall_s = tune_start.elapsed().as_secs_f64();
-    let static_start = Instant::now();
-    let tune_static = crate::tune::sweep_totals_with(jobs, VerifyMode::Static);
-    let tune_static_wall_s = static_start.elapsed().as_secs_f64();
+    let (mut tune, mut tune_static) = (None, None);
+    let [tune_t, static_t] = measure([
+        &mut || {
+            tune = Some(sweep_totals_with(TIMED_JOBS, VerifyMode::Engine));
+            Ok(())
+        },
+        &mut || {
+            tune_static = Some(sweep_totals_with(TIMED_JOBS, VerifyMode::Static));
+            Ok(())
+        },
+    ])?;
+    let ran = "measure runs every body";
+    let (tune, tune_static) = (tune.expect(ran), tune_static.expect(ran));
     assert_eq!(
         tune.recovered_pe_cycles, tune_static.recovered_pe_cycles,
         "static tuner verification diverged from the engine path"
     );
-    let prove_start = Instant::now();
-    let prove_ctx = ExperimentCtx::parallel("prove", jobs);
-    let proofs = crate::prove::run_workloads(&prove_ctx, &workloads::all(), false);
-    let prove_wall_s = prove_start.elapsed().as_secs_f64();
-    if let Some(bad) = proofs.iter().find(|o| !o.proved()) {
-        eprintln!(
-            "bench history: prove sweep FAILED on {}/{} — refusing to record",
-            bad.workload, bad.arch
-        );
-        return 1;
-    }
+    let nets = workloads::all();
+    let prove_ctx = ExperimentCtx::parallel("prove", TIMED_JOBS);
+    let mut prove_pairs = 0;
+    let [prove_t] = measure([&mut || {
+        let proofs = crate::prove::run_workloads(&prove_ctx, &nets, false);
+        if let Some(bad) = proofs.iter().find(|o| !o.proved()) {
+            eprintln!(
+                "bench history: prove sweep FAILED on {}/{} — refusing to record",
+                bad.workload, bad.arch
+            );
+            return Err(1);
+        }
+        prove_pairs = proofs.len();
+        Ok(())
+    }])?;
     let timings = SweepTimings {
-        tune_wall_s,
-        tune_static_wall_s,
-        prove_pairs: proofs.len(),
-        prove_wall_s,
+        tune_wall_s: tune_t.wall_s,
+        tune_static_wall_s: static_t.wall_s,
+        prove_pairs,
+        prove_wall_s: prove_t.wall_s,
     };
     let entry = history_entry(
         unix_seconds(),
-        wall_s,
-        jobs,
+        sweep,
         experiments.len(),
         honesty_fields(),
         &attrib,
@@ -172,71 +220,39 @@ fn history(jobs: usize) -> i32 {
     );
     let mut line = entry.compact();
     line.push('\n');
-    let appended = std::fs::OpenOptions::new()
+    std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(HISTORY_FILE)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = appended {
-        eprintln!("cannot append to {HISTORY_FILE}: {e}");
-        return 2;
-    }
+        .and_then(|mut f| f.write_all(line.as_bytes()))
+        .map_err(|e| {
+            eprintln!("cannot append to {HISTORY_FILE}: {e}");
+            2
+        })?;
     eprintln!(
-        "bench history: sweep {wall_s:.3}s at --jobs {jobs}, busy {} PE-cycles, \
-         lost {} PE-cycles, telemetry overhead {:.1}%; appended to {HISTORY_FILE}",
+        "bench history: sweep pass {:.3}s (wall {:.3}s; median of {PASSES} at --jobs \
+         {TIMED_JOBS}), busy {} PE-cycles, lost {} PE-cycles, telemetry overhead {:.1}%; \
+         appended to {HISTORY_FILE}",
+        sweep.pass_s,
+        sweep.wall_s,
         attrib.busy_pe_cycles,
         attrib.lost.iter().map(|(_, v)| v).sum::<u64>(),
         host.overhead_pct
     );
-    0
+    Ok(())
 }
 
 /// Host-telemetry measurements for one history entry: the per-phase
-/// exclusive wall totals from a telemetry-on sweep, and that sweep's
-/// overhead relative to the telemetry-off wall time.
+/// exclusive wall totals of one telemetry-on sweep, and the overhead
+/// of telemetry-on passes over the telemetry-off passes between them.
 struct HostTotals {
     phase_us: Vec<(&'static str, u64)>,
     overhead_pct: f64,
 }
 
-/// Re-times the sweep with telemetry enabled and compares against the
-/// already-measured `off_wall_s`. Telemetry state is reset before and
-/// disabled after, so the measurement never leaks into the rest of the
-/// process.
-fn telemetry_sweep(
-    experiments: &[&'static dyn Experiment],
-    jobs: usize,
-    off_wall_s: f64,
-) -> Result<HostTotals, i32> {
-    use flexsim_obs::telemetry;
-    telemetry::enable();
-    telemetry::reset();
-    let on_wall_s = match timed_sweep(experiments, jobs) {
-        Ok(s) => s,
-        Err(code) => {
-            telemetry::disable();
-            return Err(code);
-        }
-    };
-    let snap = telemetry::snapshot();
-    telemetry::disable();
-    // Recorded honestly, noise and all: on a sub-100ms sweep this can
-    // even go negative (cache warming beats the probe cost). The
-    // acceptance bar lives in the integration tests; the log is data.
-    let overhead_pct = (on_wall_s - off_wall_s) / off_wall_s.max(1e-9) * 100.0;
-    Ok(HostTotals {
-        phase_us: snap
-            .phases
-            .iter()
-            .map(|&(p, _, us)| (p.name(), us))
-            .collect(),
-        overhead_pct,
-    })
-}
-
 /// `bench check`: re-time the sweep and gate on the recorded baseline.
 fn check(path: &str, threshold: u32, jobs: usize) -> i32 {
-    let baseline = match baseline_wall_s(path) {
+    let baseline = match baseline_pass_s(path) {
         Ok(b) => b,
         Err(msg) => {
             eprintln!("flexsim: {msg}");
@@ -251,28 +267,32 @@ fn check(path: &str, threshold: u32, jobs: usize) -> i32 {
         }
     };
     let experiments = sweep_set();
-    let wall_s = match timed_sweep(&experiments, jobs) {
-        Ok(s) => s,
+    let [sweep] = match measure([&mut || sweep_pass(&experiments)]) {
+        Ok(t) => t,
         Err(code) => return code,
     };
+    let measured = format!(
+        "sweep pass {:.3}s (wall {:.3}s; median of {PASSES})",
+        sweep.pass_s, sweep.wall_s
+    );
     let mut code = match baseline {
         None => {
             eprintln!(
-                "bench check: no baseline at {path}; measured {wall_s:.3}s \
+                "bench check: no baseline at {path}; {measured} \
                  (recording only — run `flexsim bench history` to create one)"
             );
             0
         }
         Some(base) => {
-            if regressed(base, wall_s, threshold) {
+            if regressed(base, sweep.pass_s, threshold) {
                 eprintln!(
-                    "bench check: REGRESSION — sweep took {wall_s:.3}s vs baseline \
-                     {base:.3}s (> {threshold}% slower; baseline {path})"
+                    "bench check: REGRESSION — {measured} vs baseline {base:.3}s \
+                     (> {threshold}% slower; baseline {path})"
                 );
                 1
             } else {
                 eprintln!(
-                    "bench check: ok — sweep took {wall_s:.3}s vs baseline {base:.3}s \
+                    "bench check: ok — {measured} vs baseline {base:.3}s \
                      (threshold {threshold}%; baseline {path})"
                 );
                 0
@@ -283,7 +303,7 @@ fn check(path: &str, threshold: u32, jobs: usize) -> i32 {
     // simulated quantity (no wall-clock noise), so *any* drop below
     // the recorded baseline is a regression.
     if let Some(base_recovered) = tune_baseline {
-        let tune = crate::tune::sweep_totals(jobs);
+        let tune = sweep_totals(jobs);
         if tune.recovered_pe_cycles < base_recovered {
             eprintln!(
                 "bench check: TUNER REGRESSION — smoke-budget sweep recovers {} \
@@ -326,15 +346,22 @@ fn baseline_entry(path: &str) -> Result<Option<Json>, String> {
         .map_err(|e| format!("baseline {path}: bad last line: {e:?}"))
 }
 
-/// The `wall_s` of the last entry in the baseline file (see
-/// [`baseline_entry`] for the `Ok(None)`/`Err` contract).
-fn baseline_wall_s(path: &str) -> Result<Option<f64>, String> {
+/// The `pass_s` of the last entry in the baseline file (see
+/// [`baseline_entry`] for the `Ok(None)`/`Err` contract). A last line
+/// without one predates normalised timing, and its raw `wall_s` does
+/// not compare with `pass_s`: an error, not a pass.
+fn baseline_pass_s(path: &str) -> Result<Option<f64>, String> {
     match baseline_entry(path)? {
         None => Ok(None),
-        Some(doc) => json_field(&doc, "wall_s")
+        Some(doc) => json_field(&doc, "pass_s")
             .and_then(json_f64)
             .map(Some)
-            .ok_or_else(|| format!("baseline {path}: last line has no numeric \"wall_s\"")),
+            .ok_or_else(|| {
+                format!(
+                    "baseline {path}: last line has no numeric \"pass_s\" \
+                     (record one with `flexsim bench history`)"
+                )
+            }),
     }
 }
 
@@ -401,9 +428,9 @@ struct SweepTimings {
 
 /// The provenance fields every bench artifact carries — machine
 /// parallelism, compiler, commit, and the spatial-instrumentation
-/// probe — produced in one place so `BENCH_pool.json`,
-/// `BENCH_tune.json`, and [`HISTORY_FILE`] can never drift apart in
-/// what "honest numbers" means.
+/// probe — produced in one place so `BENCH_tune.json` and
+/// [`HISTORY_FILE`] can never drift apart in what "honest numbers"
+/// means.
 pub(crate) fn honesty_fields() -> [(&'static str, Json); 5] {
     let spatial = spatial_probe();
     [
@@ -419,15 +446,16 @@ pub(crate) fn honesty_fields() -> [(&'static str, Json); 5] {
 }
 
 /// The spatial-probe measurements: how many heatmap cells one
-/// reference run records, and the wall-clock overhead of recording
-/// them.
+/// reference run records, and the normalised time overhead of
+/// recording them.
 struct SpatialProbe {
     cells: u64,
     overhead_pct: f64,
 }
 
 /// Times a reference workload (LeNet-5 on FlexFlow) with a cycle
-/// recorder attached, with and without spatial records. The cell count
+/// recorder attached, without and with spatial records, interleaved
+/// (see [`measure`]). The cell count
 /// documents the heatmap volume behind the overhead number; the
 /// overhead keeps the "spatial observability is cheap when attached"
 /// claim on the record, noise and all (like the telemetry overhead,
@@ -435,17 +463,23 @@ struct SpatialProbe {
 /// data).
 fn spatial_probe() -> SpatialProbe {
     let net = workloads::lenet5();
-    let timed = |spatial: bool| {
-        let start = Instant::now();
-        let run = run_pair(&net, ARCH_NAMES.len() - 1, spatial);
-        (start.elapsed().as_secs_f64(), run.spatials)
-    };
-    let (plain_s, _) = timed(false);
-    let (spatial_s, spatials) = timed(true);
-    let cells = spatials.iter().map(|sp| sp.pe_count() as u64).sum::<u64>();
+    let flexflow = ARCH_NAMES.len() - 1;
+    let mut cells = 0;
+    let [plain, spatial] = measure([
+        &mut || {
+            run_pair(&net, flexflow, false);
+            Ok(())
+        },
+        &mut || {
+            let run = run_pair(&net, flexflow, true);
+            cells = run.spatials.iter().map(|sp| sp.pe_count() as u64).sum();
+            Ok(())
+        },
+    ])
+    .expect("a probe pass cannot fail");
     SpatialProbe {
         cells,
-        overhead_pct: (spatial_s - plain_s) / plain_s.max(1e-9) * 100.0,
+        overhead_pct: spatial.overhead_pct(plain),
     }
 }
 
@@ -475,12 +509,11 @@ fn workload_counts() -> [(&'static str, Json); 3] {
 #[allow(clippy::too_many_arguments)] // a serialization boundary, not an API
 fn history_entry(
     ts_unix: u64,
-    wall_s: f64,
-    jobs: usize,
+    sweep: Timing,
     experiments: usize,
     honesty: [(&'static str, Json); 5],
     attrib: &AttributionTotals,
-    tune: &crate::tune::SweepTotals,
+    tune: &SweepTotals,
     timings: &SweepTimings,
     host: &HostTotals,
 ) -> Json {
@@ -488,8 +521,10 @@ fn history_entry(
         [
             ("bench", Json::str("history")),
             ("ts_unix", Json::Int(ts_unix as i64)),
-            ("wall_s", Json::Float(wall_s)),
-            ("jobs", Json::Int(jobs as i64)),
+            ("wall_s", Json::Float(sweep.wall_s)),
+            ("pass_s", Json::Float(sweep.pass_s)),
+            ("passes", Json::Int(PASSES as i64)),
+            ("jobs", Json::Int(TIMED_JOBS as i64)),
             ("experiments", Json::Int(experiments as i64)),
         ]
         .into_iter()
@@ -601,7 +636,7 @@ mod tests {
             busy_pe_cycles: 123,
             lost: StallCause::ALL.iter().map(|c| (c.name(), 7)).collect(),
         };
-        let tune = crate::tune::SweepTotals {
+        let tune = SweepTotals {
             recovered_pe_cycles: 4_096,
             workloads_improved: 4,
         };
@@ -622,10 +657,13 @@ mod tests {
             ("heatmap_cells", Json::Int(1024)),
             ("spatial_overhead_pct", Json::Float(0.5)),
         ];
+        let sweep = Timing {
+            wall_s: 4.25,
+            pass_s: 3.0,
+        };
         let entry = history_entry(
             1_700_000_000,
-            4.25,
-            8,
+            sweep,
             17,
             honesty,
             &attrib,
@@ -637,6 +675,8 @@ mod tests {
         let parsed = Json::parse(&line).unwrap();
         assert_eq!(parsed, entry);
         assert_eq!(json_field(&parsed, "wall_s").and_then(json_f64), Some(4.25));
+        assert_eq!(json_field(&parsed, "pass_s").and_then(json_f64), Some(3.0));
+        assert_eq!(json_field(&parsed, "jobs"), Some(&Json::Int(1)));
         assert_eq!(json_field(&parsed, "commit"), Some(&Json::str("abc1234")));
         assert_eq!(json_field(&parsed, "heatmap_cells"), Some(&Json::Int(1024)));
         assert_eq!(
@@ -697,22 +737,89 @@ mod tests {
     fn baseline_reader_handles_missing_empty_and_corrupt_files() {
         // Missing file: fresh clone, no baseline.
         assert_eq!(
-            baseline_wall_s("bench_test_definitely_missing.jsonl").unwrap(),
+            baseline_pass_s("bench_test_definitely_missing.jsonl").unwrap(),
             None
         );
         let dir = std::env::temp_dir();
         let empty = dir.join("flexsim_bench_empty_test.jsonl");
         std::fs::write(&empty, "\n\n").unwrap();
-        assert_eq!(baseline_wall_s(empty.to_str().unwrap()).unwrap(), None);
+        assert_eq!(baseline_pass_s(empty.to_str().unwrap()).unwrap(), None);
         let corrupt = dir.join("flexsim_bench_corrupt_test.jsonl");
         std::fs::write(&corrupt, "{not json\n").unwrap();
-        assert!(baseline_wall_s(corrupt.to_str().unwrap()).is_err());
+        assert!(baseline_pass_s(corrupt.to_str().unwrap()).is_err());
+        // A last line from before normalised timing gates nothing.
+        let stale = dir.join("flexsim_bench_stale_test.jsonl");
+        std::fs::write(&stale, "{\"pass_s\": 1.0}\n{\"wall_s\": 2.5}\n").unwrap();
+        assert!(baseline_pass_s(stale.to_str().unwrap()).is_err());
         let good = dir.join("flexsim_bench_good_test.jsonl");
-        std::fs::write(&good, "{\"wall_s\": 1.0}\n{\"wall_s\": 2.5}\n").unwrap();
-        assert_eq!(baseline_wall_s(good.to_str().unwrap()).unwrap(), Some(2.5));
-        for f in [empty, corrupt, good] {
+        std::fs::write(&good, "{\"pass_s\": 1.0}\n{\"pass_s\": 2.5}\n").unwrap();
+        assert_eq!(baseline_pass_s(good.to_str().unwrap()).unwrap(), Some(2.5));
+        for f in [empty, corrupt, stale, good] {
             let _ = std::fs::remove_file(f);
         }
+    }
+
+    /// The committed log's last line is what `ci.sh` gates against: it
+    /// must be a complete entry measured from the repository root, or a
+    /// stale or corrupt baseline could slip through.
+    #[test]
+    fn committed_baseline_is_a_measured_line() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.jsonl");
+        let doc = baseline_entry(path)
+            .unwrap()
+            .expect("the repository commits a BENCH_history.jsonl");
+        let pass_s = baseline_pass_s(path).unwrap().unwrap();
+        assert!(pass_s > 0.0, "pass_s {pass_s}");
+        assert!(baseline_tune_recovered(path).unwrap().is_some());
+        let commit = json_field(&doc, "commit");
+        assert!(
+            matches!(commit, Some(Json::Str(c)) if c != "unknown"),
+            "commit {commit:?}"
+        );
+        let ffnet = json_field(&doc, "workloads_ffnet").and_then(json_f64);
+        assert!(ffnet.is_some_and(|n| n > 0.0), "workloads_ffnet {ffnet:?}");
+    }
+
+    #[test]
+    fn the_median_of_the_passes_ignores_a_single_outlier() {
+        let mut samples = vec![(0.1, 0.05); PASSES];
+        samples[2] = (0.3, 0.15);
+        assert_eq!(
+            Timing::median_of(&samples),
+            Timing {
+                wall_s: 0.1,
+                pass_s: 0.05
+            }
+        );
+    }
+
+    #[test]
+    fn measure_runs_every_body_in_turn_and_stops_at_a_failure() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let timings = measure([
+            &mut || {
+                order.borrow_mut().push('a');
+                Ok(())
+            },
+            &mut || {
+                order.borrow_mut().push('b');
+                Ok(())
+            },
+        ])
+        .unwrap();
+        assert_eq!(
+            order.take(),
+            "ab".repeat(PASSES).chars().collect::<Vec<_>>()
+        );
+        for t in timings {
+            assert!(t.wall_s >= 0.0 && t.pass_s >= 0.0, "{t:?}");
+        }
+        let mut runs = 0;
+        let failed = measure([&mut || {
+            runs += 1;
+            Err(1)
+        }]);
+        assert_eq!((failed, runs), (Err(1), 1));
     }
 
     #[test]

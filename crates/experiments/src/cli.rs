@@ -24,7 +24,7 @@ usage: flexsim [OPTIONS] [EXPERIMENT-ID...]
        flexsim [OPTIONS] prove [WORKLOAD] [--mutate]
        flexsim [OPTIONS] tune [WORKLOAD] [--budget smoke|full|N] [--static]
        flexsim [OPTIONS] stats
-       flexsim [OPTIONS] bench sweep|history
+       flexsim [OPTIONS] bench history
        flexsim [OPTIONS] bench check [--baseline FILE] [--threshold PCT]
 
 Runs the FlexFlow (HPCA'17) evaluation experiments. With no ids (or
@@ -90,16 +90,17 @@ high-water), and latency histograms (p50/p90/p99) for experiments,
 per-layer simulations, and pool tasks. Telemetry never changes
 simulation output — results stay byte-identical with it on or off.
 
-`flexsim bench sweep` times the full sweep serially and at the given
-`--jobs` level and writes the comparison to BENCH_pool.json.
+`flexsim bench history` times the sweep, the smoke-budget tuner and
+the prove sweep, aggregates loss attribution, and appends one JSON line
+(pass and wall times, busy/lost PE-cycles, parallelism, rustc, commit)
+to BENCH_history.jsonl. Every time is the median of 7 passes run at
+--jobs 1; `pass_s` is that median with each pass normalised by a
+yardstick run either side of it, so other tenants' load divides out.
 
-`flexsim bench history` times the sweep once, aggregates loss
-attribution, and appends one JSON line (wall time, busy/lost
-PE-cycles, parallelism, rustc, commit) to BENCH_history.jsonl.
-
-`flexsim bench check` re-times the sweep and exits non-zero when wall
-time regressed more than `--threshold` percent past the last line of
-`--baseline`; with no baseline file it reports and exits 0.
+`flexsim bench check` re-times the sweep and exits non-zero when its
+`pass_s` regressed more than `--threshold` percent past the last line
+of `--baseline`, or when the smoke-budget tuner recovers fewer
+PE-cycles; with no baseline file it reports and exits 0.
 
 options (any command):
   --jobs N        run up to N tasks concurrently (default: available
@@ -139,7 +140,7 @@ tune options:
 bench check options:
   --baseline FILE JSONL file to compare against (default:
                   BENCH_history.jsonl)
-  --threshold PCT percent wall-time slowdown tolerated (positive
+  --threshold PCT percent `pass_s` slowdown tolerated (positive
                   integer, default: 50)
 
 environment:
@@ -214,22 +215,20 @@ pub enum Command {
     },
     /// `stats`: the host-telemetry report.
     Stats,
-    /// `bench sweep|history|check`: wall-clock benchmarks.
+    /// `bench history|check`: the perf-regression harness.
     Bench(Bench),
 }
 
 /// The `flexsim bench` benchmarks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Bench {
-    /// Serial vs `--jobs` sweep wall time, into `BENCH_pool.json`.
-    Sweep,
     /// Append a timed, attributed entry to the history log.
     History,
-    /// Gate the sweep's wall time on the history log.
+    /// Gate the sweep's normalised pass time on the history log.
     Check {
         /// The JSONL log compared against.
         baseline: String,
-        /// Percent wall-time slowdown tolerated.
+        /// Percent `pass_s` slowdown tolerated.
         threshold_pct: u32,
     },
 }
@@ -393,7 +392,6 @@ fn command(list: bool, words: Vec<String>, opts: &mut CommandOptions) -> Result<
         },
         "stats" => no_arguments(cmd, &rest, Command::Stats)?,
         "bench" => Command::Bench(match rest.as_slice() {
-            [b] if b == "sweep" => Bench::Sweep,
             [b] if b == "history" => Bench::History,
             [b] if b == "check" => Bench::Check {
                 baseline: opts
@@ -402,11 +400,7 @@ fn command(list: bool, words: Vec<String>, opts: &mut CommandOptions) -> Result<
                     .unwrap_or_else(|| HISTORY_FILE.to_owned()),
                 threshold_pct: opts.threshold_pct.take().unwrap_or(DEFAULT_THRESHOLD_PCT),
             },
-            _ => {
-                return Err(format!(
-                    "{cmd} expects one benchmark: sweep, history, or check"
-                ))
-            }
+            _ => return Err(format!("{cmd} expects one benchmark: history or check")),
         }),
         _ => Command::Experiments(std::iter::once(first).chain(rest).collect()),
     })
@@ -539,7 +533,6 @@ mod tests {
             (&["--json", "lint"], lint(None)),
             (&["--jobs", "1", "--json", "all"], ids(&["all"])),
             (&["--jobs", "2", "--json", "all"], ids(&["all"])),
-            (&["bench", "sweep"], Command::Bench(Bench::Sweep)),
             (
                 &["--json", "profile", "alexnet"],
                 Command::Profile(Some("alexnet".to_owned())),
@@ -615,8 +608,8 @@ mod tests {
             (&["--jobs", "2", "stats"], Command::Stats),
             (&["bench", "history"], Command::Bench(Bench::History)),
             (
-                &["bench", "check"],
-                check(HISTORY_FILE, DEFAULT_THRESHOLD_PCT),
+                &["bench", "check", "--baseline", "/src/BENCH_history.jsonl"],
+                check("/src/BENCH_history.jsonl", DEFAULT_THRESHOLD_PCT),
             ),
             (&["--jobs", "1", "--json", "run", "lenet"], run("lenet")),
             (&["--jobs", "4", "--json", "run", "lenet"], run("lenet")),
@@ -734,19 +727,22 @@ mod tests {
 
     #[test]
     fn bench_is_a_subcommand_with_a_name() {
-        assert_eq!(p(&["bench", "sweep", "--jobs", "2"]).unwrap().jobs, 2);
+        assert_eq!(p(&["bench", "history", "--jobs", "2"]).unwrap().jobs, 2);
         assert_rows(vec![
-            (&["bench", "sweep"], Command::Bench(Bench::Sweep)),
-            (
-                &["bench", "sweep", "--jobs", "2"],
-                Command::Bench(Bench::Sweep),
-            ),
             (&["bench", "history"], Command::Bench(Bench::History)),
+            (
+                &["bench", "history", "--jobs", "2"],
+                Command::Bench(Bench::History),
+            ),
         ]);
         assert_rejected(&[
             (&["bench"], "bench expects one benchmark"),
-            (&["bench", "sweep", "check"], "bench expects one benchmark"),
+            (
+                &["bench", "history", "check"],
+                "bench expects one benchmark",
+            ),
             (&["bench", "nosuch"], "bench expects one benchmark"),
+            (&["bench", "sweep"], "bench expects one benchmark"),
         ]);
     }
 
@@ -771,7 +767,7 @@ mod tests {
             ),
         ]);
         assert_rejected(&[(
-            &["bench", "sweep", "--threshold", "5"],
+            &["bench", "history", "--threshold", "5"],
             "--threshold is an option of `bench check` only",
         )]);
     }

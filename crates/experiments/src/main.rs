@@ -8,7 +8,7 @@
 //! flexsim heatmap pv --svg       # per-PE heatmaps as an SVG document
 //! flexsim prove pv --mutate      # self-test: a corrupted prediction must fail
 //! flexsim tune pv --budget smoke # auto-tune mappings, before/after attribution
-//! flexsim bench check            # fail on wall-time regression vs the history
+//! flexsim bench check            # fail on a pass-time regression vs the history
 //! flexsim --help                 # every command with its own options
 //! ```
 //!

@@ -713,8 +713,8 @@ fn fmt_recoveries(delta: &LossDelta) -> String {
 }
 
 /// The `BENCH_tune.json` document: per-workload, per-layer, per-cause
-/// before/after attribution plus the honesty fields (`BENCH_pool.json`
-/// convention: parallelism, rustc, commit, heatmap cells).
+/// before/after attribution plus the honesty fields (parallelism,
+/// rustc, commit, heatmap cells).
 pub fn bench_json(outcomes: &[TuneOutcome], budget: Budget) -> Json {
     let improved = outcomes.iter().filter(|o| o.improved()).count();
     Json::obj(
@@ -726,7 +726,7 @@ pub fn bench_json(outcomes: &[TuneOutcome], budget: Budget) -> Json {
         .into_iter()
         // This document is byte-identity-tested across reruns, so the
         // one wall-clock honesty field stays out; the timing-bearing
-        // artifacts (BENCH_pool.json, BENCH_history.jsonl) carry it.
+        // artifact (BENCH_history.jsonl) carries it.
         .chain(
             crate::bench::honesty_fields()
                 .into_iter()

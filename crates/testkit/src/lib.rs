@@ -13,16 +13,18 @@
 //! - [`json`] — a tiny JSON value type and byte-stable pretty emitter
 //!   (insertion-ordered keys, two-space indent) so results files diff
 //!   cleanly across runs.
-//! - [`mod@bench`] — a `std::time::Instant` micro-bench runner speaking the
-//!   cargo bench protocol (`--bench` ⇒ measure, otherwise smoke-run).
+//! - [`yardstick`] — a fixed probe of the host's speed, and pass times
+//!   normalised by it, so wall times measured under other tenants' load
+//!   compare.
 //!
-//! Everything is deterministic by construction: the same seed always
-//! produces the same samples, shrink sequences, and JSON bytes.
+//! Everything but the yardstick is deterministic by construction: the
+//! same seed always produces the same samples, shrink sequences, and
+//! JSON bytes.
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod json;
 pub mod prop;
 pub mod rng;
+pub mod yardstick;
 
 pub use rng::SplitMix64;
