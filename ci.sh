@@ -144,7 +144,7 @@ cmp "$TMP/heat1.svg" "$TMP/heat4.svg" \
 grep -q 'FXC13 spatial-exactness: ok' "$TMP/heat_ffnet.txt" \
     || { echo "FAIL: .ffnet heatmap missing the FXC13 verdict"; exit 1; }
 
-echo "==> flexsim stats smoke (telemetry never perturbs results; all phases fire)"
+echo "==> flexsim stats smoke (telemetry never perturbs results; all phases fire; --trace and --telemetry fold one recorder)"
 # Same sweep with telemetry off vs. on: the written artifacts must be
 # byte-identical, and the snapshot must cover every declared phase.
 "$FLEXSIM" --jobs 2 --json --out "$TMP/out_off" all > /dev/null
@@ -159,6 +159,13 @@ for phase in parse flexcheck schedule simulate verify export; do
     grep -q "phase=\"$phase\"" "$TMP/telemetry.json.prom" \
         || { echo "FAIL: phase $phase missing from Prometheus export"; exit 1; }
 done
+# `--trace` and `--telemetry` read one span recorder: every traced
+# layer span is one layer-sim histogram sample.
+"$FLEXSIM" --jobs 2 --trace "$TMP/both.trace.json" --telemetry "$TMP/both.json" all > /dev/null
+layer_spans=$(grep -o '"cat":"layer"' "$TMP/both.trace.json" | wc -l)
+layer_samples=$(grep -A1 '"layer_sim_wall_us"' "$TMP/both.json" | grep -o '"count": *[0-9]*' | grep -o '[0-9]*$')
+[ "$layer_spans" -gt 0 ] && [ "$layer_spans" = "$layer_samples" ] \
+    || { echo "FAIL: $layer_spans traced layer spans vs $layer_samples layer-sim samples"; exit 1; }
 "$FLEXSIM" --jobs 2 stats > "$TMP/stats.txt"
 grep -q '(wall)' "$TMP/stats.txt" \
     || { echo "FAIL: stats report missing the wall reconciliation row"; exit 1; }

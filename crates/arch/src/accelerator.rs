@@ -84,8 +84,8 @@ pub trait Accelerator: Send {
 
 /// The frame of every [`Accelerator::run_network`]: simulates the CONV
 /// layers of `net` in order with `run(acc, index, layer)` inside the
-/// workload span and the simulate phase, with one layer span and one
-/// host-time sample per layer.
+/// workload span and the simulate phase, with one layer span per layer
+/// (the telemetry layer-sim histogram is a fold over those spans).
 pub fn run_layers<A: Accelerator + ?Sized>(
     acc: &mut A,
     net: &Network,
@@ -99,10 +99,7 @@ pub fn run_layers<A: Accelerator + ?Sized>(
         .enumerate()
         .map(|(i, layer)| {
             let _layer = span("layer", format!("{arch}/{}", layer.name()));
-            let t0 = telemetry::now_if_enabled();
-            let result = run(acc, i, layer);
-            telemetry::observe_layer_sim_since(t0);
-            result
+            run(acc, i, layer)
         })
         .collect();
     RunSummary {

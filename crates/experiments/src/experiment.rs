@@ -338,16 +338,11 @@ pub fn run_suite(experiments: &[&dyn Experiment], config: &SuiteConfig) -> Suite
     let mut results = Vec::with_capacity(experiments.len());
     let mut failures = Vec::new();
     for exp in experiments {
-        let _span = flexsim_obs::span::span("experiment", exp.id());
-        telemetry::flight::record("experiment", format!("begin {}", exp.id()));
-        let started = telemetry::now_if_enabled();
         let ctx = ExperimentCtx::for_suite(exp.id(), &pool, collector.as_ref());
-        let outcome = catch_unwind(AssertUnwindSafe(|| exp.run(&ctx)));
-        if let Some(t0) = started {
-            let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-            telemetry::observe_experiment_us(us);
-            telemetry::flight::record("experiment", format!("end {} ({us} us)", exp.id()));
-        }
+        let outcome = {
+            let _span = flexsim_obs::span::span("experiment", exp.id());
+            catch_unwind(AssertUnwindSafe(|| exp.run(&ctx)))
+        };
         match outcome {
             Ok(result) => results.push(result),
             Err(payload) => {

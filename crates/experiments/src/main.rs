@@ -102,9 +102,18 @@ impl Output {
 
 /// Process-wide switches the command line sets before anything runs.
 fn setup(cli: &Cli) {
+    // Host spans are opt-in; without `--trace` or telemetry the
+    // recorder stays off and costs nothing.
+    if cli.trace.is_some() {
+        span::install_recorder();
+        // The main thread doubles as pool worker 0; spawned workers
+        // label themselves `flexsim-pool-N`.
+        span::set_thread_label("flexsim-main (pool worker 0)");
+    }
     // Host telemetry is opt-in (`--telemetry PATH`, or implied by
-    // `stats`). Enabling it only records wall-clock observations —
-    // simulation output stays byte-identical either way.
+    // `stats`) and reads the same recorder as `--trace`. Enabling it
+    // only records wall-clock observations — simulation output stays
+    // byte-identical either way.
     if cli.telemetry.is_some() || cli.command == Command::Stats {
         telemetry::enable();
     }
@@ -120,14 +129,6 @@ fn setup(cli: &Cli) {
         telemetry::flight::set_dir(Some(&dir));
     }
     lint::set_enabled(!cli.no_lint);
-    // Host spans are opt-in; without `--trace` recording stays disabled
-    // and costs nothing.
-    if cli.trace.is_some() {
-        span::install_recorder();
-        // The main thread doubles as pool worker 0; spawned workers
-        // label themselves `flexsim-pool-N`.
-        span::set_thread_label("flexsim-main (pool worker 0)");
-    }
 }
 
 /// Runs the command. `Err` is a usage or resolution error (exit 2).
@@ -301,9 +302,10 @@ fn finish(cli: &Cli, out: &Output) -> Result<i32, String> {
 }
 
 /// Writes the `--trace` Chrome trace: host spans, the collected cycle
-/// timelines, and the metrics registry.
+/// timelines, and the metrics registry. The spans stay in the recorder
+/// for the `--telemetry` snapshot taken after it.
 fn write_trace(file: &str, timelines: &[LayerTimeline]) -> Result<(), String> {
-    let spans = span::take_records();
+    let spans = span::records();
     let snapshot = metrics::global().snapshot();
     let labels = span::thread_labels();
     std::fs::File::create(file)

@@ -1,7 +1,8 @@
 //! `flexsim stats` — the host-telemetry report.
 //!
-//! Runs the Table 1 sweep with [`flexsim_obs::telemetry`] enabled and
-//! reports where the *simulator's own* wall time goes — the
+//! Runs the Table 1 sweep with [`flexsim_obs::telemetry`] enabled (the
+//! span recorder on) and reports, as a fold over the recorded spans,
+//! where the *simulator's own* wall time goes — the
 //! host-side counterpart of `flexsim profile` (which attributes
 //! *simulated* cycles). The report covers:
 //!

@@ -98,17 +98,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Adds every sample of `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Exact number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -259,23 +248,6 @@ mod tests {
                 "q={q}: got {got}, exact {exact}"
             );
         }
-    }
-
-    #[test]
-    fn merge_equals_observing_everything() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in [0u64, 1, 17, 4_000, 1 << 40] {
-            a.observe(v);
-            all.observe(v);
-        }
-        for v in [3u64, 255, 1 << 20] {
-            b.observe(v);
-            all.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
     }
 
     #[test]

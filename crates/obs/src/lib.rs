@@ -17,7 +17,7 @@
 //! * [`filter`] — a `FLEXSIM_LOG`-style env filter and leveled stderr
 //!   logging (`FLEXSIM_LOG=debug`, `FLEXSIM_LOG=layer=trace,info`);
 //! * [`mod@span`] — hierarchical host-wall-time spans with an optional
-//!   global recorder (the `flexsim --trace` path);
+//!   global recorder, read by `flexsim --trace` and by [`telemetry`];
 //! * [`metrics`] — a labeled counter/gauge registry with
 //!   snapshot-and-diff; the simulators mirror every
 //!   `EventCounts`/`Traffic` field into it so aggregate stats and live
@@ -44,10 +44,11 @@
 //!   FXC13);
 //! * [`steps`] — the per-architecture step schedule and the one fold
 //!   that turns it into the cycle timeline and the heatmap;
-//! * [`telemetry`] — host-side runtime telemetry: the wall-clock phase
-//!   profiler (parse → flexcheck → schedule → simulate → verify →
-//!   export), pool/scheduler worker stats, latency histograms, and the
-//!   bounded flight recorder behind `flexsim stats`.
+//! * [`telemetry`] — host-side runtime telemetry behind `flexsim
+//!   stats`: the phase profile (parse → flexcheck → schedule →
+//!   simulate → verify → export), per-worker pool stats, latency
+//!   histograms and the flight dump, each a fold over the span
+//!   records — the recorder is the only store of host wall time.
 //!
 //! ## Example
 //!
@@ -102,4 +103,4 @@ pub use occupancy::OccupancyTimeline;
 pub use span::{span, SpanGuard, SpanRecord};
 pub use spatial::{BankWatermark, CellRects, ContentionMatrix, HeatmapBuilder, LayerSpatial};
 pub use steps::{LayerFrame, Pass, Step};
-pub use telemetry::{Phase, PhaseTimer, TelemetrySnapshot, WorkerTotals};
+pub use telemetry::{Phase, TelemetrySnapshot, WorkerTotals};

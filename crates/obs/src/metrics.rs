@@ -82,6 +82,14 @@ impl Registry {
         self.lock().insert(Key::new(name, labels), value);
     }
 
+    /// Raises the gauge `name{labels}` to at least `value` (a
+    /// high-water mark).
+    pub fn raise(&self, name: &str, labels: &[(&str, &str)], value: u64) {
+        let mut cells = self.lock();
+        let cell = cells.entry(Key::new(name, labels)).or_insert(0);
+        *cell = (*cell).max(value);
+    }
+
     /// Returns a point-in-time copy of every cell.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {

@@ -10,7 +10,11 @@
 //! observability is off.
 //!
 //! The conventional hierarchy in this workspace:
-//! `experiment` → `workload` → `layer` → `engine`.
+//! `experiment` → `workload` → `layer` → `engine`, with `phase` spans
+//! over the host pipeline steps and the pool's `worker` and `task`
+//! spans. The recorder is the only store of host wall time:
+//! [`crate::telemetry`] folds its records instead of keeping a clock
+//! of its own.
 
 use crate::filter::{self, Level};
 use std::cell::Cell;
@@ -113,12 +117,58 @@ pub fn recording() -> bool {
     RECORDING.load(Ordering::Acquire)
 }
 
+/// Starts recording, keeping any records and the epoch of a recorder
+/// that is already installed (installs one otherwise).
+pub fn resume_recorder() {
+    let mut st = lock_state();
+    st.get_or_insert_with(|| RecorderState {
+        epoch: Instant::now(),
+        spans: Vec::new(),
+    });
+    RECORDING.store(true, Ordering::Release);
+}
+
+/// Stops recording; the records are kept until the recorder is
+/// reinstalled, cleared or drained.
+pub fn pause_recorder() {
+    RECORDING.store(false, Ordering::Release);
+}
+
+/// Drops every retained record; the recorder keeps its epoch and its
+/// on/off state.
+pub fn clear_records() {
+    if let Some(rec) = lock_state().as_mut() {
+        rec.spans.clear();
+    }
+}
+
+/// A copy of every retained record, in completion order. Recording
+/// continues.
+pub fn records() -> Vec<SpanRecord> {
+    lock_state()
+        .as_ref()
+        .map(|s| s.spans.clone())
+        .unwrap_or_default()
+}
+
+/// Microseconds since the recorder was installed (0 without one): the
+/// timestamp a span completing now would end at.
+pub fn now_us() -> u64 {
+    lock_state()
+        .as_ref()
+        .map_or(0, |rec| micros(rec.epoch.elapsed()))
+}
+
 /// Stops recording and returns every span recorded since
 /// [`install_recorder`], in completion order.
 pub fn take_records() -> Vec<SpanRecord> {
     RECORDING.store(false, Ordering::Release);
     let mut st = lock_state();
     st.take().map(|s| s.spans).unwrap_or_default()
+}
+
+fn micros(d: std::time::Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// An in-flight span; records itself on drop.
@@ -185,16 +235,11 @@ impl Drop for SpanGuard {
         if live.record {
             let mut st = lock_state();
             if let Some(rec) = st.as_mut() {
-                let start_us = live
-                    .start
-                    .saturating_duration_since(rec.epoch)
-                    .as_micros()
-                    .min(u128::from(u64::MAX)) as u64;
                 rec.spans.push(SpanRecord {
                     cat: live.cat,
                     name: live.name,
-                    start_us,
-                    dur_us: dur.as_micros().min(u128::from(u64::MAX)) as u64,
+                    start_us: micros(live.start.saturating_duration_since(rec.epoch)),
+                    dur_us: micros(dur),
                     depth: live.depth,
                     tid: thread_tid(),
                 });
@@ -204,11 +249,12 @@ impl Drop for SpanGuard {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    // Span tests share the process-global recorder; serialize them.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
+    // Span and telemetry tests share the process-global recorder;
+    // serialize them.
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -2,49 +2,43 @@
 //!
 //! Everything else in this crate observes the simulated machine; this
 //! module observes the simulator. It is the substrate behind
-//! `flexsim stats` and `flexsim --telemetry`:
+//! `flexsim stats` and `flexsim --telemetry`, and it keeps no clock of
+//! its own: the span recorder ([`mod@crate::span`]) is the only store of
+//! host wall time, and a [`TelemetrySnapshot`] is a fold over its
+//! records ([`snapshot`]).
 //!
-//! * **Phase profiler** — scoped wall-clock timers over the host
-//!   pipeline ([`Phase`]: parse → flexcheck → schedule → simulate →
-//!   verify → export). Phases nest; time is attributed *exclusively*
-//!   to the innermost active phase on each thread, so phase totals
-//!   never double-count and sum to at most the process wall time.
-//!   Every [`phase`] guard also opens a `phase`-category
-//!   [`crate::span()`], nesting host-phase timing under the existing
-//!   span hierarchy (and into Chrome traces).
-//! * **Scheduler telemetry** — `flexsim-pool` reports per-worker
-//!   busy/idle/wall time, steal counts, task counts, and per-task
-//!   latency through [`merge_worker`]; workers buffer locally and the
-//!   pool merges in worker-index order at drop, so the merge is
-//!   deterministic.
-//! * **Latency histograms** — log-bucketed [`Histogram`]s
-//!   ([`observe_task_us`], [`observe_layer_sim_since`],
-//!   [`observe_experiment_us`]) with exact counts and p50/p90/p99.
-//! * **Flight recorder** — a bounded ring buffer of recent host
-//!   events ([`flight`]), dumped to `flight-<ts>.json` on a task
-//!   panic (via the pool's `catch_unwind` hook) or on demand at
-//!   shutdown.
+//! * **Phase profiler** — [`phase`] opens a `phase` span over one step
+//!   of the host pipeline ([`Phase`]: parse → flexcheck → schedule →
+//!   simulate → verify → export). A phase's *self* time is its span's
+//!   duration minus the `phase` spans nested directly inside it on the
+//!   same thread, so no instant is charged to two phases on one thread.
+//! * **Scheduler telemetry** — `flexsim-pool` opens one `worker` span
+//!   per executor, named by its index, and one `task` span per task.
+//!   A worker's busy time and task count come from the outermost
+//!   `task` spans inside its `worker` spans; idle is wall minus busy.
+//!   Steals and the queue-depth high-water come from the metrics
+//!   registry (`pool_steals_total{worker}`,
+//!   `pool_queue_depth_high_water`), diffed against [`reset`].
+//! * **Latency histograms** — log-bucketed [`Histogram`]s of the
+//!   `experiment`, `layer` and `task` span durations.
+//! * **Flight recorder** — the last [`flight::CAPACITY`] completed
+//!   spans, dumped to `flight-<ts>.json` with the panic as a final
+//!   event when a task panics ([`flight`]).
 //!
-//! Telemetry is **off by default** and costs one relaxed atomic load
-//! per instrumentation point when disabled. Enabling it never changes
-//! simulation results — only wall-clock observations are recorded —
-//! and the `integration_telemetry` suite proves byte-identical
-//! simulation output with telemetry on vs. off at every `--jobs`
-//! level.
-//!
-//! Monotonic-clock discipline: every duration is measured with
-//! [`Instant`] (never `SystemTime`), so NTP steps cannot produce
-//! negative or wildly wrong phase times. The only wall-clock read is
-//! the flight-dump filename timestamp.
+//! Telemetry is **off by default**: without a recorder a probe costs
+//! one relaxed atomic load plus the `FLEXSIM_LOG` silence check.
+//! Enabling it never changes simulation results — only wall-clock
+//! observations are recorded — and the `integration_telemetry` suite
+//! proves byte-identical simulation output with telemetry on vs. off
+//! at every `--jobs` level.
 
 use crate::hist::Histogram;
+use crate::metrics::{self, Snapshot};
+use crate::span::{self, SpanGuard, SpanRecord};
 use flexsim_testkit::json::Json;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One phase of the host pipeline, in pipeline order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,7 +70,8 @@ impl Phase {
         Phase::Export,
     ];
 
-    /// Stable lower-case name (used in snapshots and metrics labels).
+    /// Stable lower-case name (the `phase` span's name, and the label
+    /// in snapshots and metrics).
     pub fn name(self) -> &'static str {
         match self {
             Phase::Parse => "parse",
@@ -87,325 +82,126 @@ impl Phase {
             Phase::Export => "export",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            Phase::Parse => 0,
-            Phase::Flexcheck => 1,
-            Phase::Schedule => 2,
-            Phase::Simulate => 3,
-            Phase::Verify => 4,
-            Phase::Export => 5,
-        }
-    }
 }
 
-const PHASES: usize = Phase::ALL.len();
+/// The registry gauge the pool raises on submit; [`reset`] zeroes it.
+const QUEUE_HIGH_WATER: &str = "pool_queue_depth_high_water";
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PHASE_SELF_US: [AtomicU64; PHASES] = [const { AtomicU64::new(0) }; PHASES];
-static PHASE_CALLS: [AtomicU64; PHASES] = [const { AtomicU64::new(0) }; PHASES];
-static QUEUE_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
+/// The registry snapshot taken at the last [`reset`].
+static BASELINE: Mutex<Option<Snapshot>> = Mutex::new(None);
 
-thread_local! {
-    /// The per-thread phase stack: (phase index, start of the current
-    /// *segment* — reset whenever a child phase pauses this one).
-    static PHASE_STACK: RefCell<Vec<(usize, Instant)>> = const { RefCell::new(Vec::new()) };
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Turns telemetry collection on. Idempotent; also anchors the flight
-/// recorder's epoch on first use.
+/// Turns telemetry collection on: starts the span recorder, keeping
+/// the records of one that `--trace` already installed.
 pub fn enable() {
-    epoch();
-    ENABLED.store(true, Ordering::Release);
+    span::resume_recorder();
 }
 
-/// Turns telemetry collection off (accumulated data is kept; see
+/// Turns telemetry collection off; the records are kept (see
 /// [`reset`]).
 pub fn disable() {
-    ENABLED.store(false, Ordering::Release);
+    span::pause_recorder();
 }
 
-/// Whether telemetry is being collected. One relaxed load — this is
-/// the only cost every instrumentation point pays when telemetry is
-/// off.
+/// Whether telemetry is being collected (the span recorder is on).
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    span::recording()
 }
 
-/// Clears every accumulated phase total, histogram, worker stat, and
-/// flight event (the enable/disable state is untouched).
+/// Clears every retained span record, zeroes the queue-depth
+/// high-water gauge and re-anchors the pool counters (the enable/
+/// disable state is untouched).
 pub fn reset() {
-    for i in 0..PHASES {
-        PHASE_SELF_US[i].store(0, Ordering::Relaxed);
-        PHASE_CALLS[i].store(0, Ordering::Relaxed);
-    }
-    QUEUE_HIGH_WATER.store(0, Ordering::Relaxed);
-    let mut st = lock_state();
-    st.experiment_wall = Histogram::new();
-    st.layer_sim_wall = Histogram::new();
-    st.task_wall = Histogram::new();
-    st.workers.clear();
-    st.flight.clear();
-    st.flight_dropped = 0;
+    span::clear_records();
+    let registry = metrics::global();
+    registry.set(QUEUE_HIGH_WATER, &[], 0);
+    *locked(&BASELINE) = Some(registry.snapshot());
 }
 
-/// The monotonic epoch flight-event timestamps are relative to (set
-/// once, at first [`enable`]).
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
+/// Opens a `phase` span for `p`. Inert — one relaxed atomic load plus
+/// the `FLEXSIM_LOG` silence check — when nothing records or logs.
+pub fn phase(p: Phase) -> SpanGuard {
+    span::span("phase", p.name())
 }
 
-/// Accumulated per-worker totals (merged across pools by worker
-/// index).
+/// Accumulated per-worker totals (summed over every `worker` span with
+/// the same index).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerTotals {
-    /// Wall time the worker existed (spawn→join for spawned workers;
+    /// Wall time the worker existed (spawn→exit for spawned workers;
     /// time inside `Pool::run` for the calling thread, index 0).
     pub wall_us: u64,
-    /// Time spent executing tasks.
+    /// Time spent in outermost tasks.
     pub busy_us: u64,
     /// Wall minus busy (parked or stealing-and-failing).
     pub idle_us: u64,
-    /// Tasks this worker executed.
+    /// Outermost tasks this worker executed.
     pub tasks: u64,
     /// Tasks this worker stole from a sibling's deque.
     pub steals: u64,
 }
 
-/// Mutex-protected collection state (histograms, workers, flight
-/// ring). Phase totals stay in atomics so the per-layer hot path never
-/// takes this lock.
-struct State {
-    experiment_wall: Histogram,
-    layer_sim_wall: Histogram,
-    task_wall: Histogram,
-    workers: BTreeMap<usize, WorkerTotals>,
-    flight: std::collections::VecDeque<FlightEvent>,
-    flight_dropped: u64,
-    flight_dir: Option<std::path::PathBuf>,
-}
-
-fn state() -> &'static Mutex<State> {
-    static STATE: OnceLock<Mutex<State>> = OnceLock::new();
-    STATE.get_or_init(|| {
-        Mutex::new(State {
-            experiment_wall: Histogram::new(),
-            layer_sim_wall: Histogram::new(),
-            task_wall: Histogram::new(),
-            workers: BTreeMap::new(),
-            flight: std::collections::VecDeque::new(),
-            flight_dropped: 0,
-            flight_dir: None,
-        })
-    })
-}
-
-fn lock_state() -> MutexGuard<'static, State> {
-    state().lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn charge(phase_idx: usize, us: u64) {
-    PHASE_SELF_US[phase_idx].fetch_add(us, Ordering::Relaxed);
-}
-
-fn dur_us(from: Instant, to: Instant) -> u64 {
-    to.saturating_duration_since(from)
-        .as_micros()
-        .min(u128::from(u64::MAX)) as u64
-}
-
-/// A live phase timer; settles its accounts on drop.
-#[must_use = "a phase timer measures the scope it is alive in"]
-pub struct PhaseTimer {
-    active: bool,
-    _span: Option<crate::span::SpanGuard>,
-}
-
-/// Opens a scoped timer for `p`. While this guard is alive, wall time
-/// on the current thread is charged to `p`; a nested [`phase`] call
-/// pauses it (time is attributed to the innermost phase only). Inert —
-/// one relaxed atomic load — when telemetry is disabled.
-pub fn phase(p: Phase) -> PhaseTimer {
-    if !enabled() {
-        return PhaseTimer {
-            active: false,
-            _span: None,
-        };
-    }
-    let now = Instant::now();
-    PHASE_STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        if let Some(top) = stack.last_mut() {
-            charge(top.0, dur_us(top.1, now));
-            top.1 = now;
-        }
-        stack.push((p.index(), now));
-    });
-    PhaseTimer {
-        active: true,
-        _span: Some(crate::span::span("phase", p.name())),
-    }
-}
-
-impl Drop for PhaseTimer {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        let now = Instant::now();
-        PHASE_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            if let Some((idx, seg_start)) = stack.pop() {
-                charge(idx, dur_us(seg_start, now));
-                PHASE_CALLS[idx].fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(top) = stack.last_mut() {
-                top.1 = now; // resume the parent's segment
-            }
-        });
-    }
-}
-
-/// `Some(Instant::now())` when telemetry is enabled — the cheap idiom
-/// for optional latency sampling at instrumentation points.
-pub fn now_if_enabled() -> Option<Instant> {
-    enabled().then(Instant::now)
-}
-
-/// Records one per-layer-simulation wall-time sample, measured from
-/// `start` (a [`now_if_enabled`] result; `None` is a no-op).
-pub fn observe_layer_sim_since(start: Option<Instant>) {
-    if let Some(t) = start {
-        let us = dur_us(t, Instant::now());
-        lock_state().layer_sim_wall.observe(us);
-    }
-}
-
-/// Records one per-experiment wall-time sample in microseconds.
-pub fn observe_experiment_us(us: u64) {
-    if enabled() {
-        lock_state().experiment_wall.observe(us);
-    }
-}
-
-/// Records one task-latency sample in microseconds (normally via
-/// [`merge_worker`]'s histogram; this entry point exists for serial
-/// executors).
-pub fn observe_task_us(us: u64) {
-    if enabled() {
-        lock_state().task_wall.observe(us);
-    }
-}
-
-/// Raises the pool queue-depth high-water mark to at least `depth`.
-pub fn pool_queue_depth(depth: u64) {
-    if enabled() {
-        QUEUE_HIGH_WATER.fetch_max(depth, Ordering::Relaxed);
-    }
-}
-
-/// Merges one worker's totals (plus its locally-buffered task-latency
-/// histogram) into the global accumulators. Called by the pool at
-/// drop, in worker-index order, so the merge is deterministic.
-pub fn merge_worker(index: usize, totals: &WorkerTotals, task_hist: &Histogram) {
-    if !enabled() {
-        return;
-    }
-    let mut st = lock_state();
-    let slot = st.workers.entry(index).or_default();
-    slot.wall_us += totals.wall_us;
-    slot.busy_us += totals.busy_us;
-    slot.idle_us += totals.idle_us;
-    slot.tasks += totals.tasks;
-    slot.steals += totals.steals;
-    st.task_wall.merge(task_hist);
-}
-
-/// One flight-recorder entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// Microseconds since the telemetry epoch (first [`enable`]).
-    pub ts_us: u64,
-    /// Short category (`"experiment"`, `"task-panic"`, `"pool"`, …).
-    pub cat: &'static str,
-    /// Human-readable description.
-    pub msg: String,
-}
-
-/// The bounded ring-buffer flight recorder of recent host events.
+/// The bounded flight recorder: the newest completed spans.
 pub mod flight {
-    use super::{dur_us, enabled, epoch, lock_state, FlightEvent, Json};
+    use super::{enabled, locked, Json};
+    use crate::span;
     use std::path::{Path, PathBuf};
-    use std::time::Instant;
+    use std::sync::Mutex;
 
-    /// Ring capacity: newest [`CAPACITY`] events are kept, older ones
-    /// are counted as dropped.
+    /// Dump capacity: the newest [`CAPACITY`] span records are kept,
+    /// older ones are counted as dropped.
     pub const CAPACITY: usize = 256;
 
-    /// Records one event (no-op when telemetry is disabled).
-    pub fn record(cat: &'static str, msg: impl Into<String>) {
-        if !enabled() {
-            return;
-        }
-        let ts_us = dur_us(epoch(), Instant::now());
-        let mut st = lock_state();
-        if st.flight.len() == CAPACITY {
-            st.flight.pop_front();
-            st.flight_dropped += 1;
-        }
-        st.flight.push_back(FlightEvent {
-            ts_us,
-            cat,
-            msg: msg.into(),
-        });
-    }
+    static DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 
     /// Directs panic/shutdown dumps into `dir` (`None` disables
     /// automatic dumping — the default, so library users and tests
     /// never find surprise files in their working directory).
     pub fn set_dir(dir: Option<&Path>) {
-        lock_state().flight_dir = dir.map(Path::to_path_buf);
+        *locked(&DIR) = dir.map(Path::to_path_buf);
     }
 
-    /// A snapshot of the ring: the retained events plus the count of
-    /// older events that fell off.
-    pub fn events() -> (Vec<FlightEvent>, u64) {
-        let st = lock_state();
-        (st.flight.iter().cloned().collect(), st.flight_dropped)
-    }
-
-    /// The dump document: `{"flexsim_flight": 1, "dropped": n,
-    /// "events": [{"ts_us", "cat", "msg"}, …]}` (byte-stable ordering).
-    pub fn to_json() -> Json {
-        let (events, dropped) = events();
+    fn event(ts_us: u64, cat: &str, msg: &str) -> Json {
         Json::obj([
-            ("flexsim_flight", Json::Int(1)),
-            ("dropped", Json::Int(dropped as i64)),
-            (
-                "events",
-                Json::arr(events.iter().map(|e| {
-                    Json::obj([
-                        ("ts_us", Json::Int(e.ts_us as i64)),
-                        ("cat", Json::str(e.cat)),
-                        ("msg", Json::str(&e.msg)),
-                    ])
-                })),
-            ),
+            ("ts_us", Json::Int(ts_us as i64)),
+            ("cat", Json::str(cat)),
+            ("msg", Json::str(msg)),
         ])
     }
 
-    /// Writes the flight dump to `flight-<unix-seconds>.json` in the
-    /// configured directory. Returns the path, or `None` when
-    /// telemetry is disabled, no directory is configured, or the
-    /// write fails (a failing dump must never mask the original
-    /// panic).
-    pub fn dump_now() -> Option<PathBuf> {
+    fn document(panic: Option<Json>) -> Json {
+        let spans = span::records();
+        let dropped = spans.len().saturating_sub(CAPACITY);
+        let events = spans[dropped..].iter().map(|s| {
+            let msg = format!("{} ({} us)", s.name, s.dur_us);
+            event(s.start_us + s.dur_us, s.cat, &msg)
+        });
+        Json::obj([
+            ("flexsim_flight", Json::Int(1)),
+            ("dropped", Json::Int(dropped as i64)),
+            ("events", Json::arr(events.chain(panic))),
+        ])
+    }
+
+    /// The dump document: `{"flexsim_flight": 1, "dropped": n,
+    /// "events": [{"ts_us", "cat", "msg"}, …]}`, one event per retained
+    /// span (stamped at its end, in completion order).
+    pub fn to_json() -> Json {
+        document(None)
+    }
+
+    /// Writes `doc` to `flight-<unix-seconds>.json` in the configured
+    /// directory. `None` when telemetry is disabled, no directory is
+    /// configured, or the write fails (a failing dump must never mask
+    /// the original panic).
+    fn write(doc: impl FnOnce() -> Json) -> Option<PathBuf> {
         if !enabled() {
             return None;
         }
-        let dir = lock_state().flight_dir.clone()?;
+        let dir = locked(&DIR).clone()?;
         let ts = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -418,17 +214,25 @@ pub mod flight {
             path = dir.join(format!("flight-{ts}-{n}.json"));
             n += 1;
         }
-        let mut text = to_json().pretty();
+        let mut text = doc().pretty();
         text.push('\n');
         std::fs::write(&path, text).ok()?;
         Some(path)
     }
 
-    /// The panic hook: records the failure and dumps the ring. Called
-    /// from the pool's `catch_unwind` arm and the suite runner.
+    /// Writes the dump now (see [`to_json`]).
+    pub fn dump_now() -> Option<PathBuf> {
+        write(to_json)
+    }
+
+    /// The panic hook: dumps the retained spans plus one `task-panic`
+    /// event. Called from the pool's `catch_unwind` arm and the suite
+    /// runner.
     pub fn record_panic(label: &str, message: &str) -> Option<PathBuf> {
-        record("task-panic", format!("{label}: {message}"));
-        dump_now()
+        write(|| {
+            let msg = format!("{label}: {message}");
+            document(Some(event(span::now_us(), "task-panic", &msg)))
+        })
     }
 }
 
@@ -454,27 +258,104 @@ pub struct TelemetrySnapshot {
     pub flight_dropped: u64,
 }
 
-/// Takes a snapshot of every accumulator.
+/// Folds the retained span records and the pool counters grown since
+/// [`reset`] into a snapshot.
 pub fn snapshot() -> TelemetrySnapshot {
-    let st = lock_state();
+    let base = locked(&BASELINE).clone().unwrap_or_default();
+    fold(&span::records(), &metrics::global().snapshot().diff(&base))
+}
+
+/// The parent of every record: the next record to complete on the same
+/// thread at a lower depth (spans nest strictly per thread, so a parent
+/// always completes after its children). `None` when no ancestor was
+/// recorded.
+fn parents(spans: &[SpanRecord]) -> Vec<Option<usize>> {
+    let mut parent = vec![None; spans.len()];
+    // Per thread: completed records still awaiting a parent, depths
+    // non-decreasing from bottom to top.
+    let mut waiting: BTreeMap<u64, Vec<(u32, usize)>> = BTreeMap::new();
+    for (i, s) in spans.iter().enumerate() {
+        let stack = waiting.entry(s.tid).or_default();
+        while let Some(&(_, child)) = stack.last().filter(|&&(d, _)| d > s.depth) {
+            parent[child] = Some(i);
+            stack.pop();
+        }
+        stack.push((s.depth, i));
+    }
+    parent
+}
+
+/// Folds span records (in completion order, as the recorder keeps
+/// them) and a registry diff holding the pool counters into a
+/// [`TelemetrySnapshot`].
+fn fold(spans: &[SpanRecord], pool: &Snapshot) -> TelemetrySnapshot {
+    let parent = parents(spans);
+    let up = |i: usize| std::iter::successors(parent[i], |&p| parent[p]);
+    let slot = |name: &str| Phase::ALL.iter().position(|p| p.name() == name);
+    let mut phases = [(0u64, 0i64); Phase::ALL.len()];
+    let mut workers: BTreeMap<usize, WorkerTotals> = BTreeMap::new();
+    let (mut experiment_wall, mut layer_sim_wall, mut task_wall) =
+        (Histogram::new(), Histogram::new(), Histogram::new());
+    for (i, s) in spans.iter().enumerate() {
+        match s.cat {
+            "phase" => {
+                if let Some(k) = slot(&s.name) {
+                    phases[k].0 += 1;
+                    phases[k].1 += s.dur_us as i64;
+                }
+                // Exclusive time: the enclosing phase loses this span.
+                let outer = up(i).find(|&p| spans[p].cat == "phase");
+                if let Some(k) = outer.and_then(|p| slot(&spans[p].name)) {
+                    phases[k].1 -= s.dur_us as i64;
+                }
+            }
+            "experiment" => experiment_wall.observe(s.dur_us),
+            "layer" => layer_sim_wall.observe(s.dur_us),
+            "task" => {
+                task_wall.observe(s.dur_us);
+                // A task nested in another task's body (a nested
+                // `Pool::run`) is already that task's busy time.
+                let owner = up(i).find(|&p| matches!(spans[p].cat, "task" | "worker"));
+                let index = owner.and_then(|p| (spans[p].cat == "worker").then_some(p));
+                if let Some(w) = index.and_then(|p| spans[p].name.parse().ok()) {
+                    let totals = workers.entry(w).or_default();
+                    totals.busy_us += s.dur_us;
+                    totals.tasks += 1;
+                }
+            }
+            "worker" => {
+                if let Ok(w) = s.name.parse() {
+                    workers.entry(w).or_default().wall_us += s.dur_us;
+                }
+            }
+            _ => {}
+        }
+    }
+    for (key, steals) in pool.iter().filter(|(k, _)| k.name == "pool_steals_total") {
+        let worker = key.labels.iter().find(|(k, _)| k == "worker");
+        if let Some(w) = worker.and_then(|(_, v)| v.parse().ok()) {
+            workers.entry(w).or_default().steals += steals;
+        }
+    }
+    for w in workers.values_mut() {
+        // Idle is wall minus busy *by construction*, so busy + idle ==
+        // wall holds exactly per worker.
+        w.idle_us = w.wall_us.saturating_sub(w.busy_us);
+    }
+    let kept = spans.len().min(flight::CAPACITY);
     TelemetrySnapshot {
         phases: Phase::ALL
             .iter()
-            .map(|&p| {
-                (
-                    p,
-                    PHASE_CALLS[p.index()].load(Ordering::Relaxed),
-                    PHASE_SELF_US[p.index()].load(Ordering::Relaxed),
-                )
-            })
+            .zip(phases)
+            .map(|(&p, (calls, us))| (p, calls, us.max(0) as u64))
             .collect(),
-        workers: st.workers.iter().map(|(&i, w)| (i, w.clone())).collect(),
-        queue_high_water: QUEUE_HIGH_WATER.load(Ordering::Relaxed),
-        experiment_wall: st.experiment_wall.clone(),
-        layer_sim_wall: st.layer_sim_wall.clone(),
-        task_wall: st.task_wall.clone(),
-        flight_events: st.flight.len() as u64,
-        flight_dropped: st.flight_dropped,
+        workers: workers.into_iter().collect(),
+        queue_high_water: pool.get(QUEUE_HIGH_WATER, &[]),
+        experiment_wall,
+        layer_sim_wall,
+        task_wall,
+        flight_events: kept as u64,
+        flight_dropped: (spans.len() - kept) as u64,
     }
 }
 
@@ -605,12 +486,12 @@ impl TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
-    /// Telemetry state is process-global; serialize the tests that
-    /// flip it (same discipline as the span-recorder tests).
+    /// Telemetry reads the process-global span recorder; serialize on
+    /// the span tests' lock.
     fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+        crate::span::tests::serial()
     }
 
     #[test]
@@ -620,10 +501,8 @@ mod tests {
         reset();
         {
             let _p = phase(Phase::Simulate);
-            observe_experiment_us(100);
-            observe_task_us(5);
-            pool_queue_depth(9);
-            flight::record("x", "y");
+            let _e = span::span("experiment", "x");
+            let _t = span::span("task", "y");
         }
         let snap = snapshot();
         assert_eq!(snap.phase_calls(Phase::Simulate), 0);
@@ -687,37 +566,37 @@ mod tests {
         }
     }
 
+    /// A hand-built completion-order record on thread 0.
+    fn rec(cat: &'static str, name: &str, start_us: u64, dur_us: u64, depth: u32) -> SpanRecord {
+        SpanRecord {
+            cat,
+            name: name.to_owned(),
+            start_us,
+            dur_us,
+            depth,
+            tid: 0,
+        }
+    }
+
     #[test]
     fn worker_merge_accumulates_by_index_and_preserves_the_identity() {
-        let _g = serial();
-        enable();
-        reset();
-        let mut hist = Histogram::new();
-        hist.observe(10);
-        merge_worker(
-            1,
-            &WorkerTotals {
-                wall_us: 100,
-                busy_us: 60,
-                idle_us: 40,
-                tasks: 3,
-                steals: 1,
-            },
-            &hist,
-        );
-        merge_worker(
-            1,
-            &WorkerTotals {
-                wall_us: 50,
-                busy_us: 20,
-                idle_us: 30,
-                tasks: 2,
-                steals: 0,
-            },
-            &Histogram::new(),
-        );
-        let snap = snapshot();
-        disable();
+        // Two `worker` spans for index 1 (two pools): 3 tasks busy for
+        // 60us of 100us, then 2 tasks busy for 20us of 50us. The second
+        // pool's first task runs a nested batch whose task is not
+        // counted again.
+        let spans = [
+            rec("task", "a", 0, 20, 1),
+            rec("task", "b", 20, 20, 1),
+            rec("task", "c", 40, 20, 1),
+            rec("worker", "1", 0, 100, 0),
+            rec("task", "inner", 101, 5, 2),
+            rec("task", "d", 100, 10, 1),
+            rec("task", "e", 110, 10, 1),
+            rec("worker", "1", 100, 50, 0),
+        ];
+        let registry = metrics::Registry::new();
+        registry.add("pool_steals_total", &[("worker", "1")], 1);
+        let snap = fold(&spans, &registry.snapshot());
         let (idx, w) = &snap.workers[0];
         assert_eq!(*idx, 1);
         assert_eq!(w.wall_us, 150);
@@ -727,7 +606,25 @@ mod tests {
         assert_eq!(w.busy_us + w.idle_us, w.wall_us);
         assert_eq!(w.tasks, 5);
         assert_eq!(w.steals, 1);
-        assert_eq!(snap.task_wall.count(), 1);
+        assert_eq!(snap.task_wall.count(), 6);
+    }
+
+    #[test]
+    fn phase_self_time_excludes_directly_nested_phases_only() {
+        // simulate ⊃ layer ⊃ schedule ⊃ verify: schedule is simulate's
+        // direct phase child even under a non-phase span; verify is
+        // schedule's, not simulate's.
+        let spans = [
+            rec("phase", "verify", 20, 10, 3),
+            rec("phase", "schedule", 10, 40, 2),
+            rec("layer", "C1", 5, 60, 1),
+            rec("phase", "simulate", 0, 100, 0),
+        ];
+        let snap = fold(&spans, &Snapshot::default());
+        assert_eq!(snap.phase_us(Phase::Simulate), 60);
+        assert_eq!(snap.phase_us(Phase::Schedule), 30);
+        assert_eq!(snap.phase_us(Phase::Verify), 10);
+        assert_eq!(snap.layer_sim_wall.count(), 1);
     }
 
     #[test]
@@ -736,13 +633,20 @@ mod tests {
         enable();
         reset();
         for i in 0..(flight::CAPACITY + 10) {
-            flight::record("test", format!("event {i}"));
+            drop(span::span("test", format!("event {i}")));
         }
-        let (events, dropped) = flight::events();
+        let Json::Obj(doc) = flight::to_json() else {
+            panic!("flight dump is not an object");
+        };
+        let field = |k: &str| doc.iter().find(|(key, _)| key == k).map(|(_, v)| v);
+        assert_eq!(field("dropped"), Some(&Json::Int(10)));
+        let Some(Json::Arr(events)) = field("events") else {
+            panic!("no events array");
+        };
         assert_eq!(events.len(), flight::CAPACITY);
-        assert_eq!(dropped, 10);
-        assert_eq!(events[0].msg, "event 10"); // oldest retained
-                                               // No dir configured: no dump.
+        // Oldest retained.
+        assert!(events[0].compact().contains("event 10"), "{:?}", events[0]);
+        // No dir configured: no dump.
         flight::set_dir(None);
         assert_eq!(flight::dump_now(), None);
         // Configured dir: a dump appears and parses.
@@ -756,6 +660,7 @@ mod tests {
         assert!(matches!(doc, Json::Obj(_)));
         flight::set_dir(None);
         disable();
+        reset();
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_dir(dir);
     }
@@ -771,9 +676,9 @@ mod tests {
 
     /// Busy-waits on the monotonic clock (sleep granularity is too
     /// coarse on loaded CI machines for sub-ms assertions).
-    fn spin_for_us(us: u64) {
+    fn spin_for_us(us: u128) {
         let start = Instant::now();
-        while dur_us(start, Instant::now()) < us {
+        while start.elapsed().as_micros() < us {
             std::hint::spin_loop();
         }
     }

@@ -19,22 +19,18 @@
 //!   threads at all: the submitting thread drains its own queue in
 //!   submission order, so `--jobs 1` reproduces single-threaded
 //!   behaviour exactly (same thread, same ordering, same span nesting).
-//! * **Observability.** Each task runs inside a `task`-category
-//!   [`flexsim_obs::span()`], and the pool mirrors queue depth, steal
-//!   counts, and task totals into the global metrics registry
-//!   (`pool_queue_depth`, `pool_steals_total`, `pool_tasks_total`,
-//!   `pool_tasks_panicked_total`, `pool_workers`). When
-//!   [`flexsim_obs::telemetry`] is enabled the pool additionally keeps
-//!   per-worker busy/idle wall time, steal counts, task counts, and a
-//!   task-latency histogram in per-worker buffers (each worker touches
-//!   only its own `Mutex` slot — "lock-free enough": the lock is never
-//!   contended on the hot path) and merges them into the global
-//!   telemetry in worker-index order when the pool is dropped, so the
-//!   merged stats are deterministic. Workers register
-//!   `flexsim-pool-{i}` thread labels so Chrome-trace thread names
-//!   reflect real workers, and a task panic is recorded into the
-//!   telemetry flight ring (triggering a flight dump when a dump
-//!   directory is configured).
+//! * **Observability.** Each executor runs inside a `worker`-category
+//!   [`flexsim_obs::span()`] named by its index (a spawned worker for
+//!   its lifetime, the calling thread for each outermost [`Pool::run`])
+//!   and each task inside a `task` span; [`flexsim_obs::telemetry`]
+//!   folds per-worker wall, busy, idle and task counts and the task
+//!   latency histogram from those spans. The pool mirrors its totals
+//!   into the global metrics registry: `pool_queue_depth_high_water`
+//!   (raised on submit), `pool_steals_total{worker="i"}`,
+//!   `pool_tasks_total`, `pool_tasks_panicked_total` and
+//!   `pool_workers`. Workers register `flexsim-pool-{i}` thread labels
+//!   so Chrome-trace thread names reflect real workers, and a task
+//!   panic triggers a flight dump when a dump directory is configured.
 //!
 //! ## Scheduling
 //!
@@ -65,7 +61,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use flexsim_obs::hist::Histogram;
 use flexsim_obs::span::{set_thread_label, span};
 use flexsim_obs::{metrics, telemetry};
 use std::cell::Cell;
@@ -74,7 +69,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 thread_local! {
     /// The executor index of the current thread while it is running
@@ -180,30 +174,10 @@ pub fn available_parallelism() -> usize {
 
 type Job = Box<dyn FnOnce() + Send>;
 
-/// Per-worker telemetry buffer. Each executor touches only its own
-/// slot, so the `Mutex` around it is uncontended on the hot path; the
-/// pool reads every slot once, in index order, at drop.
-#[derive(Default)]
-struct WorkerStats {
-    /// Wall microseconds the executor existed (spawn → loop exit for
-    /// workers; accumulated time inside [`Pool::run`] for executor 0).
-    wall_us: u64,
-    /// Microseconds spent executing task bodies.
-    busy_us: u64,
-    /// Tasks executed.
-    tasks: u64,
-    /// Tasks stolen from a sibling's deque.
-    steals: u64,
-    /// Per-task execution latency.
-    hist: Histogram,
-}
-
 /// State shared between the submitting thread and the workers.
 struct Shared {
     /// One work deque per executor (workers + the submitting thread).
     deques: Vec<Mutex<VecDeque<Job>>>,
-    /// One telemetry buffer per executor.
-    stats: Vec<Mutex<WorkerStats>>,
     /// Queued-but-unstarted jobs; checked before parking so a submit
     /// that lands between "deques empty" and "wait" is never missed.
     queued: AtomicUsize,
@@ -226,7 +200,6 @@ impl Shared {
     fn grab(&self, own: usize) -> Option<Job> {
         if let Some(job) = locked(&self.deques[own]).pop_front() {
             self.queued.fetch_sub(1, Ordering::AcqRel);
-            self.depth_gauge();
             return Some(job);
         }
         let n = self.deques.len();
@@ -234,54 +207,26 @@ impl Shared {
             let victim = (own + off) % n;
             if let Some(job) = locked(&self.deques[victim]).pop_back() {
                 self.queued.fetch_sub(1, Ordering::AcqRel);
-                metrics::global().add("pool_steals_total", &[], 1);
-                if telemetry::enabled() {
-                    locked(&self.stats[own]).steals += 1;
-                }
-                self.depth_gauge();
+                let me = own.to_string();
+                metrics::global().add("pool_steals_total", &[("worker", &me)], 1);
                 return Some(job);
             }
         }
         None
-    }
-
-    fn depth_gauge(&self) {
-        metrics::global().set(
-            "pool_queue_depth",
-            &[],
-            self.queued.load(Ordering::Acquire) as u64,
-        );
-    }
-
-    /// Runs one job as executor `me`, charging its wall time to `me`'s
-    /// telemetry buffer (one relaxed load when telemetry is off).
-    fn run_job(&self, me: usize, job: Job) {
-        let start = telemetry::now_if_enabled();
-        job();
-        if let Some(t0) = start {
-            let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-            let mut st = locked(&self.stats[me]);
-            st.busy_us += us;
-            st.tasks += 1;
-            st.hist.observe(us);
-        }
     }
 }
 
 fn worker_loop(shared: &Shared, me: usize) {
     set_thread_label(format!("flexsim-pool-{me}"));
     CURRENT_WORKER.with(|w| w.set(Some(me)));
-    let birth = Instant::now();
+    let _worker = span("worker", me.to_string());
     loop {
         if let Some(job) = shared.grab(me) {
-            shared.run_job(me, job);
+            job();
             continue;
         }
         let guard = locked(&shared.idle);
         if shared.shutdown.load(Ordering::Acquire) {
-            drop(guard);
-            locked(&shared.stats[me]).wall_us =
-                birth.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
             return;
         }
         if shared.queued.load(Ordering::Acquire) > 0 {
@@ -333,9 +278,6 @@ impl Pool {
         };
         let shared = Arc::new(Shared {
             deques: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-            stats: (0..jobs)
-                .map(|_| Mutex::new(WorkerStats::default()))
-                .collect(),
             queued: AtomicUsize::new(0),
             idle: Mutex::new(()),
             work_cv: Condvar::new(),
@@ -396,19 +338,19 @@ impl Pool {
         // Help drain the pool until this batch is complete. The calling
         // thread is executor 0 for the duration (unless it already *is*
         // a worker — a nested `run` from inside a task keeps the outer
-        // identity, and its drain time is already counted as that
-        // task's busy time).
-        let outer_worker = current_worker();
-        let wall_start = outer_worker.is_none().then(Instant::now);
-        if outer_worker.is_none() {
+        // identity, and the tasks it drains nest inside that task's
+        // span, whose duration is already the worker's busy time).
+        let outermost = current_worker().is_none();
+        let worker = outermost.then(|| {
             CURRENT_WORKER.with(|w| w.set(Some(0)));
-        }
+            span("worker", "0")
+        });
         loop {
             if *locked(&batch.remaining) == 0 {
                 break;
             }
             if let Some(job) = self.shared.grab(0) {
-                self.shared.run_job(current_worker().unwrap_or(0), job);
+                job();
                 continue;
             }
             let remaining = locked(&batch.remaining);
@@ -422,10 +364,9 @@ impl Pool {
                     .unwrap_or_else(PoisonError::into_inner),
             );
         }
-        if let Some(t0) = wall_start {
+        drop(worker);
+        if outermost {
             CURRENT_WORKER.with(|w| w.set(None));
-            locked(&self.shared.stats[0]).wall_us +=
-                t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         }
         let outcomes = locked(&slots)
             .iter_mut()
@@ -441,9 +382,8 @@ impl Pool {
     fn submit(&self, job: Job) {
         let target = self.next_deque.fetch_add(1, Ordering::Relaxed) % self.shared.deques.len();
         let depth = self.shared.queued.fetch_add(1, Ordering::AcqRel) + 1;
-        telemetry::pool_queue_depth(depth as u64);
+        metrics::global().raise("pool_queue_depth_high_water", &[], depth as u64);
         locked(&self.shared.deques[target]).push_back(job);
-        self.shared.depth_gauge();
         let _guard = locked(&self.shared.idle);
         self.shared.work_cv.notify_all();
     }
@@ -461,28 +401,6 @@ impl Drop for Pool {
             // join error is ignored rather than double-panicked so Drop
             // stays well-behaved during unwinding.
             let _ = worker.join();
-        }
-        // Every worker has exited, so the per-worker buffers are
-        // quiescent: merge them into the global telemetry in worker
-        // index order — a deterministic merge no matter how the batch
-        // was scheduled.
-        if telemetry::enabled() {
-            for (index, slot) in self.shared.stats.iter().enumerate() {
-                let st = locked(slot);
-                if st.wall_us == 0 && st.tasks == 0 && st.steals == 0 {
-                    continue; // executor never participated
-                }
-                let totals = telemetry::WorkerTotals {
-                    wall_us: st.wall_us,
-                    busy_us: st.busy_us,
-                    // Idle is wall minus busy *by construction*, so
-                    // busy + idle == wall holds exactly per worker.
-                    idle_us: st.wall_us.saturating_sub(st.busy_us),
-                    tasks: st.tasks,
-                    steals: st.steals,
-                };
-                telemetry::merge_worker(index, &totals, &st.hist);
-            }
         }
     }
 }
@@ -628,8 +546,16 @@ mod tests {
         assert_eq!(results, vec![Outcome::Done(30)]);
     }
 
+    /// Telemetry reads the process-global span recorder; the tests
+    /// that switch it on and off serialize on this lock.
+    fn telemetry_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        locked(&LOCK)
+    }
+
     #[test]
     fn dropped_pool_merges_worker_stats_into_telemetry() {
+        let _g = telemetry_lock();
         telemetry::enable();
         {
             let pool = Pool::new(3);
@@ -646,6 +572,32 @@ mod tests {
             assert_eq!(w.busy_us + w.idle_us, w.wall_us, "worker {i}");
         }
         assert!(snap.task_wall.count() >= 32);
+    }
+
+    #[test]
+    fn nested_run_keeps_busy_plus_idle_equal_to_wall() {
+        let _g = telemetry_lock();
+        telemetry::enable();
+        telemetry::reset();
+        let nap = || std::thread::sleep(std::time::Duration::from_millis(20));
+        {
+            let pool = Arc::new(Pool::new(2));
+            let inner_pool = Arc::clone(&pool);
+            let results = pool.run(vec![Task::new("outer", move || {
+                nap();
+                inner_pool.run(vec![Task::new("inner/0", nap), Task::new("inner/1", nap)]);
+                nap();
+            })]);
+            assert_eq!(results, vec![Outcome::Done(())]);
+        }
+        let snap = telemetry::snapshot();
+        telemetry::disable();
+        assert!(!snap.workers.is_empty());
+        for (i, w) in &snap.workers {
+            // The inner tasks drained by the outer task's thread are
+            // part of the outer task's busy time, not added to it.
+            assert_eq!(w.busy_us + w.idle_us, w.wall_us, "worker {i}: {w:?}");
+        }
     }
 
     #[test]

@@ -7,12 +7,16 @@
 //!   and every merged worker reconciles exactly: busy + idle == wall.
 //! * A panicking experiment produces a flight-recorder dump while its
 //!   sibling experiments complete untouched.
+//! * `--trace` and `--telemetry` on one command line fold the same span
+//!   records: every traced layer span is one layer-sim sample.
 //!
 //! Telemetry state is process-global, so every test serializes on one
 //! lock and restores the disabled state before releasing it.
 
 use flexsim_experiments::{run_suite, SuiteConfig, REGISTRY};
 use flexsim_obs::telemetry::{self, Phase};
+use flexsim_testkit::json::Json;
+use std::process::Command;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -203,5 +207,74 @@ fn panicking_experiment_dumps_flight_and_leaves_siblings_intact() {
         "panic event missing from dump:\n{text}"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The value under `key` in a JSON object.
+fn get<'a>(doc: &'a Json, key: &str) -> &'a Json {
+    let Json::Obj(fields) = doc else {
+        panic!("not an object looking up {key:?}");
+    };
+    fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .unwrap_or_else(|| panic!("no {key:?} field"))
+}
+
+#[test]
+fn trace_and_telemetry_on_one_command_fold_the_same_spans() {
+    let dir = std::env::temp_dir().join(format!("flexsim_trace_telemetry_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, snap) = (dir.join("trace.json"), dir.join("telemetry.json"));
+    let out = Command::new(env!("CARGO_BIN_EXE_flexsim"))
+        .args(["--jobs", "2", "--trace"])
+        .arg(&trace)
+        .arg("--telemetry")
+        .arg(&snap)
+        .arg("all")
+        .output()
+        .expect("flexsim runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let read = |p: &std::path::Path| {
+        std::fs::read_to_string(p).unwrap_or_else(|e| panic!("{} not written: {e}", p.display()))
+    };
+    let trace = Json::parse(&read(&trace)).expect("trace parses");
+    let snap = Json::parse(&read(&snap)).expect("telemetry snapshot parses");
+    let prom = read(&dir.join("telemetry.json.prom"));
+
+    let Json::Arr(events) = get(&trace, "traceEvents") else {
+        panic!("traceEvents is not an array");
+    };
+    let layer_spans = events
+        .iter()
+        .filter(|e| matches!(e, Json::Obj(f) if f.iter().any(|(k, v)| k == "cat" && *v == Json::str("layer"))))
+        .count() as i64;
+    let layer_samples = get(get(get(&snap, "histograms"), "layer_sim_wall_us"), "count");
+    assert!(layer_spans > 0, "no layer spans traced");
+    assert_eq!(*layer_samples, Json::Int(layer_spans));
+
+    let Json::Arr(phases) = get(&snap, "phases") else {
+        panic!("phases is not an array");
+    };
+    assert_eq!(phases.len(), Phase::ALL.len());
+    for p in phases {
+        assert!(
+            matches!(get(p, "calls"), Json::Int(n) if *n > 0),
+            "phase never fired: {}",
+            p.compact()
+        );
+    }
+    for p in Phase::ALL {
+        let label = format!("phase=\"{}\"", p.name());
+        assert!(
+            prom.contains(&label),
+            "{label} missing from the .prom:\n{prom}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
