@@ -51,11 +51,12 @@ pub trait Accelerator: Send {
     fn area(&self) -> AreaBreakdown;
 
     /// Attaches the observer; subsequent `run_conv` calls fold each
-    /// layer's step schedule into its cycle timeline and, when the sink
-    /// asks for one, its per-PE heatmap/bank/contention record
-    /// (flexcheck FXC13 gates those against the loss ledgers). The
-    /// default implementation ignores the sink, so architectures
-    /// without instrumentation remain valid.
+    /// layer's step schedule into its cycle timeline and, when the
+    /// recorder keeps them, its per-PE heatmap/bank/contention record
+    /// (flexcheck FXC13 gates those against the loss ledgers), and hand
+    /// both to the recorder once per layer. The default implementation
+    /// ignores the sink, so architectures without instrumentation
+    /// remain valid.
     fn attach_sink(&mut self, _sink: SinkHandle) {}
 
     /// The closed-form per-cause aggregate of the step schedule

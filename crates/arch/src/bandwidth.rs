@@ -1,15 +1,13 @@
-//! External-memory bandwidth model and roofline analysis.
+//! External-memory bandwidth model.
 //!
 //! The paper evaluates the accelerators with on-chip traffic as the
 //! reusability proxy (Fig. 17) and DRAM accesses per operation
 //! (Table 7), but stops short of the system-level consequence: with a
 //! finite DRAM bandwidth, an engine's *achievable* throughput is capped
-//! by `bandwidth / bytes-per-op`. This module adds that roofline —
-//! an extension experiment (`flexsim ext_roofline`) uses it to show
-//! which architectures would be memory-bound at the paper's 1 GHz
-//! engine clock.
-
-use crate::dram::DramTraffic;
+//! by `bandwidth / bytes-per-op`. This module holds that bandwidth; the
+//! roofline arithmetic is `flexsim_obs::roofline::classify`, which the
+//! extension experiments (`flexsim ext_roofline`, `ext_batching`) and
+//! `flexsim profile` feed with [`DramInterface::words_per_second`].
 
 /// Bytes per 16-bit word.
 const WORD_BYTES: f64 = 2.0;
@@ -57,29 +55,6 @@ impl DramInterface {
     pub fn words_per_second(&self) -> f64 {
         self.bandwidth_gbps * 1e9 / WORD_BYTES
     }
-
-    /// The roofline: maximum achievable GOPS given a workload's DRAM
-    /// traffic and MAC count, regardless of compute throughput.
-    pub fn roofline_gops(&self, traffic: DramTraffic, macs: u64) -> f64 {
-        if traffic.total() == 0 {
-            return f64::INFINITY;
-        }
-        let ops = 2.0 * macs as f64;
-        let seconds_for_traffic = traffic.total() as f64 / self.words_per_second();
-        ops / seconds_for_traffic / 1e9
-    }
-
-    /// Caps a compute-side throughput by the memory roofline, returning
-    /// the achievable GOPS and whether the engine is memory-bound.
-    pub fn cap(&self, compute_gops: f64, traffic: DramTraffic, macs: u64) -> RooflinePoint {
-        let roof = self.roofline_gops(traffic, macs);
-        RooflinePoint {
-            compute_gops,
-            roofline_gops: roof,
-            achievable_gops: compute_gops.min(roof),
-            memory_bound: roof < compute_gops,
-        }
-    }
 }
 
 impl Default for DramInterface {
@@ -88,22 +63,27 @@ impl Default for DramInterface {
     }
 }
 
-/// One point of the roofline analysis.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RooflinePoint {
-    /// Compute-side throughput (utilization-limited).
-    pub compute_gops: f64,
-    /// Memory-side ceiling.
-    pub roofline_gops: f64,
-    /// `min` of the two.
-    pub achievable_gops: f64,
-    /// True when memory is the binding constraint.
-    pub memory_bound: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::DramTraffic;
+    use flexsim_obs::roofline::{classify, Bound, LayerRoofline};
+
+    /// `macs` MACs moving `traffic` over `dram` under a `compute_gops`
+    /// compute roof.
+    fn roof(
+        dram: DramInterface,
+        compute_gops: f64,
+        traffic: DramTraffic,
+        macs: u64,
+    ) -> LayerRoofline {
+        classify(
+            2.0 * macs as f64,
+            traffic.total() as f64,
+            dram.words_per_second(),
+            compute_gops,
+        )
+    }
 
     #[test]
     fn roofline_scales_with_bandwidth() {
@@ -111,9 +91,11 @@ mod tests {
             reads: 1_000_000,
             writes: 0,
         };
-        let slow = DramInterface::new(1.0).roofline_gops(traffic, 10_000_000);
-        let fast = DramInterface::new(4.0).roofline_gops(traffic, 10_000_000);
-        assert!((fast / slow - 4.0).abs() < 1e-9);
+        let slow = roof(DramInterface::new(1.0), f64::INFINITY, traffic, 10_000_000);
+        let fast = roof(DramInterface::new(4.0), f64::INFINITY, traffic, 10_000_000);
+        assert!((fast.bandwidth_gops / slow.bandwidth_gops - 4.0).abs() < 1e-9);
+        // 1 GB/s is 0.5 G words/s; 20 ops per word.
+        assert!((slow.bandwidth_gops - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -125,8 +107,8 @@ mod tests {
             reads: 800_000,
             writes: 200_000,
         };
-        let p = DramInterface::ddr3_style().cap(512.0, traffic, macs);
-        assert!(!p.memory_bound);
+        let p = roof(DramInterface::ddr3_style(), 512.0, traffic, macs);
+        assert_eq!(p.bound, Bound::Compute);
         assert_eq!(p.achievable_gops, 512.0);
     }
 
@@ -139,15 +121,21 @@ mod tests {
             reads: 2_000_000,
             writes: 0,
         };
-        let p = DramInterface::ddr3_style().cap(512.0, traffic, macs);
-        assert!(p.memory_bound);
+        let p = roof(DramInterface::ddr3_style(), 512.0, traffic, macs);
+        assert_eq!(p.bound, Bound::Bandwidth);
         assert!(p.achievable_gops < 10.0);
     }
 
     #[test]
     fn zero_traffic_is_unbounded() {
-        let p = DramInterface::ddr3_style().cap(100.0, DramTraffic::default(), 10);
-        assert!(!p.memory_bound);
+        let p = roof(
+            DramInterface::ddr3_style(),
+            100.0,
+            DramTraffic::default(),
+            10,
+        );
+        assert_eq!(p.bound, Bound::Compute);
+        assert!(p.bandwidth_gops.is_infinite());
         assert_eq!(p.achievable_gops, 100.0);
     }
 

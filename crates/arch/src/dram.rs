@@ -135,38 +135,6 @@ pub fn conv_read_components(
     }
 }
 
-/// Estimates DRAM traffic for a *batch* of `batch` inferences of one
-/// CONV layer.
-///
-/// Activations (inputs/outputs) scale with the batch; kernels are read
-/// once per batch when they fit the kernel buffer, or re-streamed per
-/// frame otherwise — the standard weight-amortization that makes small
-/// CNNs compute-bound again (see the `ext_batching` experiment).
-///
-/// # Panics
-///
-/// Panics if `batch` is zero or either buffer capacity is zero.
-pub fn conv_layer_traffic_batched(
-    layer: &ConvLayer,
-    neuron_buf_words: u64,
-    kernel_buf_words: u64,
-    batch: u64,
-) -> DramTraffic {
-    assert!(batch > 0, "batch must be non-zero");
-    let (activation_reads, per_frame_kernel_reads) =
-        conv_read_components(layer, neuron_buf_words, kernel_buf_words);
-    let kernel_reads = if layer.synapses() <= kernel_buf_words {
-        // Weights stay resident across the batch.
-        per_frame_kernel_reads
-    } else {
-        per_frame_kernel_reads * batch
-    };
-    DramTraffic {
-        reads: activation_reads * batch + kernel_reads,
-        writes: layer.output_neurons() * batch,
-    }
-}
-
 /// Estimates DRAM traffic for `batch` inferences of a whole network
 /// under *layer fusion*: intermediate activations that fit the neuron
 /// buffer ping-pong on chip (exactly what FlexFlow's two neuron buffers
@@ -287,13 +255,22 @@ mod tests {
         let _ = conv_layer_traffic(&layer, 0, 16);
     }
 
+    /// A network of `layer` alone: its fused traffic is the layer's
+    /// own batched traffic.
+    fn single(layer: &ConvLayer) -> flexsim_model::Network {
+        flexsim_model::Network::builder("one")
+            .conv(layer.clone())
+            .build()
+    }
+
     #[test]
     fn batching_amortizes_resident_weights() {
         // LeNet-5 C3's kernels fit the 32 KB buffer: a batch of 16 pays
         // for them once.
         let layer = ConvLayer::new("C3", 16, 6, 10, 5).with_input_size(14);
-        let b1 = conv_layer_traffic_batched(&layer, 16 * 1024, 16 * 1024, 1);
-        let b16 = conv_layer_traffic_batched(&layer, 16 * 1024, 16 * 1024, 16);
+        let net = single(&layer);
+        let b1 = network_traffic_fused(&net, 16 * 1024, 16 * 1024, 1);
+        let b16 = network_traffic_fused(&net, 16 * 1024, 16 * 1024, 16);
         assert_eq!(b1, conv_layer_traffic(&layer, 16 * 1024, 16 * 1024));
         let activations = layer.input_neurons();
         assert_eq!(b16.reads, activations * 16 + layer.synapses());
@@ -306,8 +283,9 @@ mod tests {
     fn oversized_weights_do_not_amortize() {
         // Kernels bigger than the buffer re-stream every frame.
         let layer = ConvLayer::new("C", 64, 64, 8, 3); // 36864 kernel words
-        let b1 = conv_layer_traffic_batched(&layer, 16 * 1024, 16 * 1024, 1);
-        let b4 = conv_layer_traffic_batched(&layer, 16 * 1024, 16 * 1024, 4);
+        let net = single(&layer);
+        let b1 = network_traffic_fused(&net, 16 * 1024, 16 * 1024, 1);
+        let b4 = network_traffic_fused(&net, 16 * 1024, 16 * 1024, 4);
         assert_eq!(b4.reads, b1.reads * 4);
     }
 

@@ -21,9 +21,10 @@ use std::ops::{Add, AddAssign};
 /// ```
 /// use flexsim_arch::energy::EnergyModel;
 ///
-/// // Double the MAC energy for a what-if study.
-/// let model = EnergyModel::tsmc65().with_mac_pj(5.0);
-/// assert_eq!(model.mac_pj(), 5.0);
+/// let model = EnergyModel::tsmc65();
+/// assert_eq!(model.mac_pj(), 2.5);
+/// // An off-chip word costs far more than an on-chip buffer access.
+/// assert!(model.dram_pj() > 10.0 * model.buffer_pj());
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct EnergyModel {
@@ -66,36 +67,6 @@ impl EnergyModel {
         }
     }
 
-    /// Overrides the MAC energy (pJ).
-    pub fn with_mac_pj(mut self, pj: f64) -> Self {
-        self.mac_pj = pj;
-        self
-    }
-
-    /// Overrides the local-store access energy (pJ).
-    pub fn with_local_store_pj(mut self, pj: f64) -> Self {
-        self.local_store_pj = pj;
-        self
-    }
-
-    /// Overrides the on-chip buffer access energy (pJ).
-    pub fn with_buffer_pj(mut self, pj: f64) -> Self {
-        self.buffer_pj = pj;
-        self
-    }
-
-    /// Overrides the bus word-transfer energy (pJ).
-    pub fn with_bus_pj(mut self, pj: f64) -> Self {
-        self.bus_pj = pj;
-        self
-    }
-
-    /// Overrides the DRAM word access energy (pJ).
-    pub fn with_dram_pj(mut self, pj: f64) -> Self {
-        self.dram_pj = pj;
-        self
-    }
-
     /// MAC energy in pJ.
     pub fn mac_pj(&self) -> f64 {
         self.mac_pj
@@ -124,12 +95,6 @@ impl EnergyModel {
     /// Idle-PE clocking energy in pJ per PE-cycle.
     pub fn idle_pe_pj(&self) -> f64 {
         self.idle_pe_pj
-    }
-
-    /// Overrides the idle-PE clocking energy (pJ per PE-cycle).
-    pub fn with_idle_pe_pj(mut self, pj: f64) -> Self {
-        self.idle_pe_pj = pj;
-        self
     }
 
     /// Converts event counts plus duration and chip area into an energy
@@ -297,20 +262,6 @@ mod tests {
         let e = model.energy(&ev, 0, 0.0);
         assert_eq!(e.on_chip_j(), 0.0);
         assert!(e.total_j() > 0.0);
-    }
-
-    #[test]
-    fn builder_overrides() {
-        let m = EnergyModel::tsmc65()
-            .with_mac_pj(1.0)
-            .with_local_store_pj(2.0)
-            .with_buffer_pj(3.0)
-            .with_bus_pj(4.0)
-            .with_dram_pj(5.0);
-        assert_eq!(m.mac_pj(), 1.0);
-        assert_eq!(m.local_store_pj(), 2.0);
-        assert_eq!(m.buffer_pj(), 3.0);
-        assert_eq!(m.dram_pj(), 5.0);
     }
 
     #[test]

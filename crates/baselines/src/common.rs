@@ -16,8 +16,8 @@ pub(crate) fn cdiv(a: usize, b: usize) -> usize {
 }
 
 /// The `run_conv` of every baseline. The layer's cycles and MACs are
-/// those of `acc`'s aggregate; `steps` are folded into the attached
-/// sink on a `rows × cols` heatmap; `analyze` gives the on-chip events
+/// those of `acc`'s aggregate; `steps` are folded for the attached
+/// recorder on a `rows × cols` heatmap; `analyze` gives the on-chip events
 /// and traffic for the layer's cycle total. The heatmap samples the
 /// three Table 5 buffers (the baselines stream operands, so residency
 /// is flat). The baselines have no shared adder-tree ports or CDB, so
@@ -55,7 +55,7 @@ mod tests {
     use crate::{Mapping2d, Systolic, TilingArray};
     use flexsim_arch::Accelerator;
     use flexsim_obs::attrib::{LossLedger, StallCause};
-    use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+    use flexsim_obs::cycles::{Recorder, SinkHandle};
     use std::sync::Arc;
 
     #[test]
@@ -73,7 +73,7 @@ mod tests {
                 Box::new(TilingArray::diannao()),
             ];
             for acc in &mut accs {
-                let rec = Arc::new(CycleRecorder::new());
+                let rec = Arc::new(Recorder::new());
                 acc.attach_sink(SinkHandle::new(rec.clone()));
                 let summary = acc.run_network(&net);
                 let timelines = rec.take();
@@ -108,7 +108,7 @@ mod tests {
                 Box::new(TilingArray::diannao()),
             ];
             for acc in &mut accs {
-                let rec = Arc::new(CycleRecorder::with_spatial());
+                let rec = Arc::new(Recorder::with_spatial());
                 acc.attach_sink(SinkHandle::new(rec.clone()));
                 acc.run_network(&net);
                 let ledgers: Vec<LossLedger> =

@@ -23,9 +23,10 @@ pub struct Program {
 
 impl Program {
     /// Assembles a program from parts, bypassing the compiler. The
-    /// normal route is [`Compiler::compile`]; this exists so verifier
-    /// harnesses (`flexcheck`'s mutation tests) can construct
-    /// deliberately ill-formed programs the compiler would never emit.
+    /// normal route is [`Compiler::compile`] or [`Compiler::lower`];
+    /// this exists so verifier harnesses (`flexcheck`'s mutation
+    /// tests) can construct deliberately ill-formed programs the
+    /// compiler would never emit.
     pub fn from_parts(
         name: impl Into<String>,
         d: usize,
@@ -118,55 +119,57 @@ impl Compiler {
     ///
     /// # Panics
     ///
-    /// Panics if the network has no CONV layers or has more than 256
-    /// layers (the ISA's 8-bit layer index).
+    /// As [`Compiler::lower`].
     pub fn compile(&self, net: &Network) -> Program {
+        self.lower(net, plan_network(net, self.d))
+    }
+
+    /// Lowers a network to instructions with explicit per-CONV-layer
+    /// choices, one per CONV layer in network order: the planner's in
+    /// [`Compiler::compile`], the mapping tuner's winners otherwise.
+    /// FC layers keep their per-layer optimum as uncoupled 1×1 views.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `conv_choices` has fewer entries than the network has
+    /// CONV layers, or if the network has more than 256 layers (the
+    /// ISA's 8-bit layer index).
+    pub fn lower(&self, net: &Network, conv_choices: Vec<LayerChoice>) -> Program {
         assert!(
             net.layers().len() <= 256,
             "ISA supports at most 256 layers per program"
         );
-        let mut conv_plan = plan_network(net, self.d).into_iter();
+        let mut conv_choices = conv_choices.into_iter();
         let mut choices = Vec::new();
         let mut instrs = Vec::new();
         for step in net.steps() {
-            let layer_u8 = step.index as u8;
-            match step.layer {
-                Layer::Conv(_) => {
-                    // Invariant: `plan_network` returns one choice per
-                    // CONV layer in network order (flexcheck FXC05
-                    // cross-checks the pairing on the emitted program).
-                    let choice = conv_plan.next().expect("plan covers every CONV layer");
-                    instrs.push(Instr::Configure {
-                        layer: layer_u8,
-                        unroll: choice.unroll,
-                    });
-                    instrs.push(Instr::LoadKernels { layer: layer_u8 });
-                    instrs.push(Instr::Conv { layer: layer_u8 });
-                    instrs.push(Instr::SwapBuffers);
-                    choices.push(choice);
-                }
+            let layer = step.index as u8;
+            let choice = match step.layer {
+                // flexcheck FXC05 cross-checks the CONV pairing on the
+                // emitted program.
+                Layer::Conv(_) => conv_choices.next().expect("one choice per CONV layer"),
+                // Pooling subsamples in place on the output buffer,
+                // before the swap of the preceding CONV takes effect;
+                // the decoder reorders accordingly, so the stream is
+                // simply Pool.
                 Layer::Pool(_) => {
-                    // Pooling subsamples in place on the output buffer,
-                    // before the swap of the preceding CONV takes
-                    // effect; the decoder reorders accordingly, so the
-                    // stream is simply Pool.
-                    instrs.push(Instr::Pool { layer: layer_u8 });
+                    instrs.push(Instr::Pool { layer });
+                    continue;
                 }
-                Layer::Fc(fc) => {
-                    // FC layers run on the same engine as 1x1
-                    // convolutions over a flattened input.
-                    let view = fc.as_conv();
-                    let choice = best_unroll(&view, self.d, None);
-                    instrs.push(Instr::Configure {
-                        layer: layer_u8,
-                        unroll: choice.unroll,
-                    });
-                    instrs.push(Instr::LoadKernels { layer: layer_u8 });
-                    instrs.push(Instr::Conv { layer: layer_u8 });
-                    instrs.push(Instr::SwapBuffers);
-                    choices.push(choice);
-                }
-            }
+                // FC layers run on the same engine as 1x1 convolutions
+                // over a flattened input.
+                Layer::Fc(fc) => best_unroll(&fc.as_conv(), self.d, None),
+            };
+            instrs.extend([
+                Instr::Configure {
+                    layer,
+                    unroll: choice.unroll,
+                },
+                Instr::LoadKernels { layer },
+                Instr::Conv { layer },
+                Instr::SwapBuffers,
+            ]);
+            choices.push(choice);
         }
         instrs.push(Instr::Halt);
         Program {
@@ -208,6 +211,17 @@ mod tests {
         assert_eq!(asm.lines().count(), p.instrs().len() + 1); // + header
         assert!(asm.contains("cfg"));
         assert!(asm.contains("halt"));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 layers")]
+    fn lowering_rejects_more_layers_than_the_isa_indexes() {
+        let net = (0..257)
+            .fold(Network::builder("deep"), |b, _| {
+                b.conv(flexsim_model::ConvLayer::new("C", 1, 1, 4, 1))
+            })
+            .build();
+        let _ = Compiler::new(16).lower(&net, Vec::new());
     }
 
     #[test]

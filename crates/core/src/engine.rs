@@ -458,9 +458,9 @@ mod tests {
 
     #[test]
     fn cycle_events_reproduce_analytic_totals_exactly() {
-        use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+        use flexsim_obs::cycles::{Recorder, SinkHandle};
         use std::sync::Arc;
-        let rec = Arc::new(CycleRecorder::new());
+        let rec = Arc::new(Recorder::new());
         let mut ff = FlexFlow::paper_config();
         ff.attach_sink(SinkHandle::new(rec.clone()));
         let s = ff.run_network(&workloads::lenet5());
@@ -479,9 +479,9 @@ mod tests {
     #[test]
     fn spatial_records_reproduce_the_loss_ledgers() {
         use flexsim_obs::attrib::{LossLedger, StallCause};
-        use flexsim_obs::cycles::CycleRecorder;
+        use flexsim_obs::cycles::Recorder;
         use std::sync::Arc;
-        let rec = Arc::new(CycleRecorder::with_spatial());
+        let rec = Arc::new(Recorder::with_spatial());
         let mut ff = FlexFlow::paper_config();
         ff.attach_sink(SinkHandle::new(rec.clone()));
         ff.run_network(&workloads::lenet5());
@@ -510,20 +510,20 @@ mod tests {
 
     #[test]
     fn detached_spatial_changes_nothing() {
-        use flexsim_obs::cycles::CycleRecorder;
+        use flexsim_obs::cycles::Recorder;
         use std::sync::Arc;
         let mut ff = FlexFlow::paper_config();
         let r = ff.run_conv(&ConvLayer::new("C", 8, 4, 8, 3));
-        ff.attach_sink(SinkHandle::new(Arc::new(CycleRecorder::with_spatial())));
+        ff.attach_sink(SinkHandle::new(Arc::new(Recorder::with_spatial())));
         let r2 = ff.run_conv(&ConvLayer::new("C", 8, 4, 8, 3));
         assert_eq!(r, r2);
     }
 
     /// The recorded timeline of `layer` under `u` on a `d×d` engine.
     fn recorded(layer: &ConvLayer, u: Unroll, d: usize) -> LayerTimeline {
-        use flexsim_obs::cycles::CycleRecorder;
+        use flexsim_obs::cycles::Recorder;
         use std::sync::Arc;
-        let rec = Arc::new(CycleRecorder::new());
+        let rec = Arc::new(Recorder::new());
         let mut ff = FlexFlow::new(d);
         ff.attach_sink(SinkHandle::new(rec.clone()));
         let _ = ff.run_conv_with(layer, u);

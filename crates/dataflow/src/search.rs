@@ -217,13 +217,7 @@ pub fn plan_network(net: &Network, d: usize) -> Vec<LayerChoice> {
     let conv_steps: Vec<(usize, &ConvLayer)> = net.conv_steps().collect();
     assert!(!conv_steps.is_empty(), "network has no CONV layers");
     let layers: Vec<&ConvLayer> = conv_steps.iter().map(|&(_, l)| l).collect();
-    let rc_bounds: Vec<Option<usize>> = conv_steps
-        .iter()
-        .map(|&(i, _)| {
-            net.successor_coupling(i)
-                .map(|c| c.pool_window * c.next_conv.k())
-        })
-        .collect();
+    let rc_bounds: Vec<Option<usize>> = conv_steps.iter().map(|&(i, _)| net.rc_bound(i)).collect();
 
     // Per-layer candidate ⟨Tm,Tr,Tc⟩ triples (the DP state after each
     // layer).
@@ -344,9 +338,7 @@ pub fn analyzer_chain(net: &Network, d: usize) -> Vec<LayerChoice> {
     let mut out: Vec<LayerChoice> = Vec::new();
     let mut prev: Option<Unroll> = None;
     for (index, layer) in net.conv_steps() {
-        let bound = net
-            .successor_coupling(index)
-            .map(|c| c.pool_window * c.next_conv.k());
+        let bound = net.rc_bound(index);
         let mut choice = best_unroll(layer, d, bound);
         if let Some(p) = prev {
             let u = Unroll::new(

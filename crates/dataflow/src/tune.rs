@@ -149,9 +149,7 @@ mod tests {
         for net in workloads::all() {
             let idxs = net.conv_indices();
             for (pos, layer) in net.conv_layers().enumerate() {
-                let bound = net
-                    .successor_coupling(idxs[pos])
-                    .map(|c| c.pool_window * c.next_conv.k());
+                let bound = net.rc_bound(idxs[pos]);
                 let grid = grid_candidates(layer, 16, bound);
                 assert!(!grid.is_empty(), "{}/{}", net.name(), layer.name());
                 let mut seen = std::collections::HashSet::new();
@@ -184,9 +182,7 @@ mod tests {
             let plan = crate::search::plan_network(&net, 16);
             let idxs = net.conv_indices();
             for (pos, layer) in net.conv_layers().enumerate() {
-                let bound = net
-                    .successor_coupling(idxs[pos])
-                    .map(|c| c.pool_window * c.next_conv.k());
+                let bound = net.rc_bound(idxs[pos]);
                 let all = full_candidates(layer, 16, bound);
                 assert!(
                     all.contains(&plan[pos].unroll),

@@ -86,9 +86,7 @@ fn styled_utilization(net: &Network, d: usize, style: Option<Style>) -> f64 {
     let mut macs = 0u64;
     let mut pe_cycles = 0u64;
     for (pos, layer) in net.conv_layers().enumerate() {
-        let bound = net
-            .successor_coupling(idxs[pos])
-            .map(|c| c.pool_window * c.next_conv.k());
+        let bound = net.rc_bound(idxs[pos]);
         let choice = match style {
             None => best_unroll(layer, d, bound),
             Some(st) => best_unroll_where(layer, d, bound, |u| {
@@ -219,9 +217,7 @@ pub fn coupling(ctx: &ExperimentCtx) -> ExperimentResult {
             let mut greedy = 0u64;
             let mut prev: Option<Unroll> = None;
             for (pos, layer) in net.conv_layers().enumerate() {
-                let bound = net
-                    .successor_coupling(idxs[pos])
-                    .map(|c| c.pool_window * c.next_conv.k());
+                let bound = net.rc_bound(idxs[pos]);
                 let mut choice = best_unroll(layer, d, bound);
                 if let Some(p) = prev {
                     let u = Unroll::new(
@@ -286,10 +282,9 @@ pub fn rc_bound(ctx: &ExperimentCtx) -> ExperimentResult {
             let mut count = 0.0;
             let mut worst = 0.0f64;
             for (pos, layer) in net.conv_layers().enumerate() {
-                let Some(coupling) = net.successor_coupling(idxs[pos]) else {
+                let Some(bound) = net.rc_bound(idxs[pos]) else {
                     continue; // last layer: no bound to ablate
                 };
-                let bound = coupling.pool_window * coupling.next_conv.k();
                 let bounded = best_unroll(layer, d, Some(bound));
                 let unbounded = best_unroll(layer, d, None);
                 bsum += bounded.total_utilization();

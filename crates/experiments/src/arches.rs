@@ -19,7 +19,7 @@ use flexsim_arch::{Accelerator, RunSummary};
 use flexsim_baselines::{Mapping2d, Systolic, TilingArray};
 use flexsim_model::Network;
 use flexsim_obs::attrib::{ledgers, LossLedger};
-use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+use flexsim_obs::cycles::{Recorder, SinkHandle};
 use flexsim_obs::spatial::LayerSpatial;
 use std::sync::Arc;
 
@@ -93,7 +93,7 @@ impl ArchSetBuilder {
     }
 
     /// The observer every built simulator attaches (default: none):
-    /// cycle timelines, plus heatmaps when the sink asks for them (the
+    /// cycle timelines, plus heatmaps when its recorder keeps them (the
     /// `flexsim heatmap` path).
     pub fn sink(mut self, sink: SinkHandle) -> ArchSetBuilder {
         self.sink = sink;
@@ -136,9 +136,7 @@ impl ArchSetBuilder {
             2 => Box::new(TilingArray::new(d, d)),
             _ => Box::new(FlexFlow::new(d)),
         };
-        if self.sink.is_attached() {
-            acc.attach_sink(self.sink.clone());
-        }
+        acc.attach_sink(self.sink.clone());
         acc
     }
 }
@@ -173,9 +171,9 @@ pub struct PairRun {
 /// gate refuses the workload.
 pub fn run_pair(net: &Network, arch_idx: usize, spatial: bool) -> PairRun {
     let rec = Arc::new(if spatial {
-        CycleRecorder::with_spatial()
+        Recorder::with_spatial()
     } else {
-        CycleRecorder::new()
+        Recorder::new()
     });
     let mut acc = ArchSet::builder()
         .sink(SinkHandle::new(rec.clone()))

@@ -19,10 +19,10 @@
 //!
 //! Cycle-domain tracing never goes through process-global state: a
 //! [`TraceCollector`] is threaded through the context, each parallel
-//! task records into its own private [`CycleRecorder`], and completed
-//! timelines are merged back in task order — deterministic, and tagged
-//! with the owning experiment id. As each timeline lands in the
-//! collector its [`LossLedger`] is mirrored into the global metrics
+//! task records into its own private [`Recorder`] (tagged with the
+//! owning experiment id), and completed timelines are merged back in
+//! task order — deterministic and attributable. As each timeline lands
+//! in the collector its [`LossLedger`] is mirrored into the global metrics
 //! registry (`sim_busy_pe_cycles` / `sim_lost_pe_cycles{cause}`), so
 //! `--metrics` dumps and exported Chrome traces always agree.
 //!
@@ -32,7 +32,7 @@ use crate::arches::ARCH_NAMES;
 use crate::report::{ExperimentResult, Table};
 use flexsim_model::Network;
 use flexsim_obs::attrib::LossLedger;
-use flexsim_obs::cycles::{CycleRecorder, LayerTimeline, SinkHandle};
+use flexsim_obs::cycles::{LayerTimeline, Recorder, SinkHandle};
 use flexsim_obs::{metrics, telemetry};
 use flexsim_pool::{Outcome, Pool, Task};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -158,9 +158,9 @@ pub struct TaskCtx {
 }
 
 impl TaskCtx {
-    /// The cycle sink this task should attach to simulators it builds
-    /// (already tagged with the owning experiment id; unattached when
-    /// tracing is off).
+    /// The observer this task should attach to simulators it builds:
+    /// a private recorder already tagged with the owning experiment id,
+    /// or unattached when tracing is off.
     pub fn sink(&self) -> SinkHandle {
         self.sink.clone()
     }
@@ -231,8 +231,8 @@ impl ExperimentCtx {
                         let sink = SinkHandle::none();
                         return (work(&TaskCtx { sink }, item), Vec::new());
                     }
-                    let rec = Arc::new(CycleRecorder::new());
-                    let sink = SinkHandle::new(rec.clone()).tagged(&id);
+                    let rec = Arc::new(Recorder::new().tagged(&id));
+                    let sink = SinkHandle::new(rec.clone());
                     let value = work(&TaskCtx { sink }, item);
                     (value, rec.take())
                 })
@@ -386,7 +386,8 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexsim_obs::cycles::{CycleEvent, LayerCtx};
+    use flexsim_obs::attrib::StallCause;
+    use flexsim_obs::cycles::{CycleEvent, CycleEventKind, LayerCtx};
 
     #[test]
     fn registry_ids_are_unique_and_resolvable() {
@@ -524,16 +525,17 @@ mod tests {
                     |l| (*l).to_owned(),
                     |tctx, layer: &str| {
                         let sink = tctx.sink();
-                        sink.begin_layer(&LayerCtx::new("TestArch", layer, 4));
-                        sink.emit(&CycleEvent::new(
-                            flexsim_obs::cycles::CycleEventKind::Pass(
-                                flexsim_obs::attrib::StallCause::MappingResidueIdle,
-                            ),
-                            0,
-                            10,
-                            40,
-                        ));
-                        sink.end_layer();
+                        sink.recorder()
+                            .expect("tracing is on")
+                            .record(LayerTimeline {
+                                ctx: LayerCtx::new("TestArch", layer, 4),
+                                events: vec![CycleEvent::new(
+                                    CycleEventKind::Pass(StallCause::MappingResidueIdle),
+                                    0,
+                                    10,
+                                    40,
+                                )],
+                            });
                     },
                 );
                 ExperimentResult {

@@ -14,9 +14,10 @@ use crate::experiment::{Experiment, ExperimentCtx};
 use crate::report::{fmt_f, pct, ExperimentResult, Table};
 use flexflow::FlexFlow;
 use flexsim_arch::bandwidth::DramInterface;
-use flexsim_arch::dram::{network_traffic, network_traffic_fused};
+use flexsim_arch::dram::{network_traffic, network_traffic_fused, DramTraffic};
 use flexsim_arch::Accelerator;
 use flexsim_model::{workloads, Network};
+use flexsim_obs::roofline::{classify, Bound};
 
 /// Registry entry for the roofline extension.
 pub struct ExtRoofline;
@@ -73,31 +74,15 @@ pub fn roofline(ctx: &ExperimentCtx) -> ExperimentResult {
         pairs,
         |(net, idx)| format!("{}/{}", net.name(), ARCH_NAMES[*idx]),
         |tctx, (net, idx)| {
-            let dram = DramInterface::ddr3_style();
             // DRAM traffic depends on buffer capacity, shared by all four
             // engines (Table 5) — the architectures differ in the compute
             // side.
             let traffic = network_traffic(&net, 16 * 1024, 16 * 1024);
             let mut acc = ArchSet::builder().sink(tctx.sink()).build_one(&net, idx);
             let s = acc.run_network(&net);
-            let point = dram.cap(s.gops(), traffic, net.conv_macs());
-            [
-                net.name().to_owned(),
-                acc.name().to_owned(),
-                fmt_f(point.compute_gops, 0),
-                if point.roofline_gops.is_finite() {
-                    fmt_f(point.roofline_gops, 0)
-                } else {
-                    "inf".to_owned()
-                },
-                fmt_f(point.achievable_gops, 0),
-                if point.memory_bound {
-                    "memory"
-                } else {
-                    "compute"
-                }
-                .to_owned(),
-            ]
+            let mut row = vec![net.name().to_owned(), acc.name().to_owned()];
+            row.extend(roof_cells(net.conv_macs(), traffic, s.gops()));
+            row
         },
     );
     let mut table = Table::new([
@@ -132,6 +117,32 @@ pub fn roofline(ctx: &ExperimentCtx) -> ExperimentResult {
     }
 }
 
+/// The compute, roofline and achievable GOPS and the binding roof of
+/// `macs` MACs moving `traffic` over the DDR3-class interface, under a
+/// `compute_gops` compute roof.
+fn roof_cells(macs: u64, traffic: DramTraffic, compute_gops: f64) -> [String; 4] {
+    let r = classify(
+        2.0 * macs as f64,
+        traffic.total() as f64,
+        DramInterface::ddr3_style().words_per_second(),
+        compute_gops,
+    );
+    [
+        fmt_f(r.peak_gops, 0),
+        if r.bandwidth_gops.is_finite() {
+            fmt_f(r.bandwidth_gops, 0)
+        } else {
+            "inf".to_owned()
+        },
+        fmt_f(r.achievable_gops, 0),
+        match r.bound {
+            Bound::Bandwidth => "memory",
+            Bound::Compute => "compute",
+        }
+        .to_owned(),
+    ]
+}
+
 /// Runs the batching extension: FlexFlow's achievable GOPS vs. batch
 /// size under the DDR3-class roofline.
 pub fn batching(ctx: &ExperimentCtx) -> ExperimentResult {
@@ -139,30 +150,16 @@ pub fn batching(ctx: &ExperimentCtx) -> ExperimentResult {
         vec![workloads::lenet5(), workloads::pv(), workloads::alexnet()],
         |net| net.name().to_owned(),
         |tctx, net| {
-            let dram = DramInterface::ddr3_style();
-            crate::lint::gate(&net, 16);
-            let mut ff = FlexFlow::paper_config();
-            ff.attach_sink(tctx.sink());
+            let mut ff = ArchSet::builder().sink(tctx.sink()).build_one(&net, 3);
             let compute = ff.run_network(&net).gops();
-            let mut rows: Vec<[String; 6]> = Vec::new();
+            let mut rows: Vec<Vec<String>> = Vec::new();
             for batch in [1u64, 4, 16, 64] {
                 // Fused-chain traffic: FlexFlow's ping-pong neuron buffers
                 // keep fitting intermediates on chip.
                 let traffic = network_traffic_fused(&net, 16 * 1024, 16 * 1024, batch);
-                let point = dram.cap(compute, traffic, net.conv_macs() * batch);
-                rows.push([
-                    net.name().to_owned(),
-                    batch.to_string(),
-                    fmt_f(point.compute_gops, 0),
-                    fmt_f(point.roofline_gops, 0),
-                    fmt_f(point.achievable_gops, 0),
-                    if point.memory_bound {
-                        "memory"
-                    } else {
-                        "compute"
-                    }
-                    .to_owned(),
-                ]);
+                let mut row = vec![net.name().to_owned(), batch.to_string()];
+                row.extend(roof_cells(net.conv_macs() * batch, traffic, compute));
+                rows.push(row);
             }
             rows
         },

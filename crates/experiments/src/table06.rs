@@ -4,10 +4,9 @@
 //! (output-neuron buffer), `Pkerin` (kernel buffer), and `Pcom` (the
 //! computing engine with its local stores, buses, and pooling).
 
+use crate::arches::ArchSet;
 use crate::experiment::{Experiment, ExperimentCtx};
 use crate::report::{fmt_f, ExperimentResult, Table};
-use flexflow::FlexFlow;
-use flexsim_arch::Accelerator;
 use flexsim_model::workloads;
 
 /// The registry entry for this experiment.
@@ -34,9 +33,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         workloads::all(),
         |net| net.name().to_owned(),
         |tctx, net| {
-            crate::lint::gate(&net, 16);
-            let mut ff = FlexFlow::paper_config();
-            ff.attach_sink(tctx.sink());
+            let mut ff = ArchSet::builder().sink(tctx.sink()).build_one(&net, 3);
             let s = ff.run_network(&net);
             let t = s.time_s();
             let e = s.energy();

@@ -43,15 +43,14 @@
 use crate::experiment::{Experiment, ExperimentCtx};
 use crate::report::{eng, ExperimentResult, Table};
 use flexcheck::ArchParams;
-use flexflow::isa::Instr;
-use flexflow::{FlexFlow, Program};
+use flexflow::{Compiler, FlexFlow, Program};
 use flexsim_arch::Accelerator;
-use flexsim_dataflow::search::{analyzer_chain, best_unroll, plan_network, LayerChoice};
+use flexsim_dataflow::search::{analyzer_chain, plan_network, LayerChoice};
 use flexsim_dataflow::tune as search_space;
 use flexsim_dataflow::{utilization, Unroll};
-use flexsim_model::{workloads, ConvLayer, Layer, Network};
+use flexsim_model::{workloads, ConvLayer, Network};
 use flexsim_obs::attrib::{LossDelta, LossLedger, StallCause};
-use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+use flexsim_obs::cycles::{Recorder, SinkHandle};
 use flexsim_testkit::json::Json;
 use std::fmt;
 use std::sync::Arc;
@@ -168,9 +167,7 @@ pub fn paper_defaults(net: &Network) -> Vec<(LayerChoice, &'static str)> {
     net.conv_layers()
         .enumerate()
         .map(|(pos, layer)| {
-            let rc_bound = net
-                .successor_coupling(idxs[pos])
-                .map(|c| c.pool_window * c.next_conv.k());
+            let rc_bound = net.rc_bound(idxs[pos]);
             let published = crate::paper::TABLE4
                 .iter()
                 .find(|(w, l, _)| *w == net.name() && *l == layer.name());
@@ -279,7 +276,7 @@ pub fn analytic_ledger(layer: &ConvLayer, u: Unroll) -> LossLedger {
 /// Panics when the recorded and analytic ledgers disagree (a cost-
 /// function bug) or the ledger fails flexcheck FXC09.
 pub fn recorded_ledger(layer: &ConvLayer, u: Unroll) -> LossLedger {
-    let rec = Arc::new(CycleRecorder::new());
+    let rec = Arc::new(Recorder::new());
     let mut engine = FlexFlow::new(D);
     engine.attach_sink(SinkHandle::new(rec.clone()));
     let _ = engine.run_conv_with(layer, u);
@@ -400,9 +397,7 @@ pub fn tune_network_with(
         .iter()
         .enumerate()
         .map(|(pos, layer)| {
-            let bound = net
-                .successor_coupling(idxs[pos])
-                .map(|c| c.pool_window * c.next_conv.k());
+            let bound = net.rc_bound(idxs[pos]);
             seeded_candidates(
                 layer,
                 idxs[pos],
@@ -516,7 +511,7 @@ pub fn tune_network_with(
         tuned_choices.push(tuned);
     }
 
-    let program = tuned_program(net, D, tuned_choices);
+    let program = Compiler::new(D).lower(net, tuned_choices);
     let diags = flexcheck::check(&program, net, &arch);
     assert!(
         !flexcheck::has_errors(&diags),
@@ -546,51 +541,6 @@ pub fn tune_workloads_with(
     nets.iter()
         .map(|net| tune_network_with(ctx, net, budget, mode))
         .collect()
-}
-
-/// Lowers a network with explicit per-CONV-layer choices — the same
-/// instruction shape as [`flexflow::Compiler::compile`], with the
-/// tuner's unrollings in the `Configure` stream (FC layers keep the
-/// compiler's per-layer optimum; they are uncoupled 1×1 views).
-///
-/// # Panics
-///
-/// Panics if `tuned` has fewer entries than the network has CONV
-/// layers.
-pub fn tuned_program(net: &Network, d: usize, tuned: Vec<LayerChoice>) -> Program {
-    let mut conv_plan = tuned.into_iter();
-    let mut choices = Vec::new();
-    let mut instrs = Vec::new();
-    for (li, layer) in net.layers().iter().enumerate() {
-        let layer_u8 = li as u8;
-        match layer {
-            Layer::Conv(_) => {
-                let choice = conv_plan.next().expect("one tuned choice per CONV layer");
-                instrs.push(Instr::Configure {
-                    layer: layer_u8,
-                    unroll: choice.unroll,
-                });
-                instrs.push(Instr::LoadKernels { layer: layer_u8 });
-                instrs.push(Instr::Conv { layer: layer_u8 });
-                instrs.push(Instr::SwapBuffers);
-                choices.push(choice);
-            }
-            Layer::Pool(_) => instrs.push(Instr::Pool { layer: layer_u8 }),
-            Layer::Fc(fc) => {
-                let choice = best_unroll(&fc.as_conv(), d, None);
-                instrs.push(Instr::Configure {
-                    layer: layer_u8,
-                    unroll: choice.unroll,
-                });
-                instrs.push(Instr::LoadKernels { layer: layer_u8 });
-                instrs.push(Instr::Conv { layer: layer_u8 });
-                instrs.push(Instr::SwapBuffers);
-                choices.push(choice);
-            }
-        }
-    }
-    instrs.push(Instr::Halt);
-    Program::from_parts(net.name(), d, choices, instrs)
 }
 
 /// Renders the best-mapping table with before/after loss attribution.
@@ -956,11 +906,24 @@ mod tests {
 
     #[test]
     fn tuned_program_mirrors_compiler_shape() {
+        // The tuner's program is the compiler's lowering of its
+        // winners: the compiled stream instruction for instruction,
+        // with the tuned unrollings in the `Configure`s.
+        use flexflow::isa::Instr;
         let net = workloads::lenet5();
-        let compiled = flexflow::Compiler::new(D).compile(&net);
-        let p = tuned_program(&net, D, plan_network(&net, D));
-        assert_eq!(p.instrs(), compiled.instrs());
-        assert_eq!(p.choices(), compiled.choices());
+        let outcome = tune_network(&ExperimentCtx::serial("tune"), &net, Budget::Smoke);
+        let tuned: Vec<LayerChoice> = outcome.layers.iter().map(|l| l.tuned.clone()).collect();
+        assert_eq!(outcome.program.choices(), &tuned[..]);
+        let compiled = Compiler::new(D).compile(&net);
+        assert_eq!(outcome.program.instrs().len(), compiled.instrs().len());
+        for (t, c) in outcome.program.instrs().iter().zip(compiled.instrs()) {
+            match (t, c) {
+                (Instr::Configure { layer: a, .. }, Instr::Configure { layer: b, .. }) => {
+                    assert_eq!(a, b);
+                }
+                _ => assert_eq!(t, c),
+            }
+        }
     }
 
     #[test]

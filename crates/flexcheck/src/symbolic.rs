@@ -302,7 +302,7 @@ mod tests {
     use flexsim_model::workloads;
     use flexsim_model::ConvLayer;
     use flexsim_obs::attrib::ledgers;
-    use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+    use flexsim_obs::cycles::{Recorder, SinkHandle};
     use std::sync::Arc;
 
     fn predicted_flexflow(net: &Network, d: usize) -> Vec<LossLedger> {
@@ -310,7 +310,7 @@ mod tests {
     }
 
     fn recorded_flexflow(net: &Network, d: usize) -> Vec<LossLedger> {
-        let rec = Arc::new(CycleRecorder::new());
+        let rec = Arc::new(Recorder::new());
         let mut engine = FlexFlow::new(d);
         engine.attach_sink(SinkHandle::new(rec.clone()));
         let _ = engine.run_network(net);

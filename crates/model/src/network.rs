@@ -355,6 +355,15 @@ impl Network {
         best
     }
 
+    /// The Section 5 coupling bound `P · K'` on the CONV layer at
+    /// `layers()[index]`'s `Tr` and `Tc`, from
+    /// [`Network::successor_coupling`]; `None` when no CONV layer
+    /// consumes its output.
+    pub fn rc_bound(&self, index: usize) -> Option<usize> {
+        self.successor_coupling(index)
+            .map(|c| c.pool_window * c.next_conv.k())
+    }
+
     /// Indices (into [`Network::layers`]) of the CONV layers, in order.
     pub fn conv_indices(&self) -> Vec<usize> {
         self.conv_steps().map(|(i, _)| i).collect()
@@ -485,6 +494,8 @@ mod tests {
         assert_eq!(c.next_conv.name(), "C2");
         assert_eq!(c.pool_window, 2);
         assert!(net.successor_coupling(2).is_none());
+        assert_eq!(net.rc_bound(0), Some(2 * c.next_conv.k()));
+        assert_eq!(net.rc_bound(2), None);
     }
 
     #[test]

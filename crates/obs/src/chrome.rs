@@ -402,11 +402,17 @@ mod tests {
     fn experiment_tags_prefix_thread_names_and_ride_in_args() {
         let timelines = vec![
             LayerTimeline {
-                ctx: LayerCtx::new("FlexFlow", "C1", 256).for_experiment("fig15"),
+                ctx: LayerCtx {
+                    experiment: "fig15".into(),
+                    ..LayerCtx::new("FlexFlow", "C1", 256)
+                },
                 events: vec![CycleEvent::new(PASS, 0, 10, 100)],
             },
             LayerTimeline {
-                ctx: LayerCtx::new("FlexFlow", "C1", 256).for_experiment("fig17"),
+                ctx: LayerCtx {
+                    experiment: "fig17".into(),
+                    ..LayerCtx::new("FlexFlow", "C1", 256)
+                },
                 events: vec![CycleEvent::new(PASS, 0, 10, 100)],
             },
         ];

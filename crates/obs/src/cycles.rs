@@ -1,32 +1,27 @@
-//! Cycle-domain event sinks.
+//! Cycle-domain records.
 //!
-//! Simulators emit what happens *inside* a layer — tile passes,
+//! Simulators describe what happens *inside* a layer — tile passes,
 //! pipeline fills, stalls, partial-sum spills — as [`CycleEvent`]s
 //! timestamped in simulated engine cycles. Every event carries a
 //! [`StallCause`] naming *why* its idle PE-cycles were lost, so the
 //! per-layer [`crate::attrib::LossLedger`] can attribute utilization
-//! exactly. The [`CycleSink`] trait has no-op defaults and simulators
-//! hold it behind a [`SinkHandle`] whose unattached state is a single
-//! `Option` check, so instrumentation costs nothing when tracing is
-//! disabled.
+//! exactly.
 //!
-//! The same sink also receives the per-layer spatial record
-//! ([`LayerSpatial`]) when it asks for one, so a simulator holds one
-//! observer, attached once.
-//!
-//! [`CycleRecorder`] collects events into per-layer timelines for
-//! occupancy analysis and Chrome trace export. [`Coalescer`] merges
-//! fine-grained emission (one event per tile/pass) down to a bounded
-//! number of events per layer while preserving exact cycle and MAC
-//! totals.
+//! A simulator holds one [`SinkHandle`], an optional shared
+//! [`Recorder`]. With none attached it checks one `Option` per layer
+//! and builds nothing. With one attached, [`crate::steps::fold`] hands
+//! the recorder each layer once: the finished [`LayerTimeline`], then
+//! the layer's [`LayerSpatial`] when the recorder keeps them.
+//! [`Coalescer`] merges fine-grained steps (one per tile/pass) down to
+//! a bounded number of events per layer while preserving exact cycle
+//! and MAC totals.
 
 use crate::attrib::StallCause;
 use crate::occupancy::OccupancyTimeline;
 use crate::spatial::LayerSpatial;
-use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Identity of the layer a sink is currently receiving events for.
+/// Identity of a recorded layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LayerCtx {
     /// Architecture name (`"FlexFlow"`, `"Systolic"`, …).
@@ -36,8 +31,8 @@ pub struct LayerCtx {
     /// Total PEs in the engine (the occupancy denominator).
     pub pe_count: u32,
     /// Id of the experiment this layer ran under (empty when the run
-    /// is not part of an experiment sweep). Stamped by
-    /// [`SinkHandle::tagged`] so multi-experiment traces stay
+    /// is not part of an experiment sweep). Stamped by a
+    /// [`Recorder::tagged`] recorder so multi-experiment traces stay
     /// attributable.
     pub experiment: String,
 }
@@ -51,12 +46,6 @@ impl LayerCtx {
             pe_count,
             experiment: String::new(),
         }
-    }
-
-    /// Returns the context re-tagged with an owning experiment id.
-    pub fn for_experiment(mut self, experiment: impl Into<String>) -> LayerCtx {
-        self.experiment = experiment.into();
-        self
     }
 }
 
@@ -140,151 +129,6 @@ impl CycleEvent {
     }
 }
 
-/// A receiver of cycle-domain events. Every method is a no-op by
-/// default and [`CycleSink::enabled`] defaults to `false`, so a unit
-/// implementation is a valid do-nothing sink and simulators can skip
-/// event synthesis entirely when nothing is listening.
-pub trait CycleSink: Send + Sync {
-    /// Whether the sink wants events at all. Simulators must check this
-    /// before doing any per-tile work.
-    fn enabled(&self) -> bool {
-        false
-    }
-    /// A layer's event stream is starting.
-    fn begin_layer(&self, _ctx: &LayerCtx) {}
-    /// One event within the current layer.
-    fn emit(&self, _ev: &CycleEvent) {}
-    /// The current layer's event stream is complete.
-    fn end_layer(&self) {}
-    /// Whether the sink wants one [`LayerSpatial`] per layer.
-    /// Simulators build no heatmap when this is false.
-    fn wants_spatial(&self) -> bool {
-        false
-    }
-    /// One finished per-layer spatial record.
-    fn record_spatial(&self, _layer: LayerSpatial) {}
-}
-
-/// A cloneable, optionally-attached handle to a shared sink — the field
-/// every simulator stores. The default (unattached) handle makes all
-/// operations no-ops.
-#[derive(Clone, Default)]
-pub struct SinkHandle(Option<Arc<dyn CycleSink>>);
-
-impl fmt::Debug for SinkHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "SinkHandle(attached)"
-        } else {
-            "SinkHandle(none)"
-        })
-    }
-}
-
-impl SinkHandle {
-    /// An unattached handle (all operations no-ops).
-    pub fn none() -> SinkHandle {
-        SinkHandle(None)
-    }
-
-    /// Wraps a shared sink.
-    pub fn new(sink: Arc<dyn CycleSink>) -> SinkHandle {
-        SinkHandle(Some(sink))
-    }
-
-    /// Whether a sink is attached (it may still be disabled).
-    pub fn is_attached(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Whether events should be synthesized and emitted.
-    pub fn enabled(&self) -> bool {
-        self.0.as_ref().is_some_and(|s| s.enabled())
-    }
-
-    /// Forwards to the sink, if attached.
-    pub fn begin_layer(&self, ctx: &LayerCtx) {
-        if let Some(sink) = &self.0 {
-            sink.begin_layer(ctx);
-        }
-    }
-
-    /// Forwards to the sink, if attached.
-    pub fn emit(&self, ev: &CycleEvent) {
-        if let Some(sink) = &self.0 {
-            sink.emit(ev);
-        }
-    }
-
-    /// Forwards to the sink, if attached.
-    pub fn end_layer(&self) {
-        if let Some(sink) = &self.0 {
-            sink.end_layer();
-        }
-    }
-
-    /// Whether a spatial record should be built and submitted.
-    pub fn wants_spatial(&self) -> bool {
-        self.0.as_ref().is_some_and(|s| s.wants_spatial())
-    }
-
-    /// Forwards to the sink, if attached.
-    pub fn record_spatial(&self, layer: LayerSpatial) {
-        if let Some(sink) = &self.0 {
-            sink.record_spatial(layer);
-        }
-    }
-
-    /// Returns a handle that stamps `experiment` onto the
-    /// [`LayerCtx`] of every `begin_layer` it forwards, so cycle
-    /// records from a multi-experiment sweep remain attributable to
-    /// their owning experiment. An unattached handle stays unattached
-    /// (still free when tracing is off).
-    pub fn tagged(&self, experiment: &str) -> SinkHandle {
-        match &self.0 {
-            None => SinkHandle(None),
-            Some(inner) => SinkHandle(Some(Arc::new(ExperimentTag {
-                experiment: experiment.to_owned(),
-                inner: Arc::clone(inner),
-            }))),
-        }
-    }
-}
-
-/// A pass-through sink that stamps an experiment id onto layer
-/// contexts (see [`SinkHandle::tagged`]).
-struct ExperimentTag {
-    experiment: String,
-    inner: Arc<dyn CycleSink>,
-}
-
-impl CycleSink for ExperimentTag {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn begin_layer(&self, ctx: &LayerCtx) {
-        self.inner
-            .begin_layer(&ctx.clone().for_experiment(self.experiment.clone()));
-    }
-
-    fn emit(&self, ev: &CycleEvent) {
-        self.inner.emit(ev);
-    }
-
-    fn end_layer(&self) {
-        self.inner.end_layer();
-    }
-
-    fn wants_spatial(&self) -> bool {
-        self.inner.wants_spatial()
-    }
-
-    fn record_spatial(&self, layer: LayerSpatial) {
-        self.inner.record_spatial(layer);
-    }
-}
-
 /// The complete event stream of one simulated layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LayerTimeline {
@@ -330,53 +174,74 @@ impl LayerTimeline {
 }
 
 #[derive(Debug, Default)]
-struct RecorderInner {
-    done: Vec<LayerTimeline>,
-    open: Vec<LayerTimeline>,
+struct Records {
+    timelines: Vec<LayerTimeline>,
     spatial: Vec<LayerSpatial>,
 }
 
-/// A [`CycleSink`] that records every event into per-layer timelines
-/// and, when built with [`CycleRecorder::with_spatial`], every
-/// per-layer spatial record.
+/// The observer: receives each simulated layer once, as a finished
+/// [`LayerTimeline`] and, when built with [`Recorder::with_spatial`],
+/// its [`LayerSpatial`], and keeps both in submission order.
 ///
-/// `begin_layer`/`end_layer` pairs nest as a stack, matching the
-/// single-threaded emission discipline of the simulators.
+/// Every call stores a whole layer, so simulators on several threads
+/// may share one recorder: their layers never interleave.
 #[derive(Debug, Default)]
-pub struct CycleRecorder {
-    inner: Mutex<RecorderInner>,
+pub struct Recorder {
+    records: Mutex<Records>,
     spatial: bool,
+    experiment: Option<String>,
 }
 
-impl CycleRecorder {
-    /// Creates an empty recorder of cycle events only.
-    pub fn new() -> CycleRecorder {
-        CycleRecorder::default()
+impl Recorder {
+    /// Creates an empty recorder of cycle timelines only.
+    pub fn new() -> Recorder {
+        Recorder::default()
     }
 
     /// Creates an empty recorder that also asks for, and keeps, one
     /// spatial record per layer (the `flexsim heatmap` path).
-    pub fn with_spatial() -> CycleRecorder {
-        CycleRecorder {
+    pub fn with_spatial() -> Recorder {
+        Recorder {
             spatial: true,
-            ..CycleRecorder::default()
+            ..Recorder::default()
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RecorderInner> {
-        self.inner
+    /// Returns the recorder stamping `experiment` onto the
+    /// [`LayerCtx`] of every timeline it records, so cycle records
+    /// from a multi-experiment sweep stay attributable.
+    pub fn tagged(mut self, experiment: &str) -> Recorder {
+        self.experiment = Some(experiment.to_owned());
+        self
+    }
+
+    /// Whether simulators should build a spatial record per layer.
+    pub fn keeps_spatial(&self) -> bool {
+        self.spatial
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Records> {
+        self.records
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Copies out every completed layer timeline.
-    pub fn timelines(&self) -> Vec<LayerTimeline> {
-        self.lock().done.clone()
+    /// Records one finished layer timeline.
+    pub fn record(&self, mut timeline: LayerTimeline) {
+        if let Some(id) = &self.experiment {
+            timeline.ctx.experiment.clone_from(id);
+        }
+        self.lock().timelines.push(timeline);
     }
 
-    /// Drains every completed layer timeline.
+    /// Records one finished per-layer spatial record.
+    pub fn record_spatial(&self, layer: LayerSpatial) {
+        self.lock().spatial.push(layer);
+    }
+
+    /// Drains every recorded layer timeline.
     pub fn take(&self) -> Vec<LayerTimeline> {
-        std::mem::take(&mut self.lock().done)
+        std::mem::take(&mut self.lock().timelines)
     }
 
     /// Drains every spatial record, in submission order.
@@ -385,54 +250,31 @@ impl CycleRecorder {
     }
 }
 
-impl CycleSink for CycleRecorder {
-    fn enabled(&self) -> bool {
-        true
+/// The field every simulator stores: an optional shared [`Recorder`].
+/// Attached means recording; the default handle records nothing, and
+/// a simulator checks it once per layer.
+#[derive(Clone, Debug, Default)]
+pub struct SinkHandle(Option<Arc<Recorder>>);
+
+impl SinkHandle {
+    /// An unattached handle.
+    pub fn none() -> SinkHandle {
+        SinkHandle(None)
     }
 
-    fn begin_layer(&self, ctx: &LayerCtx) {
-        self.lock().open.push(LayerTimeline {
-            ctx: ctx.clone(),
-            events: Vec::new(),
-        });
+    /// A handle recording into `recorder`.
+    pub fn new(recorder: Arc<Recorder>) -> SinkHandle {
+        SinkHandle(Some(recorder))
     }
 
-    fn emit(&self, ev: &CycleEvent) {
-        if let Some(current) = self.lock().open.last_mut() {
-            current.events.push(*ev);
-        }
-    }
-
-    fn end_layer(&self) {
-        let mut inner = self.lock();
-        if let Some(done) = inner.open.pop() {
-            inner.done.push(done);
-        }
-    }
-
-    fn wants_spatial(&self) -> bool {
-        self.spatial
-    }
-
-    fn record_spatial(&self, layer: LayerSpatial) {
-        self.lock().spatial.push(layer);
+    /// The attached recorder, if any.
+    pub fn recorder(&self) -> Option<&Recorder> {
+        self.0.as_deref()
     }
 }
 
 /// Target number of events a [`Coalescer`] flushes per layer.
 pub const MAX_EVENTS_PER_LAYER: usize = 256;
-
-/// Exact totals accumulated by a [`Coalescer`] over one layer, returned
-/// by [`Coalescer::finish`] so the step fold ([`crate::steps::fold`])
-/// can `debug_assert` the stream against the schedule (the dynamic
-/// half of flexcheck's FXC08/FXC09 guards).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CoalescerTotals {
-    /// Total cycles emitted (the final timeline cursor).
-    pub cycles: u64,
-    /// Total useful MACs emitted.
-    pub macs: u64,
-}
 
 /// Per-kind cycle and MAC totals of one layer: the closed-form
 /// aggregate of a step schedule, and what a [`Coalescer`] buffers
@@ -493,11 +335,10 @@ impl Aggregate {
 /// kinds are emitted back to back in [`KIND_ORDER`] (an idealization:
 /// real interleaving below the flush granularity is not preserved, but
 /// per-kind cycle and MAC totals are exact).
-pub struct Coalescer<'a> {
-    sink: &'a SinkHandle,
+pub struct Coalescer {
+    events: Vec<CycleEvent>,
     every: u64,
     steps_in_group: u64,
-    totals: CoalescerTotals,
     cursor: u64,
     acc: Aggregate,
 }
@@ -522,14 +363,13 @@ pub const KIND_ORDER: [CycleEventKind; CycleEventKind::COUNT] = [
     CycleEventKind::Stall(StallCause::MappingResidueIdle),
 ];
 
-impl<'a> Coalescer<'a> {
+impl Coalescer {
     /// Creates a coalescer expecting `total_steps` logical steps.
-    pub fn new(sink: &'a SinkHandle, total_steps: u64) -> Coalescer<'a> {
+    pub fn new(total_steps: u64) -> Coalescer {
         Coalescer {
-            sink,
+            events: Vec::new(),
             every: total_steps.div_ceil(MAX_EVENTS_PER_LAYER as u64).max(1),
             steps_in_group: 0,
-            totals: CoalescerTotals::default(),
             cursor: 0,
             acc: Aggregate::default(),
         }
@@ -538,8 +378,6 @@ impl<'a> Coalescer<'a> {
     /// Accumulates `cycles`/`macs` under `kind` for the current step.
     pub fn push(&mut self, kind: CycleEventKind, cycles: u64, macs: u64) {
         self.acc.add(kind, cycles, macs);
-        self.totals.cycles += cycles;
-        self.totals.macs += macs;
     }
 
     /// Marks the end of one logical step, flushing if the group is full.
@@ -551,24 +389,17 @@ impl<'a> Coalescer<'a> {
     }
 
     fn flush(&mut self) {
-        for ev in self.acc.events(self.cursor) {
-            self.sink.emit(&ev);
-        }
+        self.events.extend(self.acc.events(self.cursor));
         self.cursor += self.acc.cycles();
         self.acc = Aggregate::default();
         self.steps_in_group = 0;
     }
 
-    /// Flushes any buffered remainder and returns the exact cycle and
-    /// MAC totals emitted, for the caller's schedule-consistency
-    /// `debug_assert`s.
-    pub fn finish(mut self) -> CoalescerTotals {
+    /// Flushes any buffered remainder and returns the layer's events,
+    /// back to back from cycle 0.
+    pub fn finish(mut self) -> Vec<CycleEvent> {
         self.flush();
-        debug_assert_eq!(
-            self.totals.cycles, self.cursor,
-            "coalescer cursor diverged from pushed cycle total"
-        );
-        self.totals
+        self.events
     }
 }
 
@@ -576,30 +407,31 @@ impl<'a> Coalescer<'a> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn unit_sink_is_a_noop() {
-        struct Unit;
-        impl CycleSink for Unit {}
-        let sink = SinkHandle::new(Arc::new(Unit));
-        assert!(sink.is_attached());
-        assert!(!sink.enabled());
-        // No panic on forwarding.
-        sink.begin_layer(&LayerCtx::new("a", "b", 1));
-        sink.emit(&CycleEvent::new(
-            CycleEventKind::Pass(StallCause::MappingResidueIdle),
-            0,
-            1,
-            1,
-        ));
-        sink.end_layer();
+    fn timeline(layer: &str, events: Vec<CycleEvent>) -> LayerTimeline {
+        LayerTimeline {
+            ctx: LayerCtx::new("FlexFlow", layer, 256),
+            events,
+        }
+    }
+
+    fn coalesced(total_steps: u64, steps: &[&[(CycleEventKind, u64, u64)]]) -> Vec<CycleEvent> {
+        let mut co = Coalescer::new(total_steps);
+        for step in steps {
+            for &(kind, cycles, macs) in *step {
+                co.push(kind, cycles, macs);
+            }
+            co.step();
+        }
+        co.finish()
     }
 
     #[test]
     fn default_handle_is_disabled() {
         let sink = SinkHandle::default();
-        assert!(!sink.is_attached());
-        assert!(!sink.enabled());
-        assert_eq!(format!("{sink:?}"), "SinkHandle(none)");
+        assert!(sink.recorder().is_none());
+        assert!(SinkHandle::none().recorder().is_none());
+        let rec = Arc::new(Recorder::new());
+        assert!(SinkHandle::new(rec).recorder().is_some());
     }
 
     #[test]
@@ -626,34 +458,33 @@ mod tests {
 
     #[test]
     fn recorder_collects_per_layer() {
-        let rec = Arc::new(CycleRecorder::new());
-        let sink = SinkHandle::new(rec.clone());
-        assert!(sink.enabled());
-        sink.begin_layer(&LayerCtx::new("FlexFlow", "C1", 256));
-        sink.emit(&CycleEvent::new(
-            CycleEventKind::Stall(StallCause::PipelineFill),
-            0,
-            8,
-            0,
+        let rec = Recorder::new();
+        assert!(!rec.keeps_spatial());
+        rec.record(timeline(
+            "C1",
+            vec![
+                CycleEvent::new(CycleEventKind::Stall(StallCause::PipelineFill), 0, 8, 0),
+                CycleEvent::new(
+                    CycleEventKind::Pass(StallCause::MappingResidueIdle),
+                    8,
+                    100,
+                    20_000,
+                ),
+            ],
         ));
-        sink.emit(&CycleEvent::new(
-            CycleEventKind::Pass(StallCause::MappingResidueIdle),
-            8,
-            100,
-            20_000,
+        rec.record(timeline(
+            "C3",
+            vec![CycleEvent::new(
+                CycleEventKind::Pass(StallCause::MappingResidueIdle),
+                0,
+                10,
+                2_000,
+            )],
         ));
-        sink.end_layer();
-        sink.begin_layer(&LayerCtx::new("FlexFlow", "C3", 256));
-        sink.emit(&CycleEvent::new(
-            CycleEventKind::Pass(StallCause::MappingResidueIdle),
-            0,
-            10,
-            2_000,
-        ));
-        sink.end_layer();
         let tl = rec.take();
         assert_eq!(tl.len(), 2);
         assert_eq!(tl[0].ctx.layer, "C1");
+        assert_eq!(tl[0].ctx.experiment, "");
         assert_eq!(tl[0].total_cycles(), 108);
         assert_eq!(tl[0].macs(), 20_000);
         assert!(rec.take().is_empty());
@@ -677,28 +508,18 @@ mod tests {
 
     #[test]
     fn coalescer_preserves_totals_and_caps_events() {
-        let rec = Arc::new(CycleRecorder::new());
-        let sink = SinkHandle::new(rec.clone());
-        sink.begin_layer(&LayerCtx::new("a", "l", 16));
         let steps = 10_000u64;
-        let mut co = Coalescer::new(&sink, steps);
-        for _ in 0..steps {
-            co.push(CycleEventKind::Stall(StallCause::PipelineFill), 2, 0);
-            co.push(CycleEventKind::Pass(StallCause::MappingResidueIdle), 5, 37);
-            co.step();
-        }
-        let totals = co.finish();
-        sink.end_layer();
-        assert_eq!(totals.cycles, steps * 7);
-        assert_eq!(totals.macs, steps * 37);
-        let tl = rec.take();
-        assert_eq!(tl.len(), 1);
-        assert!(tl[0].events.len() <= 2 * MAX_EVENTS_PER_LAYER + 2);
-        assert_eq!(tl[0].total_cycles(), steps * 7);
-        assert_eq!(tl[0].macs(), steps * 37);
+        let step: &[(CycleEventKind, u64, u64)] = &[
+            (CycleEventKind::Stall(StallCause::PipelineFill), 2, 0),
+            (CycleEventKind::Pass(StallCause::MappingResidueIdle), 5, 37),
+        ];
+        let tl = timeline("l", coalesced(steps, &vec![step; steps as usize]));
+        assert!(tl.events.len() <= 2 * MAX_EVENTS_PER_LAYER + 2);
+        assert_eq!(tl.total_cycles(), steps * 7);
+        assert_eq!(tl.macs(), steps * 37);
         // Events tile the timeline with no overlap.
         let mut cursor = 0;
-        for ev in &tl[0].events {
+        for ev in &tl.events {
             assert_eq!(ev.start_cycle, cursor);
             cursor = ev.end_cycle();
         }
@@ -706,22 +527,16 @@ mod tests {
 
     #[test]
     fn coalescer_flushes_the_remainder_at_the_layer_boundary() {
-        let rec = Arc::new(CycleRecorder::new());
-        let sink = SinkHandle::new(rec.clone());
-        sink.begin_layer(&LayerCtx::new("a", "L1", 4));
         // 1000 expected steps → flush every 4; push only 2, so the
         // whole layer sits buffered until `finish`.
-        let mut co = Coalescer::new(&sink, 1000);
-        co.push(CycleEventKind::Pass(StallCause::MappingResidueIdle), 5, 9);
-        co.step();
-        co.push(CycleEventKind::Stall(StallCause::PipelineFill), 3, 0);
-        co.step();
-        let totals = co.finish();
-        sink.end_layer();
-        assert_eq!(totals, CoalescerTotals { cycles: 8, macs: 9 });
-        let tls = rec.take();
-        assert_eq!(tls.len(), 1);
-        let tl = &tls[0];
+        let events = coalesced(
+            1000,
+            &[
+                &[(CycleEventKind::Pass(StallCause::MappingResidueIdle), 5, 9)],
+                &[(CycleEventKind::Stall(StallCause::PipelineFill), 3, 0)],
+            ],
+        );
+        let tl = timeline("L1", events);
         assert_eq!(tl.total_cycles(), 8);
         assert_eq!(tl.macs(), 9);
         // A single boundary flush in KIND_ORDER: had an intermediate
@@ -739,38 +554,31 @@ mod tests {
         assert_eq!(tl.events[1].start_cycle, 3);
 
         // The next layer's coalescer starts a fresh cursor at 0.
-        sink.begin_layer(&LayerCtx::new("a", "L2", 4));
-        let mut co = Coalescer::new(&sink, 1000);
-        co.push(CycleEventKind::Pass(StallCause::EdgeFragmentation), 7, 7);
-        co.step();
-        co.finish();
-        sink.end_layer();
-        let tls = rec.take();
-        assert_eq!(tls.len(), 1);
-        assert_eq!(tls[0].events[0].start_cycle, 0);
-        assert_eq!(tls[0].total_cycles(), 7);
+        let events = coalesced(
+            1000,
+            &[&[(CycleEventKind::Pass(StallCause::EdgeFragmentation), 7, 7)]],
+        );
+        assert_eq!(events[0].start_cycle, 0);
+        assert_eq!(timeline("L2", events).total_cycles(), 7);
     }
 
     #[test]
     fn coalescer_keeps_causes_in_separate_events() {
-        let rec = Arc::new(CycleRecorder::new());
-        let sink = SinkHandle::new(rec.clone());
-        sink.begin_layer(&LayerCtx::new("a", "l", 4));
-        let mut co = Coalescer::new(&sink, 2);
-        co.push(CycleEventKind::Pass(StallCause::EdgeFragmentation), 10, 30);
-        co.step();
-        co.push(
-            CycleEventKind::Pass(StallCause::AdderTreeContention),
-            10,
-            35,
+        let events = coalesced(
+            2,
+            &[
+                &[(CycleEventKind::Pass(StallCause::EdgeFragmentation), 10, 30)],
+                &[(
+                    CycleEventKind::Pass(StallCause::AdderTreeContention),
+                    10,
+                    35,
+                )],
+            ],
         );
-        co.step();
-        let totals = co.finish();
-        sink.end_layer();
-        assert_eq!(totals.cycles, 20);
-        assert_eq!(totals.macs, 65);
-        let tl = rec.take();
-        let causes: Vec<StallCause> = tl[0].events.iter().map(|e| e.kind.cause()).collect();
+        let tl = timeline("l", events);
+        assert_eq!(tl.total_cycles(), 20);
+        assert_eq!(tl.macs(), 65);
+        let causes: Vec<StallCause> = tl.events.iter().map(|e| e.kind.cause()).collect();
         assert_eq!(
             causes,
             vec![
@@ -782,23 +590,20 @@ mod tests {
 
     #[test]
     fn tagged_handle_stamps_experiment_on_layer_ctx() {
-        let rec = Arc::new(CycleRecorder::new());
-        let sink = SinkHandle::new(rec.clone()).tagged("fig15");
-        assert!(sink.enabled());
-        sink.begin_layer(&LayerCtx::new("FlexFlow", "C1", 256));
-        sink.emit(&CycleEvent::new(
-            CycleEventKind::Pass(StallCause::MappingResidueIdle),
-            0,
-            10,
-            100,
+        let rec = Recorder::new().tagged("fig15");
+        rec.record(timeline(
+            "C1",
+            vec![CycleEvent::new(
+                CycleEventKind::Pass(StallCause::MappingResidueIdle),
+                0,
+                10,
+                100,
+            )],
         ));
-        sink.end_layer();
         let tl = rec.take();
         assert_eq!(tl.len(), 1);
         assert_eq!(tl[0].ctx.experiment, "fig15");
         assert_eq!(tl[0].ctx.layer, "C1");
         assert_eq!(tl[0].macs(), 100);
-        // Tagging an unattached handle stays unattached.
-        assert!(!SinkHandle::none().tagged("fig15").is_attached());
     }
 }

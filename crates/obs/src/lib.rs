@@ -7,9 +7,9 @@
 //! * **host time** — wall-clock spans around the simulators themselves
 //!   (experiment → workload → layer → engine pass), for profiling the
 //!   simulator as it grows toward production scale;
-//! * **simulated time** — cycle-domain events (tile passes, pipeline
-//!   fills, partial-sum spills) emitted by the simulators into a
-//!   [`cycles::CycleSink`], for seeing *when inside a layer* a dataflow
+//! * **simulated time** — per-layer cycle timelines (tile passes,
+//!   pipeline fills, partial-sum spills) handed once per layer to a
+//!   [`cycles::Recorder`], for seeing *when inside a layer* a dataflow
 //!   loses PEs or spills partial sums.
 //!
 //! The pieces:
@@ -22,9 +22,10 @@
 //!   snapshot-and-diff; the simulators mirror every
 //!   `EventCounts`/`Traffic` field into it so aggregate stats and live
 //!   metrics can never disagree;
-//! * [`cycles`] — the cycle-domain event sink trait (no-op by default,
-//!   so instrumentation costs nothing when disabled), an in-memory
-//!   recorder, and an event coalescer that caps per-layer event counts;
+//! * [`cycles`] — cycle-domain events and timelines, the one
+//!   [`cycles::Recorder`] observer (behind an optional
+//!   [`cycles::SinkHandle`], so an unobserved run builds nothing), and
+//!   an event coalescer that caps per-layer event counts;
 //! * [`attrib`] — the [`attrib::StallCause`] loss taxonomy and per-layer
 //!   [`attrib::LossLedger`] with the exactness invariant
 //!   `busy + Σ attributed_lost == total_cycles × num_pes`;
@@ -54,20 +55,30 @@
 //!
 //! ```
 //! use flexsim_obs::attrib::{LossLedger, StallCause};
-//! use flexsim_obs::cycles::{CycleEvent, CycleEventKind, CycleRecorder, LayerCtx, SinkHandle};
+//! use flexsim_obs::cycles::{Recorder, SinkHandle};
+//! use flexsim_obs::spatial::CellRect;
+//! use flexsim_obs::steps::{self, LayerFrame, Pass, Step};
 //! use std::sync::Arc;
 //!
-//! let recorder = Arc::new(CycleRecorder::new());
+//! let recorder = Arc::new(Recorder::new());
 //! let sink = SinkHandle::new(recorder.clone());
-//! assert!(sink.enabled());
-//! sink.begin_layer(&LayerCtx::new("FlexFlow", "C1", 256));
-//! sink.emit(&CycleEvent::new(
-//!     CycleEventKind::Pass(StallCause::MappingResidueIdle),
-//!     0,
-//!     100,
-//!     12_800,
-//! ));
-//! sink.end_layer();
+//! // One 100-cycle pass over a 16×16 array, half its PE-cycles useful.
+//! let pass = Pass {
+//!     cause: StallCause::MappingResidueIdle,
+//!     cycles: 100,
+//!     macs: 12_800,
+//!     rects: CellRect::full(16, 16).into(),
+//! };
+//! let frame = LayerFrame {
+//!     arch: "FlexFlow",
+//!     layer: "C1",
+//!     rows: 16,
+//!     cols: 16,
+//!     cycles: 100,
+//!     macs: 12_800,
+//!     steps: 1,
+//! };
+//! steps::fold(&sink, &frame, [Step::new(pass)], |_| {});
 //! let timelines = recorder.take();
 //! assert_eq!(timelines.len(), 1);
 //! assert!((timelines[0].occupancy().utilization() - 0.5).abs() < 1e-12);
@@ -93,9 +104,7 @@ pub mod steps;
 pub mod telemetry;
 
 pub use attrib::{LossDelta, LossLedger, StallCause};
-pub use cycles::{
-    Aggregate, CycleEvent, CycleEventKind, CycleRecorder, CycleSink, LayerCtx, SinkHandle,
-};
+pub use cycles::{Aggregate, CycleEvent, CycleEventKind, LayerCtx, Recorder, SinkHandle};
 pub use filter::Level;
 pub use hist::Histogram;
 pub use metrics::{Registry, Snapshot};

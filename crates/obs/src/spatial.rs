@@ -25,11 +25,10 @@
 //! `busy_pe_cycles` — the FXC13 spatial-exactness identity flexcheck
 //! verifies per layer.
 //!
-//! Delivery rides on the cycle sink: [`crate::steps::fold`] builds the
-//! record from the same steps as the cycle timeline and submits it
-//! through [`crate::cycles::SinkHandle::record_spatial`] when the sink
-//! asks for one; [`crate::cycles::CycleRecorder::with_spatial`] keeps
-//! them for the `flexsim heatmap` report and metrics mirrors.
+//! Delivery rides on the one observer: [`crate::steps::fold`] builds the
+//! record from the same steps as the cycle timeline and hands it to a
+//! recorder built with [`crate::cycles::Recorder::with_spatial`], which
+//! keeps them for the `flexsim heatmap` report and metrics mirrors.
 //!
 //! [`LossLedger`]: crate::attrib::LossLedger
 
@@ -652,37 +651,42 @@ mod tests {
 
     #[test]
     fn default_handle_is_detached_and_silent() {
-        use crate::cycles::{CycleSink, SinkHandle};
-        use std::sync::Arc;
-        let h = SinkHandle::default();
-        assert!(!h.is_attached());
-        assert!(!h.wants_spatial());
-        h.record_spatial(HeatmapBuilder::new("A", "L", 1, 1, 0).finish());
-        // A unit sink is attached but still asks for no spatial record.
-        struct Unit;
-        impl CycleSink for Unit {}
-        let unit = SinkHandle::new(Arc::new(Unit));
-        assert!(unit.is_attached());
-        assert!(!unit.wants_spatial());
-        assert_eq!(format!("{h:?}"), "SinkHandle(none)");
-        assert_eq!(format!("{unit:?}"), "SinkHandle(attached)");
+        use crate::cycles::{Recorder, SinkHandle};
+        use crate::steps::{fold, LayerFrame};
+        let frame = LayerFrame {
+            arch: "A",
+            layer: "L",
+            rows: 1,
+            cols: 1,
+            cycles: 0,
+            macs: 0,
+            steps: 0,
+        };
+        fold(&SinkHandle::default(), &frame, [], |_| {
+            panic!("a detached handle builds no spatial record")
+        });
+        // A cycle-only recorder asks for no spatial record.
+        let rec = std::sync::Arc::new(Recorder::new());
+        fold(&SinkHandle::new(rec.clone()), &frame, [], |_| {
+            panic!("a cycle-only recorder builds no spatial record")
+        });
+        assert!(rec.take_spatial().is_empty());
+        assert_eq!(rec.take().len(), 1);
     }
 
     #[test]
     fn recorder_round_trips_layers_in_order() {
-        use crate::cycles::{CycleRecorder, SinkHandle};
-        use std::sync::Arc;
-        let rec = Arc::new(CycleRecorder::with_spatial());
-        let h = SinkHandle::new(rec.clone());
-        assert!(h.wants_spatial());
-        h.record_spatial(HeatmapBuilder::new("A", "L1", 2, 2, 10).finish());
-        h.record_spatial(HeatmapBuilder::new("A", "L2", 2, 2, 20).finish());
+        use crate::cycles::Recorder;
+        let rec = Recorder::with_spatial();
+        assert!(rec.keeps_spatial());
+        rec.record_spatial(HeatmapBuilder::new("A", "L1", 2, 2, 10).finish());
+        rec.record_spatial(HeatmapBuilder::new("A", "L2", 2, 2, 20).finish());
         let layers = rec.take_spatial();
         assert_eq!(layers.len(), 2);
         assert_eq!(layers[0].layer, "L1");
         assert_eq!(layers[1].layer, "L2");
         assert!(rec.take_spatial().is_empty());
-        assert!(!SinkHandle::new(Arc::new(CycleRecorder::new())).wants_spatial());
+        assert!(!Recorder::new().keeps_spatial());
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! a FlexFlow row-batch, a Systolic (m-group, input map), a 2D-Mapping
 //! tile, a Tiling (m-tile, n-tile) — next to the closed-form
 //! [`Aggregate`](crate::cycles::Aggregate) of those steps. [`fold`] feeds each step once into the
-//! attached sink's cycle timeline (through a [`Coalescer`]) and its
-//! heatmap (through a [`HeatmapBuilder`]); with nothing listening it
-//! returns before the first step, so unobserved runs stay closed-form.
+//! layer's cycle timeline (through a [`Coalescer`]) and heatmap
+//! (through a [`HeatmapBuilder`]) and hands both, finished, to the
+//! attached [`Recorder`](crate::cycles::Recorder); with nothing
+//! attached it returns before the first step, so unobserved runs stay
+//! closed-form.
 
 use crate::attrib::StallCause;
-use crate::cycles::{Coalescer, CycleEventKind, LayerCtx, SinkHandle};
+use crate::cycles::{Coalescer, CycleEventKind, LayerCtx, LayerTimeline, SinkHandle};
 use crate::spatial::{CellRects, HeatmapBuilder};
 
 /// The compute part of a step: `cycles` per cell on `rects`, carrying
@@ -89,27 +91,22 @@ pub struct LayerFrame<'a> {
     pub steps: u64,
 }
 
-/// Feeds `steps` once into the sink's cycle timeline and, when the
-/// sink asks for one, its heatmap; `spatial` then adds the
-/// architecture's banks and contention matrices before the record is
-/// submitted. Does nothing when the sink wants neither.
+/// Folds `steps` once into the layer's cycle timeline and, when the
+/// recorder keeps them, its heatmap (`spatial` then adds the
+/// architecture's banks and contention matrices), and hands the
+/// attached recorder the finished timeline, then the spatial record.
+/// Does nothing when no recorder is attached.
 pub fn fold(
     sink: &SinkHandle,
     frame: &LayerFrame,
     steps: impl IntoIterator<Item = Step>,
     spatial: impl FnOnce(&mut HeatmapBuilder),
 ) {
-    let cycles_on = sink.enabled();
-    let spatial_on = sink.wants_spatial();
-    if !cycles_on && !spatial_on {
+    let Some(rec) = sink.recorder() else {
         return;
-    }
-    let pes = u32::try_from(frame.rows * frame.cols).unwrap_or(u32::MAX);
-    if cycles_on {
-        sink.begin_layer(&LayerCtx::new(frame.arch, frame.layer, pes));
-    }
-    let mut co = cycles_on.then(|| Coalescer::new(sink, frame.steps));
-    let mut hb = spatial_on.then(|| {
+    };
+    let mut co = Coalescer::new(frame.steps);
+    let mut hb = rec.keeps_spatial().then(|| {
         HeatmapBuilder::new(
             frame.arch,
             frame.layer,
@@ -119,36 +116,40 @@ pub fn fold(
         )
     });
     for step in steps {
-        feed(&step, co.as_mut(), hb.as_mut());
+        feed(&step, &mut co, hb.as_mut());
     }
-    if let Some(co) = co {
-        let totals = co.finish();
-        debug_assert_eq!(
-            totals.cycles, frame.cycles,
-            "{}/{}: step cycles diverge from the schedule (flexcheck FXC08 util-sanity)",
-            frame.arch, frame.layer
-        );
-        debug_assert_eq!(
-            totals.macs, frame.macs,
-            "{}/{}: step MACs diverge from the schedule (flexcheck FXC09 attribution-exactness)",
-            frame.arch, frame.layer
-        );
-        sink.end_layer();
-    }
+    let pes = u32::try_from(frame.rows * frame.cols).unwrap_or(u32::MAX);
+    let timeline = LayerTimeline {
+        ctx: LayerCtx::new(frame.arch, frame.layer, pes),
+        events: co.finish(),
+    };
+    debug_assert_eq!(
+        timeline.total_cycles(),
+        frame.cycles,
+        "{}/{}: step cycles diverge from the schedule (flexcheck FXC08 util-sanity)",
+        frame.arch,
+        frame.layer
+    );
+    debug_assert_eq!(
+        timeline.macs(),
+        frame.macs,
+        "{}/{}: step MACs diverge from the schedule (flexcheck FXC09 attribution-exactness)",
+        frame.arch,
+        frame.layer
+    );
+    rec.record(timeline);
     if let Some(mut hb) = hb {
         spatial(&mut hb);
-        sink.record_spatial(hb.finish());
+        rec.record_spatial(hb.finish());
     }
 }
 
-/// Feeds one step into whichever builders are live. Kept out of the
-/// generic [`fold`] so the per-step work compiles, inlined, in this
-/// crate.
-fn feed(step: &Step, co: Option<&mut Coalescer>, hb: Option<&mut HeatmapBuilder>) {
-    if let Some(co) = co {
-        step.for_each_span(|kind, cycles, macs| co.push(kind, cycles, macs));
-        co.step();
-    }
+/// Feeds one step into the coalescer and, when live, the heatmap. Kept
+/// out of the generic [`fold`] so the per-step work compiles, inlined,
+/// in this crate.
+fn feed(step: &Step, co: &mut Coalescer, hb: Option<&mut HeatmapBuilder>) {
+    step.for_each_span(|kind, cycles, macs| co.push(kind, cycles, macs));
+    co.step();
     if let Some(hb) = hb {
         for (&cause, &cycles) in StallCause::ALL.iter().zip(&step.stalls) {
             hb.stall(cause, cycles);
@@ -162,7 +163,7 @@ fn feed(step: &Step, co: Option<&mut Coalescer>, hb: Option<&mut HeatmapBuilder>
 mod tests {
     use super::*;
     use crate::attrib::LossLedger;
-    use crate::cycles::{Aggregate, CycleRecorder};
+    use crate::cycles::{Aggregate, Recorder};
     use crate::spatial::CellRect;
     use std::sync::Arc;
 
@@ -192,7 +193,7 @@ mod tests {
 
     #[test]
     fn one_fold_feeds_timeline_and_heatmap_alike() {
-        let rec = Arc::new(CycleRecorder::with_spatial());
+        let rec = Arc::new(Recorder::with_spatial());
         fold(&SinkHandle::new(rec.clone()), &frame(), steps(), |_| {});
         let tl = rec.take();
         let ledger = LossLedger::from_timeline(&tl[0]);
@@ -220,8 +221,8 @@ mod tests {
         });
         fold(&SinkHandle::none(), &frame(), lazy, |_| {});
         assert!(!stepped);
-        // A cycle-only sink records no heatmap.
-        let rec = Arc::new(CycleRecorder::new());
+        // A cycle-only recorder gets no heatmap.
+        let rec = Arc::new(Recorder::new());
         fold(&SinkHandle::new(rec.clone()), &frame(), steps(), |_| {
             panic!("no spatial record was asked for")
         });

@@ -13,13 +13,13 @@ use flexsim_arch::Accelerator;
 use flexsim_dataflow::search::{best_unroll_where, plan_network};
 use flexsim_dataflow::{Style, Unroll};
 use flexsim_model::{workloads, ConvLayer};
-use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+use flexsim_obs::cycles::{Recorder, SinkHandle};
 use flexsim_obs::OccupancyTimeline;
 use std::sync::Arc;
 
 /// The recorded occupancy of `layer` under `u` on a `d×d` FlexFlow.
 fn occupancy(layer: &ConvLayer, u: Unroll, d: usize) -> OccupancyTimeline {
-    let rec = Arc::new(CycleRecorder::new());
+    let rec = Arc::new(Recorder::new());
     let mut ff = FlexFlow::new(d);
     ff.attach_sink(SinkHandle::new(rec.clone()));
     let _ = ff.run_conv_with(layer, u);

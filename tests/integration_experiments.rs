@@ -164,7 +164,7 @@ fn experiment_lookup_by_id_and_alias() {
     for id in flexsim_experiments::experiment_ids() {
         assert_eq!(
             find(id).map(flexsim_experiments::Experiment::id),
-            Some(*id),
+            Some(id),
             "{id} not resolvable"
         );
     }

@@ -39,7 +39,7 @@ use flexsim_experiments::arches::{ArchSet, ARCH_NAMES};
 use flexsim_model::reference;
 use flexsim_model::{workloads, ConvLayer, Fx16, Network};
 use flexsim_obs::attrib::{ledgers, LossLedger, StallCause};
-use flexsim_obs::cycles::{CycleEvent, CycleEventKind, CycleRecorder, SinkHandle};
+use flexsim_obs::cycles::{CycleEvent, CycleEventKind, Recorder, SinkHandle};
 use flexsim_testkit::{prop, prop_assert, prop_assert_eq};
 use std::sync::Arc;
 
@@ -313,7 +313,7 @@ fn fxc08_dynamic_functional_macs_diverge_from_the_tampered_claim() {
 
 /// Engine-recorded per-layer ledgers of `net` on a `d×d` FlexFlow.
 fn recorded_flexflow(net: &Network, d: usize) -> Vec<LossLedger> {
-    let rec = Arc::new(CycleRecorder::new());
+    let rec = Arc::new(Recorder::new());
     let mut engine = FlexFlow::new(d);
     engine.attach_sink(SinkHandle::new(rec.clone()));
     let _ = engine.run_network(net);
@@ -338,7 +338,7 @@ fn fxc10_dynamic_tampered_recording_diverges_from_the_proof() {
     // rejects it (both the cycle total and the fill bucket move).
     let net = workloads::lenet5();
     let predicted = ledgers(&FlexFlow::new(16).predict_network(&net));
-    let rec = Arc::new(CycleRecorder::new());
+    let rec = Arc::new(Recorder::new());
     let mut engine = FlexFlow::new(16);
     engine.attach_sink(SinkHandle::new(rec.clone()));
     let _ = engine.run_network(&net);
@@ -365,7 +365,7 @@ fn fxc10_holds_on_all_table1_pairs() {
     // the closed-form prediction equals the recorded run exactly.
     for net in workloads::all() {
         for (idx, arch) in ARCH_NAMES.iter().enumerate() {
-            let rec = Arc::new(CycleRecorder::new());
+            let rec = Arc::new(Recorder::new());
             let mut acc = ArchSet::builder()
                 .sink(SinkHandle::new(rec.clone()))
                 .build_one(&net, idx);
@@ -532,7 +532,7 @@ fn step_folds_equal_the_closed_forms_on_every_architecture() {
                 2 => Box::new(TilingArray::new(side, side + 1)),
                 _ => Box::new(FlexFlow::new(side * 2)),
             };
-            let rec = Arc::new(CycleRecorder::with_spatial());
+            let rec = Arc::new(Recorder::with_spatial());
             acc.attach_sink(SinkHandle::new(rec.clone()));
             let result = acc.run_conv(&layer);
             let timeline = rec.take().remove(0);

@@ -9,9 +9,11 @@
 use flexsim_experiments::arches::{self, ArchSet};
 use flexsim_experiments::{find, run_suite, SuiteConfig};
 use flexsim_obs::chrome::chrome_trace;
+use flexsim_obs::cycles::{LayerTimeline, Recorder, SinkHandle};
+use flexsim_obs::spatial::LayerSpatial;
 use flexsim_obs::{metrics, span};
 use flexsim_testkit::json::Json;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -57,6 +59,56 @@ fn metrics_registry_mirrors_run_summaries_exactly() {
                 );
             }
         }
+    }
+}
+
+/// One recorder shared by four simulators on four threads keeps every
+/// layer whole: each architecture's timelines and spatial records,
+/// taken from the shared recorder, equal what a private recorder gets
+/// from a serial run.
+#[test]
+fn concurrent_simulators_share_one_recorder_without_interleaving() {
+    let _guard = serial();
+    for net in flexsim_model::workloads::all() {
+        let serial_runs: Vec<(Vec<LayerTimeline>, Vec<LayerSpatial>)> = ArchSet::builder()
+            .build(&net)
+            .into_iter()
+            .map(|mut acc| {
+                let rec = Arc::new(Recorder::with_spatial());
+                acc.attach_sink(SinkHandle::new(rec.clone()));
+                acc.run_network(&net);
+                (rec.take(), rec.take_spatial())
+            })
+            .collect();
+        let shared = Arc::new(Recorder::with_spatial());
+        let accs = ArchSet::builder()
+            .sink(SinkHandle::new(shared.clone()))
+            .build(&net);
+        // Release all four at once so their layers overlap in time.
+        let start = Barrier::new(accs.len());
+        std::thread::scope(|scope| {
+            for mut acc in accs {
+                let (net, start) = (&net, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    acc.run_network(net)
+                });
+            }
+        });
+        let (timelines, spatials) = (shared.take(), shared.take_spatial());
+        for (arch, (want_tl, want_sp)) in arches::ARCH_NAMES.iter().zip(&serial_runs) {
+            let tag = format!("{}/{arch}", net.name());
+            let got_tl: Vec<&LayerTimeline> =
+                timelines.iter().filter(|t| t.ctx.arch == *arch).collect();
+            let got_sp: Vec<&LayerSpatial> = spatials.iter().filter(|s| s.arch == *arch).collect();
+            assert_eq!(
+                got_tl,
+                want_tl.iter().collect::<Vec<_>>(),
+                "{tag}: timelines"
+            );
+            assert_eq!(got_sp, want_sp.iter().collect::<Vec<_>>(), "{tag}: spatial");
+        }
+        assert_eq!(timelines.len(), serial_runs.iter().map(|r| r.0.len()).sum());
     }
 }
 

@@ -20,7 +20,7 @@ use flexsim_model::registry::WorkloadRegistry;
 use flexsim_model::workloads;
 use flexsim_obs::attrib::{ledgers, LossLedger, StallCause};
 use flexsim_obs::cycles::{
-    CycleEvent, CycleEventKind, CycleRecorder, LayerCtx, LayerTimeline, SinkHandle,
+    CycleEvent, CycleEventKind, LayerCtx, LayerTimeline, Recorder, SinkHandle,
 };
 use flexsim_obs::metrics::Registry;
 use flexsim_testkit::json::Json;
@@ -33,7 +33,7 @@ fn run_with_ledgers(
     net: &flexsim_model::Network,
     idx: usize,
 ) -> (flexsim_arch::RunSummary, Vec<LossLedger>) {
-    let rec = Arc::new(CycleRecorder::new());
+    let rec = Arc::new(Recorder::new());
     let mut acc = ArchSet::builder()
         .sink(SinkHandle::new(rec.clone()))
         .build_one(net, idx);

@@ -23,9 +23,10 @@
 
 use flexcheck::ArchParams;
 use flexflow::array::PeArray;
+use flexflow::Compiler;
 use flexsim_experiments::tune::{
     analytic_ledger, bench_json, paper_defaults, recorded_ledger, report, tune_network,
-    tune_workloads, tuned_program, Budget,
+    tune_workloads, Budget,
 };
 use flexsim_experiments::ExperimentCtx;
 use flexsim_model::{reference, workloads, Network};
@@ -210,7 +211,7 @@ fn swapped_table_entries_are_caught_by_flexcheck() {
     let outcome = tune_network(&ctx, &net, Budget::Full);
     let mut choices: Vec<_> = outcome.layers.iter().map(|l| l.tuned.clone()).collect();
     choices.swap(0, 1);
-    let mutated = tuned_program(&net, D, choices);
+    let mutated = Compiler::new(D).lower(&net, choices);
     let diags = flexcheck::check(&mutated, &net, &ArchParams::flexflow_paper());
     assert!(
         flexcheck::has_errors(&diags),
@@ -228,7 +229,7 @@ fn inflated_unroll_factors_are_caught_by_flexcheck() {
     let outcome = tune_network(&ctx, &net, Budget::Full);
     let mut choices: Vec<_> = outcome.layers.iter().map(|l| l.tuned.clone()).collect();
     choices[1].unroll.tm *= 2;
-    let mutated = tuned_program(&net, D, choices);
+    let mutated = Compiler::new(D).lower(&net, choices);
     let diags = flexcheck::check(&mutated, &net, &ArchParams::flexflow_paper());
     assert!(
         flexcheck::has_errors(&diags),
