@@ -44,6 +44,16 @@ echo "==> flexbench build + tests (the benchmark compiles against these crates)"
 cargo build --release --offline --manifest-path flexbench/Cargo.toml
 cargo test --offline --manifest-path flexbench/Cargo.toml
 
+echo "==> flexbench PE-array passes (outputs equal the reference; counts equal expected.json)"
+# One checked pass of every workload that drives the cycle-stepped PE
+# array, through the benchmark's own command: flexbench exits 1 when an
+# output differs from the golden reference or a count differs from
+# flexbench/expected.json.
+for workload in layers-small layers-large network-exec; do
+    cargo run --release --offline -q --manifest-path flexbench/Cargo.toml -- \
+        --workload "$workload" --seconds 0 --trace 0 > /dev/null
+done
+
 echo "==> flexsim lint (static schedule verification)"
 cargo run -q -p flexsim-experiments --release --offline -- lint > /dev/null
 cargo run -q -p flexsim-experiments --release --offline -- --json lint > /dev/null

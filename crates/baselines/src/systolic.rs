@@ -133,10 +133,11 @@ impl Systolic {
         assert!(layer.is_valid_convolution(), "padded layers not supported");
         let (m, n, s) = (layer.m(), layer.n(), layer.s());
         let mut out = Tensor3::zeros(m, s, s);
+        let mut pipeline = Pipeline::new(layer);
         for om in 0..m {
             let mut acc_map: Tensor2<Acc32> = Tensor2::zeros(s, s);
             for inm in 0..n {
-                self.pipeline_pass(layer, om, inm, input, kernels, &mut acc_map);
+                pipeline.pass(layer, om, inm, input, kernels, &mut acc_map);
             }
             for r in 0..s {
                 for c in 0..s {
@@ -146,68 +147,6 @@ impl Systolic {
             }
         }
         out
-    }
-
-    /// One (m, n) pipeline pass: streams the whole input map and drains.
-    ///
-    /// The chain is a ring buffer: a shift is a step of the head index,
-    /// not a move of every cell, and chain position `p` lives at slot
-    /// `(head + p) mod len`. The `k²` PE taps (chain offset and
-    /// resident synapse) are fixed for the pass.
-    fn pipeline_pass(
-        &self,
-        layer: &ConvLayer,
-        om: usize,
-        inm: usize,
-        input: &Tensor3,
-        kernels: &KernelSet,
-        acc_map: &mut Tensor2<Acc32>,
-    ) {
-        let w = layer.input_size();
-        let k = layer.k();
-        let s = layer.s();
-        // Chain cells: position p = i*w + j; PE cells are those with
-        // (j < k && i < k); others are FIFO slots. Length (k-1)*w + k.
-        let chain_len = (k - 1) * w + k;
-        let mut chain: Vec<Option<(Acc32, usize, usize)>> = vec![None; chain_len];
-        let mut head = 0;
-        let taps: Vec<(usize, Fx16)> = (0..k)
-            .flat_map(|i| (0..k).map(move |j| (i, j)))
-            .map(|(i, j)| (i * w + j, kernels[(om, inm, i, j)]))
-            .collect();
-        let total_cycles = w * w + chain_len;
-        for t in 0..total_cycles {
-            let x = if t < w * w {
-                input[(inm, t / w, t % w)]
-            } else {
-                Fx16::ZERO
-            };
-            // Shift: the exit stage (position len−1) becomes the new
-            // position 0, after its accumulator leaves.
-            head = if head == 0 { chain_len - 1 } else { head - 1 };
-            if let Some((acc, r, c)) = chain[head].take() {
-                if r < s && c < s {
-                    acc_map[(r, c)] += acc;
-                }
-            }
-            // Birth a new accumulator tagged with the current raster
-            // position (only while streaming).
-            if t < w * w {
-                chain[head] = Some((Acc32::ZERO, t / w, t % w));
-            }
-            // Every PE cell accumulates k(i,j) * x into its resident
-            // accumulator.
-            for &(offset, weight) in &taps {
-                let mut p = head + offset;
-                if p >= chain_len {
-                    p -= chain_len;
-                }
-                if let Some((acc, _, _)) = chain[p].as_mut() {
-                    acc.mac(weight, x);
-                }
-            }
-        }
-        debug_assert!(chain.iter().all(Option::is_none), "pipeline fully drained");
     }
 
     /// The on-chip events and traffic of the schedule [`Self::steps`]
@@ -371,6 +310,89 @@ impl Accelerator for Systolic {
 
     fn area(&self) -> AreaBreakdown {
         AreaModel::tsmc65().area(&self.area_spec())
+    }
+}
+
+/// The deep pipeline of one systolic array, allocated once per
+/// [`Systolic::forward`] and reused by every (m, n) pass.
+struct Pipeline {
+    /// Chain cells: position p = i*w + j; PE cells are those with
+    /// (j < k && i < k); others are FIFO slots. Length (k-1)*w + k.
+    /// Every pass drains the chain, so the next one starts empty.
+    chain: Vec<Option<(Acc32, usize, usize)>>,
+    /// The `k²` PE taps: chain offset and resident synapse.
+    taps: Vec<(usize, Fx16)>,
+}
+
+impl Pipeline {
+    /// An empty pipeline for `layer`'s input width and kernel.
+    fn new(layer: &ConvLayer) -> Self {
+        let k = layer.k();
+        Pipeline {
+            chain: vec![None; (k - 1) * layer.input_size() + k],
+            taps: Vec::with_capacity(k * k),
+        }
+    }
+
+    /// One (m, n) pipeline pass: streams the whole input map and drains.
+    ///
+    /// The chain is a ring buffer: a shift is a step of the head index,
+    /// not a move of every cell, and chain position `p` lives at slot
+    /// `(head + p) mod len`. The taps are fixed for the pass.
+    fn pass(
+        &mut self,
+        layer: &ConvLayer,
+        om: usize,
+        inm: usize,
+        input: &Tensor3,
+        kernels: &KernelSet,
+        acc_map: &mut Tensor2<Acc32>,
+    ) {
+        let w = layer.input_size();
+        let k = layer.k();
+        let s = layer.s();
+        let Pipeline { chain, taps } = self;
+        let chain_len = chain.len();
+        let mut head = 0;
+        taps.clear();
+        taps.extend(
+            (0..k)
+                .flat_map(|i| (0..k).map(move |j| (i, j)))
+                .map(|(i, j)| (i * w + j, kernels[(om, inm, i, j)])),
+        );
+        let total_cycles = w * w + chain_len;
+        for t in 0..total_cycles {
+            let x = if t < w * w {
+                input[(inm, t / w, t % w)]
+            } else {
+                Fx16::ZERO
+            };
+            // Shift: the exit stage (position len−1) becomes the new
+            // position 0, after its accumulator leaves.
+            head = if head == 0 { chain_len - 1 } else { head - 1 };
+            if let Some((acc, r, c)) = chain[head].take() {
+                if r < s && c < s {
+                    acc_map[(r, c)] += acc;
+                }
+            }
+            // Birth a new accumulator tagged with the current raster
+            // position (only while streaming).
+            if t < w * w {
+                chain[head] = Some((Acc32::ZERO, t / w, t % w));
+            }
+            // Every PE cell accumulates k(i,j) * x into its resident
+            // accumulator.
+            for &(offset, weight) in taps.iter() {
+                let mut p = head + offset;
+                if p >= chain_len {
+                    p -= chain_len;
+                }
+                if let Some((acc, _, _)) = chain[p].as_mut() {
+                    acc.mac(weight, x);
+                }
+            }
+        }
+        debug_assert!(chain.iter().all(Option::is_none), "pipeline fully drained");
     }
 }
 

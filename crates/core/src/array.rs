@@ -14,31 +14,49 @@
 //!
 //! # Scratch state
 //!
-//! The per-MAC loop allocates only while a PE's address table grows to
-//! the layer's working set. Its bookkeeping is scratch state reused
-//! across cycles, sized by what the layer touches:
+//! The mapping fixes every operand's PE from the loop indices, because
+//! each tile origin `m0`, `r0`, `c0` is a multiple of `Tm`, `Tr`, `Tc`:
+//! output cell `(dm, dr, dc)` sits on PE row `(dm·Tr + dr)·Tc + dc`, and
+//! operand `(dn, ir, ic)` on PE column `dn·Ti·Tj + R[ir] + C[ic]`, read
+//! from two residue tables built once per layer. So the per-MAC loop
+//! finds each store address by direct indexing — no hash probe and no
+//! modulo — in scratch state that [`PeArray`] owns. It grows to the
+//! largest layer the array has run and is reused across calls, so a
+//! call allocates only its output tensor once the array has seen a
+//! layer as large:
 //!
-//! - each PE store's id → address table (`AddrTable`) starts empty and
-//!   grows on first use, to at most twice the store's 128 words, so PEs
-//!   a layer never touches cost no memory;
+//! - the store words of every PE and store, as many per store as the
+//!   layer can fill between resets, at most [`STORE_WORDS`];
+//! - one slot per (PE, operand) pair holding the operand's address + 1,
+//!   0 when it is not resident. A neuron's id fixes its column, so its
+//!   slot is keyed by (stripe-local neuron id, PE row). A PE's row fixes
+//!   `om mod Tm` and its column `inm mod Tn`, so a synapse's slot is
+//!   keyed by (PE, `((m group·n chunks + n chunk)·k + i)·k + j`);
+//! - per PE, the slots it made resident in address order, so that a
+//!   wrap to address 0 on the 129th word, the per-stripe neuron reset
+//!   and the per-epoch kernel reset clear only the slots that PE set;
 //! - the broadcast memory — which neurons (per stripe) and synapses (per
-//!   kernel residency epoch) already crossed a bus — is one dense bit
-//!   set per id space (`BitSet`), `n·s_in²` and `m·n·k²` bits;
-//! - one products buffer, reduced in place by [`adder_tree::reduce`];
-//! - one accumulator per PE row, and one [`StepClaims`] set for the
-//!   Relax-Alignment check, reset per output cell.
+//!   kernel residency epoch) already crossed a bus — as one dense bit
+//!   set per store;
+//! - the operands of one output position in one cycle, shared by the
+//!   cells of its `Tm` output maps; one products buffer, reduced in
+//!   place by [`adder_tree::reduce`]; one accumulator per PE row; the bus
+//!   counters; and one [`StepClaims`] set for the Relax-Alignment check,
+//!   reset per output cell.
+//!
+//! [`Mapping`] stays the reference for the row and column, checked in
+//! debug builds.
 
 use crate::adder_tree;
 use crate::analytic::{schedule_default, Schedule};
 use crate::cdb::{BusBundle, CdbFabric, StepClaims};
-use crate::local_store::STORE_WORDS;
+use crate::local_store::{check_address, STORE_WORDS};
 use crate::mapping::Mapping;
-use crate::pe::Pe;
 use flexsim_dataflow::utilization::ceil_div;
 use flexsim_dataflow::Unroll;
 use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
-use flexsim_model::{Acc32, ConvLayer, Tensor3};
+use flexsim_model::{Acc32, ConvLayer, Fx16, Tensor3};
 
 /// What one functional layer run measured.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,140 +88,197 @@ pub struct FunctionalReport {
     pub adder_tree_adds: u64,
 }
 
-/// Which operand ids sit at which addresses of one PE local store.
-///
-/// Addresses are handed out in order; when the store is full the next
-/// delivery wraps to address 0 and forgets every resident id. The index
-/// is open-addressed with linear probing at load factor at most ½, so
-/// it never holds more than `2·STORE_WORDS` one-byte slots, and it is
-/// allocated on the first delivery, not up front.
+/// Adds `id` to the bit set `bits`; true when it was not in the set.
+fn insert_bit(bits: &mut [u64], id: usize) -> bool {
+    let (word, bit) = (&mut bits[id / 64], 1u64 << (id % 64));
+    let fresh = *word & bit == 0;
+    *word |= bit;
+    fresh
+}
+
+/// Sets `v` to `len` copies of `fill`, reallocating only when it is too
+/// small, and then without copying the old contents.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    v.clear();
+    if v.capacity() < len {
+        *v = Vec::with_capacity(len);
+    }
+    v.resize(len, fill);
+}
+
+/// The buffers of one kind of local store (neuron or kernel) across the
+/// array's PEs, reused from call to call. [`OperandStores`] works on
+/// them.
 #[derive(Clone, Debug, Default)]
-struct AddrTable {
-    /// Resident ids by address; the length is the next free address.
-    ids: Vec<usize>,
-    /// `address + 1` of the id probed to this slot, 0 when empty. Its
-    /// length is zero or a power of two.
+struct StoreScratch {
+    words: Vec<Fx16>,
     slots: Vec<u8>,
+    resident: Vec<u32>,
+    next: Vec<u8>,
+    broadcast: Vec<u64>,
 }
 
-impl AddrTable {
-    /// Forgets every resident id, keeping the allocation.
-    fn clear(&mut self) {
-        self.ids.clear();
-        self.slots.fill(0);
-    }
-
-    /// First probe slot of `id`: Fibonacci hashing, which spreads the
-    /// dense, consecutive ids of one layer over the table.
-    fn home(&self, id: usize) -> usize {
-        let bits = self.slots.len().trailing_zeros();
-        ((id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - bits)) as usize
-    }
-
-    /// The address `id` is resident at.
-    fn get(&self, id: usize) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
+impl StoreScratch {
+    /// The stores over these buffers as they are.
+    fn stores(&mut self) -> OperandStores<'_> {
+        OperandStores {
+            words: &mut self.words,
+            slots: &mut self.slots,
+            resident: &mut self.resident,
+            next: &mut self.next,
+            broadcast: &mut self.broadcast,
+            reads: 0,
+            writes: 0,
         }
-        let mask = self.slots.len() - 1;
-        let mut h = self.home(id);
-        loop {
-            match usize::from(self.slots[h]) {
-                0 => return None,
-                a if self.ids[a - 1] == id => return Some(a - 1),
-                _ => h = (h + 1) & mask,
+    }
+
+    /// Empty stores for `pes` PEs, each holding at most `depth` operands
+    /// at once, with `slots` (PE, operand) slots and bus ids `0..ids`,
+    /// growing the buffers as needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slots do not fit 32-bit indices.
+    fn prepare(&mut self, pes: usize, depth: usize, slots: usize, ids: usize) -> OperandStores<'_> {
+        assert!(
+            u32::try_from(slots).is_ok(),
+            "{slots} operand slots exceed the PE array's 32-bit slot index"
+        );
+        self.stores().forget_all();
+        refill(&mut self.words, pes * depth, Fx16::ZERO);
+        refill(&mut self.resident, pes * depth, 0);
+        refill(&mut self.next, pes, 0);
+        refill(&mut self.broadcast, ids.div_ceil(64), 0);
+        if self.slots.len() < slots {
+            // Free the old slots before the new ones are allocated, so
+            // the two never coexist.
+            self.slots = Vec::new();
+            self.slots = vec![0; slots];
+        }
+        self.stores()
+    }
+}
+
+/// One kind of local store (neuron or kernel) across the array's PEs:
+/// the words, which operand sits at which address, and which operands
+/// a bus already broadcast. It borrows its buffers as slices, which the
+/// per-MAC loop keeps in registers.
+///
+/// Word `a` of PE `p` of `P`, and the slot resident there, sit at index
+/// `a·P + p`: the PEs of a row fill their stores in step, so one cycle's
+/// accesses share cache lines. Addresses are handed out in order; when
+/// a PE's store is full its next delivery wraps to address 0 and
+/// forgets every operand it held.
+struct OperandStores<'a> {
+    /// Store words of every PE, address-major.
+    words: &'a mut [Fx16],
+    /// `address + 1` of the operand keyed to each slot, 0 when it is
+    /// not resident. Every slot is 0 between calls.
+    slots: &'a mut [u8],
+    /// Each PE's resident slots, by address (address-major).
+    resident: &'a mut [u32],
+    /// Each PE's next free address: how many of its resident slots are
+    /// live.
+    next: &'a mut [u8],
+    /// Broadcast memory: one bit per bus id.
+    broadcast: &'a mut [u64],
+    reads: u64,
+    writes: u64,
+}
+
+impl OperandStores<'_> {
+    /// Forgets PE `pe`'s resident operands.
+    fn forget(&mut self, pe: usize) {
+        let live = usize::from(std::mem::take(&mut self.next[pe]));
+        let pes = self.next.len();
+        for addr in 0..live {
+            self.slots[self.resident[addr * pes + pe] as usize] = 0;
+        }
+    }
+
+    /// Forgets every resident operand and every broadcast: a stripe
+    /// (neurons) or residency-epoch (kernels) reset.
+    fn forget_all(&mut self) {
+        for pe in 0..self.next.len() {
+            self.forget(pe);
+        }
+        self.broadcast.fill(0);
+    }
+
+    /// Lazy operand delivery: the address in PE `pe`'s store of the
+    /// operand keyed to `slot`. A non-resident operand crosses bus
+    /// `bus_index` of `bus` unless the broadcast memory shows that bus
+    /// id `id` already did — a later PE on the bus picks up the same
+    /// broadcast — and is written at the PE's next free address.
+    #[inline]
+    fn address(
+        &mut self,
+        pe: usize,
+        slot: usize,
+        id: usize,
+        bus: &mut BusBundle,
+        bus_index: usize,
+        value: impl FnOnce() -> Fx16,
+    ) -> usize {
+        match self.slots[slot] {
+            0 => {
+                if insert_bit(self.broadcast, id) {
+                    bus.broadcast(bus_index);
+                }
+                self.deliver(pe, slot, value())
             }
+            a => usize::from(a - 1),
         }
     }
 
-    /// Makes `id`, which is not resident, resident at the next free
-    /// address — wrapping to 0 and forgetting the store's contents when
-    /// it is full — and returns that address.
-    fn insert(&mut self, id: usize) -> usize {
-        if self.ids.len() >= STORE_WORDS {
-            self.clear();
+    /// Writes `value`, keyed to `slot`, at PE `pe`'s next free address,
+    /// wrapping to 0 and forgetting the store's contents when it is
+    /// full, and returns that address.
+    #[inline]
+    fn deliver(&mut self, pe: usize, slot: usize, value: Fx16) -> usize {
+        if usize::from(self.next[pe]) == STORE_WORDS {
+            self.forget(pe);
         }
-        if 2 * (self.ids.len() + 1) > self.slots.len() {
-            self.slots = vec![0; (2 * self.slots.len()).max(16)];
-            for addr in 0..self.ids.len() {
-                self.place(addr);
-            }
-        }
-        self.ids.push(id);
-        self.place(self.ids.len() - 1);
-        self.ids.len() - 1
+        let addr = usize::from(self.next[pe]);
+        self.resident[addr * self.next.len() + pe] = slot as u32;
+        self.next[pe] += 1;
+        self.slots[slot] = self.next[pe];
+        self.write(pe, addr, value);
+        addr
     }
 
-    /// Indexes the id at `addr` in the first free slot from its home.
-    fn place(&mut self, addr: usize) {
-        let mask = self.slots.len() - 1;
-        let mut h = self.home(self.ids[addr]);
-        while self.slots[h] != 0 {
-            h = (h + 1) & mask;
-        }
-        self.slots[h] = u8::try_from(addr + 1).expect("store addresses fit a slot");
+    /// Writes word `addr` of PE `pe`'s store (counted).
+    #[inline]
+    fn write(&mut self, pe: usize, addr: usize, value: Fx16) {
+        check_address(addr, STORE_WORDS);
+        self.writes += 1;
+        self.words[addr * self.next.len() + pe] = value;
+    }
+
+    /// Reads word `addr` of PE `pe`'s store (counted).
+    #[inline]
+    fn read(&mut self, pe: usize, addr: usize) -> Fx16 {
+        check_address(addr, STORE_WORDS);
+        self.reads += 1;
+        self.words[addr * self.next.len() + pe]
     }
 }
 
-/// A dense set over an operand id space, one bit per id: which operands
-/// a bus already broadcast.
-#[derive(Clone, Debug)]
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    /// An empty set over ids `0..len`.
-    fn new(len: usize) -> Self {
-        BitSet {
-            words: vec![0; len.div_ceil(64)],
-        }
-    }
-
-    /// Adds `id`; true when it was not in the set.
-    fn insert(&mut self, id: usize) -> bool {
-        let (word, bit) = (&mut self.words[id / 64], 1u64 << (id % 64));
-        let fresh = *word & bit == 0;
-        *word |= bit;
-        fresh
-    }
-
-    /// Empties the set.
-    fn clear(&mut self) {
-        self.words.fill(0);
-    }
-}
-
-/// Lazy operand delivery: the store address of operand `id`, which
-/// `table` indexes. A non-resident operand crosses bus `bus_index` of
-/// `bus` unless the broadcast memory `seen` shows it already did — a
-/// later PE on the bus picks up the same broadcast — and `load` writes
-/// it to the address it gets.
-fn deliver(
-    table: &mut AddrTable,
-    id: usize,
-    seen: &mut BitSet,
-    bus: &mut BusBundle,
-    bus_index: usize,
-    load: impl FnOnce(usize),
-) -> usize {
-    if let Some(addr) = table.get(id) {
-        return addr;
-    }
-    if seen.insert(id) {
-        bus.broadcast(bus_index);
-    }
-    let addr = table.insert(id);
-    load(addr);
-    addr
-}
-
-/// Per-PE operand residency bookkeeping on top of the raw [`Pe`].
-#[derive(Clone, Debug, Default)]
-struct PeState {
-    pe: Pe,
-    neurons: AddrTable,
-    kernels: AddrTable,
+/// One operand of an output position in one cycle: input neuron
+/// `(inm, ir, ic)` on PE column `col`, times synapse `(om, inm, i, j)`
+/// for each output map `om` of the row-batch.
+#[derive(Clone, Copy, Debug)]
+struct Operand {
+    inm: usize,
+    i: usize,
+    j: usize,
+    ir: usize,
+    ic: usize,
+    col: usize,
+    /// Stripe-local neuron id.
+    neuron: usize,
+    /// The synapse's kernel-store key within its PE.
+    key: usize,
 }
 
 /// The `D×D` PE array.
@@ -225,7 +300,17 @@ struct PeState {
 #[derive(Clone, Debug)]
 pub struct PeArray {
     d: usize,
-    pes: Vec<PeState>,
+    neuron_scratch: StoreScratch,
+    kernel_scratch: StoreScratch,
+    fabric: CdbFabric,
+    claims: StepClaims,
+    /// `R[x] = (x mod Ti)·Tj` for every input row `x`.
+    row_residue: Vec<usize>,
+    /// `C[x] = x mod Tj` for every input column `x`.
+    col_residue: Vec<usize>,
+    operands: Vec<Operand>,
+    products: Vec<Acc32>,
+    accs: Vec<Acc32>,
 }
 
 impl PeArray {
@@ -238,7 +323,15 @@ impl PeArray {
         assert!(d > 0, "array side must be non-zero");
         PeArray {
             d,
-            pes: vec![PeState::default(); d * d],
+            neuron_scratch: StoreScratch::default(),
+            kernel_scratch: StoreScratch::default(),
+            fabric: CdbFabric::new(d),
+            claims: StepClaims::new(d),
+            row_residue: Vec::new(),
+            col_residue: Vec::new(),
+            operands: Vec::new(),
+            products: Vec::new(),
+            accs: Vec::new(),
         }
     }
 
@@ -279,115 +372,162 @@ impl PeArray {
         let s_in = layer.input_size();
         let kernels_persist = sch.m_groups.saturating_mul(sch.chunks) <= STORE_WORDS as u64;
 
-        for st in self.pes.iter_mut() {
-            st.neurons.clear();
-            st.kernels.clear();
-            st.pe.reset_counters();
-        }
+        let n_chunks = ceil_div(n, u.tn);
+        let m_groups = ceil_div(m, u.tm);
+        let (rows, cols) = (u.rows_used(), u.cols_used());
+        let pes = rows * cols;
+        // A row stripe reads `span` input rows; its neurons are keyed
+        // by (map, row within the stripe, column).
+        let span = (u.tr - 1) * stride + (k - 1) * dilation + 1;
+        let stripe_neurons = n * span * s_in;
+        // Synapses one PE can hold: (m group, n chunk, i, j).
+        let pe_kernels = m_groups * n_chunks * k * k;
+        // A PE's column fixes `inm mod Tn`, `ir mod Ti` and `ic mod Tj`,
+        // so a stripe brings it at most this many distinct neurons; a
+        // store never holds more operands than a PE can be sent between
+        // resets, so its words past that depth are never used.
+        let pe_neurons = n_chunks * span.div_ceil(u.ti) * s_in.div_ceil(u.tj);
+
+        let PeArray {
+            neuron_scratch,
+            kernel_scratch,
+            fabric,
+            claims,
+            row_residue,
+            col_residue,
+            operands,
+            products,
+            accs,
+            ..
+        } = self;
+        // PE `row·cols + col`; the broadcast memories are keyed by
+        // stripe-local neuron id and by global synapse id.
+        let mut neuron_stores = neuron_scratch.prepare(
+            pes,
+            pe_neurons.min(STORE_WORDS),
+            rows * stripe_neurons,
+            stripe_neurons,
+        );
+        let mut kernel_stores = kernel_scratch.prepare(
+            pes,
+            pe_kernels.min(STORE_WORDS),
+            pes * pe_kernels,
+            m * n * k * k,
+        );
+        row_residue.clear();
+        row_residue.extend((0..s_in).map(|x| (x % u.ti) * u.tj));
+        col_residue.clear();
+        col_residue.extend((0..s_in).map(|x| x % u.tj));
+        fabric.vertical.reset();
+        fabric.horizontal.reset();
+        accs.clear();
+        accs.resize(rows, Acc32::ZERO);
 
         let mut out = Tensor3::zeros(m, s, s);
         let mut cycles = 0u64;
         let mut macs = 0u64;
-        let mut fabric = CdbFabric::new(self.d);
         let mut tree_adds = 0u64;
-
-        // Per-stripe neuron broadcast memory (RS persistence along the
-        // column-tile walk); per-residency-epoch kernel broadcast memory.
-        let mut neuron_broadcast = BitSet::new(n * s_in * s_in);
-        let mut kernel_broadcast = BitSet::new(m * n * k * k);
-        let mut products: Vec<Acc32> = Vec::with_capacity(u.cols_used());
-        let mut accs = vec![Acc32::ZERO; u.rows_used()];
-        let mut claims = StepClaims::new(self.d);
-
-        let n_chunks = ceil_div(n, u.tn);
-        let i_chunks = ceil_div(k, u.ti);
-        let j_chunks = ceil_div(k, u.tj);
 
         for r0 in (0..s).step_by(u.tr) {
             let tr_eff = u.tr.min(s - r0);
-            neuron_broadcast.clear();
-            for st in self.pes.iter_mut() {
-                st.neurons.clear();
-            }
+            let ir0 = r0 * stride;
+            // Per-stripe neuron residency (RS persistence along the
+            // column-tile walk).
+            neuron_stores.forget_all();
             for c0 in (0..s).step_by(u.tc) {
                 let tc_eff = u.tc.min(s - c0);
                 if !kernels_persist {
-                    kernel_broadcast.clear();
-                    for st in self.pes.iter_mut() {
-                        st.kernels.clear();
-                    }
+                    // Per-residency-epoch kernel residency.
+                    kernel_stores.forget_all();
                 }
-                for m0 in (0..m).step_by(u.tm) {
+                for (m_group, m0) in (0..m).step_by(u.tm).enumerate() {
                     let tm_eff = u.tm.min(m - m0);
                     // One row-batch: accumulators per active row.
                     accs.fill(Acc32::ZERO);
-                    for n0_idx in 0..n_chunks {
-                        for i0_idx in 0..i_chunks {
-                            for j0_idx in 0..j_chunks {
-                                cycles += 1;
-                                let n0 = n0_idx * u.tn;
-                                let i0 = i0_idx * u.ti;
-                                let j0 = j0_idx * u.tj;
-                                let tn_eff = u.tn.min(n - n0);
-                                let ti_eff = u.ti.min(k - i0);
+                    for n_chunk in 0..n_chunks {
+                        let n0 = n_chunk * u.tn;
+                        let tn_eff = u.tn.min(n - n0);
+                        for i0 in (0..k).step_by(u.ti) {
+                            let ti_eff = u.ti.min(k - i0);
+                            for j0 in (0..k).step_by(u.tj) {
                                 let tj_eff = u.tj.min(k - j0);
-                                for dm in 0..tm_eff {
-                                    for dr in 0..tr_eff {
-                                        for dc in 0..tc_eff {
-                                            let (om, r, c) = (m0 + dm, r0 + dr, c0 + dc);
-                                            let row = mapping.output_row(om, r, c);
-                                            products.clear();
-                                            claims.next_step();
-                                            for dn in 0..tn_eff {
-                                                for di in 0..ti_eff {
-                                                    for dj in 0..tj_eff {
-                                                        let (inm, i, j) =
-                                                            (n0 + dn, i0 + di, j0 + dj);
-                                                        let col = mapping.operand_col(
+                                cycles += 1;
+                                let key0 = ((m_group * n_chunks + n_chunk) * k + i0) * k + j0;
+                                // Cells are walked by output position,
+                                // then output map: each PE still sees its
+                                // own deliveries in order, and no synapse
+                                // serves two output maps.
+                                for dr in 0..tr_eff {
+                                    let r = r0 + dr;
+                                    for dc in 0..tc_eff {
+                                        let c = c0 + dc;
+                                        // The operands of output position
+                                        // (r, c), shared by its map rows.
+                                        operands.clear();
+                                        for dn in 0..tn_eff {
+                                            let inm = n0 + dn;
+                                            for di in 0..ti_eff {
+                                                let i = i0 + di;
+                                                let ir = r * stride + i * dilation;
+                                                for dj in 0..tj_eff {
+                                                    let j = j0 + dj;
+                                                    let ic = c * stride + j * dilation;
+                                                    let col = dn * u.ti * u.tj
+                                                        + row_residue[ir]
+                                                        + col_residue[ic];
+                                                    debug_assert_eq!(
+                                                        col,
+                                                        mapping.operand_col(
                                                             inm, r, c, i, j, stride, dilation,
-                                                        );
-                                                        // RA property: one
-                                                        // column per operand
-                                                        // (flexcheck FXC02).
-                                                        claims.claim(col);
-                                                        let (ir, ic) = (
-                                                            r * stride + i * dilation,
-                                                            c * stride + j * dilation,
-                                                        );
-                                                        let st = &mut self.pes[row * self.d + col];
-                                                        let naddr = deliver(
-                                                            &mut st.neurons,
-                                                            (inm * s_in + ir) * s_in + ic,
-                                                            &mut neuron_broadcast,
-                                                            &mut fabric.vertical,
-                                                            col,
-                                                            |a| {
-                                                                st.pe.load_neuron(
-                                                                    a,
-                                                                    input[(inm, ir, ic)],
-                                                                );
-                                                            },
-                                                        );
-                                                        // IPDR replica.
-                                                        let kaddr = deliver(
-                                                            &mut st.kernels,
-                                                            ((om * n + inm) * k + i) * k + j,
-                                                            &mut kernel_broadcast,
-                                                            &mut fabric.horizontal,
-                                                            row,
-                                                            |a| {
-                                                                st.pe.load_kernel(
-                                                                    a,
-                                                                    kernels[(om, inm, i, j)],
-                                                                );
-                                                            },
-                                                        );
-                                                        products.push(st.pe.multiply(naddr, kaddr));
-                                                        macs += 1;
-                                                    }
+                                                        )
+                                                    );
+                                                    operands.push(Operand {
+                                                        inm,
+                                                        i,
+                                                        j,
+                                                        ir,
+                                                        ic,
+                                                        col,
+                                                        neuron: (inm * span + ir - ir0) * s_in + ic,
+                                                        key: key0 + di * k + dj,
+                                                    });
                                                 }
                                             }
-                                            let red = adder_tree::reduce(&mut products);
+                                        }
+                                        for dm in 0..tm_eff {
+                                            let om = m0 + dm;
+                                            let row = (dm * u.tr + dr) * u.tc + dc;
+                                            debug_assert_eq!(row, mapping.output_row(om, r, c));
+                                            products.clear();
+                                            claims.next_step();
+                                            for op in operands.iter() {
+                                                // RA property: one column per
+                                                // operand (flexcheck FXC02).
+                                                claims.claim(op.col);
+                                                let pe = row * cols + op.col;
+                                                let naddr = neuron_stores.address(
+                                                    pe,
+                                                    op.neuron * rows + row,
+                                                    op.neuron,
+                                                    &mut fabric.vertical,
+                                                    op.col,
+                                                    || input[(op.inm, op.ir, op.ic)],
+                                                );
+                                                // IPDR replica.
+                                                let kaddr = kernel_stores.address(
+                                                    pe,
+                                                    op.key * pes + pe,
+                                                    ((om * n + op.inm) * k + op.i) * k + op.j,
+                                                    &mut fabric.horizontal,
+                                                    row,
+                                                    || kernels[(om, op.inm, op.i, op.j)],
+                                                );
+                                                let x = neuron_stores.read(pe, naddr);
+                                                let w = kernel_stores.read(pe, kaddr);
+                                                products.push(x.widening_mul(w));
+                                                macs += 1;
+                                            }
+                                            let red = adder_tree::reduce(products);
                                             tree_adds += red.adds;
                                             accs[row] = accs[row].saturating_add(red.sum);
                                             tree_adds += 1; // row accumulator add
@@ -403,9 +543,8 @@ impl PeArray {
                     for dm in 0..tm_eff {
                         for dr in 0..tr_eff {
                             for dc in 0..tc_eff {
-                                let (om, r, c) = (m0 + dm, r0 + dr, c0 + dc);
-                                let acc = accs[mapping.output_row(om, r, c)];
-                                out[(om, r, c)] =
+                                let acc = accs[(dm * u.tr + dr) * u.tc + dc];
+                                out[(m0 + dm, r0 + dr, c0 + dc)] =
                                     apply_activation(acc.to_fx16(), layer.activation());
                             }
                         }
@@ -417,8 +556,6 @@ impl PeArray {
         let compute_steps = cycles;
         cycles += sch.row_batches * (sch.segments - 1) * crate::analytic::SEGMENT_STALL_CYCLES
             + crate::analytic::PIPELINE_FILL_CYCLES;
-        let store_reads: u64 = self.pes.iter().map(|s| s.pe.store_reads()).sum();
-        let store_writes: u64 = self.pes.iter().map(|s| s.pe.store_writes()).sum();
         FunctionalReport {
             output: out,
             cycles,
@@ -428,8 +565,8 @@ impl PeArray {
             horizontal_bus_words: fabric.horizontal.total_words(),
             max_vertical_bus_words: fabric.vertical.max_bus_words(),
             max_horizontal_bus_words: fabric.horizontal.max_bus_words(),
-            store_reads,
-            store_writes,
+            store_reads: neuron_stores.reads + kernel_stores.reads,
+            store_writes: neuron_stores.writes + kernel_stores.writes,
             adder_tree_adds: tree_adds,
         }
     }
@@ -655,20 +792,72 @@ mod tests {
 
     #[test]
     fn addr_table_wraps_when_the_store_is_full() {
-        let mut t = AddrTable::default();
-        assert_eq!(t.get(7), None);
-        for id in 0..STORE_WORDS {
-            assert_eq!(t.insert(1000 + 3 * id), id);
+        // One PE, 200 operand slots, each its own bus id.
+        let mut scratch = StoreScratch::default();
+        let mut stores = scratch.prepare(1, STORE_WORDS, 200, 200);
+        let mut bus = BusBundle::new("v", 1);
+        let deliver = |stores: &mut OperandStores, bus: &mut BusBundle, slot: usize| {
+            stores.address(0, slot, slot, bus, 0, || Fx16::from_raw(slot as i16))
+        };
+        for slot in 0..STORE_WORDS {
+            assert_eq!(deliver(&mut stores, &mut bus, slot), slot);
         }
-        assert_eq!(t.slots.len(), 2 * STORE_WORDS);
-        assert_eq!(t.get(1000 + 3 * 5), Some(5));
-        assert_eq!(t.get(1001), None);
+        assert_eq!(
+            deliver(&mut stores, &mut bus, 5),
+            5,
+            "resident: no second delivery"
+        );
+        assert_eq!(stores.writes, STORE_WORDS as u64);
+        assert_eq!(stores.read(0, 5), Fx16::from_raw(5));
         // The 129th delivery wraps to address 0 and forgets the rest.
-        assert_eq!(t.insert(1), 0);
-        assert_eq!(t.get(1), Some(0));
-        assert_eq!(t.get(1000), None);
-        t.clear();
-        assert_eq!(t.get(1), None);
+        assert_eq!(deliver(&mut stores, &mut bus, 150), 0);
+        assert_eq!(stores.read(0, 0), Fx16::from_raw(150));
+        assert_eq!(stores.slots[150], 1);
+        assert!(stores.slots[..STORE_WORDS].iter().all(|&a| a == 0));
+        // A forgotten operand is delivered again without a second
+        // broadcast: the bus already carried it.
+        assert_eq!(deliver(&mut stores, &mut bus, 0), 1);
+        assert_eq!(bus.total_words(), STORE_WORDS as u64 + 1);
+        assert_eq!(stores.writes, STORE_WORDS as u64 + 2);
+        stores.forget_all();
+        assert!(stores.slots.iter().all(|&a| a == 0));
+        assert_eq!(deliver(&mut stores, &mut bus, 0), 0);
+        assert_eq!(bus.total_words(), STORE_WORDS as u64 + 2);
+    }
+
+    #[test]
+    fn scratch_is_reused_across_layers() {
+        // One array runs a kernel-overflow layer, a resident layer with
+        // a larger id space, a strided layer and a tiny layer back to
+        // back; each report equals a fresh array's.
+        let cases = [
+            (
+                ConvLayer::new("C", 16, 8, 4, 3),
+                Unroll::new(1, 1, 1, 4, 1, 3),
+            ),
+            (
+                ConvLayer::new("C", 4, 12, 12, 3),
+                Unroll::new(4, 4, 1, 4, 1, 3),
+            ),
+            (
+                ConvLayer::new("C", 3, 2, 5, 3).with_stride(2),
+                Unroll::new(3, 2, 1, 5, 1, 3),
+            ),
+            (ConvLayer::new("C", 1, 1, 2, 1), Unroll::scalar()),
+        ];
+        let persists = |(layer, u): &(ConvLayer, Unroll)| {
+            let sch = schedule_default(layer, *u, 16);
+            sch.m_groups * sch.chunks <= STORE_WORDS as u64
+        };
+        assert!(!persists(&cases[0]) && persists(&cases[1]));
+        let mut array = PeArray::new(16);
+        for (seed, (layer, u)) in (50..).zip(cases) {
+            let (input, kernels) = reference::random_layer_data(&layer, seed);
+            let reused = array.run_layer(&layer, u, &input, &kernels);
+            let fresh = PeArray::new(16).run_layer(&layer, u, &input, &kernels);
+            assert_eq!(reused, fresh, "{} under {u}", layer.name());
+            assert_eq!(reused.output, reference::conv(&layer, &input, &kernels));
+        }
     }
 
     #[test]

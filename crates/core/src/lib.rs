@@ -13,8 +13,9 @@
 //!
 //! Crate layout mirrors the paper:
 //!
-//! * [`pe`], [`local_store`], [`adder_tree`] — the PE micro-architecture
-//!   of Section 4.1 / Fig. 7(a);
+//! * [`local_store`], [`adder_tree`] — the PE micro-architecture of
+//!   Section 4.1 / Fig. 7(a) (the array simulator holds each PE's two
+//!   stores and multiplier);
 //! * [`mapping`] — the Section 4.3 operand/output assignment formulas
 //!   (logical groups, row/column residues — the RA/RS dataflow);
 //! * [`fsm`] — the four-state local-store address FSM of Section 4.4;
@@ -60,7 +61,6 @@ pub mod fsm;
 pub mod isa;
 pub mod local_store;
 pub mod mapping;
-pub mod pe;
 pub mod pooling;
 
 pub use compiler::{Compiler, Program};

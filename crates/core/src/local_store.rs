@@ -12,6 +12,16 @@ use flexsim_model::Fx16;
 /// Capacity of each local store in 16-bit words (256 B).
 pub const STORE_WORDS: usize = 128;
 
+/// Panics unless `addr` is a word of a `words`-word store: the bound
+/// every store access checks, in release builds too.
+#[inline]
+pub(crate) fn check_address(addr: usize, words: usize) {
+    assert!(
+        addr < words,
+        "local store address out of range (statically provable: flexcheck FXC04 fsm-bounds)"
+    );
+}
+
 /// A word-addressed per-PE store with access counters.
 ///
 /// # Example
@@ -68,10 +78,7 @@ impl LocalStore {
     ///
     /// Panics if `addr` is out of range.
     pub fn read(&mut self, addr: usize) -> Fx16 {
-        assert!(
-            addr < self.data.len(),
-            "local store address out of range (statically provable: flexcheck FXC04 fsm-bounds)"
-        );
+        check_address(addr, self.data.len());
         self.reads += 1;
         self.data[addr]
     }
@@ -82,10 +89,7 @@ impl LocalStore {
     ///
     /// Panics if `addr` is out of range.
     pub fn write(&mut self, addr: usize, value: Fx16) {
-        assert!(
-            addr < self.data.len(),
-            "local store address out of range (statically provable: flexcheck FXC04 fsm-bounds)"
-        );
+        check_address(addr, self.data.len());
         self.writes += 1;
         self.data[addr] = value;
     }
