@@ -16,6 +16,11 @@
 //! and both local-store overflow regimes (kernel store and neuron
 //! store). A rewrite of `PeArray::run_layer` must reproduce every line.
 //!
+//! `tests/fixtures/report_checksums.txt` pins the `flexsim` binary's
+//! JSON reports: one line per command with its exit code, stdout byte
+//! length and stdout FNV-1a digest. A refactor that claims
+//! byte-identical reports must reproduce every line.
+//!
 //! Regenerate after an intentional numerics change with:
 //! `FLEXSIM_REGEN_FIXTURES=1 cargo test -q -p flexsim-experiments --test integration_fixtures`
 
@@ -32,6 +37,7 @@ use flexsim_testkit::SplitMix64;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::process::Command;
 
 /// One pinned valid-convolution layer per Table 1 workload, with a
 /// fixed operand seed. AlexNet's only unpadded CONV layer is C1 (its
@@ -358,6 +364,83 @@ fn pe_array_counters_match_the_committed_sweep() {
         assert_eq!(
             line, want,
             "a PE-array counter drifted from the committed sweep"
+        );
+    }
+}
+
+// ------------------------------------------------------ report checksums
+
+/// Every builtin workload plus the shipped `.ffnet` examples, in the
+/// `flexsim workloads` order.
+const REPORT_WORKLOADS: [&str; 12] = [
+    "pv",
+    "fr",
+    "lenet",
+    "hg",
+    "alexnet",
+    "vgg",
+    "lenet5full",
+    "paper-example",
+    "toy",
+    "examples/dilated.ffnet",
+    "examples/mobilenet_block.ffnet",
+    "examples/resnet_block.ffnet",
+];
+
+/// The pinned `flexsim` command lines: `--json run|prove|profile|heatmap`
+/// on every workload, `--json lint`, and the smoke-budget tuner on PV
+/// with and without `--static`.
+fn report_commands() -> Vec<Vec<&'static str>> {
+    let mut commands = Vec::new();
+    for workload in REPORT_WORKLOADS {
+        for command in ["run", "prove", "profile", "heatmap"] {
+            commands.push(vec!["--json", command, workload]);
+        }
+    }
+    commands.push(vec!["--json", "lint"]);
+    commands.push(vec!["--json", "--budget", "smoke", "tune", "pv"]);
+    commands.push(vec![
+        "--json", "--budget", "smoke", "tune", "pv", "--static",
+    ]);
+    commands
+}
+
+#[test]
+fn reports_match_committed_checksums() {
+    // Run from the repository root, where `lint` and `workloads` find
+    // `examples/*.ffnet`.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let lines: Vec<String> = report_commands()
+        .iter()
+        .map(|args| {
+            let out = Command::new(env!("CARGO_BIN_EXE_flexsim"))
+                .args(args)
+                .current_dir(&root)
+                .output()
+                .expect("flexsim runs");
+            format!(
+                "{} exit={} bytes={} fnv={:016x}",
+                args.join(" "),
+                out.status.code().map_or(-1, i64::from),
+                out.stdout.len(),
+                fnv1a(&out.stdout)
+            )
+        })
+        .collect();
+    let Some(committed) = committed_lines(
+        "report_checksums.txt",
+        "# flexsim JSON reports, one command per line, run from the repository root.\n\
+         # Format: <args> exit=<code> bytes=<stdout length> fnv=<fnv1a64 of stdout>\n\
+         # Regenerate: FLEXSIM_REGEN_FIXTURES=1 cargo test -q -p flexsim-experiments --test integration_fixtures\n",
+        &lines,
+    ) else {
+        return;
+    };
+    assert_eq!(committed.len(), lines.len(), "report command count drifted");
+    for (line, want) in lines.iter().zip(&committed) {
+        assert_eq!(
+            line, want,
+            "a flexsim report drifted from its committed checksum"
         );
     }
 }
