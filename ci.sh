@@ -9,6 +9,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> non-test line count of crates/ (printed, not gated)"
+# Lines before each source file's first #[cfg(test)]; the crates'
+# own tests/ directories are left out. A measure of how much program
+# the simulator carries, compared by hand across changes.
+find crates -name '*.rs' -not -path 'crates/*/tests/*' | sort \
+    | xargs awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n " non-test lines" }'
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

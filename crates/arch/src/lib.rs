@@ -9,7 +9,8 @@
 //!   Synopsys PrimeTime power analysis (see `DESIGN.md` §1);
 //! * [`area`] — a parametric area model standing in for Design
 //!   Compiler/ICC layout area;
-//! * [`buffer`] — the D-banked on-chip SRAM buffer of Table 5;
+//! * [`buffer`] — the Table 5 on-chip buffer capacity and its heatmap
+//!   sampling;
 //! * [`dram`] — external-memory traffic estimation (Table 7's
 //!   DRAM-accesses-per-operation metric);
 //! * [`bandwidth`] — a DRAM bandwidth model and roofline analysis (an

@@ -93,47 +93,6 @@ pub fn port_sharing(
     }
 }
 
-/// Per-batch ownership guard for the row adder-tree ports. Each PE row
-/// completes one output neuron per batch; two outputs claiming the same
-/// row within a batch would interleave partial sums in one accumulator.
-/// Dynamic counterpart of the static `flexcheck` rule `FXC03
-/// adder-tree-port`.
-#[derive(Clone, Debug)]
-pub struct RowPorts {
-    owner: Vec<Option<usize>>,
-}
-
-impl RowPorts {
-    /// A fresh port set over `rows` PE rows.
-    pub fn new(rows: usize) -> Self {
-        RowPorts {
-            owner: vec![None; rows],
-        }
-    }
-
-    /// Claims `row`'s accumulator port for output neuron `output`.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if another output already owns the row
-    /// this batch (flexcheck rule FXC03 proves this absent in
-    /// lint-clean schedules). Release builds keep the first owner.
-    pub fn claim(&mut self, row: usize, output: usize) {
-        debug_assert!(
-            self.owner[row].is_none_or(|o| o == output),
-            "outputs {:?} and {output} contend for PE row {row}'s adder-tree port \
-             (statically provable: flexcheck FXC03 adder-tree-port)",
-            self.owner[row].unwrap()
-        );
-        self.owner[row].get_or_insert(output);
-    }
-
-    /// Starts the next batch: releases all ports.
-    pub fn next_batch(&mut self) {
-        self.owner.iter_mut().for_each(|o| *o = None);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,23 +169,5 @@ mod tests {
         let mut m = ContentionMatrix::new(4);
         port_sharing(&mut m, 4, 1, 99);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn row_ports_allow_one_output_per_row() {
-        let mut ports = RowPorts::new(4);
-        ports.claim(0, 7);
-        ports.claim(0, 7); // same output re-accumulating: fine
-        ports.claim(1, 8);
-        ports.next_batch();
-        ports.claim(0, 9); // new batch, new owner: fine
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "FXC03"))]
-    fn row_ports_catch_a_port_conflict() {
-        let mut ports = RowPorts::new(4);
-        ports.claim(2, 7);
-        ports.claim(2, 8); // release builds keep the first owner
     }
 }

@@ -6,11 +6,13 @@
 //! [`Accelerator`] path used by every experiment), and
 //! [`FlexFlow::execute`] runs a compiled [`Program`] *functionally* —
 //! real data through the cycle-stepped [`crate::array`] simulator and the
-//! pooling unit, layer by layer through the ping-pong buffers.
+//! pooling unit, layer by layer. The on-chip buffers are priced by the
+//! schedule and sampled by the heatmap; `execute` keeps each layer's
+//! output tensor instead of modelling the ping-pong neuron buffers, so
+//! `SwapBuffers`, like `Configure` and `LoadKernels`, is a no-op there.
 
 use crate::analytic::{self, schedule_default, Schedule};
 use crate::array::PeArray;
-use crate::buffers::BufferSet;
 use crate::compiler::Program;
 use crate::isa::Instr;
 use crate::local_store::STORE_WORDS;
@@ -163,8 +165,8 @@ impl FlexFlow {
     /// expression ([`flexsim_model::DataRef`]) over the retained
     /// per-layer outputs — so branch/concat/residual DAG networks
     /// execute exactly like chains, with the routing (concat, residual
-    /// add, map slices) costing buffer traffic but no PE cycles. The
-    /// result is the network's `output()` reference.
+    /// add, map slices) costing no PE cycles. The result is the
+    /// network's `output()` reference.
     ///
     /// # Panics
     ///
@@ -190,7 +192,6 @@ impl FlexFlow {
         );
         let mut array = PeArray::new(self.d);
         let pooling = PoolingUnit::new(self.d);
-        let mut buffers = BufferSet::new(self.d);
         let source = input;
         let mut outputs: Vec<Option<Tensor3>> = vec![None; net.layers().len()];
         let mut conv_idx = 0usize;
@@ -198,8 +199,7 @@ impl FlexFlow {
         let mut cycles = 0u64;
         for instr in program.instrs() {
             match *instr {
-                Instr::Configure { .. } | Instr::LoadKernels { .. } => {}
-                Instr::SwapBuffers => buffers.swap(),
+                Instr::Configure { .. } | Instr::LoadKernels { .. } | Instr::SwapBuffers => {}
                 Instr::Halt => break,
                 Instr::Conv { layer } => {
                     let step = net
@@ -245,9 +245,6 @@ impl FlexFlow {
                     let choice = &program.choices()[conv_idx];
                     let report =
                         array.run_layer(&conv, choice.unroll, &conv_input, &kernels[conv_idx]);
-                    buffers.input().read_bulk(report.vertical_bus_words);
-                    buffers.kernel().read_bulk(report.horizontal_bus_words);
-                    buffers.output().write_bulk(conv.output_neurons());
                     cycles += report.cycles;
                     steps.push(StepTrace::Conv {
                         layer: conv.name().to_owned(),

@@ -14,14 +14,15 @@
 //! Crate layout mirrors the paper:
 //!
 //! * [`local_store`], [`adder_tree`] — the PE micro-architecture of
-//!   Section 4.1 / Fig. 7(a) (the array simulator holds each PE's two
-//!   stores and multiplier);
+//!   Section 4.1 / Fig. 7(a): the store size and address bound, and the
+//!   row reduction (the array simulator holds each PE's two stores and
+//!   multiplier);
 //! * [`mapping`] — the Section 4.3 operand/output assignment formulas
 //!   (logical groups, row/column residues — the RA/RS dataflow);
 //! * [`fsm`] — the four-state local-store address FSM of Section 4.4;
-//! * [`cdb`], [`distribution`], [`buffers`] — DataFlow1/DataFlow3:
-//!   common data buses, the distribution layer (RS preload planning),
-//!   IADP bank placement, IPDR replication (Figs. 12–13);
+//! * [`cdb`] — DataFlow1's common data buses and their per-step
+//!   write-exclusivity guard. DataFlow3's IADP/IPDR buffer layout is
+//!   not stepped: flexcheck `FXC07` states its bank inequality;
 //! * [`mod@array`] — the cycle-stepped functional PE-array simulator;
 //! * [`analytic`] — the closed-form schedule model (validated against
 //!   [`mod@array`]) and its row-batch step schedule;
@@ -51,11 +52,9 @@
 pub mod adder_tree;
 pub mod analytic;
 pub mod array;
-pub mod buffers;
 pub mod cdb;
 pub mod compiler;
 pub mod decoder;
-pub mod distribution;
 pub mod engine;
 pub mod fsm;
 pub mod isa;

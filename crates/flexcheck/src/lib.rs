@@ -5,7 +5,7 @@
 //! the 256 B local stores, no two producers drive one common data bus
 //! in a cycle, every address FSM trip stays in bounds, the instruction
 //! stream obeys the decoder protocol. The cycle-stepped simulators
-//! *check* those claims with runtime asserts — after minutes of
+//! *check* most of those claims with runtime asserts — after minutes of
 //! simulation, at one failing cycle. `flexcheck` *proves* them up
 //! front, in microseconds, without stepping a single cycle:
 //!
@@ -48,9 +48,23 @@
 //!
 //! Soundness is demonstrated, not assumed: for each rule the mutation
 //! harness (`tests/integration_flexcheck.rs`) corrupts one field of a
-//! clean schedule, asserts the corruption trips *exactly that rule*
-//! statically, and then confirms the dynamic simulators catch the same
-//! corruption at runtime (static ⊆ dynamic).
+//! clean schedule and asserts the corruption trips *exactly that rule*
+//! statically. Where the simulators guard the same invariant at
+//! runtime, the harness drives the corruption into that guard too
+//! (static ⊆ dynamic):
+//!
+//! * `FXC01`, `FXC04` — `flexflow::local_store::check_address`, the
+//!   bound the PE array checks on every store access;
+//! * `FXC02` (and `FXC12`'s bus side) — `flexflow::cdb::StepClaims`, in
+//!   debug builds;
+//! * `FXC05` — the on-chip [`Decoder`](flexflow::decoder::Decoder);
+//! * `FXC06` — the scheduler's occupancy assert;
+//! * `FXC08` — the PE array's functional MAC count;
+//! * `FXC09`–`FXC11`, `FXC13` — recorded ledgers, timelines and
+//!   heatmaps, compared with their closed forms.
+//!
+//! `FXC03` (adder-tree ports) and `FXC07` (buffer banks) are
+//! static-only: no simulator claims a row port or steps a bank access.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

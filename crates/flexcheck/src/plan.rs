@@ -134,6 +134,41 @@ impl LayerPlan {
     }
 }
 
+impl LayerPlan {
+    /// Whether one step's operand walk drives each vertical bus at most
+    /// once (`FXC02`, and `FXC12`'s bus side). An offset lands on bus
+    /// `(n mod Tn, i mod Ti, j mod Tj)` of the mapping, a mixed-radix
+    /// index, so two offsets collide iff they are congruent in all
+    /// three coordinates: iff some walk interval is wider than its
+    /// residue period. `tests/proptests.rs` holds this equal to the
+    /// exhaustive per-step enumeration.
+    pub fn walk_fits_mapping(&self) -> bool {
+        let (u, w) = (self.mapping, self.walk);
+        w.tn <= u.tn && w.ti <= u.ti && w.tj <= u.tj
+    }
+
+    /// Whether one row-batch's outputs own distinct PE rows and so
+    /// distinct adder-tree ports (`FXC03`, and `FXC12`'s port side):
+    /// the row-side mirror of [`LayerPlan::walk_fits_mapping`] over the
+    /// `(m mod Tm, r mod Tr, c mod Tc)` residues.
+    pub fn batch_fits_mapping(&self) -> bool {
+        let (u, b) = (self.mapping, self.batch);
+        b.tm <= u.tm && b.tr <= u.tr && b.tc <= u.tc
+    }
+
+    /// The IADP buffer layouts, as `(buffer, banks used)`, that need
+    /// more than `banks` physical banks to stream conflict-free
+    /// (`FXC07`, and `FXC12`'s bank side): the neuron buffer spreads
+    /// over the `Tn·Ti·Tj` columns, the kernel buffer over the
+    /// `Tm·Tr·Tc` rows.
+    pub fn overflowing_banks(&self, banks: usize) -> impl Iterator<Item = (&'static str, usize)> {
+        let u = self.mapping;
+        [("neuron", u.cols_used()), ("kernel", u.rows_used())]
+            .into_iter()
+            .filter(move |&(_, used)| used > banks)
+    }
+}
+
 /// The FSM configuration whose overlapping-window walk covers exactly
 /// the resident slice `[0, slice)` with windows of `share` operands:
 /// with step 1 every address is a window start except the last
@@ -184,6 +219,30 @@ mod tests {
         let err = LayerPlan::derive(&layer(), 0, u, u, 16, STORE_WORDS).unwrap_err();
         assert_eq!(err.rule, RuleId::UnrollBounds);
         assert_eq!(err.severity, Severity::Error);
+    }
+
+    #[test]
+    fn batch_wider_than_its_residue_period_shares_a_row_port() {
+        let u = Unroll::new(2, 1, 2, 2, 1, 3);
+        let mut p = LayerPlan::derive(&layer(), 0, u, u, 16, STORE_WORDS).unwrap();
+        assert!(p.batch_fits_mapping() && p.walk_fits_mapping());
+        p.batch.tc += 1; // output columns 0 and 2 land on one PE row
+        assert!(!p.batch_fits_mapping());
+        assert!(p.walk_fits_mapping(), "the bus side is independent");
+    }
+
+    #[test]
+    fn overflowing_banks_names_each_oversubscribed_buffer() {
+        // 4·2·2 = 16 rows and 1·1·5 = 5 columns: the kernel layout
+        // needs 16 banks, the neuron layout 5.
+        let u = Unroll::new(4, 1, 2, 2, 1, 5);
+        let p = LayerPlan::derive(&layer(), 0, u, u, 16, STORE_WORDS).unwrap();
+        assert_eq!(p.overflowing_banks(16).count(), 0);
+        assert_eq!(p.overflowing_banks(8).collect::<Vec<_>>(), [("kernel", 16)]);
+        assert_eq!(
+            p.overflowing_banks(4).collect::<Vec<_>>(),
+            [("neuron", 5), ("kernel", 16)]
+        );
     }
 
     #[test]

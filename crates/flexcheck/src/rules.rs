@@ -10,10 +10,11 @@
 //! re-checks Constraint (1), and rule 7 checks IADP bank fits for all
 //! four architectures.
 //!
-//! Every rule is *sound relative to the dynamic simulators*: a schedule
-//! that passes a rule cannot trip the corresponding runtime assert (the
-//! mutation harness in `tests/integration_flexcheck.rs` demonstrates
-//! the contrapositive for each rule).
+//! Every rule with a runtime counterpart is *sound relative to the
+//! dynamic simulators*: a schedule that passes it cannot trip that
+//! assert (the mutation harness in `tests/integration_flexcheck.rs`
+//! demonstrates the contrapositive). Rules 3 and 7 have no runtime
+//! counterpart; the crate docs list which guard backs each rule.
 
 use crate::diag::{Diagnostic, Location, RuleId};
 use crate::params::{ArchKind, ArchParams};
@@ -112,18 +113,16 @@ pub fn check_layer_plan(plan: &LayerPlan, arch: &ArchParams) -> Vec<Diagnostic> 
     }
 
     // FXC07 — IADP bank layouts fit the physical buffer banks.
-    for (buffer, used) in [("neuron", u.cols_used()), ("kernel", u.rows_used())] {
-        if used > arch.buffer_banks {
-            diags.push(Diagnostic::error(
-                RuleId::BankConflict,
-                at(),
-                format!(
-                    "IADP {buffer}-buffer layout needs {used} banks but the buffer has {}",
-                    arch.buffer_banks
-                ),
-                "reduce the factor product or add buffer banks",
-            ));
-        }
+    for (buffer, used) in plan.overflowing_banks(arch.buffer_banks) {
+        diags.push(Diagnostic::error(
+            RuleId::BankConflict,
+            at(),
+            format!(
+                "IADP {buffer}-buffer layout needs {used} banks but the buffer has {}",
+                arch.buffer_banks
+            ),
+            "reduce the factor product or add buffer banks",
+        ));
     }
 
     // FXC08 — utilization sanity: the schedule's loop counts, MACs and
@@ -133,23 +132,14 @@ pub fn check_layer_plan(plan: &LayerPlan, arch: &ArchParams) -> Vec<Diagnostic> 
     diags
 }
 
-/// `FXC02`: symbolic interval disjointness of one logical step. The
-/// sequencer walks `walk.tn × walk.ti × walk.tj` operand offsets per
-/// step; each lands on vertical bus `input_col(n, r·stride+i,
-/// c·stride+j)` of the *mapping* unroll. The bus index is mixed-radix
-/// in the three residues `(n mod Tn, (r·stride+i₀) mod Ti,
-/// (c·stride+j₀) mod Tj)`, so two offsets collide iff they are
-/// congruent in *all three* coordinates — which happens for some pair
-/// iff a walk interval is wider than its residue period. That turns
-/// the old per-step enumeration (O(lanes²) per layer) into three
-/// comparisons; `tests/proptests.rs` holds the closed form exactly
-/// equal to exhaustive enumeration.
+/// `FXC02`: symbolic interval disjointness of one logical step — the
+/// walk's operand offsets drive distinct vertical buses
+/// ([`LayerPlan::walk_fits_mapping`]).
 fn rule_cdb_race(plan: &LayerPlan) -> Vec<Diagnostic> {
-    let u = plan.mapping;
-    let w = &plan.walk;
-    if w.tn <= u.tn && w.ti <= u.ti && w.tj <= u.tj {
+    if plan.walk_fits_mapping() {
         return Vec::new();
     }
+    let (u, w) = (plan.mapping, plan.walk);
     // The first collision of the lexicographic walk from residue
     // (0, 0, 0): the offset one full period into the overflowing
     // coordinate re-lands on bus 0 — the same bus the enumeration used
@@ -169,20 +159,14 @@ fn rule_cdb_race(plan: &LayerPlan) -> Vec<Diagnostic> {
     )]
 }
 
-/// `FXC03`: the row-side mirror of [`rule_cdb_race`]. A row-batch
-/// covers `batch.tm × batch.tr × batch.tc` output neurons; each owns PE
-/// row `output_row(m, r, c)` and its adder-tree accumulator port. The
-/// row index is mixed-radix in the `(m mod Tm, r mod Tr, c mod Tc)`
-/// residues, so a duplicate port exists iff a batch interval is wider
-/// than its residue period — the same three-comparison closed form as
-/// the bus side, replacing the old O(rows²) enumeration (held equal by
-/// property test).
+/// `FXC03`: the row-side mirror of [`rule_cdb_race`] — a row-batch's
+/// outputs own distinct adder-tree ports
+/// ([`LayerPlan::batch_fits_mapping`]).
 fn rule_adder_tree_port(plan: &LayerPlan) -> Vec<Diagnostic> {
-    let u = plan.mapping;
-    let b = &plan.batch;
-    if b.tm <= u.tm && b.tr <= u.tr && b.tc <= u.tc {
+    if plan.batch_fits_mapping() {
         return Vec::new();
     }
+    let (u, b) = (plan.mapping, plan.batch);
     // As in rule_cdb_race: the first collision of the enumeration's
     // lexicographic walk is the wraparound onto row 0.
     let row = 0;

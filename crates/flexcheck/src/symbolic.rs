@@ -22,9 +22,9 @@
 //!   to the shadowed `Configure` was never checked against anything.
 //! * **`FXC12` interference-freedom** ([`check_interference`]) — bus,
 //!   adder-tree-port, and buffer-bank access sets, expressed as
-//!   residue intervals, must be pairwise disjoint. This is the `O(1)`
-//!   interval form subsuming the per-step enumerations that rules
-//!   `FXC02`/`FXC03`/`FXC07` historically walked.
+//!   residue intervals, must be pairwise disjoint: one finding per
+//!   resource, from the same [`LayerPlan`] predicates that rules
+//!   `FXC02`/`FXC03`/`FXC07` report per invariant.
 //!
 //! The prediction is exact by construction: every engine folds its
 //! steps through the [`Coalescer`], whose ledger depends only on
@@ -230,27 +230,19 @@ pub fn check_isa_coverage(program: &Program) -> Vec<Diagnostic> {
 }
 
 /// `FXC12`: interference freedom by symbolic interval disjointness —
-/// the `O(1)` closed form subsuming the per-step enumerations of
-/// `FXC02` (vertical-bus races), `FXC03` (adder-tree ports), and
-/// `FXC07` (buffer banks).
-///
-/// The walk's operand offsets land on vertical bus
-/// `(n mod Tn, i mod Ti, j mod Tj)` — a mixed-radix index — so the
-/// per-step bus access set is injective iff each walk interval fits
-/// inside its residue period: `walk ⊆ [0, T)` in all three
-/// coordinates. The row/adder-port side is the mirror statement over
-/// `(Tm, Tr, Tc)`, and the bank side asks the occupied row/column
-/// interval to fit `[0, banks)`. Three interval inclusions per
-/// resource, no enumeration; `tests/proptests.rs` holds each exactly
-/// equivalent to the exhaustive per-step walk.
+/// bus, adder-tree-port and buffer-bank access sets, one finding per
+/// resource. It asks the same three [`LayerPlan`] predicates as
+/// `FXC02` ([`LayerPlan::walk_fits_mapping`]), `FXC03`
+/// ([`LayerPlan::batch_fits_mapping`]) and `FXC07`
+/// ([`LayerPlan::overflowing_banks`]), so it fires exactly when one of
+/// those does; `tests/proptests.rs` holds the two rule sets equal.
 pub fn check_interference(plan: &LayerPlan, arch: &ArchParams) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let at = || Location::layer(plan.layer.name());
     let u = plan.mapping;
     let (w, b) = (plan.walk, plan.batch);
 
-    let bus_disjoint = w.tn <= u.tn && w.ti <= u.ti && w.tj <= u.tj;
-    if !bus_disjoint {
+    if !plan.walk_fits_mapping() {
         diags.push(Diagnostic::error(
             RuleId::InterferenceFreedom,
             at(),
@@ -263,8 +255,7 @@ pub fn check_interference(plan: &LayerPlan, arch: &ArchParams) -> Vec<Diagnostic
         ));
     }
 
-    let port_disjoint = b.tm <= u.tm && b.tr <= u.tr && b.tc <= u.tc;
-    if !port_disjoint {
+    if !plan.batch_fits_mapping() {
         diags.push(Diagnostic::error(
             RuleId::InterferenceFreedom,
             at(),
@@ -277,19 +268,17 @@ pub fn check_interference(plan: &LayerPlan, arch: &ArchParams) -> Vec<Diagnostic
         ));
     }
 
-    for (buffer, used) in [("neuron", u.cols_used()), ("kernel", u.rows_used())] {
-        if used > arch.buffer_banks {
-            diags.push(Diagnostic::error(
-                RuleId::InterferenceFreedom,
-                at(),
-                format!(
-                    "{buffer}-buffer bank interval [0, {used}) exceeds the physical [0, {}) — \
-                     conflict-free streaming is impossible",
-                    arch.buffer_banks
-                ),
-                "reduce the factor product or add buffer banks",
-            ));
-        }
+    for (buffer, used) in plan.overflowing_banks(arch.buffer_banks) {
+        diags.push(Diagnostic::error(
+            RuleId::InterferenceFreedom,
+            at(),
+            format!(
+                "{buffer}-buffer bank interval [0, {used}) exceeds the physical [0, {}) — \
+                 conflict-free streaming is impossible",
+                arch.buffer_banks
+            ),
+            "reduce the factor product or add buffer banks",
+        ));
     }
     diags
 }

@@ -13,23 +13,25 @@
 //!   divergence). Statically-clean schedules therefore cannot trip the
 //!   dynamic guards: static ⊆ dynamic.
 //!
-//! Layout: one `fxcNN_static_*` test asserting rule exactness and one
-//! `fxcNN_dynamic_*` test demonstrating the runtime catch, for each of
-//! the plan rules (`FXC01`–`FXC08`) and the symbolic rules
-//! (`FXC10`–`FXC12`), plus the all-clean sweep and a seeded sweep
-//! holding every architecture's step fold to its closed form.
+//! Layout: one `fxcNN_static_*` test asserting rule exactness for each
+//! of the plan rules (`FXC01`–`FXC08`) and the symbolic rules
+//! (`FXC10`–`FXC12`), and one `fxcNN_dynamic_*` test demonstrating the
+//! runtime catch for each rule the simulator guards. `FXC03` (row
+//! ports) and `FXC07` (buffer banks) are static-only: no simulator
+//! claims a row port or steps a bank access. Then the all-clean sweep
+//! and a seeded sweep holding every architecture's step fold to its
+//! closed form.
 
 use flexcheck::{check, check_layer_plan, check_network, has_errors, render};
 use flexcheck::{
     check_cycle_exactness_all, check_interference, check_spatial, ArchParams, LayerPlan, RuleId,
     Severity,
 };
-use flexflow::adder_tree::RowPorts;
 use flexflow::cdb::StepClaims;
 use flexflow::compiler::Program;
 use flexflow::decoder::Decoder;
 use flexflow::fsm::AddrFsm;
-use flexflow::local_store::{LocalStore, STORE_WORDS};
+use flexflow::local_store::{check_address, STORE_WORDS};
 use flexflow::mapping::Mapping;
 use flexflow::{analytic, array::PeArray, Compiler, FlexFlow};
 use flexsim_arch::Accelerator;
@@ -37,7 +39,7 @@ use flexsim_baselines::{Mapping2d, Systolic, TilingArray};
 use flexsim_dataflow::Unroll;
 use flexsim_experiments::arches::{ArchSet, ARCH_NAMES};
 use flexsim_model::reference;
-use flexsim_model::{workloads, ConvLayer, Fx16, Network};
+use flexsim_model::{workloads, ConvLayer, Network};
 use flexsim_obs::attrib::{ledgers, LossLedger, StallCause};
 use flexsim_obs::cycles::{CycleEvent, CycleEventKind, Recorder, SinkHandle};
 use flexsim_testkit::{prop, prop_assert, prop_assert_eq};
@@ -136,11 +138,11 @@ fn fxc01_static_half_size_store_cannot_hold_the_slice() {
 #[test]
 #[should_panic(expected = "address out of range")]
 fn fxc01_dynamic_half_size_store_overflows() {
-    // The same slice streamed into a 64-word store runs off its end.
+    // The same slice streamed into a 64-word store runs off its end,
+    // through the bound the PE array checks on every store access.
     let p = plan(&deep_layer(), deep_unroll());
-    let mut store = LocalStore::new(64);
     for addr in 0..p.slice_words {
-        store.write(addr, Fx16::ONE);
+        check_address(addr, 64);
     }
 }
 
@@ -175,6 +177,8 @@ fn fxc02_dynamic_widened_walk_trips_the_bus_guard() {
 }
 
 // ----------------------------------------------- FXC03 adder-tree ports
+// Static-only: the PE array derives each output's row from the mapping
+// and claims no port, so there is no runtime guard to trip.
 
 #[test]
 fn fxc03_static_widened_batch_contends_for_row_ports() {
@@ -184,23 +188,6 @@ fn fxc03_static_widened_batch_contends_for_row_ports() {
     p.batch.tc = 2 * p.mapping.tc;
     let diags = check_layer_plan(&p, &ArchParams::flexflow_paper());
     assert_only(&diags, RuleId::AdderTreePort);
-}
-
-#[test]
-#[cfg_attr(debug_assertions, should_panic(expected = "FXC03"))]
-fn fxc03_dynamic_widened_batch_trips_the_port_guard() {
-    let u = deep_unroll();
-    let mapping = Mapping::new(u);
-    let mut ports = RowPorts::new(u.rows_used());
-    let mut output = 0usize;
-    for dm in 0..u.tm {
-        for dr in 0..u.tr {
-            for dc in 0..2 * u.tc {
-                ports.claim(mapping.output_row(dm, dr, dc), output);
-                output += 1;
-            }
-        }
-    }
 }
 
 // --------------------------------------------------- FXC04 FSM bounds
@@ -221,10 +208,9 @@ fn fxc04_dynamic_one_extra_window_reads_past_the_slice() {
     let p = plan(&deep_layer(), deep_unroll());
     let mut cfg = p.neuron_fsm.config;
     cfg.windows_per_row += 1;
-    let mut store = LocalStore::new(p.slice_words);
     let mut fsm = AddrFsm::new(cfg);
     for _ in 0..cfg.windows_per_row * cfg.window {
-        store.read(fsm.next_addr());
+        check_address(fsm.next_addr(), p.slice_words);
     }
 }
 
@@ -269,6 +255,7 @@ fn fxc06_dynamic_over_occupied_engine_panics_the_scheduler() {
 }
 
 // ------------------------------------------------ FXC07 bank conflicts
+// Static-only: no simulator steps individual buffer-bank accesses.
 
 #[test]
 fn fxc07_static_halved_banks_cannot_stream_the_iadp_layout() {
@@ -277,13 +264,6 @@ fn fxc07_static_halved_banks_cannot_stream_the_iadp_layout() {
     arch.buffer_banks = 8;
     let diags = check_layer_plan(&plan(&wide_layer(), wide_unroll()), &arch);
     assert_only(&diags, RuleId::BankConflict);
-}
-
-#[test]
-#[should_panic(expected = "fit the physical banks")]
-fn fxc07_dynamic_halved_banks_panic_the_iadp_layout() {
-    let u = wide_unroll();
-    flexflow::buffers::NeuronLayout::new(u.tn, u.ti, u.tj, 8);
 }
 
 // -------------------------------------------- FXC08 utilization sanity
