@@ -51,12 +51,13 @@ echo "==> flexbench build + tests (the benchmark compiles against these crates)"
 cargo build --release --offline --manifest-path flexbench/Cargo.toml
 cargo test --offline --manifest-path flexbench/Cargo.toml
 
-echo "==> flexbench PE-array passes (outputs equal the reference; counts equal expected.json)"
-# One checked pass of every workload that drives the cycle-stepped PE
-# array, through the benchmark's own command: flexbench exits 1 when an
-# output differs from the golden reference or a count differs from
-# flexbench/expected.json.
-for workload in layers-small layers-large network-exec; do
+echo "==> flexbench checked passes (outputs equal the reference; observers exact; counts equal expected.json)"
+# One checked pass of every workload, through the benchmark's own
+# command. flexbench exits 1 when a PE-array output differs from the
+# golden reference, when an observed layer's cycles differ from the
+# unobserved run or a loss ledger is not exact, when a pair is not
+# proved, or when a count differs from flexbench/expected.json.
+for workload in layers-small layers-large network-exec analytic-suite tune-search; do
     cargo run --release --offline -q --manifest-path flexbench/Cargo.toml -- \
         --workload "$workload" --seconds 0 --trace 0 > /dev/null
 done

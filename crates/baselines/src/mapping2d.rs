@@ -262,7 +262,8 @@ impl Mapping2d {
         (events, traffic)
     }
 
-    /// The step schedule: one step per spatial tile — the initial
+    /// The step schedule, as its step count and maximal runs of equal
+    /// tiles (row-major): one step per spatial tile — the initial
     /// window load, then one pass covering the tile's `M·N·K²` compute
     /// cycles. Output neurons map to PEs in place, so each pass lights
     /// the top-left `Tr_eff × Tc_eff` corner of the array and edge
@@ -276,20 +277,21 @@ impl Mapping2d {
     /// from `Tr_eff·Tc_eff` edge clamping, hence
     /// [`StallCause::EdgeFragmentation`] (interior tiles have zero
     /// residue).
-    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl ExactSizeIterator<Item = Step> + 'a {
-        let (s, col_tiles) = (layer.s(), cdiv(layer.s(), self.tc));
+    pub fn steps(&self, layer: &ConvLayer) -> (u64, impl Iterator<Item = (Step, u64)>) {
+        let (s, tc) = (layer.s(), self.tc);
         let pass = (layer.m() * layer.n() * layer.k() * layer.k()) as u64;
-        (0..cdiv(s, self.tr) * col_tiles).map(move |t| {
-            let tr_eff = self.tr.min(s - t / col_tiles * self.tr);
-            let tc_eff = self.tc.min(s - t % col_tiles * self.tc);
-            Step::new(Pass {
+        let (steps, runs) = common::grid((s, self.tr), (s, tc));
+        let runs = runs.map(move |((tr_eff, tc_eff), count)| {
+            let step = Step::new(Pass {
                 cause: StallCause::EdgeFragmentation,
                 cycles: pass,
                 macs: (tr_eff * tc_eff) as u64 * pass,
                 rects: CellRect::full(tr_eff, tc_eff).into(),
             })
-            .stall(StallCause::BufferBandwidthWait, self.tc as u64)
-        })
+            .stall(StallCause::BufferBandwidthWait, tc as u64);
+            (step, count)
+        });
+        (steps, runs)
     }
 
     fn area_spec(&self) -> AreaSpec {

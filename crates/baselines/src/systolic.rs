@@ -198,7 +198,9 @@ impl Systolic {
         (events, traffic)
     }
 
-    /// The step schedule: one step per `(m-group, input map)` —
+    /// The step schedule, as its step count and at most two maximal runs
+    /// (full m-groups, then the partial one): one step per
+    /// `(m-group, input map)` —
     /// sub-kernel passes merged — with the chain bubble split into
     /// ramp-in/ramp-out stalls and the streaming window as one pass on
     /// the active arrays. The heatmap lays the engine out as
@@ -216,29 +218,30 @@ impl Systolic {
     /// [`StallCause::EdgeFragmentation`] on the final partial group
     /// (`M mod num_arrays` arrays idle — edge-dominated, so the whole
     /// residue of that step is attributed there).
-    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl ExactSizeIterator<Item = Step> + 'a {
-        let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
-        let w = layer.input_size();
-        let ak = self.array_k;
+    pub fn steps(&self, layer: &ConvLayer) -> (u64, impl Iterator<Item = (Step, u64)>) {
+        let (k, s, w) = (layer.k(), layer.s(), layer.input_size());
+        let (num_arrays, ak) = (self.num_arrays, self.array_k);
         let (pk, depth) = self.passes_and_depth(layer);
         let bubble = pk * depth;
         let footprint = CellRect::full(k.min(ak), k.min(ak));
-        (0..cdiv(m, self.num_arrays) * n).map(move |i| {
-            let arrays = self.num_arrays.min(m - i / n * self.num_arrays);
-            let cause = if arrays < self.num_arrays {
+        let (steps, runs) = common::grid((layer.m(), num_arrays), (layer.n(), 1));
+        let runs = runs.map(move |((arrays, _), count)| {
+            let cause = if arrays < num_arrays {
                 StallCause::EdgeFragmentation
             } else {
                 StallCause::MappingResidueIdle
             };
-            Step::new(Pass {
+            let step = Step::new(Pass {
                 cause,
                 cycles: pk * (w * w) as u64,
                 macs: (arrays * s * s * k * k) as u64,
                 rects: CellRects::stacked(footprint, arrays, ak),
             })
             .stall(StallCause::PipelineFill, bubble.div_ceil(2))
-            .stall(StallCause::PipelineDrain, bubble / 2)
-        })
+            .stall(StallCause::PipelineDrain, bubble / 2);
+            (step, count)
+        });
+        (steps, runs)
     }
 
     fn area_spec(&self) -> AreaSpec {

@@ -161,7 +161,8 @@ impl TilingArray {
         (events, traffic)
     }
 
-    /// The step schedule: one pass per `(m-tile, n-tile)`, its MACs
+    /// The step schedule, as its step count and maximal runs of equal
+    /// tiles (row-major): one pass per `(m-tile, n-tile)`, its MACs
     /// the clamped lane product. Heatmap rows are the `Tm` PEs and
     /// columns their `Tn` multiplier lanes; each pass lights the
     /// top-left `Tm_eff × Tn_eff` corner, so a starved engine (M or N
@@ -175,19 +176,19 @@ impl TilingArray {
     /// clamp both ways; their whole residue goes to whichever component
     /// is larger (row loss `(Tm−Tm_eff)·Tn` vs lane loss
     /// `Tm_eff·(Tn−Tn_eff)` per cycle), documented in DESIGN.md §9.
-    pub fn steps<'a>(&'a self, layer: &'a ConvLayer) -> impl ExactSizeIterator<Item = Step> + 'a {
-        let (m, n, n_tiles) = (layer.m(), layer.n(), cdiv(layer.n(), self.tn));
+    pub fn steps(&self, layer: &ConvLayer) -> (u64, impl Iterator<Item = (Step, u64)> + '_) {
         let pass = (layer.s() * layer.s() * layer.k() * layer.k()) as u64;
-        (0..cdiv(m, self.tm) * n_tiles).map(move |t| {
-            let tm_eff = self.tm.min(m - t / n_tiles * self.tm);
-            let tn_eff = self.tn.min(n - t % n_tiles * self.tn);
-            Step::new(Pass {
+        let (steps, runs) = common::grid((layer.m(), self.tm), (layer.n(), self.tn));
+        let runs = runs.map(move |((tm_eff, tn_eff), count)| {
+            let step = Step::new(Pass {
                 cause: self.residue_cause(tm_eff, tn_eff),
                 cycles: pass,
                 macs: (tm_eff * tn_eff) as u64 * pass,
                 rects: CellRect::full(tm_eff, tn_eff).into(),
-            })
-        })
+            });
+            (step, count)
+        });
+        (steps, runs)
     }
 
     /// The cause a `Tm_eff × Tn_eff` tile's residue goes to.

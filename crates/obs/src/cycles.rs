@@ -12,13 +12,14 @@
 //! and builds nothing. With one attached, [`crate::steps::fold`] hands
 //! the recorder each layer once: the finished [`LayerTimeline`], then
 //! the layer's [`LayerSpatial`] when the recorder keeps them.
-//! [`Coalescer`] merges fine-grained steps (one per tile/pass) down to
-//! a bounded number of events per layer while preserving exact cycle
+//! [`Coalescer`] merges runs of fine-grained steps (tiles, passes) down
+//! to a bounded number of events per layer while preserving exact cycle
 //! and MAC totals.
 
 use crate::attrib::StallCause;
 use crate::occupancy::OccupancyTimeline;
 use crate::spatial::LayerSpatial;
+use crate::steps::Step;
 use std::sync::{Arc, Mutex};
 
 /// Identity of a recorded layer.
@@ -326,15 +327,18 @@ impl Aggregate {
 /// Merges fine-grained emission into at most ~[`MAX_EVENTS_PER_LAYER`]
 /// flushes while preserving exact per-kind cycle and MAC totals.
 ///
-/// Callers stream logical steps via [`Coalescer::push`] (one or more
-/// pushes per step, then [`Coalescer::step`]); the coalescer buffers
-/// per-kind totals and flushes a merged burst every
-/// `ceil(total_steps / MAX_EVENTS_PER_LAYER)` steps. Each
-/// `(shape, cause)` kind keeps its own accumulator slot, so losses with
-/// different causes never blur together. Within a merged burst the
-/// kinds are emitted back to back in [`KIND_ORDER`] (an idealization:
-/// real interleaving below the flush granularity is not preserved, but
-/// per-kind cycle and MAC totals are exact).
+/// Callers stream runs of identical logical steps via
+/// [`Coalescer::push`]; the coalescer buffers per-kind totals and
+/// flushes a merged burst every `ceil(total_steps /
+/// MAX_EVENTS_PER_LAYER)` steps, splitting a run where a flush group
+/// ends. The totals are linear in the steps, so a run of `n` folds
+/// exactly like `n` copies of its step, at the cost of one per flush
+/// group it touches. Each `(shape, cause)` kind keeps its own
+/// accumulator slot, so losses with different causes never blur
+/// together. Within a merged burst the kinds are emitted back to back
+/// in [`KIND_ORDER`] (an idealization: real interleaving below the
+/// flush granularity is not preserved, but per-kind cycle and MAC
+/// totals are exact).
 pub struct Coalescer {
     events: Vec<CycleEvent>,
     every: u64,
@@ -375,16 +379,23 @@ impl Coalescer {
         }
     }
 
-    /// Accumulates `cycles`/`macs` under `kind` for the current step.
-    pub fn push(&mut self, kind: CycleEventKind, cycles: u64, macs: u64) {
-        self.acc.add(kind, cycles, macs);
-    }
-
-    /// Marks the end of one logical step, flushing if the group is full.
-    pub fn step(&mut self) {
-        self.steps_in_group += 1;
-        if self.steps_in_group >= self.every {
-            self.flush();
+    /// Accumulates `n` copies of `step`, flushing at every group
+    /// boundary the run reaches.
+    pub fn push(&mut self, step: &Step, n: u64) {
+        let mut one = Aggregate::default();
+        step.for_each_span(|kind, cycles, macs| one.add(kind, cycles, macs));
+        let mut left = n;
+        while left > 0 {
+            let take = left.min(self.every - self.steps_in_group);
+            for (acc, &(cycles, macs)) in self.acc.0.iter_mut().zip(&one.0) {
+                acc.0 += cycles * take;
+                acc.1 += macs * take;
+            }
+            self.steps_in_group += take;
+            left -= take;
+            if self.steps_in_group == self.every {
+                self.flush();
+            }
         }
     }
 
@@ -406,6 +417,8 @@ impl Coalescer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spatial::CellRect;
+    use crate::steps::Pass;
 
     fn timeline(layer: &str, events: Vec<CycleEvent>) -> LayerTimeline {
         LayerTimeline {
@@ -414,13 +427,27 @@ mod tests {
         }
     }
 
-    fn coalesced(total_steps: u64, steps: &[&[(CycleEventKind, u64, u64)]]) -> Vec<CycleEvent> {
+    /// A step: an optional whole-array stall, then a pass of `cause`.
+    fn step(
+        stall: Option<(StallCause, u64)>,
+        (cause, cycles, macs): (StallCause, u64, u64),
+    ) -> Step {
+        let step = Step::new(Pass {
+            cause,
+            cycles,
+            macs,
+            rects: CellRect::full(1, 1).into(),
+        });
+        match stall {
+            Some((cause, cycles)) => step.stall(cause, cycles),
+            None => step,
+        }
+    }
+
+    fn coalesced(total_steps: u64, runs: &[(Step, u64)]) -> Vec<CycleEvent> {
         let mut co = Coalescer::new(total_steps);
-        for step in steps {
-            for &(kind, cycles, macs) in *step {
-                co.push(kind, cycles, macs);
-            }
-            co.step();
+        for (step, n) in runs {
+            co.push(step, *n);
         }
         co.finish()
     }
@@ -509,11 +536,15 @@ mod tests {
     #[test]
     fn coalescer_preserves_totals_and_caps_events() {
         let steps = 10_000u64;
-        let step: &[(CycleEventKind, u64, u64)] = &[
-            (CycleEventKind::Stall(StallCause::PipelineFill), 2, 0),
-            (CycleEventKind::Pass(StallCause::MappingResidueIdle), 5, 37),
-        ];
-        let tl = timeline("l", coalesced(steps, &vec![step; steps as usize]));
+        let one = step(
+            Some((StallCause::PipelineFill, 2)),
+            (StallCause::MappingResidueIdle, 5, 37),
+        );
+        let events = coalesced(steps, &[(one, steps)]);
+        // A run folds exactly like its copies.
+        let copies: Vec<_> = std::iter::repeat_n((one, 1), steps as usize).collect();
+        assert_eq!(events, coalesced(steps, &copies));
+        let tl = timeline("l", events);
         assert!(tl.events.len() <= 2 * MAX_EVENTS_PER_LAYER + 2);
         assert_eq!(tl.total_cycles(), steps * 7);
         assert_eq!(tl.macs(), steps * 37);
@@ -526,14 +557,51 @@ mod tests {
     }
 
     #[test]
+    fn coalescer_splits_runs_at_flush_group_boundaries() {
+        // 10 steps over 256 target events flush every step, so a run
+        // of 3 is three bursts and the next run starts a fresh one.
+        let a = step(None, (StallCause::EdgeFragmentation, 2, 1));
+        let b = step(
+            Some((StallCause::PipelineFill, 1)),
+            (StallCause::EdgeFragmentation, 3, 2),
+        );
+        let runs = coalesced(10, &[(a, 3), (b, 7)]);
+        let copies = coalesced(
+            10,
+            &[(a, 1), (a, 1), (a, 1)]
+                .into_iter()
+                .chain([(b, 1); 7])
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(runs, copies);
+        assert_eq!(runs.len(), 3 + 2 * 7);
+        // Over 1000 steps (flush every 4) the run of 3 shares its
+        // group with the first step of the next.
+        let runs = coalesced(1000, &[(a, 3), (b, 997)]);
+        let copies: Vec<_> = [(a, 1); 3].into_iter().chain([(b, 1); 997]).collect();
+        assert_eq!(runs, coalesced(1000, &copies));
+        assert_eq!(
+            runs[0].kind,
+            CycleEventKind::Stall(StallCause::PipelineFill)
+        );
+        assert_eq!(runs[1].cycles, 3 * 2 + 3);
+    }
+
+    #[test]
     fn coalescer_flushes_the_remainder_at_the_layer_boundary() {
         // 1000 expected steps → flush every 4; push only 2, so the
         // whole layer sits buffered until `finish`.
         let events = coalesced(
             1000,
             &[
-                &[(CycleEventKind::Pass(StallCause::MappingResidueIdle), 5, 9)],
-                &[(CycleEventKind::Stall(StallCause::PipelineFill), 3, 0)],
+                (step(None, (StallCause::MappingResidueIdle, 5, 9)), 1),
+                (
+                    step(
+                        Some((StallCause::PipelineFill, 3)),
+                        (StallCause::MappingResidueIdle, 0, 0),
+                    ),
+                    1,
+                ),
             ],
         );
         let tl = timeline("L1", events);
@@ -556,7 +624,7 @@ mod tests {
         // The next layer's coalescer starts a fresh cursor at 0.
         let events = coalesced(
             1000,
-            &[&[(CycleEventKind::Pass(StallCause::EdgeFragmentation), 7, 7)]],
+            &[(step(None, (StallCause::EdgeFragmentation, 7, 7)), 1)],
         );
         assert_eq!(events[0].start_cycle, 0);
         assert_eq!(timeline("L2", events).total_cycles(), 7);
@@ -567,12 +635,8 @@ mod tests {
         let events = coalesced(
             2,
             &[
-                &[(CycleEventKind::Pass(StallCause::EdgeFragmentation), 10, 30)],
-                &[(
-                    CycleEventKind::Pass(StallCause::AdderTreeContention),
-                    10,
-                    35,
-                )],
+                (step(None, (StallCause::EdgeFragmentation, 10, 30)), 1),
+                (step(None, (StallCause::AdderTreeContention, 10, 35)), 1),
             ],
         );
         let tl = timeline("l", events);

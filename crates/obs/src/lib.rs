@@ -62,11 +62,12 @@
 //!
 //! let recorder = Arc::new(Recorder::new());
 //! let sink = SinkHandle::new(recorder.clone());
-//! // One 100-cycle pass over a 16×16 array, half its PE-cycles useful.
+//! // A run of ten 10-cycle passes over a 16×16 array, half their
+//! // PE-cycles useful.
 //! let pass = Pass {
 //!     cause: StallCause::MappingResidueIdle,
-//!     cycles: 100,
-//!     macs: 12_800,
+//!     cycles: 10,
+//!     macs: 1_280,
 //!     rects: CellRect::full(16, 16).into(),
 //! };
 //! let frame = LayerFrame {
@@ -76,9 +77,9 @@
 //!     cols: 16,
 //!     cycles: 100,
 //!     macs: 12_800,
-//!     steps: 1,
+//!     steps: 10,
 //! };
-//! steps::fold(&sink, &frame, [Step::new(pass)], |_| {});
+//! steps::fold(&sink, &frame, [(Step::new(pass), 10)], |_| {});
 //! let timelines = recorder.take();
 //! assert_eq!(timelines.len(), 1);
 //! assert!((timelines[0].occupancy().utilization() - 0.5).abs() < 1e-12);

@@ -26,7 +26,8 @@
 //! verifies per layer.
 //!
 //! Delivery rides on the one observer: [`crate::steps::fold`] builds the
-//! record from the same steps as the cycle timeline and hands it to a
+//! record from the same runs of steps as the cycle timeline (a run of
+//! `n` steps is one [`HeatmapBuilder::push`]) and hands it to a
 //! recorder built with [`crate::cycles::Recorder::with_spatial`], which
 //! keeps them for the `flexsim heatmap` report and metrics mirrors.
 //!
@@ -34,6 +35,7 @@
 
 use crate::attrib::StallCause;
 use crate::metrics::Registry;
+use crate::steps::Step;
 
 /// A rectangular block of active PE cells, in array coordinates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -466,6 +468,17 @@ impl HeatmapBuilder {
         );
     }
 
+    /// Feeds `n` copies of `step`: its stalls, then its pass. Both are
+    /// linear in the cycles and MACs fed, so one call costs what one
+    /// step does and records exactly what `n` calls of one step would.
+    pub fn push(&mut self, step: &Step, n: u64) {
+        for (&cause, &cycles) in StallCause::ALL.iter().zip(&step.stalls) {
+            self.stall(cause, cycles * n);
+        }
+        let p = &step.pass;
+        self.pass(p.cause, p.rects, p.cycles * n, p.macs * n);
+    }
+
     /// Records `words` resident in `bank` for `cycles` cycles,
     /// creating the bank (with `capacity_words`) on first touch.
     pub fn bank_sample(&mut self, bank: &str, capacity_words: u64, words: u64, cycles: u64) {
@@ -712,6 +725,38 @@ mod tests {
         let stacked = CellRects::stacked(CellRect::full(1, 2), 3, 4);
         assert_eq!(stacked.cells(), 6);
         assert_eq!(stacked.iter().map(|r| r.row).collect::<Vec<_>>(), [0, 4, 8]);
+    }
+
+    #[test]
+    fn a_pushed_run_equals_its_copies() {
+        use crate::steps::Pass;
+        let first = Step::new(Pass {
+            cause: StallCause::EdgeFragmentation,
+            cycles: 3,
+            macs: 5,
+            rects: CellRect::full(1, 2).into(),
+        })
+        .stall(StallCause::PipelineFill, 2);
+        let second = Step::new(Pass {
+            cause: StallCause::MappingResidueIdle,
+            cycles: 4,
+            macs: 7,
+            rects: CellRects::stacked(CellRect::full(1, 1), 2, 1),
+        })
+        .stall(StallCause::PsumSpillRoundTrip, 1);
+        let runs = [(first, 3), (second, 5), (first, 2)];
+        let mut by_run = HeatmapBuilder::new("A", "L", 2, 2, 0);
+        let mut by_step = by_run.clone();
+        for (step, n) in runs {
+            by_run.push(&step, n);
+            for _ in 0..n {
+                by_step.push(&step, 1);
+            }
+        }
+        let (by_run, by_step) = (by_run.finish(), by_step.finish());
+        assert_eq!(by_run, by_step);
+        assert_eq!(by_run.busy_total(), 5 * 5 + 5 * 7);
+        assert_eq!(by_run.lost_total(StallCause::PipelineFill), 5 * 2 * 4);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! One step schedule per architecture, folded into every report.
 //!
-//! Each simulator describes a layer once, as a sequence of [`Step`]s —
-//! a FlexFlow row-batch, a Systolic (m-group, input map), a 2D-Mapping
-//! tile, a Tiling (m-tile, n-tile) — next to the closed-form
-//! [`Aggregate`](crate::cycles::Aggregate) of those steps. [`fold`] feeds each step once into the
-//! layer's cycle timeline (through a [`Coalescer`]) and heatmap
-//! (through a [`HeatmapBuilder`]) and hands both, finished, to the
-//! attached [`Recorder`](crate::cycles::Recorder); with nothing
-//! attached it returns before the first step, so unobserved runs stay
-//! closed-form.
+//! Each simulator describes a layer once, as maximal runs
+//! `(step, count)` of identical [`Step`]s — FlexFlow row-batches,
+//! Systolic (m-group, input map) pairs, 2D-Mapping tiles, Tiling
+//! (m-tile, n-tile) pairs — next to the closed-form
+//! [`Aggregate`](crate::cycles::Aggregate) of those steps. [`fold`] feeds
+//! each run once into the layer's cycle timeline (through a
+//! [`Coalescer`]) and heatmap (through a [`HeatmapBuilder`]), both
+//! linear in their input, and hands both, finished, to the attached
+//! [`Recorder`](crate::cycles::Recorder); with nothing attached it
+//! returns before the first run, so unobserved runs stay closed-form.
+//! An observed layer therefore costs O(runs), not O(steps).
 
 use crate::attrib::StallCause;
 use crate::cycles::{Coalescer, CycleEventKind, LayerCtx, LayerTimeline, SinkHandle};
@@ -87,19 +89,21 @@ pub struct LayerFrame<'a> {
     pub cycles: u64,
     /// The layer's useful MACs, which the steps must carry.
     pub macs: u64,
-    /// Number of steps (sets the coalescer's flush period).
+    /// Number of steps, each run counted `count` times (sets the
+    /// coalescer's flush period).
     pub steps: u64,
 }
 
-/// Folds `steps` once into the layer's cycle timeline and, when the
-/// recorder keeps them, its heatmap (`spatial` then adds the
-/// architecture's banks and contention matrices), and hands the
+/// Folds the runs `(step, count)` once into the layer's cycle timeline
+/// and, when the recorder keeps them, its heatmap (`spatial` then adds
+/// the architecture's banks and contention matrices), and hands the
 /// attached recorder the finished timeline, then the spatial record.
+/// A run folds like `count` copies of its step, at the cost of one.
 /// Does nothing when no recorder is attached.
 pub fn fold(
     sink: &SinkHandle,
     frame: &LayerFrame,
-    steps: impl IntoIterator<Item = Step>,
+    runs: impl IntoIterator<Item = (Step, u64)>,
     spatial: impl FnOnce(&mut HeatmapBuilder),
 ) {
     let Some(rec) = sink.recorder() else {
@@ -115,9 +119,19 @@ pub fn fold(
             frame.cycles,
         )
     });
-    for step in steps {
-        feed(&step, &mut co, hb.as_mut());
+    let mut stepped = 0u64;
+    for (step, count) in runs {
+        co.push(&step, count);
+        if let Some(hb) = hb.as_mut() {
+            hb.push(&step, count);
+        }
+        stepped += count;
     }
+    debug_assert_eq!(
+        stepped, frame.steps,
+        "{}/{}: the runs expand to a different step count than the frame's",
+        frame.arch, frame.layer
+    );
     let pes = u32::try_from(frame.rows * frame.cols).unwrap_or(u32::MAX);
     let timeline = LayerTimeline {
         ctx: LayerCtx::new(frame.arch, frame.layer, pes),
@@ -144,19 +158,17 @@ pub fn fold(
     }
 }
 
-/// Feeds one step into the coalescer and, when live, the heatmap. Kept
-/// out of the generic [`fold`] so the per-step work compiles, inlined,
-/// in this crate.
-fn feed(step: &Step, co: &mut Coalescer, hb: Option<&mut HeatmapBuilder>) {
-    step.for_each_span(|kind, cycles, macs| co.push(kind, cycles, macs));
-    co.step();
-    if let Some(hb) = hb {
-        for (&cause, &cycles) in StallCause::ALL.iter().zip(&step.stalls) {
-            hb.stall(cause, cycles);
+/// Merges adjacent equal steps of `runs` into maximal runs and drops
+/// empty ones, so a producer may emit a run in pieces.
+pub fn maximal(runs: impl IntoIterator<Item = (Step, u64)>) -> impl Iterator<Item = (Step, u64)> {
+    let mut runs = runs.into_iter().filter(|&(_, count)| count > 0).peekable();
+    std::iter::from_fn(move || {
+        let (step, mut count) = runs.next()?;
+        while let Some((_, more)) = runs.next_if(|(next, _)| *next == step) {
+            count += more;
         }
-        let p = &step.pass;
-        hb.pass(p.cause, p.rects, p.cycles, p.macs);
-    }
+        Some((step, count))
+    })
 }
 
 #[cfg(test)]
@@ -167,16 +179,18 @@ mod tests {
     use crate::spatial::CellRect;
     use std::sync::Arc;
 
-    fn steps() -> impl Iterator<Item = Step> {
-        (0..3u64).map(|i| {
-            Step::new(Pass {
-                cause: StallCause::EdgeFragmentation,
-                cycles: 4,
-                macs: 4 * (i + 1),
-                rects: CellRect::full(1, 3).into(),
-            })
-            .stall(StallCause::PipelineFill, u64::from(i == 0) * 2)
+    fn step(i: u64) -> Step {
+        Step::new(Pass {
+            cause: StallCause::EdgeFragmentation,
+            cycles: 4,
+            macs: 4 * (i + 1),
+            rects: CellRect::full(1, 3).into(),
         })
+        .stall(StallCause::PipelineFill, u64::from(i == 0) * 2)
+    }
+
+    fn steps() -> impl Iterator<Item = (Step, u64)> {
+        (0..3u64).map(|i| (step(i), 1))
     }
 
     fn frame() -> LayerFrame<'static> {
@@ -198,7 +212,7 @@ mod tests {
         let tl = rec.take();
         let ledger = LossLedger::from_timeline(&tl[0]);
         let mut agg = Aggregate::default();
-        for step in steps() {
+        for (step, _) in steps() {
             step.for_each_span(|kind, cycles, macs| agg.add(kind, cycles, macs));
         }
         assert_eq!(
@@ -227,5 +241,48 @@ mod tests {
             panic!("no spatial record was asked for")
         });
         assert_eq!(rec.take().len(), 1);
+    }
+
+    #[test]
+    fn a_run_folds_like_its_copies() {
+        // 1000 steps flush every 4 (MAX_EVENTS_PER_LAYER = 256), so the
+        // runs of 3, 6 and 991 straddle flush-group boundaries.
+        let runs = [(step(0), 3), (step(1), 6), (step(2), 991)];
+        let frame = LayerFrame {
+            cycles: 1000 * 4 + 3 * 2,
+            macs: 3 * 4 + 6 * 8 + 991 * 12,
+            steps: 1000,
+            ..frame()
+        };
+        let expanded = runs
+            .iter()
+            .flat_map(|&(step, count)| std::iter::repeat_n((step, 1), count as usize));
+        let by_run = Arc::new(Recorder::with_spatial());
+        fold(&SinkHandle::new(by_run.clone()), &frame, runs, |_| {});
+        let by_step = Arc::new(Recorder::with_spatial());
+        fold(&SinkHandle::new(by_step.clone()), &frame, expanded, |_| {});
+        let timeline = by_run.take();
+        // One event per flush group, plus the fill in the first.
+        assert_eq!(timeline[0].events.len(), 250 + 1);
+        assert_eq!(timeline, by_step.take());
+        assert_eq!(by_run.take_spatial(), by_step.take_spatial());
+    }
+
+    #[test]
+    fn maximal_merges_equal_neighbours_and_drops_empty_runs() {
+        let runs = [
+            (step(0), 1),
+            (step(1), 2),
+            (step(2), 0),
+            (step(1), 3),
+            (step(2), 1),
+            (step(1), 1),
+        ];
+        let merged: Vec<_> = maximal(runs).collect();
+        assert_eq!(
+            merged,
+            [(step(0), 1), (step(1), 5), (step(2), 1), (step(1), 1)]
+        );
+        assert_eq!(maximal([]).count(), 0);
     }
 }

@@ -1,13 +1,20 @@
 //! Property tests of the unrolling compiler: the factor search's
-//! choices must *cover* every loop bound without waste, and its
-//! predicted utilization `Ut` must match what the cycle-level FlexFlow
-//! simulator actually achieves during PE-active cycles.
+//! choices must *cover* every loop bound without waste, its predicted
+//! utilization `Ut` must match what the cycle-level FlexFlow simulator
+//! actually achieves during PE-active cycles, and the closed-form runs
+//! of `analytic::steps` must expand to the Fig. 4 tile walk.
 
+use flexflow::analytic::{
+    self, schedule_default, Schedule, PIPELINE_FILL_CYCLES, SEGMENT_STALL_CYCLES,
+};
 use flexflow::array::PeArray;
 use flexsim_dataflow::search::{best_unroll, plan_network};
 use flexsim_dataflow::utilization::{ceil_div, tile_count, total_utilization};
 use flexsim_dataflow::{TileIter, Unroll};
-use flexsim_model::{reference, ConvLayer, Network, PoolKind, PoolLayer};
+use flexsim_model::{reference, ConvLayer, Layer, Network, PoolKind, PoolLayer, WorkloadRegistry};
+use flexsim_obs::attrib::StallCause;
+use flexsim_obs::spatial::CellRect;
+use flexsim_obs::steps::{Pass, Step};
 use flexsim_testkit::prop::{self, option_of};
 use flexsim_testkit::{prop_assert, prop_assert_eq};
 
@@ -182,6 +189,156 @@ fn utilization_prediction_holds_under_arbitrary_feasible_unrollings() {
                 layer.name()
             );
             Ok(())
+        },
+    );
+}
+
+/// The oracle `analytic::steps` replaced: batch `b` walks the next
+/// `chunks` tiles of [`TileIter`] and sums their MACs.
+fn tile_walk_steps<'a>(layer: &'a ConvLayer, sch: &'a Schedule) -> impl Iterator<Item = Step> + 'a {
+    let mut tiles = TileIter::new(layer, sch.unroll);
+    let rects = CellRect::full(sch.unroll.rows_used(), sch.unroll.cols_used()).into();
+    (0..sch.row_batches).map(move |batch| {
+        let macs = tiles
+            .by_ref()
+            .take(sch.chunks as usize)
+            .map(|t| t.macs())
+            .sum();
+        Step::new(Pass {
+            cause: StallCause::MappingResidueIdle,
+            cycles: sch.chunks,
+            macs,
+            rects,
+        })
+        .stall(
+            StallCause::PipelineFill,
+            u64::from(batch == 0) * PIPELINE_FILL_CYCLES,
+        )
+        .stall(
+            StallCause::PsumSpillRoundTrip,
+            (sch.segments - 1) * SEGMENT_STALL_CYCLES,
+        )
+    })
+}
+
+/// Expands the runs of `analytic::steps` step by step against the tile
+/// walk, and checks that they are maximal. Returns the run count.
+fn runs_expand_to_the_tile_walk(layer: &ConvLayer, u: Unroll, d: usize) -> Result<u64, String> {
+    let sch = schedule_default(layer, u, d);
+    let mut walk = tile_walk_steps(layer, &sch);
+    let (mut batch, mut runs) = (0u64, 0u64);
+    let mut last: Option<Step> = None;
+    for (step, count) in analytic::steps(layer, &sch) {
+        prop_assert!(count > 0, "{} under {u}: empty run", layer.name());
+        prop_assert!(
+            last != Some(step),
+            "{} under {u}: runs not maximal at batch {batch}",
+            layer.name()
+        );
+        for _ in 0..count {
+            let want = walk.next();
+            prop_assert_eq!(
+                Some(step),
+                want,
+                "{} under {u}, batch {batch}",
+                layer.name()
+            );
+            batch += 1;
+        }
+        last = Some(step);
+        runs += 1;
+    }
+    prop_assert!(
+        walk.next().is_none(),
+        "{} under {u}: runs end early",
+        layer.name()
+    );
+    prop_assert_eq!(batch, sch.row_batches);
+    Ok(runs)
+}
+
+/// Every CONV and FC layer (FC as a 1×1 convolution) of `net`.
+fn layers(net: &Network) -> Vec<ConvLayer> {
+    net.layers()
+        .iter()
+        .filter_map(|l| match l {
+            Layer::Conv(c) => Some(c.clone()),
+            Layer::Fc(fc) => Some(fc.as_conv()),
+            Layer::Pool(_) => None,
+        })
+        .collect()
+}
+
+#[test]
+fn step_runs_expand_to_the_tile_walk_on_every_workload_layer() {
+    let registry =
+        WorkloadRegistry::new().with_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples"));
+    let mut nets = flexsim_model::workloads::all();
+    for name in ["resnet_block", "mobilenet_block", "dilated"] {
+        nets.push(registry.resolve(name).expect("example parses"));
+    }
+    for net in &nets {
+        for d in [4, 8, 16] {
+            let mut runs = 0;
+            for layer in layers(net) {
+                let u = best_unroll(&layer, d, None).unroll;
+                runs += runs_expand_to_the_tile_walk(&layer, u, d)
+                    .unwrap_or_else(|e| panic!("{}: {e}", net.name()));
+            }
+            if net.name() == "VGG-11" {
+                // Every factor divides its loop: per layer, the fill
+                // batch and one run of the rest (409,688 batches at 16).
+                assert_eq!(runs, 2 * 8, "VGG-11 at d = {d}");
+            }
+        }
+    }
+}
+
+/// Legalizes random factors into a `d×d` engine: clamp to the layer's
+/// loop bounds, then shed occupancy until the unroll fits.
+fn legalize(u: Unroll, layer: &ConvLayer, d: usize) -> Unroll {
+    let mut u = u.clamped_to(layer);
+    while u.rows_used() > d {
+        if u.tm >= u.tr && u.tm >= u.tc {
+            u.tm -= 1;
+        } else if u.tr >= u.tc {
+            u.tr -= 1;
+        } else {
+            u.tc -= 1;
+        }
+    }
+    while u.cols_used() > d {
+        if u.tn >= u.ti && u.tn >= u.tj {
+            u.tn -= 1;
+        } else if u.ti >= u.tj {
+            u.ti -= 1;
+        } else {
+            u.tj -= 1;
+        }
+    }
+    u
+}
+
+#[test]
+fn step_runs_expand_to_the_tile_walk_on_random_layers() {
+    // Strided and dilated layers; factors that leave edge tiles on
+    // every loop and partial output-map and input-map groups.
+    let f = || 1usize..=9;
+    prop::check(
+        "step_runs_expand_to_the_tile_walk_on_random_layers",
+        512,
+        (
+            (1usize..=40, 1usize..=24, 1usize..=20, 1usize..=5),
+            (1usize..=3, 1usize..=3, 0usize..=2),
+            (f(), f(), f(), f(), f(), f()),
+        ),
+        |&((m, n, s, k), (stride, dilation, d), (tm, tn, tr, tc, ti, tj))| {
+            let d = [4, 8, 16][d];
+            let layer = ConvLayer::new("R", m, n, s, k)
+                .with_stride(stride)
+                .with_dilation(dilation);
+            let u = legalize(Unroll::new(tm, tn, tr, tc, ti, tj), &layer, d);
+            runs_expand_to_the_tile_walk(&layer, u, d).map(|_| ())
         },
     );
 }
