@@ -100,8 +100,8 @@ if command -v python3 > /dev/null 2>&1; then
 fi
 
 echo "==> flexsim tune smoke (auto-tuner: monotonic, flexcheck-clean, deterministic)"
-# The run itself enforces the tuner invariants: every winner verified
-# on the cycle-stepped engine, the assembled program flexcheck-clean,
+# The run itself enforces the tuner invariants: the default's and the
+# winner's ledgers FXC09-exact, the assembled program flexcheck-clean,
 # and no tuned mapping worse than the paper default or the DP plan.
 "$FLEXSIM" --json --budget smoke tune pv > "$TMP/tune1.json"
 "$FLEXSIM" --json --budget smoke --jobs 4 tune pv > "$TMP/tune4.json"
@@ -109,11 +109,11 @@ cmp "$TMP/tune1.json" "$TMP/tune4.json" \
     || { echo "FAIL: tune --jobs 4 output diverged from serial"; exit 1; }
 grep -q 'mapping-residue-idle' "$TMP/tune1.json" \
     || { echo "FAIL: tune JSON missing attribution"; exit 1; }
-# --static ranks symbolically and engine-verifies winners only: the
-# emitted document must be byte-identical to the engine-verified path.
+# --static is still accepted and changes nothing: the document must be
+# byte-identical to the run without it.
 "$FLEXSIM" --json --budget smoke tune pv --static > "$TMP/tune_static.json"
 cmp "$TMP/tune1.json" "$TMP/tune_static.json" \
-    || { echo "FAIL: tune --static output diverged from the engine path"; exit 1; }
+    || { echo "FAIL: tune --static output diverged from the run without it"; exit 1; }
 
 echo "==> flexsim prove smoke (symbolic cycle/ledger proof, FXC10)"
 # All 24 (workload, arch) pairs must prove static == dynamic exactly;
@@ -210,8 +210,6 @@ grep -q 'telemetry_overhead_pct' "$TMP/BENCH_history.jsonl" \
     || { echo "FAIL: history entry missing telemetry overhead"; exit 1; }
 grep -q 'prove_wall_s' "$TMP/BENCH_history.jsonl" \
     || { echo "FAIL: history entry missing prove wall time"; exit 1; }
-grep -q 'tune_static_wall_s' "$TMP/BENCH_history.jsonl" \
-    || { echo "FAIL: history entry missing static-tune wall time"; exit 1; }
 grep -q 'workloads_total' "$TMP/BENCH_history.jsonl" \
     || { echo "FAIL: history entry missing workload-count honesty fields"; exit 1; }
 grep -q 'heatmap_cells' "$TMP/BENCH_history.jsonl" \

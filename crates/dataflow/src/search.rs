@@ -35,6 +35,19 @@ pub struct LayerChoice {
 }
 
 impl LayerChoice {
+    /// The choice of `u` for `layer` on a `d×d` engine, with its
+    /// utilizations (Eqs. 2–3) and tile count.
+    pub fn new(layer: &ConvLayer, u: Unroll, d: usize) -> LayerChoice {
+        LayerChoice {
+            layer: layer.name().to_owned(),
+            unroll: u,
+            d,
+            row_util: row_utilization(layer, &u, d),
+            col_util: col_utilization(layer, &u, d),
+            cycles: tile_count(layer, &u),
+        }
+    }
+
     /// Total utilization `Ut = Ur · Uc`.
     pub fn total_utilization(&self) -> f64 {
         self.row_util * self.col_util
@@ -52,17 +65,6 @@ impl fmt::Display for LayerChoice {
             self.col_util * 100.0,
             self.total_utilization() * 100.0
         )
-    }
-}
-
-fn make_choice(layer: &ConvLayer, u: Unroll, d: usize) -> LayerChoice {
-    LayerChoice {
-        layer: layer.name().to_owned(),
-        unroll: u,
-        d,
-        row_util: row_utilization(layer, &u, d),
-        col_util: col_utilization(layer, &u, d),
-        cycles: tile_count(layer, &u),
     }
 }
 
@@ -142,7 +144,7 @@ pub fn best_unroll(layer: &ConvLayer, d: usize, rc_bound: Option<usize>) -> Laye
         best_col.0, best_row.0, best_col.1, best_col.2, best_row.1, best_row.2,
     );
     debug_assert!(u.satisfies(layer, d, rc_bound));
-    make_choice(layer, u, d)
+    LayerChoice::new(layer, u, d)
 }
 
 /// Finds the optimal unrolling among those satisfying an arbitrary
@@ -198,7 +200,7 @@ pub fn best_unroll_where(
             }
         }
     }
-    best.map(|(_, _, u)| make_choice(layer, u, d))
+    best.map(|(_, _, u)| LayerChoice::new(layer, u, d))
 }
 
 /// Solves the network-coupled factor-selection problem on a `D×D` engine
@@ -314,7 +316,7 @@ pub fn plan_network(net: &Network, d: usize) -> Vec<LayerChoice> {
             "planned unroll violates constraints for {}",
             layer.name()
         );
-        out.push(make_choice(layer, u, d));
+        out.push(LayerChoice::new(layer, u, d));
     }
     out
 }
@@ -349,7 +351,7 @@ pub fn analyzer_chain(net: &Network, d: usize) -> Vec<LayerChoice> {
                 legal_synapse_factor(layer.dilation(), p.tr.min(layer.k())),
                 legal_synapse_factor(layer.dilation(), p.tc.min(layer.k())),
             );
-            choice = make_choice(layer, u, d);
+            choice = LayerChoice::new(layer, u, d);
         }
         prev = Some(choice.unroll);
         out.push(choice);

@@ -29,7 +29,7 @@
 use crate::arches::{run_pair, ALL_ARCHES, ARCH_NAMES};
 use crate::cli::Bench;
 use crate::experiment::{run_suite, sweep_set, Experiment, ExperimentCtx, SuiteConfig};
-use crate::tune::{sweep_totals, sweep_totals_with, SweepTotals, VerifyMode};
+use crate::tune::{sweep_totals, SweepTotals};
 use flexsim_model::workloads;
 use flexsim_obs::attrib::StallCause;
 use flexsim_obs::telemetry;
@@ -146,11 +146,9 @@ fn sweep_pass(experiments: &[&'static dyn Experiment]) -> Result<(), i32> {
 ///
 /// The sweep is timed with telemetry off and on, interleaved, so every
 /// entry also records the host-phase wall breakdown and the telemetry
-/// overhead. The entry also times the smoke-budget tuner under engine
-/// and `--static` symbolic verification (the log is where the static
-/// path's speedup is recorded) and the flexproof all-pairs sweep; a
-/// prove mismatch refuses to record, keeping the history free of
-/// unproved entries.
+/// overhead. The entry also times the smoke-budget tuner and the
+/// flexproof all-pairs sweep; a prove mismatch refuses to record,
+/// keeping the history free of unproved entries.
 fn history() -> Result<(), i32> {
     let experiments = sweep_set();
     let [sweep, sweep_on] = measure([&mut || sweep_pass(&experiments), &mut || {
@@ -170,23 +168,12 @@ fn history() -> Result<(), i32> {
         overhead_pct: sweep_on.overhead_pct(sweep),
     };
     let attrib = attribution_totals();
-    let (mut tune, mut tune_static) = (None, None);
-    let [tune_t, static_t] = measure([
-        &mut || {
-            tune = Some(sweep_totals_with(TIMED_JOBS, VerifyMode::Engine));
-            Ok(())
-        },
-        &mut || {
-            tune_static = Some(sweep_totals_with(TIMED_JOBS, VerifyMode::Static));
-            Ok(())
-        },
-    ])?;
-    let ran = "measure runs every body";
-    let (tune, tune_static) = (tune.expect(ran), tune_static.expect(ran));
-    assert_eq!(
-        tune.recovered_pe_cycles, tune_static.recovered_pe_cycles,
-        "static tuner verification diverged from the engine path"
-    );
+    let mut tune = None;
+    let [tune_t] = measure([&mut || {
+        tune = Some(sweep_totals(TIMED_JOBS));
+        Ok(())
+    }])?;
+    let tune = tune.expect("measure runs every body");
     let nets = workloads::all();
     let prove_ctx = ExperimentCtx::parallel("prove", TIMED_JOBS);
     let mut prove_pairs = 0;
@@ -204,7 +191,6 @@ fn history() -> Result<(), i32> {
     }])?;
     let timings = SweepTimings {
         tune_wall_s: tune_t.wall_s,
-        tune_static_wall_s: static_t.wall_s,
         prove_pairs,
         prove_wall_s: prove_t.wall_s,
     };
@@ -415,13 +401,11 @@ fn attribution_totals() -> AttributionTotals {
     }
 }
 
-/// Wall times of the verification sweeps a history entry records
-/// alongside the experiment sweep: the tuner with engine verification,
-/// the tuner with static (symbolic) verification, and the flexproof
-/// all-pairs proof sweep.
+/// Wall times of the sweeps a history entry records alongside the
+/// experiment sweep: the smoke-budget tuner and the flexproof all-pairs
+/// proof sweep.
 struct SweepTimings {
     tune_wall_s: f64,
-    tune_static_wall_s: f64,
     prove_pairs: usize,
     prove_wall_s: f64,
 }
@@ -551,10 +535,6 @@ fn history_entry(
                 Json::Int(tune.workloads_improved as i64),
             ),
             ("tune_wall_s", Json::Float(timings.tune_wall_s)),
-            (
-                "tune_static_wall_s",
-                Json::Float(timings.tune_static_wall_s),
-            ),
             ("prove_pairs", Json::Int(timings.prove_pairs as i64)),
             ("prove_wall_s", Json::Float(timings.prove_wall_s)),
             (
@@ -646,7 +626,6 @@ mod tests {
         };
         let timings = SweepTimings {
             tune_wall_s: 3.5,
-            tune_static_wall_s: 0.25,
             prove_pairs: 24,
             prove_wall_s: 0.75,
         };
@@ -684,9 +663,10 @@ mod tests {
             Some(0.5)
         );
         assert_eq!(
-            json_field(&parsed, "tune_static_wall_s").and_then(json_f64),
-            Some(0.25)
+            json_field(&parsed, "tune_wall_s").and_then(json_f64),
+            Some(3.5)
         );
+        assert_eq!(json_field(&parsed, "tune_static_wall_s"), None);
         assert_eq!(json_field(&parsed, "prove_pairs"), Some(&Json::Int(24)));
         assert_eq!(
             json_field(&parsed, "prove_wall_s").and_then(json_f64),
@@ -728,7 +708,18 @@ mod tests {
             baseline_tune_recovered(new.to_str().unwrap()).unwrap(),
             Some(123)
         );
-        for f in [old, new] {
+        // Lines written while the tuner had a `--static` mode carry a
+        // field no longer written; they still gate.
+        let static_era = dir.join("flexsim_bench_static_era_test.jsonl");
+        std::fs::write(
+            &static_era,
+            "{\"pass_s\": 0.5, \"tune_recovered_pe_cycles\": 77, \"tune_static_wall_s\": 0.1}\n",
+        )
+        .unwrap();
+        let path = static_era.to_str().unwrap();
+        assert_eq!(baseline_pass_s(path).unwrap(), Some(0.5));
+        assert_eq!(baseline_tune_recovered(path).unwrap(), Some(77));
+        for f in [old, new, static_era] {
             let _ = std::fs::remove_file(f);
         }
     }

@@ -77,10 +77,11 @@ the process exits non-zero on any divergence.
 `flexsim tune [WORKLOAD]` searches each CONV layer's legal unrolling
 space for the mapping minimizing lost PE-cycles: candidates are
 enumerated per `--budget`, statically pruned by the flexcheck rules
-before any simulation, scored in parallel with the exact loss-ledger
-cost function, and the winners verified on the cycle-stepped engine.
-Prints the best-mapping table with before/after loss attribution per
-cause; with no workload, tunes all six and writes BENCH_tune.json.
+before any simulation, and scored in parallel with the exact
+loss-ledger cost function; every before/after ledger is checked exact
+(FXC09) and the tuned program by flexcheck. Prints the best-mapping
+table with before/after loss attribution per cause; with no workload,
+tunes all six and writes BENCH_tune.json.
 
 `flexsim stats` runs the Table 1 sweep with host-side telemetry
 enabled and reports where *simulator* wall time goes: per-phase
@@ -134,8 +135,7 @@ tune options:
   --budget B      search budget: `smoke` (power-of-two grid), `full`
                   (exhaustive, the default), or a positive per-layer
                   candidate cap
-  --static        rank candidates symbolically and engine-verify the
-                  winners only (byte-identical to the engine path)
+  --static        accepted and does nothing (the tuner has one path)
 
 bench check options:
   --baseline FILE JSONL file to compare against (default:
@@ -210,8 +210,6 @@ pub enum Command {
         workload: Option<String>,
         /// Search budget (default: full).
         budget: Budget,
-        /// Symbolic baseline, engine-verify winners only.
-        static_verify: bool,
     },
     /// `stats`: the host-telemetry report.
     Stats,
@@ -250,7 +248,8 @@ struct CommandOptions {
     svg: bool,
     mutate: bool,
     budget: Option<Budget>,
-    static_verify: bool,
+    /// `--static`: accepted by `tune` and ignored there.
+    static_flag: bool,
     baseline: Option<String>,
     threshold_pct: Option<u32>,
 }
@@ -264,7 +263,7 @@ impl CommandOptions {
             ("--svg", self.svg, "heatmap"),
             ("--mutate", self.mutate, "prove"),
             ("--budget", self.budget.is_some(), "tune"),
-            ("--static", self.static_verify, "tune"),
+            ("--static", self.static_flag, "tune"),
             ("--baseline", self.baseline.is_some(), "bench check"),
             ("--threshold", self.threshold_pct.is_some(), "bench check"),
         ]
@@ -300,7 +299,7 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Cli, String> {
             "--help" | "-h" => help = true,
             "--metrics" => metrics = true,
             "--no-lint" => no_lint = true,
-            "--static" => opts.static_verify = true,
+            "--static" => opts.static_flag = true,
             "--mutate" => opts.mutate = true,
             "--svg" => opts.svg = true,
             "--arch" => opts.arch = Some(value_of(&mut iter, "--arch", "an architecture name")?),
@@ -385,11 +384,13 @@ fn command(list: bool, words: Vec<String>, opts: &mut CommandOptions) -> Result<
             workload: at_most_one(cmd, rest)?,
             mutate: std::mem::take(&mut opts.mutate),
         },
-        "tune" => Command::Tune {
-            workload: at_most_one(cmd, rest)?,
-            budget: opts.budget.take().unwrap_or(Budget::Full),
-            static_verify: std::mem::take(&mut opts.static_verify),
-        },
+        "tune" => {
+            opts.static_flag = false;
+            Command::Tune {
+                workload: at_most_one(cmd, rest)?,
+                budget: opts.budget.take().unwrap_or(Budget::Full),
+            }
+        }
         "stats" => no_arguments(cmd, &rest, Command::Stats)?,
         "bench" => Command::Bench(match rest.as_slice() {
             [b] if b == "history" => Bench::History,
@@ -506,11 +507,10 @@ mod tests {
         }
     }
 
-    fn tune(w: Option<&str>, budget: Budget, static_verify: bool) -> Command {
+    fn tune(w: Option<&str>, budget: Budget) -> Command {
         Command::Tune {
             workload: w.map(str::to_owned),
             budget,
-            static_verify,
         }
     }
 
@@ -539,15 +539,15 @@ mod tests {
             ),
             (
                 &["--json", "--budget", "smoke", "tune", "pv"],
-                tune(Some("pv"), smoke, false),
+                tune(Some("pv"), smoke),
             ),
             (
                 &["--json", "--budget", "smoke", "--jobs", "4", "tune", "pv"],
-                tune(Some("pv"), smoke, false),
+                tune(Some("pv"), smoke),
             ),
             (
                 &["--json", "--budget", "smoke", "tune", "pv", "--static"],
-                tune(Some("pv"), smoke, true),
+                tune(Some("pv"), smoke),
             ),
             (&["prove"], prove(None, false)),
             (&["--json", "prove"], prove(None, false)),
@@ -563,7 +563,7 @@ mod tests {
             (&["prove", FFNET], prove(Some(FFNET), false)),
             (
                 &["--budget", "smoke", "tune", FFNET],
-                tune(Some(FFNET), smoke, false),
+                tune(Some(FFNET), smoke),
             ),
             (&["run", "/tmp/bad.ffnet"], run("/tmp/bad.ffnet")),
             (&["heatmap", "lenet"], heatmap("lenet", None, false)),
@@ -799,15 +799,12 @@ mod tests {
     fn tune_is_a_subcommand_with_budget() {
         assert_eq!(p(&["tune", "alexnet", "--jobs", "2"]).unwrap().jobs, 2);
         assert_rows(vec![
-            (&["tune"], tune(None, Budget::Full, false)),
+            (&["tune"], tune(None, Budget::Full)),
             (
                 &["tune", "alexnet", "--budget", "smoke", "--jobs", "2"],
-                tune(Some("alexnet"), Budget::Smoke, false),
+                tune(Some("alexnet"), Budget::Smoke),
             ),
-            (
-                &["tune", "--budget", "128"],
-                tune(None, Budget::Cap(128), false),
-            ),
+            (&["tune", "--budget", "128"], tune(None, Budget::Cap(128))),
         ]);
     }
 
@@ -840,10 +837,14 @@ mod tests {
         assert_rows(vec![
             (
                 &["tune", "pv", "--static", "--budget", "smoke"],
-                tune(Some("pv"), Budget::Smoke, true),
+                tune(Some("pv"), Budget::Smoke),
             ),
-            (&["tune"], tune(None, Budget::Full, false)),
+            (&["tune"], tune(None, Budget::Full)),
         ]);
+        assert_rejected(&[(
+            &["prove", "--static"],
+            "--static is an option of `tune` only",
+        )]);
     }
 
     #[test]

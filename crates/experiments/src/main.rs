@@ -25,7 +25,7 @@
 //! regression), 2 on usage, resolution, or I/O errors.
 
 use flexsim_experiments::cli::{self, Cli, Command, USAGE};
-use flexsim_experiments::tune::{self, Budget, VerifyMode};
+use flexsim_experiments::tune::{self, Budget};
 use flexsim_experiments::{
     bench, experiment_ids, find, frontend, heatmap, lint, profile, prove, run_suite, stats,
     sweep_set, ExperimentCtx, ExperimentResult, SuiteConfig,
@@ -196,11 +196,9 @@ fn execute(cli: &Cli) -> Result<Output, String> {
             }
             out
         }
-        Command::Tune {
-            workload,
-            budget,
-            static_verify,
-        } => tune_workloads(&ctx("tune"), workload.as_deref(), *budget, *static_verify)?,
+        Command::Tune { workload, budget } => {
+            tune_workloads(&ctx("tune"), workload.as_deref(), *budget)?
+        }
         Command::Stats => {
             let (result, failures) = stats::run(cli.jobs);
             Output::results(vec![result], i32::from(failures > 0))
@@ -248,15 +246,9 @@ fn tune_workloads(
     ctx: &ExperimentCtx,
     workload: Option<&str>,
     budget: Budget,
-    static_verify: bool,
 ) -> Result<Output, String> {
-    let mode = if static_verify {
-        VerifyMode::Static
-    } else {
-        VerifyMode::Engine
-    };
     let nets = frontend::resolve(workload)?;
-    let outcomes = tune::tune_workloads_with(ctx, &nets, budget, mode);
+    let outcomes = tune::tune_workloads(ctx, &nets, budget);
     if workload.is_none() {
         // Full-sweep runs are the recorded benchmark.
         std::fs::write(

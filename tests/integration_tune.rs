@@ -19,20 +19,51 @@
 //! Plus mutation coverage: corrupting the tuner's emitted table (swap
 //! two layer entries, inflate an unroll factor) must be caught by
 //! flexcheck, and tampering with a claimed cycle count must be caught
-//! by re-verification against the cycle-stepped engine.
+//! against the cycle-stepped engine's recorded ledger.
 
 use flexcheck::ArchParams;
 use flexflow::array::PeArray;
-use flexflow::Compiler;
+use flexflow::{Compiler, FlexFlow};
+use flexsim_arch::Accelerator;
+use flexsim_dataflow::Unroll;
 use flexsim_experiments::tune::{
-    analytic_ledger, bench_json, paper_defaults, recorded_ledger, report, tune_network,
-    tune_workloads, Budget,
+    analytic_ledger, bench_json, paper_defaults, report, tune_network, tune_workloads, Budget,
 };
 use flexsim_experiments::ExperimentCtx;
-use flexsim_model::{reference, workloads, Network};
+use flexsim_model::{reference, workloads, ConvLayer, Network, PoolKind, PoolLayer};
+use flexsim_obs::attrib::LossLedger;
+use flexsim_obs::cycles::{Recorder, SinkHandle};
+use flexsim_obs::metrics;
 use flexsim_testkit::rng::SplitMix64;
+use std::sync::Arc;
 
 const D: usize = 16;
+
+/// The engine oracle: runs `layer` under `u` on the engine with a cycle
+/// recorder attached and returns the recorded ledger, after asserting
+/// it is FXC09-exact and FXC10-equal to [`analytic_ledger`] on every
+/// cause.
+fn recorded_ledger(layer: &ConvLayer, u: Unroll) -> LossLedger {
+    let rec = Arc::new(Recorder::new());
+    let mut engine = FlexFlow::new(D);
+    engine.attach_sink(SinkHandle::new(rec.clone()));
+    let _ = engine.run_conv_with(layer, u);
+    let timelines = rec.take();
+    assert_eq!(timelines.len(), 1, "{}: one timeline per run", layer.name());
+    let ledger = LossLedger::from_timeline(&timelines[0]);
+    let mut diags = flexcheck::check_ledger(&ledger);
+    diags.extend(flexcheck::check_cycle_exactness(
+        &analytic_ledger(layer, u),
+        &ledger,
+    ));
+    assert!(
+        diags.is_empty(),
+        "{}/{u}: {}",
+        layer.name(),
+        flexcheck::render(&diags)
+    );
+    ledger
+}
 
 /// The four small Table 1 workloads: cheap enough for the exhaustive
 /// budget in every test below.
@@ -238,9 +269,32 @@ fn inflated_unroll_factors_are_caught_by_flexcheck() {
 }
 
 #[test]
+fn tuning_simulates_no_layer() {
+    // The tuner scores and reports in closed form: tuning a net whose
+    // layer names nothing else in this binary uses adds no per-layer
+    // simulation series to the global metrics registry.
+    let net = Network::builder("TuneNoSim")
+        .conv(ConvLayer::new("TuneNoSimC1", 6, 1, 28, 5).with_input_size(32))
+        .pool(PoolLayer::new("TuneNoSimP2", PoolKind::Max, 2, 6, 28))
+        .conv(ConvLayer::new("TuneNoSimC3", 16, 6, 10, 5).with_input_size(14))
+        .build();
+    let outcome = tune_network(&ExperimentCtx::serial("tune"), &net, Budget::Smoke);
+    assert_eq!(outcome.layers.len(), 2);
+    let snap = metrics::global().snapshot();
+    for layer in net.conv_layers() {
+        assert_eq!(
+            snap.total("sim_layers", &[("layer", layer.name())]),
+            0,
+            "{}: the tuner simulated a layer",
+            layer.name()
+        );
+    }
+}
+
+#[test]
 fn tampered_cycle_claims_are_caught_by_the_engine() {
     // Mutation 3: a corrupted cycle claim in the emitted table cannot
-    // survive re-verification — the recorded engine ledger is the
+    // survive the engine oracle — the recorded engine ledger is the
     // ground truth the analytic score must reproduce exactly.
     let net = workloads::lenet5();
     let (default, _) = &paper_defaults(&net)[0];
