@@ -67,7 +67,7 @@ pub trait Accelerator: Send {
     /// record for `layer`. Its loss ledger equals the recorded one
     /// (flexcheck FXC10).
     fn predict_layer(&self, layer: &ConvLayer) -> LayerTimeline {
-        let ctx = LayerCtx::new(self.name(), layer.name(), self.pe_count() as u32);
+        let ctx = LayerCtx::for_engine(self.name(), layer.name(), self.pe_count(), 1);
         self.aggregate(layer).timeline(ctx)
     }
 

@@ -39,10 +39,30 @@
 //!   kernel residency epoch) already crossed a bus — as one dense bit
 //!   set per store;
 //! - the operands of one output position in one cycle, shared by the
-//!   cells of its `Tm` output maps; one products buffer, reduced in
-//!   place by [`adder_tree::reduce`]; one accumulator per PE row; the bus
-//!   counters; and one [`StepClaims`] set for the Relax-Alignment check,
-//!   reset per output cell.
+//!   cells of its `Tm` output maps, each with the neuron's place in
+//!   the stores of the current replica class (below); one products buffer,
+//!   sized once per call and reduced in place by
+//!   [`adder_tree::reduce`]; one accumulator per PE row; the bus
+//!   counters; and one [`StepClaims`] set for the Relax-Alignment
+//!   check, checked once per output position, since every map row of
+//!   a position uses the same columns.
+//!
+//! # Replica classes
+//!
+//! The map rows `dm` of one output position are sent the same neurons
+//! in the same order in every map group they are active in, so they
+//! fall into at most two classes whose neuron stores match address for
+//! address: `dm < tm_last`, active in every group, and
+//! `tm_last ≤ dm < min(Tm, m)`, idle in a partial last group
+//! (`tm_last = m − (m groups − 1)·Tm`). The lowest row of a class keeps
+//! the neuron residency slots and looks each neuron up, and the rows
+//! after it in the class take the address it found. Every row writes a
+//! delivered neuron at that address in its own store and reads it
+//! there, operand by operand, so every store sees, and every counter
+//! counts, what a per-row lookup would.
+//! Kernel lookups stay per PE: the map rows of a position take
+//! different synapses, and the `Tr·Tc` copies of one synapse (IPDR)
+//! sit on columns set by each position's residues.
 //!
 //! [`Mapping`] stays the reference for the row and column, checked in
 //! debug builds.
@@ -205,11 +225,7 @@ impl OperandStores<'_> {
         self.broadcast.fill(0);
     }
 
-    /// Lazy operand delivery: the address in PE `pe`'s store of the
-    /// operand keyed to `slot`. A non-resident operand crosses bus
-    /// `bus_index` of `bus` unless the broadcast memory shows that bus
-    /// id `id` already did — a later PE on the bus picks up the same
-    /// broadcast — and is written at the PE's next free address.
+    /// [`OperandStores::place`], writing a delivered operand.
     #[inline]
     fn address(
         &mut self,
@@ -220,22 +236,39 @@ impl OperandStores<'_> {
         bus_index: usize,
         value: impl FnOnce() -> Fx16,
     ) -> usize {
-        match self.slots[slot] {
-            0 => {
-                if insert_bit(self.broadcast, id) {
-                    bus.broadcast(bus_index);
-                }
-                self.deliver(pe, slot, value())
-            }
-            a => usize::from(a - 1),
+        let placed = self.place(pe, slot, id, bus, bus_index, value);
+        if let Some(word) = placed.fresh {
+            self.write(pe, placed.addr, word);
         }
+        placed.addr
     }
 
-    /// Writes `value`, keyed to `slot`, at PE `pe`'s next free address,
-    /// wrapping to 0 and forgetting the store's contents when it is
-    /// full, and returns that address.
+    /// Lazy operand delivery: where PE `pe`'s store holds the operand
+    /// keyed to `slot`. A non-resident operand crosses bus `bus_index`
+    /// of `bus` unless the broadcast memory shows that bus id `id`
+    /// already did — a later PE on the bus picks up the same broadcast
+    /// — and is given the PE's next free address, for the caller to
+    /// write; a full store wraps to address 0 and forgets its contents.
     #[inline]
-    fn deliver(&mut self, pe: usize, slot: usize, value: Fx16) -> usize {
+    fn place(
+        &mut self,
+        pe: usize,
+        slot: usize,
+        id: usize,
+        bus: &mut BusBundle,
+        bus_index: usize,
+        value: impl FnOnce() -> Fx16,
+    ) -> Placed {
+        let resident = self.slots[slot];
+        if resident != 0 {
+            return Placed {
+                addr: usize::from(resident - 1),
+                fresh: None,
+            };
+        }
+        if insert_bit(self.broadcast, id) {
+            bus.broadcast(bus_index);
+        }
         if usize::from(self.next[pe]) == STORE_WORDS {
             self.forget(pe);
         }
@@ -243,8 +276,10 @@ impl OperandStores<'_> {
         self.resident[addr * self.next.len() + pe] = slot as u32;
         self.next[pe] += 1;
         self.slots[slot] = self.next[pe];
-        self.write(pe, addr, value);
-        addr
+        Placed {
+            addr,
+            fresh: Some(value()),
+        }
     }
 
     /// Writes word `addr` of PE `pe`'s store (counted).
@@ -255,13 +290,21 @@ impl OperandStores<'_> {
         self.words[addr * self.next.len() + pe] = value;
     }
 
-    /// Reads word `addr` of PE `pe`'s store (counted).
+    /// Word `addr` of PE `pe`'s store. The caller counts the read in
+    /// `reads`.
     #[inline]
-    fn read(&mut self, pe: usize, addr: usize) -> Fx16 {
+    fn word(&self, pe: usize, addr: usize) -> Fx16 {
         check_address(addr, STORE_WORDS);
-        self.reads += 1;
         self.words[addr * self.next.len() + pe]
     }
+}
+
+/// Where a PE's store holds an operand: its address, and the operand's
+/// word when the lookup has just delivered it, still to be written.
+#[derive(Clone, Copy, Debug, Default)]
+struct Placed {
+    addr: usize,
+    fresh: Option<Fx16>,
 }
 
 /// One operand of an output position in one cycle: input neuron
@@ -279,6 +322,8 @@ struct Operand {
     neuron: usize,
     /// The synapse's kernel-store key within its PE.
     key: usize,
+    /// Where the rows of the current replica class hold the neuron.
+    neuron_at: Placed,
 }
 
 /// The `D×D` PE array.
@@ -422,6 +467,10 @@ impl PeArray {
         fabric.horizontal.reset();
         accs.clear();
         accs.resize(rows, Acc32::ZERO);
+        refill(products, u.tn * u.ti * u.tj, Acc32::ZERO);
+        // Map rows `0..tm_last` and `tm_last..` of a position are the two
+        // replica classes (module docs).
+        let tm_last = m - (m_groups - 1) * u.tm;
 
         let mut out = Tensor3::zeros(m, s, s);
         let mut cycles = 0u64;
@@ -462,8 +511,10 @@ impl PeArray {
                                     for dc in 0..tc_eff {
                                         let c = c0 + dc;
                                         // The operands of output position
-                                        // (r, c), shared by its map rows.
+                                        // (r, c), shared by its map rows,
+                                        // which use the same columns.
                                         operands.clear();
+                                        claims.next_step();
                                         for dn in 0..tn_eff {
                                             let inm = n0 + dn;
                                             for di in 0..ti_eff {
@@ -481,6 +532,10 @@ impl PeArray {
                                                             inm, r, c, i, j, stride, dilation,
                                                         )
                                                     );
+                                                    // RA property: one column
+                                                    // per operand (flexcheck
+                                                    // FXC02).
+                                                    claims.claim(col);
                                                     operands.push(Operand {
                                                         inm,
                                                         i,
@@ -490,29 +545,41 @@ impl PeArray {
                                                         col,
                                                         neuron: (inm * span + ir - ir0) * s_in + ic,
                                                         key: key0 + di * k + dj,
+                                                        neuron_at: Placed::default(),
                                                     });
                                                 }
                                             }
                                         }
+                                        let gathered = &mut products[..operands.len()];
                                         for dm in 0..tm_eff {
                                             let om = m0 + dm;
+                                            // The lowest row of a replica class
+                                            // looks the neurons up; the rows
+                                            // after it take its addresses.
+                                            let lead = dm == 0 || dm == tm_last;
                                             let row = (dm * u.tr + dr) * u.tc + dc;
                                             debug_assert_eq!(row, mapping.output_row(om, r, c));
-                                            products.clear();
-                                            claims.next_step();
-                                            for op in operands.iter() {
-                                                // RA property: one column per
-                                                // operand (flexcheck FXC02).
-                                                claims.claim(op.col);
+                                            for (product, op) in
+                                                gathered.iter_mut().zip(operands.iter_mut())
+                                            {
                                                 let pe = row * cols + op.col;
-                                                let naddr = neuron_stores.address(
-                                                    pe,
-                                                    op.neuron * rows + row,
-                                                    op.neuron,
-                                                    &mut fabric.vertical,
-                                                    op.col,
-                                                    || input[(op.inm, op.ir, op.ic)],
-                                                );
+                                                if lead {
+                                                    op.neuron_at = neuron_stores.place(
+                                                        pe,
+                                                        op.neuron * rows + row,
+                                                        op.neuron,
+                                                        &mut fabric.vertical,
+                                                        op.col,
+                                                        || input[(op.inm, op.ir, op.ic)],
+                                                    );
+                                                }
+                                                // A delivered neuron lands in
+                                                // the row's own store at its
+                                                // class's address.
+                                                let placed = op.neuron_at;
+                                                if let Some(word) = placed.fresh {
+                                                    neuron_stores.write(pe, placed.addr, word);
+                                                }
                                                 // IPDR replica.
                                                 let kaddr = kernel_stores.address(
                                                     pe,
@@ -522,12 +589,18 @@ impl PeArray {
                                                     row,
                                                     || kernels[(om, op.inm, op.i, op.j)],
                                                 );
-                                                let x = neuron_stores.read(pe, naddr);
-                                                let w = kernel_stores.read(pe, kaddr);
-                                                products.push(x.widening_mul(w));
-                                                macs += 1;
+                                                let x = neuron_stores.word(pe, placed.addr);
+                                                let w = kernel_stores.word(pe, kaddr);
+                                                *product = x.widening_mul(w);
                                             }
-                                            let red = adder_tree::reduce(products);
+                                            // Every row reads both operands
+                                            // of each MAC from its own
+                                            // stores.
+                                            let reads = gathered.len() as u64;
+                                            neuron_stores.reads += reads;
+                                            kernel_stores.reads += reads;
+                                            macs += reads;
+                                            let red = adder_tree::reduce(gathered);
                                             tree_adds += red.adds;
                                             accs[row] = accs[row].saturating_add(red.sum);
                                             tree_adds += 1; // row accumulator add
@@ -577,6 +650,8 @@ mod tests {
     use super::*;
     use flexsim_dataflow::search;
     use flexsim_model::{reference, workloads};
+    use flexsim_testkit::prop::{self, filter};
+    use flexsim_testkit::prop_assert_eq;
 
     fn check_layer(layer: &ConvLayer, u: Unroll, d: usize, seed: u64) -> FunctionalReport {
         let (input, kernels) = reference::random_layer_data(layer, seed);
@@ -770,14 +845,130 @@ mod tests {
                 13,
                 [264, 256, 11760, 570, 240, 110, 96, 23520, 5496, 11760],
             ),
+            (
+                // 3 maps under Tm = 2: row 1 of each position idles in
+                // the last map group while 4 maps × 3 rows × 12 columns
+                // = 144 neurons wrap each PE's store, so its store drifts
+                // from row 0's.
+                "neuron store wrap, partial last map group",
+                ConvLayer::new("C", 3, 4, 10, 3),
+                Unroll::new(2, 1, 1, 1, 1, 1),
+                4,
+                5,
+                [7208, 7200, 10800, 1440, 108, 1440, 72, 21600, 3538, 10800],
+            ),
+            (
+                // The same with Tr = 2 and 8 input maps: 2 map groups ×
+                // 72 chunks > 128 store words as well.
+                "kernel store overflow, neuron store wrap, partial last map group",
+                ConvLayer::new("C", 3, 8, 9, 3),
+                Unroll::new(2, 1, 2, 1, 1, 1),
+                4,
+                5,
+                [
+                    6488, 6480, 17496, 1672, 9720, 1672, 6480, 34992, 24102, 17496,
+                ],
+            ),
         ];
         for (regime, layer, u, d, seed, want) in cases {
             let sch = schedule_default(&layer, u, d);
             let persist = sch.m_groups * sch.chunks <= STORE_WORDS as u64;
-            assert_eq!(persist, regime != "kernel store overflow", "{regime}");
+            assert_eq!(
+                persist,
+                !regime.starts_with("kernel store overflow"),
+                "{regime}"
+            );
             let report = check_layer(&layer, u, d, seed);
             assert_eq!(counters(&report), want, "{regime}");
         }
+    }
+
+    /// The most distinct neurons one PE of the first output position
+    /// sees in the first row stripe: more than [`STORE_WORDS`] means
+    /// its neuron store wraps.
+    fn first_stripe_pe_neurons(layer: &ConvLayer, u: Unroll) -> usize {
+        let mut seen = vec![std::collections::BTreeSet::new(); u.cols_used()];
+        for c in (0..layer.s()).step_by(u.tc) {
+            for inm in 0..layer.n() {
+                for i in 0..layer.k() {
+                    let ir = i * layer.dilation();
+                    for j in 0..layer.k() {
+                        let ic = c * layer.stride() + j * layer.dilation();
+                        let col = ((inm % u.tn) * u.ti + ir % u.ti) * u.tj + ic % u.tj;
+                        seen[col].insert((inm, ir, ic));
+                    }
+                }
+            }
+        }
+        seen.iter()
+            .map(std::collections::BTreeSet::len)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// `(m, n, s, k, stride)` and `(Tm, Tn, Tr, Tc, Ti, Tj)` of a layer
+    /// at d = 4.
+    type WrapParams = (
+        (usize, usize, usize, usize, usize),
+        (usize, usize, usize, usize, usize, usize),
+    );
+
+    fn wrap_case(
+        ((m, n, s, k, stride), (tm, tn, tr, tc, ti, tj)): WrapParams,
+    ) -> (ConvLayer, Unroll) {
+        let layer =
+            ConvLayer::new(format!("C{m}x{n}x{s}x{k}s{stride}"), m, n, s, k).with_stride(stride);
+        (layer, Unroll::new(tm, tn, tr, tc, ti, tj))
+    }
+
+    #[test]
+    fn map_rows_idle_in_a_partial_last_group_keep_their_own_stores() {
+        // Random layers at d = 4 whose neuron store wraps and whose last
+        // map group is partial (m mod Tm ≠ 0): the rows idle in that
+        // group see fewer neurons than the rows below them, so the two
+        // kinds of row hold different words at the same address.
+        let strategy = filter(
+            (
+                (2usize..=7, 1usize..=8, 3usize..=10, 1usize..=4, 1usize..=2),
+                (
+                    2usize..=4,
+                    1usize..=2,
+                    1usize..=2,
+                    1usize..=2,
+                    1usize..=2,
+                    1usize..=2,
+                ),
+            ),
+            |&params| {
+                let (layer, u) = wrap_case(params);
+                u.rows_used() <= 4
+                    && u.cols_used() <= 4
+                    && u.tm <= layer.m()
+                    && layer.m() % u.tm != 0
+                    && u.tn <= layer.n()
+                    && u.tr.max(u.tc) <= layer.s()
+                    && u.ti.max(u.tj) <= layer.k()
+                    && first_stripe_pe_neurons(&layer, u) > STORE_WORDS
+            },
+        );
+        prop::check(
+            "map_rows_idle_in_a_partial_last_group_keep_their_own_stores",
+            24,
+            (strategy, 0u64..=9_999),
+            |&(params, seed)| {
+                let (layer, u) = wrap_case(params);
+                let (input, kernels) = reference::random_layer_data(&layer, seed);
+                let report = PeArray::new(4).run_layer(&layer, u, &input, &kernels);
+                prop_assert_eq!(
+                    report.output,
+                    reference::conv(&layer, &input, &kernels),
+                    "{} under {u}",
+                    layer.name()
+                );
+                prop_assert_eq!(report.store_reads, 2 * report.macs, "{}", layer.name());
+                Ok(())
+            },
+        );
     }
 
     #[test]
@@ -808,10 +999,10 @@ mod tests {
             "resident: no second delivery"
         );
         assert_eq!(stores.writes, STORE_WORDS as u64);
-        assert_eq!(stores.read(0, 5), Fx16::from_raw(5));
+        assert_eq!(stores.word(0, 5), Fx16::from_raw(5));
         // The 129th delivery wraps to address 0 and forgets the rest.
         assert_eq!(deliver(&mut stores, &mut bus, 150), 0);
-        assert_eq!(stores.read(0, 0), Fx16::from_raw(150));
+        assert_eq!(stores.word(0, 0), Fx16::from_raw(150));
         assert_eq!(stores.slots[150], 1);
         assert!(stores.slots[..STORE_WORDS].iter().all(|&a| a == 0));
         // A forgotten operand is delivered again without a second

@@ -151,10 +151,11 @@ impl FlexFlow {
     /// the closed-form [`analytic::aggregate`] of the layer's schedule.
     pub fn predict_with(&self, layer: &ConvLayer, unroll: Unroll) -> LayerTimeline {
         let sch = schedule_default(layer, unroll, self.d);
-        analytic::aggregate(&sch).timeline(LayerCtx::new(
+        analytic::aggregate(&sch).timeline(LayerCtx::for_engine(
             self.name(),
             layer.name(),
-            self.pe_count() as u32,
+            self.d,
+            self.d,
         ))
     }
 
@@ -384,6 +385,14 @@ mod tests {
     use super::*;
     use crate::compiler::Compiler;
     use flexsim_model::{reference, workloads};
+
+    #[test]
+    #[should_panic(expected = "FlexFlow/C: a 65536×65536 engine has more PEs than a u32 counts")]
+    fn a_pe_count_past_u32_fails_loudly() {
+        // 2³² PEs; the old `as u32` truncated the count to 0.
+        let layer = ConvLayer::new("C", 1, 1, 1, 1);
+        FlexFlow::new(1 << 16).predict_with(&layer, Unroll::scalar());
+    }
 
     #[test]
     fn paper_area_reproduced() {

@@ -48,6 +48,22 @@ impl LayerCtx {
             experiment: String::new(),
         }
     }
+
+    /// A context for an engine of `rows × cols` PEs.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the architecture, the layer and the geometry, when
+    /// the engine has more PEs than the `u32` PE count holds.
+    pub fn for_engine(arch: &str, layer: &str, rows: usize, cols: usize) -> LayerCtx {
+        let pes = rows
+            .checked_mul(cols)
+            .and_then(|pes| u32::try_from(pes).ok())
+            .unwrap_or_else(|| {
+                panic!("{arch}/{layer}: a {rows}×{cols} engine has more PEs than a u32 counts")
+            });
+        LayerCtx::new(arch, layer, pes)
+    }
 }
 
 /// What a cycle-domain event represents. Both variants carry the

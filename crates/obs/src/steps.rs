@@ -132,9 +132,8 @@ pub fn fold(
         "{}/{}: the runs expand to a different step count than the frame's",
         frame.arch, frame.layer
     );
-    let pes = u32::try_from(frame.rows * frame.cols).unwrap_or(u32::MAX);
     let timeline = LayerTimeline {
-        ctx: LayerCtx::new(frame.arch, frame.layer, pes),
+        ctx: LayerCtx::for_engine(frame.arch, frame.layer, frame.rows, frame.cols),
         events: co.finish(),
     };
     debug_assert_eq!(
@@ -224,6 +223,20 @@ mod tests {
         for cause in StallCause::ALL {
             assert_eq!(sp.lost_total(cause), ledger.lost(cause), "{cause:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "A/L: a 65536×65536 engine has more PEs than a u32 counts")]
+    fn a_pe_count_past_u32_fails_loudly() {
+        // 2³² PEs: the old conversion saturated to u32::MAX. A
+        // cycle-only recorder keeps nothing of size rows·cols.
+        let rec = Arc::new(Recorder::new());
+        let frame = LayerFrame {
+            rows: 1 << 16,
+            cols: 1 << 16,
+            ..frame()
+        };
+        fold(&SinkHandle::new(rec), &frame, steps(), |_| {});
     }
 
     #[test]
