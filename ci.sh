@@ -149,6 +149,11 @@ if "$FLEXSIM" lint no-such-workload > /dev/null 2>&1; then
 fi
 "$FLEXSIM" prove "$FFNET" > /dev/null
 "$FLEXSIM" --budget smoke tune "$FFNET" > /dev/null
+# The dilated, strided net too: lint exits 1 on any Error, and tune
+# panics unless the tuned program stays flexcheck-clean.
+DILATED="$(pwd)/examples/dilated.ffnet"
+"$FLEXSIM" lint "$DILATED" > /dev/null
+"$FLEXSIM" --budget smoke tune "$DILATED" > /dev/null
 printf '{"name":"bad","input":{"maps":1,"size":4},"nodes":[{"id":"c","op":"conv","m":2,"kernel":3}]}' \
     > "$TMP/bad.ffnet"
 if "$FLEXSIM" run "$TMP/bad.ffnet" > "$TMP/bad_run.txt" 2>&1; then

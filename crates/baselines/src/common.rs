@@ -1,4 +1,6 @@
-//! Shared plumbing for the baseline simulators.
+//! Shared plumbing for the baseline simulators: their `run_conv` tail.
+//! Their step schedules walk their tile grids with
+//! [`flexsim_dataflow::loopnest::grid`], as FlexFlow's does.
 
 use flexsim_arch::accelerator::price_layer;
 use flexsim_arch::buffer::sample_buffers;
@@ -13,40 +15,6 @@ use flexsim_obs::telemetry;
 #[inline]
 pub(crate) fn cdiv(a: usize, b: usize) -> usize {
     a.div_ceil(b)
-}
-
-/// The tile classes of one axis of extent `x` stepped by `t`: the full
-/// tiles, then the clamped last one, as `(extent, tiles)`.
-fn classes(x: usize, t: usize) -> impl Iterator<Item = (usize, u64)> + Clone {
-    [
-        (t, (x / t) as u64),
-        (x % t, u64::from(!x.is_multiple_of(t))),
-    ]
-    .into_iter()
-    .filter(|&(_, tiles)| tiles > 0)
-}
-
-/// A row-major walk over an `outer × inner` tile grid, each axis
-/// `(extent, tile)` with its last tile clamped: the tile count, and the
-/// maximal runs `((outer extent, inner extent), tiles)` of equal tiles.
-/// The runs cost O(outer tiles) only where the inner axis is ragged and
-/// every row therefore ends in a tile of its own.
-pub(crate) fn grid(
-    (x, tx): (usize, usize),
-    (y, ty): (usize, usize),
-) -> (u64, impl Iterator<Item = ((usize, usize), u64)>) {
-    let cols = classes(y, ty);
-    let ragged = cols.clone().count() > 1;
-    let runs = classes(x, tx).flat_map(move |(row, rows)| {
-        // Rows of one inner class merge; ragged rows repeat their classes.
-        let (repeats, merged) = if ragged { (rows, 1) } else { (1, rows) };
-        let cols = cols.clone();
-        (0..repeats).flat_map(move |_| {
-            cols.clone()
-                .map(move |(col, tiles)| ((row, col), tiles * merged))
-        })
-    });
-    ((cdiv(x, tx) * cdiv(y, ty)) as u64, runs)
 }
 
 /// The `run_conv` of every baseline. The layer's cycles and MACs are
@@ -87,7 +55,6 @@ pub(crate) fn run_conv<A: Accelerator>(
 
 #[cfg(test)]
 mod tests {
-    use super::{cdiv, grid};
     use crate::{Mapping2d, Systolic, TilingArray};
     use flexsim_arch::Accelerator;
     use flexsim_obs::attrib::{LossLedger, StallCause};
@@ -128,37 +95,6 @@ mod tests {
                         lr.utilization()
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn grid_runs_expand_to_the_row_major_tile_walk() {
-        for (x, tx, y, ty) in (1..=9).flat_map(|x| {
-            (1..=4).flat_map(move |tx| {
-                (1..=9).flat_map(move |y| (1..=4).map(move |ty| (x, tx, y, ty)))
-            })
-        }) {
-            let cols = cdiv(y, ty);
-            let walk: Vec<_> = (0..cdiv(x, tx) * cols)
-                .map(|t| (tx.min(x - t / cols * tx), ty.min(y - t % cols * ty)))
-                .collect();
-            let (steps, runs) = grid((x, tx), (y, ty));
-            let runs: Vec<_> = runs.collect();
-            let tag = format!("{x}/{tx} x {y}/{ty}");
-            assert_eq!(steps, walk.len() as u64, "{tag}");
-            assert!(
-                runs.windows(2).all(|w| w[0].0 != w[1].0),
-                "{tag}: not maximal"
-            );
-            let expanded: Vec<_> = runs
-                .iter()
-                .flat_map(|&(tile, n)| std::iter::repeat_n(tile, n as usize))
-                .collect();
-            assert_eq!(expanded, walk, "{tag}");
-            if ty == 1 {
-                // Systolic's (m-group, input map) walk: at most 2 runs.
-                assert!(runs.len() <= 2, "{tag}");
             }
         }
     }

@@ -17,6 +17,7 @@ use crate::common::{self, cdiv};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
 use flexsim_arch::Accelerator;
+use flexsim_dataflow::loopnest::grid;
 use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
 use flexsim_model::{Acc32, ConvLayer, Tensor2, Tensor3};
@@ -215,24 +216,18 @@ impl Mapping2d {
     /// describes.
     fn analyze(&self, layer: &ConvLayer) -> (EventCounts, Traffic) {
         let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
-        let row_tiles = cdiv(s, self.tr);
-        let col_tiles = cdiv(s, self.tc);
+        let (tiles, runs) = grid([(s, self.tr), (s, self.tc)]);
         // One synapse broadcast per compute cycle: K² per (m, tile, n).
-        let broadcasts = (m * n * k * k * row_tiles * col_tiles) as u64;
+        let broadcasts = (m * n * k * k) as u64 * tiles;
         let macs = layer.macs();
 
         // Traffic: each tile reads its haloed input region once per
         // (m, n) — the paper's "input feature maps are still needed to be
         // read multiple times corresponding to different output feature
         // maps". Kernels are broadcast one synapse per compute cycle.
-        let mut halo_words = 0u64;
-        for rt in 0..row_tiles {
-            for ct in 0..col_tiles {
-                let tr = self.tr.min(s - rt * self.tr);
-                let tc = self.tc.min(s - ct * self.tc);
-                halo_words += ((tr + k - 1) * (tc + k - 1)) as u64;
-            }
-        }
+        let halo_words: u64 = runs
+            .map(|([tr, tc], n)| n * ((tr + k - 1) * (tc + k - 1)) as u64)
+            .sum();
         let neuron_in = (m * n) as u64 * halo_words;
         // One synapse is read from the kernel buffer and broadcast every
         // compute cycle; tiles re-read the same synapses.
@@ -280,8 +275,8 @@ impl Mapping2d {
     pub fn steps(&self, layer: &ConvLayer) -> (u64, impl Iterator<Item = (Step, u64)>) {
         let (s, tc) = (layer.s(), self.tc);
         let pass = (layer.m() * layer.n() * layer.k() * layer.k()) as u64;
-        let (steps, runs) = common::grid((s, self.tr), (s, tc));
-        let runs = runs.map(move |((tr_eff, tc_eff), count)| {
+        let (steps, runs) = grid([(s, self.tr), (s, tc)]);
+        let runs = runs.map(move |([tr_eff, tc_eff], count)| {
             let step = Step::new(Pass {
                 cause: StallCause::EdgeFragmentation,
                 cycles: pass,

@@ -20,6 +20,7 @@ use crate::common::{self, cdiv};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
 use flexsim_arch::Accelerator;
+use flexsim_dataflow::loopnest::grid;
 use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
 use flexsim_model::{Acc32, ConvLayer, Fx16, Tensor2, Tensor3};
@@ -224,8 +225,8 @@ impl Systolic {
         let (pk, depth) = self.passes_and_depth(layer);
         let bubble = pk * depth;
         let footprint = CellRect::full(k.min(ak), k.min(ak));
-        let (steps, runs) = common::grid((layer.m(), num_arrays), (layer.n(), 1));
-        let runs = runs.map(move |((arrays, _), count)| {
+        let (steps, runs) = grid([(layer.m(), num_arrays), (layer.n(), 1)]);
+        let runs = runs.map(move |([arrays, _], count)| {
             let cause = if arrays < num_arrays {
                 StallCause::EdgeFragmentation
             } else {

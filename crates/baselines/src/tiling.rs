@@ -16,6 +16,7 @@ use crate::common::{self, cdiv};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
 use flexsim_arch::Accelerator;
+use flexsim_dataflow::loopnest::grid;
 use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
 use flexsim_model::{Acc32, ConvLayer, Tensor3};
@@ -178,8 +179,8 @@ impl TilingArray {
     /// `Tm_eff·(Tn−Tn_eff)` per cycle), documented in DESIGN.md §9.
     pub fn steps(&self, layer: &ConvLayer) -> (u64, impl Iterator<Item = (Step, u64)> + '_) {
         let pass = (layer.s() * layer.s() * layer.k() * layer.k()) as u64;
-        let (steps, runs) = common::grid((layer.m(), self.tm), (layer.n(), self.tn));
-        let runs = runs.map(move |((tm_eff, tn_eff), count)| {
+        let (steps, runs) = grid([(layer.m(), self.tm), (layer.n(), self.tn)]);
+        let runs = runs.map(move |([tm_eff, tn_eff], count)| {
             let step = Step::new(Pass {
                 cause: self.residue_cause(tm_eff, tn_eff),
                 cycles: pass,

@@ -22,6 +22,7 @@
 
 use crate::local_store::STORE_WORDS;
 use flexsim_arch::stats::Traffic;
+use flexsim_dataflow::loopnest::grid;
 use flexsim_dataflow::utilization::ceil_div;
 use flexsim_dataflow::Unroll;
 use flexsim_model::ConvLayer;
@@ -128,12 +129,11 @@ pub fn schedule(layer: &ConvLayer, u: Unroll, d: usize, store_words: usize) -> S
     // across the full input width (loaded progressively along the
     // column-tile walk; RS preloading hides the latency, the words still
     // cross the vertical buses once).
-    let mut stripe_words = 0u64;
-    for st in 0..stripes as usize {
-        let tr_eff = u.tr.min(s - st * u.tr);
-        let rows_in = (tr_eff - 1) * stride + k;
-        stripe_words += (rows_in * s_in) as u64;
-    }
+    let stripe_words: u64 = grid([(s, u.tr)])
+        .1
+        .map(|([tr_eff], n)| n * ((tr_eff - 1) * stride + k) as u64)
+        .sum::<u64>()
+        * s_in as u64;
     let neuron_in_once = n as u64 * stripe_words;
 
     // Kernel residency: per-PE slice per map group is `chunks` words.
@@ -235,23 +235,15 @@ pub fn schedule_default(layer: &ConvLayer, u: Unroll, d: usize) -> Schedule {
 }
 
 /// The engine's step schedule as maximal runs `(step, count)` of equal
-/// row-batches, in batch order: each batch's pass is `chunks` cycles on
-/// the `Ur × Uc` active rectangle, plus the one-off pipeline fill on the
-/// first batch and each batch's partial-sum spill stalls.
+/// row-batches, in the order [`crate::array::PeArray::run_layer`]
+/// computes them: row stripes outer, column tiles, then output-map
+/// groups. Each batch's pass is `chunks` cycles on the `Ur × Uc` active
+/// rectangle and carries its own tile's `tr·tc·tm·N·K²` MACs, plus the
+/// one-off pipeline fill on the first batch and each batch's partial-sum
+/// spill stalls.
 ///
-/// A batch's MACs are those of the next `chunks` tiles of the Fig. 4
-/// walk in its `(m, n, r, c, i, j)` order ([`TileIter`]), i.e. the next
-/// `⌈N/Tn⌉` positions of its `(m, n, r, c)` tile counter, each over the
-/// full `K×K` window. That is not the engine's own `(r, c, m)` batch:
-/// where tiles are clamped the MACs land in other batches (on LeNet-5
-/// C1, 56 of 336 steps differ), while every layer total, and so every
-/// ledger and heatmap, agrees. The reports are pinned to these numbers.
-///
-/// Each batch costs O(1) as a difference of two closed-form prefix sums,
-/// and the walk jumps over every stretch where both of a batch's window
-/// ends advance through tiles of one shape, so a layer costs
-/// O(runs + clamped-tile boundaries), nothing per compute cycle. No
-/// batch is computed before the first run is asked for.
+/// The batches are the runs of [`grid`] over `(S, Tr) × (S, Tc) ×
+/// (M, Tm)`, so a layer costs O(runs), nothing per compute cycle.
 ///
 /// Loss attribution: the fill is [`StallCause::PipelineFill`] (operand
 /// preload + adder-tree depth before the first writeback); segment
@@ -261,181 +253,37 @@ pub fn schedule_default(layer: &ConvLayer, u: Unroll, d: usize) -> Schedule {
 /// [`StallCause::MappingResidueIdle`]. Adder-tree row-port conflicts
 /// are statically excluded by flexcheck FXC03, so that bucket is
 /// structurally zero here.
-///
-/// [`TileIter`]: flexsim_dataflow::TileIter
 pub fn steps<'a>(
     layer: &'a ConvLayer,
     sch: &'a Schedule,
 ) -> impl Iterator<Item = (Step, u64)> + 'a {
-    let rects = CellRect::full(sch.unroll.rows_used(), sch.unroll.cols_used()).into();
+    let u = sch.unroll;
+    let rects = CellRect::full(u.rows_used(), u.cols_used()).into();
     let spill = (sch.segments - 1) * SEGMENT_STALL_CYCLES;
-    let batches = BatchRuns::new(layer, sch.unroll);
-    maximal(batches.flat_map(move |(first, macs, count)| {
-        let step = Step::new(Pass {
-            cause: StallCause::MappingResidueIdle,
-            cycles: sch.chunks,
-            macs,
-            rects,
-        })
-        .stall(StallCause::PsumSpillRoundTrip, spill);
-        let fill = u64::from(first == 0);
-        [
-            (
-                step.stall(StallCause::PipelineFill, PIPELINE_FILL_CYCLES),
-                fill,
-            ),
-            (step, count - fill),
-        ]
-    }))
-}
-
-/// One loop of the tile walk: extent `x` stepped by `t` in `g` tiles.
-#[derive(Clone, Copy, Debug)]
-struct Axis {
-    x: u64,
-    t: u64,
-    g: u64,
-}
-
-impl Axis {
-    fn new(x: usize, t: usize) -> Axis {
-        Axis {
-            x: x as u64,
-            t: t as u64,
-            g: x.div_ceil(t) as u64,
-        }
-    }
-
-    /// The clamped extent of tile `i` (0 past the last tile).
-    fn eff(self, i: u64) -> u64 {
-        self.t.min(self.x.saturating_sub(i * self.t))
-    }
-
-    /// Σ of the clamped extents of tiles `0..i`.
-    fn pre(self, i: u64) -> u64 {
-        (i * self.t).min(self.x)
-    }
-
-    /// Whether the last tile is clamped, so not every tile has one shape.
-    fn ragged(self) -> bool {
-        self.g > 1 && !self.x.is_multiple_of(self.t)
-    }
-}
-
-/// FlexFlow's row-batches as segments `(first batch, MACs per batch,
-/// batches)` of equal MACs; [`steps`] merges them into maximal runs.
-///
-/// The `(m, n, r, c)` tile counter splits into `⌈M/Tm⌉` blocks of
-/// `Ng·L` positions (`Ng = ⌈N/Tn⌉`, `L = ⌈S/Tr⌉·⌈S/Tc⌉`), and a batch
-/// takes `Ng` of them, so each block is `L` batches. Within a block, at
-/// flat position `x = n·L + r·⌈S/Tc⌉ + c`, the prefix sum of
-/// `tn·tr·tc` is [`BatchRuns::prefix`] and its slope `tn·tr·tc` changes
-/// only at clamped tiles; batch `j` carries
-/// `K²·tm·(prefix((j+1)·Ng) − prefix(j·Ng))` MACs.
-#[derive(Clone, Debug)]
-struct BatchRuns {
-    m: Axis,
-    n: Axis,
-    r: Axis,
-    c: Axis,
-    k2: u64,
-    /// Batches per block (`L`).
-    per_block: u64,
-    /// Current block and batch within it.
-    block: u64,
-    batch: u64,
-}
-
-impl BatchRuns {
-    fn new(layer: &ConvLayer, u: Unroll) -> BatchRuns {
-        let (r, c) = (Axis::new(layer.s(), u.tr), Axis::new(layer.s(), u.tc));
-        BatchRuns {
-            m: Axis::new(layer.m(), u.tm),
-            n: Axis::new(layer.n(), u.tn),
-            r,
-            c,
-            k2: (layer.k() * layer.k()) as u64,
-            per_block: r.g * c.g,
-            block: 0,
-            batch: 0,
-        }
-    }
-
-    /// Splits a block position into its `(n, r, c)` tile indices.
-    fn split(&self, x: u64) -> (u64, u64, u64) {
-        let p = x % self.per_block;
-        (x / self.per_block, p / self.c.g, p % self.c.g)
-    }
-
-    /// Σ `tn·tr·tc` over the block positions before `x`.
-    fn prefix(&self, x: u64) -> u64 {
-        let (n, r, c) = self.split(x);
-        self.n.pre(n) * self.r.x * self.c.x
-            + self.n.eff(n) * (self.r.pre(r) * self.c.x + self.r.eff(r) * self.c.pre(c))
-    }
-
-    /// The tile shape `tn·tr·tc` at block position `x` (0 at the end).
-    fn slope(&self, x: u64) -> u64 {
-        let (n, r, c) = self.split(x);
-        self.n.eff(n) * self.r.eff(r) * self.c.eff(c)
-    }
-
-    /// The first block position after `x` where the slope may change:
-    /// entering or leaving a clamped last tile of `c` or `r`, entering
-    /// the clamped last `n` tile, or the end of the block.
-    fn slope_end(&self, x: u64) -> u64 {
-        let (n, _, c) = self.split(x);
-        let mut end = self.n.g * self.per_block;
-        if self.c.ragged() {
-            let last = x - c + self.c.g - 1;
-            end = end.min(if x < last { last } else { last + 1 });
-        }
-        if self.r.ragged() {
-            let last = n * self.per_block + (self.r.g - 1) * self.c.g;
-            end = end.min(if x < last {
-                last
-            } else {
-                (n + 1) * self.per_block
-            });
-        }
-        if self.n.ragged() && n + 1 < self.n.g {
-            end = end.min((self.n.g - 1) * self.per_block);
-        }
-        end
-    }
-}
-
-impl Iterator for BatchRuns {
-    type Item = (u64, u64, u64);
-
-    fn next(&mut self) -> Option<(u64, u64, u64)> {
-        if self.block == self.m.g {
-            return None;
-        }
-        let ng = self.n.g;
-        let (x, y) = (self.batch * ng, (self.batch + 1) * ng);
-        let per_batch = self.prefix(y) - self.prefix(x);
-        // While both window ends stay on one slope, and the slopes are
-        // equal, every further batch carries the same sum.
-        let mut count = 1;
-        if y < ng * self.per_block && self.slope(x) == self.slope(y) {
-            count += ((self.slope_end(x) - x) / ng).min((self.slope_end(y) - y) / ng);
-        }
-        let first = self.block * self.per_block + self.batch;
-        let macs = self.k2 * self.m.eff(self.block) * per_batch;
-        self.batch += count;
-        if self.batch == self.per_block {
-            // A block that is one segment repeats in every full block.
-            let full = self.m.x / self.m.t;
-            if count == self.per_block && self.block < full {
-                count += (full - 1 - self.block) * self.per_block;
-                self.block = full - 1;
-            }
-            self.block += 1;
-            self.batch = 0;
-        }
-        Some((first, macs, count))
-    }
+    let nk2 = (layer.n() * layer.k() * layer.k()) as u64;
+    let (s, m) = (layer.s(), layer.m());
+    let (_, batches) = grid([(s, u.tr), (s, u.tc), (m, u.tm)]);
+    maximal(
+        batches
+            .enumerate()
+            .flat_map(move |(run, ([tr, tc, tm], count))| {
+                let step = Step::new(Pass {
+                    cause: StallCause::MappingResidueIdle,
+                    cycles: sch.chunks,
+                    macs: (tr * tc * tm) as u64 * nk2,
+                    rects,
+                })
+                .stall(StallCause::PsumSpillRoundTrip, spill);
+                let fill = u64::from(run == 0);
+                [
+                    (
+                        step.stall(StallCause::PipelineFill, PIPELINE_FILL_CYCLES),
+                        fill,
+                    ),
+                    (step, count - fill),
+                ]
+            }),
+    )
 }
 
 /// The closed-form [`Aggregate`] of [`steps`]: the fill, one compute

@@ -10,7 +10,9 @@
 //!
 //! The simulator asserts the Relax-Alignment property as it runs: within
 //! one cycle, the operands of every active row land on *distinct* PE
-//! columns (no bus or store port conflict).
+//! columns (no bus or store port conflict). An unrolling whose `Ti` or
+//! `Tj` shares a factor with the dilation would break it, and
+//! [`PeArray::run_layer`] rejects one up front, in every build.
 //!
 //! # Scratch state
 //!
@@ -72,6 +74,7 @@ use crate::analytic::{schedule_default, Schedule};
 use crate::cdb::{BusBundle, CdbFabric, StepClaims};
 use crate::local_store::{check_address, STORE_WORDS};
 use crate::mapping::Mapping;
+use flexsim_dataflow::unroll::dilation_legal;
 use flexsim_dataflow::utilization::ceil_div;
 use flexsim_dataflow::Unroll;
 use flexsim_model::reference::apply_activation;
@@ -394,7 +397,9 @@ impl PeArray {
     ///
     /// # Panics
     ///
-    /// Panics if `u` violates the engine bounds, or the layer is not a
+    /// Panics if `u` violates the engine bounds, if `Ti` or `Tj` shares a
+    /// factor with the layer's dilation (Relax Alignment would put two
+    /// operands of one output on one PE column), or the layer is not a
     /// valid convolution (the functional model needs real operands for
     /// every window position).
     pub fn run_layer(
@@ -404,16 +409,21 @@ impl PeArray {
         input: &Tensor3,
         kernels: &KernelSet,
     ) -> FunctionalReport {
+        let dilation = layer.dilation();
         assert!(
-            u.cols_used() <= self.d && u.rows_used() <= self.d,
-            "unrolling exceeds the engine"
+            u.cols_used() <= self.d
+                && u.rows_used() <= self.d
+                && dilation_legal(dilation, u.ti)
+                && dilation_legal(dilation, u.tj),
+            "unrolling {u} exceeds the {d}x{d} engine or shares a factor with dilation \
+             {dilation} (statically provable: flexcheck FXC06 unroll-bounds)",
+            d = self.d
         );
         assert!(layer.is_valid_convolution(), "padded layers not supported");
         let sch: Schedule = schedule_default(layer, u, self.d);
         let mapping = Mapping::new(u);
         let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
         let stride = layer.stride();
-        let dilation = layer.dilation();
         let s_in = layer.input_size();
         let kernels_persist = sch.m_groups.saturating_mul(sch.chunks) <= STORE_WORDS as u64;
 
@@ -972,13 +982,17 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "FXC02"))]
-    fn ra_column_conflict_is_caught_in_debug_builds() {
-        // Dilation 2 with Ti = 2 folds both kernel rows onto one
-        // column residue (gcd(2, 2) ≠ 1): two operands of one row claim
-        // the same column in one cycle. Release builds compute on.
-        let layer = ConvLayer::new("C", 1, 1, 3, 2).with_dilation(2);
-        check_layer(&layer, Unroll::new(1, 1, 1, 1, 2, 1), 4, 3);
+    #[should_panic(
+        expected = "shares a factor with dilation 2 (statically provable: flexcheck FXC06"
+    )]
+    fn ra_column_conflict_is_rejected_in_every_build() {
+        // Dilation 2 with Tj = 2 folds both kernel columns onto one
+        // column residue (gcd(2, 2) ≠ 1): two operands of one output
+        // would claim the same PE column in one cycle.
+        let layer = ConvLayer::new("C", 8, 8, 3, 4)
+            .with_stride(2)
+            .with_dilation(2);
+        check_layer(&layer, Unroll::new(1, 1, 1, 1, 1, 2), 4, 3);
     }
 
     #[test]

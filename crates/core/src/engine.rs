@@ -571,6 +571,22 @@ mod tests {
     }
 
     #[test]
+    fn recorded_passes_follow_the_arrays_map_groups() {
+        use flexsim_obs::cycles::CycleEventKind;
+        // M = 3 under Tm = 2: every row stripe runs a 2-row map group,
+        // then a 1-row one, so the batches' MACs alternate 40, 20.
+        let layer = ConvLayer::new("C", 3, 1, 5, 2);
+        let tl = recorded(&layer, Unroll::new(2, 1, 1, 5, 2, 2), 16);
+        let macs: Vec<u64> = tl
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, CycleEventKind::Pass(_)))
+            .map(|e| e.macs)
+            .collect();
+        assert_eq!(macs, [40, 20].repeat(5));
+    }
+
+    #[test]
     fn full_passes_land_in_the_last_histogram_bucket() {
         use crate::analytic::PIPELINE_FILL_CYCLES;
         let layer = ConvLayer::new("C", 4, 4, 4, 2);
