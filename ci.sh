@@ -36,11 +36,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo build --release (offline)"
 cargo build --release --offline
 
-echo "==> cargo test --release (simulator bit-exactness with debug-only checks compiled out)"
+echo "==> cargo test --release (simulator bit-exactness and pool concurrency with debug-only checks compiled out)"
 # flexbench measures the release build of the functional simulators'
 # hot loops; their bit-exactness tests must pass in that configuration
-# too, not only under debug assertions.
-cargo test --release --offline -q -p flexflow -p flexsim-baselines
+# too, not only under debug assertions. The pool's queue is exercised
+# optimised as well, where its races are likeliest to show.
+cargo test --release --offline -q -p flexflow -p flexsim-baselines -p flexsim-pool
+cargo test --release --offline -q -p flexsim-experiments --test integration_pool
 
 echo "==> cargo test (offline)"
 cargo test -q --offline

@@ -39,11 +39,6 @@ pub trait Accelerator: Send {
     /// Number of processing elements in the computing engine.
     fn pe_count(&self) -> usize;
 
-    /// Clock frequency in GHz. The paper evaluates everything at 1 GHz.
-    fn clock_ghz(&self) -> f64 {
-        1.0
-    }
-
     /// Simulates one CONV layer, returning timing, traffic, and energy.
     fn run_conv(&mut self, layer: &ConvLayer) -> LayerResult;
 
@@ -134,7 +129,6 @@ pub fn price_layer<A: Accelerator + ?Sized>(
         arch: acc.name().to_owned(),
         layer: layer.name().to_owned(),
         pe_count: acc.pe_count(),
-        clock_ghz: acc.clock_ghz(),
         cycles,
         macs,
         events,
@@ -173,7 +167,6 @@ mod tests {
                 arch: self.name().into(),
                 layer: layer.name().into(),
                 pe_count: self.pes,
-                clock_ghz: 1.0,
                 cycles: macs.div_ceil(self.pes as u64),
                 macs,
                 events: EventCounts {
@@ -216,7 +209,6 @@ mod tests {
         let mut acc = Ideal { pes: 4 };
         let dyn_acc: &mut dyn Accelerator = &mut acc;
         assert_eq!(dyn_acc.name(), "Ideal");
-        assert_eq!(dyn_acc.clock_ghz(), 1.0);
     }
 
     #[test]

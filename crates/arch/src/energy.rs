@@ -12,6 +12,7 @@
 //! absolute constants.
 
 use crate::stats::EventCounts;
+use crate::CLOCK_GHZ;
 use std::ops::{Add, AddAssign};
 
 /// Per-event energy constants (picojoules) plus leakage.
@@ -37,7 +38,6 @@ pub struct EnergyModel {
     stream_pj: f64,
     idle_pe_pj: f64,
     leakage_mw_per_mm2: f64,
-    clock_ghz: f64,
 }
 
 impl EnergyModel {
@@ -63,7 +63,6 @@ impl EnergyModel {
             // Clocking/idle overhead per clocked-but-idle PE per cycle.
             idle_pe_pj: 0.8,
             leakage_mw_per_mm2: 12.0,
-            clock_ghz: 1.0,
         }
     }
 
@@ -100,12 +99,12 @@ impl EnergyModel {
     /// Converts event counts plus duration and chip area into an energy
     /// breakdown.
     ///
-    /// `cycles` and the model's clock frequency determine the leakage
-    /// integration time; `area_mm2` scales leakage (pass `0.0` to ignore
-    /// leakage, e.g. in differential comparisons).
+    /// `cycles` at [`CLOCK_GHZ`] determine the leakage integration time;
+    /// `area_mm2` scales leakage (pass `0.0` to ignore leakage, e.g. in
+    /// differential comparisons).
     pub fn energy(&self, ev: &EventCounts, cycles: u64, area_mm2: f64) -> EnergyBreakdown {
         let pj = 1e-12;
-        let time_s = cycles as f64 / (self.clock_ghz * 1e9);
+        let time_s = cycles as f64 / (CLOCK_GHZ * 1e9);
         EnergyBreakdown {
             mac_j: ev.macs as f64 * self.mac_pj * pj,
             local_store_j: (ev.local_store_reads + ev.local_store_writes) as f64

@@ -48,3 +48,7 @@ pub use bandwidth::DramInterface;
 pub use dram::DramTraffic;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use stats::{EventCounts, LayerResult, RunSummary, Traffic};
+
+/// The clock of every simulated engine, in GHz: the paper evaluates all
+/// four architectures at 1 GHz.
+pub const CLOCK_GHZ: f64 = 1.0;

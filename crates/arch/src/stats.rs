@@ -13,6 +13,7 @@
 //!   breakdown.
 
 use crate::energy::EnergyBreakdown;
+use crate::CLOCK_GHZ;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
@@ -157,8 +158,6 @@ pub struct LayerResult {
     pub layer: String,
     /// Number of processing elements in the engine.
     pub pe_count: usize,
-    /// Clock frequency in GHz (the paper evaluates at 1 GHz).
-    pub clock_ghz: f64,
     /// Total engine cycles for the layer.
     pub cycles: u64,
     /// Useful MACs executed (equals the layer's MAC count when correct).
@@ -181,9 +180,9 @@ impl LayerResult {
         self.macs as f64 / (self.cycles as f64 * self.pe_count as f64)
     }
 
-    /// Wall-clock seconds at the configured frequency.
+    /// Wall-clock seconds at [`CLOCK_GHZ`].
     pub fn time_s(&self) -> f64 {
-        self.cycles as f64 / (self.clock_ghz * 1e9)
+        self.cycles as f64 / (CLOCK_GHZ * 1e9)
     }
 
     /// Achieved performance in GOPS (2 ops per MAC, the paper's unit).
@@ -197,7 +196,7 @@ impl LayerResult {
     /// Nominal (peak) performance in GOPS: every PE doing one MAC per
     /// cycle.
     pub fn nominal_gops(&self) -> f64 {
-        2.0 * self.pe_count as f64 * self.clock_ghz
+        2.0 * self.pe_count as f64 * CLOCK_GHZ
     }
 
     /// Average on-chip power in watts (DRAM energy excluded, matching the
@@ -397,7 +396,6 @@ mod tests {
             arch: "test".into(),
             layer: "L".into(),
             pe_count: pe,
-            clock_ghz: 1.0,
             cycles,
             macs,
             events: EventCounts::default(),

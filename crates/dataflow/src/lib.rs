@@ -35,7 +35,6 @@ pub mod tune;
 pub mod unroll;
 pub mod utilization;
 
-pub use loopnest::{Tile, TileIter};
 pub use search::{plan_network, LayerChoice};
 pub use style::Style;
 pub use unroll::Unroll;

@@ -2,176 +2,11 @@
 //!
 //! Unrolling splits the six CONV loops into an outer sequential nest
 //! (stepping by the factors) and an inner parallel box (executed by the
-//! PE array in one engine step). [`TileIter`] walks the outer nest in the
-//! paper's loop order (`m, n, r, c, i, j`), yielding one [`Tile`] per
-//! engine step with edge-clamped extents.
-//!
-//! [`grid`] walks any row-major nest of tiled axes by tile shape rather
-//! than tile by tile. Every architecture's step schedule is its runs of
-//! equal tiles over that architecture's own loop order, and it is the
-//! one place that counts clamped edge tiles.
-
-use crate::unroll::Unroll;
-use crate::utilization::tile_count;
-use flexsim_model::ConvLayer;
-
-/// One engine step: the origin and (edge-clamped) extents of the inner
-/// parallel box.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Tile {
-    /// Output feature-map origin (`m`).
-    pub m0: usize,
-    /// Input feature-map origin (`n`).
-    pub n0: usize,
-    /// Output-neuron row origin (`r`).
-    pub r0: usize,
-    /// Output-neuron column origin (`c`).
-    pub c0: usize,
-    /// Synapse row origin (`i`).
-    pub i0: usize,
-    /// Synapse column origin (`j`).
-    pub j0: usize,
-    /// Effective `Tm` at this tile (clamped at the `M` edge).
-    pub tm: usize,
-    /// Effective `Tn` at this tile.
-    pub tn: usize,
-    /// Effective `Tr` at this tile.
-    pub tr: usize,
-    /// Effective `Tc` at this tile.
-    pub tc: usize,
-    /// Effective `Ti` at this tile.
-    pub ti: usize,
-    /// Effective `Tj` at this tile.
-    pub tj: usize,
-}
-
-impl Tile {
-    /// Useful MACs performed in this engine step.
-    pub fn macs(&self) -> u64 {
-        (self.tm * self.tn * self.tr * self.tc * self.ti * self.tj) as u64
-    }
-}
-
-/// Iterator over the outer sequential nest.
-///
-/// # Example
-///
-/// ```
-/// use flexsim_dataflow::{TileIter, Unroll};
-/// use flexsim_model::ConvLayer;
-///
-/// let layer = ConvLayer::new("C", 2, 1, 4, 3);
-/// let u = Unroll::new(2, 1, 1, 4, 1, 3);
-/// let total: u64 = TileIter::new(&layer, u).map(|t| t.macs()).sum();
-/// assert_eq!(total, layer.macs());
-/// ```
-#[derive(Clone, Debug)]
-pub struct TileIter {
-    m: usize,
-    n: usize,
-    s: usize,
-    k: usize,
-    u: Unroll,
-    // Current origins; `done` marks exhaustion.
-    m0: usize,
-    n0: usize,
-    r0: usize,
-    c0: usize,
-    i0: usize,
-    j0: usize,
-    done: bool,
-    remaining: u64,
-}
-
-impl TileIter {
-    /// Creates an iterator over the tiles of `layer` under `u`.
-    pub fn new(layer: &ConvLayer, u: Unroll) -> Self {
-        let remaining = tile_count(layer, &u);
-        TileIter {
-            m: layer.m(),
-            n: layer.n(),
-            s: layer.s(),
-            k: layer.k(),
-            u,
-            m0: 0,
-            n0: 0,
-            r0: 0,
-            c0: 0,
-            i0: 0,
-            j0: 0,
-            done: false,
-            remaining,
-        }
-    }
-
-    fn advance(&mut self) {
-        // Innermost-to-outermost carry, matching Fig. 4's loop order.
-        self.j0 += self.u.tj;
-        if self.j0 < self.k {
-            return;
-        }
-        self.j0 = 0;
-        self.i0 += self.u.ti;
-        if self.i0 < self.k {
-            return;
-        }
-        self.i0 = 0;
-        self.c0 += self.u.tc;
-        if self.c0 < self.s {
-            return;
-        }
-        self.c0 = 0;
-        self.r0 += self.u.tr;
-        if self.r0 < self.s {
-            return;
-        }
-        self.r0 = 0;
-        self.n0 += self.u.tn;
-        if self.n0 < self.n {
-            return;
-        }
-        self.n0 = 0;
-        self.m0 += self.u.tm;
-        if self.m0 < self.m {
-            return;
-        }
-        self.done = true;
-    }
-}
-
-impl Iterator for TileIter {
-    type Item = Tile;
-
-    fn next(&mut self) -> Option<Tile> {
-        if self.done {
-            return None;
-        }
-        let tile = Tile {
-            m0: self.m0,
-            n0: self.n0,
-            r0: self.r0,
-            c0: self.c0,
-            i0: self.i0,
-            j0: self.j0,
-            tm: self.u.tm.min(self.m - self.m0),
-            tn: self.u.tn.min(self.n - self.n0),
-            tr: self.u.tr.min(self.s - self.r0),
-            tc: self.u.tc.min(self.s - self.c0),
-            ti: self.u.ti.min(self.k - self.i0),
-            tj: self.u.tj.min(self.k - self.j0),
-        };
-        self.advance();
-        self.remaining -= 1;
-        Some(tile)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let r = self.remaining as usize;
-        (r, Some(r))
-    }
-}
-
-impl ExactSizeIterator for TileIter {}
+//! PE array in one engine step). [`grid`] walks any row-major nest of
+//! tiled axes by tile shape rather than tile by tile. Every
+//! architecture's step schedule is its runs of equal tiles over that
+//! architecture's own loop order, and it is the one place that counts
+//! clamped edge tiles.
 
 /// A row-major walk over a tile grid whose axes are `(extent, tile)`,
 /// the first outermost, each with its last tile clamped: the tile
@@ -232,6 +67,31 @@ pub fn grid<const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unroll::Unroll;
+    use crate::utilization::tile_count;
+    use flexsim_model::ConvLayer;
+
+    /// `layer`'s tiles under `u` in Fig. 4's loop order `m, n, r, c, i,
+    /// j`: the tile count and the runs, each tile as
+    /// `[tm, tn, tr, tc, ti, tj]`.
+    fn fig4(layer: &ConvLayer, u: Unroll) -> (u64, Vec<([usize; 6], u64)>) {
+        let (tiles, runs) = grid([
+            (layer.m(), u.tm),
+            (layer.n(), u.tn),
+            (layer.s(), u.tr),
+            (layer.s(), u.tc),
+            (layer.k(), u.ti),
+            (layer.k(), u.tj),
+        ]);
+        (tiles, runs.collect())
+    }
+
+    /// The tiles of `runs` one by one, in walk order.
+    fn expand(runs: &[([usize; 6], u64)]) -> Vec<[usize; 6]> {
+        runs.iter()
+            .flat_map(|&(tile, n)| std::iter::repeat_n(tile, n as usize))
+            .collect()
+    }
 
     #[test]
     fn covers_all_macs_exactly_once() {
@@ -241,7 +101,11 @@ mod tests {
             Unroll::new(2, 2, 2, 3, 3, 2),
             Unroll::new(3, 2, 5, 5, 4, 4),
         ] {
-            let total: u64 = TileIter::new(&layer, u).map(|t| t.macs()).sum();
+            let (_, runs) = fig4(&layer, u);
+            let total: u64 = runs
+                .iter()
+                .map(|&(tile, n)| tile.iter().product::<usize>() as u64 * n)
+                .sum();
             assert_eq!(total, layer.macs(), "coverage violated for {u}");
         }
     }
@@ -250,37 +114,38 @@ mod tests {
     fn length_matches_tile_count() {
         let layer = ConvLayer::new("C", 3, 2, 5, 4);
         let u = Unroll::new(2, 1, 2, 2, 3, 3);
-        let iter = TileIter::new(&layer, u);
-        assert_eq!(iter.len() as u64, tile_count(&layer, &u));
-        assert_eq!(iter.count() as u64, tile_count(&layer, &u));
+        let (tiles, runs) = fig4(&layer, u);
+        assert_eq!(tiles, tile_count(&layer, &u));
+        assert_eq!(expand(&runs).len() as u64, tile_count(&layer, &u));
     }
 
     #[test]
     fn edge_tiles_are_clamped() {
         let layer = ConvLayer::new("C", 3, 1, 5, 2);
         let u = Unroll::new(2, 1, 3, 5, 2, 2);
-        let tiles: Vec<_> = TileIter::new(&layer, u).collect();
+        let tiles = expand(&fig4(&layer, u).1);
         // m: 0..2 then 2..3 (clamped to 1); r: 0..3 then 3..5 (clamped to 2).
-        assert!(tiles.iter().any(|t| t.m0 == 2 && t.tm == 1));
-        assert!(tiles.iter().any(|t| t.r0 == 3 && t.tr == 2));
-        // No tile extends past bounds.
+        assert!(tiles.iter().any(|t| t[0] == 1));
+        assert!(tiles.iter().any(|t| t[2] == 2));
+        // No tile extends past its factor or its bound.
         for t in &tiles {
-            assert!(t.m0 + t.tm <= 3);
-            assert!(t.r0 + t.tr <= 5);
+            assert!(t[0] <= 2 && t[2] <= 3 && t[3] <= 5, "{t:?}");
         }
     }
 
     #[test]
     fn loop_order_is_m_outer_j_inner() {
-        let layer = ConvLayer::new("C", 2, 1, 2, 2);
-        let u = Unroll::scalar();
-        let tiles: Vec<_> = TileIter::new(&layer, u).collect();
-        // First tiles iterate j fastest.
-        assert_eq!((tiles[0].j0, tiles[1].j0), (0, 1));
-        assert_eq!(tiles[0].i0, tiles[1].i0);
+        // m = 3 by 2 and j = 3 by 2: both axes alternate a full and a
+        // clamped tile, so their order shows in the walk.
+        let layer = ConvLayer::new("C", 3, 1, 2, 3);
+        let u = Unroll::new(2, 1, 1, 1, 1, 2);
+        let tiles = expand(&fig4(&layer, u).1);
+        // j changes fastest.
+        assert_eq!((tiles[0][5], tiles[1][5]), (2, 1));
+        assert_eq!(tiles[0][4], tiles[1][4]);
         // m changes last.
-        assert!(tiles[..tiles.len() / 2].iter().all(|t| t.m0 == 0));
-        assert!(tiles[tiles.len() / 2..].iter().all(|t| t.m0 == 1));
+        assert!(tiles[..tiles.len() / 2].iter().all(|t| t[0] == 2));
+        assert!(tiles[tiles.len() / 2..].iter().all(|t| t[0] == 1));
     }
 
     #[test]
@@ -339,8 +204,9 @@ mod tests {
     fn single_tile_when_factors_cover_layer() {
         let layer = ConvLayer::new("C", 2, 2, 3, 2);
         let u = Unroll::new(2, 2, 3, 3, 2, 2);
-        let tiles: Vec<_> = TileIter::new(&layer, u).collect();
-        assert_eq!(tiles.len(), 1);
-        assert_eq!(tiles[0].macs(), layer.macs());
+        let (tiles, runs) = fig4(&layer, u);
+        assert_eq!(tiles, 1);
+        assert_eq!(runs, [([2, 2, 3, 3, 2, 2], 1)]);
+        assert_eq!(runs[0].0.iter().product::<usize>() as u64, layer.macs());
     }
 }

@@ -141,6 +141,29 @@ impl ArchSetBuilder {
     }
 }
 
+/// Checks that every CONV layer of `net` fits the loss ledgers: on
+/// each paper-scale engine, the layer's cycles (as
+/// [`Accelerator::run_network`] plans them) times the engine's PE count
+/// must fit in `u64`. The error names the first layer that does not.
+pub fn check_pe_cycles(net: &Network) -> Result<(), String> {
+    let builder = ArchSet::builder();
+    for idx in ALL_ARCHES {
+        let acc = builder.make(net, idx);
+        for tl in acc.predict_network(net) {
+            let (cycles, pes) = (tl.total_cycles(), tl.ctx.pe_count);
+            if cycles.checked_mul(u64::from(pes)).is_none() {
+                return Err(format!(
+                    "node `{}`: {cycles} cycles × {pes} PEs on {} overflow u64 PE-cycles \
+                     (shrink the layer's maps, kernel, or input size)",
+                    tl.ctx.layer,
+                    acc.name()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Everything one (network, architecture) run produced.
 pub struct PairRun {
     /// Architecture name (an [`ARCH_NAMES`] entry).

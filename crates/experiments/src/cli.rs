@@ -86,7 +86,7 @@ tunes all six and writes BENCH_tune.json.
 `flexsim stats` runs the Table 1 sweep with host-side telemetry
 enabled and reports where *simulator* wall time goes: per-phase
 exclusive time (parse, flexcheck, schedule, simulate, verify, export),
-per-worker scheduler stats (busy/idle/wall, tasks, steals, queue
+per-worker scheduler stats (busy/idle/wall, tasks, queue
 high-water), and latency histograms (p50/p90/p99) for experiments,
 per-layer simulations, and pool tasks. Telemetry never changes
 simulation output — results stay byte-identical with it on or off.

@@ -142,7 +142,7 @@ impl TraceCollector {
 }
 
 /// Everything an [`Experiment::run`] needs from its surroundings: the
-/// experiment's own id, a shared work-stealing pool, and the sink
+/// experiment's own id, a shared thread pool, and the sink
 /// wiring for cycle-domain tracing.
 pub struct ExperimentCtx {
     id: String,
@@ -267,12 +267,12 @@ impl ExperimentCtx {
     /// [`ExperimentCtx::map`] over every (network, architecture) pair
     /// of `nets` × `arches` (indices into [`ARCH_NAMES`]),
     /// network-major, each task labelled `workload/arch` — the fan-out
-    /// behind every multi-pair command.
+    /// behind every multi-pair command and figure.
     pub fn map_pairs<T>(
         &self,
         nets: &[Network],
         arches: &[usize],
-        work: impl Fn(&Network, usize) -> T + Send + Sync + 'static,
+        work: impl Fn(&TaskCtx, &Network, usize) -> T + Send + Sync + 'static,
     ) -> Vec<T>
     where
         T: Send + 'static,
@@ -284,7 +284,7 @@ impl ExperimentCtx {
         self.map(
             pairs,
             |(net, idx)| format!("{}/{}", net.name(), ARCH_NAMES[*idx]),
-            move |_tctx, (net, idx)| work(&net, idx),
+            move |tctx, (net, idx)| work(tctx, &net, idx),
         )
     }
 }

@@ -46,7 +46,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         move |tctx, idx| {
             let mut acc = ArchSet::builder().sink(tctx.sink()).build_one(&net, idx);
             let summary = acc.run_network(&net);
-            let nominal = 2.0 * acc.pe_count() as f64 * acc.clock_ghz();
+            let nominal = 2.0 * acc.pe_count() as f64 * flexsim_arch::CLOCK_GHZ;
             let achieved = summary.gops();
             [
                 acc.name().to_owned(),

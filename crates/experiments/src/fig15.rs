@@ -1,10 +1,10 @@
 //! Figure 15 — computing resource utilization, four architectures ×
 //! six workloads.
 
-use crate::arches::{ArchSet, ARCH_NAMES};
+use crate::arches::{ArchSet, ALL_ARCHES, ARCH_NAMES};
 use crate::experiment::{Experiment, ExperimentCtx};
 use crate::report::{pct, ExperimentResult, Table};
-use flexsim_model::{workloads, Network};
+use flexsim_model::workloads;
 
 /// The registry entry for this experiment.
 pub struct Fig15;
@@ -21,44 +21,6 @@ impl Experiment for Fig15 {
     }
 }
 
-/// Fans every (workload, architecture) pair of the Table 1 × Section
-/// 6.1.1 cross product out across the pool and returns one value per
-/// pair, grouped per workload in [`ARCH_NAMES`] order.
-pub(crate) fn per_pair<T: Send + 'static>(
-    ctx: &ExperimentCtx,
-    measure: impl Fn(&mut dyn flexsim_arch::Accelerator, &Network) -> T + Send + Sync + 'static,
-) -> Vec<(Network, Vec<T>)> {
-    let nets = workloads::all();
-    let pairs: Vec<(Network, usize)> = nets
-        .iter()
-        .flat_map(|net| (0..ARCH_NAMES.len()).map(move |idx| (net.clone(), idx)))
-        .collect();
-    let values = ctx.map(
-        pairs,
-        |(net, idx)| format!("{}/{}", net.name(), ARCH_NAMES[*idx]),
-        move |tctx, (net, idx)| {
-            let mut acc = ArchSet::builder().sink(tctx.sink()).build_one(&net, idx);
-            measure(acc.as_mut(), &net)
-        },
-    );
-    nets.into_iter()
-        .zip(chunk(values, ARCH_NAMES.len()))
-        .collect()
-}
-
-/// Splits `values` into consecutive chunks of `size`.
-fn chunk<T>(values: Vec<T>, size: usize) -> Vec<Vec<T>> {
-    let mut out = Vec::with_capacity(values.len().div_ceil(size.max(1)));
-    let mut it = values.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(size).collect();
-        if chunk.is_empty() {
-            return out;
-        }
-        out.push(chunk);
-    }
-}
-
 /// Runs the experiment.
 pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     let mut table = Table::new([
@@ -68,9 +30,14 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         "Tiling %",
         "FlexFlow %",
     ]);
-    for (net, utils) in per_pair(ctx, |acc, net| acc.run_network(net).utilization()) {
+    let nets = workloads::all();
+    let utils = ctx.map_pairs(&nets, &ALL_ARCHES, |tctx, net, idx| {
+        let mut acc = ArchSet::builder().sink(tctx.sink()).build_one(net, idx);
+        acc.run_network(net).utilization()
+    });
+    for (net, utils) in nets.iter().zip(utils.chunks(ARCH_NAMES.len())) {
         let mut row = vec![net.name().to_owned()];
-        row.extend(utils.into_iter().map(pct));
+        row.extend(utils.iter().copied().map(pct));
         table.push_row(row);
     }
     ExperimentResult {

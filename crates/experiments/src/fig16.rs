@@ -1,9 +1,10 @@
 //! Figure 16 — performance (GOPS at 1 GHz), four architectures × six
 //! workloads.
 
+use crate::arches::{ArchSet, ALL_ARCHES, ARCH_NAMES};
 use crate::experiment::{Experiment, ExperimentCtx};
-use crate::fig15::per_pair;
 use crate::report::{fmt_f, ExperimentResult, Table};
+use flexsim_model::workloads;
 
 /// The registry entry for this experiment.
 pub struct Fig16;
@@ -30,7 +31,12 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         "FlexFlow",
         "speedup vs best baseline",
     ]);
-    for (net, gops) in per_pair(ctx, |acc, net| acc.run_network(net).gops()) {
+    let nets = workloads::all();
+    let gops = ctx.map_pairs(&nets, &ALL_ARCHES, |tctx, net, idx| {
+        let mut acc = ArchSet::builder().sink(tctx.sink()).build_one(net, idx);
+        acc.run_network(net).gops()
+    });
+    for (net, gops) in nets.iter().zip(gops.chunks(ARCH_NAMES.len())) {
         let best_baseline = gops[..3].iter().cloned().fold(f64::MIN, f64::max);
         let mut row = vec![net.name().to_owned()];
         row.extend(gops.iter().map(|g| fmt_f(*g, 1)));

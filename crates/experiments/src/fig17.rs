@@ -1,9 +1,10 @@
 //! Figure 17 — volume of data transmission (buffer ↔ engine words), the
 //! paper's proxy for data reusability.
 
+use crate::arches::{ArchSet, ALL_ARCHES, ARCH_NAMES};
 use crate::experiment::{Experiment, ExperimentCtx};
-use crate::fig15::per_pair;
 use crate::report::{eng, ExperimentResult, Table};
+use flexsim_model::workloads;
 
 /// The registry entry for this experiment.
 pub struct Fig17;
@@ -30,9 +31,12 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         "FlexFlow",
         "Tiling/FlexFlow",
     ]);
-    for (net, words) in per_pair(ctx, |acc, net| {
+    let nets = workloads::all();
+    let words = ctx.map_pairs(&nets, &ALL_ARCHES, |tctx, net, idx| {
+        let mut acc = ArchSet::builder().sink(tctx.sink()).build_one(net, idx);
         acc.run_network(net).traffic().total() as f64
-    }) {
+    });
+    for (net, words) in nets.iter().zip(words.chunks(ARCH_NAMES.len())) {
         let mut row = vec![net.name().to_owned()];
         row.extend(words.iter().map(|w| eng(*w)));
         row.push(format!("{:.0}x", words[2] / words[3]));

@@ -1,9 +1,10 @@
 //! Figure 18 — power efficiency (GOPS/W), energy, and power, four
 //! architectures × six workloads.
 
+use crate::arches::{ArchSet, ALL_ARCHES, ARCH_NAMES};
 use crate::experiment::{Experiment, ExperimentCtx};
-use crate::fig15::per_pair;
 use crate::report::{fmt_f, ExperimentResult, Table};
+use flexsim_model::workloads;
 
 /// The registry entry for this experiment.
 pub struct Fig18;
@@ -30,14 +31,17 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         "Tiling",
         "FlexFlow",
     ]);
-    for (net, metrics) in per_pair(ctx, |acc, net| {
+    let nets = workloads::all();
+    let metrics = ctx.map_pairs(&nets, &ALL_ARCHES, |tctx, net, idx| {
+        let mut acc = ArchSet::builder().sink(tctx.sink()).build_one(net, idx);
         let s = acc.run_network(net);
         (
             s.efficiency_gops_per_w(),
             s.energy_j() * 1e6, // µJ
             s.power_w() * 1e3,  // mW
         )
-    }) {
+    });
+    for (net, metrics) in nets.iter().zip(metrics.chunks(ARCH_NAMES.len())) {
         let mut row = vec![net.name().to_owned(), "GOPS/W".to_owned()];
         row.extend(metrics.iter().map(|(eff, _, _)| fmt_f(*eff, 0)));
         table.push_row(row);

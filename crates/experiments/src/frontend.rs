@@ -14,7 +14,7 @@
 //! parse or shape errors — are usage errors (exit 2) with the parser's
 //! line/path diagnostic passed through verbatim.
 
-use crate::arches::{run_pair, ALL_ARCHES};
+use crate::arches::{check_pe_cycles, run_pair, ALL_ARCHES};
 use crate::experiment::ExperimentCtx;
 use crate::report::{pct, Table};
 use flexsim_model::registry::{param_count, WorkloadSource};
@@ -33,23 +33,23 @@ pub fn registry() -> WorkloadRegistry {
 
 /// Resolves a command's workload argument against [`registry`]: the
 /// referenced workload, or all six Table 1 workloads when absent. The
-/// error is the parser's or resolver's diagnostic, for a usage-error
-/// exit (2).
+/// error is the parser's or resolver's diagnostic, or a layer too large
+/// for the loss ledgers ([`check_pe_cycles`]), for a usage-error exit
+/// (2).
 pub fn resolve(reference: Option<&str>) -> Result<Vec<Network>, String> {
-    match reference {
-        None => Ok(flexsim_model::workloads::all()),
-        Some(r) => registry()
-            .resolve(r)
-            .map(|net| vec![net])
-            .map_err(|e| e.to_string()),
-    }
+    let Some(r) = reference else {
+        return Ok(flexsim_model::workloads::all());
+    };
+    let net = registry().resolve(r).map_err(|e| e.to_string())?;
+    check_pe_cycles(&net).map_err(|e| format!("{r}:{e}"))?;
+    Ok(vec![net])
 }
 
 /// `flexsim run WORKLOAD|PATH.ffnet`: one workload on all four
 /// architectures, fanned over `ctx`. Returns the report and the exit
 /// code (0 ok, 1 on a ledger exactness failure).
 pub fn run(ctx: &ExperimentCtx, net: &Network, reference: &str, json: bool) -> (String, i32) {
-    let rows = ctx.map_pairs(std::slice::from_ref(net), &ALL_ARCHES, |net, idx| {
+    let rows = ctx.map_pairs(std::slice::from_ref(net), &ALL_ARCHES, |_, net, idx| {
         let run = run_pair(net, idx, false);
         if !run.diags.is_empty() {
             eprintln!(

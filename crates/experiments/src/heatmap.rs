@@ -60,7 +60,9 @@ pub fn heatmap(
     svg: bool,
 ) -> Result<(String, i32), String> {
     let selected = select_arches(arch)?;
-    let heats = ctx.map_pairs(std::slice::from_ref(net), &selected, simulate);
+    let heats = ctx.map_pairs(std::slice::from_ref(net), &selected, |_, net, idx| {
+        simulate(net, idx)
+    });
     // Mirror from the calling thread, in report order, so the metrics
     // registry fills deterministically regardless of `--jobs`.
     for heat in &heats {
@@ -379,7 +381,7 @@ mod tests {
         ExperimentCtx::parallel("heatmap", jobs).map_pairs(
             std::slice::from_ref(net),
             selected,
-            simulate,
+            |_, net, idx| simulate(net, idx),
         )
     }
 

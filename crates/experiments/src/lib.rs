@@ -6,8 +6,8 @@
 //! `run(&ExperimentCtx)` function). The [`experiment::REGISTRY`] lists
 //! them in paper order; the `flexsim` binary (`src/main.rs`) drives
 //! them through [`experiment::run_suite`], fanning each experiment's
-//! (workload, architecture) units out across a `flexsim-pool`
-//! work-stealing pool:
+//! (workload, architecture) units out across the `flexsim-pool` thread
+//! pool:
 //!
 //! ```text
 //! cargo run -p flexsim-experiments --release -- all

@@ -57,7 +57,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
 /// Runs the report over a chosen set of workloads (`flexsim profile
 /// alexnet` passes exactly one).
 pub fn run_workloads(ctx: &ExperimentCtx, nets: &[Network]) -> ExperimentResult {
-    let row_groups = ctx.map_pairs(nets, &ALL_ARCHES, profile_one);
+    let row_groups = ctx.map_pairs(nets, &ALL_ARCHES, |_, net, idx| profile_one(net, idx));
     let mut table = Table::new([
         "workload",
         "arch",

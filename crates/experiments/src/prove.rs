@@ -80,7 +80,7 @@ pub fn prove_pair(net: &Network, arch_idx: usize, mutate: bool) -> ProveOutcome 
 /// Proves every (workload, architecture) pair, fanned over the pool in
 /// submission order (output is byte-identical at any `--jobs` level).
 pub fn run_workloads(ctx: &ExperimentCtx, nets: &[Network], mutate: bool) -> Vec<ProveOutcome> {
-    ctx.map_pairs(nets, &ALL_ARCHES, move |net, idx| {
+    ctx.map_pairs(nets, &ALL_ARCHES, move |_, net, idx| {
         prove_pair(net, idx, mutate)
     })
 }

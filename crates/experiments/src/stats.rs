@@ -11,8 +11,8 @@
 //!   `(other)` row for un-phased time so the table always reconciles
 //!   against total wall time;
 //! * per-worker scheduler stats from `flexsim-pool` — busy/idle/wall
-//!   time (busy + idle == wall by construction), task and steal
-//!   counts, and the queue-depth high-water mark;
+//!   time (busy + idle == wall by construction), task counts, and the
+//!   queue-depth high-water mark;
 //! * latency histograms (count, p50/p90/p99, max) for per-experiment
 //!   wall time, per-layer simulation wall time, and pool task latency;
 //! * flight-recorder occupancy.
@@ -140,8 +140,8 @@ fn render(
     ));
     for (i, w) in &snap.workers {
         notes.push(format!(
-            "worker {i}: wall={}us busy={}us idle={}us ({} tasks, {} steals)",
-            w.wall_us, w.busy_us, w.idle_us, w.tasks, w.steals
+            "worker {i}: wall={}us busy={}us idle={}us ({} tasks)",
+            w.wall_us, w.busy_us, w.idle_us, w.tasks
         ));
     }
     notes.push(hist_note("experiment wall", &snap.experiment_wall));
@@ -187,7 +187,6 @@ mod tests {
                     busy_us: 6_000,
                     idle_us: 3_000,
                     tasks: 12,
-                    steals: 1,
                 },
             )],
             queue_high_water: 7,
@@ -217,7 +216,7 @@ mod tests {
         let result = render(&sample_snapshot(), 10_000, 2, 17, &[], 0);
         let text = result.to_string();
         assert!(
-            text.contains("worker 0: wall=9000us busy=6000us idle=3000us (12 tasks, 1 steals)"),
+            text.contains("worker 0: wall=9000us busy=6000us idle=3000us (12 tasks)"),
             "{text}"
         );
         assert!(text.contains("queue-depth high-water 7"), "{text}");

@@ -20,7 +20,7 @@
 //! 2. **lint-prune** — [`flexcheck::prune_candidates`] rejects illegal
 //!    candidates against all nine FXC rules *before* anything runs;
 //! 3. **score** — surviving candidates are scored across the
-//!    work-stealing pool ([`ExperimentCtx::map`], deterministic at any
+//!    thread pool ([`ExperimentCtx::map`], deterministic at any
 //!    `--jobs` level) with the exact [`LossLedger`] cost function
 //!    ([`analytic_ledger`]): the candidate's full per-cause loss
 //!    ledger, in closed form from the engine's schedule;

@@ -16,9 +16,8 @@
 //!   per executor, named by its index, and one `task` span per task.
 //!   A worker's busy time and task count come from the outermost
 //!   `task` spans inside its `worker` spans; idle is wall minus busy.
-//!   Steals and the queue-depth high-water come from the metrics
-//!   registry (`pool_steals_total{worker}`,
-//!   `pool_queue_depth_high_water`), diffed against [`reset`].
+//!   The queue-depth high-water comes from the metrics registry
+//!   (`pool_queue_depth_high_water`), diffed against [`reset`].
 //! * **Latency histograms** — log-bucketed [`Histogram`]s of the
 //!   `experiment`, `layer` and `task` span durations.
 //! * **Flight recorder** — the last [`flight::CAPACITY`] completed
@@ -33,7 +32,7 @@
 //! at every `--jobs` level.
 
 use crate::hist::Histogram;
-use crate::metrics::{self, Snapshot};
+use crate::metrics;
 use crate::span::{self, SpanGuard, SpanRecord};
 use flexsim_testkit::json::Json;
 use std::collections::BTreeMap;
@@ -87,9 +86,6 @@ impl Phase {
 /// The registry gauge the pool raises on submit; [`reset`] zeroes it.
 const QUEUE_HIGH_WATER: &str = "pool_queue_depth_high_water";
 
-/// The registry snapshot taken at the last [`reset`].
-static BASELINE: Mutex<Option<Snapshot>> = Mutex::new(None);
-
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -111,14 +107,11 @@ pub fn enabled() -> bool {
     span::recording()
 }
 
-/// Clears every retained span record, zeroes the queue-depth
-/// high-water gauge and re-anchors the pool counters (the enable/
-/// disable state is untouched).
+/// Clears every retained span record and zeroes the queue-depth
+/// high-water gauge (the enable/disable state is untouched).
 pub fn reset() {
     span::clear_records();
-    let registry = metrics::global();
-    registry.set(QUEUE_HIGH_WATER, &[], 0);
-    *locked(&BASELINE) = Some(registry.snapshot());
+    metrics::global().set(QUEUE_HIGH_WATER, &[], 0);
 }
 
 /// Opens a `phase` span for `p`. Inert — one relaxed atomic load plus
@@ -136,12 +129,10 @@ pub struct WorkerTotals {
     pub wall_us: u64,
     /// Time spent in outermost tasks.
     pub busy_us: u64,
-    /// Wall minus busy (parked or stealing-and-failing).
+    /// Wall minus busy (waiting on an empty queue).
     pub idle_us: u64,
     /// Outermost tasks this worker executed.
     pub tasks: u64,
-    /// Tasks this worker stole from a sibling's deque.
-    pub steals: u64,
 }
 
 /// The bounded flight recorder: the newest completed spans.
@@ -258,11 +249,11 @@ pub struct TelemetrySnapshot {
     pub flight_dropped: u64,
 }
 
-/// Folds the retained span records and the pool counters grown since
-/// [`reset`] into a snapshot.
+/// Folds the retained span records and the queue-depth high-water
+/// since [`reset`] into a snapshot.
 pub fn snapshot() -> TelemetrySnapshot {
-    let base = locked(&BASELINE).clone().unwrap_or_default();
-    fold(&span::records(), &metrics::global().snapshot().diff(&base))
+    let high_water = metrics::global().snapshot().get(QUEUE_HIGH_WATER, &[]);
+    fold(&span::records(), high_water)
 }
 
 /// The parent of every record: the next record to complete on the same
@@ -286,9 +277,8 @@ fn parents(spans: &[SpanRecord]) -> Vec<Option<usize>> {
 }
 
 /// Folds span records (in completion order, as the recorder keeps
-/// them) and a registry diff holding the pool counters into a
-/// [`TelemetrySnapshot`].
-fn fold(spans: &[SpanRecord], pool: &Snapshot) -> TelemetrySnapshot {
+/// them) and the queue-depth high-water into a [`TelemetrySnapshot`].
+fn fold(spans: &[SpanRecord], queue_high_water: u64) -> TelemetrySnapshot {
     let parent = parents(spans);
     let up = |i: usize| std::iter::successors(parent[i], |&p| parent[p]);
     let slot = |name: &str| Phase::ALL.iter().position(|p| p.name() == name);
@@ -331,12 +321,6 @@ fn fold(spans: &[SpanRecord], pool: &Snapshot) -> TelemetrySnapshot {
             _ => {}
         }
     }
-    for (key, steals) in pool.iter().filter(|(k, _)| k.name == "pool_steals_total") {
-        let worker = key.labels.iter().find(|(k, _)| k == "worker");
-        if let Some(w) = worker.and_then(|(_, v)| v.parse().ok()) {
-            workers.entry(w).or_default().steals += steals;
-        }
-    }
     for w in workers.values_mut() {
         // Idle is wall minus busy *by construction*, so busy + idle ==
         // wall holds exactly per worker.
@@ -350,7 +334,7 @@ fn fold(spans: &[SpanRecord], pool: &Snapshot) -> TelemetrySnapshot {
             .map(|(&p, (calls, us))| (p, calls, us.max(0) as u64))
             .collect(),
         workers: workers.into_iter().collect(),
-        queue_high_water: pool.get(QUEUE_HIGH_WATER, &[]),
+        queue_high_water,
         experiment_wall,
         layer_sim_wall,
         task_wall,
@@ -406,7 +390,6 @@ impl TelemetrySnapshot {
                                 ("busy_us", Json::Int(w.busy_us as i64)),
                                 ("idle_us", Json::Int(w.idle_us as i64)),
                                 ("tasks", Json::Int(w.tasks as i64)),
-                                ("steals", Json::Int(w.steals as i64)),
                             ])
                         })),
                     ),
@@ -461,11 +444,10 @@ impl TelemetrySnapshot {
             ("busy_us", 1),
             ("idle_us", 2),
             ("tasks", 3),
-            ("steals", 4),
         ] {
             let _ = writeln!(out, "# TYPE flexsim_pool_worker_{metric} counter");
             for (i, w) in &self.workers {
-                let v = [w.wall_us, w.busy_us, w.idle_us, w.tasks, w.steals][pick];
+                let v = [w.wall_us, w.busy_us, w.idle_us, w.tasks][pick];
                 let _ = writeln!(out, "flexsim_pool_worker_{metric}{{worker=\"{i}\"}} {v}");
             }
         }
@@ -594,9 +576,7 @@ mod tests {
             rec("task", "e", 110, 10, 1),
             rec("worker", "1", 100, 50, 0),
         ];
-        let registry = metrics::Registry::new();
-        registry.add("pool_steals_total", &[("worker", "1")], 1);
-        let snap = fold(&spans, &registry.snapshot());
+        let snap = fold(&spans, 0);
         let (idx, w) = &snap.workers[0];
         assert_eq!(*idx, 1);
         assert_eq!(w.wall_us, 150);
@@ -605,7 +585,6 @@ mod tests {
         // busy + idle == wall survives accumulation.
         assert_eq!(w.busy_us + w.idle_us, w.wall_us);
         assert_eq!(w.tasks, 5);
-        assert_eq!(w.steals, 1);
         assert_eq!(snap.task_wall.count(), 6);
     }
 
@@ -620,7 +599,7 @@ mod tests {
             rec("layer", "C1", 5, 60, 1),
             rec("phase", "simulate", 0, 100, 0),
         ];
-        let snap = fold(&spans, &Snapshot::default());
+        let snap = fold(&spans, 0);
         assert_eq!(snap.phase_us(Phase::Simulate), 60);
         assert_eq!(snap.phase_us(Phase::Schedule), 30);
         assert_eq!(snap.phase_us(Phase::Verify), 10);

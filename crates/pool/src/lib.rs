@@ -1,10 +1,10 @@
-//! # flexsim-pool — a hermetic, std-only work-stealing thread pool
+//! # flexsim-pool — a hermetic, std-only thread pool with one FIFO queue
 //!
 //! The experiment sweep is embarrassingly parallel (workloads ×
 //! architectures × layer simulations), and this crate is the scheduler
 //! behind `flexsim --jobs N`. It follows the workspace's no-external-deps
-//! discipline: no crossbeam, no rayon — just `std::thread` plus
-//! `Mutex`/`Condvar`-guarded deques.
+//! discipline: no crossbeam, no rayon — just `std::thread` plus one
+//! `Mutex`-guarded queue and one `Condvar`.
 //!
 //! Properties the experiment harness depends on:
 //!
@@ -16,7 +16,7 @@
 //!   [`std::panic::catch_unwind`] and reported as a structured
 //!   [`TaskFailure`]; the batch always completes and the pool survives.
 //! * **Serial fidelity.** A pool built with `jobs = 1` spawns no worker
-//!   threads at all: the submitting thread drains its own queue in
+//!   threads at all: the submitting thread drains the queue in
 //!   submission order, so `--jobs 1` reproduces single-threaded
 //!   behaviour exactly (same thread, same ordering, same span nesting).
 //! * **Observability.** Each executor runs inside a `worker`-category
@@ -26,23 +26,22 @@
 //!   folds per-worker wall, busy, idle and task counts and the task
 //!   latency histogram from those spans. The pool mirrors its totals
 //!   into the global metrics registry: `pool_queue_depth_high_water`
-//!   (raised on submit), `pool_steals_total{worker="i"}`,
-//!   `pool_tasks_total`, `pool_tasks_panicked_total` and
-//!   `pool_workers`. Workers register `flexsim-pool-{i}` thread labels
-//!   so Chrome-trace thread names reflect real workers, and a task
-//!   panic triggers a flight dump when a dump directory is configured.
+//!   (raised on submit), `pool_tasks_total`, `pool_tasks_panicked_total`
+//!   and `pool_workers`. Workers register `flexsim-pool-{i}` thread
+//!   labels so Chrome-trace thread names reflect real workers, and a
+//!   task panic triggers a flight dump when a dump directory is
+//!   configured.
 //!
 //! ## Scheduling
 //!
-//! The pool owns one `Mutex<VecDeque<Job>>` per executor. Submission
-//! round-robins jobs across the deques; an executor pops from the
-//! *front* of its own deque and, when empty, steals from the *back* of
-//! a sibling's. Idle workers park on a `Condvar` and are woken on
-//! submission. The thread that calls [`Pool::run`] is itself an
-//! executor while it waits — a pool with `jobs = N` therefore runs at
-//! most `N` tasks concurrently using `N - 1` spawned threads, and
-//! nested `run` calls from inside a task cannot deadlock (the waiting
-//! caller keeps draining work).
+//! [`Pool::run`] appends its batch to the back of the one shared queue
+//! and every executor pops from the front. Idle workers wait on the
+//! `Condvar`, which is signalled on submission, on batch completion and
+//! on shutdown. The thread that calls [`Pool::run`] is itself an
+//! executor while its batch is outstanding — a pool with `jobs = N`
+//! therefore runs at most `N` tasks concurrently using `N - 1` spawned
+//! threads, and nested `run` calls from inside a task cannot deadlock
+//! (the waiting caller keeps draining the queue).
 //!
 //! ```
 //! use flexsim_pool::{Outcome, Pool, Task};
@@ -66,7 +65,6 @@ use flexsim_obs::{metrics, telemetry};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -174,17 +172,21 @@ pub fn available_parallelism() -> usize {
 
 type Job = Box<dyn FnOnce() + Send>;
 
+/// The jobs not yet started, in submission order, and the flag that
+/// tells spawned workers to exit.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
+}
+
 /// State shared between the submitting thread and the workers.
+#[derive(Default)]
 struct Shared {
-    /// One work deque per executor (workers + the submitting thread).
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    /// Queued-but-unstarted jobs; checked before parking so a submit
-    /// that lands between "deques empty" and "wait" is never missed.
-    queued: AtomicUsize,
-    /// Pairs with `work_cv`; holds no data, only the park protocol.
-    idle: Mutex<()>,
-    work_cv: Condvar,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    /// Signalled when jobs arrive, when a batch completes and on
+    /// shutdown; every waiter rechecks its own condition.
+    changed: Condvar,
 }
 
 fn locked<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -195,24 +197,30 @@ fn locked<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 impl Shared {
-    /// Pops a job, preferring the front of `own`'s deque and stealing
-    /// from the back of siblings otherwise.
-    fn grab(&self, own: usize) -> Option<Job> {
-        if let Some(job) = locked(&self.deques[own]).pop_front() {
-            self.queued.fetch_sub(1, Ordering::AcqRel);
-            return Some(job);
-        }
-        let n = self.deques.len();
-        for off in 1..n {
-            let victim = (own + off) % n;
-            if let Some(job) = locked(&self.deques[victim]).pop_back() {
-                self.queued.fetch_sub(1, Ordering::AcqRel);
-                let me = own.to_string();
-                metrics::global().add("pool_steals_total", &[("worker", &me)], 1);
-                return Some(job);
+    /// Pops and runs jobs until `stop` holds, waiting while the queue
+    /// is empty. `stop` is checked under the queue lock, so a change
+    /// followed by [`Shared::notify`] is never missed.
+    fn drain(&self, mut stop: impl FnMut(&Queue) -> bool) {
+        let mut queue = locked(&self.queue);
+        while !stop(&queue) {
+            if let Some(job) = queue.jobs.pop_front() {
+                drop(queue);
+                job();
+                queue = locked(&self.queue);
+            } else {
+                queue = self
+                    .changed
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
-        None
+    }
+
+    /// Wakes every waiter. The lock orders the wakeup after any waiter's
+    /// check, so it cannot slip in between that check and the wait.
+    fn notify(&self) {
+        let _queue = locked(&self.queue);
+        self.changed.notify_all();
     }
 }
 
@@ -220,42 +228,23 @@ fn worker_loop(shared: &Shared, me: usize) {
     set_thread_label(format!("flexsim-pool-{me}"));
     CURRENT_WORKER.with(|w| w.set(Some(me)));
     let _worker = span("worker", me.to_string());
-    loop {
-        if let Some(job) = shared.grab(me) {
-            job();
-            continue;
-        }
-        let guard = locked(&shared.idle);
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if shared.queued.load(Ordering::Acquire) > 0 {
-            continue; // a submit raced our emptiness check; retry
-        }
-        // Submitters bump `queued` before taking `idle` to notify, so a
-        // wakeup can't slip between the recheck above and this wait.
-        drop(
-            shared
-                .work_cv
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-    }
+    shared.drain(|queue| queue.jobs.is_empty() && queue.shutdown);
 }
 
-/// Bookkeeping for one [`Pool::run`] batch.
-struct Batch {
-    remaining: Mutex<usize>,
-    done_cv: Condvar,
+/// One [`Pool::run`] batch: an outcome slot per task, and how many are
+/// still empty.
+struct Batch<T> {
+    outcomes: Vec<Option<Outcome<T>>>,
+    remaining: usize,
 }
 
-/// A work-stealing thread pool. See the crate docs for the full
-/// contract; dropping the pool shuts the workers down and joins them.
+/// A thread pool whose executors share one FIFO queue. See the crate
+/// docs for the full contract; dropping the pool shuts the workers down
+/// and joins them.
 pub struct Pool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     jobs: usize,
-    next_deque: AtomicUsize,
 }
 
 impl std::fmt::Debug for Pool {
@@ -276,13 +265,7 @@ impl Pool {
         } else {
             jobs
         };
-        let shared = Arc::new(Shared {
-            deques: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            idle: Mutex::new(()),
-            work_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::default());
         let workers = (1..jobs)
             .map(|me| {
                 let shared = Arc::clone(&shared);
@@ -297,7 +280,6 @@ impl Pool {
             shared,
             workers,
             jobs,
-            next_deque: AtomicUsize::new(0),
         }
     }
 
@@ -316,26 +298,34 @@ impl Pool {
         if n == 0 {
             return Vec::new();
         }
-        let slots: Arc<Mutex<Vec<Option<Outcome<T>>>>> =
-            Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-        let batch = Arc::new(Batch {
-            remaining: Mutex::new(n),
-            done_cv: Condvar::new(),
-        });
-        for (seq, task) in tasks.into_iter().enumerate() {
-            let slots = Arc::clone(&slots);
+        let batch = Arc::new(Mutex::new(Batch {
+            outcomes: (0..n).map(|_| None).collect(),
+            remaining: n,
+        }));
+        let jobs = tasks.into_iter().enumerate().map(|(seq, task)| {
             let batch = Arc::clone(&batch);
-            self.submit(Box::new(move || {
+            let shared = Arc::clone(&self.shared);
+            Box::new(move || {
                 let outcome = run_one(task);
-                locked(&slots)[seq] = Some(outcome);
-                let mut remaining = locked(&batch.remaining);
-                *remaining -= 1;
-                if *remaining == 0 {
-                    batch.done_cv.notify_all();
+                let done = {
+                    let mut batch = locked(&batch);
+                    batch.outcomes[seq] = Some(outcome);
+                    batch.remaining -= 1;
+                    batch.remaining == 0
+                };
+                if done {
+                    shared.notify();
                 }
-            }));
+            }) as Job
+        });
+        {
+            let mut queue = locked(&self.shared.queue);
+            queue.jobs.extend(jobs);
+            let depth = queue.jobs.len() as u64;
+            metrics::global().raise("pool_queue_depth_high_water", &[], depth);
+            self.shared.changed.notify_all();
         }
-        // Help drain the pool until this batch is complete. The calling
+        // Help drain the queue until this batch is complete. The calling
         // thread is executor 0 for the duration (unless it already *is*
         // a worker — a nested `run` from inside a task keeps the outer
         // identity, and the tasks it drains nest inside that task's
@@ -345,57 +335,27 @@ impl Pool {
             CURRENT_WORKER.with(|w| w.set(Some(0)));
             span("worker", "0")
         });
-        loop {
-            if *locked(&batch.remaining) == 0 {
-                break;
-            }
-            if let Some(job) = self.shared.grab(0) {
-                job();
-                continue;
-            }
-            let remaining = locked(&batch.remaining);
-            if *remaining == 0 {
-                break;
-            }
-            drop(
-                batch
-                    .done_cv
-                    .wait(remaining)
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-        }
+        self.shared.drain(|_| locked(&batch).remaining == 0);
         drop(worker);
         if outermost {
             CURRENT_WORKER.with(|w| w.set(None));
         }
-        let outcomes = locked(&slots)
-            .iter_mut()
+        let outcomes = std::mem::take(&mut locked(&batch).outcomes);
+        outcomes
+            .into_iter()
             .map(|slot| {
                 // Invariant: `remaining` only reaches 0 after every job
                 // has filled its slot, so no result can be lost.
-                slot.take().expect("batch complete but a result slot empty")
+                slot.expect("batch complete but a result slot empty")
             })
-            .collect();
-        outcomes
-    }
-
-    fn submit(&self, job: Job) {
-        let target = self.next_deque.fetch_add(1, Ordering::Relaxed) % self.shared.deques.len();
-        let depth = self.shared.queued.fetch_add(1, Ordering::AcqRel) + 1;
-        metrics::global().raise("pool_queue_depth_high_water", &[], depth as u64);
-        locked(&self.shared.deques[target]).push_back(job);
-        let _guard = locked(&self.shared.idle);
-        self.shared.work_cv.notify_all();
+            .collect()
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = locked(&self.shared.idle);
-            self.shared.work_cv.notify_all();
-        }
+        locked(&self.shared.queue).shutdown = true;
+        self.shared.changed.notify_all();
         for worker in self.workers.drain(..) {
             // A worker that panicked outside a job is a pool bug; the
             // join error is ignored rather than double-panicked so Drop

@@ -209,13 +209,16 @@ fn all_simulators_reproduce_fixture_layers_bit_exactly() {
 
 /// Writes `text` to a scratch `.ffnet` file and runs
 /// `flexsim run <file>`, returning (exit code, stderr).
-fn run_cli_on(text: &str, tag: &str) -> (Option<i32>, String) {
+/// Runs `flexsim <command…> FILE` on `text` written to `<tag>.ffnet`:
+/// the exit code and stderr.
+fn cli_on(command: &[&str], text: &str, tag: &str) -> (Option<i32>, String) {
     let dir = std::env::temp_dir().join(format!("flexsim-ffnet-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join(format!("{tag}.ffnet"));
     std::fs::write(&file, text).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_flexsim"))
-        .args(["run", file.to_str().unwrap()])
+        .args(command)
+        .arg(&file)
         .output()
         .expect("flexsim runs");
     (
@@ -227,10 +230,11 @@ fn run_cli_on(text: &str, tag: &str) -> (Option<i32>, String) {
 #[test]
 fn malformed_ffnet_files_produce_actionable_errors_and_exit_2() {
     // One case per failure class: unknown field, shape mismatch at a
-    // join, cycle, dangling edge, a raw syntax error, and a layer whose
-    // m·n·k²·s² MAC count overflows u64. Each must exit 2 with a single
-    // diagnostic naming where the problem is.
-    let cases: [(&str, &str, &str); 6] = [
+    // join, cycle, dangling edge, a raw syntax error, a layer whose
+    // m·n·k²·s² MAC count overflows u64, and one whose MACs fit but whose
+    // cycles × PEs on a paper-scale engine do not. Each must exit 2 with
+    // a single diagnostic naming where the problem is.
+    let cases: [(&str, &str, &str); 7] = [
         (
             "unknown_field",
             r#"{"name": "x", "input": {"maps": 1, "size": 8},
@@ -269,9 +273,14 @@ fn malformed_ffnet_files_produce_actionable_errors_and_exit_2() {
             r#"{"name":"huge","input":{"maps":4000000000,"size":4000000000},"nodes":[{"id":"c","op":"conv","m":4000000000,"k":4000000000}]}"#,
             "node `c`",
         ),
+        (
+            "pe_cycle_overflow",
+            r#"{"name":"huge","input":{"maps":1,"size":1073741824},"nodes":[{"id":"c1","op":"conv","m":1,"k":1}]}"#,
+            "node `c1`",
+        ),
     ];
     for (tag, text, needle) in cases {
-        let (code, stderr) = run_cli_on(text, tag);
+        let (code, stderr) = cli_on(&["run"], text, tag);
         assert_eq!(code, Some(2), "{tag}: expected exit 2\n{stderr}");
         assert!(
             stderr.contains(needle),
@@ -286,6 +295,31 @@ fn malformed_ffnet_files_produce_actionable_errors_and_exit_2() {
             stderr.matches("flexsim: ").count(),
             1,
             "{tag}: expected exactly one diagnostic\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn every_workload_command_rejects_a_layer_whose_pe_cycles_overflow() {
+    // 2^60 MACs fit in u64, but Systolic's cycles times its PE count do
+    // not: no command may wrap, saturate or panic on it.
+    let text = r#"{"name":"huge","input":{"maps":1,"size":1073741824},"nodes":[{"id":"c1","op":"conv","m":1,"k":1}]}"#;
+    let commands: [&[&str]; 6] = [
+        &["run"],
+        &["prove"],
+        &["profile"],
+        &["heatmap"],
+        &["lint"],
+        &["--budget", "smoke", "tune"],
+    ];
+    for command in commands {
+        let (code, stderr) = cli_on(command, text, "pe_cycles");
+        assert_eq!(code, Some(2), "{command:?}: expected exit 2\n{stderr}");
+        assert!(stderr.contains("node `c1`"), "{command:?}\n{stderr}");
+        assert_eq!(
+            stderr.matches("flexsim: ").count(),
+            1,
+            "{command:?}\n{stderr}"
         );
     }
 }

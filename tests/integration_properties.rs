@@ -2,14 +2,33 @@
 
 use flexflow::array::PeArray;
 use flexflow::isa::Instr;
+use flexsim_dataflow::loopnest::grid;
 use flexsim_dataflow::search::best_unroll;
 use flexsim_dataflow::utilization::{tile_count, total_utilization};
-use flexsim_dataflow::{TileIter, Unroll};
+use flexsim_dataflow::Unroll;
 use flexsim_model::{reference, ConvLayer};
 use flexsim_testkit::prop::{self, filter, option_of};
 use flexsim_testkit::{prop_assert, prop_assert_eq};
 
 const CASES: u32 = 64;
+
+/// `layer`'s tile grid under `u` over the six Fig. 4 axes `(M,Tm)
+/// (N,Tn) (S,Tr) (S,Tc) (K,Ti) (K,Tj)`: the tile count and the MACs
+/// the tiles cover (each run weighted by its length).
+fn fig4_tiles_and_macs(layer: &ConvLayer, u: Unroll) -> (u64, u64) {
+    let (tiles, runs) = grid([
+        (layer.m(), u.tm),
+        (layer.n(), u.tn),
+        (layer.s(), u.tr),
+        (layer.s(), u.tc),
+        (layer.k(), u.ti),
+        (layer.k(), u.tj),
+    ]);
+    let macs = runs
+        .map(|(tile, n)| tile.iter().product::<usize>() as u64 * n)
+        .sum();
+    (tiles, macs)
+}
 
 /// Raw `(m, n, s, k)` parameters for a small random CONV layer.
 fn small_layer_params() -> (
@@ -114,12 +133,9 @@ fn tiles_partition_the_loop_nest() {
         feasible_layer_unroll(),
         |&params| {
             let (layer, u) = layer_unroll(params);
-            let total: u64 = TileIter::new(&layer, u).map(|t| t.macs()).sum();
-            prop_assert_eq!(total, layer.macs());
-            prop_assert_eq!(
-                TileIter::new(&layer, u).count() as u64,
-                tile_count(&layer, &u)
-            );
+            let (tiles, macs) = fig4_tiles_and_macs(&layer, u);
+            prop_assert_eq!(macs, layer.macs());
+            prop_assert_eq!(tiles, tile_count(&layer, &u));
             Ok(())
         },
     );

@@ -8,9 +8,10 @@ use flexflow::analytic::{
     self, schedule_default, Schedule, PIPELINE_FILL_CYCLES, SEGMENT_STALL_CYCLES,
 };
 use flexflow::array::PeArray;
+use flexsim_dataflow::loopnest::grid;
 use flexsim_dataflow::search::{best_unroll, plan_network};
 use flexsim_dataflow::utilization::{ceil_div, tile_count, total_utilization};
-use flexsim_dataflow::{TileIter, Unroll};
+use flexsim_dataflow::Unroll;
 use flexsim_model::{reference, ConvLayer, Layer, Network, PoolKind, PoolLayer, WorkloadRegistry};
 use flexsim_obs::attrib::StallCause;
 use flexsim_obs::spatial::CellRect;
@@ -20,6 +21,24 @@ use flexsim_testkit::{prop_assert, prop_assert_eq};
 
 const CASES: u32 = 64;
 const D: usize = 16;
+
+/// `layer`'s tile grid under `u` over the six Fig. 4 axes `(M,Tm)
+/// (N,Tn) (S,Tr) (S,Tc) (K,Ti) (K,Tj)`: the tile count and the MACs
+/// the tiles cover (each run weighted by its length).
+fn fig4_tiles_and_macs(layer: &ConvLayer, u: Unroll) -> (u64, u64) {
+    let (tiles, runs) = grid([
+        (layer.m(), u.tm),
+        (layer.n(), u.tn),
+        (layer.s(), u.tr),
+        (layer.s(), u.tc),
+        (layer.k(), u.ti),
+        (layer.k(), u.tj),
+    ]);
+    let macs = runs
+        .map(|(tile, n)| tile.iter().product::<usize>() as u64 * n)
+        .sum();
+    (tiles, macs)
+}
 
 /// Raw `(m, n, s, k)` parameters for a small random CONV layer.
 fn small_layer_params() -> (
@@ -76,8 +95,9 @@ fn search_factors_divide_or_cover_loop_bounds() {
             assert_unroll_covers(&choice.unroll, &layer)?;
             // Coverage also means the tile walk reproduces the exact
             // MAC total — no work dropped, none invented.
-            let walked: u64 = TileIter::new(&layer, choice.unroll).map(|t| t.macs()).sum();
+            let (tiles, walked) = fig4_tiles_and_macs(&layer, choice.unroll);
             prop_assert_eq!(walked, layer.macs());
+            prop_assert_eq!(tiles, tile_count(&layer, &choice.unroll));
             Ok(())
         },
     );
