@@ -156,6 +156,14 @@ fi
 DILATED="$(pwd)/examples/dilated.ffnet"
 "$FLEXSIM" lint "$DILATED" > /dev/null
 "$FLEXSIM" --budget smoke tune "$DILATED" > /dev/null
+# A layer whose planned unroll keys more neuron slots than the PE
+# array's 32-bit slot index: lint warns (FXC04) and still exits 0.
+printf '{"name":"mid","input":{"maps":16,"size":8388613},"nodes":[{"id":"c1","op":"conv","m":16,"k":6}]}' \
+    > "$TMP/mid.ffnet"
+"$FLEXSIM" lint "$TMP/mid.ffnet" > "$TMP/mid_lint.txt" \
+    || { echo "FAIL: lint on an oversized slot table exited non-zero"; exit 1; }
+grep -q 'warning\[FXC04' "$TMP/mid_lint.txt" \
+    || { echo "FAIL: lint did not warn of the oversized slot table (FXC04)"; exit 1; }
 printf '{"name":"bad","input":{"maps":1,"size":4},"nodes":[{"id":"c","op":"conv","m":2,"kernel":3}]}' \
     > "$TMP/bad.ffnet"
 if "$FLEXSIM" run "$TMP/bad.ffnet" > "$TMP/bad_run.txt" 2>&1; then

@@ -25,7 +25,7 @@
 //! modulo — in scratch state that [`PeArray`] owns. It grows to the
 //! largest layer the array has run and is reused across calls, so a
 //! call allocates only its output tensor once the array has seen a
-//! layer as large:
+//! layer as large. A [`StorePlan`] sizes the stores of each layer:
 //!
 //! - the store words of every PE and store, as many per store as the
 //!   layer can fill between resets, at most [`STORE_WORDS`];
@@ -155,23 +155,26 @@ impl StoreScratch {
         }
     }
 
-    /// Empty stores for `pes` PEs, each holding at most `depth` operands
-    /// at once, with `slots` (PE, operand) slots and bus ids `0..ids`,
-    /// growing the buffers as needed.
+    /// Empty stores for `pes` PEs sized by `sizes`, growing the buffers
+    /// as needed.
     ///
     /// # Panics
     ///
-    /// Panics if the slots do not fit 32-bit indices.
-    fn prepare(&mut self, pes: usize, depth: usize, slots: usize, ids: usize) -> OperandStores<'_> {
+    /// Panics if the slots do not fit 32-bit indices
+    /// ([`StoreSizes::fits_slot_index`]).
+    fn prepare(&mut self, pes: usize, sizes: &StoreSizes) -> OperandStores<'_> {
         assert!(
-            u32::try_from(slots).is_ok(),
-            "{slots} operand slots exceed the PE array's 32-bit slot index"
+            sizes.fits_slot_index(),
+            "{} operand slots exceed the PE array's 32-bit slot index \
+             (statically flagged: flexcheck FXC04 fsm-bounds)",
+            sizes.slots
         );
+        let slots = sizes.slots as usize;
         self.stores().forget_all();
-        refill(&mut self.words, pes * depth, Fx16::ZERO);
-        refill(&mut self.resident, pes * depth, 0);
+        refill(&mut self.words, pes * sizes.depth, Fx16::ZERO);
+        refill(&mut self.resident, pes * sizes.depth, 0);
         refill(&mut self.next, pes, 0);
-        refill(&mut self.broadcast, ids.div_ceil(64), 0);
+        refill(&mut self.broadcast, (sizes.ids as usize).div_ceil(64), 0);
         if self.slots.len() < slots {
             // Free the old slots before the new ones are allocated, so
             // the two never coexist.
@@ -329,6 +332,91 @@ struct Operand {
     neuron_at: Placed,
 }
 
+/// The sizes of one kind of local store (neuron or kernel) across the
+/// PEs of a [`StorePlan`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StoreSizes {
+    /// Words of each PE's store in use: as many operands as the PE can
+    /// be sent between resets, at most [`STORE_WORDS`]. Words past that
+    /// depth are never used.
+    pub depth: usize,
+    /// Residency slots, one per (PE, operand) pair, saturating at
+    /// `u64::MAX`.
+    pub slots: u64,
+    /// Bus ids the broadcast memory tracks.
+    pub ids: u64,
+}
+
+impl StoreSizes {
+    /// Whether every slot has a 32-bit index, as each PE's resident
+    /// list stores it. [`PeArray::run_layer`] panics when it does not;
+    /// flexcheck `FXC04` warns of it statically.
+    pub fn fits_slot_index(&self) -> bool {
+        self.slots <= u64::from(u32::MAX)
+    }
+}
+
+/// How [`PeArray::run_layer`] sizes its local stores and residency slot
+/// tables for one layer under one unrolling (module docs, "Scratch
+/// state").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StorePlan {
+    /// Input rows one row stripe reads:
+    /// `(Tr − 1)·stride + (K − 1)·dilation + 1`. A stripe's neurons are
+    /// keyed by (map, row within the stripe, column).
+    pub span: usize,
+    /// Neuron stores: a slot per (stripe neuron, PE row); the bus ids
+    /// are the stripe's `N·span·S_in` neurons.
+    pub neuron: StoreSizes,
+    /// Kernel stores: a slot per (PE, (m group, n chunk, i, j)); the
+    /// bus ids are the layer's `M·N·K²` synapses.
+    pub kernel: StoreSizes,
+    /// Whether the kernel slices of every map group fit one kernel
+    /// store together, so kernels stay resident for the whole layer
+    /// rather than for one column tile.
+    pub kernels_persist: bool,
+}
+
+impl StorePlan {
+    /// The plan for `layer` under `u`. Every count is a saturating
+    /// product, so a plan exists for any layer shape.
+    pub fn new(layer: &ConvLayer, u: Unroll) -> StorePlan {
+        let (m, n, k) = (layer.m(), layer.n(), layer.k());
+        let s_in = layer.input_size();
+        let (rows, cols) = (u.rows_used(), u.cols_used());
+        let (n_chunks, m_groups) = (ceil_div(n, u.tn), ceil_div(m, u.tm));
+        let span = (u.tr - 1) * layer.stride() + (k - 1) * layer.dilation() + 1;
+        let words = |count: u64| count.min(STORE_WORDS as u64) as usize;
+        // A PE's column fixes `inm mod Tn`, `ir mod Ti` and `ic mod Tj`,
+        // so a stripe brings it at most this many distinct neurons.
+        let pe_neurons = product(&[n_chunks, span.div_ceil(u.ti), s_in.div_ceil(u.tj)]);
+        let pe_kernels = product(&[m_groups, n_chunks, k, k]);
+        let stripe_neurons = product(&[n, span, s_in]);
+        StorePlan {
+            span,
+            neuron: StoreSizes {
+                depth: words(pe_neurons),
+                slots: stripe_neurons.saturating_mul(rows as u64),
+                ids: stripe_neurons,
+            },
+            kernel: StoreSizes {
+                depth: words(pe_kernels),
+                slots: pe_kernels.saturating_mul(product(&[rows, cols])),
+                ids: product(&[m, n, k, k]),
+            },
+            kernels_persist: product(&[m_groups, n_chunks, k.div_ceil(u.ti), k.div_ceil(u.tj)])
+                <= STORE_WORDS as u64,
+        }
+    }
+}
+
+/// The product of `factors`, saturating at `u64::MAX`.
+fn product(factors: &[usize]) -> u64 {
+    factors
+        .iter()
+        .fold(1, |p: u64, &f| p.saturating_mul(f as u64))
+}
+
 /// The `D×D` PE array.
 ///
 /// # Example
@@ -399,9 +487,10 @@ impl PeArray {
     ///
     /// Panics if `u` violates the engine bounds, if `Ti` or `Tj` shares a
     /// factor with the layer's dilation (Relax Alignment would put two
-    /// operands of one output on one PE column), or the layer is not a
+    /// operands of one output on one PE column), if the layer is not a
     /// valid convolution (the functional model needs real operands for
-    /// every window position).
+    /// every window position), or if a slot table of its [`StorePlan`]
+    /// needs more than 32-bit slot indices.
     pub fn run_layer(
         &mut self,
         layer: &ConvLayer,
@@ -425,23 +514,13 @@ impl PeArray {
         let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
         let stride = layer.stride();
         let s_in = layer.input_size();
-        let kernels_persist = sch.m_groups.saturating_mul(sch.chunks) <= STORE_WORDS as u64;
+        let plan = StorePlan::new(layer, u);
+        let (span, kernels_persist) = (plan.span, plan.kernels_persist);
 
         let n_chunks = ceil_div(n, u.tn);
         let m_groups = ceil_div(m, u.tm);
         let (rows, cols) = (u.rows_used(), u.cols_used());
         let pes = rows * cols;
-        // A row stripe reads `span` input rows; its neurons are keyed
-        // by (map, row within the stripe, column).
-        let span = (u.tr - 1) * stride + (k - 1) * dilation + 1;
-        let stripe_neurons = n * span * s_in;
-        // Synapses one PE can hold: (m group, n chunk, i, j).
-        let pe_kernels = m_groups * n_chunks * k * k;
-        // A PE's column fixes `inm mod Tn`, `ir mod Ti` and `ic mod Tj`,
-        // so a stripe brings it at most this many distinct neurons; a
-        // store never holds more operands than a PE can be sent between
-        // resets, so its words past that depth are never used.
-        let pe_neurons = n_chunks * span.div_ceil(u.ti) * s_in.div_ceil(u.tj);
 
         let PeArray {
             neuron_scratch,
@@ -457,18 +536,8 @@ impl PeArray {
         } = self;
         // PE `row·cols + col`; the broadcast memories are keyed by
         // stripe-local neuron id and by global synapse id.
-        let mut neuron_stores = neuron_scratch.prepare(
-            pes,
-            pe_neurons.min(STORE_WORDS),
-            rows * stripe_neurons,
-            stripe_neurons,
-        );
-        let mut kernel_stores = kernel_scratch.prepare(
-            pes,
-            pe_kernels.min(STORE_WORDS),
-            pes * pe_kernels,
-            m * n * k * k,
-        );
+        let mut neuron_stores = neuron_scratch.prepare(pes, &plan.neuron);
+        let mut kernel_stores = kernel_scratch.prepare(pes, &plan.kernel);
         row_residue.clear();
         row_residue.extend((0..s_in).map(|x| (x % u.ti) * u.tj));
         col_residue.clear();
@@ -999,7 +1068,12 @@ mod tests {
     fn addr_table_wraps_when_the_store_is_full() {
         // One PE, 200 operand slots, each its own bus id.
         let mut scratch = StoreScratch::default();
-        let mut stores = scratch.prepare(1, STORE_WORDS, 200, 200);
+        let sizes = StoreSizes {
+            depth: STORE_WORDS,
+            slots: 200,
+            ids: 200,
+        };
+        let mut stores = scratch.prepare(1, &sizes);
         let mut bus = BusBundle::new("v", 1);
         let deliver = |stores: &mut OperandStores, bus: &mut BusBundle, slot: usize| {
             stores.address(0, slot, slot, bus, 0, || Fx16::from_raw(slot as i16))
@@ -1031,6 +1105,25 @@ mod tests {
     }
 
     #[test]
+    fn store_plan_flags_slot_tables_past_the_32_bit_index() {
+        // 16 maps of 8,388,613², one 6×6 conv to 16 maps, under the
+        // planned unroll: 16 PE rows × 16·6·8,388,613 stripe neurons.
+        // Sized without allocating a slot.
+        let layer = ConvLayer::new("mid", 16, 16, 8_388_608, 6);
+        let plan = StorePlan::new(&layer, Unroll::new(16, 16, 1, 1, 1, 1));
+        assert_eq!(plan.span, 6);
+        assert_eq!(plan.neuron.slots, 12_884_909_568);
+        assert!(!plan.neuron.fits_slot_index());
+        assert_eq!(plan.kernel.slots, 16 * 16 * 36);
+        assert!(plan.kernel.fits_slot_index());
+        // A count past u64 saturates and stays over the bound.
+        let huge = ConvLayer::new("huge", 1 << 33, 1 << 33, 1, 1);
+        let plan = StorePlan::new(&huge, Unroll::scalar());
+        assert_eq!(plan.kernel.slots, u64::MAX);
+        assert!(!plan.kernel.fits_slot_index());
+    }
+
+    #[test]
     fn scratch_is_reused_across_layers() {
         // One array runs a kernel-overflow layer, a resident layer with
         // a larger id space, a strided layer and a tiny layer back to
@@ -1052,7 +1145,9 @@ mod tests {
         ];
         let persists = |(layer, u): &(ConvLayer, Unroll)| {
             let sch = schedule_default(layer, *u, 16);
-            sch.m_groups * sch.chunks <= STORE_WORDS as u64
+            let persists = sch.m_groups * sch.chunks <= STORE_WORDS as u64;
+            assert_eq!(StorePlan::new(layer, *u).kernels_persist, persists);
+            persists
         };
         assert!(!persists(&cases[0]) && persists(&cases[1]));
         let mut array = PeArray::new(16);

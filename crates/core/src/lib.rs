@@ -19,11 +19,13 @@
 //!   multiplier);
 //! * [`mapping`] — the Section 4.3 operand/output assignment formulas
 //!   (logical groups, row/column residues — the RA/RS dataflow);
-//! * [`fsm`] — the four-state local-store address FSM of Section 4.4;
 //! * [`cdb`] — DataFlow1's common data buses and their per-step
 //!   write-exclusivity guard. DataFlow3's IADP/IPDR buffer layout is
 //!   not stepped: flexcheck `FXC07` states its bank inequality;
-//! * [`mod@array`] — the cycle-stepped functional PE-array simulator;
+//! * [`mod@array`] — the cycle-stepped functional PE-array simulator,
+//!   which addresses its stores through residency slot tables sized by
+//!   its [`StorePlan`](array::StorePlan) (Section 4.4's read-address FSM
+//!   is not modelled; `DESIGN.md` §4 says why);
 //! * [`analytic`] — the closed-form schedule model (validated against
 //!   [`mod@array`]) and its row-batch step schedule;
 //! * [`pooling`] — the 1-D pooling unit;
@@ -56,7 +58,6 @@ pub mod cdb;
 pub mod compiler;
 pub mod decoder;
 pub mod engine;
-pub mod fsm;
 pub mod isa;
 pub mod local_store;
 pub mod mapping;

@@ -17,7 +17,7 @@ pub const STORE_WORDS: usize = 128;
 pub fn check_address(addr: usize, words: usize) {
     assert!(
         addr < words,
-        "local store address out of range (statically provable: flexcheck FXC04 fsm-bounds)"
+        "local store address out of range (statically provable: flexcheck FXC01 ls-capacity)"
     );
 }
 

@@ -57,8 +57,8 @@ per-cause heatmap cell sums must equal the layer's loss ledger
 
 `flexsim lint [WORKLOAD]` statically verifies every Table 1 workload
 (or the one named) on all four architectures with the flexcheck rules
-(FXC01-FXC13: local-store capacity, bus races, adder-tree ports, FSM
-bounds, ISA protocol, unroll bounds, bank conflicts, utilization
+(FXC01-FXC13: local-store capacity, bus races, adder-tree ports, PE-array
+slot tables, ISA protocol, unroll bounds, bank conflicts, utilization
 sanity, attribution exactness, cycle exactness, ISA coverage,
 interference freedom, spatial exactness) and exits non-zero on any
 error. The same check also gates every simulation.

@@ -24,8 +24,9 @@ pub enum RuleId {
     /// `FXC03` — no two output neurons of one row-batch contend for the
     /// same PE row's adder-tree port.
     AdderTreePort,
-    /// `FXC04` — the address FSM provably stays inside the resident
-    /// slice for every loop trip count (closed-form bound, no stepping).
+    /// `FXC04` — every residency slot table of the PE array's
+    /// `StorePlan` fits its 32-bit slot index; a warning, since a layer
+    /// past it still runs in the analytic model.
     FsmBounds,
     /// `FXC05` — ISA invariants: decoder round-trip, protocol order,
     /// no dead or unreachable instructions.

@@ -3,8 +3,8 @@
 //! A compiled FlexFlow [`Program`](flexflow::Program) (and each
 //! baseline's tiling plan) makes resource claims: operand slices fit
 //! the 256 B local stores, no two producers drive one common data bus
-//! in a cycle, every address FSM trip stays in bounds, the instruction
-//! stream obeys the decoder protocol. The cycle-stepped simulators
+//! in a cycle, the PE array's residency slot tables stay indexable, the
+//! instruction stream obeys the decoder protocol. The cycle-stepped simulators
 //! *check* most of those claims with runtime asserts — after minutes of
 //! simulation, at one failing cycle. `flexcheck` *proves* them up
 //! front, in microseconds, without stepping a single cycle:
@@ -14,7 +14,7 @@
 //! | `FXC01 ls-capacity` | per-PE resident slice ≤ local-store words |
 //! | `FXC02 cdb-race` | per-step vertical-bus injectivity (no write-write race) |
 //! | `FXC03 adder-tree-port` | per-batch PE-row/adder-port injectivity |
-//! | `FXC04 fsm-bounds` | closed-form FSM address envelope ⊂ resident slice |
+//! | `FXC04 fsm-bounds` | compiled layers' PE-array slot tables fit its 32-bit slot index (warning: analytic only past it) |
 //! | `FXC05 isa-protocol` | encode/decode round-trip, stream protocol, no dead code |
 //! | `FXC06 unroll-bounds` | Constraint (1): factors fit the layer and the engine |
 //! | `FXC07 bank-conflict` | IADP/tiling/2D-mapping bank usage ≤ physical banks |
@@ -28,10 +28,10 @@
 //! The techniques are static by construction: rules 2–3 abstract-
 //! interpret the residue algebra of the Section 4.3
 //! [`Mapping`](flexflow::mapping::Mapping) (injectivity over residue
-//! classes), rule 4 evaluates a closed-form maximum over the
-//! [`AddrFsm`](flexflow::fsm::AddrFsm) configuration (proved equal to
-//! exhaustive stepping by property test), and rules 1 and 8 re-derive
-//! the [`analytic`](flexflow::analytic) arithmetic from the layer shape.
+//! classes), rule 4 sizes the PE array's own
+//! [`StorePlan`](flexflow::array::StorePlan), and rules 1 and 8
+//! re-derive the [`analytic`](flexflow::analytic) arithmetic from the
+//! layer shape.
 //!
 //! Entry points:
 //!
@@ -53,8 +53,10 @@
 //! runtime, the harness drives the corruption into that guard too
 //! (static ⊆ dynamic):
 //!
-//! * `FXC01`, `FXC04` — `flexflow::local_store::check_address`, the
-//!   bound the PE array checks on every store access;
+//! * `FXC01` — `flexflow::local_store::check_address`, the bound the
+//!   PE array checks on every store access;
+//! * `FXC04` — the PE array's slot-index assert as it prepares its
+//!   stores, over the same [`StorePlan`](flexflow::array::StorePlan);
 //! * `FXC02` (and `FXC12`'s bus side) — `flexflow::cdb::StepClaims`, in
 //!   debug builds;
 //! * `FXC05` — the on-chip [`Decoder`](flexflow::decoder::Decoder);
@@ -77,12 +79,11 @@ pub mod symbolic;
 
 pub use diag::{has_errors, render, Diagnostic, Location, RuleId, Severity};
 pub use params::{ArchKind, ArchParams};
-pub use plan::{BatchShape, FsmPlan, LayerPlan, WalkShape};
+pub use plan::{BatchShape, LayerPlan, WalkShape};
 pub use rules::{
     check, check_candidate, check_layer_plan, check_ledger, check_ledgers, check_network,
-    check_spatial, check_spatials, max_fsm_addr, prune_candidates, PrunedCandidates,
+    check_spatial, check_spatials, check_store_plan, prune_candidates, PrunedCandidates,
 };
 pub use symbolic::{
     check_cycle_exactness, check_cycle_exactness_all, check_interference, check_isa_coverage,
-    predict_program,
 };

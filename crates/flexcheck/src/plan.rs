@@ -4,16 +4,14 @@
 //! for one CONV layer — the *mapping* unroll the compiler planned data
 //! placement for (IADP), the *walk* and *batch* shapes the `Configure`
 //! instruction programs into the sequencer, the closed-form
-//! [`Schedule`], the per-segment resident slice, and the address-FSM
-//! envelope configurations — so each rule can check one consistency
-//! edge of that picture. In a well-formed program all of these derive
-//! from the same `Unroll`; the mutation harness corrupts individual
-//! fields to prove each rule fires on exactly its own invariant.
+//! [`Schedule`], and the per-segment resident slice — so each rule can
+//! check one consistency edge of that picture. In a well-formed program
+//! all of these derive from the same `Unroll`; the mutation harness
+//! corrupts individual fields to prove each rule fires on exactly its
+//! own invariant.
 
 use crate::diag::{Diagnostic, Location, RuleId};
 use flexflow::analytic::{self, Schedule};
-use flexflow::fsm::FsmConfig;
-use flexsim_dataflow::utilization::ceil_div;
 use flexsim_dataflow::Unroll;
 use flexsim_model::ConvLayer;
 
@@ -41,15 +39,6 @@ pub struct BatchShape {
     pub tc: usize,
 }
 
-/// One local store's read-FSM configuration plus its trip envelope.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FsmPlan {
-    /// The four-field FSM configuration (Section 4.4, Fig. 11).
-    pub config: FsmConfig,
-    /// Neuron rows the FSM walks before reset (`S3/JUMP` count + 1).
-    pub rows: usize,
-}
-
 /// The complete static picture of one layer's execution.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LayerPlan {
@@ -69,10 +58,6 @@ pub struct LayerPlan {
     /// Per-PE resident operand words per segment
     /// (`⌈chunks/segments⌉`) — the working set each local store holds.
     pub slice_words: usize,
-    /// Neuron-store read FSM (overlapping kernel-row-share windows).
-    pub neuron_fsm: FsmPlan,
-    /// Kernel-store read FSM (kernel-slice windows).
-    pub kernel_fsm: FsmPlan,
 }
 
 impl LayerPlan {
@@ -83,7 +68,7 @@ impl LayerPlan {
     /// # Errors
     ///
     /// Returns the `FXC06` diagnostic when `choice` over-occupies the
-    /// `d×d` engine: no schedule exists, so the capacity/FSM rules have
+    /// `d×d` engine: no schedule exists, so the capacity rules have
     /// nothing to check (rule `FXC06` subsumes them).
     pub fn derive(
         layer: &ConvLayer,
@@ -107,11 +92,6 @@ impl LayerPlan {
         }
         let schedule = analytic::schedule(layer, choice, d, store_words);
         let slice_words = schedule.chunks.div_ceil(schedule.segments) as usize;
-        let k = layer.k();
-        // Per-PE shares of the operand walk: a PE holds every `Tj`-th
-        // synapse column and every `Ti`-th synapse row of its lane.
-        let share_j = ceil_div(k, choice.tj);
-        let share_ij = share_j * ceil_div(k, choice.ti);
         Ok(LayerPlan {
             layer: layer.clone(),
             layer_index,
@@ -128,8 +108,6 @@ impl LayerPlan {
             },
             schedule,
             slice_words,
-            neuron_fsm: fsm_envelope(slice_words, share_j),
-            kernel_fsm: fsm_envelope(slice_words, share_ij),
         })
     }
 }
@@ -169,25 +147,6 @@ impl LayerPlan {
     }
 }
 
-/// The FSM configuration whose overlapping-window walk covers exactly
-/// the resident slice `[0, slice)` with windows of `share` operands:
-/// with step 1 every address is a window start except the last
-/// `share − 1`, so `windows_per_row = slice − window + 1` and the walk's
-/// maximum address is `slice − 1` (see [`crate::rules::max_fsm_addr`]).
-fn fsm_envelope(slice: usize, share: usize) -> FsmPlan {
-    let slice = slice.max(1);
-    let window = share.clamp(1, slice);
-    FsmPlan {
-        config: FsmConfig {
-            step: 1,
-            window,
-            windows_per_row: slice - window + 1,
-            row_stride: slice,
-        },
-        rows: 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,12 +164,6 @@ mod tests {
         assert_eq!(p.slice_words as u64, p.schedule.chunks); // one segment
         assert_eq!(p.walk.tj, 5);
         assert_eq!(p.batch.tm, 16);
-        // The neuron FSM's window is the PE's kernel-row share ⌈K/Tj⌉.
-        assert_eq!(p.neuron_fsm.config.window, 1);
-        assert_eq!(
-            p.neuron_fsm.config.windows_per_row,
-            p.slice_words - p.neuron_fsm.config.window + 1
-        );
     }
 
     #[test]
@@ -254,8 +207,5 @@ mod tests {
         let p = LayerPlan::derive(&deep, 0, u, u, 16, STORE_WORDS).unwrap();
         assert!(p.schedule.segments > 1);
         assert!(p.slice_words <= STORE_WORDS);
-        // The FSM envelope tops out exactly at the slice.
-        let cfg = p.neuron_fsm.config;
-        assert_eq!(cfg.windows_per_row + cfg.window - 1, p.slice_words);
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! Each rule proves one hardware invariant *without stepping the
 //! simulator*, by abstract-interpreting the residue algebra of the
-//! [`flexflow::mapping::Mapping`] (rules 2, 3), the closed-form address
-//! envelope of the [`flexflow::fsm::AddrFsm`] configuration (rule 4),
-//! or the arithmetic identities of the [`flexflow::analytic`] schedule
-//! (rules 1, 8). Rule 5 drives the on-chip [`Decoder`] front-end over
-//! the encoded stream (still static: no engine cycle executes), rule 6
-//! re-checks Constraint (1), and rule 7 checks IADP bank fits for all
-//! four architectures.
+//! [`flexflow::mapping::Mapping`] (rules 2, 3) or the arithmetic
+//! identities of the [`flexflow::analytic`] schedule (rules 1, 8).
+//! Rule 4 sizes the PE array's own [`StorePlan`], whose slot-index
+//! bound the array asserts when it prepares its stores. Rule 5 drives
+//! the on-chip [`Decoder`] front-end over the encoded stream (still
+//! static: no engine cycle executes), rule 6 re-checks Constraint (1),
+//! and rule 7 checks IADP bank fits for all four architectures.
 //!
 //! Every rule with a runtime counterpart is *sound relative to the
 //! dynamic simulators*: a schedule that passes it cannot trip that
@@ -20,9 +20,9 @@ use crate::diag::{Diagnostic, Location, RuleId};
 use crate::params::{ArchKind, ArchParams};
 use crate::plan::LayerPlan;
 use flexflow::analytic::{PIPELINE_FILL_CYCLES, SEGMENT_STALL_CYCLES};
+use flexflow::array::StorePlan;
 use flexflow::compiler::Program;
 use flexflow::decoder::{DecodeProgramError, Decoder};
-use flexflow::fsm::FsmConfig;
 use flexflow::isa::Instr;
 use flexflow::local_store::STORE_WORDS;
 use flexsim_dataflow::utilization::ceil_div;
@@ -31,21 +31,8 @@ use flexsim_obs::attrib::LossLedger;
 use flexsim_obs::spatial::LayerSpatial;
 use std::collections::HashMap;
 
-/// Closed-form maximum address an [`flexflow::fsm::AddrFsm`] with
-/// `config` emits while walking `rows` neuron rows — the bound rule
-/// `FXC04` proves instead of stepping the FSM. Delegates to
-/// [`FsmConfig::max_addr`] (the hardware-side closed form):
-/// within a row the last window starts at `(windows_per_row−1)·step`
-/// and ends `(window−1)·step` later; rows advance by `row_stride`.
-///
-/// `tests/proptests.rs` holds this exactly equal to the stepped FSM's
-/// maximum for every configuration.
-pub fn max_fsm_addr(config: &FsmConfig, rows: usize) -> usize {
-    config.max_addr(rows)
-}
-
-/// Runs the per-layer rules (`FXC01`–`FXC04`, `FXC06`–`FXC08`) over one
-/// [`LayerPlan`] against the target hardware.
+/// Runs the per-layer rules that can reject a layer (`FXC01`–`FXC03`,
+/// `FXC06`–`FXC08`) over one [`LayerPlan`] against the target hardware.
 pub fn check_layer_plan(plan: &LayerPlan, arch: &ArchParams) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let at = || Location::layer(plan.layer.name());
@@ -89,29 +76,6 @@ pub fn check_layer_plan(plan: &LayerPlan, arch: &ArchParams) -> Vec<Diagnostic> 
     // FXC03 — adder-tree row-port conflicts (row injectivity).
     diags.extend(rule_adder_tree_port(plan));
 
-    // FXC04 — FSM address envelope stays inside the resident slice.
-    for (store, fsm) in [("neuron", &plan.neuron_fsm), ("kernel", &plan.kernel_fsm)] {
-        let max = max_fsm_addr(&fsm.config, fsm.rows);
-        if max >= plan.slice_words {
-            diags.push(Diagnostic::error(
-                RuleId::FsmBounds,
-                at(),
-                format!(
-                    "{store}-store FSM (step={}, window={}, windows/row={}, row_stride={}, \
-                     rows={}) reaches address {max} but only {} words are resident",
-                    fsm.config.step,
-                    fsm.config.window,
-                    fsm.config.windows_per_row,
-                    fsm.config.row_stride,
-                    fsm.rows,
-                    plan.slice_words
-                ),
-                "shrink the window walk so (windows/row − 1 + window − 1)·step + \
-                 (rows − 1)·row_stride < resident words",
-            ));
-        }
-    }
-
     // FXC07 — IADP bank layouts fit the physical buffer banks.
     for (buffer, used) in plan.overflowing_banks(arch.buffer_banks) {
         diags.push(Diagnostic::error(
@@ -130,6 +94,32 @@ pub fn check_layer_plan(plan: &LayerPlan, arch: &ArchParams) -> Vec<Diagnostic> 
     diags.extend(rule_util_sanity(plan));
 
     diags
+}
+
+/// `FXC04`: every residency slot table of `store`, the functional PE
+/// array's [`StorePlan`] for `plan`'s layer and mapping, fits the
+/// array's 32-bit slot index. Past it the layer runs in the analytic
+/// model only, so the finding is a warning. [`check`] runs it on every
+/// compiled layer; a tuner candidate skips it, since a warning never
+/// prunes one.
+pub fn check_store_plan(plan: &LayerPlan, store: &StorePlan) -> Vec<Diagnostic> {
+    [("neuron", &store.neuron), ("kernel", &store.kernel)]
+        .into_iter()
+        .filter(|(_, sizes)| !sizes.fits_slot_index())
+        .map(|(kind, sizes)| {
+            Diagnostic::warning(
+                RuleId::FsmBounds,
+                Location::layer(plan.layer.name()),
+                format!(
+                    "unroll {} needs {} {kind}-store slots, more than the PE array's \
+                     32-bit slot index: the layer is outside the functional PE array \
+                     (analytic only)",
+                    plan.mapping, sizes.slots
+                ),
+                "the cycle model covers it; bit-exact replay does not",
+            )
+        })
+        .collect()
 }
 
 /// `FXC02`: symbolic interval disjointness of one logical step — the
@@ -256,10 +246,10 @@ fn rule_util_sanity(plan: &LayerPlan) -> Vec<Diagnostic> {
 /// Lints one tuner candidate unrolling for `layer`: derives the
 /// [`LayerPlan`] (an over-occupying candidate yields the `FXC06`
 /// diagnostic — no schedule exists, so there is nothing further to
-/// check) and runs the per-layer rules (`FXC01`–`FXC04`,
+/// check) and runs the per-layer rules (`FXC01`–`FXC03`,
 /// `FXC06`–`FXC08`) over it. The program-level rules still apply later:
-/// `FXC05` on the assembled tuned program ([`check`]) and `FXC09` on
-/// the simulated ledgers ([`check_ledgers`]).
+/// `FXC04` and `FXC05` on the assembled tuned program ([`check`]) and
+/// `FXC09` on the simulated ledgers ([`check_ledgers`]).
 pub fn check_candidate(
     layer: &ConvLayer,
     layer_index: usize,
@@ -306,7 +296,8 @@ pub fn prune_candidates(
 }
 
 /// Full FlexFlow program check: rule `FXC05` over the instruction
-/// stream, then the per-layer rules over every compiled CONV/FC layer.
+/// stream, then the per-layer rules and `FXC04` over every compiled
+/// CONV/FC layer.
 ///
 /// `net` supplies the layer shapes the `Program`'s choices refer to (a
 /// program stores factor plans by layer name only).
@@ -345,7 +336,11 @@ pub fn check(program: &Program, net: &Network, arch: &ArchParams) -> Vec<Diagnos
                     program.d(),
                     STORE_WORDS,
                 ) {
-                    Ok(plan) => diags.extend(check_layer_plan(&plan, arch)),
+                    Ok(plan) => {
+                        diags.extend(check_layer_plan(&plan, arch));
+                        let store = StorePlan::new(&view, choice.unroll);
+                        diags.extend(check_store_plan(&plan, &store));
+                    }
                     Err(diag) => diags.push(diag),
                 }
             }
@@ -838,13 +833,29 @@ mod tests {
     fn prune_accepts_the_full_tuner_search_space() {
         // The tuner's exhaustive enumeration already respects
         // Constraint (1) and layer bounds, so flexcheck prunes nothing
-        // on a plain CONV layer — the oracle matters for capacity/FSM
+        // on a plain CONV layer — the oracle matters for capacity
         // edge shapes and for corrupted tables, not the common case.
         let layer = ConvLayer::new("C3", 12, 8, 20, 3).with_input_size(22);
         let all = flexsim_dataflow::tune::full_candidates(&layer, 16, Some(6));
         let out = prune_candidates(&layer, 2, &all, &ArchParams::flexflow_paper());
         assert_eq!(out.pruned + out.legal.len(), all.len());
         assert!(!out.legal.is_empty());
+    }
+
+    #[test]
+    fn oversized_slot_table_warns_without_pruning() {
+        // 16 maps of 8,388,613², one 6×6 conv to 16 maps: 16 PE rows
+        // of the planned unroll key 12,884,909,568 neuron slots.
+        let layer = ConvLayer::new("mid", 16, 16, 8_388_608, 6);
+        let u = Unroll::new(16, 16, 1, 1, 1, 1);
+        let diags = check_store_plan(&plan_for(&layer, u), &StorePlan::new(&layer, u));
+        assert_eq!(diags.len(), 1, "{}", crate::render(&diags));
+        assert_eq!(diags[0].rule, RuleId::FsmBounds);
+        assert_eq!(diags[0].severity, crate::Severity::Warning);
+        assert!(diags[0].message.contains("12884909568 neuron-store slots"));
+        let arch = ArchParams::flexflow_paper();
+        assert!(check_candidate(&layer, 0, u, &arch).is_empty());
+        assert_eq!(prune_candidates(&layer, 0, &[u], &arch).legal, [u]);
     }
 
     #[test]
@@ -872,20 +883,6 @@ mod tests {
         let diags = check_layer_plan(&plan, &ArchParams::flexflow_paper());
         assert!(diags.iter().all(|d| d.rule == RuleId::CdbRace), "{diags:?}");
         assert!(has_errors(&diags));
-    }
-
-    #[test]
-    fn fsm_bound_formula_covers_the_doc_example() {
-        // fsm.rs's doc example: step 1, window 3, 2 windows/row,
-        // rows 8 apart; addresses peak at 3 within a row, 11 across two.
-        let cfg = FsmConfig {
-            step: 1,
-            window: 3,
-            windows_per_row: 2,
-            row_stride: 8,
-        };
-        assert_eq!(max_fsm_addr(&cfg, 1), 3);
-        assert_eq!(max_fsm_addr(&cfg, 2), 11);
     }
 
     #[test]

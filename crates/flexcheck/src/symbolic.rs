@@ -41,56 +41,8 @@ use crate::params::ArchParams;
 use crate::plan::LayerPlan;
 use flexflow::compiler::Program;
 use flexflow::isa::Instr;
-use flexflow::FlexFlow;
-use flexsim_dataflow::search::best_unroll;
-use flexsim_dataflow::Unroll;
-use flexsim_model::{Layer, Network};
 use flexsim_obs::attrib::{LossLedger, StallCause};
-use flexsim_obs::cycles::LayerTimeline;
 use std::collections::HashMap;
-
-/// Abstract interpretation of a compiled ISA stream: walks the
-/// instruction list once, carrying each layer's configured unrolling as
-/// symbolic state, and evaluates every `Conv` under the factors the
-/// on-chip decoder would hand the engine. Returns one predicted
-/// timeline per `Conv`, in stream order.
-///
-/// This is the stream-level entry the `FXC10`/`FXC11` tests drive:
-/// unlike `Accelerator::predict_network` it derives the mapping from
-/// the *instructions*, so a stream whose `Configure` disagrees with the
-/// program's planned choices predicts what the hardware would actually
-/// do.
-pub fn predict_program(program: &Program, net: &Network) -> Vec<LayerTimeline> {
-    let d = program.d();
-    let layers = net.layers();
-    let mut configured: HashMap<u8, Unroll> = HashMap::new();
-    let mut conv_idx = 0usize;
-    let mut out = Vec::new();
-    for instr in program.instrs() {
-        match *instr {
-            Instr::Configure { layer, unroll } => {
-                configured.insert(layer, unroll);
-            }
-            Instr::Conv { layer } => {
-                let view = match layers.get(layer as usize) {
-                    Some(Layer::Conv(c)) => c.clone(),
-                    Some(Layer::Fc(fc)) => fc.as_conv(),
-                    _ => continue, // FXC05 territory; nothing to time.
-                };
-                let planned = program.choices().get(conv_idx).map(|c| c.unroll);
-                conv_idx += 1;
-                let u = configured
-                    .get(&layer)
-                    .copied()
-                    .or(planned)
-                    .unwrap_or_else(|| best_unroll(&view, d, None).unroll);
-                out.push(FlexFlow::new(d).predict_with(&view, u));
-            }
-            _ => {}
-        }
-    }
-    out
-}
 
 /// `FXC10`: the symbolic prediction must equal the engine-recorded
 /// ledger *exactly* — identity (arch, layer, PE count), total cycles,
@@ -288,8 +240,9 @@ mod tests {
     use super::*;
     use flexflow::FlexFlow;
     use flexsim_arch::Accelerator;
+    use flexsim_dataflow::Unroll;
     use flexsim_model::workloads;
-    use flexsim_model::ConvLayer;
+    use flexsim_model::{ConvLayer, Network};
     use flexsim_obs::attrib::ledgers;
     use flexsim_obs::cycles::{Recorder, SinkHandle};
     use std::sync::Arc;
@@ -329,21 +282,6 @@ mod tests {
         let predicted = predicted_flexflow(&net, 8);
         let recorded = recorded_flexflow(&net, 16);
         assert!(!check_cycle_exactness_all(&predicted, &recorded).is_empty());
-    }
-
-    #[test]
-    fn program_interpretation_follows_the_configured_factors() {
-        let net = workloads::lenet5();
-        let program = flexflow::Compiler::new(16).compile(&net);
-        let stream = predict_program(&program, &net);
-        let planned = FlexFlow::new(16).predict_network(&net);
-        // A compiled program configures exactly the planned factors,
-        // so the stream-level interpreter agrees with the
-        // network-level one.
-        assert_eq!(stream.len(), planned.len());
-        for (s, p) in stream.iter().zip(&planned) {
-            assert_eq!(s.events, p.events, "{}", s.ctx.layer);
-        }
     }
 
     #[test]

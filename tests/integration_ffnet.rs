@@ -21,13 +21,14 @@
 //! Regenerate the checksums after an intentional numerics change with:
 //! `FLEXSIM_REGEN_FIXTURES=1 cargo test -q -p flexsim-experiments --test integration_ffnet`
 
+use flexcheck::{check_network, ArchParams, RuleId};
 use flexflow::array::PeArray;
 use flexflow::{Compiler, FlexFlow};
 use flexsim_baselines::{Mapping2d, Systolic, TilingArray};
 use flexsim_dataflow::search::best_unroll;
 use flexsim_model::graph::{Graph, GraphBuilder, GraphOp};
 use flexsim_model::tensor::KernelSet;
-use flexsim_model::{reference, Layer, Network, Shape, Tensor3, WorkloadRegistry};
+use flexsim_model::{reference, workloads, Layer, Network, Shape, Tensor3, WorkloadRegistry};
 use flexsim_testkit::prop::{self, fnv1a};
 use flexsim_testkit::{prop_assert_eq, SplitMix64};
 use std::collections::HashMap;
@@ -358,6 +359,51 @@ fn lint_on_a_fixture_lints_only_that_net() {
     assert!(stdout.contains("\"units_total\": 4"), "{stdout}");
     assert_eq!(stdout.matches("\"workload\": \"resnet-block\"").count(), 4);
     assert!(!stdout.contains("LeNet-5"), "{stdout}");
+}
+
+#[test]
+fn lint_warns_of_a_slot_table_past_the_pe_arrays_32_bit_index() {
+    // 16 maps of 8,388,613², one 6×6 conv to 16 maps: the planned
+    // unroll <16, 16, 1, 1, 1, 1> keys 16 PE rows × 805,306,848 stripe
+    // neurons = 12,884,909,568 neuron slots. Lint sizes the PE array's
+    // store plan without allocating it, and the array never runs here.
+    let text = r#"{"name":"mid","input":{"maps":16,"size":8388613},"nodes":[{"id":"c1","op":"conv","m":16,"k":6}]}"#;
+    let dir = std::env::temp_dir().join(format!("flexsim-ffnet-lint-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("mid.ffnet");
+    std::fs::write(&file, text).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_flexsim"))
+        .arg("lint")
+        .arg(&file)
+        .output()
+        .expect("flexsim runs");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let findings: Vec<&str> = stdout.lines().filter(|l| l.contains("[FXC04")).collect();
+    assert_eq!(findings.len(), 1, "{stdout}");
+    assert!(
+        findings[0].starts_with("  note: mid/FlexFlow: warning[FXC04 fsm-bounds] c1:")
+            && findings[0].contains("12884909568 neuron-store slots"),
+        "{stdout}"
+    );
+
+    // No shipped program comes near the bound.
+    let nets = workloads::all()
+        .into_iter()
+        .chain(fixture_nets().into_iter().map(|(net, _)| net));
+    for net in nets {
+        for arch in ArchParams::paper_suite(&net) {
+            let diags = check_network(&net, &arch);
+            assert!(
+                diags.iter().all(|d| d.rule != RuleId::FsmBounds),
+                "{} on {}:\n{}",
+                net.name(),
+                arch.kind.name(),
+                flexcheck::render(&diags)
+            );
+        }
+    }
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! * **Static precision** — corrupting exactly one field of a clean
 //!   schedule trips exactly the rule that owns that invariant (every
 //!   reported diagnostic carries that rule's id, and at least one is an
-//!   `Error`).
+//!   `Error`; `FXC04` reports a warning, since a layer past the PE
+//!   array's slot index still runs in the analytic model).
 //! * **Dynamic soundness** — the same corruption, driven into the
 //!   cycle-level hardware models, is caught at runtime (an assert
 //!   naming the rule, a decoder rejection, or a measured/claimed
@@ -22,18 +23,18 @@
 //! and a seeded sweep holding every architecture's step fold to its
 //! closed form.
 
-use flexcheck::{check, check_layer_plan, check_network, has_errors, render};
+use flexcheck::{check, check_layer_plan, check_network, check_store_plan, has_errors, render};
 use flexcheck::{
     check_cycle_exactness_all, check_interference, check_spatial, ArchParams, LayerPlan, RuleId,
     Severity,
 };
+use flexflow::array::{PeArray, StorePlan};
 use flexflow::cdb::StepClaims;
 use flexflow::compiler::Program;
 use flexflow::decoder::Decoder;
-use flexflow::fsm::AddrFsm;
 use flexflow::local_store::{check_address, STORE_WORDS};
 use flexflow::mapping::Mapping;
-use flexflow::{analytic, array::PeArray, Compiler, FlexFlow};
+use flexflow::{analytic, Compiler, FlexFlow};
 use flexsim_arch::Accelerator;
 use flexsim_baselines::{Mapping2d, Systolic, TilingArray};
 use flexsim_dataflow::Unroll;
@@ -190,28 +191,35 @@ fn fxc03_static_widened_batch_contends_for_row_ports() {
     assert_only(&diags, RuleId::AdderTreePort);
 }
 
-// --------------------------------------------------- FXC04 FSM bounds
+// ------------------------------------------- FXC04 slot-table bounds
+// A warning, not an error: a layer past the PE array's 32-bit slot
+// index still runs in the analytic model.
 
 #[test]
-fn fxc04_static_one_extra_window_escapes_the_slice() {
-    // Corruption: one extra window per row pushes the FSM's maximum
-    // address from slice−1 to slice.
-    let mut p = plan(&deep_layer(), deep_unroll());
-    p.neuron_fsm.config.windows_per_row += 1;
-    let diags = check_layer_plan(&p, &ArchParams::flexflow_paper());
-    assert_only(&diags, RuleId::FsmBounds);
+fn fxc04_static_oversized_neuron_slot_table_warns() {
+    // Corruption: the plan's store plan keys one neuron slot past
+    // u32::MAX.
+    let p = plan(&deep_layer(), deep_unroll());
+    let mut store = StorePlan::new(&p.layer, p.mapping);
+    assert!(check_store_plan(&p, &store).is_empty());
+    store.neuron.slots = u64::from(u32::MAX) + 1;
+    let diags = check_store_plan(&p, &store);
+    assert_eq!(diags.len(), 1, "{}", render(&diags));
+    assert_eq!(diags[0].rule, RuleId::FsmBounds);
+    assert_eq!(diags[0].severity, Severity::Warning);
+    assert!(!has_errors(&diags));
 }
 
 #[test]
-#[should_panic(expected = "address out of range")]
-fn fxc04_dynamic_one_extra_window_reads_past_the_slice() {
-    let p = plan(&deep_layer(), deep_unroll());
-    let mut cfg = p.neuron_fsm.config;
-    cfg.windows_per_row += 1;
-    let mut fsm = AddrFsm::new(cfg);
-    for _ in 0..cfg.windows_per_row * cfg.window {
-        check_address(fsm.next_addr(), p.slice_words);
-    }
+#[should_panic(expected = "exceed the PE array's 32-bit slot index")]
+fn fxc04_dynamic_oversized_slot_table_panics() {
+    // 256² output positions on 65,536 PE rows, each keying the 271²
+    // neurons of its stripe: 65,536·271² > u32::MAX neuron slots. The
+    // array panics while sizing its stores, before allocating a slot.
+    let layer = ConvLayer::new("C", 1, 1, 256, 16);
+    let u = Unroll::new(1, 1, 256, 256, 16, 16);
+    let (input, kernels) = reference::random_layer_data(&layer, 3);
+    PeArray::new(1 << 16).run_layer(&layer, u, &input, &kernels);
 }
 
 // ------------------------------------------------- FXC05 ISA protocol
