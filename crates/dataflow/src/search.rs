@@ -11,9 +11,23 @@
 //! the coupled problem exactly by dynamic programming over candidate
 //! `⟨Tm, Tr, Tc⟩` triples, minimizing total engine cycles — this is the
 //! planner behind the paper's Table 4.
+//!
+//! The DP prices a (predecessor, state) pair by the layer's tile count,
+//! which factors into a row side fixed by the predecessor through IADP
+//! ([`row_tiles`]) and a column side fixed by the state ([`col_tiles`]).
+//! Predecessors with equal row-side counts differ only in their running
+//! cost, so each count keeps one representative, the cheapest (lowest
+//! index on a tie). A layer then costs `distinct row-side counts ×
+//! states` relaxations instead of `states × states`, and the plan is the
+//! one the pairwise DP picks, tie-breaks included.
+//!
+//! [`row_tiles`]: crate::utilization::row_tiles
+//! [`col_tiles`]: crate::utilization::col_tiles
 
 use crate::unroll::{dilation_legal, legal_synapse_factor, Unroll};
-use crate::utilization::{col_utilization, row_utilization, tile_count, total_utilization};
+use crate::utilization::{
+    col_tiles, col_utilization, row_tiles, row_utilization, tile_count, total_utilization,
+};
 use flexsim_model::{ConvLayer, Network};
 use std::fmt;
 
@@ -203,11 +217,31 @@ pub fn best_unroll_where(
     best.map(|(_, _, u)| LayerChoice::new(layer, u, d))
 }
 
+/// The IADP hand-off: layer *i*'s column side `⟨Tm, Tr, Tc⟩` becomes
+/// layer *i+1*'s row side `⟨Tn, Ti, Tj⟩`, clamped to this layer's `N`/`K`
+/// bounds (shapes can disagree) and reduced to dilation-legal synapse
+/// factors.
+fn iadp_row(layer: &ConvLayer, (tm, tr, tc): (usize, usize, usize)) -> (usize, usize, usize) {
+    (
+        tm.min(layer.n()),
+        legal_synapse_factor(layer.dilation(), tr.min(layer.k())),
+        legal_synapse_factor(layer.dilation(), tc.min(layer.k())),
+    )
+}
+
 /// Solves the network-coupled factor-selection problem on a `D×D` engine
 /// (the paper's compiler): IADP ties each layer's `⟨Tn, Ti, Tj⟩` to the
 /// previous layer's `⟨Tm, Tr, Tc⟩` (clamped to the layer's own `N`/`K`
 /// bounds when the shapes disagree), and the choice minimizes total
 /// engine cycles across the workload.
+///
+/// A layer's tile count is its row-side count (set by the predecessor
+/// state) times its column-side count (set by the state). Per layer the
+/// DP computes each state's column side once, keeps one predecessor per
+/// distinct row-side count — the cheapest, the lowest index on a tie —
+/// and relaxes only those, in index order, so it costs `distinct
+/// row-side counts × states` per layer. Every state's winner is still
+/// the lowest-index predecessor of minimal cost.
 ///
 /// Returns one [`LayerChoice`] per CONV layer, in network order.
 ///
@@ -244,37 +278,39 @@ pub fn plan_network(net: &Network, d: usize) -> Vec<LayerChoice> {
 
     // dp[s] = (total cycles, predecessor state index) for the current
     // layer ending in state s.
+    let first_rows = row_tiles(layers[0], first_row);
     let mut dp: Vec<(u64, usize)> = states[0]
         .iter()
-        .map(|&(tm, tr, tc)| {
-            let u = Unroll::new(tm, first_row.0, tr, tc, first_row.1, first_row.2);
-            (tile_count(layers[0], &u), usize::MAX)
-        })
+        .map(|&col| (first_rows * col_tiles(layers[0], col), usize::MAX))
         .collect();
     let mut back: Vec<Vec<usize>> = vec![vec![usize::MAX; states[0].len()]];
 
     for li in 1..layers.len() {
         let layer = layers[li];
-        let mut next: Vec<(u64, usize)> = vec![(u64::MAX, usize::MAX); states[li].len()];
-        for (pi, &(ptm, ptr, ptc)) in states[li - 1].iter().enumerate() {
-            let (pcost, _) = dp[pi];
-            if pcost == u64::MAX {
+        // One representative per row-side count; relaxing them in index
+        // order keeps each state's winner the lowest-index predecessor
+        // of minimal cost.
+        let mut reps: Vec<(u64, u64, usize)> = Vec::new();
+        for (pi, (&prev, &(pcost, _))) in states[li - 1].iter().zip(&dp).enumerate() {
+            let (tn, ti, tj) = iadp_row(layer, prev);
+            if pcost == u64::MAX || tn * ti * tj > d {
                 continue;
             }
-            // IADP: incoming row side = previous col side, clamped to this
-            // layer's N/K bounds (shapes can disagree, see module docs)
-            // and reduced to a dilation-legal synapse factor.
-            let tn = ptm.min(layer.n());
-            let ti = legal_synapse_factor(layer.dilation(), ptr.min(layer.k()));
-            let tj = legal_synapse_factor(layer.dilation(), ptc.min(layer.k()));
-            if tn * ti * tj > d {
-                continue;
+            let rows = row_tiles(layer, (tn, ti, tj));
+            match reps.iter_mut().find(|r| r.0 == rows) {
+                Some(r) if pcost < r.1 => *r = (rows, pcost, pi),
+                Some(_) => {}
+                None => reps.push((rows, pcost, pi)),
             }
-            for (si, &(tm, tr, tc)) in states[li].iter().enumerate() {
-                let u = Unroll::new(tm, tn, tr, tc, ti, tj);
-                let cost = pcost.saturating_add(tile_count(layer, &u));
-                if cost < next[si].0 {
-                    next[si] = (cost, pi);
+        }
+        reps.sort_unstable_by_key(|&(_, _, pi)| pi);
+        let cols: Vec<u64> = states[li].iter().map(|&c| col_tiles(layer, c)).collect();
+        let mut next: Vec<(u64, usize)> = vec![(u64::MAX, usize::MAX); cols.len()];
+        for &(rows, pcost, pi) in &reps {
+            for (best, &col) in next.iter_mut().zip(&cols) {
+                let cost = pcost.saturating_add(rows * col);
+                if cost < best.0 {
+                    *best = (cost, pi);
                 }
             }
         }
@@ -303,12 +339,7 @@ pub fn plan_network(net: &Network, d: usize) -> Vec<LayerChoice> {
         let (tn, ti, tj) = if li == 0 {
             first_row
         } else {
-            let (ptm, ptr, ptc) = states[li - 1][chain[li - 1]];
-            (
-                ptm.min(layer.n()),
-                legal_synapse_factor(layer.dilation(), ptr.min(layer.k())),
-                legal_synapse_factor(layer.dilation(), ptc.min(layer.k())),
-            )
+            iadp_row(layer, states[li - 1][chain[li - 1]])
         };
         let u = Unroll::new(tm, tn, tr, tc, ti, tj);
         debug_assert!(
@@ -343,13 +374,14 @@ pub fn analyzer_chain(net: &Network, d: usize) -> Vec<LayerChoice> {
         let bound = net.rc_bound(index);
         let mut choice = best_unroll(layer, d, bound);
         if let Some(p) = prev {
+            let (tn, ti, tj) = iadp_row(layer, (p.tm, p.tr, p.tc));
             let u = Unroll::new(
                 choice.unroll.tm,
-                p.tm.min(layer.n()),
+                tn,
                 choice.unroll.tr,
                 choice.unroll.tc,
-                legal_synapse_factor(layer.dilation(), p.tr.min(layer.k())),
-                legal_synapse_factor(layer.dilation(), p.tc.min(layer.k())),
+                ti,
+                tj,
             );
             choice = LayerChoice::new(layer, u, d);
         }
@@ -363,7 +395,193 @@ pub fn analyzer_chain(net: &Network, d: usize) -> Vec<LayerChoice> {
 mod tests {
     use super::*;
     use crate::style::Style;
-    use flexsim_model::workloads;
+    use flexsim_model::{ffnet, workloads, PoolKind, PoolLayer};
+    use flexsim_testkit::prop::{self, vec_of};
+    use flexsim_testkit::prop_assert_eq;
+
+    /// The planner's DP priced pair by pair: every (predecessor, state)
+    /// pair costs a full `tile_count`. This is the oracle [`plan_network`]
+    /// must reproduce choice for choice, tie-breaks included.
+    fn plan_network_pairwise(net: &Network, d: usize) -> Vec<LayerChoice> {
+        assert!(d > 0, "engine side must be non-zero");
+        let conv_steps: Vec<(usize, &ConvLayer)> = net.conv_steps().collect();
+        assert!(!conv_steps.is_empty(), "network has no CONV layers");
+        let layers: Vec<&ConvLayer> = conv_steps.iter().map(|&(_, l)| l).collect();
+        let rc_bounds: Vec<Option<usize>> =
+            conv_steps.iter().map(|&(i, _)| net.rc_bound(i)).collect();
+
+        // Per-layer candidate ⟨Tm,Tr,Tc⟩ triples (the DP state after each
+        // layer).
+        let states: Vec<Vec<(usize, usize, usize)>> = layers
+            .iter()
+            .zip(&rc_bounds)
+            .map(|(l, &b)| col_candidates(l, d, b))
+            .collect();
+
+        // The first layer's row side is uncoupled: pick the Ur-optimal triple.
+        let first_row = {
+            let l = layers[0];
+            row_candidates(l, d)
+                .into_iter()
+                .max_by(|a, b| {
+                    let ua = row_utilization(l, &Unroll::new(1, a.0, 1, 1, a.1, a.2), d);
+                    let ub = row_utilization(l, &Unroll::new(1, b.0, 1, 1, b.1, b.2), d);
+                    ua.partial_cmp(&ub).unwrap().then_with(|| a.cmp(b))
+                })
+                .expect("row candidates are never empty")
+        };
+
+        // dp[s] = (total cycles, predecessor state index) for the current
+        // layer ending in state s.
+        let mut dp: Vec<(u64, usize)> = states[0]
+            .iter()
+            .map(|&(tm, tr, tc)| {
+                let u = Unroll::new(tm, first_row.0, tr, tc, first_row.1, first_row.2);
+                (tile_count(layers[0], &u), usize::MAX)
+            })
+            .collect();
+        let mut back: Vec<Vec<usize>> = vec![vec![usize::MAX; states[0].len()]];
+
+        for li in 1..layers.len() {
+            let layer = layers[li];
+            let mut next: Vec<(u64, usize)> = vec![(u64::MAX, usize::MAX); states[li].len()];
+            for (pi, &(ptm, ptr, ptc)) in states[li - 1].iter().enumerate() {
+                let (pcost, _) = dp[pi];
+                if pcost == u64::MAX {
+                    continue;
+                }
+                // IADP: incoming row side = previous col side, clamped to this
+                // layer's N/K bounds (shapes can disagree, see module docs)
+                // and reduced to a dilation-legal synapse factor.
+                let tn = ptm.min(layer.n());
+                let ti = legal_synapse_factor(layer.dilation(), ptr.min(layer.k()));
+                let tj = legal_synapse_factor(layer.dilation(), ptc.min(layer.k()));
+                if tn * ti * tj > d {
+                    continue;
+                }
+                for (si, &(tm, tr, tc)) in states[li].iter().enumerate() {
+                    let u = Unroll::new(tm, tn, tr, tc, ti, tj);
+                    let cost = pcost.saturating_add(tile_count(layer, &u));
+                    if cost < next[si].0 {
+                        next[si] = (cost, pi);
+                    }
+                }
+            }
+            back.push(next.iter().map(|&(_, p)| p).collect());
+            dp = next;
+        }
+
+        // Backtrack the optimal state chain.
+        let (mut best_state, _) = dp
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &(cost, _))| cost)
+            .expect("states are never empty");
+        let mut chain = vec![0usize; layers.len()];
+        for li in (0..layers.len()).rev() {
+            chain[li] = best_state;
+            if li > 0 {
+                best_state = back[li][best_state];
+            }
+        }
+
+        // Materialize choices.
+        let mut out = Vec::with_capacity(layers.len());
+        for (li, layer) in layers.iter().enumerate() {
+            let (tm, tr, tc) = states[li][chain[li]];
+            let (tn, ti, tj) = if li == 0 {
+                first_row
+            } else {
+                let (ptm, ptr, ptc) = states[li - 1][chain[li - 1]];
+                (
+                    ptm.min(layer.n()),
+                    legal_synapse_factor(layer.dilation(), ptr.min(layer.k())),
+                    legal_synapse_factor(layer.dilation(), ptc.min(layer.k())),
+                )
+            };
+            let u = Unroll::new(tm, tn, tr, tc, ti, tj);
+            debug_assert!(
+                u.satisfies(layer, d, rc_bounds[li]),
+                "planned unroll violates constraints for {}",
+                layer.name()
+            );
+            out.push(LayerChoice::new(layer, u, d));
+        }
+        out
+    }
+
+    #[test]
+    fn factored_plan_equals_the_pairwise_oracle_on_every_builtin_and_example() {
+        let mut nets = workloads::all();
+        nets.extend([
+            workloads::lenet5_full(),
+            workloads::paper_example(),
+            workloads::chained_toy(),
+        ]);
+        for text in [
+            include_str!("../../../examples/dilated.ffnet"),
+            include_str!("../../../examples/mobilenet_block.ffnet"),
+            include_str!("../../../examples/resnet_block.ffnet"),
+        ] {
+            nets.push(ffnet::parse_network(text).expect("example parses"));
+        }
+        for net in &nets {
+            for d in 1..=64 {
+                assert_eq!(
+                    plan_network(net, d),
+                    plan_network_pairwise(net, d),
+                    "{} at d={d}",
+                    net.name()
+                );
+            }
+        }
+    }
+
+    /// One random chain link: `(M, N, S, K, stride, dilation, pool window)`,
+    /// a window of 1 meaning no pooling after the layer.
+    type Link = (usize, usize, usize, usize, usize, usize, usize);
+
+    /// A conv chain from `links`, each layer optionally followed by a pool
+    /// that bounds its predecessor's `Tr, Tc` through `P·K'`. `N` and `K`
+    /// are drawn independently of the previous layer's `M` and `S`, so the
+    /// IADP hand-off often clamps.
+    fn random_chain(links: &[Link]) -> Network {
+        let mut b = Network::builder("chain");
+        for (i, &(m, n, s, k, stride, dilation, pool)) in links.iter().enumerate() {
+            b = b.conv(
+                ConvLayer::new(format!("C{i}"), m, n, s, k)
+                    .with_stride(stride)
+                    .with_dilation(dilation),
+            );
+            if pool > 1 && s >= pool {
+                b = b.pool(PoolLayer::new(format!("P{i}"), PoolKind::Max, pool, m, s));
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn factored_plan_equals_the_pairwise_oracle_on_random_chains() {
+        let link = (
+            1usize..=12,
+            1usize..=4,
+            1usize..=12,
+            1usize..=4,
+            1usize..=3,
+            1usize..=3,
+            1usize..=3,
+        );
+        prop::check(
+            "factored_plan_equals_the_pairwise_oracle_on_random_chains",
+            256,
+            (vec_of(link, 2..=5), 1usize..=32),
+            |(links, d)| {
+                let net = random_chain(links);
+                prop_assert_eq!(plan_network(&net, *d), plan_network_pairwise(&net, *d));
+                Ok(())
+            },
+        );
+    }
 
     #[test]
     fn best_unroll_beats_scalar() {

@@ -22,17 +22,39 @@ pub fn ceil_div(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
+/// Row-side tile count `⌈N/Tn⌉·⌈K/Ti⌉·⌈K/Tj⌉` for the intra-row factors
+/// `(Tn, Ti, Tj)`: the steps a PE row takes to cover one output neuron's
+/// operands, and Eq. 2's denominator over `D`.
+pub fn row_tiles(layer: &ConvLayer, (tn, ti, tj): (usize, usize, usize)) -> u64 {
+    let (n, k) = (layer.n(), layer.k());
+    [ceil_div(n, tn), ceil_div(k, ti), ceil_div(k, tj)]
+        .iter()
+        .map(|&x| x as u64)
+        .product()
+}
+
+/// Column-side tile count `⌈M/Tm⌉·⌈S/Tr⌉·⌈S/Tc⌉` for the inter-row factors
+/// `(Tm, Tr, Tc)`: the row batches that cover the layer's output neurons,
+/// and Eq. 3's denominator over `D`.
+pub fn col_tiles(layer: &ConvLayer, (tm, tr, tc): (usize, usize, usize)) -> u64 {
+    let (m, s) = (layer.m(), layer.s());
+    [ceil_div(m, tm), ceil_div(s, tr), ceil_div(s, tc)]
+        .iter()
+        .map(|&x| x as u64)
+        .product()
+}
+
 /// PE-row (intra-row) utilization `Ur` (Eq. 2).
 pub fn row_utilization(layer: &ConvLayer, u: &Unroll, d: usize) -> f64 {
     let (n, k) = (layer.n(), layer.k());
-    let denom = ceil_div(n, u.tn) * ceil_div(k, u.ti) * ceil_div(k, u.tj) * d;
+    let denom = row_tiles(layer, (u.tn, u.ti, u.tj)) * d as u64;
     (n * k * k) as f64 / denom as f64
 }
 
 /// PE-column (inter-row) utilization `Uc` (Eq. 3).
 pub fn col_utilization(layer: &ConvLayer, u: &Unroll, d: usize) -> f64 {
     let (m, s) = (layer.m(), layer.s());
-    let denom = ceil_div(m, u.tm) * ceil_div(s, u.tr) * ceil_div(s, u.tc) * d;
+    let denom = col_tiles(layer, (u.tm, u.tr, u.tc)) * d as u64;
     (m * s * s) as f64 / denom as f64
 }
 
@@ -42,18 +64,11 @@ pub fn total_utilization(layer: &ConvLayer, u: &Unroll, d: usize) -> f64 {
 }
 
 /// Number of engine compute steps (tiles) for the layer under `u`:
-/// the product of the six `⌈·/T·⌉` terms. Each step corresponds to one
-/// engine cycle in which every *occupied* PE performs one MAC.
+/// the product of the six `⌈·/T·⌉` terms, [`row_tiles`] × [`col_tiles`].
+/// Each step corresponds to one engine cycle in which every *occupied*
+/// PE performs one MAC.
 pub fn tile_count(layer: &ConvLayer, u: &Unroll) -> u64 {
-    let t = [
-        ceil_div(layer.m(), u.tm),
-        ceil_div(layer.n(), u.tn),
-        ceil_div(layer.s(), u.tr),
-        ceil_div(layer.s(), u.tc),
-        ceil_div(layer.k(), u.ti),
-        ceil_div(layer.k(), u.tj),
-    ];
-    t.iter().map(|&x| x as u64).product()
+    row_tiles(layer, (u.tn, u.ti, u.tj)) * col_tiles(layer, (u.tm, u.tr, u.tc))
 }
 
 #[cfg(test)]

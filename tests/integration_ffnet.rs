@@ -35,6 +35,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -208,12 +209,14 @@ fn all_simulators_reproduce_fixture_layers_bit_exactly() {
 
 // ----------------------------------------------------- CLI diagnostics
 
-/// Writes `text` to a scratch `.ffnet` file and runs
-/// `flexsim run <file>`, returning (exit code, stderr).
-/// Runs `flexsim <command…> FILE` on `text` written to `<tag>.ffnet`:
-/// the exit code and stderr.
+/// Runs `flexsim <command…> FILE` on `text` written to `<tag>.ffnet` in
+/// a scratch directory of its own, removed after the run: the exit code
+/// and stderr.
 fn cli_on(command: &[&str], text: &str, tag: &str) -> (Option<i32>, String) {
-    let dir = std::env::temp_dir().join(format!("flexsim-ffnet-test-{}", std::process::id()));
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("flexsim-ffnet-test-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join(format!("{tag}.ffnet"));
     std::fs::write(&file, text).unwrap();
@@ -222,6 +225,7 @@ fn cli_on(command: &[&str], text: &str, tag: &str) -> (Option<i32>, String) {
         .arg(&file)
         .output()
         .expect("flexsim runs");
+    std::fs::remove_dir_all(&dir).unwrap();
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
