@@ -4,7 +4,7 @@ use crate::area::AreaBreakdown;
 use crate::buffer::BUFFER_WORDS;
 use crate::dram::conv_layer_traffic;
 use crate::energy::EnergyModel;
-use crate::stats::{mirror_layer, EventCounts, LayerResult, RunSummary, Traffic};
+use crate::stats::{EventCounts, LayerResult, RunSummary, Traffic};
 use flexsim_model::{ConvLayer, Network};
 use flexsim_obs::cycles::{Aggregate, LayerCtx, LayerTimeline, SinkHandle};
 use flexsim_obs::{span, telemetry};
@@ -109,8 +109,8 @@ pub fn run_layers<A: Accelerator + ?Sized>(
 /// cycles and useful MACs are those of its schedule's aggregate `agg`;
 /// `events` and `traffic` are what the architecture's dataflow moves on
 /// chip. Charges DRAM traffic at the Table 5 buffer size and the idle
-/// PE-cycles, prices energy with the 65 nm event model, and mirrors the
-/// result into the metrics registry.
+/// PE-cycles, and prices energy with the 65 nm event model. It writes
+/// no process-global state: the returned result is the only record.
 pub fn price_layer<A: Accelerator + ?Sized>(
     acc: &A,
     layer: &ConvLayer,
@@ -125,7 +125,7 @@ pub fn price_layer<A: Accelerator + ?Sized>(
     let pe_cycles = cycles.saturating_mul(acc.pe_count() as u64);
     events.idle_pe_cycles = pe_cycles.saturating_sub(macs);
     let energy = EnergyModel::tsmc65().energy(&events, cycles, acc.area().total_mm2());
-    let result = LayerResult {
+    LayerResult {
         arch: acc.name().to_owned(),
         layer: layer.name().to_owned(),
         pe_count: acc.pe_count(),
@@ -134,9 +134,7 @@ pub fn price_layer<A: Accelerator + ?Sized>(
         events,
         traffic,
         energy,
-    };
-    mirror_layer(&result);
-    result
+    }
 }
 
 #[cfg(test)]

@@ -37,18 +37,6 @@ impl Traffic {
     pub fn total(&self) -> u64 {
         self.neuron_in + self.neuron_out + self.kernel_in + self.psum
     }
-
-    /// Every field as a `(name, value)` pair — the single source of
-    /// truth for metric mirroring and the self-consistency tests, so a
-    /// new field cannot be added without updating this list.
-    pub fn named(&self) -> [(&'static str, u64); 4] {
-        [
-            ("neuron_in", self.neuron_in),
-            ("neuron_out", self.neuron_out),
-            ("kernel_in", self.kernel_in),
-            ("psum", self.psum),
-        ]
-    }
 }
 
 impl Add for Traffic {
@@ -100,27 +88,6 @@ pub struct EventCounts {
     pub dram_writes: u64,
     /// Pooling-unit ALU operations.
     pub pool_ops: u64,
-}
-
-impl EventCounts {
-    /// Every field as a `(name, value)` pair — the single source of
-    /// truth for metric mirroring and the self-consistency tests.
-    pub fn named(&self) -> [(&'static str, u64); 12] {
-        [
-            ("macs", self.macs),
-            ("local_store_reads", self.local_store_reads),
-            ("local_store_writes", self.local_store_writes),
-            ("neuron_in_buf", self.neuron_in_buf),
-            ("neuron_out_buf", self.neuron_out_buf),
-            ("kernel_buf", self.kernel_buf),
-            ("bus_words", self.bus_words),
-            ("stream_words", self.stream_words),
-            ("idle_pe_cycles", self.idle_pe_cycles),
-            ("dram_reads", self.dram_reads),
-            ("dram_writes", self.dram_writes),
-            ("pool_ops", self.pool_ops),
-        ]
-    }
 }
 
 impl Add for EventCounts {
@@ -346,32 +313,6 @@ impl RunSummary {
     }
 }
 
-/// Mirrors one finished layer into the global metrics registry
-/// ([`flexsim_obs::metrics::global`]): `sim_layers`, `sim_cycles`,
-/// `sim_events_<field>` for every [`EventCounts`] field, and
-/// `sim_traffic_<field>` for every [`Traffic`] field, all labeled
-/// `{arch, layer}`.
-///
-/// Each simulator calls this exactly once per produced [`LayerResult`],
-/// so registry totals filtered by `arch` must equal the corresponding
-/// [`RunSummary`] aggregates field for field — the invariant the
-/// `integration_obs` suite asserts across every workload.
-pub fn mirror_layer(result: &LayerResult) {
-    let reg = flexsim_obs::metrics::global();
-    let labels = [
-        ("arch", result.arch.as_str()),
-        ("layer", result.layer.as_str()),
-    ];
-    reg.add("sim_layers", &labels, 1);
-    reg.add("sim_cycles", &labels, result.cycles);
-    for (field, value) in result.events.named() {
-        reg.add(&format!("sim_events_{field}"), &labels, value);
-    }
-    for (field, value) in result.traffic.named() {
-        reg.add(&format!("sim_traffic_{field}"), &labels, value);
-    }
-}
-
 impl fmt::Display for RunSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -450,55 +391,6 @@ mod tests {
         };
         let b = a + a;
         assert_eq!(b.total(), 20);
-    }
-
-    #[test]
-    fn named_covers_every_field() {
-        let e = EventCounts {
-            macs: 1,
-            local_store_reads: 2,
-            local_store_writes: 3,
-            neuron_in_buf: 4,
-            neuron_out_buf: 5,
-            kernel_buf: 6,
-            bus_words: 7,
-            stream_words: 8,
-            idle_pe_cycles: 9,
-            dram_reads: 10,
-            dram_writes: 11,
-            pool_ops: 12,
-        };
-        // Sum over named() equals the sum the Add impl produces from
-        // zero — i.e. no field is missing from the list.
-        let named_sum: u64 = e.named().iter().map(|(_, v)| v).sum();
-        assert_eq!(named_sum, (1..=12).sum());
-        let t = Traffic {
-            neuron_in: 1,
-            neuron_out: 2,
-            kernel_in: 3,
-            psum: 4,
-        };
-        let named_sum: u64 = t.named().iter().map(|(_, v)| v).sum();
-        assert_eq!(named_sum, t.total());
-    }
-
-    #[test]
-    fn mirror_layer_writes_labeled_counters() {
-        let mut r = result(100, 640, 256);
-        // A label set no other test uses, so the shared global registry
-        // can't interfere.
-        r.arch = "MirrorUnitTest".into();
-        r.events.macs = 640;
-        r.events.dram_reads = 17;
-        r.traffic.psum = 33;
-        mirror_layer(&r);
-        let snap = flexsim_obs::metrics::global().snapshot();
-        let labels = [("arch", "MirrorUnitTest"), ("layer", "L")];
-        assert_eq!(snap.get("sim_layers", &labels), 1);
-        assert_eq!(snap.get("sim_cycles", &labels), 100);
-        assert_eq!(snap.get("sim_events_macs", &labels), 640);
-        assert_eq!(snap.get("sim_events_dram_reads", &labels), 17);
-        assert_eq!(snap.get("sim_traffic_psum", &labels), 33);
     }
 
     #[test]

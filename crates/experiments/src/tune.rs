@@ -18,7 +18,8 @@
 //!    cross product, [`Budget::Smoke`] = a power-of-two grid,
 //!    [`Budget::Cap`] = a deterministic prefix of the full space);
 //! 2. **lint-prune** — [`flexcheck::prune_candidates`] rejects illegal
-//!    candidates against all nine FXC rules *before* anything runs;
+//!    candidates against the six per-layer rules (FXC01–03 and
+//!    FXC06–08) *before* anything is scored;
 //! 3. **score** — surviving candidates are scored across the
 //!    thread pool ([`ExperimentCtx::map`], deterministic at any
 //!    `--jobs` level) with the exact [`LossLedger`] cost function

@@ -19,9 +19,9 @@
 //! * [`mod@span`] — hierarchical host-wall-time spans with an optional
 //!   global recorder, read by `flexsim --trace` and by [`telemetry`];
 //! * [`metrics`] — a labeled counter/gauge registry with
-//!   snapshot-and-diff; the simulators mirror every
-//!   `EventCounts`/`Traffic` field into it so aggregate stats and live
-//!   metrics can never disagree;
+//!   snapshot-and-diff, for the pool's counters and the loss-ledger and
+//!   spatial series that traced, profiled and heatmapped layers mirror
+//!   into it (the simulators themselves write nothing there);
 //! * [`cycles`] — cycle-domain events and timelines, the one
 //!   [`cycles::Recorder`] observer (behind an optional
 //!   [`cycles::SinkHandle`], so an unobserved run builds nothing), and

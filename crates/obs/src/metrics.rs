@@ -1,14 +1,13 @@
 //! Labeled counter/gauge registry with snapshot-and-diff.
 //!
 //! Counters are monotonic `u64` cells keyed by a metric name plus a
-//! sorted label set (`sim_cycles{arch="FlexFlow",layer="C3"}`). The
-//! simulators mirror every [`EventCounts`]/`Traffic` field into the
-//! [`global`] registry as layers complete, so the live metrics and the
-//! end-of-run aggregates derive from the same numbers and can never
-//! disagree — a property the `integration_obs` suite asserts
-//! field-for-field.
-//!
-//! [`EventCounts`]: https://docs.rs/flexsim-arch
+//! sorted label set (`sim_busy_pe_cycles{arch="FlexFlow"}`). The
+//! [`global`] registry holds the pool's counters and the loss-ledger
+//! ([`crate::attrib::LossLedger::mirror`]) and spatial
+//! ([`crate::spatial::LayerSpatial::mirror`]) series of the layers a
+//! command traces, profiles or heatmaps; `--metrics` dumps it and
+//! `--trace` embeds a snapshot. Simulating a layer writes nothing here:
+//! its `LayerResult` is the only per-layer record.
 //!
 //! # Example
 //!
@@ -30,7 +29,7 @@ use std::sync::Mutex;
 /// A metric identity: name plus sorted labels.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key {
-    /// Metric name (`sim_cycles`, `sim_events_macs`, …).
+    /// Metric name (`sim_busy_pe_cycles`, `pool_tasks_total`, …).
     pub name: String,
     /// Label pairs, sorted by key for a canonical identity.
     pub labels: Vec<(String, String)>,

@@ -51,8 +51,8 @@ pub enum Phase {
     Schedule,
     /// Cycle simulation proper (the `run_conv` paths).
     Simulate,
-    /// Result verification (ledger exactness checks, attribution
-    /// mirroring, tuner re-verification).
+    /// Result verification (the trace collector's ledger exactness
+    /// checks and attribution mirroring).
     Verify,
     /// Rendering and writing outputs (tables, JSON, traces).
     Export,

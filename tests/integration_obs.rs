@@ -1,6 +1,7 @@
-//! Observability integration: the metrics registry, the cycle-domain
-//! trace, and the Chrome exporter must all agree with the simulators'
-//! analytic results — and the `flexsim` binary must expose them.
+//! Observability integration: the cycle-domain trace and the Chrome
+//! exporter must agree with the simulators' analytic results,
+//! simulating must leave the metrics registry untouched, and the
+//! `flexsim` binary must expose the trace and the registry.
 //!
 //! Tests that touch process-global observability state (the metrics
 //! registry and the span recorder) serialize on a local mutex; the
@@ -21,45 +22,25 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// ISSUE acceptance: the live metrics registry and the aggregate
-/// `RunSummary` can never disagree — checked field-for-field on every
-/// Table 1 workload × every architecture.
+/// Pricing a layer writes no process-global state: running every
+/// Table 1 workload on every architecture leaves the metrics registry
+/// exactly as it was. Per-layer results live in the `RunSummary` alone.
 #[test]
-fn metrics_registry_mirrors_run_summaries_exactly() {
+fn running_networks_leaves_the_metrics_registry_unchanged() {
     let _guard = serial();
+    let before = metrics::global().snapshot();
     for net in flexsim_model::workloads::all() {
         for mut acc in ArchSet::builder().build(&net) {
-            let before = metrics::global().snapshot();
             let summary = acc.run_network(&net);
-            let grown = metrics::global().snapshot().diff(&before);
-            let arch = [("arch", acc.name())];
-            let tag = format!("{}/{}", acc.name(), net.name());
-            assert_eq!(
-                grown.total("sim_layers", &arch),
-                summary.layers.len() as u64,
-                "{tag}: sim_layers"
-            );
-            assert_eq!(
-                grown.total("sim_cycles", &arch),
-                summary.cycles(),
-                "{tag}: sim_cycles"
-            );
-            for (field, want) in summary.events().named() {
-                assert_eq!(
-                    grown.total(&format!("sim_events_{field}"), &arch),
-                    want,
-                    "{tag}: sim_events_{field}"
-                );
-            }
-            for (field, want) in summary.traffic().named() {
-                assert_eq!(
-                    grown.total(&format!("sim_traffic_{field}"), &arch),
-                    want,
-                    "{tag}: sim_traffic_{field}"
-                );
-            }
+            assert!(!summary.layers.is_empty(), "{}", net.name());
         }
     }
+    let after = metrics::global().snapshot();
+    assert!(
+        after == before,
+        "simulating wrote into the metrics registry:\n{}",
+        after.diff(&before).dump()
+    );
 }
 
 /// One recorder shared by four simulators on four threads keeps every
@@ -283,8 +264,9 @@ fn flexsim_trace_flag_writes_loadable_chrome_trace() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("layer timelines"), "{stderr}");
-    // `--metrics` dumps the registry, which fig15 populated.
-    assert!(stderr.contains("sim_cycles"), "{stderr}");
+    // `--metrics` dumps the registry, into which the trace collector
+    // mirrored every recorded layer's loss ledger.
+    assert!(stderr.contains("sim_busy_pe_cycles"), "{stderr}");
 
     let text = std::fs::read_to_string(&file).unwrap();
     std::fs::remove_dir_all(&dir).ok();
