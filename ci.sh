@@ -192,18 +192,20 @@ grep -q 'FXC13 spatial-exactness: ok' "$TMP/heat_ffnet.txt" \
 
 echo "==> flexsim stats smoke (telemetry never perturbs results; all phases fire; --trace and --telemetry fold one recorder)"
 # Same sweep with telemetry off vs. on: the written artifacts must be
-# byte-identical, and the snapshot must cover every declared phase.
+# byte-identical, and every declared phase must fire at least once.
 "$FLEXSIM" --jobs 2 --json --out "$TMP/out_off" all > /dev/null
 "$FLEXSIM" --jobs 2 --json --out "$TMP/out_on" --telemetry "$TMP/telemetry.json" all > /dev/null
 for f in "$TMP"/out_off/*.json; do
     cmp "$f" "$TMP/out_on/$(basename "$f")" \
         || { echo "FAIL: telemetry perturbed $(basename "$f")"; exit 1; }
 done
-for phase in parse flexcheck schedule simulate verify export; do
+for phase in parse flexcheck schedule simulate export; do
     grep -q "\"$phase\"" "$TMP/telemetry.json" \
         || { echo "FAIL: phase $phase missing from telemetry snapshot"; exit 1; }
-    grep -q "phase=\"$phase\"" "$TMP/telemetry.json.prom" \
-        || { echo "FAIL: phase $phase missing from Prometheus export"; exit 1; }
+    calls=$(grep "^flexsim_phase_calls_total{phase=\"$phase\"} " "$TMP/telemetry.json.prom" \
+        | grep -o '[0-9]*$' || true)
+    [ "${calls:-0}" -gt 0 ] \
+        || { echo "FAIL: phase $phase never fired (calls: ${calls:-missing})"; exit 1; }
 done
 # `--trace` and `--telemetry` read one span recorder: every traced
 # layer span is one layer-sim histogram sample.

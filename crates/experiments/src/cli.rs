@@ -85,7 +85,7 @@ tunes all six and writes BENCH_tune.json.
 
 `flexsim stats` runs the Table 1 sweep with host-side telemetry
 enabled and reports where *simulator* wall time goes: per-phase
-exclusive time (parse, flexcheck, schedule, simulate, verify, export),
+exclusive time (parse, flexcheck, schedule, simulate, export),
 per-worker scheduler stats (busy/idle/wall, tasks, queue
 high-water), and latency histograms (p50/p90/p99) for experiments,
 per-layer simulations, and pool tasks. Telemetry never changes
@@ -110,13 +110,12 @@ options (any command):
   --out DIR       also write one .txt + .json per experiment report
                   into DIR
   --trace FILE    write a Chrome trace-event JSON file (host spans +
-                  cycle-domain timelines + metrics), loadable in
-                  Perfetto or chrome://tracing
+                  cycle-domain timelines), loadable in Perfetto or
+                  chrome://tracing
   --telemetry PATH collect host-side runtime telemetry during any run
                   and write the snapshot to PATH (byte-stable JSON)
                   plus PATH.prom (Prometheus text format); flight
                   dumps (flight-<ts>.json) go to PATH's directory
-  --metrics       print the metrics-registry dump to stderr after the run
   --no-lint       skip the static pre-simulation verification gate
   --list          list experiment ids and exit
   --help          show this message
@@ -153,8 +152,6 @@ environment:
 pub struct Cli {
     /// Emit machine-readable JSON on stdout.
     pub json: bool,
-    /// Print the metrics-registry dump after the run.
-    pub metrics: bool,
     /// Disarm the pre-simulation verification gate.
     pub no_lint: bool,
     /// Maximum concurrently running tasks (`--jobs`, else the
@@ -286,8 +283,7 @@ impl CommandOptions {
 /// commands on one line; for the wrong number of arguments to a
 /// command; and for an option the command does not take.
 pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Cli, String> {
-    let (mut json, mut metrics, mut no_lint, mut help, mut list) =
-        (false, false, false, false, false);
+    let (mut json, mut no_lint, mut help, mut list) = (false, false, false, false);
     let (mut jobs, mut trace, mut telemetry, mut out_dir) = (None, None, None, None);
     let mut opts = CommandOptions::default();
     let mut words = Vec::new();
@@ -297,7 +293,6 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Cli, String> {
             "--json" => json = true,
             "--list" => list = true,
             "--help" | "-h" => help = true,
-            "--metrics" => metrics = true,
             "--no-lint" => no_lint = true,
             "--static" => opts.static_flag = true,
             "--mutate" => opts.mutate = true,
@@ -334,7 +329,6 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Cli, String> {
     };
     Ok(Cli {
         json,
-        metrics,
         no_lint,
         jobs: jobs.unwrap_or_else(flexsim_pool::available_parallelism),
         trace,
@@ -618,7 +612,7 @@ mod tests {
             (&["--json", "lint", FFNET], lint(Some(FFNET))),
             (&["workloads", "--json"], Command::Workloads),
             (
-                &["--jobs", "2", "--trace", "t.json", "--metrics", "fig15"],
+                &["--jobs", "2", "--trace", "t.json", "fig15"],
                 ids(&["fig15"]),
             ),
             (
@@ -636,10 +630,10 @@ mod tests {
             "--out",
             "results",
             "table06",
-            "--metrics",
+            "--no-lint",
         ];
         let cli = p(&args).unwrap();
-        assert!(cli.json && cli.metrics);
+        assert!(cli.json && cli.no_lint);
         assert_eq!(cli.out_dir.as_deref(), Some("results"));
         assert_eq!(cli.trace, None);
         assert_rows(vec![
@@ -655,7 +649,7 @@ mod tests {
     #[test]
     fn empty_args_mean_run_all() {
         let cli = p(&[]).unwrap();
-        assert!(!cli.json && !cli.metrics && !cli.no_lint);
+        assert!(!cli.json && !cli.no_lint);
         assert_eq!((cli.trace, cli.telemetry, cli.out_dir), (None, None, None));
         assert_rows(vec![(&[], ids(&[]))]);
     }

@@ -21,19 +21,13 @@
 //! [`TraceCollector`] is threaded through the context, each parallel
 //! task records into its own private [`Recorder`] (tagged with the
 //! owning experiment id), and completed timelines are merged back in
-//! task order — deterministic and attributable. As each timeline lands
-//! in the collector its [`LossLedger`] is mirrored into the global metrics
-//! registry (`sim_busy_pe_cycles` / `sim_lost_pe_cycles{cause}`), so
-//! `--metrics` dumps and exported Chrome traces always agree.
-//!
-//! [`LossLedger`]: flexsim_obs::attrib::LossLedger
+//! task order — deterministic and attributable.
 
 use crate::arches::ARCH_NAMES;
 use crate::report::{ExperimentResult, Table};
 use flexsim_model::Network;
-use flexsim_obs::attrib::LossLedger;
 use flexsim_obs::cycles::{LayerTimeline, Recorder, SinkHandle};
-use flexsim_obs::{metrics, telemetry};
+use flexsim_obs::telemetry;
 use flexsim_pool::{Outcome, Pool, Task};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -115,15 +109,6 @@ impl TraceCollector {
     }
 
     fn append(&self, timelines: Vec<LayerTimeline>) {
-        // The single chokepoint every collected timeline crosses:
-        // mirror its loss ledger so the metrics registry and the
-        // exported trace can never disagree about attribution. Ledger
-        // reconstruction re-checks the exactness identity, which is
-        // host-side verification work — the Verify phase.
-        let _verify = telemetry::phase(telemetry::Phase::Verify);
-        for tl in &timelines {
-            LossLedger::from_timeline(tl).mirror(metrics::global());
-        }
         self.done
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

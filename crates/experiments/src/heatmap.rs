@@ -8,8 +8,7 @@
 //! ASCII report, byte-stable `--json`, or an `--svg` document.
 //!
 //! Architectures fan out over the pool ([`ExperimentCtx::map_pairs`],
-//! bounded by `--jobs`); results come back in [`ARCH_NAMES`] order and
-//! are mirrored into the metrics registry from the calling thread, so
+//! bounded by `--jobs`); results come back in [`ARCH_NAMES`] order, so
 //! output is byte-identical at every `--jobs` level.
 //!
 //! Exit status: 0 with every FXC13 identity holding, 1 on any
@@ -63,13 +62,6 @@ pub fn heatmap(
     let heats = ctx.map_pairs(std::slice::from_ref(net), &selected, |_, net, idx| {
         simulate(net, idx)
     });
-    // Mirror from the calling thread, in report order, so the metrics
-    // registry fills deterministically regardless of `--jobs`.
-    for heat in &heats {
-        for sp in &heat.spatials {
-            sp.mirror(flexsim_obs::metrics::global());
-        }
-    }
     let failed = heats.iter().any(|h| flexcheck::has_errors(&h.diags));
     let text = if json {
         let mut text = heatmap_json(net, reference, &heats).pretty();

@@ -13,8 +13,8 @@
 //! ```
 //!
 //! [`cli::parse`] yields one typed [`Command`]; `main` runs it through
-//! a single `match`, and every command's stdout, `--out`, `--trace`,
-//! `--metrics` and `--telemetry` output leaves through one emit path.
+//! a single `match`, and every command's stdout, `--out`, `--trace`
+//! and `--telemetry` output leaves through one emit path.
 //! Output is byte-identical at every `--jobs` level: every multi-pair
 //! command fans out through [`flexsim_experiments::ExperimentCtx::map`],
 //! which returns results in submission order. A closed stdout pipe
@@ -32,7 +32,7 @@ use flexsim_experiments::{
 };
 use flexsim_obs::cycles::LayerTimeline;
 use flexsim_obs::telemetry::{self, Phase};
-use flexsim_obs::{chrome, metrics, span};
+use flexsim_obs::{chrome, span};
 use flexsim_testkit::json::Json;
 use std::io::Write as _;
 
@@ -265,15 +265,12 @@ fn tune_workloads(
     Ok(Output::results(vec![tune::report(&outcomes, budget)], 0))
 }
 
-/// The single emit path: `--trace`, `--metrics`, `--out`, then stdout.
+/// The single emit path: `--trace`, `--out`, then stdout.
 /// Returns the command's exit status.
 fn finish(cli: &Cli, out: &Output) -> Result<i32, String> {
     let _export = telemetry::phase(Phase::Export);
     if let Some(file) = &cli.trace {
         write_trace(file, &out.timelines)?;
-    }
-    if cli.metrics {
-        eprint!("{}", metrics::global().snapshot().dump());
     }
     if let (Some(dir), false) = (&cli.out_dir, out.results.is_empty()) {
         write_out(dir, &out.results)?;
@@ -293,17 +290,16 @@ fn finish(cli: &Cli, out: &Output) -> Result<i32, String> {
     }
 }
 
-/// Writes the `--trace` Chrome trace: host spans, the collected cycle
-/// timelines, and the metrics registry. The spans stay in the recorder
+/// Writes the `--trace` Chrome trace: host spans and the collected
+/// cycle timelines. The spans stay in the recorder
 /// for the `--telemetry` snapshot taken after it.
 fn write_trace(file: &str, timelines: &[LayerTimeline]) -> Result<(), String> {
     let spans = span::records();
-    let snapshot = metrics::global().snapshot();
     let labels = span::thread_labels();
     std::fs::File::create(file)
         .and_then(|f| {
             let mut sink = std::io::BufWriter::new(f);
-            chrome::write_chrome_trace(&mut sink, &spans, timelines, &snapshot, &labels)?;
+            chrome::write_chrome_trace(&mut sink, &spans, timelines, &labels)?;
             sink.into_inner()
                 .map_err(std::io::IntoInnerError::into_error)
         })

@@ -128,13 +128,6 @@ fn profile_one(net: &Network, arch_idx: usize) -> Vec<[String; 8]> {
         net.name(),
     );
 
-    // Mirror attribution into the global registry so `--metrics`
-    // reports the same busy/lost split as this table.
-    let registry = flexsim_obs::metrics::global();
-    for ledger in &layer_ledgers {
-        ledger.mirror(registry);
-    }
-
     let dram = DramInterface::default();
     let mut rows = Vec::with_capacity(summary.layers.len() + 1);
     let mut net_ledger: Option<LossLedger> = None;

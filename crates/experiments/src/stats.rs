@@ -7,7 +7,7 @@
 //! *simulated* cycles). The report covers:
 //!
 //! * per-phase exclusive wall time over the host pipeline (parse →
-//!   flexcheck → schedule → simulate → verify → export), plus an
+//!   flexcheck → schedule → simulate → export), plus an
 //!   `(other)` row for un-phased time so the table always reconciles
 //!   against total wall time;
 //! * per-worker scheduler stats from `flexsim-pool` — busy/idle/wall
@@ -17,12 +17,10 @@
 //!   wall time, per-layer simulation wall time, and pool task latency;
 //! * flight-recorder occupancy.
 //!
-//! The sweep runs with tracing on so the verify path (ledger
-//! mirroring) is exercised, and the suite output is rendered — and
-//! discarded — under the export phase, so every declared phase shows
-//! real work. Telemetry never perturbs simulation results; the
-//! `integration_telemetry` suite holds the sweep output byte-identical
-//! with telemetry on vs. off.
+//! The suite output is rendered — and discarded — under the export
+//! phase, so every declared phase shows real work. Telemetry never
+//! perturbs simulation results; the `integration_telemetry` suite holds
+//! the sweep output byte-identical with telemetry on vs. off.
 
 use crate::experiment::{run_suite, sweep_set, SuiteConfig};
 use crate::report::{ExperimentResult, Table};
@@ -40,10 +38,7 @@ pub fn run(jobs: usize) -> (ExperimentResult, usize) {
         let _parse = telemetry::phase(Phase::Parse);
         sweep_set()
     };
-    // Tracing on: collected timelines cross the verify chokepoint
-    // (ledger exactness mirroring), so the verify phase sees the same
-    // work a `--trace` run would.
-    let report = run_suite(&experiments, &SuiteConfig { jobs, trace: true });
+    let report = run_suite(&experiments, &SuiteConfig { jobs, trace: false });
     // Render the suite the way `flexsim all --json` would — real
     // export work, measured, then discarded (stats prints its own
     // report instead).
@@ -205,7 +200,7 @@ mod tests {
         for p in Phase::ALL {
             assert!(text.contains(p.name()), "{} missing:\n{text}", p.name());
         }
-        // 6 phases × 1000us leaves 4000us unphased of the 10ms wall.
+        // 5 phases × 1000us leaves 5000us unphased of the 10ms wall.
         assert!(text.contains("(other)"), "{text}");
         assert!(text.contains("(wall)"), "{text}");
         assert!(text.contains("10.0"), "{text}"); // each phase's share

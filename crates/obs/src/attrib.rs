@@ -18,7 +18,6 @@
 //! ledger into a gating diagnostic.
 
 use crate::cycles::LayerTimeline;
-use crate::metrics::Registry;
 use std::fmt;
 
 /// Why PE-cycles were lost. One variant per mechanism the four
@@ -70,8 +69,8 @@ impl StallCause {
         StallCause::MappingResidueIdle,
     ];
 
-    /// Stable kebab-case name (used as the Chrome-trace event name and
-    /// the metrics `cause` label).
+    /// Stable kebab-case name (the Chrome-trace event name and `cause`
+    /// arg, and the `Display` form).
     pub fn name(self) -> &'static str {
         match self {
             StallCause::PipelineFill => "pipeline-fill",
@@ -210,23 +209,6 @@ impl LossLedger {
         self.busy_pe_cycles += other.busy_pe_cycles;
         for cause in StallCause::ALL {
             self.lost[cause.index()] += other.lost(cause);
-        }
-    }
-
-    /// Mirrors the ledger into a metrics registry:
-    /// `sim_busy_pe_cycles{arch}` plus one
-    /// `sim_lost_pe_cycles{arch, cause}` counter per nonzero cause —
-    /// the chokepoint keeping `flexsim --metrics` and exported traces
-    /// in agreement with the ledger.
-    pub fn mirror(&self, registry: &Registry) {
-        let arch = self.arch.as_str();
-        registry.add("sim_busy_pe_cycles", &[("arch", arch)], self.busy_pe_cycles);
-        for (cause, lost) in self.top_causes() {
-            registry.add(
-                "sim_lost_pe_cycles",
-                &[("arch", arch), ("cause", cause.name())],
-                lost,
-            );
         }
     }
 }
@@ -553,47 +535,5 @@ mod tests {
             )],
         ));
         let _ = LossDelta::between(&a, &b);
-    }
-
-    #[test]
-    fn mirror_writes_per_cause_counters() {
-        let registry = Registry::new();
-        let ledger = LossLedger::from_timeline(&tl(
-            4,
-            vec![
-                CycleEvent::new(
-                    CycleEventKind::Stall(StallCause::BufferBandwidthWait),
-                    0,
-                    5,
-                    0,
-                ),
-                CycleEvent::new(
-                    CycleEventKind::Pass(StallCause::AdderTreeContention),
-                    5,
-                    10,
-                    25,
-                ),
-            ],
-        ));
-        ledger.mirror(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.total("sim_busy_pe_cycles", &[("arch", "TestArch")]),
-            25
-        );
-        assert_eq!(
-            snap.total(
-                "sim_lost_pe_cycles",
-                &[("arch", "TestArch"), ("cause", "buffer-bandwidth-wait")],
-            ),
-            20
-        );
-        assert_eq!(
-            snap.total(
-                "sim_lost_pe_cycles",
-                &[("arch", "TestArch"), ("cause", "adder-tree-contention")],
-            ),
-            15
-        );
     }
 }

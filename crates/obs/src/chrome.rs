@@ -13,9 +13,7 @@
 //!   row per layer, carrying that layer's [`LayerTimeline`] cycle
 //!   events with the convention **1 µs = 1 simulated cycle**.
 //!
-//! A metrics snapshot rides along under `otherData.metrics` so a single
-//! file captures spans, cycle timelines, and final counters (including
-//! the `spatial_*` per-cell mirrors when a heatmap run populated them).
+//! `otherData` holds one key, `cycle_unit`, naming that convention.
 //!
 //! Each layer thread additionally carries a **`busy-pes` counter
 //! track** (`"ph":"C"`): the mean number of busy PEs during each cycle
@@ -29,7 +27,6 @@
 //! never has to sit in memory as a single string.
 
 use crate::cycles::LayerTimeline;
-use crate::metrics::Snapshot;
 use crate::span::SpanRecord;
 use flexsim_testkit::json::Json;
 use std::io::Write;
@@ -74,31 +71,6 @@ fn metadata_event(meta: &str, pid: u64, tid: u64, value: &str) -> Json {
         ("tid", Json::from(tid)),
         ("args", Json::obj([("name", Json::str(value))])),
     ])
-}
-
-/// Renders a metrics snapshot as a JSON object, one
-/// `name{k="v"}`-style key per cell (same keys as
-/// [`Snapshot::dump`]). Label values pass through
-/// [`crate::metrics::escape_label`], so a hostile `.ffnet`-derived
-/// layer name cannot forge extra cells or ambiguous keys.
-pub fn metrics_json(metrics: &Snapshot) -> Json {
-    Json::obj(metrics.iter().map(|(key, value)| {
-        let mut name = key.name.clone();
-        if !key.labels.is_empty() {
-            name.push('{');
-            for (i, (k, v)) in key.labels.iter().enumerate() {
-                if i > 0 {
-                    name.push(',');
-                }
-                name.push_str(k);
-                name.push_str("=\"");
-                name.push_str(&crate::metrics::escape_label(v));
-                name.push('"');
-            }
-            name.push('}');
-        }
-        (name, Json::from(value))
-    }))
 }
 
 /// Generates every trace event, in document order, calling `emit` for
@@ -213,28 +185,25 @@ fn for_each_event(
     }
 }
 
-/// Builds a complete Chrome trace document from host spans, per-layer
-/// cycle timelines, and a metrics snapshot.
+/// Builds a complete Chrome trace document from host spans and
+/// per-layer cycle timelines.
 ///
 /// The result is `{"traceEvents": [...], "displayTimeUnit": "ms",
-/// "otherData": {"metrics": {...}}}` — the object form both
+/// "otherData": {"cycle_unit": ...}}` — the object form both
 /// `chrome://tracing` and Perfetto accept. For large traces prefer
 /// [`write_chrome_trace`], which streams instead of buffering.
-pub fn chrome_trace(spans: &[SpanRecord], timelines: &[LayerTimeline], metrics: &Snapshot) -> Json {
+pub fn chrome_trace(spans: &[SpanRecord], timelines: &[LayerTimeline]) -> Json {
     let mut events: Vec<Json> = Vec::new();
     for_each_event(spans, timelines, &[], |ev| events.push(ev));
     Json::obj([
         ("traceEvents", Json::Arr(events)),
         ("displayTimeUnit", Json::str("ms")),
-        ("otherData", other_data(metrics)),
+        ("otherData", other_data()),
     ])
 }
 
-fn other_data(metrics: &Snapshot) -> Json {
-    Json::obj([
-        ("cycle_unit", Json::str("1us = 1 simulated cycle")),
-        ("metrics", metrics_json(metrics)),
-    ])
+fn other_data() -> Json {
+    Json::obj([("cycle_unit", Json::str("1us = 1 simulated cycle"))])
 }
 
 /// Streams the same trace document as [`chrome_trace`] through `out`,
@@ -251,7 +220,6 @@ pub fn write_chrome_trace<W: Write>(
     out: &mut W,
     spans: &[SpanRecord],
     timelines: &[LayerTimeline],
-    metrics: &Snapshot,
     thread_labels: &[(u64, String)],
 ) -> std::io::Result<()> {
     out.write_all(b"{\n  \"traceEvents\": [\n")?;
@@ -274,7 +242,7 @@ pub fn write_chrome_trace<W: Write>(
         return Err(e);
     }
     out.write_all(b"\n  ],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": ")?;
-    out.write_all(other_data(metrics).compact().as_bytes())?;
+    out.write_all(other_data().compact().as_bytes())?;
     out.write_all(b"\n}\n")
 }
 
@@ -283,7 +251,6 @@ mod tests {
     use super::*;
     use crate::attrib::StallCause;
     use crate::cycles::{CycleEvent, CycleEventKind, LayerCtx};
-    use crate::metrics::Registry;
 
     const PASS: CycleEventKind = CycleEventKind::Pass(StallCause::MappingResidueIdle);
     const FILL: CycleEventKind = CycleEventKind::Stall(StallCause::PipelineFill);
@@ -326,9 +293,7 @@ mod tests {
                 events: vec![CycleEvent::new(PASS, 0, 50, 6_400)],
             },
         ];
-        let reg = Registry::new();
-        reg.add("sim_cycles", &[("arch", "FlexFlow")], 100);
-        let doc = chrome_trace(&spans, &timelines, &reg.snapshot());
+        let doc = chrome_trace(&spans, &timelines);
 
         let evs = events(&doc);
         // host process_name + host thread_name + 1 span
@@ -354,11 +319,10 @@ mod tests {
             field(field(tiling_meta, "args"), "name"),
             &Json::str("sim:Tiling")
         );
-        // Metrics ride along.
-        let metrics = field(field(&doc, "otherData"), "metrics");
+        // `otherData` names the cycle convention and nothing else.
         assert_eq!(
-            field(metrics, "sim_cycles{arch=\"FlexFlow\"}"),
-            &Json::Int(100)
+            field(&doc, "otherData"),
+            &Json::obj([("cycle_unit", Json::str("1us = 1 simulated cycle"))])
         );
         // Cause + lost PE-cycles ride in every cycle event's args.
         let pass = evs
@@ -387,7 +351,7 @@ mod tests {
                 events: vec![CycleEvent::new(FILL, 0, 10, 0)],
             },
         ];
-        let doc = chrome_trace(&[], &timelines, &Snapshot::default());
+        let doc = chrome_trace(&[], &timelines);
         let evs = events(&doc);
         let fills: Vec<&Json> = evs
             .iter()
@@ -416,7 +380,7 @@ mod tests {
                 events: vec![CycleEvent::new(PASS, 0, 10, 100)],
             },
         ];
-        let doc = chrome_trace(&[], &timelines, &Snapshot::default());
+        let doc = chrome_trace(&[], &timelines);
         let evs = events(&doc);
         let names: Vec<&Json> = evs
             .iter()
@@ -444,7 +408,7 @@ mod tests {
                 CycleEvent::new(PASS, 8, 100, 12_800),
             ],
         }];
-        let doc = chrome_trace(&[], &timelines, &Snapshot::default());
+        let doc = chrome_trace(&[], &timelines);
         let counters: Vec<&Json> = events(&doc)
             .iter()
             .filter(|e| field(e, "ph") == &Json::str("C"))
@@ -489,17 +453,13 @@ mod tests {
             ctx: LayerCtx::new("FlexFlow", "C1", 256),
             events: vec![CycleEvent::new(PASS, 0, 100, 12_800)],
         }];
-        let reg = Registry::new();
-        reg.add("sim_cycles", &[], 7);
-        let snapshot = reg.snapshot();
-
         let mut streamed = Vec::new();
-        write_chrome_trace(&mut streamed, &spans, &timelines, &snapshot, &[]).unwrap();
+        write_chrome_trace(&mut streamed, &spans, &timelines, &[]).unwrap();
         let text = String::from_utf8(streamed).unwrap();
         // The streamed bytes parse back into exactly the document the
         // in-memory builder produces.
         let parsed = Json::parse(&text).unwrap();
-        assert_eq!(parsed, chrome_trace(&spans, &timelines, &snapshot));
+        assert_eq!(parsed, chrome_trace(&spans, &timelines));
     }
 
     #[test]
@@ -524,7 +484,7 @@ mod tests {
         ];
         let labels = vec![(2u64, "flexsim-pool-1".to_owned())];
         let mut out = Vec::new();
-        write_chrome_trace(&mut out, &spans, &[], &Snapshot::default(), &labels).unwrap();
+        write_chrome_trace(&mut out, &spans, &[], &labels).unwrap();
         let doc = Json::parse(&String::from_utf8(out).unwrap()).unwrap();
         let names: Vec<&Json> = events(&doc)
             .iter()
@@ -547,38 +507,32 @@ mod tests {
                 Ok(())
             }
         }
-        let err = write_chrome_trace(&mut Failing, &[], &[], &Snapshot::default(), &[])
-            .expect_err("write must fail");
+        let err = write_chrome_trace(&mut Failing, &[], &[], &[]).expect_err("write must fail");
         assert_eq!(err.to_string(), "sink full");
     }
 
     #[test]
     fn hostile_ffnet_names_survive_export_intact() {
         // A workload/layer name with quotes, backslashes, and
-        // non-ASCII — the trace must stay valid JSON and the metrics
-        // keys must stay unambiguous.
+        // non-ASCII — the trace must stay valid JSON and carry the
+        // name back unchanged.
         let hostile = "C1\"},{\"pwned\\é";
         let timelines = vec![LayerTimeline {
             ctx: LayerCtx::new("FlexFlow", hostile, 256),
             events: vec![CycleEvent::new(PASS, 0, 10, 100)],
         }];
-        let reg = Registry::new();
-        reg.add("sim_cycles", &[("layer", hostile)], 10);
-        let snapshot = reg.snapshot();
         let mut out = Vec::new();
-        write_chrome_trace(&mut out, &[], &timelines, &snapshot, &[]).unwrap();
+        write_chrome_trace(&mut out, &[], &timelines, &[]).unwrap();
         let text = String::from_utf8(out).unwrap();
         let doc = Json::parse(&text).expect("hostile name broke the trace JSON");
-        assert_eq!(doc, chrome_trace(&[], &timelines, &snapshot));
-        // The metrics key carries the escaped form.
-        let metrics = field(field(&doc, "otherData"), "metrics");
-        assert_eq!(
-            field(
-                metrics,
-                "sim_cycles{layer=\"C1\\\"},{\\\"pwned\\\\\\u{00e9}\"}"
-            ),
-            &Json::Int(10)
-        );
+        assert_eq!(doc, chrome_trace(&[], &timelines));
+        let thread = events(&doc)
+            .iter()
+            .find(|e| {
+                field(e, "name") == &Json::str("thread_name") && field(e, "pid") == &Json::Int(1)
+            })
+            .unwrap();
+        assert_eq!(field(field(thread, "args"), "name"), &Json::str(hostile));
     }
 
     #[test]
@@ -591,7 +545,7 @@ mod tests {
             depth: 0,
             tid: 0,
         }];
-        let doc = chrome_trace(&spans, &[], &Snapshot::default());
+        let doc = chrome_trace(&spans, &[]);
         let ev = events(&doc)
             .iter()
             .find(|e| field(e, "name") == &Json::str("fast"))

@@ -18,10 +18,6 @@
 //!   logging (`FLEXSIM_LOG=debug`, `FLEXSIM_LOG=layer=trace,info`);
 //! * [`mod@span`] — hierarchical host-wall-time spans with an optional
 //!   global recorder, read by `flexsim --trace` and by [`telemetry`];
-//! * [`metrics`] — a labeled counter/gauge registry with
-//!   snapshot-and-diff, for the pool's counters and the loss-ledger and
-//!   spatial series that traced, profiled and heatmapped layers mirror
-//!   into it (the simulators themselves write nothing there);
 //! * [`cycles`] — cycle-domain events and timelines, the one
 //!   [`cycles::Recorder`] observer (behind an optional
 //!   [`cycles::SinkHandle`], so an unobserved run builds nothing), and
@@ -35,8 +31,8 @@
 //! * [`occupancy`] — run-length-encoded per-layer occupancy timelines,
 //!   built from any architecture's cycle timeline;
 //! * [`chrome`] — Chrome trace-event JSON export (loadable in Perfetto)
-//!   combining host spans, simulated-cycle timelines, and a metrics
-//!   snapshot, streamed through any `io::Write` sink;
+//!   combining host spans and simulated-cycle timelines, streamed
+//!   through any `io::Write` sink;
 //! * [`hist`] — HDR-style log-bucketed latency histograms with exact
 //!   counts and byte-stable JSON/Prometheus emission;
 //! * [`spatial`] — per-PE utilization heatmaps with per-cause loss
@@ -47,9 +43,10 @@
 //!   that turns it into the cycle timeline and the heatmap;
 //! * [`telemetry`] — host-side runtime telemetry behind `flexsim
 //!   stats`: the phase profile (parse → flexcheck → schedule →
-//!   simulate → verify → export), per-worker pool stats, latency
-//!   histograms and the flight dump, each a fold over the span
-//!   records — the recorder is the only store of host wall time.
+//!   simulate → export), per-worker pool stats, latency histograms and
+//!   the flight dump, each a fold over the span records — the recorder
+//!   is the only store of host wall time — plus the pool's queue-depth
+//!   high-water.
 //!
 //! ## Example
 //!
@@ -96,7 +93,6 @@ pub mod chrome;
 pub mod cycles;
 pub mod filter;
 pub mod hist;
-pub mod metrics;
 pub mod occupancy;
 pub mod roofline;
 pub mod span;
@@ -108,7 +104,6 @@ pub use attrib::{LossDelta, LossLedger, StallCause};
 pub use cycles::{Aggregate, CycleEvent, CycleEventKind, LayerCtx, Recorder, SinkHandle};
 pub use filter::Level;
 pub use hist::Histogram;
-pub use metrics::{Registry, Snapshot};
 pub use occupancy::OccupancyTimeline;
 pub use span::{span, SpanGuard, SpanRecord};
 pub use spatial::{BankWatermark, CellRects, ContentionMatrix, HeatmapBuilder, LayerSpatial};

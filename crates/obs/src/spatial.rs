@@ -29,12 +29,11 @@
 //! record from the same runs of steps as the cycle timeline (a run of
 //! `n` steps is one [`HeatmapBuilder::push`]) and hands it to a
 //! recorder built with [`crate::cycles::Recorder::with_spatial`], which
-//! keeps them for the `flexsim heatmap` report and metrics mirrors.
+//! keeps them for the `flexsim heatmap` report.
 //!
 //! [`LossLedger`]: crate::attrib::LossLedger
 
 use crate::attrib::StallCause;
-use crate::metrics::Registry;
 use crate::steps::Step;
 
 /// A rectangular block of active PE cells, in array coordinates.
@@ -312,53 +311,6 @@ impl LayerSpatial {
             return 0.0;
         }
         self.busy_at(row, col) as f64 / self.total_cycles as f64
-    }
-
-    /// Mirrors this record into the metrics registry: per-cell busy
-    /// and lost planes, per-cause loss totals, per-bank high-water
-    /// marks, and contention totals — so live metrics and the heatmap
-    /// report can never disagree.
-    pub fn mirror(&self, reg: &Registry) {
-        let arch = self.arch.as_str();
-        let layer = self.layer.as_str();
-        for row in 0..self.rows {
-            for col in 0..self.cols {
-                let (r, c) = (row.to_string(), col.to_string());
-                let labels = [
-                    ("arch", arch),
-                    ("layer", layer),
-                    ("row", r.as_str()),
-                    ("col", c.as_str()),
-                ];
-                reg.add("spatial_busy_pe_cycles", &labels, self.busy_at(row, col));
-                let lost: u64 = self.lost[row * self.cols + col].iter().sum();
-                reg.add("spatial_lost_pe_cycles", &labels, lost);
-            }
-        }
-        for cause in StallCause::ALL {
-            reg.add(
-                "spatial_lost_pe_cycles_by_cause",
-                &[("arch", arch), ("layer", layer), ("cause", cause.name())],
-                self.lost_total(cause),
-            );
-        }
-        for bank in &self.banks {
-            reg.add(
-                "spatial_bank_high_water_words",
-                &[("arch", arch), ("layer", layer), ("bank", &bank.bank)],
-                bank.high_water_words,
-            );
-        }
-        reg.add(
-            "spatial_adder_tree_collisions",
-            &[("arch", arch), ("layer", layer)],
-            self.adder_tree.total(),
-        );
-        reg.add(
-            "spatial_cdb_collisions",
-            &[("arch", arch), ("layer", layer)],
-            self.cdb.total(),
-        );
     }
 }
 
@@ -757,51 +709,5 @@ mod tests {
         assert_eq!(by_run, by_step);
         assert_eq!(by_run.busy_total(), 5 * 5 + 5 * 7);
         assert_eq!(by_run.lost_total(StallCause::PipelineFill), 5 * 2 * 4);
-    }
-
-    #[test]
-    fn mirror_writes_cell_and_summary_counters() {
-        let mut b = HeatmapBuilder::new("FlexFlow", "C1", 1, 2, 10);
-        b.pass(
-            StallCause::MappingResidueIdle,
-            CellRect::full(1, 2).into(),
-            10,
-            12,
-        );
-        b.bank_sample("kernel", 64, 32, 10);
-        let s = b.finish();
-        let reg = Registry::new();
-        s.mirror(&reg);
-        let snap = reg.snapshot();
-        assert_eq!(
-            snap.get(
-                "spatial_busy_pe_cycles",
-                &[
-                    ("arch", "FlexFlow"),
-                    ("layer", "C1"),
-                    ("row", "0"),
-                    ("col", "0")
-                ],
-            ),
-            6
-        );
-        assert_eq!(
-            snap.get(
-                "spatial_lost_pe_cycles_by_cause",
-                &[
-                    ("arch", "FlexFlow"),
-                    ("layer", "C1"),
-                    ("cause", "mapping-residue-idle"),
-                ],
-            ),
-            8
-        );
-        assert_eq!(
-            snap.get(
-                "spatial_bank_high_water_words",
-                &[("arch", "FlexFlow"), ("layer", "C1"), ("bank", "kernel")],
-            ),
-            32
-        );
     }
 }

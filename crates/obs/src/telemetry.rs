@@ -9,15 +9,16 @@
 //!
 //! * **Phase profiler** — [`phase`] opens a `phase` span over one step
 //!   of the host pipeline ([`Phase`]: parse → flexcheck → schedule →
-//!   simulate → verify → export). A phase's *self* time is its span's
+//!   simulate → export). A phase's *self* time is its span's
 //!   duration minus the `phase` spans nested directly inside it on the
 //!   same thread, so no instant is charged to two phases on one thread.
 //! * **Scheduler telemetry** — `flexsim-pool` opens one `worker` span
 //!   per executor, named by its index, and one `task` span per task.
 //!   A worker's busy time and task count come from the outermost
 //!   `task` spans inside its `worker` spans; idle is wall minus busy.
-//!   The queue-depth high-water comes from the metrics registry
-//!   (`pool_queue_depth_high_water`), diffed against [`reset`].
+//!   The pool reports its queue depth on each submit
+//!   ([`raise_queue_depth`]); the high-water since [`reset`] is the one
+//!   telemetry fact no span records.
 //! * **Latency histograms** — log-bucketed [`Histogram`]s of the
 //!   `experiment`, `layer` and `task` span durations.
 //! * **Flight recorder** — the last [`flight::CAPACITY`] completed
@@ -32,11 +33,11 @@
 //! at every `--jobs` level.
 
 use crate::hist::Histogram;
-use crate::metrics;
 use crate::span::{self, SpanGuard, SpanRecord};
 use flexsim_testkit::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One phase of the host pipeline, in pipeline order.
@@ -51,40 +52,37 @@ pub enum Phase {
     Schedule,
     /// Cycle simulation proper (the `run_conv` paths).
     Simulate,
-    /// Result verification (the trace collector's ledger exactness
-    /// checks and attribution mirroring).
-    Verify,
     /// Rendering and writing outputs (tables, JSON, traces).
     Export,
 }
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; 5] = [
         Phase::Parse,
         Phase::Flexcheck,
         Phase::Schedule,
         Phase::Simulate,
-        Phase::Verify,
         Phase::Export,
     ];
 
     /// Stable lower-case name (the `phase` span's name, and the label
-    /// in snapshots and metrics).
+    /// in snapshots and the Prometheus export).
     pub fn name(self) -> &'static str {
         match self {
             Phase::Parse => "parse",
             Phase::Flexcheck => "flexcheck",
             Phase::Schedule => "schedule",
             Phase::Simulate => "simulate",
-            Phase::Verify => "verify",
             Phase::Export => "export",
         }
     }
 }
 
-/// The registry gauge the pool raises on submit; [`reset`] zeroes it.
-const QUEUE_HIGH_WATER: &str = "pool_queue_depth_high_water";
+/// The pool's queue-depth high-water: raised on submit
+/// ([`raise_queue_depth`]), zeroed by [`reset`]. A statistic that
+/// publishes no other data, so every access is `Relaxed`.
+static QUEUE_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
 
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -108,10 +106,16 @@ pub fn enabled() -> bool {
 }
 
 /// Clears every retained span record and zeroes the queue-depth
-/// high-water gauge (the enable/disable state is untouched).
+/// high-water (the enable/disable state is untouched).
 pub fn reset() {
     span::clear_records();
-    metrics::global().set(QUEUE_HIGH_WATER, &[], 0);
+    QUEUE_HIGH_WATER.store(0, Ordering::Relaxed);
+}
+
+/// Raises the queue-depth high-water to `depth` if it is higher — the
+/// pool calls this on every submit.
+pub fn raise_queue_depth(depth: u64) {
+    QUEUE_HIGH_WATER.fetch_max(depth, Ordering::Relaxed);
 }
 
 /// Opens a `phase` span for `p`. Inert — one relaxed atomic load plus
@@ -252,8 +256,7 @@ pub struct TelemetrySnapshot {
 /// Folds the retained span records and the queue-depth high-water
 /// since [`reset`] into a snapshot.
 pub fn snapshot() -> TelemetrySnapshot {
-    let high_water = metrics::global().snapshot().get(QUEUE_HIGH_WATER, &[]);
-    fold(&span::records(), high_water)
+    fold(&span::records(), QUEUE_HIGH_WATER.load(Ordering::Relaxed))
 }
 
 /// The parent of every record: the next record to complete on the same
@@ -531,14 +534,7 @@ mod tests {
         let names: Vec<&str> = snap.phases.iter().map(|&(p, _, _)| p.name()).collect();
         assert_eq!(
             names,
-            [
-                "parse",
-                "flexcheck",
-                "schedule",
-                "simulate",
-                "verify",
-                "export"
-            ]
+            ["parse", "flexcheck", "schedule", "simulate", "export"]
         );
         let json = snap.to_json().compact();
         let prom = snap.to_prom();
@@ -590,11 +586,11 @@ mod tests {
 
     #[test]
     fn phase_self_time_excludes_directly_nested_phases_only() {
-        // simulate ⊃ layer ⊃ schedule ⊃ verify: schedule is simulate's
-        // direct phase child even under a non-phase span; verify is
+        // simulate ⊃ layer ⊃ schedule ⊃ export: schedule is simulate's
+        // direct phase child even under a non-phase span; export is
         // schedule's, not simulate's.
         let spans = [
-            rec("phase", "verify", 20, 10, 3),
+            rec("phase", "export", 20, 10, 3),
             rec("phase", "schedule", 10, 40, 2),
             rec("layer", "C1", 5, 60, 1),
             rec("phase", "simulate", 0, 100, 0),
@@ -602,7 +598,7 @@ mod tests {
         let snap = fold(&spans, 0);
         assert_eq!(snap.phase_us(Phase::Simulate), 60);
         assert_eq!(snap.phase_us(Phase::Schedule), 30);
-        assert_eq!(snap.phase_us(Phase::Verify), 10);
+        assert_eq!(snap.phase_us(Phase::Export), 10);
         assert_eq!(snap.layer_sim_wall.count(), 1);
     }
 
@@ -642,6 +638,17 @@ mod tests {
         reset();
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_dir(dir);
+    }
+
+    #[test]
+    fn queue_depth_keeps_its_high_water_until_reset() {
+        let _g = serial();
+        reset();
+        raise_queue_depth(5);
+        raise_queue_depth(3);
+        assert_eq!(snapshot().queue_high_water, 5);
+        reset();
+        assert_eq!(snapshot().queue_high_water, 0);
     }
 
     #[test]

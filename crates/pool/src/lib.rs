@@ -24,13 +24,11 @@
 //!   its lifetime, the calling thread for each outermost [`Pool::run`])
 //!   and each task inside a `task` span; [`flexsim_obs::telemetry`]
 //!   folds per-worker wall, busy, idle and task counts and the task
-//!   latency histogram from those spans. The pool mirrors its totals
-//!   into the global metrics registry: `pool_queue_depth_high_water`
-//!   (raised on submit), `pool_tasks_total`, `pool_tasks_panicked_total`
-//!   and `pool_workers`. Workers register `flexsim-pool-{i}` thread
-//!   labels so Chrome-trace thread names reflect real workers, and a
-//!   task panic triggers a flight dump when a dump directory is
-//!   configured.
+//!   latency histogram from those spans, and each submit reports the
+//!   queue depth to [`flexsim_obs::telemetry::raise_queue_depth`].
+//!   Workers register `flexsim-pool-{i}` thread labels so Chrome-trace
+//!   thread names reflect real workers, and a task panic triggers a
+//!   flight dump when a dump directory is configured.
 //!
 //! ## Scheduling
 //!
@@ -61,7 +59,7 @@
 #![forbid(unsafe_code)]
 
 use flexsim_obs::span::{set_thread_label, span};
-use flexsim_obs::{metrics, telemetry};
+use flexsim_obs::telemetry;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -275,7 +273,6 @@ impl Pool {
                     .expect("spawning a pool worker thread")
             })
             .collect();
-        metrics::global().set("pool_workers", &[], jobs as u64);
         Pool {
             shared,
             workers,
@@ -321,8 +318,7 @@ impl Pool {
         {
             let mut queue = locked(&self.shared.queue);
             queue.jobs.extend(jobs);
-            let depth = queue.jobs.len() as u64;
-            metrics::global().raise("pool_queue_depth_high_water", &[], depth);
+            telemetry::raise_queue_depth(queue.jobs.len() as u64);
             self.shared.changed.notify_all();
         }
         // Help drain the queue until this batch is complete. The calling
@@ -365,19 +361,16 @@ impl Drop for Pool {
     }
 }
 
-/// Runs one task under a `task` span with panic containment, mirroring
-/// the totals into the metrics registry.
+/// Runs one task under a `task` span with panic containment.
 fn run_one<T>(task: Task<T>) -> Outcome<T> {
     let Task { label, work } = task;
     let result = {
         let _span = span("task", label.clone());
         catch_unwind(AssertUnwindSafe(work))
     };
-    metrics::global().add("pool_tasks_total", &[], 1);
     match result {
         Ok(value) => Outcome::Done(value),
         Err(payload) => {
-            metrics::global().add("pool_tasks_panicked_total", &[], 1);
             let message = panic_message(payload.as_ref());
             // The flight recorder captures the failure and dumps the
             // ring while the rest of the batch keeps running (no-op
@@ -576,14 +569,5 @@ mod tests {
         // identically (worker placement must never leak into output).
         assert_eq!(a, b);
         assert_eq!(a.to_string(), b.to_string());
-    }
-
-    #[test]
-    fn task_totals_are_mirrored_into_metrics() {
-        let before = metrics::global().snapshot();
-        let pool = Pool::new(2);
-        drop(squares(&pool, 10));
-        let grown = metrics::global().snapshot().diff(&before);
-        assert!(grown.get("pool_tasks_total", &[]) >= 10);
     }
 }

@@ -1,18 +1,17 @@
 //! Observability integration: the cycle-domain trace and the Chrome
-//! exporter must agree with the simulators' analytic results,
-//! simulating must leave the metrics registry untouched, and the
-//! `flexsim` binary must expose the trace and the registry.
+//! exporter must agree with the simulators' analytic results, and the
+//! `flexsim` binary must expose the trace.
 //!
-//! Tests that touch process-global observability state (the metrics
-//! registry and the span recorder) serialize on a local mutex; the
-//! file is its own test binary, so nothing else races.
+//! Tests that touch process-global observability state (the span
+//! recorder) serialize on a local mutex; the file is its own test
+//! binary, so nothing else races.
 
 use flexsim_experiments::arches::{self, ArchSet};
 use flexsim_experiments::{find, run_suite, SuiteConfig};
 use flexsim_obs::chrome::chrome_trace;
 use flexsim_obs::cycles::{LayerTimeline, Recorder, SinkHandle};
+use flexsim_obs::span;
 use flexsim_obs::spatial::LayerSpatial;
-use flexsim_obs::{metrics, span};
 use flexsim_testkit::json::Json;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
@@ -20,27 +19,6 @@ fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Pricing a layer writes no process-global state: running every
-/// Table 1 workload on every architecture leaves the metrics registry
-/// exactly as it was. Per-layer results live in the `RunSummary` alone.
-#[test]
-fn running_networks_leaves_the_metrics_registry_unchanged() {
-    let _guard = serial();
-    let before = metrics::global().snapshot();
-    for net in flexsim_model::workloads::all() {
-        for mut acc in ArchSet::builder().build(&net) {
-            let summary = acc.run_network(&net);
-            assert!(!summary.layers.is_empty(), "{}", net.name());
-        }
-    }
-    let after = metrics::global().snapshot();
-    assert!(
-        after == before,
-        "simulating wrote into the metrics registry:\n{}",
-        after.diff(&before).dump()
-    );
 }
 
 /// One recorder shared by four simulators on four threads keeps every
@@ -123,7 +101,7 @@ fn chrome_trace_round_trips_with_all_architectures() {
         assert_eq!(tl.ctx.experiment, "fig15", "{}", tl.ctx.layer);
     }
 
-    let doc = chrome_trace(&spans, &timelines, &metrics::global().snapshot());
+    let doc = chrome_trace(&spans, &timelines);
     let text = doc.pretty();
     let parsed = Json::parse(&text).expect("exporter output parses");
     assert_eq!(parsed, doc, "parse(pretty(doc)) is not identity");
@@ -175,6 +153,7 @@ fn flexsim_binary_rejects_bad_arguments() {
     for (args, needle) in [
         (vec!["--bogus"], "unknown option"),
         (vec!["--jsno", "all"], "unknown option"),
+        (vec!["--metrics", "fig15"], "unknown option"),
         (vec!["--out"], "--out requires"),
         (vec!["--out", "--json", "fig15"], "--out requires"),
         (vec!["--trace"], "--trace requires"),
@@ -239,22 +218,16 @@ fn flexsim_survives_a_closed_stdout_pipe() {
     assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
 
-/// ISSUE acceptance, end to end: `flexsim --jobs 2 --trace FILE fig15`
-/// writes a Chrome trace that parses and names all four architectures.
+/// End to end: `flexsim --jobs 2 --trace FILE fig15` writes a Chrome
+/// trace that parses, names all four architectures, and carries no
+/// second copy of the ledgers (`otherData` holds only `cycle_unit`).
 #[test]
 fn flexsim_trace_flag_writes_loadable_chrome_trace() {
     let dir = std::env::temp_dir().join(format!("flexsim-obs-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("out.json");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexsim"))
-        .args([
-            "--jobs",
-            "2",
-            "--trace",
-            file.to_str().unwrap(),
-            "--metrics",
-            "fig15",
-        ])
+        .args(["--jobs", "2", "--trace", file.to_str().unwrap(), "fig15"])
         .output()
         .expect("flexsim runs");
     assert!(
@@ -264,13 +237,15 @@ fn flexsim_trace_flag_writes_loadable_chrome_trace() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("layer timelines"), "{stderr}");
-    // `--metrics` dumps the registry, into which the trace collector
-    // mirrored every recorded layer's loss ledger.
-    assert!(stderr.contains("sim_busy_pe_cycles"), "{stderr}");
 
     let text = std::fs::read_to_string(&file).unwrap();
     std::fs::remove_dir_all(&dir).ok();
     let parsed = Json::parse(&text).expect("trace file parses");
+    let other_keys: Vec<&str> = match field(&parsed, "otherData") {
+        Some(Json::Obj(pairs)) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("otherData is not an object: {other:?}"),
+    };
+    assert_eq!(other_keys, ["cycle_unit"]);
     let events = field(&parsed, "traceEvents").and_then(as_arr).unwrap();
     let names: Vec<&str> = events
         .iter()

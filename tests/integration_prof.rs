@@ -22,7 +22,6 @@ use flexsim_obs::attrib::{ledgers, LossLedger, StallCause};
 use flexsim_obs::cycles::{
     CycleEvent, CycleEventKind, LayerCtx, LayerTimeline, Recorder, SinkHandle,
 };
-use flexsim_obs::metrics::Registry;
 use flexsim_testkit::json::Json;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -162,9 +161,9 @@ fn mutation_gap_and_overlap_trip_exactly_fxc09() {
 }
 
 #[test]
-fn every_cause_flows_from_event_to_ledger_to_metrics() {
+fn every_cause_flows_from_event_to_ledger() {
     // One synthetic event per cause: the cause must survive the
-    // event → ledger → metrics-registry pipeline unmerged.
+    // event → ledger pipeline unmerged.
     for cause in StallCause::ALL {
         let tl = LayerTimeline {
             ctx: LayerCtx::new("CauseArch", "L", 2),
@@ -178,61 +177,7 @@ fn every_cause_flows_from_event_to_ledger_to_metrics() {
         // 5×2 stall + (5×2−10) pass remainder, all on this cause.
         assert_eq!(ledger.lost(cause), 10);
         assert_eq!(ledger.attributed_lost(), 10);
-
-        let registry = Registry::new();
-        ledger.mirror(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.total(
-                "sim_lost_pe_cycles",
-                &[("arch", "CauseArch"), ("cause", cause.name())]
-            ),
-            10,
-            "{}",
-            cause.name()
-        );
-        assert_eq!(
-            snap.total("sim_busy_pe_cycles", &[("arch", "CauseArch")]),
-            10
-        );
-    }
-}
-
-#[test]
-fn mirrored_metrics_agree_with_ledgers_for_a_real_run() {
-    // The satellite invariant: `--metrics` counters mirrored from
-    // ledgers must reproduce the ledgers' busy/lost split exactly.
-    let net = workloads::alexnet();
-    for idx in 0..ARCH_NAMES.len() {
-        let (_, layer_ledgers) = run_with_ledgers(&net, idx);
-        let registry = Registry::new();
-        let mut busy = 0u64;
-        let mut lost = [0u64; StallCause::COUNT];
-        for ledger in &layer_ledgers {
-            ledger.mirror(&registry);
-            busy += ledger.busy_pe_cycles;
-            for cause in StallCause::ALL {
-                lost[cause.index()] += ledger.lost(cause);
-            }
-        }
-        let arch = layer_ledgers[0].arch.clone();
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.total("sim_busy_pe_cycles", &[("arch", arch.as_str())]),
-            busy,
-            "{arch}"
-        );
-        for cause in StallCause::ALL {
-            assert_eq!(
-                snap.total(
-                    "sim_lost_pe_cycles",
-                    &[("arch", arch.as_str()), ("cause", cause.name())]
-                ),
-                lost[cause.index()],
-                "{arch}/{}",
-                cause.name()
-            );
-        }
+        assert_eq!(ledger.busy_pe_cycles, 10);
     }
 }
 
