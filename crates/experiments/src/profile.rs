@@ -89,10 +89,6 @@ pub fn run_workloads(ctx: &ExperimentCtx, nets: &[Network]) -> ExperimentResult 
              across architectures for the Fig. 15 story with exact \
              attribution."
                 .into(),
-            "Use `flexsim --trace FILE profile` for the same events as a \
-             Perfetto-loadable Chrome trace (per-event `cause` args), or \
-             `flexsim --metrics profile` for the mirrored counters."
-                .into(),
         ],
         table,
     }
