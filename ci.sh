@@ -104,13 +104,24 @@ fi
 echo "==> flexsim tune smoke (auto-tuner: monotonic, flexcheck-clean, deterministic)"
 # The run itself enforces the tuner invariants: the default's and the
 # winner's ledgers FXC09-exact, the assembled program flexcheck-clean,
-# and no tuned mapping worse than the paper default or the DP plan.
+# and no tuned mapping worse than the paper default or, unless the cap
+# cuts it, the DP plan.
 "$FLEXSIM" --json --budget smoke tune pv > "$TMP/tune1.json"
 "$FLEXSIM" --json --budget smoke --jobs 4 tune pv > "$TMP/tune4.json"
 cmp "$TMP/tune1.json" "$TMP/tune4.json" \
     || { echo "FAIL: tune --jobs 4 output diverged from serial"; exit 1; }
 grep -q 'mapping-residue-idle' "$TMP/tune1.json" \
     || { echo "FAIL: tune JSON missing attribution"; exit 1; }
+# A cap of 300 ends inside each layer's second 256-candidate
+# lint-and-score chunk: the pick must cut that chunk's running best the
+# same way at any --jobs.
+"$FLEXSIM" --json --budget 300 tune pv > "$TMP/tune300_1.json"
+"$FLEXSIM" --json --budget 300 --jobs 4 tune pv > "$TMP/tune300_4.json"
+cmp "$TMP/tune300_1.json" "$TMP/tune300_4.json" \
+    || { echo "FAIL: tune --budget 300 --jobs 4 output diverged from serial"; exit 1; }
+# A cap of 1 keeps only the default seed: the tuner must still exit 0.
+"$FLEXSIM" --budget 1 tune pv > /dev/null \
+    || { echo "FAIL: tune --budget 1 pv failed"; exit 1; }
 # --static is still accepted and changes nothing: the document must be
 # byte-identical to the run without it.
 "$FLEXSIM" --json --budget smoke tune pv --static > "$TMP/tune_static.json"

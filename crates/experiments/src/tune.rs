@@ -17,28 +17,37 @@
 //!    candidate unrollings per layer ([`Budget::Full`] = the exhaustive
 //!    cross product, [`Budget::Smoke`] = a power-of-two grid,
 //!    [`Budget::Cap`] = a deterministic prefix of the full space);
-//! 2. **lint-prune** — [`flexcheck::prune_candidates`] rejects illegal
-//!    candidates against the six per-layer rules (FXC01–03 and
-//!    FXC06–08) *before* anything is scored;
-//! 3. **score** — surviving candidates are scored across the
-//!    thread pool ([`ExperimentCtx::map`], deterministic at any
-//!    `--jobs` level) with the exact [`LossLedger`] cost function
-//!    ([`analytic_ledger`]): the candidate's full per-cause loss
-//!    ledger, in closed form from the engine's schedule;
-//! 4. **pick** — the winner minimizes total attributed lost
+//! 2. **lint and score** — one pass across the thread pool
+//!    ([`ExperimentCtx::map`], deterministic at any `--jobs` level).
+//!    Each task takes a range of its layer's shared candidate list and
+//!    checks each candidate with [`flexcheck::check_candidate`] against
+//!    the six per-layer rules (FXC01–03 and FXC06–08). It scores each
+//!    legal one from the closed-form schedule the returned
+//!    [`flexcheck::LayerPlan`] already holds: the attributed lost
+//!    PE-cycles of [`Aggregate::lost_pe_cycles`], equal to the
+//!    [`analytic_ledger`]'s by construction. Each candidate's schedule
+//!    is built once;
+//! 3. **pick** — the winner minimizes total attributed lost
 //!    PE-cycles, ties broken by candidate index with the paper-default
 //!    mapping seeded at index 0 and the repo compiler's DP plan
 //!    ([`plan_network`]) seeded right behind it — so the tuner can
-//!    never select a mapping worse than either (the
-//!    monotonic-improvement invariant);
-//! 5. **report** — the before/after loss attribution per cause is a
-//!    [`LossDelta`] between the default's and the winner's ledgers,
-//!    both checked exact (FXC09), and the assembled tuned [`Program`]
-//!    must pass the full flexcheck rule set.
+//!    never select a mapping worse than either seed the budget scores
+//!    (the monotonic-improvement invariant). Each task returns its
+//!    legal count and the records where its running best strictly
+//!    improves, which keeps the [`Budget::Cap`] cut and the tie-break
+//!    exact;
+//! 4. **report** — the before/after loss attribution per cause is a
+//!    [`LossDelta`] between the default's and the winner's
+//!    [`analytic_ledger`]s, both checked exact (FXC09), and the
+//!    assembled tuned [`Program`] must pass the full flexcheck rule
+//!    set.
+//!
+//! [`Aggregate::lost_pe_cycles`]: flexsim_obs::cycles::Aggregate::lost_pe_cycles
 
 use crate::experiment::{Experiment, ExperimentCtx};
 use crate::report::{eng, ExperimentResult, Table};
 use flexcheck::ArchParams;
+use flexflow::analytic::{self, Schedule};
 use flexflow::{Compiler, FlexFlow, Program};
 use flexsim_dataflow::search::{analyzer_chain, plan_network, LayerChoice};
 use flexsim_dataflow::tune as search_space;
@@ -47,12 +56,14 @@ use flexsim_model::{workloads, ConvLayer, Network};
 use flexsim_obs::attrib::{LossDelta, LossLedger, StallCause};
 use flexsim_testkit::json::Json;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Engine side the tuner targets (the paper's 16×16 configuration).
 const D: usize = 16;
 
-/// Candidates per scoring task — small enough to balance across the
-/// pool, large enough that task overhead stays negligible.
+/// Candidates per lint-and-score task — small enough to balance across
+/// the pool, large enough that task overhead stays negligible.
 const SCORE_CHUNK: usize = 256;
 
 /// How hard `flexsim tune` searches.
@@ -152,9 +163,7 @@ pub fn paper_defaults(net: &Network) -> Vec<(LayerChoice, &'static str)> {
             if let Some(&(_, _, pf)) = published {
                 let u = Unroll::new(pf[0], pf[1], pf[2], pf[3], pf[4], pf[5]).clamped_to(layer);
                 let legal = u.satisfies(layer, D, rc_bound)
-                    && flexcheck::prune_candidates(layer, idxs[pos], &[u], &arch)
-                        .legal
-                        .contains(&u);
+                    && flexcheck::check_candidate(layer, idxs[pos], u, &arch).is_ok();
                 if legal {
                     return (LayerChoice::new(layer, u, D), "table4");
                 }
@@ -230,15 +239,16 @@ impl TuneOutcome {
     }
 }
 
-/// The exact cost function: the candidate's per-cause loss ledger,
-/// synthesized from the closed-form engine schedule in O(stripes)
-/// instead of stepping O(tile-count) cycles. It is the ledger the
-/// engine's cycle recorder emits for the same run; the tests hold the
-/// two equal on every cause.
+/// A candidate's per-cause loss ledger, synthesized from the
+/// closed-form engine schedule in O(stripes) instead of stepping
+/// O(tile-count) cycles: the before/after ledgers of the report. Its
+/// attributed loss is the tuner's score. It is the ledger the engine's
+/// cycle recorder emits for the same run; the tests hold the two equal
+/// on every cause.
 ///
 /// # Panics
 ///
-/// Panics if `u` over-occupies the engine — prune with flexcheck
+/// Panics if `u` over-occupies the engine — lint with flexcheck
 /// first.
 pub fn analytic_ledger(layer: &ConvLayer, u: Unroll) -> LossLedger {
     LossLedger::from_timeline(&FlexFlow::new(D).predict_with(layer, u))
@@ -263,147 +273,235 @@ fn exact_ledger(layer: &ConvLayer, u: Unroll) -> LossLedger {
     ledger
 }
 
-/// One layer's scored search space.
-struct CandidateSet {
-    /// Legal candidates, the paper default seeded at index 0 and the
-    /// compiler's DP plan right behind it (capped last, so the default
-    /// seed survives any cap).
-    legal: Vec<Unroll>,
-    enumerated: usize,
+/// The tuner's cost: the attributed lost PE-cycles of a candidate's
+/// closed-form schedule on the `D×D` engine. It sums the same per-kind
+/// terms as `analytic_ledger(..).attributed_lost()`, without building
+/// the timeline or the ledger.
+fn lost_pe_cycles(sch: &Schedule) -> u64 {
+    analytic::aggregate(sch).lost_pe_cycles((D * D) as u64)
+}
+
+/// A seeded candidate — the paper default at index 0, the compiler's
+/// DP plan right behind it — linted and scored once.
+struct Seed {
+    u: Unroll,
+    legal: bool,
+    lost: u64,
+    /// Engine cycles of its schedule.
+    cycles: u64,
+}
+
+impl Seed {
+    fn new(layer: &ConvLayer, layer_index: usize, u: Unroll, arch: &ArchParams) -> Seed {
+        let checked = flexcheck::check_candidate(layer, layer_index, u, arch);
+        let legal = checked.is_ok();
+        // A seed is scored whatever the lint says; the assembled
+        // program's flexcheck catches an illegal winner.
+        let sch = checked.map_or_else(|_| analytic::schedule_default(layer, u, D), |p| p.schedule);
+        Seed {
+            u,
+            legal,
+            lost: lost_pe_cycles(&sch),
+            cycles: sch.cycles,
+        }
+    }
+}
+
+/// One layer's search space, shared by every task that lints and
+/// scores a range of it.
+struct LayerSearch {
+    layer: ConvLayer,
+    layer_index: usize,
+    /// The candidates the budget enumerated.
+    cands: Vec<Unroll>,
+    /// Ranked ahead of every enumerated candidate. An enumerated
+    /// repeat of a seed takes the seed's legality and is not rescored.
+    seeds: Vec<Seed>,
+    /// Candidates ranked at or past this index (seeds first) are over
+    /// the budget's cap.
+    limit: usize,
+}
+
+/// One task's share of a layer: enough to rank its legal candidates
+/// behind every earlier task's and to pick the least `(lost, index)`
+/// exactly under a cap.
+struct ChunkScan {
+    /// Legal candidates that are not seeds, ranked in candidate order.
+    ranked: usize,
+    /// Candidates a rule rejected.
+    pruned: usize,
+    /// `(lost, rank in the chunk, candidate)` each time the chunk's
+    /// running best strictly improves.
+    improved: Vec<(u64, usize, Unroll)>,
+}
+
+/// What the search picked for one layer.
+struct Pick {
+    winner: Unroll,
+    scored: usize,
     pruned: usize,
 }
 
-/// Enumerates, lint-prunes, and seeds one layer's candidate list.
-fn seeded_candidates(
-    layer: &ConvLayer,
-    layer_index: usize,
-    rc_bound: Option<usize>,
-    budget: Budget,
-    default_u: Unroll,
-    plan_u: Unroll,
-    arch: &ArchParams,
-) -> CandidateSet {
-    let raw = match budget {
-        Budget::Full | Budget::Cap(_) => search_space::full_candidates(layer, D, rc_bound),
-        Budget::Smoke => search_space::grid_candidates(layer, D, rc_bound),
-    };
-    let enumerated = raw.len();
-    let pruned = flexcheck::prune_candidates(layer, layer_index, &raw, arch);
-    let mut legal = pruned.legal;
-    legal.retain(|u| *u != default_u && *u != plan_u);
-    if plan_u != default_u {
-        legal.insert(0, plan_u);
+impl LayerSearch {
+    /// Lints `cands[range]` and scores each legal candidate from the
+    /// schedule its [`flexcheck::LayerPlan`] already holds.
+    fn scan(&self, range: Range<usize>, arch: &ArchParams) -> ChunkScan {
+        let mut out = ChunkScan {
+            ranked: 0,
+            pruned: 0,
+            improved: Vec::new(),
+        };
+        for &u in &self.cands[range] {
+            if let Some(seed) = self.seeds.iter().find(|s| s.u == u) {
+                out.pruned += usize::from(!seed.legal);
+                continue;
+            }
+            let Ok(plan) = flexcheck::check_candidate(&self.layer, self.layer_index, u, arch)
+            else {
+                out.pruned += 1;
+                continue;
+            };
+            // Earlier chunks only push the rank further back, so a rank
+            // over the cap here is over it in the layer too.
+            if self.seeds.len() + out.ranked < self.limit {
+                let lost = lost_pe_cycles(&plan.schedule);
+                if out.improved.last().is_none_or(|&(best, _, _)| lost < best) {
+                    out.improved.push((lost, out.ranked, u));
+                }
+            }
+            out.ranked += 1;
+        }
+        out
     }
-    legal.insert(0, default_u);
-    if let Budget::Cap(n) = budget {
-        legal.truncate(n.max(1));
-    }
-    CandidateSet {
-        legal,
-        enumerated,
-        pruned: pruned.pruned,
+
+    /// Folds the layer's chunk scans, in candidate order, into the
+    /// least `(lost, index)` within the cap.
+    fn pick(&self, scans: impl Iterator<Item = ChunkScan>) -> Pick {
+        let mut best: Option<(u64, usize, Unroll)> = None;
+        let mut consider = |lost: u64, index: usize, u: Unroll| {
+            if index < self.limit && best.is_none_or(|(bl, bi, _)| (lost, index) < (bl, bi)) {
+                best = Some((lost, index, u));
+            }
+        };
+        for (index, seed) in self.seeds.iter().enumerate() {
+            consider(seed.lost, index, seed.u);
+        }
+        let (mut ranked, mut pruned) = (self.seeds.len(), 0);
+        for scan in scans {
+            // A chunk's records improve strictly, so its best within
+            // the cap is the last one under it.
+            if let Some(&(lost, rank, u)) = scan
+                .improved
+                .iter()
+                .rev()
+                .find(|r| ranked + r.1 < self.limit)
+            {
+                consider(lost, ranked + rank, u);
+            }
+            ranked += scan.ranked;
+            pruned += scan.pruned;
+        }
+        Pick {
+            winner: best.expect("the default seed is always ranked").2,
+            scored: ranked.min(self.limit),
+            pruned,
+        }
     }
 }
 
-/// One scoring task: a contiguous chunk of one layer's candidates.
-struct ScoreItem {
-    pos: usize,
-    base: usize,
-    layer: ConvLayer,
-    cands: Vec<Unroll>,
-}
-
-/// Tunes one workload: enumerate → lint-prune → score → pick per CONV
-/// layer, then report the before/after ledgers and assemble the
-/// flexcheck-clean tuned program.
+/// Tunes one workload: enumerate, then lint and score every candidate
+/// in one pooled pass, then pick per CONV layer; report the
+/// before/after ledgers and assemble the flexcheck-clean tuned program.
 ///
 /// # Panics
 ///
 /// Panics if a check fails: a before/after ledger that is not
-/// FXC09-exact, a tuned mapping scoring worse than the default or the
-/// compiler plan, or the assembled program failing flexcheck.
+/// FXC09-exact, a tuned mapping scoring worse than a scored seed (the
+/// default, or the compiler plan when the cap reaches it), or the
+/// assembled program failing flexcheck.
 pub fn tune_network(ctx: &ExperimentCtx, net: &Network, budget: Budget) -> TuneOutcome {
     let arch = ArchParams::flexflow_paper();
     let defaults = paper_defaults(net);
     let plan = plan_network(net, D);
     let idxs = net.conv_indices();
-    let convs: Vec<ConvLayer> = net.conv_layers().cloned().collect();
+    let limit = match budget {
+        Budget::Cap(n) => n.max(1),
+        Budget::Full | Budget::Smoke => usize::MAX,
+    };
 
-    // Phases 1 + 2: enumerate and lint-prune (static, microseconds).
-    let sets: Vec<CandidateSet> = convs
-        .iter()
+    // Phase 1: enumerate, and lint and score the two seeds.
+    let searches: Vec<Arc<LayerSearch>> = net
+        .conv_layers()
         .enumerate()
         .map(|(pos, layer)| {
             let bound = net.rc_bound(idxs[pos]);
-            seeded_candidates(
-                layer,
-                idxs[pos],
-                bound,
-                budget,
-                defaults[pos].0.unroll,
-                plan[pos].unroll,
-                &arch,
-            )
+            let cands = match budget {
+                Budget::Full | Budget::Cap(_) => search_space::full_candidates(layer, D, bound),
+                Budget::Smoke => search_space::grid_candidates(layer, D, bound),
+            };
+            let (default_u, plan_u) = (defaults[pos].0.unroll, plan[pos].unroll);
+            let mut seeds = vec![Seed::new(layer, idxs[pos], default_u, &arch)];
+            if plan_u != default_u {
+                seeds.push(Seed::new(layer, idxs[pos], plan_u, &arch));
+            }
+            Arc::new(LayerSearch {
+                layer: layer.clone(),
+                layer_index: idxs[pos],
+                cands,
+                seeds,
+                limit,
+            })
         })
         .collect();
 
-    // Phases 3 + 4: score every surviving candidate across the pool.
-    // Chunks of every layer fan out together; the winner per layer
-    // minimizes (attributed lost PE-cycles, candidate index) — the
-    // default sits at index 0, so selection is monotonic and
-    // deterministic.
+    // Phase 2: lint and score every enumerated candidate across the
+    // pool. Chunks of every layer fan out together and share their
+    // layer's list; the results come back in candidate order, so the
+    // pick is deterministic at any `--jobs` level.
     let mut items = Vec::new();
-    for (pos, (layer, set)) in convs.iter().zip(&sets).enumerate() {
-        for (chunk_idx, chunk) in set.legal.chunks(SCORE_CHUNK).enumerate() {
-            items.push(ScoreItem {
-                pos,
-                base: chunk_idx * SCORE_CHUNK,
-                layer: layer.clone(),
-                cands: chunk.to_vec(),
-            });
+    for search in &searches {
+        for start in (0..search.cands.len()).step_by(SCORE_CHUNK) {
+            let end = (start + SCORE_CHUNK).min(search.cands.len());
+            items.push((Arc::clone(search), start..end));
         }
     }
-    let scored = ctx.map(
-        items,
-        |it| format!("{}/score@{}", it.layer.name(), it.base),
-        |_tctx, it: ScoreItem| {
-            let mut best: Option<(u64, usize, Unroll)> = None;
-            for (off, &u) in it.cands.iter().enumerate() {
-                let lost = analytic_ledger(&it.layer, u).attributed_lost();
-                let idx = it.base + off;
-                if best.is_none_or(|(bl, bi, _)| (lost, idx) < (bl, bi)) {
-                    best = Some((lost, idx, u));
-                }
-            }
-            (it.pos, best.expect("chunks are never empty"))
-        },
-    );
-    let mut winners: Vec<Option<(u64, usize, Unroll)>> = vec![None; convs.len()];
-    for (pos, cand) in scored {
-        let slot = &mut winners[pos];
-        if slot.is_none_or(|(bl, bi, _)| (cand.0, cand.1) < (bl, bi)) {
-            *slot = Some(cand);
-        }
-    }
+    let mut scans = ctx
+        .map(
+            items,
+            |(search, range)| format!("{}/lint+score@{}", search.layer.name(), range.start),
+            move |_tctx, (search, range)| search.scan(range, &arch),
+        )
+        .into_iter();
 
-    // Phase 5: the before/after ledgers, the monotonicity checks, and
-    // the assembled program.
-    let mut layers = Vec::with_capacity(convs.len());
-    let mut tuned_choices = Vec::with_capacity(convs.len());
-    for (pos, layer) in convs.iter().enumerate() {
-        let tuned_u = winners[pos].expect("every layer scored").2;
+    // Phase 3: the pick per layer, the before/after ledgers, the
+    // dominance checks, and the assembled program.
+    let mut layers = Vec::with_capacity(searches.len());
+    let mut tuned_choices = Vec::with_capacity(searches.len());
+    for (pos, search) in searches.iter().enumerate() {
+        let layer = &search.layer;
+        let pick = search.pick(
+            scans
+                .by_ref()
+                .take(search.cands.len().div_ceil(SCORE_CHUNK)),
+        );
         let before = exact_ledger(layer, defaults[pos].0.unroll);
-        let after = exact_ledger(layer, tuned_u);
+        let after = exact_ledger(layer, pick.winner);
         assert!(
             after.attributed_lost() <= before.attributed_lost(),
             "{}/{}: tuned mapping scores worse than the default",
             net.name(),
             layer.name()
         );
-        let tuned = LayerChoice::new(layer, tuned_u, D);
-        // The DP plan was seeded, so the winner dominates it too.
+        let tuned = LayerChoice::new(layer, pick.winner, D);
+        let plan_index = search
+            .seeds
+            .iter()
+            .position(|s| s.u == plan[pos].unroll)
+            .expect("the DP plan is seeded");
+        // When the cap reaches the DP plan's seed, the winner
+        // dominates it too.
         assert!(
-            tuned.cycles <= plan[pos].cycles,
+            plan_index >= limit || tuned.cycles <= plan[pos].cycles,
             "{}/{}: tuned mapping scores worse than the compiler plan",
             net.name(),
             layer.name()
@@ -412,12 +510,12 @@ pub fn tune_network(ctx: &ExperimentCtx, net: &Network, budget: Budget) -> TuneO
             default: defaults[pos].0.clone(),
             source: defaults[pos].1,
             planned: plan[pos].clone(),
-            planned_cycles: analytic_ledger(layer, plan[pos].unroll).total_cycles,
+            planned_cycles: search.seeds[plan_index].cycles,
             tuned: tuned.clone(),
             delta: LossDelta::between(&before, &after),
-            enumerated: sets[pos].enumerated,
-            scored: sets[pos].legal.len(),
-            pruned: sets[pos].pruned,
+            enumerated: search.cands.len(),
+            scored: pick.scored,
+            pruned: pick.pruned,
         });
         tuned_choices.push(tuned);
     }
@@ -787,6 +885,43 @@ mod tests {
         // free optimum; the search must recover them.
         assert!(outcome.improved(), "PV should improve under full budget");
         assert!(outcome.recovered_pe_cycles() > 0);
+    }
+
+    #[test]
+    fn pick_cuts_a_chunk_at_the_cap() {
+        // Two seeds, then a chunk of 3 legal candidates and one of 4.
+        // A cap of 7 ends inside the second chunk: its rank-1 record
+        // (index 6) is in budget, its better rank-3 record (index 8)
+        // is not.
+        let u = |tm| Unroll::new(tm, 1, 1, 1, 1, 1);
+        let seed = |tm, lost| Seed {
+            u: u(tm),
+            legal: true,
+            lost,
+            cycles: 0,
+        };
+        let search = LayerSearch {
+            layer: ConvLayer::new("C", 8, 1, 4, 1),
+            layer_index: 0,
+            cands: Vec::new(),
+            seeds: vec![seed(1, 90), seed(2, 80)],
+            limit: 7,
+        };
+        let scans = [
+            ChunkScan {
+                ranked: 3,
+                pruned: 1,
+                improved: vec![(95, 0, u(3)), (85, 2, u(4))],
+            },
+            ChunkScan {
+                ranked: 4,
+                pruned: 0,
+                improved: vec![(70, 1, u(5)), (10, 3, u(6))],
+            },
+        ];
+        let pick = search.pick(scans.into_iter());
+        assert_eq!(pick.winner, u(5));
+        assert_eq!((pick.scored, pick.pruned), (7, 1));
     }
 
     #[test]

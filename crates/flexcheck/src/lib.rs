@@ -82,7 +82,7 @@ pub use params::{ArchKind, ArchParams};
 pub use plan::{BatchShape, LayerPlan, WalkShape};
 pub use rules::{
     check, check_candidate, check_layer_plan, check_ledger, check_ledgers, check_network,
-    check_spatial, check_spatials, check_store_plan, prune_candidates, PrunedCandidates,
+    check_spatial, check_spatials, check_store_plan,
 };
 pub use symbolic::{
     check_cycle_exactness, check_cycle_exactness_all, check_interference, check_isa_coverage,

@@ -244,55 +244,35 @@ fn rule_util_sanity(plan: &LayerPlan) -> Vec<Diagnostic> {
 }
 
 /// Lints one tuner candidate unrolling for `layer`: derives the
-/// [`LayerPlan`] (an over-occupying candidate yields the `FXC06`
-/// diagnostic — no schedule exists, so there is nothing further to
-/// check) and runs the per-layer rules (`FXC01`–`FXC03`,
-/// `FXC06`–`FXC08`) over it. The program-level rules still apply later:
-/// `FXC04` and `FXC05` on the assembled tuned program ([`check`]) and
-/// `FXC09` on the simulated ledgers ([`check_ledgers`]).
+/// [`LayerPlan`] and runs the per-layer rules (`FXC01`–`FXC03`,
+/// `FXC06`–`FXC08`) over it. The flexcheck rules act here as the
+/// search's legality oracle, and the plan they pass carries the
+/// candidate's closed-form [`Schedule`](flexflow::analytic::Schedule),
+/// so the tuner scores a legal candidate without rebuilding it. The
+/// program-level rules still apply later: `FXC04` and `FXC05` on the
+/// assembled tuned program ([`check`]) and `FXC09` on the simulated
+/// ledgers ([`check_ledgers`]).
+///
+/// # Errors
+///
+/// Returns the error diagnostics when a rule rejects the candidate: the
+/// `FXC06` derive error alone when it over-occupies the engine (no
+/// schedule exists, so there is nothing further to check), else the
+/// per-layer rules' findings.
 pub fn check_candidate(
     layer: &ConvLayer,
     layer_index: usize,
     u: flexsim_dataflow::Unroll,
     arch: &ArchParams,
-) -> Vec<Diagnostic> {
-    match LayerPlan::derive(layer, layer_index, u, u, arch.d, arch.store_words) {
-        Ok(plan) => check_layer_plan(&plan, arch),
-        Err(diag) => vec![diag],
+) -> Result<LayerPlan, Vec<Diagnostic>> {
+    let plan = LayerPlan::derive(layer, layer_index, u, u, arch.d, arch.store_words)
+        .map_err(|diag| vec![diag])?;
+    let diags = check_layer_plan(&plan, arch);
+    if crate::diag::has_errors(&diags) {
+        Err(diags)
+    } else {
+        Ok(plan)
     }
-}
-
-/// A batch of tuner candidates split by legality.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PrunedCandidates {
-    /// Candidates every per-layer rule accepts, in input order.
-    pub legal: Vec<flexsim_dataflow::Unroll>,
-    /// How many candidates a rule rejected.
-    pub pruned: usize,
-}
-
-/// Batch legality pruning for the mapping auto-tuner: runs
-/// [`check_candidate`] over every candidate and keeps only those with
-/// no error diagnostics, preserving input order (the tuner's
-/// deterministic tie-breaking depends on it). The flexcheck rules act
-/// here as the search's legality oracle — illegal mappings are
-/// discarded *before* any simulation is spent on them.
-pub fn prune_candidates(
-    layer: &ConvLayer,
-    layer_index: usize,
-    candidates: &[flexsim_dataflow::Unroll],
-    arch: &ArchParams,
-) -> PrunedCandidates {
-    let mut legal = Vec::with_capacity(candidates.len());
-    let mut pruned = 0usize;
-    for &u in candidates {
-        if crate::diag::has_errors(&check_candidate(layer, layer_index, u, arch)) {
-            pruned += 1;
-        } else {
-            legal.push(u);
-        }
-    }
-    PrunedCandidates { legal, pruned }
 }
 
 /// Full FlexFlow program check: rule `FXC05` over the instruction
@@ -804,42 +784,55 @@ mod tests {
     fn candidate_api_matches_per_plan_checks() {
         let arch = ArchParams::flexflow_paper();
         let layer = ConvLayer::new("C3", 16, 6, 10, 5);
-        // A clean candidate produces no diagnostics…
+        // A clean candidate yields its plan…
         let ok = Unroll::new(16, 3, 1, 1, 1, 5);
-        assert!(check_candidate(&layer, 0, ok, &arch).is_empty());
-        // …an over-occupying one yields exactly the FXC06 derive error…
+        let plan = check_candidate(&layer, 0, ok, &arch).unwrap();
+        assert_eq!(plan, plan_for(&layer, ok));
+        // …an over-occupying one exactly the FXC06 derive error…
         let fat = Unroll::new(16, 4, 2, 1, 2, 4);
-        let diags = check_candidate(&layer, 0, fat, &arch);
+        let diags = check_candidate(&layer, 0, fat, &arch).unwrap_err();
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, RuleId::UnrollBounds);
         // …and one exceeding a layer bound trips FXC06 via the plan.
         let wide = Unroll::new(16, 8, 1, 1, 1, 2); // Tn=8 > N=6
-        assert!(has_errors(&check_candidate(&layer, 0, wide, &arch)));
+        assert!(has_errors(
+            &check_candidate(&layer, 0, wide, &arch).unwrap_err()
+        ));
+    }
+
+    /// The candidates of `all` that every per-layer rule accepts, in
+    /// input order, and how many a rule rejected.
+    fn legal_in_order(layer: &ConvLayer, index: usize, all: &[Unroll]) -> (Vec<Unroll>, usize) {
+        let arch = ArchParams::flexflow_paper();
+        let legal: Vec<Unroll> = all
+            .iter()
+            .filter_map(|&u| check_candidate(layer, index, u, &arch).ok())
+            .map(|plan| plan.mapping)
+            .collect();
+        let pruned = all.len() - legal.len();
+        (legal, pruned)
     }
 
     #[test]
     fn prune_keeps_legal_candidates_in_input_order() {
-        let arch = ArchParams::flexflow_paper();
         let layer = ConvLayer::new("C3", 16, 6, 10, 5);
         let a = Unroll::new(16, 3, 1, 1, 1, 5);
         let bad = Unroll::new(16, 8, 1, 1, 1, 2); // Tn=8 > N=6
         let b = Unroll::new(8, 2, 1, 2, 1, 5);
-        let out = prune_candidates(&layer, 0, &[a, bad, b], &arch);
-        assert_eq!(out.legal, vec![a, b]);
-        assert_eq!(out.pruned, 1);
+        assert_eq!(legal_in_order(&layer, 0, &[a, bad, b]), (vec![a, b], 1));
     }
 
     #[test]
     fn prune_accepts_the_full_tuner_search_space() {
         // The tuner's exhaustive enumeration already respects
-        // Constraint (1) and layer bounds, so flexcheck prunes nothing
+        // Constraint (1) and layer bounds, so flexcheck rejects nothing
         // on a plain CONV layer — the oracle matters for capacity
         // edge shapes and for corrupted tables, not the common case.
         let layer = ConvLayer::new("C3", 12, 8, 20, 3).with_input_size(22);
         let all = flexsim_dataflow::tune::full_candidates(&layer, 16, Some(6));
-        let out = prune_candidates(&layer, 2, &all, &ArchParams::flexflow_paper());
-        assert_eq!(out.pruned + out.legal.len(), all.len());
-        assert!(!out.legal.is_empty());
+        let (legal, pruned) = legal_in_order(&layer, 2, &all);
+        assert_eq!(pruned + legal.len(), all.len());
+        assert!(!legal.is_empty());
     }
 
     #[test]
@@ -854,8 +847,7 @@ mod tests {
         assert_eq!(diags[0].severity, crate::Severity::Warning);
         assert!(diags[0].message.contains("12884909568 neuron-store slots"));
         let arch = ArchParams::flexflow_paper();
-        assert!(check_candidate(&layer, 0, u, &arch).is_empty());
-        assert_eq!(prune_candidates(&layer, 0, &[u], &arch).legal, [u]);
+        assert_eq!(check_candidate(&layer, 0, u, &arch).unwrap().mapping, u);
     }
 
     #[test]

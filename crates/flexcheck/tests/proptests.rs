@@ -12,6 +12,7 @@ use flexflow::FlexFlow;
 use flexsim_dataflow::Unroll;
 use flexsim_model::ConvLayer;
 use flexsim_obs::attrib::LossLedger;
+use flexsim_obs::cycles::LayerCtx;
 use flexsim_testkit::{prop, prop_assert, prop_assert_eq};
 
 /// Legalizes random factors the way the planner's search space does:
@@ -117,6 +118,47 @@ fn symbolic_flexflow_prediction_matches_the_analytic_schedule() {
             Ok(())
         },
     );
+}
+
+#[test]
+fn aggregate_lost_pe_cycles_equals_the_ledger() {
+    // The tuner's score, `Aggregate::lost_pe_cycles`, must equal the
+    // attributed loss of the ledger folded from the same schedule's
+    // timeline — on spill schedules too: up to 256 input maps overflow
+    // the 128-word stores, so many cases segment the chunk walk.
+    let spills = std::cell::Cell::new(0u32);
+    prop::check(
+        "aggregate_lost_equals_ledger",
+        2048,
+        (
+            1usize..=64,  // M
+            1usize..=256, // N
+            1usize..=32,  // S
+            1usize..=7,   // K
+            1usize..=16,  // Tm
+            1usize..=16,  // Tn
+            1usize..=16,  // Tr
+            1usize..=16,  // Tc
+            1usize..=16,  // Ti
+            1usize..=16,  // Tj
+        ),
+        |&(m, n, s, k, tm, tn, tr, tc, ti, tj)| {
+            let layer = ConvLayer::new("P", m, n, s, k);
+            let u = legalize(Unroll::new(tm, tn, tr, tc, ti, tj), &layer, 16);
+            let sch = flexflow::analytic::schedule(&layer, u, 16, STORE_WORDS);
+            spills.set(spills.get() + u32::from(sch.segments > 1));
+            let agg = flexflow::analytic::aggregate(&sch);
+            let ledger =
+                LossLedger::from_timeline(&agg.timeline(LayerCtx::new("FlexFlow", "P", 256)));
+            prop_assert_eq!(
+                agg.lost_pe_cycles(256),
+                ledger.attributed_lost(),
+                "score diverges from the ledger on {u} for M={m} N={n} S={s} K={k}"
+            );
+            Ok(())
+        },
+    );
+    assert!(spills.get() > 0, "no spill schedule was drawn");
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //!
 //! * **pid 0 ("host")** — wall-clock [`SpanRecord`]s from the global
 //!   span recorder, one thread row per OS thread, `ts`/`dur` in real
-//!   microseconds. Threads that registered a label (e.g. the pool's
-//!   `flexsim-pool-{i}` workers via
+//!   microseconds. Threads that registered a label while the recorder
+//!   was installed (e.g. the pool's `flexsim-pool-{i}` workers via
 //!   [`crate::span::set_thread_label`]) are named by it; the rest fall
 //!   back to `host-{tid}`.
 //! * **pid 1+** — one process per simulated architecture, one thread

@@ -318,6 +318,18 @@ impl Aggregate {
         self.0.iter().map(|&(_, m)| m).sum()
     }
 
+    /// Lost PE-cycles on a `pes`-PE array: per kind, `cycles × pes`
+    /// less the kind's useful MACs. This is the arithmetic
+    /// [`crate::attrib::LossLedger::from_timeline`] applies to the
+    /// [`Aggregate::timeline`] events, so it equals that ledger's
+    /// `attributed_lost()` without building the timeline.
+    pub fn lost_pe_cycles(&self, pes: u64) -> u64 {
+        self.0
+            .iter()
+            .map(|&(cycles, macs)| (cycles * pes).saturating_sub(macs))
+            .sum()
+    }
+
     /// The non-empty kinds as back-to-back events in [`KIND_ORDER`],
     /// the first starting at `start`.
     pub fn events(&self, start: u64) -> impl Iterator<Item = CycleEvent> + '_ {

@@ -18,6 +18,7 @@
 
 use crate::filter::{self, Level};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -50,6 +51,19 @@ thread_local! {
 struct RecorderState {
     epoch: Instant,
     spans: Vec<SpanRecord>,
+    /// Thread labels, kept only while the recorder is installed: a
+    /// process that spawns pool after pool with no recorder stores none.
+    labels: BTreeMap<u64, String>,
+}
+
+impl RecorderState {
+    fn new() -> RecorderState {
+        RecorderState {
+            epoch: Instant::now(),
+            spans: Vec::new(),
+            labels: BTreeMap::new(),
+        }
+    }
 }
 
 fn state() -> &'static Mutex<Option<RecorderState>> {
@@ -74,45 +88,39 @@ fn thread_tid() -> u64 {
     })
 }
 
-fn labels() -> &'static Mutex<std::collections::BTreeMap<u64, String>> {
-    static LABELS: OnceLock<Mutex<std::collections::BTreeMap<u64, String>>> = OnceLock::new();
-    LABELS.get_or_init(|| Mutex::new(std::collections::BTreeMap::new()))
-}
-
 /// Registers a human-readable label for the *current* thread's span
-/// tid (e.g. `"flexsim-pool-2"`). The pool workers call this at spawn
-/// so Chrome-trace `thread_name` rows reflect real workers instead of
-/// anonymous host tids. Idempotent per thread; the latest label wins.
+/// tid (e.g. `"flexsim-pool-2"`) while the recorder is installed. The
+/// pool workers call this at spawn so Chrome-trace `thread_name` rows
+/// reflect real workers instead of anonymous host tids. Without a
+/// recorder it stores nothing. Idempotent per thread; the latest label
+/// wins.
 pub fn set_thread_label(label: impl Into<String>) {
-    let tid = thread_tid();
-    labels()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(tid, label.into());
+    if let Some(rec) = lock_state().as_mut() {
+        rec.labels.insert(thread_tid(), label.into());
+    }
 }
 
-/// Every registered `(tid, label)` pair, in tid order.
+/// Every `(tid, label)` pair registered since the recorder was
+/// installed, in tid order (none without a recorder).
 pub fn thread_labels() -> Vec<(u64, String)> {
-    labels()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
-        .map(|(&tid, l)| (tid, l.clone()))
-        .collect()
+    lock_state().as_ref().map_or_else(Vec::new, |rec| {
+        rec.labels
+            .iter()
+            .map(|(&tid, l)| (tid, l.clone()))
+            .collect()
+    })
 }
 
-/// Installs (or resets) the global span recorder. Spans created after
-/// this call are recorded until [`take_records`] is called.
+/// Installs (or resets) the global span recorder, with no records and
+/// no thread labels. Spans created after this call are recorded until
+/// [`take_records`] is called.
 pub fn install_recorder() {
     let mut st = lock_state();
-    *st = Some(RecorderState {
-        epoch: Instant::now(),
-        spans: Vec::new(),
-    });
+    *st = Some(RecorderState::new());
     RECORDING.store(true, Ordering::Release);
 }
 
-/// Whether the global recorder is installed.
+/// Whether the global recorder is installed and not paused.
 pub fn recording() -> bool {
     RECORDING.load(Ordering::Acquire)
 }
@@ -121,10 +129,7 @@ pub fn recording() -> bool {
 /// that is already installed (installs one otherwise).
 pub fn resume_recorder() {
     let mut st = lock_state();
-    st.get_or_insert_with(|| RecorderState {
-        epoch: Instant::now(),
-        spans: Vec::new(),
-    });
+    st.get_or_insert_with(RecorderState::new);
     RECORDING.store(true, Ordering::Release);
 }
 
@@ -159,8 +164,9 @@ pub fn now_us() -> u64 {
         .map_or(0, |rec| micros(rec.epoch.elapsed()))
 }
 
-/// Stops recording and returns every span recorded since
-/// [`install_recorder`], in completion order.
+/// Stops recording, uninstalls the recorder (its thread labels go with
+/// it) and returns every span recorded since [`install_recorder`], in
+/// completion order.
 pub fn take_records() -> Vec<SpanRecord> {
     RECORDING.store(false, Ordering::Release);
     let mut st = lock_state();

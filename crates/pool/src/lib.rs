@@ -26,9 +26,10 @@
 //!   folds per-worker wall, busy, idle and task counts and the task
 //!   latency histogram from those spans, and each submit reports the
 //!   queue depth to [`flexsim_obs::telemetry::raise_queue_depth`].
-//!   Workers register `flexsim-pool-{i}` thread labels so Chrome-trace
-//!   thread names reflect real workers, and a task panic triggers a
-//!   flight dump when a dump directory is configured.
+//!   Workers spawned while the span recorder is installed register
+//!   `flexsim-pool-{i}` thread labels so Chrome-trace thread names
+//!   reflect real workers (without one they store none), and a task
+//!   panic triggers a flight dump when a dump directory is configured.
 //!
 //! ## Scheduling
 //!
@@ -551,6 +552,38 @@ mod tests {
             // part of the outer task's busy time, not added to it.
             assert_eq!(w.busy_us + w.idle_us, w.wall_us, "worker {i}: {w:?}");
         }
+    }
+
+    #[test]
+    fn pools_without_a_recorder_store_no_thread_labels() {
+        use flexsim_obs::span::{take_records, thread_labels};
+        let _g = telemetry_lock();
+        // Uninstall the recorder an earlier telemetry test left behind.
+        drop(take_records());
+        let before = thread_labels().len();
+        for _ in 0..50 {
+            let pool = Pool::new(2);
+            drop(squares(&pool, 4));
+        }
+        assert_eq!(thread_labels().len(), before);
+    }
+
+    #[test]
+    fn recorded_pools_label_their_workers() {
+        use flexsim_obs::span::{install_recorder, take_records, thread_labels};
+        let _g = telemetry_lock();
+        install_recorder();
+        {
+            let pool = Pool::new(2);
+            drop(squares(&pool, 4));
+        } // the join orders each worker's label before the read
+        let labels = thread_labels();
+        drop(take_records());
+        assert!(
+            labels.iter().any(|(_, l)| l == "flexsim-pool-1"),
+            "{labels:?}"
+        );
+        assert!(thread_labels().is_empty(), "labels outlive the recorder");
     }
 
     #[test]

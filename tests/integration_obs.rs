@@ -219,8 +219,9 @@ fn flexsim_survives_a_closed_stdout_pipe() {
 }
 
 /// End to end: `flexsim --jobs 2 --trace FILE fig15` writes a Chrome
-/// trace that parses, names all four architectures, and carries no
-/// second copy of the ledgers (`otherData` holds only `cycle_unit`).
+/// trace that parses, names all four architectures and the pool
+/// worker's host row, and carries no second copy of the ledgers
+/// (`otherData` holds only `cycle_unit`).
 #[test]
 fn flexsim_trace_flag_writes_loadable_chrome_trace() {
     let dir = std::env::temp_dir().join(format!("flexsim-obs-test-{}", std::process::id()));
@@ -255,6 +256,11 @@ fn flexsim_trace_flag_writes_loadable_chrome_trace() {
         let sim = format!("sim:{arch}");
         assert!(names.iter().any(|n| *n == sim), "missing {sim}");
     }
+    // The spawned pool worker labelled its host row while recording.
+    assert!(
+        names.contains(&"flexsim-pool-1"),
+        "no flexsim-pool-1 row: {names:?}"
+    );
     assert!(
         events
             .iter()

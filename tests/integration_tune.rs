@@ -25,6 +25,8 @@ use flexcheck::ArchParams;
 use flexflow::array::PeArray;
 use flexflow::{Compiler, FlexFlow};
 use flexsim_arch::Accelerator;
+use flexsim_dataflow::search::plan_network;
+use flexsim_dataflow::tune as search_space;
 use flexsim_dataflow::Unroll;
 use flexsim_experiments::tune::{
     analytic_ledger, bench_json, paper_defaults, report, tune_network, tune_workloads, Budget,
@@ -34,6 +36,7 @@ use flexsim_model::{reference, workloads, ConvLayer, Network, PoolKind, PoolLaye
 use flexsim_obs::attrib::LossLedger;
 use flexsim_obs::cycles::{Recorder, SinkHandle};
 use flexsim_obs::span;
+use flexsim_testkit::json::Json;
 use flexsim_testkit::rng::SplitMix64;
 use std::sync::Arc;
 
@@ -96,10 +99,10 @@ fn tuned_mappings_lint_clean_on_every_workload() {
         );
         let idxs = net.conv_indices();
         for (pos, (layer, rep)) in net.conv_layers().zip(&outcome.layers).enumerate() {
-            let pruned = flexcheck::prune_candidates(layer, idxs[pos], &[rep.tuned.unroll], &arch);
+            let checked = flexcheck::check_candidate(layer, idxs[pos], rep.tuned.unroll, &arch);
             assert_eq!(
-                pruned.legal,
-                vec![rep.tuned.unroll],
+                checked.map(|plan| plan.mapping),
+                Ok(rep.tuned.unroll),
                 "{}/{}: tuned mapping rejected by the candidate rules",
                 net.name(),
                 layer.name()
@@ -206,6 +209,142 @@ fn no_sampled_candidate_beats_the_exhaustive_winner() {
                 "{}: sampled {u} beats the winner",
                 layer.name()
             );
+        }
+    }
+}
+
+/// One layer's pick as `(winner, scored, pruned, enumerated)`.
+type Pick = (Unroll, usize, usize, usize);
+
+/// The oracle for the fused pass: the tuner's pick done in two phases.
+/// Lint every enumerated candidate, seed the paper default and the DP
+/// plan ahead of the legal rest, cap, then score each survivor with
+/// [`analytic_ledger`] and take the least `(lost, index)`.
+fn two_phase_picks(net: &Network, budget: Budget) -> Vec<Pick> {
+    let arch = ArchParams::flexflow_paper();
+    let defaults = paper_defaults(net);
+    let plan = plan_network(net, D);
+    let idxs = net.conv_indices();
+    net.conv_layers()
+        .enumerate()
+        .map(|(pos, layer)| {
+            let bound = net.rc_bound(idxs[pos]);
+            let raw = match budget {
+                Budget::Smoke => search_space::grid_candidates(layer, D, bound),
+                Budget::Full | Budget::Cap(_) => search_space::full_candidates(layer, D, bound),
+            };
+            let legal: Vec<Unroll> = raw
+                .iter()
+                .copied()
+                .filter(|&u| flexcheck::check_candidate(layer, idxs[pos], u, &arch).is_ok())
+                .collect();
+            let pruned = raw.len() - legal.len();
+            let (default_u, plan_u) = (defaults[pos].0.unroll, plan[pos].unroll);
+            let seeds = if plan_u == default_u {
+                vec![default_u]
+            } else {
+                vec![default_u, plan_u]
+            };
+            let mut ranked: Vec<Unroll> = seeds
+                .into_iter()
+                .chain(legal.into_iter().filter(|&u| u != default_u && u != plan_u))
+                .collect();
+            if let Budget::Cap(n) = budget {
+                ranked.truncate(n);
+            }
+            let (_, &winner) = ranked
+                .iter()
+                .enumerate()
+                .min_by_key(|&(i, &u)| (analytic_ledger(layer, u).attributed_lost(), i))
+                .expect("the default is always ranked");
+            (winner, ranked.len(), pruned, raw.len())
+        })
+        .collect()
+}
+
+#[test]
+fn fused_pass_picks_what_the_two_phase_pick_does() {
+    // Cap 257 crosses a scoring-chunk boundary, so the cap cuts a
+    // chunk's running best; caps 1 and 2 cut the DP plan's seed and
+    // every enumerated candidate.
+    let budgets = [
+        Budget::Full,
+        Budget::Cap(1),
+        Budget::Cap(2),
+        Budget::Cap(3),
+        Budget::Cap(257),
+    ];
+    let ctxs = [
+        ExperimentCtx::serial("tune"),
+        ExperimentCtx::parallel("tune", 2),
+    ];
+    for net in workloads::all() {
+        for budget in budgets {
+            let want = two_phase_picks(&net, budget);
+            for ctx in &ctxs {
+                let got: Vec<Pick> = tune_network(ctx, &net, budget)
+                    .layers
+                    .iter()
+                    .map(|l| (l.tuned.unroll, l.scored, l.pruned, l.enumerated))
+                    .collect();
+                assert_eq!(got, want, "{} at budget {budget}", net.name());
+            }
+        }
+    }
+}
+
+/// The table rows, as strings, of a `--json` document holding one
+/// report.
+fn table_rows(doc: &Json) -> Vec<Vec<String>> {
+    let field = |v: &'_ Json, name: &str| match v {
+        Json::Obj(pairs) => pairs
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.clone()),
+        _ => None,
+    };
+    let Json::Arr(reports) = doc else {
+        panic!("not a report list: {doc:?}");
+    };
+    let rows = field(&reports[0], "table").and_then(|t| field(&t, "rows"));
+    let Some(Json::Arr(rows)) = rows else {
+        panic!("no table rows in {doc:?}");
+    };
+    rows.iter()
+        .map(|row| match row {
+            Json::Arr(cells) => cells
+                .iter()
+                .map(|c| match c {
+                    Json::Str(s) => s.clone(),
+                    other => panic!("non-string cell {other:?}"),
+                })
+                .collect(),
+            other => panic!("row is not an array: {other:?}"),
+        })
+        .collect()
+}
+
+/// `--budget 1` leaves only the paper-default seed: the tuner exits 0
+/// and reports the default as the tuned mapping on every layer, also
+/// where the DP plan (cut by the cap) would beat it.
+#[test]
+fn budget_one_tunes_to_the_default() {
+    for (name, net) in [("pv", workloads::pv()), ("hg", workloads::hg())] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexsim"))
+            .args(["--json", "--budget", "1", "tune", name])
+            .output()
+            .expect("flexsim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{name}: {stderr}");
+        let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).expect("JSON");
+        let layers: Vec<Vec<String>> = table_rows(&doc)
+            .into_iter()
+            .filter(|row| row[1] != "(all)")
+            .collect();
+        assert_eq!(layers.len(), net.conv_layers().count(), "{name}");
+        for row in layers {
+            // Columns: workload, layer, default (`*` marks Table 4), tuned.
+            assert_eq!(row[2].trim_end_matches(" *"), row[3], "{name}/{}", row[1]);
         }
     }
 }
