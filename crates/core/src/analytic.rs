@@ -154,53 +154,52 @@ pub fn schedule(layer: &ConvLayer, u: Unroll, d: usize, store_words: usize) -> S
     let cap = store_words as u64;
     let all_groups_fit = m_groups.saturating_mul(chunks) <= cap;
 
-    let candidates: Vec<(LoopOrder, u64, u64, u64, u64)> = {
-        // (order, neuron_in, kernel_in, psum, segments)
-        let mut v = Vec::new();
-        if all_groups_fit {
-            v.push((LoopOrder::SpatialOuter, neuron_in_once, kernel_words, 0, 1));
-        } else {
-            // A: kernels re-stream per spatial tile. When even one
-            // group's slice overflows, passes are additionally
-            // segmented with psum spills.
-            let seg_a = chunks.div_ceil(cap);
-            let psum_a = 2 * (seg_a - 1) * out_words;
-            v.push((
-                LoopOrder::SpatialOuter,
-                neuron_in_once,
-                kernel_words * spatial_tiles,
-                psum_a,
-                seg_a,
-            ));
-            // B: neurons re-read per map group; oversized passes also
-            // segment within each group.
-            let seg_b = chunks.div_ceil(cap);
-            v.push((
-                LoopOrder::MapOuter,
-                neuron_in_once * m_groups,
-                kernel_words,
-                2 * (seg_b - 1) * out_words,
-                seg_b,
-            ));
-            // C: slice the chunk walk so all groups' slices co-reside.
-            let slice = (cap / m_groups).max(1);
-            let seg_c = chunks.div_ceil(slice);
-            v.push((
-                LoopOrder::SegmentedPsum,
-                neuron_in_once,
-                kernel_words,
-                2 * (seg_c - 1) * out_words,
-                seg_c,
-            ));
-        }
-        v
+    // (order, neuron_in, kernel_in, psum, segments)
+    let (candidates, count) = if all_groups_fit {
+        let a = (LoopOrder::SpatialOuter, neuron_in_once, kernel_words, 0, 1);
+        ([a; 3], 1)
+    } else {
+        // A: kernels re-stream per spatial tile. When even one
+        // group's slice overflows, passes are additionally
+        // segmented with psum spills.
+        let seg_a = chunks.div_ceil(cap);
+        let psum_a = 2 * (seg_a - 1) * out_words;
+        let a = (
+            LoopOrder::SpatialOuter,
+            neuron_in_once,
+            kernel_words * spatial_tiles,
+            psum_a,
+            seg_a,
+        );
+        // B: neurons re-read per map group; oversized passes also
+        // segment within each group.
+        let seg_b = chunks.div_ceil(cap);
+        let b = (
+            LoopOrder::MapOuter,
+            neuron_in_once * m_groups,
+            kernel_words,
+            2 * (seg_b - 1) * out_words,
+            seg_b,
+        );
+        // C: slice the chunk walk so all groups' slices co-reside.
+        let slice = (cap / m_groups).max(1);
+        let seg_c = chunks.div_ceil(slice);
+        let c = (
+            LoopOrder::SegmentedPsum,
+            neuron_in_once,
+            kernel_words,
+            2 * (seg_c - 1) * out_words,
+            seg_c,
+        );
+        ([a, b, c], 3)
     };
     // Pick the strategy minimizing total cost: buffer words moved plus
     // the engine-time cost of segment-boundary stalls (a stalled cycle
     // idles the whole array, worth roughly STALL_WORD_EQUIVALENT buffer
     // words of energy).
-    let (order, neuron_in, kernel_in, psum, segments) = candidates
-        .into_iter()
+    let (order, neuron_in, kernel_in, psum, segments) = candidates[..count]
+        .iter()
+        .copied()
         .min_by_key(|&(_, n_in, k_in, ps, seg)| {
             let stalls = row_batches * (seg - 1) * SEGMENT_STALL_CYCLES;
             n_in + k_in + ps + stalls * STALL_WORD_EQUIVALENT

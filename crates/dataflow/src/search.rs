@@ -12,24 +12,50 @@
 //! `⟨Tm, Tr, Tc⟩` triples, minimizing total engine cycles — this is the
 //! planner behind the paper's Table 4.
 //!
+//! Every search here prices an unrolling by its tile count, which factors
+//! into a row side `⟨Tn, Ti, Tj⟩` ([`row_tiles`]) times a column side
+//! `⟨Tm, Tr, Tc⟩` ([`col_tiles`]), so each searches the two sides side
+//! by side instead of their cross product.
+//!
+//! [`best_unroll_in_style`] and [`best_unroll_with_row`] return the
+//! winner of a search of the cross product that walks columns outer,
+//! rows inner, and keeps the first candidate of maximal `Ut` (the
+//! brute-force oracle of the unit tests). Since `Ut = MACs / (tiles ·
+//! D²)`, that winner is the earliest (column, row) pair with the fewest
+//! tiles. A product of positive counts is least exactly where each
+//! factor is least, so over a product of two sets the winner is the
+//! earliest least column paired with the earliest least row. A style
+//! fixes the synapse degree on the row side and the neuron degree on the
+//! column side; a Multiple feature-map degree is the union `{Tm > 1} ×
+//! rows ∪ {Tm = 1} × {Tn > 1}` of two such products; the scalar unroll,
+//! first in both orders, is one more candidate.
+//!
 //! The DP prices a (predecessor, state) pair by the layer's tile count,
-//! which factors into a row side fixed by the predecessor through IADP
-//! ([`row_tiles`]) and a column side fixed by the state ([`col_tiles`]).
-//! Predecessors with equal row-side counts differ only in their running
-//! cost, so each count keeps one representative, the cheapest (lowest
-//! index on a tie). A layer then costs `distinct row-side counts ×
-//! states` relaxations instead of `states × states`, and the plan is the
-//! one the pairwise DP picks, tie-breaks included.
+//! whose row side is fixed by the predecessor through IADP and whose
+//! column side by the state. It keeps a predecessor only when it is
+//! cheaper than every predecessor with fewer row tiles and the cheapest,
+//! lowest index first, of its own count: any other loses or ties to a
+//! kept one on every state, and a tie goes to the lower index or, when
+//! both costs saturate at `u64::MAX`, to no predecessor at all. A layer
+//! then costs `kept predecessors × states` relaxations instead of
+//! `states × states`, and the plan is the one the pairwise DP picks,
+//! tie-breaks included.
 //!
 //! [`row_tiles`]: crate::utilization::row_tiles
 //! [`col_tiles`]: crate::utilization::col_tiles
 
+use crate::style::Style;
 use crate::unroll::{dilation_legal, legal_synapse_factor, Unroll};
 use crate::utilization::{
-    col_tiles, col_utilization, row_tiles, row_utilization, tile_count, total_utilization,
+    ceil_div, col_tiles, col_utilization, col_utilization_of, row_tiles, row_utilization,
+    row_utilization_of, tile_count,
 };
 use flexsim_model::{ConvLayer, Network};
 use std::fmt;
+
+/// One side of an unrolling: `(Tn, Ti, Tj)` on the row side, `(Tm, Tr,
+/// Tc)` on the column side.
+type Side = (usize, usize, usize);
 
 /// The chosen unrolling for one CONV layer, with its utilization figures.
 #[derive(Clone, Debug, PartialEq)]
@@ -82,42 +108,72 @@ impl fmt::Display for LayerChoice {
     }
 }
 
-/// Enumerates candidate `(Tn, Ti, Tj)` triples for a layer on a `D`-wide
-/// engine (the intra-row side).
-pub(crate) fn row_candidates(layer: &ConvLayer, d: usize) -> Vec<(usize, usize, usize)> {
-    let mut out = Vec::new();
-    let k = layer.k();
-    let dil = layer.dilation();
-    for ti in (1..=k.min(d)).filter(|&t| dilation_legal(dil, t)) {
-        for tj in (1..=k.min(d / ti)).filter(|&t| dilation_legal(dil, t)) {
-            let max_tn = layer.n().min(d / (ti * tj));
-            for tn in 1..=max_tn {
-                out.push((tn, ti, tj));
-            }
-        }
-    }
-    out
+/// The candidate `(Tn, Ti, Tj)` triples for a layer on a `D`-wide engine
+/// (the intra-row side), `Ti` outer, then `Tj`, then `Tn`, each after
+/// its [`row_tiles`] count.
+fn row_sides(layer: &ConvLayer, d: usize) -> impl Iterator<Item = (u64, Side)> {
+    let (n, k, dil) = (layer.n(), layer.k(), layer.dilation());
+    (1..=k.min(d))
+        .filter(move |&ti| dilation_legal(dil, ti))
+        .flat_map(move |ti| {
+            (1..=k.min(d / ti))
+                .filter(move |&tj| dilation_legal(dil, tj))
+                .flat_map(move |tj| {
+                    let synapse_tiles = (ceil_div(k, ti) * ceil_div(k, tj)) as u64;
+                    (1..=n.min(d / (ti * tj)))
+                        .map(move |tn| (ceil_div(n, tn) as u64 * synapse_tiles, (tn, ti, tj)))
+                })
+        })
 }
 
-/// Enumerates candidate `(Tm, Tr, Tc)` triples (the inter-row side),
-/// honouring the successor bound `Tr, Tc ≤ rc_bound`.
-pub(crate) fn col_candidates(
+/// The candidate `(Tm, Tr, Tc)` triples (the inter-row side), honouring
+/// the successor bound `Tr, Tc ≤ rc_bound`: `Tr` outer, then `Tc`, then
+/// `Tm`, each after its [`col_tiles`] count.
+fn col_sides(
     layer: &ConvLayer,
     d: usize,
     rc_bound: Option<usize>,
-) -> Vec<(usize, usize, usize)> {
-    let bound = rc_bound.unwrap_or(usize::MAX);
-    let s_lim = layer.s().min(bound).min(d);
+) -> impl Iterator<Item = (u64, Side)> {
+    let (m, s) = (layer.m(), layer.s());
+    let s_lim = s.min(rc_bound.unwrap_or(usize::MAX)).min(d);
+    (1..=s_lim).flat_map(move |tr| {
+        (1..=s_lim.min(d / tr)).flat_map(move |tc| {
+            let spatial_tiles = (ceil_div(s, tr) * ceil_div(s, tc)) as u64;
+            (1..=m.min(d / (tr * tc)))
+                .map(move |tm| (ceil_div(m, tm) as u64 * spatial_tiles, (tm, tr, tc)))
+        })
+    })
+}
+
+/// Collects `sides` by internal iteration (`for_each`), which runs the
+/// nested `flat_map`s of [`row_sides`] and [`col_sides`] much faster
+/// than `collect`'s calls to `next`.
+fn collect_sides<T>(sides: impl Iterator<Item = T>) -> Vec<T> {
     let mut out = Vec::new();
-    for tr in 1..=s_lim {
-        for tc in 1..=s_lim.min(d / tr) {
-            let max_tm = layer.m().min(d / (tr * tc));
-            for tm in 1..=max_tm {
-                out.push((tm, tr, tc));
-            }
-        }
-    }
+    sides.for_each(|side| out.push(side));
     out
+}
+
+/// [`row_sides`]' triples, collected.
+pub(crate) fn row_candidates(layer: &ConvLayer, d: usize) -> Vec<Side> {
+    collect_sides(row_sides(layer, d).map(|(_, r)| r))
+}
+
+/// [`col_sides`]' triples, collected.
+pub(crate) fn col_candidates(layer: &ConvLayer, d: usize, rc_bound: Option<usize>) -> Vec<Side> {
+    collect_sides(col_sides(layer, d, rc_bound).map(|(_, c)| c))
+}
+
+/// The row side of greatest `Ur` (Eq. 2), ties going to the greatest
+/// `then` key: each candidate's `Ur` is computed once, from its tile
+/// count. Utilizations are ratios of positive finite counts, so
+/// `partial_cmp` never sees a NaN.
+fn best_row_side<K: Ord>(layer: &ConvLayer, d: usize, then: impl Fn(Side) -> K) -> Side {
+    let (_, _, row) = row_sides(layer, d)
+        .map(|(tiles, r)| (row_utilization_of(layer, tiles, d), then(r), r))
+        .max_by(|(ua, ka, _), (ub, kb, _)| ua.partial_cmp(ub).unwrap().then_with(|| ka.cmp(kb)))
+        .expect("row candidates are never empty");
+    row
 }
 
 /// Finds the per-layer optimal unrolling: maximal `Ut` subject to
@@ -133,40 +189,22 @@ pub(crate) fn col_candidates(
 pub fn best_unroll(layer: &ConvLayer, d: usize, rc_bound: Option<usize>) -> LayerChoice {
     assert!(d > 0, "engine side must be non-zero");
     // Ur and Uc are independent, so optimize the two sides separately.
-    // Invariant: utilizations are ratios of positive finite counts, so
-    // `partial_cmp` below never sees a NaN.
-    let best_row = row_candidates(layer, d)
-        .into_iter()
-        .max_by(|a, b| {
-            let ua = row_utilization(layer, &Unroll::new(1, a.0, 1, 1, a.1, a.2), d);
-            let ub = row_utilization(layer, &Unroll::new(1, b.0, 1, 1, b.1, b.2), d);
-            ua.partial_cmp(&ub)
-                .unwrap()
-                .then_with(|| (a.1 * a.2).cmp(&(b.1 * b.2)))
-                .then_with(|| a.cmp(b))
-        })
-        .expect("row candidates are never empty");
-    let best_col = col_candidates(layer, d, rc_bound)
-        .into_iter()
-        .max_by(|a, b| {
-            let ua = col_utilization(layer, &Unroll::new(a.0, 1, a.1, a.2, 1, 1), d);
-            let ub = col_utilization(layer, &Unroll::new(b.0, 1, b.1, b.2, 1, 1), d);
-            ua.partial_cmp(&ub).unwrap().then_with(|| a.cmp(b))
-        })
+    let (tn, ti, tj) = best_row_side(layer, d, |r| (r.1 * r.2, r));
+    let (_, (tm, tr, tc)) = col_sides(layer, d, rc_bound)
+        .map(|(tiles, c)| (col_utilization_of(layer, tiles, d), c))
+        .max_by(|(ua, a), (ub, b)| ua.partial_cmp(ub).unwrap().then_with(|| a.cmp(b)))
         .expect("col candidates are never empty");
-    let u = Unroll::new(
-        best_col.0, best_row.0, best_col.1, best_col.2, best_row.1, best_row.2,
-    );
+    let u = Unroll::new(tm, tn, tr, tc, ti, tj);
     debug_assert!(u.satisfies(layer, d, rc_bound));
     LayerChoice::new(layer, u, d)
 }
 
-/// Finds the optimal unrolling among those satisfying an arbitrary
-/// predicate — used by the ablation studies to restrict the engine to a
-/// single processing style (e.g. what a Systolic-style `SFSNMS`-only
-/// FlexFlow could achieve).
-///
-/// Returns `None` when no feasible unrolling satisfies the predicate.
+/// Finds the optimal unrolling of a single processing style, the scalar
+/// unroll always admitted — what a Systolic-style `SFSNMS`-only FlexFlow,
+/// say, could achieve. Among the unrollings of `style` and the scalar
+/// one, it returns the one of maximal `Ut` (fewest tiles) that comes
+/// first with the column side `(Tm, Tr, Tc)` outer: the module docs say
+/// why two single-side searches find it.
 ///
 /// # Panics
 ///
@@ -175,53 +213,90 @@ pub fn best_unroll(layer: &ConvLayer, d: usize, rc_bound: Option<usize>) -> Laye
 /// # Example
 ///
 /// ```
-/// use flexsim_dataflow::search::best_unroll_where;
-/// use flexsim_dataflow::{Style, Unroll};
+/// use flexsim_dataflow::search::best_unroll_in_style;
+/// use flexsim_dataflow::Style;
 /// use flexsim_model::ConvLayer;
 ///
 /// let layer = ConvLayer::new("C3", 16, 6, 10, 5);
 /// // Restrict to neuron parallelism only (2D-Mapping's style).
-/// let np_only = best_unroll_where(&layer, 16, None, |u: &Unroll| {
-///     Style::from_unroll(u) == Style::mapping2d() || *u == Unroll::scalar()
-/// })
-/// .unwrap();
+/// let np_only = best_unroll_in_style(&layer, 16, None, Style::mapping2d());
 /// assert!(np_only.total_utilization() < 0.5);
 /// ```
-pub fn best_unroll_where(
+pub fn best_unroll_in_style(
     layer: &ConvLayer,
     d: usize,
     rc_bound: Option<usize>,
-    pred: impl Fn(&Unroll) -> bool,
+    style: Style,
+) -> LayerChoice {
+    assert!(d > 0, "engine side must be non-zero");
+    let (synapse, neuron) = (
+        style.has_synapse_parallelism(),
+        style.has_neuron_parallelism(),
+    );
+    // The earliest row (column) side with the fewest tiles among those
+    // of the style's synapse (neuron) degree whose Tn (Tm) passes `fm`:
+    // `min_by_key` keeps the first of equal keys.
+    let row = |fm: fn(usize) -> bool| {
+        row_sides(layer, d)
+            .filter(|&(_, (tn, ti, tj))| (ti > 1 || tj > 1) == synapse && fm(tn))
+            .min_by_key(|&(tiles, _)| tiles)
+    };
+    let col = |fm: fn(usize) -> bool| {
+        col_sides(layer, d, rc_bound)
+            .filter(|&(_, (tm, tr, tc))| (tr > 1 || tc > 1) == neuron && fm(tm))
+            .min_by_key(|&(tiles, _)| tiles)
+    };
+    let products = if style.has_feature_map_parallelism() {
+        // {Tm > 1} × rows ∪ {Tm = 1} × {Tn > 1}
+        [
+            (col(|tm| tm > 1), row(|_| true)),
+            (col(|tm| tm == 1), row(|tn| tn > 1)),
+        ]
+    } else {
+        [(col(|tm| tm == 1), row(|tn| tn == 1)), (None, None)]
+    };
+    let scalar = (1, 1, 1);
+    let scalar_tiles = col_tiles(layer, scalar) * row_tiles(layer, scalar);
+    let (_, (tm, tr, tc), (tn, ti, tj)) = products
+        .into_iter()
+        .filter_map(|(c, r)| Some((c?, r?)))
+        .map(|((ct, c), (rt, r))| (ct * rt, c, r))
+        .chain([(scalar_tiles, scalar, scalar)])
+        .min_by_key(|&(tiles, (tm, tr, tc), (tn, ti, tj))| (tiles, (tr, tc, tm), (ti, tj, tn)))
+        .expect("the scalar unroll is always a candidate");
+    LayerChoice::new(layer, Unroll::new(tm, tn, tr, tc, ti, tj), d)
+}
+
+/// Finds the optimal unrolling whose row side is `(Tn, Ti, Tj)`: the
+/// earliest column side with the fewest tiles. Returns `None` when `row`
+/// is not a row-side candidate of the layer on a `d×d` engine.
+///
+/// # Panics
+///
+/// Panics if `d` is zero.
+pub fn best_unroll_with_row(
+    layer: &ConvLayer,
+    d: usize,
+    rc_bound: Option<usize>,
+    (tn, ti, tj): (usize, usize, usize),
 ) -> Option<LayerChoice> {
     assert!(d > 0, "engine side must be non-zero");
-    let rows = row_candidates(layer, d);
-    let cols = col_candidates(layer, d, rc_bound);
-    let mut best: Option<(f64, u64, Unroll)> = None;
-    for &(tm, tr, tc) in &cols {
-        for &(tn, ti, tj) in &rows {
-            let u = Unroll::new(tm, tn, tr, tc, ti, tj);
-            if !pred(&u) {
-                continue;
-            }
-            let ut = total_utilization(layer, &u, d);
-            let cycles = tile_count(layer, &u);
-            let better = match &best {
-                None => true,
-                Some((bu, bc, _)) => ut > *bu + 1e-12 || (ut > *bu - 1e-12 && cycles < *bc),
-            };
-            if better {
-                best = Some((ut, cycles, u));
-            }
-        }
+    if !row_sides(layer, d).any(|(_, r)| r == (tn, ti, tj)) {
+        return None;
     }
-    best.map(|(_, _, u)| LayerChoice::new(layer, u, d))
+    let (_, (tm, tr, tc)) = col_sides(layer, d, rc_bound).min_by_key(|&(tiles, _)| tiles)?;
+    Some(LayerChoice::new(
+        layer,
+        Unroll::new(tm, tn, tr, tc, ti, tj),
+        d,
+    ))
 }
 
 /// The IADP hand-off: layer *i*'s column side `⟨Tm, Tr, Tc⟩` becomes
 /// layer *i+1*'s row side `⟨Tn, Ti, Tj⟩`, clamped to this layer's `N`/`K`
 /// bounds (shapes can disagree) and reduced to dilation-legal synapse
 /// factors.
-fn iadp_row(layer: &ConvLayer, (tm, tr, tc): (usize, usize, usize)) -> (usize, usize, usize) {
+fn iadp_row(layer: &ConvLayer, (tm, tr, tc): Side) -> Side {
     (
         tm.min(layer.n()),
         legal_synapse_factor(layer.dilation(), tr.min(layer.k())),
@@ -237,11 +312,11 @@ fn iadp_row(layer: &ConvLayer, (tm, tr, tc): (usize, usize, usize)) -> (usize, u
 ///
 /// A layer's tile count is its row-side count (set by the predecessor
 /// state) times its column-side count (set by the state). Per layer the
-/// DP computes each state's column side once, keeps one predecessor per
-/// distinct row-side count — the cheapest, the lowest index on a tie —
-/// and relaxes only those, in index order, so it costs `distinct
-/// row-side counts × states` per layer. Every state's winner is still
-/// the lowest-index predecessor of minimal cost.
+/// DP computes each state's column side once, keeps only the
+/// predecessors cheaper than every one with fewer row tiles, and relaxes
+/// those in index order, so it costs `kept predecessors × states` per
+/// layer. Every state's winner is still the lowest-index predecessor of
+/// minimal cost.
 ///
 /// Returns one [`LayerChoice`] per CONV layer, in network order.
 ///
@@ -256,59 +331,57 @@ pub fn plan_network(net: &Network, d: usize) -> Vec<LayerChoice> {
     let rc_bounds: Vec<Option<usize>> = conv_steps.iter().map(|&(i, _)| net.rc_bound(i)).collect();
 
     // Per-layer candidate ⟨Tm,Tr,Tc⟩ triples (the DP state after each
-    // layer).
-    let states: Vec<Vec<(usize, usize, usize)>> = layers
+    // layer), each after its column-side tile count.
+    let states: Vec<Vec<(u64, Side)>> = layers
         .iter()
         .zip(&rc_bounds)
-        .map(|(l, &b)| col_candidates(l, d, b))
+        .map(|(l, &b)| collect_sides(col_sides(l, d, b)))
         .collect();
 
     // The first layer's row side is uncoupled: pick the Ur-optimal triple.
-    let first_row = {
-        let l = layers[0];
-        row_candidates(l, d)
-            .into_iter()
-            .max_by(|a, b| {
-                let ua = row_utilization(l, &Unroll::new(1, a.0, 1, 1, a.1, a.2), d);
-                let ub = row_utilization(l, &Unroll::new(1, b.0, 1, 1, b.1, b.2), d);
-                ua.partial_cmp(&ub).unwrap().then_with(|| a.cmp(b))
-            })
-            .expect("row candidates are never empty")
-    };
+    let first_row = best_row_side(layers[0], d, |r| r);
 
     // dp[s] = (total cycles, predecessor state index) for the current
     // layer ending in state s.
     let first_rows = row_tiles(layers[0], first_row);
     let mut dp: Vec<(u64, usize)> = states[0]
         .iter()
-        .map(|&col| (first_rows * col_tiles(layers[0], col), usize::MAX))
+        .map(|&(cols, _)| (first_rows * cols, usize::MAX))
         .collect();
     let mut back: Vec<Vec<usize>> = vec![vec![usize::MAX; states[0].len()]];
 
+    // (row-side count, running cost, index) of the live predecessors,
+    // and of the kept ones.
+    let mut live: Vec<(u64, u64, usize)> = Vec::new();
+    let mut kept: Vec<(u64, u64, usize)> = Vec::new();
     for li in 1..layers.len() {
         let layer = layers[li];
-        // One representative per row-side count; relaxing them in index
-        // order keeps each state's winner the lowest-index predecessor
-        // of minimal cost.
-        let mut reps: Vec<(u64, u64, usize)> = Vec::new();
-        for (pi, (&prev, &(pcost, _))) in states[li - 1].iter().zip(&dp).enumerate() {
-            let (tn, ti, tj) = iadp_row(layer, prev);
-            if pcost == u64::MAX || tn * ti * tj > d {
-                continue;
-            }
-            let rows = row_tiles(layer, (tn, ti, tj));
-            match reps.iter_mut().find(|r| r.0 == rows) {
-                Some(r) if pcost < r.1 => *r = (rows, pcost, pi),
-                Some(_) => {}
-                None => reps.push((rows, pcost, pi)),
-            }
+        live.clear();
+        live.extend(states[li - 1].iter().zip(&dp).enumerate().filter_map(
+            |(pi, (&(_, prev), &(pcost, _)))| {
+                let (tn, ti, tj) = iadp_row(layer, prev);
+                (pcost != u64::MAX && tn * ti * tj <= d)
+                    .then(|| (row_tiles(layer, (tn, ti, tj)), pcost, pi))
+            },
+        ));
+        // Keep the cheapest predecessor (fewest row tiles, then lowest
+        // index, among equal costs), then the cheapest of those with
+        // fewer row tiles than it, and so on.
+        kept.clear();
+        while let Some(&cheapest) = live
+            .iter()
+            .min_by_key(|&&(rows, pcost, pi)| (pcost, rows, pi))
+        {
+            kept.push(cheapest);
+            live.retain(|&(rows, _, _)| rows < cheapest.0);
         }
-        reps.sort_unstable_by_key(|&(_, _, pi)| pi);
-        let cols: Vec<u64> = states[li].iter().map(|&c| col_tiles(layer, c)).collect();
-        let mut next: Vec<(u64, usize)> = vec![(u64::MAX, usize::MAX); cols.len()];
-        for &(rows, pcost, pi) in &reps {
-            for (best, &col) in next.iter_mut().zip(&cols) {
-                let cost = pcost.saturating_add(rows * col);
+        // Relaxing in index order keeps each state's winner the
+        // lowest-index predecessor of minimal cost.
+        kept.sort_unstable_by_key(|&(_, _, pi)| pi);
+        let mut next: Vec<(u64, usize)> = vec![(u64::MAX, usize::MAX); states[li].len()];
+        for &(rows, pcost, pi) in &kept {
+            for (best, &(cols, _)) in next.iter_mut().zip(&states[li]) {
+                let cost = pcost.saturating_add(rows * cols);
                 if cost < best.0 {
                     *best = (cost, pi);
                 }
@@ -335,11 +408,11 @@ pub fn plan_network(net: &Network, d: usize) -> Vec<LayerChoice> {
     // Materialize choices.
     let mut out = Vec::with_capacity(layers.len());
     for (li, layer) in layers.iter().enumerate() {
-        let (tm, tr, tc) = states[li][chain[li]];
+        let (_, (tm, tr, tc)) = states[li][chain[li]];
         let (tn, ti, tj) = if li == 0 {
             first_row
         } else {
-            iadp_row(layer, states[li - 1][chain[li - 1]])
+            iadp_row(layer, states[li - 1][chain[li - 1]].1)
         };
         let u = Unroll::new(tm, tn, tr, tc, ti, tj);
         debug_assert!(
@@ -394,10 +467,118 @@ pub fn analyzer_chain(net: &Network, d: usize) -> Vec<LayerChoice> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::style::Style;
+    use crate::utilization::total_utilization;
+    use flexsim_model::network::NetworkBuilder;
     use flexsim_model::{ffnet, workloads, PoolKind, PoolLayer};
-    use flexsim_testkit::prop::{self, vec_of};
-    use flexsim_testkit::prop_assert_eq;
+    use flexsim_testkit::prop::{self, option_of, vec_of};
+    use flexsim_testkit::{prop_assert, prop_assert_eq};
+
+    /// The brute-force search over the rows × columns cross product,
+    /// columns outer: the optimal unrolling among those satisfying an
+    /// arbitrary predicate, `None` when none does. This is the oracle
+    /// [`best_unroll_in_style`] and [`best_unroll_with_row`] must
+    /// reproduce choice for choice, tie-breaks included.
+    fn best_unroll_where(
+        layer: &ConvLayer,
+        d: usize,
+        rc_bound: Option<usize>,
+        pred: impl Fn(&Unroll) -> bool,
+    ) -> Option<LayerChoice> {
+        assert!(d > 0, "engine side must be non-zero");
+        let rows = row_candidates(layer, d);
+        let cols = col_candidates(layer, d, rc_bound);
+        let mut best: Option<(f64, u64, Unroll)> = None;
+        for &(tm, tr, tc) in &cols {
+            for &(tn, ti, tj) in &rows {
+                let u = Unroll::new(tm, tn, tr, tc, ti, tj);
+                if !pred(&u) {
+                    continue;
+                }
+                let ut = total_utilization(layer, &u, d);
+                let cycles = tile_count(layer, &u);
+                let better = match &best {
+                    None => true,
+                    Some((bu, bc, _)) => ut > *bu + 1e-12 || (ut > *bu - 1e-12 && cycles < *bc),
+                };
+                if better {
+                    best = Some((ut, cycles, u));
+                }
+            }
+        }
+        best.map(|(_, _, u)| LayerChoice::new(layer, u, d))
+    }
+
+    /// A random layer: `(M, N, S, K, stride, dilation)`.
+    type Shape = (usize, usize, usize, usize, usize, usize);
+
+    type Sizes = std::ops::RangeInclusive<usize>;
+
+    fn shapes() -> (Sizes, Sizes, Sizes, Sizes, Sizes, Sizes) {
+        (1..=12, 1..=6, 1..=12, 1..=5, 1..=3, 1..=3)
+    }
+
+    fn shaped_layer(&(m, n, s, k, stride, dilation): &Shape) -> ConvLayer {
+        ConvLayer::new("C", m, n, s, k)
+            .with_stride(stride)
+            .with_dilation(dilation)
+    }
+
+    #[test]
+    fn style_search_equals_the_brute_force_oracle_for_every_style() {
+        prop::check(
+            "style_search_equals_the_brute_force_oracle_for_every_style",
+            256,
+            (shapes(), option_of(1usize..=8), 1usize..=64),
+            |(shape, bound, d)| {
+                let layer = shaped_layer(shape);
+                for style in Style::all() {
+                    let oracle = best_unroll_where(&layer, *d, *bound, |u| {
+                        Style::from_unroll(u) == style || *u == Unroll::scalar()
+                    });
+                    prop_assert_eq!(
+                        Some(best_unroll_in_style(&layer, *d, *bound, style)),
+                        oracle,
+                        "{style}"
+                    );
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn row_search_equals_the_brute_force_oracle_inside_and_outside_the_candidates() {
+        prop::check(
+            "row_search_equals_the_brute_force_oracle_inside_and_outside_the_candidates",
+            256,
+            (
+                shapes(),
+                option_of(1usize..=8),
+                1usize..=64,
+                (1usize..=8, 1usize..=6, 1usize..=6),
+                0usize..=10_000,
+            ),
+            |(shape, bound, d, drawn, pick)| {
+                let layer = shaped_layer(shape);
+                prop_assert!(row_sides(&layer, *d).all(|(t, r)| t == row_tiles(&layer, r)));
+                prop_assert!(col_sides(&layer, *d, *bound).all(|(t, c)| t == col_tiles(&layer, c)));
+                let rows = row_candidates(&layer, *d);
+                // One drawn row, often outside the candidates, and one
+                // candidate row.
+                for row in [*drawn, rows[pick % rows.len()]] {
+                    let oracle =
+                        best_unroll_where(&layer, *d, *bound, |u| (u.tn, u.ti, u.tj) == row);
+                    prop_assert_eq!(
+                        best_unroll_with_row(&layer, *d, *bound, row),
+                        oracle,
+                        "row {row:?}, a candidate: {}",
+                        rows.contains(&row)
+                    );
+                }
+                Ok(())
+            },
+        );
+    }
 
     /// The planner's DP priced pair by pair: every (predecessor, state)
     /// pair costs a full `tile_count`. This is the oracle [`plan_network`]
@@ -541,12 +722,12 @@ mod tests {
     /// a window of 1 meaning no pooling after the layer.
     type Link = (usize, usize, usize, usize, usize, usize, usize);
 
-    /// A conv chain from `links`, each layer optionally followed by a pool
-    /// that bounds its predecessor's `Tr, Tc` through `P·K'`. `N` and `K`
-    /// are drawn independently of the previous layer's `M` and `S`, so the
-    /// IADP hand-off often clamps.
-    fn random_chain(links: &[Link]) -> Network {
-        let mut b = Network::builder("chain");
+    /// A conv chain from `links` behind the layers `b` already holds,
+    /// each optionally followed by a pool that bounds its predecessor's
+    /// `Tr, Tc` through `P·K'`. `N` and `K` are drawn independently of
+    /// the previous layer's `M` and `S`, so the IADP hand-off often
+    /// clamps.
+    fn random_chain(mut b: NetworkBuilder, links: &[Link]) -> Network {
         for (i, &(m, n, s, k, stride, dilation, pool)) in links.iter().enumerate() {
             b = b.conv(
                 ConvLayer::new(format!("C{i}"), m, n, s, k)
@@ -560,24 +741,47 @@ mod tests {
         b.build()
     }
 
+    fn links() -> (Sizes, Sizes, Sizes, Sizes, Sizes, Sizes, Sizes) {
+        (1..=12, 1..=4, 1..=12, 1..=4, 1..=3, 1..=3, 1..=3)
+    }
+
     #[test]
     fn factored_plan_equals_the_pairwise_oracle_on_random_chains() {
-        let link = (
-            1usize..=12,
-            1usize..=4,
-            1usize..=12,
-            1usize..=4,
-            1usize..=3,
-            1usize..=3,
-            1usize..=3,
-        );
         prop::check(
             "factored_plan_equals_the_pairwise_oracle_on_random_chains",
             256,
-            (vec_of(link, 2..=5), 1usize..=32),
+            (vec_of(links(), 2..=5), 1usize..=32),
             |(links, d)| {
-                let net = random_chain(links);
+                let net = random_chain(Network::builder("chain"), links);
                 prop_assert_eq!(plan_network(&net, *d), plan_network_pairwise(&net, *d));
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn factored_plan_equals_the_pairwise_oracle_when_costs_saturate() {
+        // Three 1x1 layers of 2^63 maps open each chain, `Tm` tiles
+        // apiece: a path taking `Tm = 1` twice saturates at u64::MAX, the
+        // cheapest stays finite, and the random links behind them tie as
+        // often as in the test above.
+        prop::check(
+            "factored_plan_equals_the_pairwise_oracle_when_costs_saturate",
+            128,
+            (vec_of(links(), 1..=4), 2usize..=32),
+            |(links, d)| {
+                let mut b = Network::builder("saturating");
+                for i in 0..3 {
+                    b = b.conv(ConvLayer::new(format!("H{i}"), 1 << 63, 1, 1, 1));
+                }
+                let net = random_chain(b, links);
+                let plan = plan_network(&net, *d);
+                prop_assert_eq!(plan, plan_network_pairwise(&net, *d));
+                let total = plan
+                    .iter()
+                    .map(|c| c.cycles)
+                    .try_fold(0u64, u64::checked_add);
+                prop_assert!(total.is_some(), "the cheapest plan stays finite");
                 Ok(())
             },
         );
@@ -752,9 +956,8 @@ mod tests {
         let layer = ConvLayer::new("C3", 16, 6, 10, 5);
         let full = best_unroll(&layer, 16, None);
         for style in [Style::systolic(), Style::mapping2d(), Style::tiling()] {
-            let restricted =
-                best_unroll_where(&layer, 16, None, |u| Style::from_unroll(u) == style)
-                    .expect("every single style admits some unrolling");
+            let restricted = best_unroll_in_style(&layer, 16, None, style);
+            assert_eq!(Style::from_unroll(&restricted.unroll), style);
             assert!(
                 restricted.total_utilization() <= full.total_utilization() + 1e-12,
                 "{style}: restricted beats the full search"

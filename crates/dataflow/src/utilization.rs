@@ -46,16 +46,24 @@ pub fn col_tiles(layer: &ConvLayer, (tm, tr, tc): (usize, usize, usize)) -> u64 
 
 /// PE-row (intra-row) utilization `Ur` (Eq. 2).
 pub fn row_utilization(layer: &ConvLayer, u: &Unroll, d: usize) -> f64 {
+    row_utilization_of(layer, row_tiles(layer, (u.tn, u.ti, u.tj)), d)
+}
+
+/// `Ur` (Eq. 2) of a row side with `tiles` [`row_tiles`].
+pub(crate) fn row_utilization_of(layer: &ConvLayer, tiles: u64, d: usize) -> f64 {
     let (n, k) = (layer.n(), layer.k());
-    let denom = row_tiles(layer, (u.tn, u.ti, u.tj)) * d as u64;
-    (n * k * k) as f64 / denom as f64
+    (n * k * k) as f64 / (tiles * d as u64) as f64
 }
 
 /// PE-column (inter-row) utilization `Uc` (Eq. 3).
 pub fn col_utilization(layer: &ConvLayer, u: &Unroll, d: usize) -> f64 {
+    col_utilization_of(layer, col_tiles(layer, (u.tm, u.tr, u.tc)), d)
+}
+
+/// `Uc` (Eq. 3) of a column side with `tiles` [`col_tiles`].
+pub(crate) fn col_utilization_of(layer: &ConvLayer, tiles: u64, d: usize) -> f64 {
     let (m, s) = (layer.m(), layer.s());
-    let denom = col_tiles(layer, (u.tm, u.tr, u.tc)) * d as u64;
-    (m * s * s) as f64 / denom as f64
+    (m * s * s) as f64 / (tiles * d as u64) as f64
 }
 
 /// Total utilization `Ut = Ur · Uc`.

@@ -16,7 +16,9 @@
 use crate::experiment::{Experiment, ExperimentCtx};
 use crate::report::{eng, fmt_f, pct, ExperimentResult, Table};
 use flexflow::analytic;
-use flexsim_dataflow::search::{best_unroll, best_unroll_where, plan_network};
+use flexsim_dataflow::search::{
+    best_unroll, best_unroll_in_style, best_unroll_with_row, plan_network,
+};
 use flexsim_dataflow::{Style, Unroll};
 use flexsim_model::{workloads, Network};
 
@@ -89,10 +91,7 @@ fn styled_utilization(net: &Network, d: usize, style: Option<Style>) -> f64 {
         let bound = net.rc_bound(idxs[pos]);
         let choice = match style {
             None => best_unroll(layer, d, bound),
-            Some(st) => best_unroll_where(layer, d, bound, |u| {
-                Style::from_unroll(u) == st || *u == Unroll::scalar()
-            })
-            .expect("scalar is always admissible"),
+            Some(st) => best_unroll_in_style(layer, d, bound, st),
         };
         macs += layer.macs();
         pe_cycles += choice.cycles * (d * d) as u64;
@@ -220,18 +219,12 @@ pub fn coupling(ctx: &ExperimentCtx) -> ExperimentResult {
                 let bound = net.rc_bound(idxs[pos]);
                 let mut choice = best_unroll(layer, d, bound);
                 if let Some(p) = prev {
-                    let u = Unroll::new(
-                        choice.unroll.tm,
+                    let row = (
                         p.tm.min(layer.n()),
-                        choice.unroll.tr,
-                        choice.unroll.tc,
                         p.tr.min(layer.k()),
                         p.tc.min(layer.k()),
                     );
-                    choice = best_unroll_where(layer, d, bound, |cand| {
-                        cand.tn == u.tn && cand.ti == u.ti && cand.tj == u.tj
-                    })
-                    .unwrap_or(choice);
+                    choice = best_unroll_with_row(layer, d, bound, row).unwrap_or(choice);
                 }
                 greedy += choice.cycles;
                 prev = Some(choice.unroll);

@@ -41,9 +41,9 @@ pub struct BatchShape {
 
 /// The complete static picture of one layer's execution.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LayerPlan {
+pub struct LayerPlan<'a> {
     /// CONV view of the layer (FC layers appear as 1×1 convolutions).
-    pub layer: ConvLayer,
+    pub layer: &'a ConvLayer,
     /// Index of the layer in the network/program.
     pub layer_index: usize,
     /// The unroll the compiler planned data placement (IADP) and the
@@ -60,7 +60,7 @@ pub struct LayerPlan {
     pub slice_words: usize,
 }
 
-impl LayerPlan {
+impl<'a> LayerPlan<'a> {
     /// Derives the plan for `layer` compiled with `choice` (the
     /// planner's unroll) and configured with `instr` (the `Configure`
     /// instruction's unroll — identical in a well-formed program).
@@ -71,13 +71,13 @@ impl LayerPlan {
     /// `d×d` engine: no schedule exists, so the capacity rules have
     /// nothing to check (rule `FXC06` subsumes them).
     pub fn derive(
-        layer: &ConvLayer,
+        layer: &'a ConvLayer,
         layer_index: usize,
         choice: Unroll,
         instr: Unroll,
         d: usize,
         store_words: usize,
-    ) -> Result<LayerPlan, Diagnostic> {
+    ) -> Result<LayerPlan<'a>, Diagnostic> {
         if choice.rows_used() > d || choice.cols_used() > d {
             return Err(Diagnostic::error(
                 RuleId::UnrollBounds,
@@ -93,7 +93,7 @@ impl LayerPlan {
         let schedule = analytic::schedule(layer, choice, d, store_words);
         let slice_words = schedule.chunks.div_ceil(schedule.segments) as usize;
         Ok(LayerPlan {
-            layer: layer.clone(),
+            layer,
             layer_index,
             mapping: choice,
             walk: WalkShape {
@@ -112,7 +112,7 @@ impl LayerPlan {
     }
 }
 
-impl LayerPlan {
+impl LayerPlan<'_> {
     /// Whether one step's operand walk drives each vertical bus at most
     /// once (`FXC02`, and `FXC12`'s bus side). An offset lands on bus
     /// `(n mod Tn, i mod Ti, j mod Tj)` of the mapping, a mixed-radix
@@ -160,7 +160,8 @@ mod tests {
     #[test]
     fn well_formed_plan_derives() {
         let u = Unroll::new(16, 3, 1, 1, 1, 5);
-        let p = LayerPlan::derive(&layer(), 0, u, u, 16, STORE_WORDS).unwrap();
+        let layer = layer();
+        let p = LayerPlan::derive(&layer, 0, u, u, 16, STORE_WORDS).unwrap();
         assert_eq!(p.slice_words as u64, p.schedule.chunks); // one segment
         assert_eq!(p.walk.tj, 5);
         assert_eq!(p.batch.tm, 16);
@@ -177,7 +178,8 @@ mod tests {
     #[test]
     fn batch_wider_than_its_residue_period_shares_a_row_port() {
         let u = Unroll::new(2, 1, 2, 2, 1, 3);
-        let mut p = LayerPlan::derive(&layer(), 0, u, u, 16, STORE_WORDS).unwrap();
+        let layer = layer();
+        let mut p = LayerPlan::derive(&layer, 0, u, u, 16, STORE_WORDS).unwrap();
         assert!(p.batch_fits_mapping() && p.walk_fits_mapping());
         p.batch.tc += 1; // output columns 0 and 2 land on one PE row
         assert!(!p.batch_fits_mapping());
@@ -189,7 +191,8 @@ mod tests {
         // 4·2·2 = 16 rows and 1·1·5 = 5 columns: the kernel layout
         // needs 16 banks, the neuron layout 5.
         let u = Unroll::new(4, 1, 2, 2, 1, 5);
-        let p = LayerPlan::derive(&layer(), 0, u, u, 16, STORE_WORDS).unwrap();
+        let layer = layer();
+        let p = LayerPlan::derive(&layer, 0, u, u, 16, STORE_WORDS).unwrap();
         assert_eq!(p.overflowing_banks(16).count(), 0);
         assert_eq!(p.overflowing_banks(8).collect::<Vec<_>>(), [("kernel", 16)]);
         assert_eq!(

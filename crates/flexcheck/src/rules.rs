@@ -39,7 +39,7 @@ pub fn check_layer_plan(plan: &LayerPlan, arch: &ArchParams) -> Vec<Diagnostic> 
     let u = plan.mapping;
 
     // FXC06 — Constraint (1): factors within the layer and the engine.
-    if !u.satisfies(&plan.layer, arch.d, None) {
+    if !u.satisfies(plan.layer, arch.d, None) {
         diags.push(Diagnostic::error(
             RuleId::UnrollBounds,
             at(),
@@ -259,12 +259,12 @@ fn rule_util_sanity(plan: &LayerPlan) -> Vec<Diagnostic> {
 /// `FXC06` derive error alone when it over-occupies the engine (no
 /// schedule exists, so there is nothing further to check), else the
 /// per-layer rules' findings.
-pub fn check_candidate(
-    layer: &ConvLayer,
+pub fn check_candidate<'a>(
+    layer: &'a ConvLayer,
     layer_index: usize,
     u: flexsim_dataflow::Unroll,
     arch: &ArchParams,
-) -> Result<LayerPlan, Vec<Diagnostic>> {
+) -> Result<LayerPlan<'a>, Vec<Diagnostic>> {
     let plan = LayerPlan::derive(layer, layer_index, u, u, arch.d, arch.store_words)
         .map_err(|diag| vec![diag])?;
     let diags = check_layer_plan(&plan, arch);
@@ -768,7 +768,7 @@ mod tests {
     use flexsim_dataflow::Unroll;
     use flexsim_model::workloads;
 
-    fn plan_for(layer: &ConvLayer, u: Unroll) -> LayerPlan {
+    fn plan_for(layer: &ConvLayer, u: Unroll) -> LayerPlan<'_> {
         LayerPlan::derive(layer, 0, u, u, 16, STORE_WORDS).unwrap()
     }
 

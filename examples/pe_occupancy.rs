@@ -10,7 +10,7 @@
 
 use flexflow::FlexFlow;
 use flexsim_arch::Accelerator;
-use flexsim_dataflow::search::{best_unroll_where, plan_network};
+use flexsim_dataflow::search::{best_unroll_in_style, plan_network};
 use flexsim_dataflow::{Style, Unroll};
 use flexsim_model::{workloads, ConvLayer};
 use flexsim_obs::cycles::{Recorder, SinkHandle};
@@ -52,10 +52,7 @@ fn main() {
             ("NP-only (2D-Map-like)", Style::mapping2d()),
             ("FP-only (Tiling-like)", Style::tiling()),
         ] {
-            let restricted = best_unroll_where(layer, d, bound, |u| {
-                Style::from_unroll(u) == style || *u == Unroll::scalar()
-            })
-            .expect("scalar is always admissible");
+            let restricted = best_unroll_in_style(layer, d, bound, style);
             let t = occupancy(layer, restricted.unroll, d);
             println!("  {label:<32} {t}");
         }

@@ -66,7 +66,7 @@ fn wide_unroll() -> Unroll {
     Unroll::new(2, 2, 1, 2, 2, 3) // 4 rows x 12 cols
 }
 
-fn plan(layer: &ConvLayer, u: Unroll) -> LayerPlan {
+fn plan(layer: &ConvLayer, u: Unroll) -> LayerPlan<'_> {
     LayerPlan::derive(layer, 0, u, u, 16, STORE_WORDS).expect("clean plan derives")
 }
 
@@ -141,7 +141,8 @@ fn fxc01_static_half_size_store_cannot_hold_the_slice() {
 fn fxc01_dynamic_half_size_store_overflows() {
     // The same slice streamed into a 64-word store runs off its end,
     // through the bound the PE array checks on every store access.
-    let p = plan(&deep_layer(), deep_unroll());
+    let layer = deep_layer();
+    let p = plan(&layer, deep_unroll());
     for addr in 0..p.slice_words {
         check_address(addr, 64);
     }
@@ -153,7 +154,8 @@ fn fxc01_dynamic_half_size_store_overflows() {
 fn fxc02_static_widened_walk_races_the_vertical_buses() {
     // Corruption: the Configure instruction walks Tj=6 synapse columns
     // per step while the mapping only spreads 3 residue classes.
-    let mut p = plan(&deep_layer(), deep_unroll());
+    let layer = deep_layer();
+    let mut p = plan(&layer, deep_unroll());
     p.walk.tj = 2 * p.mapping.tj;
     let diags = check_layer_plan(&p, &ArchParams::flexflow_paper());
     assert_only(&diags, RuleId::CdbRace);
@@ -185,7 +187,8 @@ fn fxc02_dynamic_widened_walk_trips_the_bus_guard() {
 fn fxc03_static_widened_batch_contends_for_row_ports() {
     // Corruption: the Configure batch covers Tc=4 output columns while
     // the mapping owns 2 residue classes.
-    let mut p = plan(&deep_layer(), deep_unroll());
+    let layer = deep_layer();
+    let mut p = plan(&layer, deep_unroll());
     p.batch.tc = 2 * p.mapping.tc;
     let diags = check_layer_plan(&p, &ArchParams::flexflow_paper());
     assert_only(&diags, RuleId::AdderTreePort);
@@ -199,8 +202,9 @@ fn fxc03_static_widened_batch_contends_for_row_ports() {
 fn fxc04_static_oversized_neuron_slot_table_warns() {
     // Corruption: the plan's store plan keys one neuron slot past
     // u32::MAX.
-    let p = plan(&deep_layer(), deep_unroll());
-    let mut store = StorePlan::new(&p.layer, p.mapping);
+    let layer = deep_layer();
+    let p = plan(&layer, deep_unroll());
+    let mut store = StorePlan::new(p.layer, p.mapping);
     assert!(check_store_plan(&p, &store).is_empty());
     store.neuron.slots = u64::from(u32::MAX) + 1;
     let diags = check_store_plan(&p, &store);
@@ -278,7 +282,8 @@ fn fxc07_static_halved_banks_cannot_stream_the_iadp_layout() {
 
 #[test]
 fn fxc08_static_tampered_mac_count_breaks_the_identities() {
-    let mut p = plan(&wide_layer(), wide_unroll());
+    let layer = wide_layer();
+    let mut p = plan(&layer, wide_unroll());
     p.schedule.macs += 1;
     let diags = check_layer_plan(&p, &ArchParams::flexflow_paper());
     assert_only(&diags, RuleId::UtilSanity);
@@ -432,7 +437,8 @@ fn fxc11_dynamic_shadowed_claim_diverges_from_the_overriding_run() {
 fn fxc12_static_widened_walk_breaks_interval_disjointness() {
     // Same corruption family as FXC02, caught by the O(1) interval
     // form: the walk's bus interval escapes its residue period.
-    let mut p = plan(&wide_layer(), wide_unroll());
+    let layer = wide_layer();
+    let mut p = plan(&layer, wide_unroll());
     p.walk.tj += 1;
     let diags = check_interference(&p, &ArchParams::flexflow_paper());
     assert_only(&diags, RuleId::InterferenceFreedom);

@@ -326,7 +326,8 @@ fn table_rows(doc: &Json) -> Vec<Vec<String>> {
 
 /// `--budget 1` leaves only the paper-default seed: the tuner exits 0
 /// and reports the default as the tuned mapping on every layer, also
-/// where the DP plan (cut by the cap) would beat it.
+/// where the DP plan (cut by the cap) would beat it, and its notes
+/// claim dominance over the default alone.
 #[test]
 fn budget_one_tunes_to_the_default() {
     for (name, net) in [("pv", workloads::pv()), ("hg", workloads::hg())] {
@@ -336,7 +337,13 @@ fn budget_one_tunes_to_the_default() {
             .expect("flexsim runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{name}: {stderr}");
-        let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).expect("JSON");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            stdout.contains("this budget's cap cuts the DP plan's seed")
+                && !stdout.contains("never scores worse than either"),
+            "{name}: the notes claim dominance over the cut DP plan"
+        );
+        let doc = Json::parse(&stdout).expect("JSON");
         let layers: Vec<Vec<String>> = table_rows(&doc)
             .into_iter()
             .filter(|row| row[1] != "(all)")
