@@ -54,12 +54,46 @@ pub(crate) fn run_conv<A: Accelerator>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::{Mapping2d, Systolic, TilingArray};
     use flexsim_arch::Accelerator;
+    use flexsim_model::tensor::KernelSet;
+    use flexsim_model::{ConvLayer, Fx16, Tensor3};
     use flexsim_obs::attrib::{LossLedger, StallCause};
     use flexsim_obs::cycles::{Recorder, SinkHandle};
+    use flexsim_testkit::prop::fnv1a;
+    use flexsim_testkit::SplitMix64;
     use std::sync::Arc;
+
+    /// Seeded operands for `layer` whose magnitudes are all at least 3/4
+    /// of full scale, signs mixed: three same-sign products saturate an
+    /// `Acc32`, so an output depends on the order its MACs ran in.
+    pub(crate) fn full_scale_layer_data(layer: &ConvLayer, seed: u64) -> (Tensor3, KernelSet) {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut word = || {
+            let magnitude = rng.gen_range(24_576i16..=32_767);
+            Fx16::from_raw(if rng.gen_bool() {
+                magnitude
+            } else {
+                -magnitude
+            })
+        };
+        let s_in = layer.input_size();
+        let input = Tensor3::from_fn(layer.n(), s_in, s_in, |_, _, _| word());
+        let kernels = KernelSet::from_fn(layer.m(), layer.n(), layer.k(), |_, _, _, _| word());
+        (input, kernels)
+    }
+
+    /// FNV-1a of `t`'s raw words, little-endian, in `(map, row, col)`
+    /// order.
+    pub(crate) fn digest(t: &Tensor3) -> u64 {
+        let bytes: Vec<u8> = t
+            .as_slice()
+            .iter()
+            .flat_map(|v| v.raw().to_le_bytes())
+            .collect();
+        fnv1a(&bytes)
+    }
 
     #[test]
     fn baseline_cycle_events_match_analytic_totals() {
