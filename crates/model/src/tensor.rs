@@ -457,6 +457,13 @@ impl<T: Copy> KernelSet<T> {
         self.data.is_empty()
     }
 
+    /// Flat view in `(m, n, i, j)` order: synapse `(m, n, i, j)` sits at
+    /// `((m·N + n)·K + i)·K + j`.
+    #[inline]
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
+    }
+
     /// Borrows one `K × K` kernel (`K^(m,n)`) as a row-major slice.
     pub fn kernel_slice(&self, m: usize, n: usize) -> &[T] {
         assert!(m < self.m && n < self.n, "kernel index out of bounds");
