@@ -40,9 +40,12 @@ echo "==> cargo test --release (simulator bit-exactness and pool concurrency wit
 # flexbench measures the release build of the functional simulators'
 # hot loops; their bit-exactness tests must pass in that configuration
 # too, not only under debug assertions. The pool's queue is exercised
-# optimised as well, where its races are likeliest to show.
+# optimised as well, where its races are likeliest to show. The
+# fixtures reproduce every PE-array counter of the 128-line
+# pe_array_counters.txt sweep on that build.
 cargo test --release --offline -q -p flexflow -p flexsim-baselines -p flexsim-pool
 cargo test --release --offline -q -p flexsim-experiments --test integration_pool
+cargo test --release --offline -q -p flexsim-experiments --test integration_fixtures
 
 echo "==> cargo test (offline)"
 cargo test -q --offline
