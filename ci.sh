@@ -42,10 +42,13 @@ echo "==> cargo test --release (simulator bit-exactness and pool concurrency wit
 # too, not only under debug assertions. The pool's queue is exercised
 # optimised as well, where its races are likeliest to show. The
 # fixtures reproduce every PE-array counter of the 128-line
-# pe_array_counters.txt sweep on that build.
+# pe_array_counters.txt sweep on that build, and the differential and
+# functional suites hold all four functional models to the reference.
 cargo test --release --offline -q -p flexflow -p flexsim-baselines -p flexsim-pool
 cargo test --release --offline -q -p flexsim-experiments --test integration_pool
 cargo test --release --offline -q -p flexsim-experiments --test integration_fixtures
+cargo test --release --offline -q -p flexsim-experiments --test integration_differential
+cargo test --release --offline -q -p flexsim-experiments --test integration_functional
 
 echo "==> cargo test (offline)"
 cargo test -q --offline
