@@ -70,6 +70,9 @@ for workload in layers-small layers-large network-exec analytic-suite tune-searc
         --workload "$workload" --seconds 0 --trace 0 > /dev/null
 done
 
+echo "==> quickstart example (the README's first command; asserts a bit-exact output)"
+cargo run --release --offline --example quickstart > /dev/null
+
 echo "==> flexsim lint (static schedule verification)"
 cargo run -q -p flexsim-experiments --release --offline -- lint > /dev/null
 cargo run -q -p flexsim-experiments --release --offline -- --json lint > /dev/null

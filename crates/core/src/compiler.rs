@@ -11,13 +11,13 @@ use flexsim_dataflow::search::{best_unroll, plan_network, LayerChoice};
 use flexsim_model::{Layer, Network};
 use std::fmt;
 
-/// A compiled network: the per-layer factor plan plus the instruction
-/// stream.
+/// A compiled network: the instruction stream. Its `Configure`
+/// instructions are the factor plan: [`crate::FlexFlow::execute`] runs
+/// each CONV/FC layer on the unroll of its layer's live `Configure`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Program {
     name: String,
     d: usize,
-    choices: Vec<LayerChoice>,
     instrs: Vec<Instr>,
 }
 
@@ -27,16 +27,10 @@ impl Program {
     /// this exists so verifier harnesses (`flexcheck`'s mutation
     /// tests) can construct deliberately ill-formed programs the
     /// compiler would never emit.
-    pub fn from_parts(
-        name: impl Into<String>,
-        d: usize,
-        choices: Vec<LayerChoice>,
-        instrs: Vec<Instr>,
-    ) -> Self {
+    pub fn from_parts(name: impl Into<String>, d: usize, instrs: Vec<Instr>) -> Self {
         Program {
             name: name.into(),
             d,
-            choices,
             instrs,
         }
     }
@@ -49,11 +43,6 @@ impl Program {
     /// Engine side the program was compiled for.
     pub fn d(&self) -> usize {
         self.d
-    }
-
-    /// The factor plan, one entry per CONV layer in network order.
-    pub fn choices(&self) -> &[LayerChoice] {
-        &self.choices
     }
 
     /// The instruction stream.
@@ -91,7 +80,7 @@ impl fmt::Display for Program {
 /// use flexsim_model::workloads;
 ///
 /// let program = Compiler::new(16).compile(&workloads::lenet5());
-/// assert_eq!(program.choices().len(), 2);
+/// assert_eq!(program.disassemble().matches("cfg ").count(), 2);
 /// assert!(program.disassemble().contains("conv"));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,7 +116,8 @@ impl Compiler {
     /// Lowers a network to instructions with explicit per-CONV-layer
     /// choices, one per CONV layer in network order: the planner's in
     /// [`Compiler::compile`], the mapping tuner's winners otherwise.
-    /// FC layers keep their per-layer optimum as uncoupled 1×1 views.
+    /// Each choice's unroll becomes its layer's `Configure`. FC layers
+    /// keep their per-layer optimum as uncoupled 1×1 views.
     ///
     /// # Panics
     ///
@@ -139,15 +129,12 @@ impl Compiler {
             net.layers().len() <= 256,
             "ISA supports at most 256 layers per program"
         );
-        let mut conv_choices = conv_choices.into_iter();
-        let mut choices = Vec::new();
+        let mut conv_unrolls = conv_choices.into_iter().map(|c| c.unroll);
         let mut instrs = Vec::new();
         for step in net.steps() {
             let layer = step.index as u8;
-            let choice = match step.layer {
-                // flexcheck FXC05 cross-checks the CONV pairing on the
-                // emitted program.
-                Layer::Conv(_) => conv_choices.next().expect("one choice per CONV layer"),
+            let unroll = match step.layer {
+                Layer::Conv(_) => conv_unrolls.next().expect("one choice per CONV layer"),
                 // Pooling subsamples in place on the output buffer,
                 // before the swap of the preceding CONV takes effect;
                 // the decoder reorders accordingly, so the stream is
@@ -158,24 +145,19 @@ impl Compiler {
                 }
                 // FC layers run on the same engine as 1x1 convolutions
                 // over a flattened input.
-                Layer::Fc(fc) => best_unroll(&fc.as_conv(), self.d, None),
+                Layer::Fc(fc) => best_unroll(&fc.as_conv(), self.d, None).unroll,
             };
             instrs.extend([
-                Instr::Configure {
-                    layer,
-                    unroll: choice.unroll,
-                },
+                Instr::Configure { layer, unroll },
                 Instr::LoadKernels { layer },
                 Instr::Conv { layer },
                 Instr::SwapBuffers,
             ]);
-            choices.push(choice);
         }
         instrs.push(Instr::Halt);
         Program {
             name: net.name().to_owned(),
             d: self.d,
-            choices,
             instrs,
         }
     }
@@ -228,7 +210,14 @@ mod tests {
     fn choices_follow_network_conv_order() {
         let net = workloads::pv();
         let p = Compiler::new(16).compile(&net);
-        let names: Vec<_> = p.choices().iter().map(|c| c.layer.as_str()).collect();
+        let names: Vec<_> = p
+            .instrs()
+            .iter()
+            .filter_map(|i| match *i {
+                Instr::Configure { layer, .. } => Some(net.layers()[layer as usize].name()),
+                _ => None,
+            })
+            .collect();
         assert_eq!(names, vec!["C1", "C3", "C5", "C6", "C7"]);
     }
 }

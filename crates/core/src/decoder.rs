@@ -144,10 +144,11 @@ impl Decoder {
                     loaded[layer as usize] = true;
                 }
                 Instr::Conv { layer } => {
-                    if !configured[layer as usize] {
+                    // A Conv consumes its layer's Configure and kernels.
+                    if !std::mem::take(&mut configured[layer as usize]) {
                         return Err(DecodeProgramError::ConvWithoutConfigure { pc, layer });
                     }
-                    if !loaded[layer as usize] {
+                    if !std::mem::take(&mut loaded[layer as usize]) {
                         return Err(DecodeProgramError::ConvWithoutKernels { pc, layer });
                     }
                 }
@@ -192,6 +193,30 @@ mod tests {
             err,
             DecodeProgramError::ConvWithoutConfigure { pc: 1, layer: 0 }
         ));
+    }
+
+    #[test]
+    fn a_repeated_conv_needs_a_fresh_configure_and_kernels() {
+        let configure = Instr::Configure {
+            layer: 0,
+            unroll: Unroll::scalar(),
+        };
+        let load = Instr::LoadKernels { layer: 0 };
+        let conv = Instr::Conv { layer: 0 };
+        let decode = |stream: &[Instr]| {
+            let words: Vec<u64> = stream.iter().map(Instr::encode).collect();
+            Decoder::new(16).decode_stream(&words)
+        };
+        assert_eq!(
+            decode(&[configure, load, conv, conv, Instr::Halt]),
+            Err(DecodeProgramError::ConvWithoutConfigure { pc: 3, layer: 0 })
+        );
+        assert_eq!(
+            decode(&[configure, load, conv, configure, conv, Instr::Halt]),
+            Err(DecodeProgramError::ConvWithoutKernels { pc: 4, layer: 0 })
+        );
+        let rerun = [configure, load, conv, configure, load, conv, Instr::Halt];
+        assert_eq!(decode(&rerun).as_deref(), Ok(&rerun[..]));
     }
 
     #[test]

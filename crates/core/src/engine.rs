@@ -6,14 +6,17 @@
 //! [`Accelerator`] path used by every experiment), and
 //! [`FlexFlow::execute`] runs a compiled [`Program`] *functionally* —
 //! real data through the cycle-stepped [`crate::array`] simulator and the
-//! pooling unit, layer by layer. The on-chip buffers are priced by the
-//! schedule and sampled by the heatmap; `execute` keeps each layer's
-//! output tensor instead of modelling the ping-pong neuron buffers, so
-//! `SwapBuffers`, like `Configure` and `LoadKernels`, is a no-op there.
+//! pooling unit, layer by layer. It runs the instruction words through
+//! the on-chip [`Decoder`] and executes what it returns: each `Conv` on
+//! the unroll of its layer's live `Configure`. The on-chip buffers are
+//! priced by the schedule and sampled by the heatmap; `execute` keeps
+//! each layer's output tensor instead of modelling the ping-pong neuron
+//! buffers, so `SwapBuffers`, like `LoadKernels`, is a no-op there.
 
 use crate::analytic::{self, schedule_default, Schedule};
 use crate::array::PeArray;
 use crate::compiler::Program;
+use crate::decoder::Decoder;
 use crate::isa::Instr;
 use crate::local_store::STORE_WORDS;
 use crate::pooling::{PoolStats, PoolingUnit};
@@ -171,9 +174,11 @@ impl FlexFlow {
     ///
     /// # Panics
     ///
-    /// Panics if the program wasn't compiled for this engine size, the
-    /// kernel sets don't match the CONV/FC layers, or a materialized
-    /// input doesn't match its layer's declared shape.
+    /// Panics if the program wasn't compiled for this engine size, a
+    /// factor exceeds the ISA's 7-bit field ([`Instr::encode`]), the
+    /// on-chip [`Decoder`] rejects its stream (with the decoder's
+    /// message), the kernel sets don't match its `Conv` instructions, or
+    /// a materialized input doesn't match its layer's declared shape.
     pub fn execute(
         &mut self,
         program: &Program,
@@ -186,11 +191,16 @@ impl FlexFlow {
             self.d,
             "program compiled for a different engine"
         );
+        let instrs = Decoder::new(self.d)
+            .decode_stream(&program.encode())
+            .unwrap_or_else(|e| panic!("the decoder rejects the program: {e}"));
+        let convs = instrs.iter().filter(|i| matches!(i, Instr::Conv { .. }));
         assert_eq!(
             kernels.len(),
-            program.choices().len(),
+            convs.count(),
             "one kernel set per CONV/FC layer required"
         );
+        let mut configured = [None; 256];
         let mut array = PeArray::new(self.d);
         let pooling = PoolingUnit::new(self.d);
         let source = input;
@@ -198,9 +208,10 @@ impl FlexFlow {
         let mut conv_idx = 0usize;
         let mut steps = Vec::new();
         let mut cycles = 0u64;
-        for instr in program.instrs() {
-            match *instr {
-                Instr::Configure { .. } | Instr::LoadKernels { .. } | Instr::SwapBuffers => {}
+        for instr in instrs {
+            match instr {
+                Instr::Configure { layer, unroll } => configured[layer as usize] = Some(unroll),
+                Instr::LoadKernels { .. } | Instr::SwapBuffers => {}
                 Instr::Halt => break,
                 Instr::Conv { layer } => {
                     let step = net
@@ -243,9 +254,10 @@ impl FlexFlow {
                         "layer {} input size mismatch",
                         conv.name()
                     );
-                    let choice = &program.choices()[conv_idx];
-                    let report =
-                        array.run_layer(&conv, choice.unroll, &conv_input, &kernels[conv_idx]);
+                    let unroll = configured[layer as usize]
+                        .take()
+                        .expect("the decoder checks each Conv's Configure");
+                    let report = array.run_layer(&conv, unroll, &conv_input, &kernels[conv_idx]);
                     cycles += report.cycles;
                     steps.push(StepTrace::Conv {
                         layer: conv.name().to_owned(),

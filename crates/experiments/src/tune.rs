@@ -970,18 +970,20 @@ mod tests {
         use flexflow::isa::Instr;
         let net = workloads::lenet5();
         let outcome = tune_network(&ExperimentCtx::serial("tune"), &net, Budget::Smoke);
-        let tuned: Vec<LayerChoice> = outcome.layers.iter().map(|l| l.tuned.clone()).collect();
-        assert_eq!(outcome.program.choices(), &tuned[..]);
+        let tuned: Vec<Unroll> = outcome.layers.iter().map(|l| l.tuned.unroll).collect();
         let compiled = Compiler::new(D).compile(&net);
         assert_eq!(outcome.program.instrs().len(), compiled.instrs().len());
+        let mut configured = Vec::new();
         for (t, c) in outcome.program.instrs().iter().zip(compiled.instrs()) {
             match (t, c) {
-                (Instr::Configure { layer: a, .. }, Instr::Configure { layer: b, .. }) => {
+                (Instr::Configure { layer: a, unroll }, Instr::Configure { layer: b, .. }) => {
                     assert_eq!(a, b);
+                    configured.push(*unroll);
                 }
                 _ => assert_eq!(t, c),
             }
         }
+        assert_eq!(configured, tuned);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | `FXC02 cdb-race` | per-step vertical-bus injectivity (no write-write race) |
 //! | `FXC03 adder-tree-port` | per-batch PE-row/adder-port injectivity |
 //! | `FXC04 fsm-bounds` | compiled layers' PE-array slot tables fit its 32-bit slot index (warning: analytic only past it) |
-//! | `FXC05 isa-protocol` | encode/decode round-trip, stream protocol, no dead code |
+//! | `FXC05 isa-protocol` | encode/decode round-trip, the decoder's stream protocol (the decode `FlexFlow::execute` runs), no dead code |
 //! | `FXC06 unroll-bounds` | Constraint (1): factors fit the layer and the engine |
 //! | `FXC07 bank-conflict` | IADP/tiling/2D-mapping bank usage ≤ physical banks |
 //! | `FXC08 util-sanity` | schedule loop counts/MACs/cycles equal their closed forms |
@@ -24,6 +24,10 @@
 //! | `FXC11 isa-coverage` | every instruction observed; no symbolic state dies unread |
 //! | `FXC12 interference-freedom` | bus/port/bank access intervals pairwise disjoint |
 //! | `FXC13 spatial-exactness` | heatmap cell sums == ledger per cause; banks cover the layer |
+//!
+//! Each [`LayerPlan`] derives from the `Configure` its `Conv` runs, so
+//! on a compiled program `FXC02`, `FXC03` and `FXC12` hold by
+//! construction, as `FXC13` does; they stay checks.
 //!
 //! The techniques are static by construction: rules 2–3 abstract-
 //! interpret the residue algebra of the Section 4.3
@@ -59,7 +63,8 @@
 //!   stores, over the same [`StorePlan`](flexflow::array::StorePlan);
 //! * `FXC02` (and `FXC12`'s bus side) — `flexflow::cdb::StepClaims`, in
 //!   debug builds;
-//! * `FXC05` — the on-chip [`Decoder`](flexflow::decoder::Decoder);
+//! * `FXC05` — the on-chip [`Decoder`](flexflow::decoder::Decoder),
+//!   whose decode `FlexFlow::execute` runs;
 //! * `FXC06` — the scheduler's occupancy assert;
 //! * `FXC08` — the PE array's functional MAC count;
 //! * `FXC09`–`FXC11`, `FXC13` — recorded ledgers, timelines and

@@ -1,14 +1,14 @@
 //! The static picture of one layer's execution that the rules inspect.
 //!
 //! A [`LayerPlan`] gathers everything the hardware is configured with
-//! for one CONV layer — the *mapping* unroll the compiler planned data
-//! placement for (IADP), the *walk* and *batch* shapes the `Configure`
-//! instruction programs into the sequencer, the closed-form
+//! for one CONV layer — the *mapping* unroll that places data (IADP),
+//! the *walk* and *batch* shapes the sequencer steps, the closed-form
 //! [`Schedule`], and the per-segment resident slice — so each rule can
-//! check one consistency edge of that picture. In a well-formed program
-//! all of these derive from the same `Unroll`; the mutation harness
-//! corrupts individual fields to prove each rule fires on exactly its
-//! own invariant.
+//! check one consistency edge of that picture. All of them derive from
+//! the one `Unroll` a `Configure` instruction programs, so on a compiled
+//! program the mapping-vs-shape rules hold by construction; the
+//! mutation harness corrupts individual fields to prove each rule fires
+//! on exactly its own invariant.
 
 use crate::diag::{Diagnostic, Location, RuleId};
 use flexflow::analytic::{self, Schedule};
@@ -46,8 +46,8 @@ pub struct LayerPlan<'a> {
     pub layer: &'a ConvLayer,
     /// Index of the layer in the network/program.
     pub layer_index: usize,
-    /// The unroll the compiler planned data placement (IADP) and the
-    /// residue [`flexflow::mapping::Mapping`] for.
+    /// The unroll that places data (IADP) and sets the residue
+    /// [`flexflow::mapping::Mapping`].
     pub mapping: Unroll,
     /// The per-step operand walk the sequencer is programmed with.
     pub walk: WalkShape,
@@ -61,50 +61,48 @@ pub struct LayerPlan<'a> {
 }
 
 impl<'a> LayerPlan<'a> {
-    /// Derives the plan for `layer` compiled with `choice` (the
-    /// planner's unroll) and configured with `instr` (the `Configure`
-    /// instruction's unroll — identical in a well-formed program).
+    /// Derives the plan for `layer` configured with `u` (its
+    /// `Configure` instruction's unroll).
     ///
     /// # Errors
     ///
-    /// Returns the `FXC06` diagnostic when `choice` over-occupies the
-    /// `d×d` engine: no schedule exists, so the capacity rules have
-    /// nothing to check (rule `FXC06` subsumes them).
+    /// Returns the `FXC06` diagnostic when `u` over-occupies the `d×d`
+    /// engine: no schedule exists, so the capacity rules have nothing to
+    /// check (rule `FXC06` subsumes them).
     pub fn derive(
         layer: &'a ConvLayer,
         layer_index: usize,
-        choice: Unroll,
-        instr: Unroll,
+        u: Unroll,
         d: usize,
         store_words: usize,
     ) -> Result<LayerPlan<'a>, Diagnostic> {
-        if choice.rows_used() > d || choice.cols_used() > d {
+        if u.rows_used() > d || u.cols_used() > d {
             return Err(Diagnostic::error(
                 RuleId::UnrollBounds,
                 Location::layer(layer.name()),
                 format!(
-                    "unroll {choice} occupies {}x{} PEs on a {d}x{d} engine",
-                    choice.rows_used(),
-                    choice.cols_used()
+                    "unroll {u} occupies {}x{} PEs on a {d}x{d} engine",
+                    u.rows_used(),
+                    u.cols_used()
                 ),
                 format!("reduce the factors until Tm*Tr*Tc <= {d} and Tn*Ti*Tj <= {d}"),
             ));
         }
-        let schedule = analytic::schedule(layer, choice, d, store_words);
+        let schedule = analytic::schedule(layer, u, d, store_words);
         let slice_words = schedule.chunks.div_ceil(schedule.segments) as usize;
         Ok(LayerPlan {
             layer,
             layer_index,
-            mapping: choice,
+            mapping: u,
             walk: WalkShape {
-                tn: instr.tn,
-                ti: instr.ti,
-                tj: instr.tj,
+                tn: u.tn,
+                ti: u.ti,
+                tj: u.tj,
             },
             batch: BatchShape {
-                tm: instr.tm,
-                tr: instr.tr,
-                tc: instr.tc,
+                tm: u.tm,
+                tr: u.tr,
+                tc: u.tc,
             },
             schedule,
             slice_words,
@@ -161,7 +159,7 @@ mod tests {
     fn well_formed_plan_derives() {
         let u = Unroll::new(16, 3, 1, 1, 1, 5);
         let layer = layer();
-        let p = LayerPlan::derive(&layer, 0, u, u, 16, STORE_WORDS).unwrap();
+        let p = LayerPlan::derive(&layer, 0, u, 16, STORE_WORDS).unwrap();
         assert_eq!(p.slice_words as u64, p.schedule.chunks); // one segment
         assert_eq!(p.walk.tj, 5);
         assert_eq!(p.batch.tm, 16);
@@ -170,7 +168,7 @@ mod tests {
     #[test]
     fn oversized_choice_is_fxc06() {
         let u = Unroll::new(8, 1, 2, 2, 1, 1); // 32 rows on a 16x16 engine
-        let err = LayerPlan::derive(&layer(), 0, u, u, 16, STORE_WORDS).unwrap_err();
+        let err = LayerPlan::derive(&layer(), 0, u, 16, STORE_WORDS).unwrap_err();
         assert_eq!(err.rule, RuleId::UnrollBounds);
         assert_eq!(err.severity, Severity::Error);
     }
@@ -179,7 +177,7 @@ mod tests {
     fn batch_wider_than_its_residue_period_shares_a_row_port() {
         let u = Unroll::new(2, 1, 2, 2, 1, 3);
         let layer = layer();
-        let mut p = LayerPlan::derive(&layer, 0, u, u, 16, STORE_WORDS).unwrap();
+        let mut p = LayerPlan::derive(&layer, 0, u, 16, STORE_WORDS).unwrap();
         assert!(p.batch_fits_mapping() && p.walk_fits_mapping());
         p.batch.tc += 1; // output columns 0 and 2 land on one PE row
         assert!(!p.batch_fits_mapping());
@@ -192,7 +190,7 @@ mod tests {
         // needs 16 banks, the neuron layout 5.
         let u = Unroll::new(4, 1, 2, 2, 1, 5);
         let layer = layer();
-        let p = LayerPlan::derive(&layer, 0, u, u, 16, STORE_WORDS).unwrap();
+        let p = LayerPlan::derive(&layer, 0, u, 16, STORE_WORDS).unwrap();
         assert_eq!(p.overflowing_banks(16).count(), 0);
         assert_eq!(p.overflowing_banks(8).collect::<Vec<_>>(), [("kernel", 16)]);
         assert_eq!(
@@ -207,7 +205,7 @@ mod tests {
         // the slice is at most the store.
         let deep = ConvLayer::new("C5", 192, 256, 13, 3).with_input_size(13);
         let u = Unroll::new(1, 1, 1, 13, 1, 3);
-        let p = LayerPlan::derive(&deep, 0, u, u, 16, STORE_WORDS).unwrap();
+        let p = LayerPlan::derive(&deep, 0, u, 16, STORE_WORDS).unwrap();
         assert!(p.schedule.segments > 1);
         assert!(p.slice_words <= STORE_WORDS);
     }

@@ -265,7 +265,7 @@ pub fn check_candidate<'a>(
     u: flexsim_dataflow::Unroll,
     arch: &ArchParams,
 ) -> Result<LayerPlan<'a>, Vec<Diagnostic>> {
-    let plan = LayerPlan::derive(layer, layer_index, u, u, arch.d, arch.store_words)
+    let plan = LayerPlan::derive(layer, layer_index, u, arch.d, arch.store_words)
         .map_err(|diag| vec![diag])?;
     let diags = check_layer_plan(&plan, arch);
     if crate::diag::has_errors(&diags) {
@@ -279,46 +279,35 @@ pub fn check_candidate<'a>(
 /// stream, then the per-layer rules and `FXC04` over every compiled
 /// CONV/FC layer.
 ///
-/// `net` supplies the layer shapes the `Program`'s choices refer to (a
-/// program stores factor plans by layer name only).
+/// Each `Conv`'s [`LayerPlan`] derives from the `Configure` it runs
+/// (its layer's live one, as in [`flexflow::FlexFlow::execute`]); `net`
+/// supplies the layer shapes, which a program names by index only.
 pub fn check(program: &Program, net: &Network, arch: &ArchParams) -> Vec<Diagnostic> {
     let mut diags = check_isa(program, net);
     // FXC11 — the abstract interpreter must observe every instruction's
     // effect (no symbolic state discarded unread).
     diags.extend(crate::symbolic::check_isa_coverage(program));
 
-    // Pair the k-th Conv instruction with the k-th planned choice and
-    // the network layer it targets, then run the per-layer rules.
     let layers = net.layers();
     let mut configured: HashMap<u8, flexsim_dataflow::Unroll> = HashMap::new();
-    let mut conv_idx = 0usize;
     for instr in program.instrs() {
         match *instr {
             Instr::Configure { layer, unroll } => {
                 configured.insert(layer, unroll);
             }
             Instr::Conv { layer } => {
+                let Some(u) = configured.remove(&layer) else {
+                    continue; // the decoder's rejection, reported by check_isa
+                };
                 let view = match layers.get(layer as usize) {
                     Some(Layer::Conv(c)) => c.clone(),
                     Some(Layer::Fc(fc)) => fc.as_conv(),
                     _ => continue, // already reported by check_isa
                 };
-                let Some(choice) = program.choices().get(conv_idx) else {
-                    continue; // count mismatch reported by check_isa
-                };
-                conv_idx += 1;
-                let instr_u = configured.get(&layer).copied().unwrap_or(choice.unroll);
-                match LayerPlan::derive(
-                    &view,
-                    layer as usize,
-                    choice.unroll,
-                    instr_u,
-                    program.d(),
-                    STORE_WORDS,
-                ) {
+                match LayerPlan::derive(&view, layer as usize, u, program.d(), STORE_WORDS) {
                     Ok(plan) => {
                         diags.extend(check_layer_plan(&plan, arch));
-                        let store = StorePlan::new(&view, choice.unroll);
+                        let store = StorePlan::new(&view, u);
                         diags.extend(check_store_plan(&plan, &store));
                     }
                     Err(diag) => diags.push(diag),
@@ -331,9 +320,10 @@ pub fn check(program: &Program, net: &Network, arch: &ArchParams) -> Vec<Diagnos
 }
 
 /// `FXC05`: ISA invariants. Encode-range and round-trip per
-/// instruction, the on-chip decoder's stream protocol, instruction
-/// targets cross-checked against the network's layer kinds, and
-/// dead-code detection (a `Configure`/plan entry no `Conv` consumes).
+/// instruction, the on-chip decoder's stream protocol (the decode
+/// [`flexflow::FlexFlow::execute`] runs), instruction targets
+/// cross-checked against the network's layer kinds, and dead-code
+/// detection (a `Configure` no `Conv` consumes, reported in pc order).
 fn check_isa(program: &Program, net: &Network) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let layers = net.layers();
@@ -388,7 +378,6 @@ fn check_isa(program: &Program, net: &Network) -> Vec<Diagnostic> {
     }
 
     // Targets must exist and match the layer kind the opcode drives.
-    let mut conv_count = 0usize;
     let mut live_configure: HashMap<u8, usize> = HashMap::new();
     for (pc, instr) in program.instrs().iter().enumerate() {
         let (layer, wants_conv) = match *instr {
@@ -398,7 +387,6 @@ fn check_isa(program: &Program, net: &Network) -> Vec<Diagnostic> {
             }
             Instr::LoadKernels { layer } => (layer, true),
             Instr::Conv { layer } => {
-                conv_count += 1;
                 live_configure.remove(&layer);
                 (layer, true)
             }
@@ -432,19 +420,12 @@ fn check_isa(program: &Program, net: &Network) -> Vec<Diagnostic> {
             _ => {}
         }
     }
-    if conv_count != program.choices().len() {
-        diags.push(Diagnostic::error(
-            RuleId::IsaProtocol,
-            Location::program(),
-            format!(
-                "{} Conv instructions but {} planned layer choices",
-                conv_count,
-                program.choices().len()
-            ),
-            "every planned choice must lower to exactly one Conv",
-        ));
-    }
-    for (layer, pc) in live_configure {
+    let mut dead: Vec<(usize, u8)> = live_configure
+        .into_iter()
+        .map(|(layer, pc)| (pc, layer))
+        .collect();
+    dead.sort_unstable();
+    for (pc, layer) in dead {
         diags.push(Diagnostic::warning(
             RuleId::IsaProtocol,
             Location::pc(pc),
@@ -769,7 +750,7 @@ mod tests {
     use flexsim_model::workloads;
 
     fn plan_for(layer: &ConvLayer, u: Unroll) -> LayerPlan<'_> {
-        LayerPlan::derive(layer, 0, u, u, 16, STORE_WORDS).unwrap()
+        LayerPlan::derive(layer, 0, u, 16, STORE_WORDS).unwrap()
     }
 
     #[test]
@@ -875,6 +856,41 @@ mod tests {
         let diags = check_layer_plan(&plan, &ArchParams::flexflow_paper());
         assert!(diags.iter().all(|d| d.rule == RuleId::CdbRace), "{diags:?}");
         assert!(has_errors(&diags));
+    }
+
+    #[test]
+    fn dead_configures_are_reported_in_pc_order() {
+        // Two Configures after their layers' last Conv, the later layer
+        // first: the warnings follow the stream, not the layer index.
+        let net = workloads::lenet5();
+        let program = flexflow::Compiler::new(16).compile(&net);
+        let mut instrs = program.instrs().to_vec();
+        let halt = instrs.len() - 1;
+        for layer in [2, 0] {
+            let unroll = Unroll::scalar();
+            instrs.insert(instrs.len() - 1, Instr::Configure { layer, unroll });
+        }
+        let mutated = Program::from_parts(program.name(), program.d(), instrs);
+        let diags = check(&mutated, &net, &ArchParams::flexflow_paper());
+        let found: Vec<_> = diags
+            .iter()
+            .map(|d| (d.rule, d.severity, d.location.pc, d.message.as_str()))
+            .collect();
+        let dead = |layer| format!("dead code: Configure for L{layer} is never consumed by a Conv");
+        let (first, second) = (dead(2), dead(0));
+        let warning = crate::Severity::Warning;
+        assert_eq!(
+            found,
+            [
+                (RuleId::IsaProtocol, warning, Some(halt), first.as_str()),
+                (
+                    RuleId::IsaProtocol,
+                    warning,
+                    Some(halt + 1),
+                    second.as_str()
+                ),
+            ]
+        );
     }
 
     #[test]

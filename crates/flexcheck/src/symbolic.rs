@@ -304,12 +304,7 @@ mod tests {
             .unwrap();
         let dup = instrs[pos];
         instrs.insert(pos + 1, dup);
-        let mutated = Program::from_parts(
-            program.name().to_owned(),
-            program.d(),
-            program.choices().to_vec(),
-            instrs,
-        );
+        let mutated = Program::from_parts(program.name().to_owned(), program.d(), instrs);
         let diags = check_isa_coverage(&mutated);
         assert_eq!(diags.len(), 1, "{}", crate::render(&diags));
         assert_eq!(diags[0].rule, RuleId::IsaCoverage);
@@ -321,7 +316,7 @@ mod tests {
         let layer = ConvLayer::new("C3", 16, 6, 10, 5);
         let u = Unroll::new(2, 2, 1, 2, 2, 3);
         let arch = ArchParams::flexflow_paper();
-        let mut plan = LayerPlan::derive(&layer, 0, u, u, arch.d, arch.store_words).unwrap();
+        let mut plan = LayerPlan::derive(&layer, 0, u, arch.d, arch.store_words).unwrap();
         assert!(check_interference(&plan, &arch).is_empty());
         // Widen the walk past its residue period: FXC12's bus interval
         // overlaps, exactly where FXC02's enumeration would race.
@@ -342,7 +337,7 @@ mod tests {
         let u = Unroll::new(2, 2, 1, 2, 2, 3);
         let mut arch = ArchParams::flexflow_paper();
         arch.buffer_banks = 4; // cols_used = 2·2·3 = 12 > 4
-        let plan = LayerPlan::derive(&layer, 0, u, u, arch.d, arch.store_words).unwrap();
+        let plan = LayerPlan::derive(&layer, 0, u, arch.d, arch.store_words).unwrap();
         let diags = check_interference(&plan, &arch);
         assert!(!diags.is_empty());
         assert!(diags.iter().all(|d| d.rule == RuleId::InterferenceFreedom));

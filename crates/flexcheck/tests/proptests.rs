@@ -63,8 +63,8 @@ fn legal_unrolls_lint_clean() {
             let layer = ConvLayer::new("P", m, n, s, k);
             let u = legalize(Unroll::new(tm, tn, tr, tc, ti, tj), &layer, arch.d);
             prop_assert!(u.satisfies(&layer, arch.d, None), "legalize broke {u}");
-            let plan = LayerPlan::derive(&layer, 0, u, u, arch.d, STORE_WORDS)
-                .map_err(|d| d.to_string())?;
+            let plan =
+                LayerPlan::derive(&layer, 0, u, arch.d, STORE_WORDS).map_err(|d| d.to_string())?;
             let diags = check_layer_plan(&plan, &arch);
             prop_assert!(
                 diags.is_empty(),
@@ -182,8 +182,8 @@ fn interference_freedom_composes_the_resource_rules() {
         |&(m, n, s, k, ti, tj, mode)| {
             let layer = ConvLayer::new("P", m, n, s, k);
             let u = legalize(Unroll::new(2, 2, 2, 2, ti, tj), &layer, arch.d);
-            let mut plan = LayerPlan::derive(&layer, 0, u, u, arch.d, STORE_WORDS)
-                .map_err(|d| d.to_string())?;
+            let mut plan =
+                LayerPlan::derive(&layer, 0, u, arch.d, STORE_WORDS).map_err(|d| d.to_string())?;
             let mut arch = arch;
             match mode {
                 0 => plan.walk.tj += 1,     // over-wide bus walk

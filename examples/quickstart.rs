@@ -1,6 +1,6 @@
 //! Quickstart: compile LeNet-5 for a 16×16 FlexFlow, run it
-//! functionally end-to-end on real data, and print the per-layer plan
-//! and statistics.
+//! functionally end-to-end on real data, and print its assembly (whose
+//! `cfg` lines are the per-layer plan) and statistics.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -17,11 +17,8 @@ fn main() {
     let compiler = Compiler::new(16);
     let program = compiler.compile(&net);
 
-    println!("-- compiled plan --");
-    for choice in program.choices() {
-        println!("  {choice}");
-    }
-    println!("\n-- assembly --\n{}", program.disassemble());
+    // The `cfg` lines are the per-layer factor plan the engine runs.
+    println!("-- assembly --\n{}", program.disassemble());
 
     // 2. Execute it functionally: real 16-bit fixed-point data through
     //    the cycle-stepped PE array and the pooling unit.

@@ -4,24 +4,41 @@
 //! factors, code generation emits the instruction stream, the decoder
 //! ingests 64-bit words, and the engine executes them functionally.
 
+use flexflow::compiler::Program;
 use flexflow::isa::Instr;
 use flexflow::{Compiler, FlexFlow};
+use flexsim_dataflow::search::plan_network;
+use flexsim_dataflow::Unroll;
+use flexsim_model::tensor::KernelSet;
 use flexsim_model::{reference, workloads, ConvLayer};
+
+/// The unrolls `program`'s `Configure` instructions program, in stream
+/// order: its factor plan, one per CONV/FC layer.
+fn configured(program: &Program) -> Vec<Unroll> {
+    program
+        .instrs()
+        .iter()
+        .filter_map(|i| match *i {
+            Instr::Configure { unroll, .. } => Some(unroll),
+            _ => None,
+        })
+        .collect()
+}
 
 #[test]
 fn every_workload_compiles_with_feasible_plans() {
     for net in flexsim_model::workloads::all() {
         let program = Compiler::new(16).compile(&net);
-        assert_eq!(program.choices().len(), net.conv_layers().count());
-        for (layer, choice) in net.conv_layers().zip(program.choices()) {
+        let plan = configured(&program);
+        assert_eq!(plan.len(), net.conv_layers().count());
+        for (layer, u) in net.conv_layers().zip(plan) {
             assert!(
-                choice.unroll.cols_used() <= 16 && choice.unroll.rows_used() <= 16,
-                "{}/{}: infeasible plan {}",
+                u.cols_used() <= 16 && u.rows_used() <= 16,
+                "{}/{}: infeasible plan {u}",
                 net.name(),
                 layer.name(),
-                choice.unroll
             );
-            assert_eq!(choice.unroll, choice.unroll.clamped_to(layer));
+            assert_eq!(u, u.clamped_to(layer));
         }
         // The stream always terminates with Halt and round-trips the
         // binary encoding.
@@ -36,14 +53,68 @@ fn every_workload_compiles_with_feasible_plans() {
 fn decoded_program_configures_the_planned_factors() {
     let net = workloads::lenet5();
     let program = Compiler::new(16).compile(&net);
-    let mut configured = Vec::new();
+    let mut decoded = Vec::new();
     for word in program.encode() {
         if let Instr::Configure { unroll, .. } = Instr::decode(word).unwrap() {
-            configured.push(unroll);
+            decoded.push(unroll);
         }
     }
-    let planned: Vec<_> = program.choices().iter().map(|c| c.unroll).collect();
-    assert_eq!(configured, planned);
+    let planned: Vec<_> = plan_network(&net, 16).iter().map(|c| c.unroll).collect();
+    assert_eq!(decoded, planned);
+}
+
+/// LeNet-5's kernels (one set per CONV layer) and input, seeded.
+fn lenet5_data(net: &flexsim_model::Network) -> (flexsim_model::Tensor3, Vec<KernelSet>) {
+    let convs: Vec<&ConvLayer> = net.conv_layers().collect();
+    let (input, k1) = reference::random_layer_data(convs[0], 555);
+    let (_, k2) = reference::random_layer_data(convs[1], 556);
+    (input, vec![k1, k2])
+}
+
+#[test]
+fn execution_runs_the_configured_factors() {
+    // The Configure words are the plan that runs: rewrite every one to
+    // the scalar unroll and the engine takes longer, with the same bits.
+    let net = workloads::lenet5();
+    let program = Compiler::new(16).compile(&net);
+    let scalar = Program::from_parts(
+        program.name(),
+        program.d(),
+        program
+            .instrs()
+            .iter()
+            .map(|&i| match i {
+                Instr::Configure { layer, .. } => Instr::Configure {
+                    layer,
+                    unroll: Unroll::scalar(),
+                },
+                other => other,
+            })
+            .collect(),
+    );
+    let (input, kernels) = lenet5_data(&net);
+    let mut ff = FlexFlow::paper_config();
+    let planned = ff.execute(&program, &net, input.clone(), &kernels);
+    let serial = ff.execute(&scalar, &net, input.clone(), &kernels);
+    assert_ne!(serial.cycles, planned.cycles);
+    assert!(serial.cycles > planned.cycles);
+    assert_eq!(serial.output, reference::network(&net, &input, &kernels));
+    assert_eq!(serial.output, planned.output);
+}
+
+#[test]
+#[should_panic(expected = "the decoder rejects the program: pc 1: conv L0 without a configure")]
+fn execution_panics_on_a_stream_the_decoder_rejects() {
+    let net = workloads::lenet5();
+    let program = Compiler::new(16).compile(&net);
+    let mut instrs = program.instrs().to_vec();
+    assert!(matches!(
+        instrs.remove(0),
+        Instr::Configure { layer: 0, .. }
+    ));
+    let unconfigured = Program::from_parts(program.name(), program.d(), instrs);
+    let (input, kernels) = lenet5_data(&net);
+    FlexFlow::paper_config().execute(&unconfigured, &net, input, &kernels);
 }
 
 #[test]
@@ -83,8 +154,8 @@ fn execution_cycles_match_per_layer_schedules() {
     let trace = ff.execute(&program, &net, input, &[k1, k2]);
 
     let mut want_conv_cycles = 0u64;
-    for (layer, choice) in net.conv_layers().zip(program.choices()) {
-        want_conv_cycles += flexflow::analytic::schedule_default(layer, choice.unroll, 8).cycles;
+    for (layer, u) in net.conv_layers().zip(configured(&program)) {
+        want_conv_cycles += flexflow::analytic::schedule_default(layer, u, 8).cycles;
     }
     let got_conv_cycles: u64 = trace
         .steps
@@ -117,20 +188,13 @@ fn plans_differ_across_engine_scales() {
     let net = workloads::lenet5();
     let small = Compiler::new(8).compile(&net);
     let large = Compiler::new(32).compile(&net);
-    for (s, l) in small.choices().iter().zip(large.choices()) {
-        assert!(s.unroll.rows_used() <= 8 && s.unroll.cols_used() <= 8);
-        assert!(l.unroll.rows_used() <= 32 && l.unroll.cols_used() <= 32);
+    let (small, large) = (configured(&small), configured(&large));
+    for (s, l) in small.iter().zip(&large) {
+        assert!(s.rows_used() <= 8 && s.cols_used() <= 8);
+        assert!(l.rows_used() <= 32 && l.cols_used() <= 32);
     }
-    let small_par: usize = small
-        .choices()
-        .iter()
-        .map(|c| c.unroll.parallel_macs())
-        .sum();
-    let large_par: usize = large
-        .choices()
-        .iter()
-        .map(|c| c.unroll.parallel_macs())
-        .sum();
+    let small_par: usize = small.iter().map(Unroll::parallel_macs).sum();
+    let large_par: usize = large.iter().map(Unroll::parallel_macs).sum();
     assert!(large_par > small_par);
 }
 
@@ -145,7 +209,7 @@ fn fc_layers_execute_as_1x1_convolutions() {
         .layer(FcLayer::new("F3", 8, 5))
         .build();
     let program = Compiler::new(8).compile(&net);
-    assert_eq!(program.choices().len(), 2); // conv + fc
+    assert_eq!(configured(&program).len(), 2); // conv + fc
 
     let c1 = net.conv_layer("C1").unwrap();
     let (input, k1) = reference::random_layer_data(c1, 91);
@@ -175,12 +239,11 @@ fn fc_layers_execute_as_1x1_convolutions() {
 
 #[test]
 fn lenet5_full_runs_end_to_end_with_classifier() {
-    use flexsim_model::tensor::KernelSet;
     use flexsim_model::{Fx16, Layer};
 
     let net = workloads::lenet5_full();
     let program = Compiler::new(16).compile(&net);
-    assert_eq!(program.choices().len(), 5); // 2 conv + 3 fc
+    assert_eq!(configured(&program).len(), 5); // 2 conv + 3 fc
 
     // Kernels for every Conv instruction, in network order.
     let mut kernels: Vec<KernelSet> = Vec::new();

@@ -67,7 +67,7 @@ fn wide_unroll() -> Unroll {
 }
 
 fn plan(layer: &ConvLayer, u: Unroll) -> LayerPlan<'_> {
-    LayerPlan::derive(layer, 0, u, u, 16, STORE_WORDS).expect("clean plan derives")
+    LayerPlan::derive(layer, 0, u, 16, STORE_WORDS).expect("clean plan derives")
 }
 
 /// Asserts every diagnostic names `rule` and at least one is an error —
@@ -234,7 +234,7 @@ fn fxc05_static_dropped_halt_breaks_the_stream_protocol() {
     let compiled = Compiler::new(16).compile(&net);
     let mut instrs = compiled.instrs().to_vec();
     assert_eq!(instrs.pop(), Some(flexflow::isa::Instr::Halt));
-    let corrupted = Program::from_parts("LeNet-5", 16, compiled.choices().to_vec(), instrs);
+    let corrupted = Program::from_parts("LeNet-5", 16, instrs);
     let diags = check(&corrupted, &net, &ArchParams::flexflow_paper());
     assert_only(&diags, RuleId::IsaProtocol);
 }
@@ -254,7 +254,7 @@ fn fxc05_dynamic_decoder_rejects_the_haltless_stream() {
 fn fxc06_static_over_occupied_engine_is_rejected_at_derive() {
     // Corruption: 32 PE rows demanded of a 16x16 engine.
     let u = Unroll::new(8, 1, 2, 2, 1, 1);
-    let err = LayerPlan::derive(&deep_layer(), 0, u, u, 16, STORE_WORDS).unwrap_err();
+    let err = LayerPlan::derive(&deep_layer(), 0, u, 16, STORE_WORDS).unwrap_err();
     assert_eq!(err.rule, RuleId::UnrollBounds);
     assert_eq!(err.severity, Severity::Error);
 }
@@ -389,12 +389,7 @@ fn shadowed_program(net: &Network) -> (Program, usize) {
     let dup = instrs[pos];
     instrs.insert(pos + 1, dup);
     (
-        Program::from_parts(
-            program.name().to_owned(),
-            program.d(),
-            program.choices().to_vec(),
-            instrs,
-        ),
+        Program::from_parts(program.name().to_owned(), program.d(), instrs),
         pos,
     )
 }
@@ -415,18 +410,40 @@ fn fxc11_static_shadowed_configure_trips_isa_coverage() {
 
 #[test]
 fn fxc11_dynamic_shadowed_claim_diverges_from_the_overriding_run() {
-    // Why shadowing matters at runtime: the engine executes the *last*
-    // Configure's factors, so a proof timed from the shadowed claim's
-    // factors no longer matches the hardware. Model the shadowed claim
-    // as a fully serial unroll — the engine (running the compiler's
-    // real choice) finishes in fewer cycles than the dead claim
-    // predicts, and the exactness check rejects the pairing.
+    // Why shadowing matters at runtime: the engine runs each Conv on its
+    // layer's *last* Configure, so a proof timed from the shadowed
+    // claim's factors no longer matches the hardware. Shadow C1's
+    // Configure with a fully serial unroll: the executed program runs
+    // the overriding (compiler's) factors, in the cycles the recorded
+    // run of those factors takes, and the exactness check rejects the
+    // serial claim against that run.
     let net = workloads::lenet5();
-    let first = net.conv_layers().next().unwrap();
-    let shadowed_claim = LossLedger::from_timeline(
-        &FlexFlow::new(16).predict_with(first, Unroll::new(1, 1, 1, 1, 1, 1)),
-    );
+    let (program, pos) = shadowed_program(&net);
+    let mut instrs = program.instrs().to_vec();
+    let flexflow::isa::Instr::Configure { layer, .. } = instrs[pos] else {
+        panic!("pc {pos} is not the shadowed Configure");
+    };
+    let serial = Unroll::scalar();
+    instrs[pos] = flexflow::isa::Instr::Configure {
+        layer,
+        unroll: serial,
+    };
+    let shadowed = Program::from_parts(program.name(), program.d(), instrs);
+    let convs: Vec<&ConvLayer> = net.conv_layers().collect();
+    let (input, k1) = reference::random_layer_data(convs[0], 21);
+    let (_, k2) = reference::random_layer_data(convs[1], 22);
+    let trace = FlexFlow::new(16).execute(&shadowed, &net, input, &[k1, k2]);
+    let flexflow::engine::StepTrace::Conv {
+        cycles: executed, ..
+    } = trace.steps[0]
+    else {
+        panic!("C1 runs first");
+    };
     let recorded = recorded_flexflow(&net, 16);
+    let shadowed_claim =
+        LossLedger::from_timeline(&FlexFlow::new(16).predict_with(convs[0], serial));
+    assert_eq!(executed, recorded[0].total_cycles);
+    assert_ne!(executed, shadowed_claim.total_cycles);
     let diags = flexcheck::check_cycle_exactness(&shadowed_claim, &recorded[0]);
     assert_only(&diags, RuleId::CycleExactness);
 }
