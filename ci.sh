@@ -90,14 +90,17 @@ echo "==> flexsim --trace determinism (cycle-domain events byte-identical at --j
 # Each simulated layer reaches its recorder whole, in one call, so the
 # exported simulated-cycle events (every line whose "pid" is not 0;
 # pid 0 is host wall time) must not depend on the pool's schedule.
-for jobs in 1 2; do
-    "$FLEXSIM" --jobs "$jobs" --trace "$TMP/trace$jobs.json" all > /dev/null
-    grep '"pid"' "$TMP/trace$jobs.json" | grep -v '"pid":0[,}]' > "$TMP/trace$jobs.sim"
+# Every command that simulates layers writes them to the one recorder.
+for cmd in "all" "run lenet5" "profile" "heatmap alexnet" "prove"; do
+    for jobs in 1 2; do
+        "$FLEXSIM" --jobs "$jobs" --trace "$TMP/trace$jobs.json" $cmd > /dev/null
+        grep '"pid"' "$TMP/trace$jobs.json" | grep -v '"pid":0[,}]' > "$TMP/trace$jobs.sim"
+    done
+    [ -s "$TMP/trace1.sim" ] \
+        || { echo "FAIL: --trace $cmd exported no cycle-domain events"; exit 1; }
+    cmp "$TMP/trace1.sim" "$TMP/trace2.sim" \
+        || { echo "FAIL: --jobs 2 cycle-domain trace of $cmd diverged from --jobs 1"; exit 1; }
 done
-[ -s "$TMP/trace1.sim" ] \
-    || { echo "FAIL: --trace exported no cycle-domain events"; exit 1; }
-cmp "$TMP/trace1.sim" "$TMP/trace2.sim" \
-    || { echo "FAIL: --jobs 2 cycle-domain trace diverged from --jobs 1"; exit 1; }
 
 echo "==> flexsim profile smoke (ledgers balance; JSON well-formed)"
 # The run itself enforces flexcheck FXC09: every layer's loss ledger

@@ -13,6 +13,7 @@
 //! }
 //! ```
 
+use crate::experiment::TaskCtx;
 use flexcheck::{ArchParams, Diagnostic};
 use flexflow::FlexFlow;
 use flexsim_arch::{Accelerator, RunSummary};
@@ -186,13 +187,16 @@ pub struct PairRun {
 
 /// Runs `net` on the architecture at `arch_idx` (paper scale) with a
 /// private cycle recorder — spatial records too when `spatial` is set
-/// — and checks the recorded ledgers against FXC09.
+/// — and checks the recorded ledgers against FXC09. The ledgers and
+/// spatial records are folded from that recorder whether or not the
+/// task is traced; its timelines then go to `tctx`'s recorder, when
+/// it has one.
 ///
 /// # Panics
 ///
 /// Panics if `arch_idx >= ARCH_NAMES.len()`, or when the pre-simulation
 /// gate refuses the workload.
-pub fn run_pair(net: &Network, arch_idx: usize, spatial: bool) -> PairRun {
+pub fn run_pair(tctx: &TaskCtx, net: &Network, arch_idx: usize, spatial: bool) -> PairRun {
     let rec = Arc::new(if spatial {
         Recorder::with_spatial()
     } else {
@@ -202,7 +206,11 @@ pub fn run_pair(net: &Network, arch_idx: usize, spatial: bool) -> PairRun {
         .sink(SinkHandle::new(rec.clone()))
         .build_one(net, arch_idx);
     let summary = acc.run_network(net);
-    let ledgers = ledgers(&rec.take());
+    let timelines = rec.take();
+    let ledgers = ledgers(&timelines);
+    if let Some(trace) = tctx.sink().recorder() {
+        trace.record_all(timelines);
+    }
     PairRun {
         arch: ARCH_NAMES[arch_idx],
         pe_count: acc.pe_count(),
@@ -217,6 +225,7 @@ pub fn run_pair(net: &Network, arch_idx: usize, spatial: bool) -> PairRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ExperimentCtx;
     use flexsim_model::workloads;
 
     #[test]
@@ -258,11 +267,12 @@ mod tests {
 
     #[test]
     fn builder_wires_the_given_sink() {
-        // The pair runner attaches its private recorder through the
-        // builder's sink, with spatial records only on request.
+        // The pair runner attaches its own recorder through the
+        // builder's sink, with spatial records only on request, and
+        // hands the recorded timelines on to a traced task's recorder.
         let net = workloads::lenet5();
         for idx in 0..ARCH_NAMES.len() {
-            let plain = run_pair(&net, idx, false);
+            let plain = run_pair(&TaskCtx::default(), &net, idx, false);
             assert_eq!(plain.arch, plain.acc.name());
             assert_eq!(plain.ledgers.len(), plain.summary.layers.len());
             assert!(
@@ -271,9 +281,26 @@ mod tests {
                 flexcheck::render(&plain.diags)
             );
             assert!(plain.spatials.is_empty());
-            let spatial = run_pair(&net, idx, true);
-            assert_eq!(spatial.spatials.len(), spatial.ledgers.len());
-            assert_eq!(spatial.ledgers, plain.ledgers);
+            let trace = Arc::new(Recorder::new());
+            let traced = ExperimentCtx::serial("pair").traced(trace.clone());
+            let spatial = traced.map(
+                vec![()],
+                |()| "pair".to_owned(),
+                move |tctx, ()| {
+                    let run = run_pair(tctx, &workloads::lenet5(), idx, true);
+                    (run.spatials.len(), run.ledgers)
+                },
+            );
+            let (spatials, ledgers) = &spatial[0];
+            assert_eq!(*spatials, ledgers.len());
+            assert_eq!(*ledgers, plain.ledgers);
+            // The handed-on timelines carry the task's experiment tag.
+            let mut handed = flexsim_obs::attrib::ledgers(&trace.take());
+            for ledger in &mut handed {
+                assert_eq!(ledger.experiment, "pair");
+                ledger.experiment.clear();
+            }
+            assert_eq!(handed, plain.ledgers);
         }
     }
 }

@@ -28,7 +28,7 @@
 
 use crate::arches::{run_pair, ALL_ARCHES, ARCH_NAMES};
 use crate::cli::Bench;
-use crate::experiment::{run_suite, sweep_set, Experiment, ExperimentCtx, SuiteConfig};
+use crate::experiment::{run_suite, sweep_set, Experiment, ExperimentCtx, SuiteConfig, TaskCtx};
 use crate::tune::{sweep_totals, SweepTotals};
 use flexsim_model::workloads;
 use flexsim_obs::attrib::StallCause;
@@ -376,7 +376,7 @@ fn attribution_totals() -> AttributionTotals {
     let mut lost = [0u64; StallCause::COUNT];
     for net in workloads::all() {
         for idx in ALL_ARCHES {
-            let run = run_pair(&net, idx, false);
+            let run = run_pair(&TaskCtx::default(), &net, idx, false);
             assert!(
                 run.diags.is_empty(),
                 "{}/{}: {}",
@@ -451,11 +451,11 @@ fn spatial_probe() -> SpatialProbe {
     let mut cells = 0;
     let [plain, spatial] = measure([
         &mut || {
-            run_pair(&net, flexflow, false);
+            run_pair(&TaskCtx::default(), &net, flexflow, false);
             Ok(())
         },
         &mut || {
-            let run = run_pair(&net, flexflow, true);
+            let run = run_pair(&TaskCtx::default(), &net, flexflow, true);
             cells = run.spatials.iter().map(|sp| sp.pe_count() as u64).sum();
             Ok(())
         },

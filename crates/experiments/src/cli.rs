@@ -607,6 +607,22 @@ mod tests {
             ),
             (&["--jobs", "1", "--json", "run", "lenet"], run("lenet")),
             (&["--jobs", "4", "--json", "run", "lenet"], run("lenet")),
+            (
+                &["--jobs", "2", "--trace", "t.json", "run", "lenet5"],
+                run("lenet5"),
+            ),
+            (
+                &["--jobs", "2", "--trace", "t.json", "heatmap", "alexnet"],
+                heatmap("alexnet", None, false),
+            ),
+            (
+                &["--jobs", "2", "--trace", "t.json", "profile"],
+                Command::Profile(None),
+            ),
+            (
+                &["--jobs", "2", "--trace", "t.json", "prove"],
+                prove(None, false),
+            ),
             // tests/
             (&["run", FFNET], run(FFNET)),
             (&["--json", "lint", FFNET], lint(Some(FFNET))),
@@ -615,6 +631,7 @@ mod tests {
                 &["--jobs", "2", "--trace", "t.json", "fig15"],
                 ids(&["fig15"]),
             ),
+            (&["--trace", "t.json", "run", "lenet5"], run("lenet5")),
             (
                 &["--jobs", "8", "heatmap", "lenet"],
                 heatmap("lenet", None, false),

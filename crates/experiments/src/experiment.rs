@@ -17,11 +17,11 @@
 //!   a failing experiment becomes a structured [`SuiteFailure`] and a
 //!   placeholder result; the rest of the sweep still runs.
 //!
-//! Cycle-domain tracing never goes through process-global state: a
-//! [`TraceCollector`] is threaded through the context, each parallel
-//! task records into its own private [`Recorder`] (tagged with the
-//! owning experiment id), and completed timelines are merged back in
-//! task order — deterministic and attributable.
+//! Cycle-domain tracing never goes through process-global state: the
+//! run's one [`Recorder`] is threaded through the context, each
+//! parallel task records into its own private recorder (tagged with
+//! the owning experiment id), and completed timelines are merged back
+//! in task order — deterministic and attributable.
 
 use crate::arches::ARCH_NAMES;
 use crate::report::{ExperimentResult, Table};
@@ -30,7 +30,7 @@ use flexsim_obs::cycles::{LayerTimeline, Recorder, SinkHandle};
 use flexsim_obs::telemetry;
 use flexsim_pool::{Outcome, Pool, Task};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One experiment of the evaluation: a stable id, a human title, and a
 /// run method. Implementations are unit structs registered in
@@ -95,37 +95,6 @@ pub fn find(id: &str) -> Option<&'static dyn Experiment> {
         .copied()
 }
 
-/// Collects completed layer timelines from every task of a run, in
-/// deterministic (task-submission) order.
-#[derive(Debug, Default)]
-pub struct TraceCollector {
-    done: Mutex<Vec<LayerTimeline>>,
-}
-
-impl TraceCollector {
-    /// Creates an empty collector.
-    pub fn new() -> TraceCollector {
-        TraceCollector::default()
-    }
-
-    fn append(&self, timelines: Vec<LayerTimeline>) {
-        self.done
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .extend(timelines);
-    }
-
-    /// Drains every collected timeline.
-    pub fn take(&self) -> Vec<LayerTimeline> {
-        std::mem::take(
-            &mut self
-                .done
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
-    }
-}
-
 /// Everything an [`Experiment::run`] needs from its surroundings: the
 /// experiment's own id, a shared thread pool, and the sink
 /// wiring for cycle-domain tracing.
@@ -133,11 +102,14 @@ pub struct ExperimentCtx {
     id: String,
     pool: Arc<Pool>,
     /// The `--trace` path: per-task private recorders merged into this
-    /// collector in task order (`None`: unattached sinks everywhere).
-    trace: Option<Arc<TraceCollector>>,
+    /// untagged recorder in task order (`None`: unattached sinks
+    /// everywhere).
+    trace: Option<Arc<Recorder>>,
 }
 
-/// The per-task view handed to [`ExperimentCtx::map`] closures.
+/// The per-task view handed to [`ExperimentCtx::map`] closures. The
+/// default is untraced.
+#[derive(Default)]
 pub struct TaskCtx {
     sink: SinkHandle,
 }
@@ -168,8 +140,15 @@ impl ExperimentCtx {
         }
     }
 
+    /// The context merging every task's cycle timelines into `trace`,
+    /// which stays untagged so each timeline keeps its task's tag.
+    pub fn traced(mut self, trace: Arc<Recorder>) -> ExperimentCtx {
+        self.trace = Some(trace);
+        self
+    }
+
     /// The context for one experiment of a suite run.
-    fn for_suite(id: &str, pool: &Arc<Pool>, trace: Option<&Arc<TraceCollector>>) -> ExperimentCtx {
+    fn for_suite(id: &str, pool: &Arc<Pool>, trace: Option<&Arc<Recorder>>) -> ExperimentCtx {
         ExperimentCtx {
             id: id.to_owned(),
             pool: Arc::clone(pool),
@@ -187,7 +166,7 @@ impl ExperimentCtx {
     /// pool's `--jobs` level. Each task runs under a
     /// `task`-category span labelled `experiment-id/label(item)`, gets
     /// a [`TaskCtx`] whose sink records into a private per-task
-    /// recorder (merged into the run's [`TraceCollector`] in task
+    /// recorder (merged into the context's recorder in task
     /// order), and is panic-isolated: if any task panics, the batch
     /// still completes and this method then panics with every failed
     /// task's label and message (so [`run_suite`] reports one
@@ -229,8 +208,8 @@ impl ExperimentCtx {
         for outcome in outcomes {
             match outcome {
                 Outcome::Done((value, timelines)) => {
-                    if let Some(collector) = &self.trace {
-                        collector.append(timelines);
+                    if let Some(trace) = &self.trace {
+                        trace.record_all(timelines);
                     }
                     values.push(value);
                 }
@@ -319,11 +298,11 @@ pub struct SuiteReport {
 /// a placeholder result, and the remaining experiments still run.
 pub fn run_suite(experiments: &[&dyn Experiment], config: &SuiteConfig) -> SuiteReport {
     let pool = Arc::new(Pool::new(config.jobs));
-    let collector = config.trace.then(|| Arc::new(TraceCollector::new()));
+    let trace = config.trace.then(|| Arc::new(Recorder::new()));
     let mut results = Vec::with_capacity(experiments.len());
     let mut failures = Vec::new();
     for exp in experiments {
-        let ctx = ExperimentCtx::for_suite(exp.id(), &pool, collector.as_ref());
+        let ctx = ExperimentCtx::for_suite(exp.id(), &pool, trace.as_ref());
         let outcome = {
             let _span = flexsim_obs::span::span("experiment", exp.id());
             catch_unwind(AssertUnwindSafe(|| exp.run(&ctx)))
@@ -354,7 +333,7 @@ pub fn run_suite(experiments: &[&dyn Experiment], config: &SuiteConfig) -> Suite
     SuiteReport {
         results,
         failures,
-        timelines: collector.map(|c| c.take()).unwrap_or_default(),
+        timelines: trace.map(|t| t.take()).unwrap_or_default(),
     }
 }
 

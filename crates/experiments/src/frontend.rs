@@ -49,8 +49,8 @@ pub fn resolve(reference: Option<&str>) -> Result<Vec<Network>, String> {
 /// architectures, fanned over `ctx`. Returns the report and the exit
 /// code (0 ok, 1 on a ledger exactness failure).
 pub fn run(ctx: &ExperimentCtx, net: &Network, reference: &str, json: bool) -> (String, i32) {
-    let rows = ctx.map_pairs(std::slice::from_ref(net), &ALL_ARCHES, |_, net, idx| {
-        let run = run_pair(net, idx, false);
+    let rows = ctx.map_pairs(std::slice::from_ref(net), &ALL_ARCHES, |tctx, net, idx| {
+        let run = run_pair(tctx, net, idx, false);
         if !run.diags.is_empty() {
             eprintln!(
                 "{}/{}: FXC09 exactness violated:\n{}",

@@ -14,8 +14,8 @@
 //! Exit status: 0 with every FXC13 identity holding, 1 on any
 //! spatial-exactness violation, 2 on a resolution/usage error.
 
-use crate::arches::{run_pair, ALL_ARCHES, ARCH_NAMES};
-use crate::experiment::ExperimentCtx;
+use crate::arches::{run_pair, PairRun, ALL_ARCHES, ARCH_NAMES};
+use crate::experiment::{ExperimentCtx, TaskCtx};
 use crate::report::{pct, Table};
 use flexcheck::Diagnostic;
 use flexsim_model::Network;
@@ -59,8 +59,8 @@ pub fn heatmap(
     svg: bool,
 ) -> Result<(String, i32), String> {
     let selected = select_arches(arch)?;
-    let heats = ctx.map_pairs(std::slice::from_ref(net), &selected, |_, net, idx| {
-        simulate(net, idx)
+    let heats = ctx.map_pairs(std::slice::from_ref(net), &selected, |tctx, net, idx| {
+        gate(run_pair(tctx, net, idx, true))
     });
     let failed = heats.iter().any(|h| flexcheck::has_errors(&h.diags));
     let text = if json {
@@ -104,10 +104,14 @@ pub fn select_arches(filter: Option<&str>) -> Result<Vec<usize>, String> {
     }
 }
 
-/// Runs one architecture (an [`ARCH_NAMES`] index) with a spatial
-/// recorder attached and gates the records (FXC13).
+/// Runs one architecture (an [`ARCH_NAMES`] index) untraced, with a
+/// spatial recorder attached, and gates the records (FXC13).
 pub fn simulate(net: &Network, idx: usize) -> ArchHeat {
-    let run = run_pair(net, idx, true);
+    gate(run_pair(&TaskCtx::default(), net, idx, true))
+}
+
+/// Gates one pair run's spatial records against its ledgers (FXC13).
+fn gate(run: PairRun) -> ArchHeat {
     ArchHeat {
         arch: run.arch,
         pe_count: run.pe_count,

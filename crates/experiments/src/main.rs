@@ -30,11 +30,12 @@ use flexsim_experiments::{
     bench, experiment_ids, find, frontend, heatmap, lint, profile, prove, run_suite, stats,
     sweep_set, ExperimentCtx, ExperimentResult, SuiteConfig,
 };
-use flexsim_obs::cycles::LayerTimeline;
+use flexsim_obs::cycles::{LayerTimeline, Recorder};
 use flexsim_obs::telemetry::{self, Phase};
 use flexsim_obs::{chrome, span};
 use flexsim_testkit::json::Json;
 use std::io::Write as _;
+use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,8 +47,10 @@ fn main() {
         }
     };
     setup(&cli);
-    let code = execute(&cli)
-        .and_then(|out| finish(&cli, &out))
+    // The one recorder every command's cycle timelines reach.
+    let trace = cli.trace.as_ref().map(|_| Arc::new(Recorder::new()));
+    let code = execute(&cli, trace.as_ref())
+        .and_then(|out| finish(&cli, trace.as_deref(), &out))
         .and_then(|code| write_telemetry(&cli).map(|()| code))
         .unwrap_or_else(|msg| {
             eprintln!("flexsim: {msg}");
@@ -63,8 +66,6 @@ struct Output {
     results: Vec<ExperimentResult>,
     /// The command's own stdout document, printed instead of `results`.
     doc: Option<String>,
-    /// Cycle timelines `--trace FILE` exports (suite runs collect them).
-    timelines: Vec<LayerTimeline>,
     /// The command's exit status.
     code: i32,
 }
@@ -131,9 +132,16 @@ fn setup(cli: &Cli) {
     lint::set_enabled(!cli.no_lint);
 }
 
-/// Runs the command. `Err` is a usage or resolution error (exit 2).
-fn execute(cli: &Cli) -> Result<Output, String> {
-    let ctx = |id: &str| ExperimentCtx::parallel(id, cli.jobs);
+/// Runs the command, its cycle timelines going to `trace`. `Err` is a
+/// usage or resolution error (exit 2).
+fn execute(cli: &Cli, trace: Option<&Arc<Recorder>>) -> Result<Output, String> {
+    let ctx = |id: &str| {
+        let ctx = ExperimentCtx::parallel(id, cli.jobs);
+        match trace {
+            Some(trace) => ctx.traced(Arc::clone(trace)),
+            None => ctx,
+        }
+    };
     Ok(match &cli.command {
         Command::Help => Output::doc(USAGE.to_owned(), 0),
         Command::List => Output::doc(
@@ -143,7 +151,7 @@ fn execute(cli: &Cli) -> Result<Output, String> {
                 .collect(),
             0,
         ),
-        Command::Experiments(ids) => experiments(cli, ids)?,
+        Command::Experiments(ids) => experiments(cli, trace, ids)?,
         Command::Run(workload) => {
             let net = frontend::resolve(Some(workload))?.remove(0);
             let (text, code) = frontend::run(&ctx("run"), &net, workload, cli.json);
@@ -200,7 +208,7 @@ fn execute(cli: &Cli) -> Result<Output, String> {
             tune_workloads(&ctx("tune"), workload.as_deref(), *budget)?
         }
         Command::Stats => {
-            let (result, failures) = stats::run(cli.jobs);
+            let (result, failures) = stats::run(cli.jobs, trace.map(AsRef::as_ref));
             Output::results(vec![result], i32::from(failures > 0))
         }
         Command::Bench(which) => Output::doc(String::new(), bench::run(which, cli.jobs)),
@@ -208,8 +216,9 @@ fn execute(cli: &Cli) -> Result<Output, String> {
 }
 
 /// Runs registry experiments through the suite (all of the sweep when
-/// `ids` is empty or holds `all`).
-fn experiments(cli: &Cli, ids: &[String]) -> Result<Output, String> {
+/// `ids` is empty or holds `all`), their cycle timelines going to
+/// `trace`.
+fn experiments(cli: &Cli, trace: Option<&Arc<Recorder>>, ids: &[String]) -> Result<Output, String> {
     let experiments = {
         let _parse = telemetry::phase(Phase::Parse);
         if ids.is_empty() || ids.iter().any(|a| a == "all") {
@@ -229,15 +238,19 @@ fn experiments(cli: &Cli, ids: &[String]) -> Result<Output, String> {
     };
     let config = SuiteConfig {
         jobs: cli.jobs,
-        trace: cli.trace.is_some(),
+        trace: trace.is_some(),
     };
     let report = run_suite(&experiments, &config);
     for f in &report.failures {
         eprintln!("experiment {} FAILED: {}", f.id, f.message);
     }
-    let mut out = Output::results(report.results, i32::from(!report.failures.is_empty()));
-    out.timelines = report.timelines;
-    Ok(out)
+    if let Some(trace) = trace {
+        trace.record_all(report.timelines);
+    }
+    Ok(Output::results(
+        report.results,
+        i32::from(!report.failures.is_empty()),
+    ))
 }
 
 /// `flexsim tune [WORKLOAD]`: the mapping auto-tuner. With no workload
@@ -265,12 +278,12 @@ fn tune_workloads(
     Ok(Output::results(vec![tune::report(&outcomes, budget)], 0))
 }
 
-/// The single emit path: `--trace`, `--out`, then stdout.
-/// Returns the command's exit status.
-fn finish(cli: &Cli, out: &Output) -> Result<i32, String> {
+/// The single emit path: `--trace` (the timelines `trace` recorded),
+/// `--out`, then stdout. Returns the command's exit status.
+fn finish(cli: &Cli, trace: Option<&Recorder>, out: &Output) -> Result<i32, String> {
     let _export = telemetry::phase(Phase::Export);
-    if let Some(file) = &cli.trace {
-        write_trace(file, &out.timelines)?;
+    if let (Some(file), Some(trace)) = (&cli.trace, trace) {
+        write_trace(file, &trace.take())?;
     }
     if let (Some(dir), false) = (&cli.out_dir, out.results.is_empty()) {
         write_out(dir, &out.results)?;
@@ -290,7 +303,7 @@ fn finish(cli: &Cli, out: &Output) -> Result<i32, String> {
     }
 }
 
-/// Writes the `--trace` Chrome trace: host spans and the collected
+/// Writes the `--trace` Chrome trace: host spans and the recorded
 /// cycle timelines. The spans stay in the recorder
 /// for the `--telemetry` snapshot taken after it.
 fn write_trace(file: &str, timelines: &[LayerTimeline]) -> Result<(), String> {

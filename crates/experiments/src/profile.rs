@@ -2,10 +2,9 @@
 //! for every architecture.
 //!
 //! Not a figure from the paper: the diagnostic report behind `flexsim
-//! profile <workload>`. Each (workload, architecture) run records its
-//! cycle-domain events through the pair runner's private recorder
-//! ([`run_pair`]), folds every
-//! layer's event stream into a [`LossLedger`] (gated by flexcheck
+//! profile <workload>`. Each (workload, architecture) pair runs through
+//! [`run_pair`], which hands its cycle timelines to `--trace` and folds
+//! every layer's event stream into a [`LossLedger`] (gated by flexcheck
 //! `FXC09 attribution-exactness` — the ledger must balance to the last
 //! PE-cycle), classifies each layer compute- vs bandwidth-bound on the
 //! DDR3-style roofline, and renders, per layer:
@@ -21,7 +20,7 @@
 //! [workload]`.
 
 use crate::arches::{run_pair, PairRun, ALL_ARCHES};
-use crate::experiment::{Experiment, ExperimentCtx};
+use crate::experiment::{Experiment, ExperimentCtx, TaskCtx};
 use crate::report::{eng, pct, ExperimentResult, Table};
 use flexsim_arch::bandwidth::DramInterface;
 use flexsim_model::{workloads, Network};
@@ -57,7 +56,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
 /// Runs the report over a chosen set of workloads (`flexsim profile
 /// alexnet` passes exactly one).
 pub fn run_workloads(ctx: &ExperimentCtx, nets: &[Network]) -> ExperimentResult {
-    let row_groups = ctx.map_pairs(nets, &ALL_ARCHES, |_, net, idx| profile_one(net, idx));
+    let row_groups = ctx.map_pairs(nets, &ALL_ARCHES, profile_one);
     let mut table = Table::new([
         "workload",
         "arch",
@@ -96,10 +95,7 @@ pub fn run_workloads(ctx: &ExperimentCtx, nets: &[Network]) -> ExperimentResult 
 
 /// Profiles one (workload, architecture) pair: per-layer rows plus the
 /// aggregate `(all)` row.
-fn profile_one(net: &Network, arch_idx: usize) -> Vec<[String; 8]> {
-    // The pair runner's private recorder (instead of the task's trace
-    // sink) keeps concurrent `--trace` output free of the profile's
-    // own sweep.
+fn profile_one(tctx: &TaskCtx, net: &Network, arch_idx: usize) -> Vec<[String; 8]> {
     let PairRun {
         arch,
         pe_count,
@@ -107,7 +103,7 @@ fn profile_one(net: &Network, arch_idx: usize) -> Vec<[String; 8]> {
         ledgers: layer_ledgers,
         diags,
         ..
-    } = run_pair(net, arch_idx, false);
+    } = run_pair(tctx, net, arch_idx, false);
 
     // The FXC09 gate: an unbalanced ledger is a simulator bug, not a
     // reportable result.
@@ -247,7 +243,7 @@ mod tests {
         // and busy PE-cycles equal the analytic MAC count.
         let net = workloads::lenet5();
         for idx in ALL_ARCHES {
-            let run = run_pair(&net, idx, false);
+            let run = run_pair(&TaskCtx::default(), &net, idx, false);
             for (lr, ledger) in run.summary.layers.iter().zip(&run.ledgers) {
                 assert!(ledger.is_exact(), "{}/{}", run.arch, ledger.layer);
                 assert_eq!(ledger.busy_pe_cycles, lr.macs, "{}", run.arch);

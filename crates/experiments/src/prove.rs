@@ -5,10 +5,10 @@
 //! derives the **static** per-layer loss ledgers from its closed-form
 //! aggregate
 //! ([`flexsim_arch::Accelerator::predict_network`], no stepping) and the
-//! **dynamic** ledgers by folding its steps into a private cycle
-//! recorder, then holds the two equal with flexcheck rule
-//! `FXC10 cycle-exactness`: total cycles, busy PE-cycles, and every
-//! per-cause lost bucket, layer by layer.
+//! **dynamic** ledgers by folding the cycle timelines that
+//! [`run_pair`] records (and hands on to `--trace`), then holds the two
+//! equal with flexcheck rule `FXC10 cycle-exactness`: total cycles,
+//! busy PE-cycles, and every per-cause lost bucket, layer by layer.
 //!
 //! The text report is a per-pair verdict table; `--json` emits a
 //! byte-stable document of the static-vs-dynamic deltas (all zero on a
@@ -17,7 +17,7 @@
 //! predicted ledger by one cycle and must flip the exit status.
 
 use crate::arches::{run_pair, ALL_ARCHES, PAPER_SCALE};
-use crate::experiment::ExperimentCtx;
+use crate::experiment::{ExperimentCtx, TaskCtx};
 use crate::report::{ExperimentResult, Table};
 use flexcheck::Diagnostic;
 use flexsim_model::Network;
@@ -59,8 +59,8 @@ impl ProveOutcome {
 /// recorded from running it. `mutate` perturbs the first
 /// predicted ledger by one cycle — the CI handle proving the
 /// comparison has teeth.
-pub fn prove_pair(net: &Network, arch_idx: usize, mutate: bool) -> ProveOutcome {
-    let run = run_pair(net, arch_idx, false);
+pub fn prove_pair(tctx: &TaskCtx, net: &Network, arch_idx: usize, mutate: bool) -> ProveOutcome {
+    let run = run_pair(tctx, net, arch_idx, false);
     let mut predicted = ledgers(&run.acc.predict_network(net));
     if mutate {
         if let Some(first) = predicted.first_mut() {
@@ -80,8 +80,8 @@ pub fn prove_pair(net: &Network, arch_idx: usize, mutate: bool) -> ProveOutcome 
 /// Proves every (workload, architecture) pair, fanned over the pool in
 /// submission order (output is byte-identical at any `--jobs` level).
 pub fn run_workloads(ctx: &ExperimentCtx, nets: &[Network], mutate: bool) -> Vec<ProveOutcome> {
-    ctx.map_pairs(nets, &ALL_ARCHES, move |_, net, idx| {
-        prove_pair(net, idx, mutate)
+    ctx.map_pairs(nets, &ALL_ARCHES, move |tctx, net, idx| {
+        prove_pair(tctx, net, idx, mutate)
     })
 }
 
@@ -245,7 +245,7 @@ mod tests {
 
     #[test]
     fn a_mutated_prediction_is_rejected() {
-        let o = prove_pair(&workloads::pv(), 3, true);
+        let o = prove_pair(&TaskCtx::default(), &workloads::pv(), 3, true);
         assert!(!o.proved());
         assert!(
             o.diags[0].message.contains("cycle mismatch"),

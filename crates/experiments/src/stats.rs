@@ -24,13 +24,16 @@
 
 use crate::experiment::{run_suite, sweep_set, SuiteConfig};
 use crate::report::{ExperimentResult, Table};
+use flexsim_obs::cycles::Recorder;
 use flexsim_obs::hist::Histogram;
 use flexsim_obs::telemetry::{self, Phase, TelemetrySnapshot};
 use std::time::Instant;
 
 /// Runs the telemetry-instrumented sweep at `jobs` and returns the
 /// report plus the number of experiment failures (the CLI exit status).
-pub fn run(jobs: usize) -> (ExperimentResult, usize) {
+/// With a `trace` recorder (`--trace`) the sweep is traced and its
+/// cycle timelines go to that recorder.
+pub fn run(jobs: usize, trace: Option<&Recorder>) -> (ExperimentResult, usize) {
     telemetry::enable();
     telemetry::reset();
     let start = Instant::now();
@@ -38,7 +41,16 @@ pub fn run(jobs: usize) -> (ExperimentResult, usize) {
         let _parse = telemetry::phase(Phase::Parse);
         sweep_set()
     };
-    let report = run_suite(&experiments, &SuiteConfig { jobs, trace: false });
+    let mut report = run_suite(
+        &experiments,
+        &SuiteConfig {
+            jobs,
+            trace: trace.is_some(),
+        },
+    );
+    if let Some(trace) = trace {
+        trace.record_all(std::mem::take(&mut report.timelines));
+    }
     // Render the suite the way `flexsim all --json` would — real
     // export work, measured, then discarded (stats prints its own
     // report instead).

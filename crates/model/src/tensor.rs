@@ -100,12 +100,6 @@ impl<T: Copy> Tensor2<T> {
         &self.data
     }
 
-    /// Mutable flat row-major view of the data.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Iterates over `(row, col, value)` triples in row-major order.
     pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
         let cols = self.cols;

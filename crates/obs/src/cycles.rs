@@ -251,6 +251,12 @@ impl Recorder {
         self.lock().timelines.push(timeline);
     }
 
+    /// Records finished layer timelines, in order: how a recorder
+    /// merges another's [`Recorder::take`].
+    pub fn record_all(&self, timelines: Vec<LayerTimeline>) {
+        timelines.into_iter().for_each(|tl| self.record(tl));
+    }
+
     /// Records one finished per-layer spatial record.
     pub fn record_spatial(&self, layer: LayerSpatial) {
         self.lock().spatial.push(layer);

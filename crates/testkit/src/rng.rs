@@ -47,11 +47,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next raw 32-bit word (upper half of the 64-bit output).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `u64` in `[0, n)`. `n` must be nonzero.
     ///
     /// Uses rejection from the top of the range, so the distribution is
@@ -73,11 +68,6 @@ impl SplitMix64 {
         self.next_u64() & 1 == 1
     }
 
-    /// Uniform `f64` in `[0, 1)` with 53 random bits.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Uniform value in an inclusive range of any primitive integer
     /// type.
     pub fn gen_range<T: RangeSample>(&mut self, range: RangeInclusive<T>) -> T {
@@ -89,13 +79,6 @@ impl SplitMix64 {
         for chunk in dest.chunks_mut(8) {
             let word = self.next_u64().to_le_bytes();
             chunk.copy_from_slice(&word[..chunk.len()]);
-        }
-    }
-
-    /// Fills a slice using a per-element generator.
-    pub fn fill_with<T>(&mut self, dest: &mut [T], mut f: impl FnMut(&mut Self) -> T) {
-        for slot in dest {
-            *slot = f(self);
         }
     }
 

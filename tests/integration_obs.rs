@@ -7,7 +7,8 @@
 //! binary, so nothing else races.
 
 use flexsim_experiments::arches::{self, ArchSet};
-use flexsim_experiments::{find, run_suite, SuiteConfig};
+use flexsim_experiments::{find, frontend, heatmap, profile, prove, run_suite};
+use flexsim_experiments::{ExperimentCtx, SuiteConfig};
 use flexsim_obs::chrome::chrome_trace;
 use flexsim_obs::cycles::{LayerTimeline, Recorder, SinkHandle};
 use flexsim_obs::span;
@@ -144,6 +145,56 @@ fn chrome_trace_round_trips_with_all_architectures() {
     );
 }
 
+/// `run`, `profile`, `heatmap` and `prove`, traced into one recorder,
+/// each record one timeline per (architecture, CONV layer) they price,
+/// with the arch, layer and events `fig15` records for that pair; only
+/// the experiment tag differs.
+#[test]
+fn every_pair_command_traces_the_layers_it_prices() {
+    let nets = flexsim_model::workloads::all();
+    let lenet = nets.iter().position(|n| n.name() == "LeNet-5").unwrap();
+    let fig15 = run_suite(
+        &[find("fig15").expect("fig15 exists")],
+        &SuiteConfig {
+            jobs: 1,
+            trace: true,
+        },
+    )
+    .timelines;
+    // fig15 runs the nets network-major, one timeline per CONV layer.
+    let per_net = |n: &flexsim_model::Network| n.conv_layers().count() * arches::ARCH_NAMES.len();
+    let skip: usize = nets[..lenet].iter().map(per_net).sum();
+    let want = &fig15[skip..skip + per_net(&nets[lenet])];
+    assert_eq!(want.len(), 8);
+    let net = &nets[lenet];
+    let one = std::slice::from_ref(net);
+    let trace = Arc::new(Recorder::new());
+    let ctx = |id: &str| ExperimentCtx::parallel(id, 2).traced(trace.clone());
+    let check = |id: &str| {
+        let got = trace.take();
+        assert_eq!(got.len(), want.len(), "{id}");
+        for (got, want) in got.iter().zip(want) {
+            assert_eq!(got.ctx.experiment, id);
+            assert_eq!(want.ctx.experiment, "fig15");
+            assert_eq!(
+                (&got.ctx.arch, &got.ctx.layer, &got.events),
+                (&want.ctx.arch, &want.ctx.layer, &want.events),
+                "{id}"
+            );
+        }
+    };
+    assert_eq!(frontend::run(&ctx("run"), net, "lenet5", false).1, 0);
+    check("run");
+    profile::run_workloads(&ctx("profile"), one);
+    check("profile");
+    let (_, code) = heatmap::heatmap(&ctx("heatmap"), net, "lenet5", None, false, false).unwrap();
+    assert_eq!(code, 0);
+    check("heatmap");
+    let outcomes = prove::run_workloads(&ctx("prove"), one, false);
+    assert!(outcomes.iter().all(prove::ProveOutcome::proved));
+    check("prove");
+}
+
 /// Unknown flags, missing flag values, and ambiguous command lines
 /// (two commands, stray arguments, another command's options) must
 /// fail with a reason, the usage text and exit 2 — never be silently
@@ -221,7 +272,8 @@ fn flexsim_survives_a_closed_stdout_pipe() {
 /// End to end: `flexsim --jobs 2 --trace FILE fig15` writes a Chrome
 /// trace that parses, names all four architectures and the pool
 /// worker's host row, and carries no second copy of the ledgers
-/// (`otherData` holds only `cycle_unit`).
+/// (`otherData` holds only `cycle_unit`). `run lenet5` traces its 8
+/// (architecture, CONV layer) timelines.
 #[test]
 fn flexsim_trace_flag_writes_loadable_chrome_trace() {
     let dir = std::env::temp_dir().join(format!("flexsim-obs-test-{}", std::process::id()));
@@ -267,6 +319,16 @@ fn flexsim_trace_flag_writes_loadable_chrome_trace() {
             .any(|e| str_field(e, "cat") == Some("experiment")),
         "no host experiment span in the written trace"
     );
+
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flexsim"))
+        .args(["--trace", file.to_str().unwrap(), "run", "lenet5"])
+        .output()
+        .expect("flexsim runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains(", 8 layer timelines"), "{stderr}");
 }
 
 fn field<'a>(v: &'a Json, name: &str) -> Option<&'a Json> {

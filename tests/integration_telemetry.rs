@@ -59,7 +59,7 @@ fn sweep_output_is_byte_identical_with_telemetry_on_and_off() {
 #[test]
 fn stats_sweep_reports_every_phase_and_workers_reconcile() {
     let _guard = serialize();
-    let (result, failures) = flexsim_experiments::stats::run(2);
+    let (result, failures) = flexsim_experiments::stats::run(2, None);
     assert_eq!(failures, 0, "sweep failed under telemetry:\n{result}");
     // The flexcheck gate caches verdicts process-wide, so a sweep run
     // by an earlier test may have warmed it; `lint::run` opens the
